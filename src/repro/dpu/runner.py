@@ -216,6 +216,13 @@ class DpuRunner:
         preemption stall is appended with ``stall_probability`` — so two
         runs of the same model give *different* traces, as on real
         hardware.  All four rails share the same jittered time base.
+
+        The timelines are finite and hold their end segments outside
+        the run.  Every rail ends at 0 W and the FPGA rail also starts at
+        0 W, but the FPD, LPD and DDR rails start with the CPU
+        preprocess phase (1.1 / 0.065 / 0.12 W by default).  Before
+        ``start`` those three rails therefore draw that power instead of
+        idling.
         """
         require_positive(duration, "duration")
         rng = spawn(seed, f"dpu-trace-{model.name}")

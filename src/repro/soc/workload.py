@@ -11,13 +11,21 @@ vectorized, which is what lets the Fig 2 sweep (1.61 M sensor reads) and
 the RSA attack (100 k reads) run in seconds.
 
 Timelines may be periodic (an RSA engine encrypting in a loop) or finite
-(a 5 s DPU inference run); finite timelines hold their last value after
-the end and their first value before the start, which models a workload
-that idles outside its active window.
+(a 5 s DPU inference run).  A finite timeline holds its first segment's
+power before its start and its last segment's power after its end.
+That models a workload idling outside its active window only when those
+held segments are 0 W: a finite timeline that begins with a non-zero
+segment draws that power at every time before its start.
+
+A composite skips every finite component whose held 0 W end covers a
+whole batch of windows (:meth:`ActivityTimeline.silent_between`), so a
+rail with many staggered victims integrates only the ones near the
+batch, and the sum stays bit-identical to integrating them all.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +51,13 @@ class ActivityTimeline:
     def energy_between(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Exact energy in joules accumulated over each window [t0, t1]."""
         raise NotImplementedError
+
+    def silent_between(self, lo: float, hi: float) -> bool:
+        """True if every window inside [lo, hi] has exactly +/-0.0 energy.
+
+        A composite skips such components; the base class never claims it.
+        """
+        return False
 
     def window_mean(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Mean power over each window [t0, t1] (t1 > t0, elementwise)."""
@@ -131,6 +146,11 @@ class PiecewiseActivity(ActivityTimeline):
             ([0.0], np.cumsum(durations * self.powers))
         )
         self._cycle_energy = float(self._cum_energy[-1])
+        # Exact-zero sentinel: held end powers are configured, not computed.
+        held_zero = self.powers[[0, -1]] == 0.0  # repro: ignore[API002]
+        exact = self.period is None and math.isfinite(self._cycle_energy)
+        self._silent_before = bool(exact and held_zero[0])
+        self._silent_after = bool(exact and held_zero[1])
 
     @classmethod
     def from_segments(
@@ -216,6 +236,18 @@ class PiecewiseActivity(ActivityTimeline):
         t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
         return self._energy_from_start(t1) - self._energy_from_start(t0)
 
+    def silent_between(self, lo: float, hi: float) -> bool:
+        """True if a held 0 W end of this finite profile covers [lo, hi].
+
+        Every time on that side clips to the same offset (0 or ``span``),
+        so :meth:`_energy_from_start` gives one value at both ends of each
+        window; that value is finite, so their difference is exactly +0.0.
+        The comparisons round ``t - start`` as :meth:`_fold` does.
+        """
+        return (self._silent_before and hi - self.start <= 0.0) or (
+            self._silent_after and lo - self.start >= self.span
+        )
+
     def __repr__(self) -> str:
         kind = f"period={self.period:.6g}s" if self.period else "finite"
         return (
@@ -246,10 +278,23 @@ class CompositeActivity(ActivityTimeline):
         return total
 
     def energy_between(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Sum of the component energies, skipping silent components.
+
+        ``total`` starts at +0.0 and so is never -0.0, which makes adding
+        a silent component's +/-0.0 the identity: skipping it is exact.
+        Batches with non-finite (or no) bounds skip nothing.
+        """
         t0 = np.atleast_1d(np.asarray(t0, dtype=np.float64))
         t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
-        total = np.zeros_like(t0)
+        total = np.zeros(np.broadcast_shapes(t0.shape, t1.shape))
+        lo = hi = np.nan
+        if total.size:
+            lo = min(t0.min(), t1.min())
+            hi = max(t0.max(), t1.max())
+        prune = math.isfinite(hi - lo)
         for component in self.components:
+            if prune and component.silent_between(lo, hi):
+                continue
             total = total + component.energy_between(t0, t1)
         return total
 
@@ -271,6 +316,10 @@ class _ScaledActivity(ActivityTimeline):
 
     def energy_between(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         return self.base.energy_between(t0, t1) * self.factor
+
+    def silent_between(self, lo: float, hi: float) -> bool:
+        # +/-0.0 times a finite factor stays +/-0.0; inf or NaN would not.
+        return math.isfinite(self.factor) and self.base.silent_between(lo, hi)
 
     def __repr__(self) -> str:
         return f"{self.base!r} * {self.factor:.6g}"
