@@ -32,8 +32,7 @@ API003      no mutable default arguments (shared across calls — and
             across forked workers)
 API004      no ``argsort`` calls inside loops outside ``repro/ml`` —
             per-iteration sorting is the quadratic pattern the
-            presorted kernels replaced (``repro/perf`` keeps the
-            frozen legacy copies and is exempt)
+            presorted kernels replaced
 API005      streaming state classes must stay bounded: a ``push*``
             method growing ``self.<attr>`` in place (``append`` /
             ``extend`` / ``+=``) needs a matching trim (``pop`` /
@@ -336,7 +335,8 @@ _WALL_CLOCK_CALLS = {
     "datetime.date.today",
 }
 
-#: Modules whose whole job is wall-clock timing (bench/StageTimer).
+#: Modules whose whole job is wall-clock timing (StageTimer, pool
+#: deadlines).
 _WALL_CLOCK_ALLOWED = ("repro/perf/",)
 
 
@@ -803,9 +803,8 @@ def check_api003(module: Module) -> List[Finding]:
 
 #: Where per-iteration sorts are sanctioned: the presorted CART itself
 #: (repro/ml — one stable presort per fit plus a measured small-node
-#: branch) and the frozen legacy kernels + micro-benches (repro/perf)
-#: whose whole point is preserving the old pattern for comparison.
-_ARGSORT_ALLOWED = ("repro/ml/", "repro/perf/")
+#: branch).
+_ARGSORT_ALLOWED = ("repro/ml/",)
 
 _LOOP_NODES = (
     ast.For,

@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli boards
     python -m repro.cli characterize --samples 1000 --seed 0
     python -m repro.cli fingerprint --models resnet-50 vgg-19 --traces 8
-    python -m repro.cli bench --workers 4
     python -m repro.cli rsa --samples 8000
     python -m repro.cli covert --bit-period 0.08 --bits 64
     python -m repro.cli record --experiment fingerprint --out traces/
@@ -15,7 +14,8 @@ Usage::
 
 Each subcommand mounts one of the paper's experiments at a
 command-line-friendly scale and prints a compact report; the full
-evaluation lives in ``benchmarks/``.
+evaluation lives in ``benchmarks/`` and the end-to-end benchmark in
+``bench/run.py``.
 
 ``check`` is the repo's own static-analysis gate: an AST pass over
 ``src/`` enforcing the determinism / concurrency / API-hygiene
@@ -91,228 +91,8 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        run_fingerprint_bench,
-        run_repeated,
-        write_bench_json,
-    )
-
-    if args.chaos:
-        return _cmd_bench_chaos(args)
-    if args.fleet:
-        return _cmd_bench_fleet(args)
-    if args.faults:
-        return _cmd_bench_faults(args)
-    if args.stream:
-        return _cmd_bench_stream(args)
-    if args.check:
-        return _cmd_bench_check(args)
-    report = run_repeated(
-        lambda: run_fingerprint_bench(
-            workers=args.workers,
-            n_models=args.models,
-            traces_per_model=args.traces,
-            n_folds=args.folds,
-            forest_trees=args.trees,
-            seed=args.seed,
-        ),
-        repeat=args.repeat,
-    )
-    print(f"{'stage':10s} {'serial (s)':>11s} {'parallel (s)':>13s} "
-          f"{'speedup':>8s}")
-    for name, stage in report["stages"].items():
-        print(f"{name:10s} {stage['serial']:11.2f} "
-              f"{stage['parallel']:13.2f} {stage['speedup']:8.2f}")
-    total = report["total"]
-    print(f"{'total':10s} {total['serial']:11.2f} "
-          f"{total['parallel']:13.2f} {total['speedup']:8.2f}")
-    parity = report["parity"]
-    print(f"workers: {report['workers']}  cpus: {report['cpu_count']}  "
-          f"accuracy parity: {'exact' if parity['identical'] else 'DRIFT'} "
-          f"(max |diff| {parity['max_abs_diff']:.2e})")
-    overhead = report["faults_disabled_overhead"]
-    print(f"faults-disabled overhead: "
-          f"{overhead['overhead_fraction'] * 100:+.1f}% "
-          f"(noop plan armed vs none)")
-    path = write_bench_json(report, args.output)
-    print(f"bench report written to {path}")
-    return 0 if parity["identical"] else 1
-
-
-def _cmd_bench_faults(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        run_fault_sweep,
-        run_repeated,
-        write_bench_json,
-    )
-
-    kwargs = {}
-    if args.fault_rates:
-        kwargs["rates"] = args.fault_rates
-    report = run_repeated(
-        lambda: run_fault_sweep(
-            workers=args.workers, seed=args.seed, **kwargs
-        ),
-        repeat=args.repeat,
-    )
-    print(f"{'rate':>6s} {'top-1':>7s} {'top-5':>7s} {'retries':>8s} "
-          f"{'gaps':>6s} {'dropped':>8s}")
-    for point in report["rates"]:
-        print(f"{point['rate']:6.2f} {point['top1']:7.3f} "
-              f"{point['top5']:7.3f} {point['retries']:8d} "
-              f"{point['gaps']:6d} {len(point['dropped_channels']):8d}")
-    output = args.output
-    if output == "BENCH_fingerprint.json":
-        output = "BENCH_fingerprint_faults.json"
-    path = write_bench_json(report, output)
-    print(f"fault sweep written to {path}")
-    return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """Fast path: time only the checker's cold/warm passes.
-
-    Merges the ``check_flow`` block into an existing
-    ``BENCH_fingerprint.json`` when one is there (the full pipeline
-    bench takes minutes; the checker block takes seconds), else
-    writes a minimal report holding just the block.
-    """
-    import json as _json
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        SCHEMA_VERSION,
-        run_check_flow_bench,
-        write_bench_json,
-    )
-
-    block = run_check_flow_bench()  # repro: ignore[FLOW003] wall-time bench
-    print(f"check: cold {block['cold_seconds']:.2f} s  "
-          f"warm {block['warm_seconds']:.2f} s  "
-          f"speedup {block['speedup']:.1f}x  "
-          f"({block['files_scanned']} files, warm re-analyzed "
-          f"{block['modules_analyzed_warm']})")
-    output = Path(args.output)
-    if output.exists():
-        report = _json.loads(output.read_text(encoding="utf-8"))
-    else:
-        report = {"benchmark": "fingerprint",
-                  "schema_version": SCHEMA_VERSION}
-    report["check_flow"] = block
-    path = write_bench_json(report, str(output))
-    print(f"check_flow block merged into {path}")
-    return 0 if block["ok"] and block["speedup"] >= 3.0 else 1
-
-
-def _cmd_bench_stream(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        run_repeated,
-        run_stream_bench,
-        write_bench_json,
-    )
-
-    report = run_repeated(
-        lambda: run_stream_bench(seed=args.seed), repeat=args.repeat
-    )
-    latency = report["per_chunk_latency"]
-    print(f"chunks: {report['counts']['chunks']}  "
-          f"verdicts: {report['counts']['verdicts']}  "
-          f"switches: {report['counts']['model_switches']}")
-    print(f"per-chunk latency: p50 {latency['p50_ms']:.2f} ms  "
-          f"p95 {latency['p95_ms']:.2f} ms  "
-          f"({latency['p95_fraction_of_chunk'] * 100:.1f}% of the "
-          f"chunk budget)")
-    lag = report["verdict_lag"]
-    print(f"verdict lag: mean {lag['mean_seconds']:.3f} s  "
-          f"max {lag['max_seconds']:.3f} s")
-    memory = report["memory"]
-    print(f"peak resident samples: {memory['peak_resident_samples']} "
-          f"(bound {memory['bound_samples']}, "
-          f"{'bounded' if memory['bounded'] else 'UNBOUNDED'})")
-    parity = report["parity"]
-    print(f"stream/batch feature parity: "
-          f"{'exact' if parity['identical'] else 'DRIFT'} "
-          f"(max |diff| {parity['max_abs_diff']:.2e})")
-    output = args.output
-    if output == "BENCH_fingerprint.json":
-        output = "BENCH_fingerprint_stream.json"
-    path = write_bench_json(report, output)
-    print(f"stream bench written to {path}")
-    return 0 if parity["identical"] and memory["bounded"] else 1
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import run_fleet_bench
-    from repro.perf.bench import run_repeated, write_bench_json
-
-    report = run_repeated(
-        lambda: run_fleet_bench(
-            boards=args.boards or None,
-            smoke=args.smoke,
-            workers=args.workers,
-            max_concurrent=args.max_concurrent,
-            seed=args.seed,
-        ),
-        repeat=args.repeat,
-    )
-    for side in ("serial", "fleet"):
-        stats = report[side]
-        print(f"{side:6s} {stats['total_s']:8.2f} s  "
-              f"{stats['traces_per_sec']:8.1f} traces/s  "
-              f"p50 {stats['p50_job_latency_s'] * 1000:7.1f} ms  "
-              f"p95 {stats['p95_job_latency_s'] * 1000:7.1f} ms")
-    head = report["head_to_head"]
-    if head.get("available"):
-        print(f"pool reuse vs fork-per-call: "
-              f"{head['speedup']:.1f}x over {head['calls']} calls")
-    parity = report["parity"]
-    print(f"boards: {', '.join(report['boards'])}  "
-          f"jobs: {report['jobs']}  "
-          f"archive/accuracy parity: "
-          f"{'exact' if parity['identical'] else 'DRIFT'}")
-    output = args.output
-    if output == "BENCH_fingerprint.json":
-        output = "BENCH_fleet.json"
-    path = write_bench_json(report, output)
-    print(f"fleet bench written to {path}")
-    return 0 if parity["identical"] else 1
-
-
-def _cmd_bench_chaos(args: argparse.Namespace) -> int:
-    from repro.perf.bench import write_bench_json
-    from repro.perf.config import chaos_scenarios_from_env
-    from repro.resilience.chaos import run_chaos_bench
-
-    scenarios = args.scenarios or chaos_scenarios_from_env()
-    report = run_chaos_bench(
-        smoke=True, seed=args.seed, scenarios=scenarios
-    )
-    print(f"{'scenario':18s} {'ok':>5s} {'elapsed (s)':>12s}")
-    for scenario in report["scenarios"]:
-        if "skipped" in scenario:
-            print(f"{scenario['name']:18s} {'skip':>5s} "
-                  f"{'-':>12s}  ({scenario['skipped']})")
-            continue
-        print(f"{scenario['name']:18s} "
-              f"{'pass' if scenario['ok'] else 'FAIL':>5s} "
-              f"{scenario['elapsed_s']:12.1f}")
-        if not scenario["ok"]:
-            for key, value in scenario["invariants"].items():
-                if value is False:
-                    print(f"    broken invariant: {key}")
-    print(f"chaos sweep: {'ok' if report['ok'] else 'INVARIANT BROKEN'}")
-    output = args.output
-    if output == "BENCH_fingerprint.json":
-        output = "BENCH_fleet_chaos.json"
-    path = write_bench_json(report, output)
-    print(f"chaos bench written to {path}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import FleetScheduler, build_fleet_jobs
-    from repro.perf.config import pool_enabled
 
     jobs = build_fleet_jobs(
         args.out,
@@ -326,7 +106,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         jobs,
         max_concurrent=args.max_concurrent,
         retries=args.retries,
-        use_pool=pool_enabled() and not args.no_pool,
+        use_pool=not args.no_pool,
         workers=args.workers,
     ).run()
     for outcome in report.outcomes:
@@ -872,79 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
              "env var, else serial; 0 = all CPUs)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the fingerprinting pipeline bench "
-             "(emits BENCH_fingerprint.json)",
-    )
-    bench.add_argument("--models", type=int, default=12)
-    bench.add_argument("--traces", type=int, default=10)
-    bench.add_argument("--folds", type=int, default=5)
-    bench.add_argument("--trees", type=int, default=30)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel-run worker processes (default: AMPEREBLEED_WORKERS "
-             "env var, else all CPUs; 0 = all CPUs)",
-    )
-    bench.add_argument(
-        "--output", type=str, default="BENCH_fingerprint.json"
-    )
-    bench.add_argument(
-        "--faults", action="store_true",
-        help="run the accuracy-vs-fault-rate sweep instead "
-             "(emits BENCH_fingerprint_faults.json)",
-    )
-    bench.add_argument(
-        "--fault-rates", nargs="*", type=float, default=None,
-        help="fault rates to sweep with --faults "
-             "(default 0 0.05 0.1 0.2 0.4)",
-    )
-    bench.add_argument(
-        "--stream", action="store_true",
-        help="run the streaming-monitor latency bench instead "
-             "(emits BENCH_fingerprint_stream.json)",
-    )
-    bench.add_argument(
-        "--fleet", action="store_true",
-        help="run the fleet serial-vs-scheduler bench instead "
-             "(emits BENCH_fleet.json)",
-    )
-    bench.add_argument(
-        "--chaos", action="store_true",
-        help="run the fleet chaos/resilience harness instead "
-             "(emits BENCH_fleet_chaos.json)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="time only the static checker's cold/warm passes and "
-             "merge the check_flow block into BENCH_fingerprint.json",
-    )
-    bench.add_argument(
-        "--scenarios", nargs="*", default=None,
-        help="with --chaos: scenarios to run (default: AMPEREBLEED_CHAOS "
-             "env var, else all of worker-sigkill worker-sigstop "
-             "board-outage archive-corrupt fault-storm)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="with --fleet/--chaos: trim the batch for a quick pass",
-    )
-    bench.add_argument(
-        "--boards", nargs="*", default=None,
-        help="with --fleet: catalog boards to shard over (default: "
-             "AMPEREBLEED_FLEET_BOARDS env var, else the full catalog)",
-    )
-    bench.add_argument(
-        "--max-concurrent", type=int, default=4,
-        help="with --fleet: recording sessions in flight at once",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="run the bench N times and report min/median per stage "
-             "(headline timings become the min)",
-    )
-
     fleet = sub.add_parser(
         "fleet",
         help="shard recording campaigns across the board catalog "
@@ -1262,7 +969,6 @@ _COMMANDS = {
     "boards": _cmd_boards,
     "characterize": _cmd_characterize,
     "fingerprint": _cmd_fingerprint,
-    "bench": _cmd_bench,
     "fleet": _cmd_fleet,
     "check": _cmd_check,
     "rsa": _cmd_rsa,

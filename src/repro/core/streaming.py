@@ -113,8 +113,8 @@ def batch_window_features(
 
     Equal to concatenating the feature batches an
     :class:`IncrementalFeatureExtractor` emits for the same samples
-    under *any* chunking — the parity tests and the streaming bench
-    hold that equality exactly.
+    under *any* chunking — the parity tests hold that equality
+    exactly.
     """
     values = np.asarray(values)
     count = spec.n_windows(int(values.size))
@@ -172,7 +172,8 @@ class IncrementalFeatureExtractor:
     Memory is bounded by the window: at most ``window_samples -
     hop_samples`` carried samples plus the current chunk are resident,
     never the stream; :attr:`peak_resident_samples` records the
-    high-water mark for capacity planning and the streaming bench.
+    high-water mark for capacity planning and the ``monitor`` workload
+    of ``bench/run.py``.
     """
 
     def __init__(self, spec: WindowSpec, n_features: int):

@@ -9,20 +9,21 @@ This package is that orchestrator, built on the PR 8 substrate:
 * :mod:`repro.fleet.jobs` — :class:`FleetJob`, one shardable unit of
   attack work (a fingerprint dataset collection, an RSA Hamming-weight
   sweep, or an end-to-end :class:`~repro.core.campaign.AttackCampaign`)
-  bound to one board, one seed, and one archive directory; and
-  :func:`run_job`, the module-level task the worker pool executes.
-  Jobs are resume-first: a retried job reopens its partial archive via
-  the PR 3 checkpoint path and seals it byte-identical to an
-  uninterrupted run.
+  bound to one board, one seed, and one archive directory;
+  :func:`run_job`, the module-level task the worker pool executes;
+  and :func:`build_fleet_jobs`, the standard batch of every kind on
+  every board.  Jobs are resume-first: a retried job reopens its
+  partial archive via the PR 3 checkpoint path and seals it
+  byte-identical to an uninterrupted run.
 * :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, an asyncio
   job queue multiplexing concurrent recording sessions onto the
   persistent :class:`repro.perf.pool.WorkerPool`; per-job wall-clock
   latency lands in a :class:`~repro.perf.StageTimer` and worker death
   surfaces as a bounded resume-and-retry, not a lost campaign.
-* :mod:`repro.fleet.bench` — ``bench --fleet`` / ``BENCH_fleet.json``:
-  traces/sec throughput, p50/p95 job latency, a pool-reuse vs
-  fork-per-call head-to-head, and exact archive/accuracy parity
-  against the serial path.
+
+The ``fleet`` workload of ``bench/run.py`` measures the scheduler's
+throughput and latency; ``tests/test_fleet.py`` holds it to exact
+archive parity against the serial path.
 
 The failure-containment threading — per-board circuit breakers,
 admission backpressure (``AMPEREBLEED_QUEUE_HWM``), job deadlines
@@ -35,8 +36,13 @@ targets; the ``repro fleet`` CLI command drives the scheduler from the
 command line.
 """
 
-from repro.fleet.bench import build_fleet_jobs, run_fleet_bench
-from repro.fleet.jobs import JOB_KINDS, FleetJob, JobResult, run_job
+from repro.fleet.jobs import (
+    JOB_KINDS,
+    FleetJob,
+    JobResult,
+    build_fleet_jobs,
+    run_job,
+)
 from repro.fleet.scheduler import (
     STATUS_DEFERRED,
     STATUS_DONE,
@@ -63,6 +69,5 @@ __all__ = [
     "JobOutcome",
     "JobResult",
     "build_fleet_jobs",
-    "run_fleet_bench",
     "run_job",
 ]

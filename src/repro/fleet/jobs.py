@@ -21,24 +21,36 @@ possible starting states need no coordination from the scheduler:
   moved to the ``quarantine/`` sidecar with a reason record and the
   job re-records fresh, reporting ``quarantined=True`` instead of
   aborting the campaign.
+
+:func:`build_fleet_jobs` builds the standard batch — every job kind on
+every selected board — that the ``repro fleet`` command and the chaos
+harness run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.boards.catalog import get_board
+from repro.boards.catalog import get_board, list_boards
 from repro.core.io import (
     ArchiveCorruptError,
     TraceArchiveReader,
     TraceArchiveWriter,
     is_archive_dir,
 )
+from repro.crypto import PAPER_HAMMING_WEIGHTS
+from repro.perf.config import fleet_boards_from_env
 from repro.resilience.quarantine import quarantine_archive
 
-__all__ = ["JOB_KINDS", "FleetJob", "JobResult", "run_job"]
+__all__ = [
+    "JOB_KINDS",
+    "FleetJob",
+    "JobResult",
+    "build_fleet_jobs",
+    "run_job",
+]
 
 #: The attack campaigns the fleet knows how to shard.
 JOB_KINDS = ("fingerprint", "rsa", "campaign")
@@ -341,3 +353,82 @@ def run_job(job: FleetJob) -> JobResult:
         quarantined=quarantined,
         detail=detail,
     )
+
+
+#: Boards the smoke batch targets (first N catalog boards).
+_SMOKE_BOARDS = 2
+
+#: Per-kind experiment parameters sized for a smoke batch, not a paper
+#: run — small enough that a serial baseline plus a fleet pass finish
+#: in seconds, large enough that every kind records real multi-chunk
+#: archives.
+_FINGERPRINT_PARAMS = dict(
+    models=("resnet-50", "vgg-16", "mobilenet-v2-1.0"),
+    channels=(("fpga", "current"), ("ddr", "current")),
+    duration=1.0,
+    traces_per_model=2,
+    n_folds=2,
+    forest_trees=5,
+)
+_RSA_PARAMS = dict(
+    weights=tuple(PAPER_HAMMING_WEIGHTS[:3]),
+    quantity="current",
+    n_samples=2000,
+)
+_CAMPAIGN_PARAMS = dict(
+    victim_start=2.0,
+    trace_duration=2.0,
+    timeout=20.0,
+    chunk_duration=1.0,
+)
+
+_KIND_PARAMS = {
+    "fingerprint": _FINGERPRINT_PARAMS,
+    "rsa": _RSA_PARAMS,
+    "campaign": _CAMPAIGN_PARAMS,
+}
+
+
+def build_fleet_jobs(
+    root,
+    boards: Optional[Sequence[str]] = None,
+    kinds: Optional[Sequence[str]] = None,
+    seed: int = 0,
+    smoke: bool = False,
+    deadline: Optional[float] = None,
+) -> List[FleetJob]:
+    """The standard batch: every kind of campaign on every board.
+
+    ``boards=None`` honors ``AMPEREBLEED_FLEET_BOARDS`` and falls back
+    to the full Table I catalog; ``smoke=True`` trims that default to
+    the first two catalog boards so a smoke pass stays quick (an
+    explicit ``boards`` list is never trimmed).  Each job's archive
+    lands under ``root`` in a directory named after the job, so one
+    batch built against two different roots yields the job pairs the
+    parity check compares.  ``deadline`` arms each job's wall-clock
+    attempt budget (the chaos harness uses it to bound hung workers).
+    """
+    if boards is None:
+        boards = fleet_boards_from_env()
+    if boards is None:
+        boards = [spec.name for spec in list_boards()]
+        if smoke:
+            boards = boards[:_SMOKE_BOARDS]
+    if kinds is None:
+        kinds = JOB_KINDS
+    root = Path(root)
+    jobs: List[FleetJob] = []
+    for board in boards:
+        for kind in kinds:
+            params = _KIND_PARAMS[kind]
+            jobs.append(
+                FleetJob.make(
+                    kind,
+                    board,
+                    seed=seed,
+                    out=root / f"{kind}-{board}-{int(seed)}",
+                    deadline=deadline,
+                    **params,
+                )
+            )
+    return jobs

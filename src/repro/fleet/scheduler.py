@@ -5,7 +5,8 @@ jobs.FleetJob`\\ s with an :mod:`asyncio` queue: up to
 ``max_concurrent`` recording sessions are in flight at once, each
 executed by :func:`~repro.fleet.jobs.run_job` on the persistent
 :class:`~repro.perf.pool.WorkerPool` (or inline with
-``use_pool=False`` — the serial baseline the bench compares against).
+``use_pool=False`` — the serial baseline the chaos harness and the
+tests compare against).
 
 Fault story, layered bottom-up so each layer only sees what the one
 below could not absorb:
@@ -44,8 +45,7 @@ windows.
 
 Per-job latency is wall-clock time from dispatch to result, measured
 with :class:`~repro.perf.StageTimer` (one stage per job id); the
-report folds those into the p50/p95 numbers ``BENCH_fleet.json``
-publishes.
+report folds those into p50/p95 job latencies.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class FleetReport:
         return float(np.percentile(np.asarray(latencies), q))
 
     def as_dict(self) -> Dict:
-        """The JSON shape ``BENCH_fleet.json`` embeds."""
+        """The JSON shape each chaos-scenario report embeds."""
         return {
             "jobs": len(self.outcomes),
             "ok": self.ok,

@@ -24,9 +24,9 @@ The split search is the fit hot path and is fully vectorized
   ``predict_proba`` do no per-call list-to-array conversion.
 
 The grown tree is bit-identical to the pre-vectorization
-implementation (kept as
-:class:`repro.perf.reference.LegacyDecisionTreeClassifier` and pinned
-by ``tests/test_kernel_parity.py``): same RNG draw sequence, same
+implementation (kept as ``LegacyDecisionTreeClassifier`` in
+``tests/reference_kernels.py`` and pinned by
+``tests/test_kernel_parity.py``): same RNG draw sequence, same
 split ordering and tie-breaks, same floating-point operation order in
 the impurity math.
 """

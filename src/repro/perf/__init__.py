@@ -8,17 +8,11 @@ this package holds the shared machinery:
   a stage may use (``AMPEREBLEED_WORKERS`` env var, CLI ``--workers``,
   explicit arguments);
 * :mod:`repro.perf.executor` — :func:`parallel_map`, a deterministic
-  fan-out helper over a forked process pool that degrades to a plain
-  serial loop when one worker is requested (or when already inside a
-  worker, so nested stages never oversubscribe);
+  fan-out helper over the persistent worker pool that degrades to a
+  plain serial loop when one worker is requested (or when already
+  inside a worker, so nested stages never oversubscribe);
 * :mod:`repro.perf.timer` — :class:`StageTimer`, a wall-clock stage
-  profiler the benches report from;
-* :mod:`repro.perf.bench` — the fingerprinting pipeline bench that
-  emits ``BENCH_fingerprint.json`` (per-stage wall time, parallel
-  speedup, serial-vs-parallel accuracy parity);
-* :mod:`repro.perf.kernels` — per-kernel before/after micro-bench
-  pinning each vectorized kernel against its frozen legacy twin in
-  :mod:`repro.perf.reference` (timings plus bit-parity verdicts);
+  timer the fleet scheduler and the chaos harness report from;
 * :mod:`repro.perf.pool` — the persistent :class:`WorkerPool` behind
   :func:`parallel_map`: long-lived fork workers with warm imports
   that survive across calls, respawn on death, and keep the
@@ -32,25 +26,14 @@ this package holds the shared machinery:
 from repro.perf.config import (
     FAULT_RATE_ENV,
     FLEET_BOARDS_ENV,
-    POOL_ENV,
     WORKERS_ENV,
     available_cpus,
     fault_rate_from_env,
     fleet_boards_from_env,
-    pool_enabled,
     resolve_workers,
 )
 from repro.perf.executor import in_worker, parallel_map
 from repro.perf.timer import StageTimer
-from repro.perf.bench import (
-    DEFAULT_FAULT_RATES,
-    run_fault_sweep,
-    run_fingerprint_bench,
-    run_pool_head_to_head,
-    run_repeated,
-    write_bench_json,
-)
-from repro.perf.kernels import run_kernel_bench
 from repro.perf.pool import (
     WorkerCrashError,
     WorkerPool,
@@ -69,23 +52,14 @@ from repro.perf.shm import (
 __all__ = [
     "FAULT_RATE_ENV",
     "FLEET_BOARDS_ENV",
-    "POOL_ENV",
     "WORKERS_ENV",
     "available_cpus",
     "fault_rate_from_env",
     "fleet_boards_from_env",
-    "pool_enabled",
     "resolve_workers",
     "in_worker",
     "parallel_map",
     "StageTimer",
-    "DEFAULT_FAULT_RATES",
-    "run_fault_sweep",
-    "run_fingerprint_bench",
-    "run_pool_head_to_head",
-    "run_repeated",
-    "run_kernel_bench",
-    "write_bench_json",
     "WorkerCrashError",
     "WorkerPool",
     "get_pool",

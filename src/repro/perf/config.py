@@ -1,8 +1,7 @@
 """Runtime configuration knobs for the evaluation engine.
 
-The library reads exactly two environment variables, both resolved
-here and nowhere else (README's "Environment knobs" table documents
-them):
+The library reads seven environment variables, all resolved here and
+nowhere else (README's "Environment knobs" table documents them):
 
 * ``AMPEREBLEED_WORKERS`` — via :func:`resolve_workers`.  Every
   parallel stage funnels through it so one knob controls the whole
@@ -20,14 +19,9 @@ them):
   rate in [0, 1] that arms :meth:`repro.faults.FaultPlan.at_rate` on
   every session built without an explicit ``faults=`` argument (unset
   or ``0`` means no fault injection).
-* ``AMPEREBLEED_POOL`` — via :func:`pool_enabled`.  On by default;
-  ``0``/``false``/``off`` routes :func:`repro.perf.parallel_map` back
-  to the legacy fork-per-call ``ProcessPoolExecutor`` instead of the
-  persistent :class:`repro.perf.pool.WorkerPool` (an escape hatch and
-  the bench's head-to-head baseline).
 * ``AMPEREBLEED_FLEET_BOARDS`` — via :func:`fleet_boards_from_env`.
-  Comma-separated board names restricting which catalog boards the
-  fleet scheduler and ``bench --fleet`` shard across (unset means the
+  Comma-separated board names restricting which catalog boards
+  :func:`repro.fleet.build_fleet_jobs` shards across (unset means the
   whole catalog).
 * ``AMPEREBLEED_QUEUE_HWM`` — via :func:`queue_hwm_from_env`.  The
   fleet scheduler's admission high-water mark: at most this many jobs
@@ -40,9 +34,6 @@ them):
   breaker's consecutive-failure trip threshold and base cooldown
   (scheduler ticks) when the scheduler is not handed an explicit
   :class:`repro.resilience.BreakerPolicy`.
-* ``AMPEREBLEED_CHAOS`` — via :func:`chaos_scenarios_from_env`.
-  Comma-separated chaos-scenario names restricting what ``bench
-  --chaos`` runs (unset, ``all``, or ``1`` means every scenario).
 """
 
 from __future__ import annotations
@@ -59,9 +50,6 @@ FULL_ENV = "AMPEREBLEED_FULL"
 #: Environment variable arming a default fault-injection rate.
 FAULT_RATE_ENV = "AMPEREBLEED_FAULT_RATE"
 
-#: Environment variable disabling the persistent worker pool.
-POOL_ENV = "AMPEREBLEED_POOL"
-
 #: Environment variable restricting which boards the fleet targets.
 FLEET_BOARDS_ENV = "AMPEREBLEED_FLEET_BOARDS"
 
@@ -73,9 +61,6 @@ BREAKER_THRESHOLD_ENV = "AMPEREBLEED_BREAKER_THRESHOLD"
 
 #: Environment variable overriding the breaker's base cooldown (ticks).
 BREAKER_COOLDOWN_ENV = "AMPEREBLEED_BREAKER_COOLDOWN"
-
-#: Environment variable selecting which chaos scenarios to run.
-CHAOS_ENV = "AMPEREBLEED_CHAOS"
 
 #: Hard cap: more workers than this is always a configuration mistake.
 MAX_WORKERS = 256
@@ -113,18 +98,6 @@ def fault_rate_from_env() -> float:
             f"{FAULT_RATE_ENV} must be in [0, 1], got {rate}"
         )
     return rate
-
-
-def pool_enabled() -> bool:
-    """True unless ``AMPEREBLEED_POOL`` opts out of the persistent pool.
-
-    Any of ``0``/``false``/``no``/``off`` (case-insensitive) disables
-    the pool, restoring the fork-per-call executor — results are
-    identical either way; only the fan-out cost differs.
-    """
-    return os.environ.get(POOL_ENV, "").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
 
 
 def fleet_boards_from_env() -> Optional[list]:
@@ -198,21 +171,6 @@ def breaker_cooldown_from_env() -> Optional[float]:
             f"{BREAKER_COOLDOWN_ENV} must be > 0, got {cooldown}"
         )
     return cooldown
-
-
-def chaos_scenarios_from_env() -> Optional[list]:
-    """Scenario names ``AMPEREBLEED_CHAOS`` selects (None = all).
-
-    Comma-separated scenario names; ``all`` and ``1`` (or unset) mean
-    the full suite.  Validation against the known scenarios happens in
-    :func:`repro.resilience.chaos.run_chaos_bench`, where the error
-    can name what exists.
-    """
-    env = os.environ.get(CHAOS_ENV, "").strip()
-    if not env or env.lower() in ("1", "all"):
-        return None
-    names = [part.strip() for part in env.split(",") if part.strip()]
-    return names or None
 
 
 def available_cpus() -> int:

@@ -1,4 +1,4 @@
-"""Deterministic parallel fan-out over a forked process pool.
+"""Deterministic parallel fan-out over the persistent worker pool.
 
 :func:`parallel_map` is the single execution primitive every parallel
 stage uses.  Its contract:
@@ -19,20 +19,17 @@ stage uses.  Its contract:
 Tasks and results must be picklable; the task callable must be a
 module-level function (the usual :mod:`concurrent.futures` rules).
 
-Fan-out rides the persistent :class:`repro.perf.pool.WorkerPool` by
-default — workers forked once and reused across calls, so repeated
-small stages stop paying pool start-up.  ``AMPEREBLEED_POOL=0``
-restores the legacy fork-per-call ``ProcessPoolExecutor``; both
-engines honor the exact contract above, so results are identical.
+Fan-out rides the persistent :class:`repro.perf.pool.WorkerPool` —
+workers forked once and reused across calls, so repeated small stages
+stop paying pool start-up.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.perf.config import pool_enabled, resolve_workers
+from repro.perf.config import resolve_workers
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -80,19 +77,14 @@ def parallel_map(
     """
     items = list(items)
     workers = resolve_workers(workers)
-    if workers <= 1 or len(items) <= 1 or _IN_WORKER:
+    if (
+        workers <= 1
+        or len(items) <= 1
+        or _IN_WORKER
+        or _fork_context() is None
+    ):
         return [fn(item) for item in items]
-    context = _fork_context()
-    if context is None:
-        return [fn(item) for item in items]
-    workers = min(workers, len(items))
-    if pool_enabled():
-        from repro.perf.pool import get_pool
+    from repro.perf.pool import get_pool
 
-        return get_pool(workers).map(fn, items, chunksize=chunksize)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_mark_worker,
-    ) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, chunksize)))
+    workers = min(workers, len(items))
+    return get_pool(workers).map(fn, items, chunksize=chunksize)

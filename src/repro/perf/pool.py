@@ -2,11 +2,11 @@
 
 PR 1's :func:`repro.perf.parallel_map` forked a fresh
 ``ProcessPoolExecutor`` per call: every fan-out paid pool start-up,
-interpreter warm-up, and full-array pickling — enough that
-``BENCH_fingerprint.json`` recorded parallel *slowdowns* on small
-stages.  :class:`WorkerPool` replaces that with workers forked **once**
-(warm imports inherited from the parent) and reused across every stage
-of a run, fed through per-worker task queues:
+interpreter warm-up, and full-array pickling — enough that the
+pipeline bench recorded parallel *slowdowns* on small stages.
+:class:`WorkerPool` replaces that with workers forked **once** (warm
+imports inherited from the parent) and reused across every stage of a
+run, fed through per-worker task queues:
 
 * **Deterministic dispatch.**  Tasks are assigned round-robin in
   submission order and results reassembled by task id, so
@@ -45,8 +45,8 @@ All shutdown/reap join timeouts and the sweep cadence live in
 Workers run with the :func:`repro.perf.executor.in_worker` flag set,
 so nested parallel stages inside a task degrade to serial loops
 exactly as before.  The module-level :func:`get_pool` singleton is the
-way in; ``AMPEREBLEED_POOL=0`` (see :func:`repro.perf.config.
-pool_enabled`) switches :func:`parallel_map` back to fork-per-call.
+way in; :func:`parallel_map` fans out through it whenever more than
+one worker is asked for.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Lightweight wall-clock stage timer for the evaluation benches.
+"""Lightweight wall-clock stage timer.
 
 Usage::
 
@@ -11,8 +11,9 @@ Usage::
 
 Re-entering a stage name accumulates into the same bucket, so a loop
 can be timed under one label.  The timer is deliberately wall-clock
-(``perf_counter``): the benches measure end-to-end latency including
-process-pool overheads, which CPU-time counters would hide.
+(``perf_counter``): the fleet scheduler's job latencies and the chaos
+harness's no-hang bound include process-pool overheads, which
+CPU-time counters would hide.
 """
 
 from __future__ import annotations

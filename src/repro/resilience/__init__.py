@@ -10,8 +10,8 @@ failure budget.  Three layers, each independently usable:
 * :mod:`repro.resilience.quarantine` — corrupt archives are moved to
   a ``quarantine/`` sidecar with a machine-readable reason record
   instead of aborting the campaign.
-* :mod:`repro.resilience.chaos` — the chaos harness behind ``bench
-  --chaos``: seed-deterministic fault injectors (worker SIGKILL /
+* :mod:`repro.resilience.chaos` — the chaos harness behind
+  ``pytest -m chaos``: seed-deterministic fault injectors (worker SIGKILL /
   SIGSTOP, board outage windows, archive corruption, sensor fault
   storms) composed with run-level invariant checks — no hang, archive
   byte-parity with a fault-free serial run, every job terminal,

@@ -1,9 +1,9 @@
 """Chaos harness: inject fleet-scale faults, assert the invariants.
 
-``bench --chaos`` (→ ``BENCH_fleet_chaos.json``) runs each scenario
-below against a small real campaign batch and checks the run-level
-invariants a resilient fleet must keep **under** fault injection, not
-just on the happy path:
+:func:`run_chaos_bench` (driven by ``pytest -m chaos``) runs each
+scenario below against a small real campaign batch and checks the
+run-level invariants a resilient fleet must keep **under** fault
+injection, not just on the happy path:
 
 * **no hang** — the scenario finishes inside a wall-clock bound (the
   whole point of deadlines, reaping, and strand-proof futures);
@@ -45,6 +45,7 @@ drives an injector.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import signal
@@ -53,8 +54,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.io import MANIFEST_NAME, TraceArchiveWriter
-from repro.fleet.bench import _accuracy_cells, _tree_hash, build_fleet_jobs
-from repro.fleet.jobs import FleetJob
+from repro.fleet.jobs import FleetJob, build_fleet_jobs
 from repro.fleet.scheduler import (
     STATUS_DONE,
     STATUS_QUARANTINED,
@@ -63,12 +63,7 @@ from repro.fleet.scheduler import (
     FleetReport,
     FleetScheduler,
 )
-from repro.perf.bench import SCHEMA_VERSION
-from repro.perf.config import (
-    FAULT_RATE_ENV,
-    available_cpus,
-    chaos_scenarios_from_env,
-)
+from repro.perf.config import FAULT_RATE_ENV, available_cpus
 from repro.perf.executor import _fork_context
 from repro.perf.pool import shutdown_pool
 from repro.perf.timer import StageTimer
@@ -105,6 +100,34 @@ _STORM_RATE = 0.25
 
 #: The outcome statuses whose archives must match the baseline.
 _SURVIVING = (STATUS_DONE, STATUS_SKIPPED, STATUS_QUARANTINED)
+
+
+def _tree_hash(root: Path) -> str:
+    """One digest over an archive directory, independent of its name."""
+    digest = hashlib.sha256()
+    root = Path(root)
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _accuracy_cells(out) -> Dict[str, Dict[str, float]]:
+    """Table III accuracies of one recorded fingerprint archive."""
+    from repro.core.fingerprint import FingerprintAnalyzer
+
+    analyzer, datasets = FingerprintAnalyzer.from_archive(out, workers=1)
+    grid = analyzer.evaluate_table3(
+        datasets, durations=(analyzer.config.duration,), workers=1
+    )
+    return {
+        f"{domain}/{quantity}@{duration:g}s": {
+            "top1": result.top1,
+            "top5": result.top5,
+        }
+        for (domain, quantity, duration), result in grid.items()
+    }
 
 
 def _statuses(report: FleetReport) -> Dict[str, int]:
@@ -429,21 +452,16 @@ _POOL_SCENARIOS = ("worker-sigkill", "worker-sigstop", "fault-storm")
 
 
 def run_chaos_bench(
-    smoke: bool = True,
     seed: int = 0,
     scenarios: Optional[Sequence[str]] = None,
     out_dir=None,
     bound_s: Optional[float] = None,
 ) -> Dict:
-    """Run the chaos scenarios; the shape ``BENCH_fleet_chaos.json``.
+    """Run the chaos scenarios and fold them into one report dict.
 
     Args:
-        smoke: reserved scale switch (the chaos batch is already
-            smoke-sized; a full-scale chaos sweep scales with
-            ``AMPEREBLEED_FULL`` recording scales, not here).
         seed: drives every injector and every recording byte.
-        scenarios: subset to run (``None`` honors ``AMPEREBLEED_CHAOS``
-            and falls back to all of :data:`SCENARIOS`).
+        scenarios: subset to run (``None`` = all of :data:`SCENARIOS`).
         out_dir: keep archives here (``None`` = temporary directory).
         bound_s: per-scenario no-hang wall-clock bound.
 
@@ -451,8 +469,6 @@ def run_chaos_bench(
         The report dict; ``ok`` is True only if every scenario's
         every boolean invariant held.
     """
-    if scenarios is None:
-        scenarios = chaos_scenarios_from_env()
     if scenarios is None:
         scenarios = SCENARIOS
     unknown = sorted(set(scenarios) - set(SCENARIOS))
@@ -494,8 +510,6 @@ def run_chaos_bench(
             cleanup.cleanup()
     return {
         "benchmark": "fleet-chaos",
-        "schema_version": SCHEMA_VERSION,
-        "smoke": bool(smoke),
         "seed": int(seed),
         "cpu_count": available_cpus(),
         "scenarios": results,

@@ -16,15 +16,10 @@ replaced implementations live on here, verbatim:
 * :func:`legacy_stratified_kfold_indices` — the per-sample
   Python-append fold assembly.
 
-Two consumers:
-
-* ``tests/test_kernel_parity.py`` pins the new kernels against these on
-  the checked-in fixtures and on randomized inputs;
-* :mod:`repro.perf.kernels` times old vs. new at bench scale and writes
-  the per-kernel before/after numbers into ``BENCH_fingerprint.json``.
-
-Nothing else may import this module — it is a measurement standard,
-not a fallback path.
+One consumer: ``tests/test_kernel_parity.py`` pins the new kernels
+against these on the checked-in fixtures and on randomized inputs.
+The module lives under ``tests/`` because it is a parity oracle, not
+a fallback path; nothing in ``src/`` may import it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@
 assert the harness enforces its own contract: every scenario terminates
 inside its no-hang bound, surviving shards stay byte-identical to a
 fault-free serial run, and every job lands in a terminal state.  The
-full five-scenario sweep (including the ~20 s SIGSTOP reap) runs under
-``bench --chaos``; here the fast scenarios gate the suite and the slow
-one rides the ``slow`` marker.
+four fast scenarios share one test; the ~20 s SIGSTOP reap has its own
+test, also marked ``slow``.  ``pytest -m chaos`` runs all five.
 """
 
 import pytest

@@ -227,8 +227,8 @@ def test_module_graph_dependents_closure():
 
 
 def test_module_name_for_paths():
-    assert module_name_for("src/repro/perf/bench.py") == (
-        "repro.perf.bench"
+    assert module_name_for("src/repro/perf/pool.py") == (
+        "repro.perf.pool"
     )
     assert module_name_for("src/repro/check/__init__.py") == (
         "repro.check"

@@ -106,6 +106,21 @@ def test_bad_fixtures_report_locations():
         assert "RNG001" in text
 
 
+@pytest.mark.parametrize(
+    "package, flagged", [("repro/perf", True), ("repro/ml", False)]
+)
+def test_api004_exempts_only_repro_ml(package, flagged, tmp_path):
+    """The presorted CART may sort per node; no other package may."""
+    target = tmp_path / package / "kernels.py"
+    target.parent.mkdir(parents=True)
+    target.write_text((FIXTURES / "api004_bad.py").read_text())
+    result = run_check(
+        paths=[target], rules=["API004"], baseline="",
+        root=tmp_path, use_cache=False,
+    )
+    assert bool(result.findings) == flagged
+
+
 # --------------------------------------------------------------- selection
 
 

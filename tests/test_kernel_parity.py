@@ -3,7 +3,7 @@
 Every kernel the PR-6 rework touched — presorted CART, batched forest
 prediction, grouped trace resampling, 2-D summary features, vectorized
 stratified folds, memory-mapped archive loads — is pinned here against
-its frozen legacy twin in :mod:`repro.perf.reference`, twice over:
+its frozen legacy twin in ``tests/reference_kernels.py``, twice over:
 
 * on the checked-in fixtures (``tests/data/collect_seed3_v1.npz``,
   ``tests/data/traceset_v1.npz``) so the comparison covers real
@@ -20,6 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_kernels import (
+    LegacyDecisionTreeClassifier,
+    legacy_forest_predict_proba,
+    legacy_resample_loop,
+    legacy_stratified_kfold_indices,
+    legacy_summary_features_loop,
+)
+
 from repro.core.features import resample_batch, summary_features
 from repro.core.io import (
     TraceArchiveReader,
@@ -30,13 +38,6 @@ from repro.core.traces import Trace
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.validation import stratified_kfold_indices
-from repro.perf.reference import (
-    LegacyDecisionTreeClassifier,
-    legacy_forest_predict_proba,
-    legacy_resample_loop,
-    legacy_stratified_kfold_indices,
-    legacy_summary_features_loop,
-)
 from repro.utils.rng import ensure_rng
 
 DATA = Path(__file__).parent / "data"

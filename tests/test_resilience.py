@@ -31,7 +31,6 @@ from repro.fleet import (
 from repro.perf.config import (
     breaker_cooldown_from_env,
     breaker_threshold_from_env,
-    chaos_scenarios_from_env,
     queue_hwm_from_env,
 )
 from repro.perf.pool import (
@@ -289,19 +288,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("AMPEREBLEED_BREAKER_COOLDOWN", "-1")
         with pytest.raises(ValueError):
             breaker_cooldown_from_env()
-
-    def test_chaos_scenarios(self, monkeypatch):
-        monkeypatch.delenv("AMPEREBLEED_CHAOS", raising=False)
-        assert chaos_scenarios_from_env() is None
-        monkeypatch.setenv("AMPEREBLEED_CHAOS", "all")
-        assert chaos_scenarios_from_env() is None
-        monkeypatch.setenv(
-            "AMPEREBLEED_CHAOS", "board-outage, archive-corrupt"
-        )
-        assert chaos_scenarios_from_env() == [
-            "board-outage",
-            "archive-corrupt",
-        ]
 
 
 # ---------------------------------------------------------- quarantine

@@ -270,6 +270,11 @@ def test_monitor_resume_is_byte_identical(forest, tmp_path):
         forest, tmp_path / "full.d", resume=False
     )
     assert full_verdicts
+    # No verdict is staler than the chunk that emitted it (50 polls at
+    # 200 Hz): lag is simulated time from a window's last sample to
+    # the end of its chunk.
+    chunk_seconds = 50 / 200
+    assert max(v.lag_seconds for v in full_verdicts) <= chunk_seconds + 1e-9
     head_verdicts, head_events = _run_monitor(
         forest, tmp_path / "resumed.d", resume=False, stop_after=4
     )
