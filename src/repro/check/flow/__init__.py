@@ -21,8 +21,8 @@ FLOW003     a helper's wall-clock return value (``time.time`` /
             ``repro/resilience``
 FLOW004     no unlocked write to module-level state in any function
             transitively reachable from a ``parallel_map`` /
-            ``WorkerPool.submit`` task callable (the interprocedural
-            CONC001)
+            ``WorkerPool.submit`` task callable, the task itself
+            included
 FLOW005     no inconsistent lock-acquisition order anywhere in the
             program (ABBA deadlock shape), including orders completed
             through calls

@@ -7,8 +7,8 @@ forked workers.  A write to module-level state (a ``global`` assign, a
 ``STATE[key] = ...`` store, or a mutator call like ``CACHE.update``)
 on one of those paths is lost in the child — or races the parent when
 the pool ever goes threaded — unless a lock lexically dominates it.
-This is the interprocedural generalization of CONC001, which can only
-see a mutation in the submitted function itself, in the same file.
+The submitted function itself is on its own path, so a write there is
+flagged just as one in a helper in another module is.
 
 FLOW005 — *inconsistent lock-acquisition order*.  Every ``with``-block
 acquisition records (held, inner) pairs, including pairs completed

@@ -17,8 +17,6 @@ RNG003      Generators are built via ``repro.utils.rng`` (``ensure_rng``
             / ``spawn``) so the ``normalize_seed`` policy applies
 TIME001     no wall-clock reads in simulated-time modules (the
             ``repro/perf`` timing helpers are exempt)
-CONC001     functions submitted to ``perf.executor.parallel_map`` must
-            not mutate module-level state (lost under fork)
 CONC002     fields documented as lock-guarded (``_clock`` by
             ``_clock_lock``, ``_FIT_CONTEXT`` by ``_FIT_LOCK``) are only
             touched inside a ``with <lock>`` block
@@ -364,23 +362,7 @@ def check_time001(module: Module) -> List[Finding]:
     return findings
 
 
-# ------------------------------------------------------------------ CONC001
-
-_MUTATORS = {
-    "append",
-    "extend",
-    "insert",
-    "add",
-    "update",
-    "setdefault",
-    "pop",
-    "popitem",
-    "clear",
-    "remove",
-    "discard",
-    "sort",
-    "reverse",
-}
+# ------------------------------------------------------------------ CONC002
 
 
 def _module_level_names(tree: ast.Module) -> Set[str]:
@@ -396,87 +378,6 @@ def _module_level_names(tree: ast.Module) -> Set[str]:
                 names.add(node.target.id)
     return names
 
-
-def _submitted_names(tree: ast.Module, aliases: Dict[str, str]) -> Set[str]:
-    """Names passed as the task callable to parallel_map."""
-    submitted: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = _canonical(node.func, aliases) or ""
-        if not target.endswith("parallel_map"):
-            continue
-        fn = node.args[0] if node.args else None
-        if fn is None:
-            for kw in node.keywords:
-                if kw.arg == "fn":
-                    fn = kw.value
-        if isinstance(fn, ast.Name):
-            submitted.add(fn.id)
-    return submitted
-
-
-def check_conc001(module: Module) -> List[Finding]:
-    """Worker tasks mutating module globals lose the writes under fork."""
-    aliases = _import_map(module.tree)
-    globals_ = _module_level_names(module.tree)
-    submitted = _submitted_names(module.tree, aliases)
-    if not submitted or not globals_:
-        return []
-    findings = []
-    for node in module.tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        if node.name not in submitted:
-            continue
-        declared_global: Set[str] = set()
-        for stmt in ast.walk(node):
-            if isinstance(stmt, ast.Global):
-                declared_global.update(
-                    name for name in stmt.names if name in globals_
-                )
-        for stmt in ast.walk(node):
-            mutated: Optional[str] = None
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    stmt.targets
-                    if isinstance(stmt, ast.Assign)
-                    else [stmt.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id in declared_global
-                    ):
-                        mutated = target.id
-                    elif isinstance(target, ast.Subscript):
-                        base = target.value
-                        if isinstance(base, ast.Name) and base.id in globals_:
-                            mutated = base.id
-            elif isinstance(stmt, ast.Call):
-                func = stmt.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATORS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in globals_
-                ):
-                    mutated = func.value.id
-            if mutated is not None:
-                findings.append(
-                    module.finding(
-                        "CONC001",
-                        stmt,
-                        f"{node.name}() is submitted to parallel_map but "
-                        f"mutates module-level {mutated!r}; writes in a "
-                        f"forked worker never reach the parent (pass "
-                        f"state through arguments and return values)",
-                    )
-                )
-    return findings
-
-
-# ------------------------------------------------------------------ CONC002
 
 #: Fields whose access contract is "hold this lock".  The rule only
 #: applies where the lock actually exists in the same scope (class body
@@ -1142,13 +1043,6 @@ RULES: Dict[str, Rule] = {
             check_time001,
         ),
         Rule(
-            "CONC001",
-            "worker-global-mutation",
-            "parallel_map tasks mutating module globals silently lose "
-            "the writes under fork",
-            check_conc001,
-        ),
-        Rule(
             "CONC002",
             "unlocked-guarded-field",
             "fields documented as lock-guarded (_clock/_FIT_CONTEXT) "
@@ -1253,7 +1147,7 @@ RULES: Dict[str, Rule] = {
             "unlocked-worker-path-write",
             "a function reachable from a parallel_map/WorkerPool task "
             "writes module-level state without a lock; the write is "
-            "lost under fork (the interprocedural CONC001)",
+            "lost under fork",
             whole_program=True,
         ),
         Rule(

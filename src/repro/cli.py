@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="shard recording campaigns across the board catalog "
-             "(persistent worker pool + async scheduler)",
+             "(persistent worker pool + dispatch loop)",
     )
     fleet.add_argument(
         "out",
@@ -663,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--boards", nargs="*", default=None,
-        help="catalog boards to target (default: "
-             "AMPEREBLEED_FLEET_BOARDS env var, else the full catalog)",
+        help="catalog boards to target (default: the full catalog; "
+             "--smoke trims it to the first two boards)",
     )
     fleet.add_argument(
         "--kinds", nargs="*", default=None,

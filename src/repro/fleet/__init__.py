@@ -15,25 +15,25 @@ This package is that orchestrator, built on the PR 8 substrate:
   every board.  Jobs are resume-first: a retried job reopens its
   partial archive via the PR 3 checkpoint path and seals it
   byte-identical to an uninterrupted run.
-* :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, an asyncio
-  job queue multiplexing concurrent recording sessions onto the
-  persistent :class:`repro.perf.pool.WorkerPool`; per-job wall-clock
-  latency lands in a :class:`~repro.perf.StageTimer` and worker death
+* :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, one
+  dispatch loop on the calling thread that keeps up to
+  ``max_concurrent`` recording sessions in flight on the persistent
+  :class:`repro.perf.pool.WorkerPool`; per-job wall-clock latency
+  lands in a :class:`~repro.perf.StageTimer` and worker death
   surfaces as a bounded resume-and-retry, not a lost campaign.
 
 The ``fleet`` workload of ``bench/run.py`` measures the scheduler's
 throughput and latency; ``tests/test_fleet.py`` holds it to exact
 archive parity against the serial path.
 
-The failure-containment threading — per-board circuit breakers,
-admission backpressure (``AMPEREBLEED_QUEUE_HWM``), job deadlines
-riding the pool's watchdog, and archive quarantine — comes from
-:mod:`repro.resilience`; every job ends in one of the scheduler's
+The failure-containment threading — per-board circuit breakers, job
+deadlines riding the pool's watchdog, and archive quarantine — comes
+from :mod:`repro.resilience`; every job ends in one of the scheduler's
 :data:`~repro.fleet.scheduler.TERMINAL_STATUSES`.
 
-``AMPEREBLEED_FLEET_BOARDS`` restricts which catalog boards the fleet
-targets; the ``repro fleet`` CLI command drives the scheduler from the
-command line.
+The ``repro fleet`` CLI command drives the scheduler from the command
+line; its ``--boards`` option restricts which catalog boards the fleet
+targets.
 """
 
 from repro.fleet.jobs import (

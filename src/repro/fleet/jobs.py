@@ -41,7 +41,6 @@ from repro.core.io import (
     is_archive_dir,
 )
 from repro.crypto import PAPER_HAMMING_WEIGHTS
-from repro.perf.config import fleet_boards_from_env
 from repro.resilience.quarantine import quarantine_archive
 
 __all__ = [
@@ -78,10 +77,6 @@ class FleetJob:
             (the campaign's detection window lives in ``params``);
             :meth:`make` spells it ``deadline`` for that reason.
             ``None`` means no budget.
-        priority: admission priority under backpressure — when the
-            scheduler's queue high-water mark would overflow, the
-            *lowest*-priority jobs are deferred first (ties broken by
-            submission order).
     """
 
     job_id: str
@@ -91,7 +86,6 @@ class FleetJob:
     out: str
     params: Tuple[Tuple[str, object], ...] = ()
     timeout: Optional[float] = None
-    priority: int = 0
 
     @classmethod
     def make(
@@ -102,7 +96,6 @@ class FleetJob:
         out,
         job_id: Optional[str] = None,
         deadline: Optional[float] = None,
-        priority: int = 0,
         **params,
     ) -> "FleetJob":
         """Build a validated job (board resolved against the catalog).
@@ -129,7 +122,6 @@ class FleetJob:
             out=str(out),
             params=tuple(sorted(params.items())),
             timeout=deadline,
-            priority=int(priority),
         )
 
     def param_dict(self) -> Dict[str, object]:
@@ -399,17 +391,14 @@ def build_fleet_jobs(
 ) -> List[FleetJob]:
     """The standard batch: every kind of campaign on every board.
 
-    ``boards=None`` honors ``AMPEREBLEED_FLEET_BOARDS`` and falls back
-    to the full Table I catalog; ``smoke=True`` trims that default to
-    the first two catalog boards so a smoke pass stays quick (an
-    explicit ``boards`` list is never trimmed).  Each job's archive
-    lands under ``root`` in a directory named after the job, so one
+    ``boards=None`` means the full Table I catalog; ``smoke=True`` trims
+    that default to the first two catalog boards so a smoke pass stays
+    quick (an explicit ``boards`` list is never trimmed).  Each job's
+    archive lands under ``root`` in a directory named after the job, so one
     batch built against two different roots yields the job pairs the
     parity check compares.  ``deadline`` arms each job's wall-clock
     attempt budget (the chaos harness uses it to bound hung workers).
     """
-    if boards is None:
-        boards = fleet_boards_from_env()
     if boards is None:
         boards = [spec.name for spec in list_boards()]
         if smoke:

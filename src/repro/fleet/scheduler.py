@@ -1,12 +1,15 @@
-"""Async fleet scheduler: many boards, one queue, one worker pool.
+"""Fleet scheduler: many boards, one dispatch loop, one worker pool.
 
-:class:`FleetScheduler` multiplexes a batch of :class:`~repro.fleet.
-jobs.FleetJob`\\ s with an :mod:`asyncio` queue: up to
-``max_concurrent`` recording sessions are in flight at once, each
+:class:`FleetScheduler` runs a batch of :class:`~repro.fleet.jobs.
+FleetJob`\\ s from one loop on the calling thread: it hands up to
+``max_concurrent`` recording sessions to a
+:class:`~concurrent.futures.ThreadPoolExecutor` of that width, each
 executed by :func:`~repro.fleet.jobs.run_job` on the persistent
 :class:`~repro.perf.pool.WorkerPool` (or inline with
 ``use_pool=False`` — the serial baseline the chaos harness and the
-tests compare against).
+tests compare against), and blocks until the next one completes.  Only
+the loop touches the job queue, the breakers and the tick clock, so
+none of them needs a lock.
 
 Fault story, layered bottom-up so each layer only sees what the one
 below could not absorb:
@@ -25,17 +28,16 @@ below could not absorb:
   byte-identical to an uninterrupted run;
 * a **board** that keeps failing trips its per-board
   :class:`~repro.resilience.CircuitBreaker`: dispatches to it are
-  requeued (bounded) until the breaker half-opens and a probe
-  succeeds, so one sick board sheds load instead of burning every
-  job's retry budget — the full transition log lands in the report;
+  requeued until the breaker half-opens and a probe succeeds, so one
+  sick board sheds load instead of burning every job's retry budget —
+  jobs queued behind the in-flight probe wait for the next completion,
+  a job still refused after its requeue budget ends ``deferred``, and
+  the full transition log lands in the report;
 * a **corrupt archive** is quarantined by the job layer
-  (``quarantined`` outcome), and more jobs than the admission
-  high-water mark allows are shed up front as explicit ``deferred``
-  outcomes (lowest priority first) rather than growing the queue
-  without bound;
+  (``quarantined`` outcome);
 * any other exception is a deterministic job failure and is reported
   with its attempt trace, not retried (re-running it would fail
-  identically) — and never raises out of the scheduler loop.
+  identically) — and never raises out of the dispatch loop.
 
 Every job therefore ends in exactly one terminal status:
 ``done``, ``skipped``, ``deferred``, ``quarantined``, or ``failed``
@@ -44,24 +46,21 @@ tick, not wall time, so a replayed batch replays the same breaker
 windows.
 
 Per-job latency is wall-clock time from dispatch to result, measured
-with :class:`~repro.perf.StageTimer` (one stage per job id); the
-report folds those into p50/p95 job latencies.
+with :class:`~repro.perf.StageTimer`; the report folds those into
+p50/p95 job latencies.
 """
 
 from __future__ import annotations
 
-import asyncio
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fleet.jobs import FleetJob, JobResult, run_job
-from repro.perf.config import (
-    available_cpus,
-    queue_hwm_from_env,
-    resolve_workers,
-)
+from repro.perf.config import available_cpus, resolve_workers
 from repro.perf.executor import _fork_context
 from repro.perf.pool import WorkerCrashError, get_pool
 from repro.perf.timer import StageTimer
@@ -234,22 +233,19 @@ class FleetScheduler:
             preempted).
         workers: pool width (``None`` honors ``AMPEREBLEED_WORKERS``,
             defaulting to all CPUs).
-        queue_hwm: admission high-water mark — at most this many jobs
-            enter the run queue; the overflow ends ``deferred``,
-            lowest :attr:`FleetJob.priority` first.  ``None`` honors
-            ``AMPEREBLEED_QUEUE_HWM`` (unset = unbounded).
         breaker_policy: per-board circuit-breaker parameters
-            (``None`` = :meth:`BreakerPolicy.from_env`).
+            (``None`` = the :class:`BreakerPolicy` defaults).
         breaker_seed: seed for the breakers' deterministic cooldown
             jitter.
-        max_defers: times one job may be requeued — breaker-denied or
-            transiently failed — before it is forced terminal
-            (default scales with the batch size).
         chaos: optional dispatch hook ``chaos(job)`` called before
             each execution; raising :class:`TransientJobError` models
             a board outage window (the dispatch is counted as a board
             failure and the job requeued).  This is the chaos
             harness's injection point — leave ``None`` in production.
+
+    A job may be requeued — refused by an open breaker, or hit by a
+    transient outage — ``max(32, 8 * len(jobs))`` times before it is
+    forced terminal.
     """
 
     def __init__(
@@ -259,10 +255,8 @@ class FleetScheduler:
         retries: int = 1,
         use_pool: bool = True,
         workers: Optional[int] = None,
-        queue_hwm: Optional[int] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         breaker_seed: int = 0,
-        max_defers: Optional[int] = None,
         chaos: Optional[Callable[[FleetJob], None]] = None,
     ):
         self.jobs = list(jobs)
@@ -281,24 +275,13 @@ class FleetScheduler:
             raise ValueError("max_concurrent must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if queue_hwm is None:
-            queue_hwm = queue_hwm_from_env()
-        if queue_hwm is not None and queue_hwm < 1:
-            raise ValueError("queue_hwm must be >= 1 or None")
         self.max_concurrent = int(max_concurrent)
         self.retries = int(retries)
         self.use_pool = bool(use_pool) and _fork_context() is not None
         self.workers = resolve_workers(workers, default=available_cpus())
-        self.queue_hwm = queue_hwm
-        self.max_defers = (
-            int(max_defers)
-            if max_defers is not None
-            else max(32, 8 * len(self.jobs))
-        )
-        if self.max_defers < 1:
-            raise ValueError("max_defers must be >= 1")
+        self.max_defers = max(32, 8 * len(self.jobs))
         self._chaos = chaos
-        policy = breaker_policy or BreakerPolicy.from_env()
+        policy = breaker_policy or BreakerPolicy()
         self._breakers: Dict[str, CircuitBreaker] = {
             board: CircuitBreaker(board, policy=policy, seed=breaker_seed)
             for board in sorted({job.board for job in self.jobs})
@@ -310,9 +293,9 @@ class FleetScheduler:
     def _next_tick(self) -> float:
         """Advance the breaker clock by one scheduling decision.
 
-        Runs on the (single-threaded) event loop only, so a plain
-        counter is race-free — and being event-driven rather than
-        wall-clock keeps breaker windows replayable.
+        Only the dispatch loop's thread calls this, so a plain counter
+        is race-free — and being event-driven rather than wall-clock
+        keeps breaker windows replayable.
         """
         self._tick += 1.0
         return self._tick
@@ -320,7 +303,7 @@ class FleetScheduler:
     # -- execution ----------------------------------------------------
 
     def _execute(self, job: FleetJob) -> JobResult:
-        """Run one job, blocking — called from executor threads."""
+        """Run one job, blocking — called from dispatch threads."""
         if self.use_pool:
             return (
                 get_pool(self.workers)
@@ -329,152 +312,124 @@ class FleetScheduler:
             )
         return run_job(job)
 
-    async def _drain(self, queue, outcomes, timer) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            try:
-                index, job, defers, attempt_errors = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            breaker = self._breakers[job.board]
-            if not breaker.allow(self._next_tick()):
-                # A deferral only counts against the budget while the
-                # breaker is cooling down (open): its cooldown elapses
-                # in these very denial ticks, so the count is bounded.
-                # Queued behind an in-flight half-open probe, the job
-                # just waits for the probe's verdict — wall-clock
-                # visits there are unbounded by design and must not
-                # burn the budget.
-                counted = breaker.state == OPEN
-                if counted and defers + 1 >= self.max_defers:
-                    outcomes[index] = JobOutcome(
-                        job=job,
-                        result=None,
-                        error=(
-                            f"deferred: circuit breaker for board "
-                            f"{job.board} still open after {defers + 1} "
-                            f"deferrals"
-                        ),
-                        latency_s=0.0,
-                        attempts=0,
-                        status=STATUS_DEFERRED,
-                        attempt_errors=tuple(attempt_errors),
-                    )
-                else:
-                    queue.put_nowait(
-                        (index, job, defers + counted, attempt_errors)
-                    )
-                    # Yield so a half-open probe elsewhere can run
-                    # before this job spins on the same breaker again.
-                    await asyncio.sleep(0)
-                continue
-            if self._chaos is not None:
-                try:
-                    self._chaos(job)
-                except TransientJobError as outage:
-                    breaker.record_failure(self._next_tick())
-                    attempt_errors = attempt_errors + [
-                        f"{type(outage).__name__}: {outage}"
-                    ]
-                    if defers + 1 >= self.max_defers:
-                        outcomes[index] = JobOutcome(
-                            job=job,
-                            result=None,
-                            error=(
-                                f"transient failures exhausted "
-                                f"{defers + 1} deferrals: "
-                                f"{attempt_errors[-1]}"
-                            ),
-                            latency_s=0.0,
-                            attempts=0,
-                            status=STATUS_FAILED,
-                            attempt_errors=tuple(attempt_errors),
-                        )
-                    else:
-                        queue.put_nowait(
-                            (index, job, defers + 1, attempt_errors)
-                        )
-                        await asyncio.sleep(0)
-                    continue
-            attempts = 0
-            error: Optional[str] = None
-            result: Optional[JobResult] = None
-            with timer.stage(job.job_id):
-                while True:
-                    attempts += 1
-                    try:
-                        result = await loop.run_in_executor(
-                            None, self._execute, job
-                        )
-                        error = None
-                        break
-                    except WorkerCrashError as crash:
-                        # The pool already resubmitted up to its retry
-                        # budget; one more job-level attempt resumes
-                        # the partial archive from its checkpoint.
-                        error = f"{type(crash).__name__}: {crash}"
-                        attempt_errors = attempt_errors + [error]
-                        if attempts > self.retries:
-                            break
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        attempt_errors = attempt_errors + [error]
-                        break
-            if error is None:
-                breaker.record_success(self._next_tick())
-            else:
-                breaker.record_failure(self._next_tick())
-            outcomes[index] = JobOutcome(
-                job=job,
-                result=result,
-                error=error,
-                latency_s=timer.elapsed(job.job_id),
-                attempts=attempts,
-                status=_terminal_status(result, error),
-                attempt_errors=tuple(attempt_errors),
-            )
+    def _attempt(
+        self, job: FleetJob, attempt_errors: Tuple[str, ...]
+    ) -> JobOutcome:
+        """Run one dispatched job to its outcome, on a dispatch thread.
 
-    def _admit(
-        self, outcomes: List[Optional[JobOutcome]]
-    ) -> List[Tuple[int, FleetJob]]:
-        """Apply the queue high-water mark; defer the overflow.
-
-        Keeps the ``queue_hwm`` highest-priority jobs (submission
-        order breaks ties); every shed job gets an immediate terminal
-        ``deferred`` outcome so callers see an explicit decision, not
-        a silent drop.
+        Touches no scheduler state: the retry loop and its timer are
+        local to the call, and the loop records the breaker verdict.
         """
-        indexed = list(enumerate(self.jobs))
-        if self.queue_hwm is None or len(indexed) <= self.queue_hwm:
-            return indexed
-        ranked = sorted(
-            indexed, key=lambda pair: (-pair[1].priority, pair[0])
+        timer = StageTimer()
+        result: Optional[JobResult] = None
+        error: Optional[str] = None
+        with timer.stage(job.job_id):
+            for attempts in range(1, self.retries + 2):
+                try:
+                    result = self._execute(job)
+                    error = None
+                    break
+                except WorkerCrashError as crash:
+                    # The pool already resubmitted up to its retry
+                    # budget; one more job-level attempt resumes the
+                    # partial archive from its checkpoint.
+                    error = f"{type(crash).__name__}: {crash}"
+                    attempt_errors += (error,)
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    attempt_errors += (error,)
+                    break
+        return JobOutcome(
+            job=job,
+            result=result,
+            error=error,
+            latency_s=timer.elapsed(job.job_id),
+            attempts=attempts,
+            status=_terminal_status(result, error),
+            attempt_errors=attempt_errors,
         )
-        admitted = ranked[: self.queue_hwm]
-        for index, job in ranked[self.queue_hwm:]:
-            outcomes[index] = JobOutcome(
-                job=job,
-                result=None,
-                error=(
-                    f"deferred: queue high-water mark "
-                    f"{self.queue_hwm} exceeded"
-                ),
-                latency_s=0.0,
-                attempts=0,
-                status=STATUS_DEFERRED,
-            )
-        return sorted(admitted, key=lambda pair: pair[0])
 
-    async def _run(self, timer: StageTimer) -> List[JobOutcome]:
+    def _dispatch(self) -> List[JobOutcome]:
+        """The dispatch loop: fill free slots, then await a completion.
+
+        A job an open breaker refuses is requeued and counts against
+        its budget — the cooldown elapses in these very refusal ticks,
+        so the count is bounded.  A job refused because the board's
+        half-open probe is still in flight is parked until the next
+        completion, without spending budget.
+        """
         outcomes: List[Optional[JobOutcome]] = [None] * len(self.jobs)
-        admitted = self._admit(outcomes)
-        queue: asyncio.Queue = asyncio.Queue()
-        for index, job in admitted:
-            queue.put_nowait((index, job, 0, []))
-        drains = min(self.max_concurrent, max(1, len(admitted)))
-        await asyncio.gather(
-            *(self._drain(queue, outcomes, timer) for _ in range(drains))
+        queue = deque(
+            (index, job, 0, ()) for index, job in enumerate(self.jobs)
         )
+        inflight = {}
+        with ThreadPoolExecutor(self.max_concurrent) as threads:
+            while queue or inflight:
+                parked = []
+                while queue and len(inflight) < self.max_concurrent:
+                    index, job, defers, attempt_errors = queue.popleft()
+                    breaker = self._breakers[job.board]
+                    if not breaker.allow(self._next_tick()):
+                        if breaker.state != OPEN:
+                            parked.append((index, job, defers, attempt_errors))
+                        elif defers + 1 >= self.max_defers:
+                            outcomes[index] = JobOutcome(
+                                job=job,
+                                result=None,
+                                error=(
+                                    f"deferred: circuit breaker for board "
+                                    f"{job.board} still open after "
+                                    f"{defers + 1} deferrals"
+                                ),
+                                latency_s=0.0,
+                                attempts=0,
+                                status=STATUS_DEFERRED,
+                                attempt_errors=attempt_errors,
+                            )
+                        else:
+                            queue.append(
+                                (index, job, defers + 1, attempt_errors)
+                            )
+                        continue
+                    if self._chaos is not None:
+                        try:
+                            self._chaos(job)
+                        except TransientJobError as outage:
+                            breaker.record_failure(self._next_tick())
+                            attempt_errors += (
+                                f"{type(outage).__name__}: {outage}",
+                            )
+                            if defers + 1 >= self.max_defers:
+                                outcomes[index] = JobOutcome(
+                                    job=job,
+                                    result=None,
+                                    error=(
+                                        f"transient failures exhausted "
+                                        f"{defers + 1} deferrals: "
+                                        f"{attempt_errors[-1]}"
+                                    ),
+                                    latency_s=0.0,
+                                    attempts=0,
+                                    status=STATUS_FAILED,
+                                    attempt_errors=attempt_errors,
+                                )
+                            else:
+                                queue.append(
+                                    (index, job, defers + 1, attempt_errors)
+                                )
+                            continue
+                    future = threads.submit(self._attempt, job, attempt_errors)
+                    inflight[future] = index
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    outcome = future.result()
+                    breaker = self._breakers[outcome.job.board]
+                    if outcome.error is None:
+                        breaker.record_success(self._next_tick())
+                    else:
+                        breaker.record_failure(self._next_tick())
+                    outcomes[inflight.pop(future)] = outcome
+                queue.extendleft(reversed(parked))
         return outcomes
 
     def run(self) -> FleetReport:
@@ -488,7 +443,7 @@ class FleetScheduler:
         if self.use_pool:
             respawns_before = get_pool(self.workers).respawns
         with timer.stage("fleet"):
-            outcomes = asyncio.run(self._run(timer))
+            outcomes = self._dispatch()
         respawns = 0
         if self.use_pool:
             respawns = get_pool(self.workers).respawns - respawns_before

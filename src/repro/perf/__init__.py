@@ -25,11 +25,9 @@ this package holds the shared machinery:
 
 from repro.perf.config import (
     FAULT_RATE_ENV,
-    FLEET_BOARDS_ENV,
     WORKERS_ENV,
     available_cpus,
     fault_rate_from_env,
-    fleet_boards_from_env,
     resolve_workers,
 )
 from repro.perf.executor import in_worker, parallel_map
@@ -51,11 +49,9 @@ from repro.perf.shm import (
 
 __all__ = [
     "FAULT_RATE_ENV",
-    "FLEET_BOARDS_ENV",
     "WORKERS_ENV",
     "available_cpus",
     "fault_rate_from_env",
-    "fleet_boards_from_env",
     "resolve_workers",
     "in_worker",
     "parallel_map",

@@ -1,6 +1,6 @@
 """Runtime configuration knobs for the evaluation engine.
 
-The library reads seven environment variables, all resolved here and
+The library reads three environment variables, all resolved here and
 nowhere else (README's "Environment knobs" table documents them):
 
 * ``AMPEREBLEED_WORKERS`` — via :func:`resolve_workers`.  Every
@@ -19,21 +19,6 @@ nowhere else (README's "Environment knobs" table documents them):
   rate in [0, 1] that arms :meth:`repro.faults.FaultPlan.at_rate` on
   every session built without an explicit ``faults=`` argument (unset
   or ``0`` means no fault injection).
-* ``AMPEREBLEED_FLEET_BOARDS`` — via :func:`fleet_boards_from_env`.
-  Comma-separated board names restricting which catalog boards
-  :func:`repro.fleet.build_fleet_jobs` shards across (unset means the
-  whole catalog).
-* ``AMPEREBLEED_QUEUE_HWM`` — via :func:`queue_hwm_from_env`.  The
-  fleet scheduler's admission high-water mark: at most this many jobs
-  enter the run queue; the rest end as explicit ``deferred`` outcomes
-  instead of growing the queue without bound (unset or ``0`` means
-  unbounded, the historical behavior).
-* ``AMPEREBLEED_BREAKER_THRESHOLD`` / ``AMPEREBLEED_BREAKER_COOLDOWN``
-  — via :func:`breaker_threshold_from_env` /
-  :func:`breaker_cooldown_from_env`.  Override the per-board circuit
-  breaker's consecutive-failure trip threshold and base cooldown
-  (scheduler ticks) when the scheduler is not handed an explicit
-  :class:`repro.resilience.BreakerPolicy`.
 """
 
 from __future__ import annotations
@@ -49,18 +34,6 @@ FULL_ENV = "AMPEREBLEED_FULL"
 
 #: Environment variable arming a default fault-injection rate.
 FAULT_RATE_ENV = "AMPEREBLEED_FAULT_RATE"
-
-#: Environment variable restricting which boards the fleet targets.
-FLEET_BOARDS_ENV = "AMPEREBLEED_FLEET_BOARDS"
-
-#: Environment variable bounding the fleet scheduler's admission queue.
-QUEUE_HWM_ENV = "AMPEREBLEED_QUEUE_HWM"
-
-#: Environment variable overriding the breaker's failure threshold.
-BREAKER_THRESHOLD_ENV = "AMPEREBLEED_BREAKER_THRESHOLD"
-
-#: Environment variable overriding the breaker's base cooldown (ticks).
-BREAKER_COOLDOWN_ENV = "AMPEREBLEED_BREAKER_COOLDOWN"
 
 #: Hard cap: more workers than this is always a configuration mistake.
 MAX_WORKERS = 256
@@ -98,79 +71,6 @@ def fault_rate_from_env() -> float:
             f"{FAULT_RATE_ENV} must be in [0, 1], got {rate}"
         )
     return rate
-
-
-def fleet_boards_from_env() -> Optional[list]:
-    """Board names ``AMPEREBLEED_FLEET_BOARDS`` selects (None = all).
-
-    The value is a comma-separated list of catalog names; whitespace
-    around entries is ignored and empty entries dropped.  Validation
-    against the catalog happens at fleet-build time, where the error
-    can name the available boards.
-    """
-    env = os.environ.get(FLEET_BOARDS_ENV, "").strip()
-    if not env:
-        return None
-    names = [part.strip() for part in env.split(",") if part.strip()]
-    return names or None
-
-
-def queue_hwm_from_env() -> Optional[int]:
-    """The scheduler admission bound ``AMPEREBLEED_QUEUE_HWM`` requests.
-
-    ``None`` (unset or ``0``) means unbounded admission — every job
-    enters the queue, the historical behavior.  A positive integer
-    caps how many jobs are admitted; the overflow is deferred with an
-    explicit outcome instead of queued.
-    """
-    env = os.environ.get(QUEUE_HWM_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        hwm = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{QUEUE_HWM_ENV} must be an integer >= 0, got {env!r}"
-        ) from None
-    if hwm < 0:
-        raise ValueError(f"{QUEUE_HWM_ENV} must be >= 0, got {hwm}")
-    return hwm or None
-
-
-def breaker_threshold_from_env() -> Optional[int]:
-    """Breaker trip threshold override (None = policy default)."""
-    env = os.environ.get(BREAKER_THRESHOLD_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        threshold = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{BREAKER_THRESHOLD_ENV} must be an integer >= 1, got {env!r}"
-        ) from None
-    if threshold < 1:
-        raise ValueError(
-            f"{BREAKER_THRESHOLD_ENV} must be >= 1, got {threshold}"
-        )
-    return threshold
-
-
-def breaker_cooldown_from_env() -> Optional[float]:
-    """Breaker base cooldown override in ticks (None = policy default)."""
-    env = os.environ.get(BREAKER_COOLDOWN_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        cooldown = float(env)
-    except ValueError:
-        raise ValueError(
-            f"{BREAKER_COOLDOWN_ENV} must be a float > 0, got {env!r}"
-        ) from None
-    if cooldown <= 0:
-        raise ValueError(
-            f"{BREAKER_COOLDOWN_ENV} must be > 0, got {cooldown}"
-        )
-    return cooldown
 
 
 def available_cpus() -> int:

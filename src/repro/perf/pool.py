@@ -27,8 +27,8 @@ run, fed through per-worker task queues:
   wedging the pool.
 * **Concurrent submitters.**  :meth:`submit` is thread-safe and a
   daemon collector thread resolves futures as results arrive, so the
-  fleet scheduler can feed jobs from many asyncio executor threads
-  while a forest fit maps tree batches through the same pool.
+  fleet scheduler can feed jobs from its dispatch threads while a
+  forest fit maps tree batches through the same pool.
 * **Deadlines & hung-worker reaping.**  A task submitted with a
   ``deadline_s`` wall-clock budget is watched: a worker still holding
   the task past its deadline — dead-but-undetected *or* merely hung

@@ -34,10 +34,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.perf.config import (
-    breaker_cooldown_from_env,
-    breaker_threshold_from_env,
-)
 from repro.utils.hashrand import hashed_uniform
 from repro.utils.rng import derive_seed
 
@@ -108,26 +104,6 @@ class BreakerPolicy:
         if self.half_open_probes < 1:
             raise ValueError("half_open_probes must be >= 1")
 
-    @classmethod
-    def from_env(cls) -> "BreakerPolicy":
-        """Default policy with any environment overrides applied.
-
-        ``AMPEREBLEED_BREAKER_THRESHOLD`` / ``AMPEREBLEED_BREAKER_COOLDOWN``
-        replace the trip threshold and base cooldown; everything else
-        keeps its default.
-        """
-        overrides = {}
-        threshold = breaker_threshold_from_env()
-        if threshold is not None:
-            overrides["failure_threshold"] = threshold
-        cooldown = breaker_cooldown_from_env()
-        if cooldown is not None:
-            overrides["cooldown"] = cooldown
-            overrides["max_cooldown"] = max(
-                cls.max_cooldown, 16.0 * cooldown
-            )
-        return cls(**overrides)
-
 
 @dataclass(frozen=True)
 class BreakerTransition:
@@ -153,8 +129,8 @@ class CircuitBreaker:
     Args:
         name: breaker identity (the board name) — keys the jitter
             stream and labels the transition log.
-        policy: trip/recovery parameters (default:
-            :meth:`BreakerPolicy.from_env`).
+        policy: trip/recovery parameters (default: the
+            :class:`BreakerPolicy` defaults).
         seed: run seed; with ``name`` it fully determines the jittered
             cooldowns, so a replayed run replays the same windows.
     """
@@ -166,7 +142,7 @@ class CircuitBreaker:
         seed: int = 0,
     ):
         self.name = name
-        self.policy = policy or BreakerPolicy.from_env()
+        self.policy = policy or BreakerPolicy()
         self._jitter_key = derive_seed(seed, f"breaker:{name}")
         self._state = CLOSED
         self._failures = 0  # consecutive, while closed

@@ -1,7 +1,9 @@
-"""FLOW004: a worker task writes module state without a lock."""
+"""FLOW004: worker tasks write module state without a lock."""
 from repro.perf.executor import parallel_map
 
 COUNTER = 0
+_RESULTS = []
+_CACHE = {}
 
 
 def task(item):
@@ -10,5 +12,20 @@ def task(item):
     return item
 
 
+def accumulate(item):
+    # The append lands in the forked worker's copy and is lost.
+    _RESULTS.append(item * 2)
+    return item
+
+
+def memoize(item):
+    _CACHE[item] = item * 2
+    return _CACHE[item]
+
+
 def launch(items):
-    return parallel_map(task, items)
+    return (
+        parallel_map(task, items),
+        parallel_map(accumulate, items),
+        parallel_map(memoize, items),
+    )

@@ -90,6 +90,18 @@ def test_cross_module_flow004():
     assert "xmod_launch_bad" in result.findings[0].message
 
 
+def test_flow004_flags_every_write_kind():
+    """``global`` assign, mutator call and item store are each flagged."""
+    result = _check(
+        [FLOW_FIXTURES / "flow004_bad.py"], rules=["FLOW004"]
+    )
+    assert [(f.line, f.snippet) for f in result.findings] == [
+        (11, "COUNTER += 1"),
+        (17, "_RESULTS.append(item * 2)"),
+        (22, "_CACHE[item] = item * 2"),
+    ]
+
+
 def test_flow_rules_honor_inline_suppression(tmp_path):
     source = (FLOW_FIXTURES / "flow002_bad.py").read_text()
     source = source.replace(
@@ -406,7 +418,7 @@ def test_sarif_reports_parse_errors(tmp_path):
 def test_prune_baseline_removes_only_stale(tmp_path):
     baseline_path = tmp_path / "baseline.json"
     live = Finding(
-        path="flow/flow004_bad.py", line=9, col=4, rule="FLOW004",
+        path="flow/flow004_bad.py", line=11, col=4, rule="FLOW004",
         message="m", snippet="COUNTER += 1",
     )
     fresh = _check(

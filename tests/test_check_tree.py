@@ -70,8 +70,8 @@ def test_cli_fails_on_bad_fixture():
 @pytest.mark.parametrize(
     "rule_id",
     [
-        "RNG001", "RNG002", "RNG003", "TIME001", "CONC001",
-        "CONC002", "CONC003", "API001", "API002", "API003",
+        "RNG001", "RNG002", "RNG003", "TIME001", "CONC002",
+        "CONC003", "API001", "API002", "API003",
         "FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005",
     ],
 )

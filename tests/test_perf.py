@@ -1,10 +1,14 @@
 """Unit tests for the repro.perf engine (config, executor, timer)."""
 
+import ast
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.perf import config
 from repro.perf import (
     WORKERS_ENV,
     StageTimer,
@@ -130,3 +134,38 @@ class TestStageTimer:
         with timer.stage("s"):
             pass
         json.dumps(timer.as_dict())
+
+
+class TestEnvKnobDocs:
+    """The knobs the code reads are exactly the knobs the docs list."""
+
+    REPO = Path(__file__).resolve().parents[1]
+    KNOB = re.compile(r"AMPEREBLEED_[A-Z_]*[A-Z]")
+
+    def _source_knobs(self):
+        """Every knob named in a string literal under ``src/``."""
+        knobs = set()
+        for path in (self.REPO / "src").rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    knobs.update(self.KNOB.findall(node.value))
+        return knobs
+
+    def _readme_knobs(self):
+        text = (self.REPO / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Environment knobs", 1)[1]
+        section = section.split("\n#", 1)[0]
+        return {
+            match
+            for line in section.splitlines()
+            if line.startswith("| `AMPEREBLEED_")
+            for match in self.KNOB.findall(line)
+        }
+
+    def test_source_literals_match_config_docstring_and_readme(self):
+        documented = set(self.KNOB.findall(config.__doc__))
+        assert self._source_knobs() == documented
+        assert self._readme_knobs() == documented

@@ -1,13 +1,14 @@
-"""Resilience layer: deadlines, breakers, backpressure, quarantine.
+"""Resilience layer: deadlines, breakers, quarantine.
 
 The chaos contract (PR 9) in unit-sized pieces: a hung or SIGSTOPped
 worker is reaped within its task deadline and the task completes via
 resubmission; an untimed ``PoolFuture.result()`` can never be stranded
 by a dead collector; per-board circuit breakers walk the deterministic
 closed→open→half-open machine and surface their transition log in the
-fleet report; the admission high-water mark sheds load as explicit
-``deferred`` outcomes; corrupt archives move to quarantine with a
-machine-readable reason instead of killing the campaign.
+fleet report; jobs queued behind a half-open probe wait for its
+verdict instead of polling the breaker; corrupt archives move to
+quarantine with a machine-readable reason instead of killing the
+campaign.
 """
 
 import json
@@ -27,11 +28,6 @@ from repro.fleet import (
     FleetJob,
     FleetScheduler,
     run_job,
-)
-from repro.perf.config import (
-    breaker_cooldown_from_env,
-    breaker_threshold_from_env,
-    queue_hwm_from_env,
 )
 from repro.perf.pool import (
     PoolConfig,
@@ -256,40 +252,6 @@ class TestCircuitBreaker:
         assert windows("ZCU102", 0) != windows("ZCU102", 1)
         assert windows("ZCU102", 0) != windows("ZCU111", 0)
 
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("AMPEREBLEED_BREAKER_THRESHOLD", "7")
-        monkeypatch.setenv("AMPEREBLEED_BREAKER_COOLDOWN", "16")
-        policy = BreakerPolicy.from_env()
-        assert policy.failure_threshold == 7
-        assert policy.cooldown == 16.0
-        assert policy.max_cooldown >= 16.0 * 16.0
-
-
-class TestEnvKnobs:
-    def test_queue_hwm(self, monkeypatch):
-        monkeypatch.delenv("AMPEREBLEED_QUEUE_HWM", raising=False)
-        assert queue_hwm_from_env() is None
-        monkeypatch.setenv("AMPEREBLEED_QUEUE_HWM", "0")
-        assert queue_hwm_from_env() is None
-        monkeypatch.setenv("AMPEREBLEED_QUEUE_HWM", "12")
-        assert queue_hwm_from_env() == 12
-        monkeypatch.setenv("AMPEREBLEED_QUEUE_HWM", "-3")
-        with pytest.raises(ValueError):
-            queue_hwm_from_env()
-
-    def test_breaker_knobs(self, monkeypatch):
-        monkeypatch.delenv("AMPEREBLEED_BREAKER_THRESHOLD", raising=False)
-        monkeypatch.delenv("AMPEREBLEED_BREAKER_COOLDOWN", raising=False)
-        assert breaker_threshold_from_env() is None
-        assert breaker_cooldown_from_env() is None
-        monkeypatch.setenv("AMPEREBLEED_BREAKER_THRESHOLD", "0")
-        with pytest.raises(ValueError):
-            breaker_threshold_from_env()
-        monkeypatch.setenv("AMPEREBLEED_BREAKER_COOLDOWN", "-1")
-        with pytest.raises(ValueError):
-            breaker_cooldown_from_env()
-
-
 # ---------------------------------------------------------- quarantine
 
 
@@ -367,28 +329,6 @@ class _OutageWindow:
 
 
 class TestSchedulerResilience:
-    def test_backpressure_defers_lowest_priority(self, tmp_path):
-        jobs = [
-            FleetJob.make(
-                "rsa",
-                "ZCU102",
-                seed=SEED + index,
-                out=tmp_path / f"rsa{index}",
-                priority=priority,
-                **RSA_PARAMS,
-            )
-            for index, priority in enumerate((0, 5, 1))
-        ]
-        report = FleetScheduler(
-            jobs, use_pool=False, queue_hwm=2
-        ).run()
-        statuses = [outcome.status for outcome in report.outcomes]
-        assert statuses == [STATUS_DEFERRED, STATUS_DONE, STATUS_DONE]
-        shed = report.outcomes[0]
-        assert "high-water mark" in shed.error
-        assert report.statuses == {STATUS_DEFERRED: 1, STATUS_DONE: 2}
-        assert report.as_dict()["statuses"][STATUS_DEFERRED] == 1
-
     def test_retry_exhaustion_reports_reason_and_attempt_trace(
         self, tmp_path, monkeypatch
     ):
@@ -468,10 +408,58 @@ class TestSchedulerResilience:
             [job],
             use_pool=False,
             breaker_policy=policy,
-            max_defers=6,
             chaos=_OutageWindow(10_000),
         ).run()
         outcome = report.outcomes[0]
         assert outcome.status in (STATUS_DEFERRED, STATUS_FAILED)
         assert outcome.error is not None
         assert outcome.attempt_errors  # the outage left its trace
+
+    def test_jobs_behind_half_open_probe_wait_instead_of_polling(
+        self, tmp_path, monkeypatch
+    ):
+        # One outage trips the board's breaker; the half-open probe is
+        # then held for 0.3 s.  The second job, refused while the probe
+        # is in flight, must wait for the probe's completion rather
+        # than re-ask the breaker in a loop.
+        policy = BreakerPolicy(
+            failure_threshold=1, cooldown=2.0, jitter=0.0
+        )
+        jobs = [
+            FleetJob.make(
+                "rsa",
+                "ZCU102",
+                seed=SEED + index,
+                out=tmp_path / f"rsa{index}",
+                **RSA_PARAMS,
+            )
+            for index in range(2)
+        ]
+        scheduler = FleetScheduler(
+            jobs,
+            max_concurrent=2,
+            use_pool=False,
+            breaker_policy=policy,
+            chaos=_OutageWindow(1),
+        )
+        execute = scheduler._execute
+
+        def held_execute(job):
+            time.sleep(0.3)
+            return execute(job)
+
+        monkeypatch.setattr(scheduler, "_execute", held_execute)
+        allow = CircuitBreaker.allow
+        calls = []
+
+        def counted_allow(breaker, now):
+            calls.append(now)
+            return allow(breaker, now)
+
+        monkeypatch.setattr(CircuitBreaker, "allow", counted_allow)
+        report = scheduler.run()
+        assert [outcome.status for outcome in report.outcomes] == [
+            STATUS_DONE,
+            STATUS_DONE,
+        ]
+        assert len(calls) <= 10, len(calls)
