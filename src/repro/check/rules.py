@@ -702,9 +702,9 @@ def check_api003(module: Module) -> List[Finding]:
 
 # ------------------------------------------------------------------- API004
 
-#: Where per-iteration sorts are sanctioned: the presorted CART itself
-#: (repro/ml — one stable presort per fit plus a measured small-node
-#: branch).
+#: Where per-iteration sorts are sanctioned: the CART grower itself
+#: (repro/ml — one batched stable argsort per scoring step, covering
+#: the drawing nodes of every tree grown in lockstep).
 _ARGSORT_ALLOWED = ("repro/ml/",)
 
 _LOOP_NODES = (

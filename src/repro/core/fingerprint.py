@@ -46,7 +46,8 @@ from repro.ml.validation import (
     collect_cv_result,
     cross_validate,
     make_fold_jobs,
-    score_fold,
+    score_fold,  # noqa: F401  (one-fold entry; bench/tracing.py wraps it here)
+    score_fold_batch,
     share_fold_jobs,
 )
 from repro.perf.config import resolve_workers
@@ -283,47 +284,48 @@ class FingerprintAnalyzer:
     ) -> Dict[Tuple[str, str, float], CrossValidationResult]:
         """The full Table III grid: channels x durations.
 
-        Every cell's CV folds are flattened into one task list and
-        fanned out together, so workers stay busy across cell
-        boundaries; the scores per cell are exactly what
+        Each cell's CV folds are one :func:`score_fold_batch` — its fold
+        forests grow together — and the cells fan out over workers as
+        whole batches; the scores per cell are exactly what
         :meth:`evaluate_channel` computes serially.
         """
-        jobs = []
-        spans: List[Tuple[Tuple[str, str, float], int, int]] = []
+        cells = []
+        batches = []
         cv_seed = derive_seed(self.seed, "cv")
         for channel, dataset in datasets.items():
             domain, quantity = channel
             for duration in durations:
                 X, y = self._features(dataset, duration)
-                cell_jobs = make_fold_jobs(
-                    X,
-                    y,
-                    n_folds=self.config.n_folds,
-                    classifier_factory=self._forest_factory(),
-                    seed=cv_seed,
+                batches.append(
+                    make_fold_jobs(
+                        X,
+                        y,
+                        n_folds=self.config.n_folds,
+                        classifier_factory=self._forest_factory(),
+                        seed=cv_seed,
+                    )
                 )
-                spans.append(
-                    ((domain, quantity, duration), len(jobs), len(cell_jobs))
-                )
-                jobs.extend(cell_jobs)
+                cells.append((domain, quantity, duration))
         # Each cell's feature matrix goes into shared memory once and
-        # its ten folds carry descriptors — the grid-wide fan-out no
-        # longer pickles a matrix copy per fold.  Serial runs skip the
-        # publish (descriptors would just resolve locally).
+        # its folds carry descriptors.  Serial runs skip the publish
+        # (descriptors would just resolve locally).
         fan_out = (
             resolve_workers(self._workers(workers)) > 1
-            and len(jobs) > 1
+            and len(batches) > 1
             and not in_worker()
         )
         with ExitStack() as stack:
             scores = parallel_map(
-                score_fold,
-                share_fold_jobs(jobs, stack, enabled=fan_out),
+                score_fold_batch,
+                [
+                    share_fold_jobs(batch, stack, enabled=fan_out)
+                    for batch in batches
+                ],
                 workers=self._workers(workers),
             )
         return {
-            cell: collect_cv_result(scores[first:first + count])
-            for cell, first, count in spans
+            cell: collect_cv_result(cell_scores)
+            for cell, cell_scores in zip(cells, scores)
         }
 
     def evaluate_fused(

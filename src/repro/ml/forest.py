@@ -9,18 +9,21 @@ random-forest recipe the text's RForest refers to).
 Tree fitting is embarrassingly parallel and the forest exploits it:
 ``fit`` draws one integer seed per tree in a single atomic RNG call,
 then grows every tree from its own ``default_rng(tree_seed)``.  Each
-tree is therefore a pure function of ``(X, y, params, tree_seed)``,
-so serial and parallel fits — at any worker count — produce
-bit-identical forests (trees, importances, and predictions).
+tree is therefore a pure function of ``(X, y, params, tree_seed)``, so
+the trees can grow in lockstep (:func:`repro.ml.tree.grow_trees`) —
+all trees of one forest, or all forests of a CV cell at once
+(:func:`fit_forests`) — and serial and parallel fits, at any worker
+count, produce bit-identical forests (trees, importances, and
+predictions).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, check_fit_data, grow_trees
 from repro.perf.config import resolve_workers
 from repro.perf.executor import in_worker, parallel_map
 from repro.perf.shm import publish_arrays, resolve_array
@@ -28,48 +31,64 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_int_in_range
 
 
-def _grow_tree(X, encoded, classes, params, tree_seed) -> DecisionTreeClassifier:
-    """Grow one tree deterministically from its integer seed.
+def _seeded_trees(params, seeds, rows) -> List[tuple]:
+    """``(unfitted tree, training rows)`` per seed.
 
-    Labels arrive pre-encoded as integer class codes (the forest runs
-    ``np.unique`` once instead of every tree re-uniquing label
-    strings); the code↔label map is monotone, so the grown tree is
-    identical and its ``classes_`` remap back to the real labels.
+    Each tree's generator first draws its bootstrap row map, then
+    serves the tree's per-node feature draws.
     """
-    max_depth, max_features, min_samples_leaf, bootstrap = params
-    rng = ensure_rng(int(tree_seed))
-    n = X.shape[0]
-    if bootstrap:
-        sample = rng.integers(0, n, size=n)
-    else:
-        sample = np.arange(n)
-    tree = DecisionTreeClassifier(
-        max_depth=max_depth,
-        max_features=max_features,
-        min_samples_leaf=min_samples_leaf,
-        seed=rng,
-    )
-    tree.fit(X[sample], encoded[sample])
-    tree.classes_ = classes[tree.classes_]
-    return tree
+    tree_params, bootstrap = params
+    trees = []
+    for seed in seeds:
+        rng = ensure_rng(int(seed))
+        sample = rows
+        if bootstrap:
+            sample = rows[rng.integers(0, rows.size, size=rows.size)]
+        trees.append((DecisionTreeClassifier(seed=rng, **tree_params), sample))
+    return trees
 
 
-def _grow_tree_task(task) -> DecisionTreeClassifier:
-    """Pool-worker entry: fit matrices arrive as shm descriptors.
+def _grow_slice_task(task) -> List[DecisionTreeClassifier]:
+    """Pool-worker entry: grow one slice of a forest's tree seeds.
 
-    The task tuple carries :class:`repro.perf.shm.ShmSlice` handles
-    (or the raw arrays on the no-shm fallback) plus this tree's seed;
-    :func:`resolve_array` maps the shared segment read-only, and the
-    bootstrap's fancy indexing copies exactly the rows the tree needs.
+    ``X`` and the label codes arrive as shared-memory descriptors (or
+    raw arrays); trees read their rows straight from the segment.
     """
-    x_ref, encoded_ref, classes_ref, params, tree_seed = task
-    return _grow_tree(
-        resolve_array(x_ref),
-        resolve_array(encoded_ref),
-        resolve_array(classes_ref),
-        params,
-        tree_seed,
-    )
+    x_ref, codes_ref, params, seeds = task
+    X = resolve_array(x_ref)
+    codes = resolve_array(codes_ref)
+    trees = _seeded_trees(params, seeds, np.arange(X.shape[0]))
+    grow_trees([(tree, X, codes, rows) for tree, rows in trees])
+    return [tree for tree, _ in trees]
+
+
+def fit_forests(jobs: Sequence[tuple]) -> None:
+    """Fit several forests together, all their trees in lockstep.
+
+    Each job is ``(forest, X, y, rows)``: the forest fits on
+    ``X[rows]``, ``y[rows]`` (``rows=None`` for all of them), exactly as
+    ``forest.fit(X[rows], y[rows])`` would, at any ``n_jobs``.  The
+    folds of one CV cell share ``X`` and train on different rows, so
+    batching them multiplies the nodes every scoring step covers.
+    """
+    tasks = []
+    fitted = []
+    encodings = {}
+    for forest, X, y, rows in jobs:
+        key = (id(X), id(y))
+        if key not in encodings:
+            X, y = check_fit_data(X, y)
+            encodings[key] = (X,) + tuple(np.unique(y, return_inverse=True))
+        X, classes, codes = encodings[key]
+        rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
+        if rows.size == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        trees = _seeded_trees(forest._tree_params(), forest._tree_seeds(), rows)
+        tasks.extend((tree, X, codes, sample) for tree, sample in trees)
+        fitted.append((forest, classes, codes[rows], [t for t, _ in trees]))
+    grow_trees(tasks)
+    for forest, classes, fit_codes, trees in fitted:
+        forest._adopt(classes, fit_codes, trees)
 
 
 class RandomForestClassifier:
@@ -114,59 +133,53 @@ class RandomForestClassifier:
         # built lazily on first predict after a fit.
         self._aligned_probas: Optional[Tuple[np.ndarray, ...]] = None
 
-    def _tree_params(self) -> Tuple:
-        return (
-            self.max_depth,
-            self.max_features,
-            self.min_samples_leaf,
-            self.bootstrap,
+    def _tree_params(self) -> Tuple[dict, bool]:
+        tree_params = {
+            "max_depth": self.max_depth,
+            "max_features": self.max_features,
+            "min_samples_leaf": self.min_samples_leaf,
+        }
+        return tree_params, self.bootstrap
+
+    def _tree_seeds(self) -> np.ndarray:
+        # One atomic draw decouples tree seeds from execution order.
+        return self._rng.integers(
+            0, np.iinfo(np.int64).max, size=self.n_estimators
         )
+
+    def _adopt(self, labels: np.ndarray, codes: np.ndarray, trees) -> None:
+        """Install grown trees (their ``classes_`` still codes into
+        ``labels``); ``codes`` are those of the forest's fit rows."""
+        for tree in trees:
+            tree.classes_ = labels[tree.classes_]
+        self.trees_ = list(trees)
+        self.classes_ = labels[np.unique(codes)]
+        importances = np.zeros(self.trees_[0].n_features_)
+        for tree in self.trees_:
+            importances += tree.feature_importances_
+        self.feature_importances_ = importances / self.n_estimators
+        self._aligned_probas = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Fit all trees on (bootstrapped) views of the data."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise ValueError("y must be 1-D with one label per row of X")
-        self.classes_, encoded = np.unique(y, return_inverse=True)
-        # One atomic draw decouples tree seeds from execution order.
-        tree_seeds = self._rng.integers(
-            0, np.iinfo(np.int64).max, size=self.n_estimators
-        )
-        params = self._tree_params()
         workers = resolve_workers(self.n_jobs)
         if workers <= 1 or self.n_estimators <= 1 or in_worker():
-            self.trees_ = [
-                _grow_tree(X, encoded, self.classes_, params, seed)
-                for seed in tree_seeds
-            ]
-        else:
-            # The fit matrices are published once in shared memory;
-            # every tree task carries only descriptors plus its seed,
-            # so fanning 100 trees out pickles kilobytes, not copies
-            # of X per chunk.
-            with publish_arrays([X, encoded, self.classes_]) as (
-                x_ref,
-                encoded_ref,
-                classes_ref,
-            ):
-                self.trees_ = parallel_map(
-                    _grow_tree_task,
-                    [
-                        (x_ref, encoded_ref, classes_ref, params, seed)
-                        for seed in tree_seeds
-                    ],
-                    workers=workers,
-                    chunksize=max(1, self.n_estimators // 32),
-                )
-        importances = np.zeros(X.shape[1])
-        for tree in self.trees_:
-            if tree.feature_importances_ is not None:
-                importances += tree.feature_importances_
-        self.feature_importances_ = importances / self.n_estimators
-        self._aligned_probas = None
+            fit_forests([(self, X, y, None)])
+            return self
+        X, y = check_fit_data(X, y)
+        classes, codes = np.unique(y, return_inverse=True)
+        # The fit matrices are published once in shared memory; each
+        # task carries descriptors plus one contiguous slice of seeds.
+        slices = np.array_split(
+            self._tree_seeds(), min(workers, self.n_estimators)
+        )
+        with publish_arrays([X, codes]) as (x_ref, codes_ref):
+            parts = parallel_map(
+                _grow_slice_task,
+                [(x_ref, codes_ref, self._tree_params(), s) for s in slices],
+                workers=workers,
+            )
+        self._adopt(classes, codes, [tree for part in parts for tree in part])
         return self
 
     def _check_fitted(self):

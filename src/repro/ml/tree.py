@@ -7,38 +7,37 @@ so the tree (and the forest in :mod:`repro.ml.forest`) is implemented
 from scratch: exact greedy CART with threshold splits and per-node
 random feature subsampling.
 
-The split search is the fit hot path and is fully vectorized
-(sklearn-style presorting):
+Trees grow in lockstep (:func:`grow_trees`).  Each tree keeps its own
+depth-first stack and generator, which draws one candidate-feature
+``choice`` per node it tries to split, so node numbering, the RNG
+stream, tie-breaks and importance order are those of the tree grown
+alone.  Per step, every live tree pops its next such *drawing* node
+and all of them are scored together: one stable argsort of the node
+values (ragged nodes padded with NaN, which sorts after every real
+value) and one ``(classes, nodes, features, positions)`` one-hot/cumsum
+Gini tensor.  Batching a forest, or a whole CV cell of forests, spreads
+numpy's per-call cost over the ~10-row nodes of deep trees.
 
-* every feature column is stable-argsorted **once per fit**; each node
-  recovers the sorted order of its candidate columns by compacting its
-  members out of the global presort (a mask/nonzero pass over the
-  candidate columns only — no per-node re-sorting, no carrying
-  per-node sorted matrices down the tree);
-* all candidate features of a node are scored in **one**
-  histogram/cumsum pass over a ``(features, samples, classes)`` tensor
-  instead of a Python loop per feature;
-* class counts ride the growth stack, split-size vectors are cached by
-  node size, and the node-probability matrix is assembled in one
-  vectorized division at the end of fit, so ``apply`` /
-  ``predict_proba`` do no per-call list-to-array conversion.
-
-The grown tree is bit-identical to the pre-vectorization
-implementation (kept as ``LegacyDecisionTreeClassifier`` in
-``tests/reference_kernels.py`` and pinned by
-``tests/test_kernel_parity.py``): same RNG draw sequence, same
-split ordering and tie-breaks, same floating-point operation order in
-the impurity math.
+The grown tree is bit-identical to the per-node implementation
+(``LegacyDecisionTreeClassifier`` in ``tests/reference_kernels.py``,
+pinned by ``tests/test_kernel_parity.py``): every Gini step is the
+same IEEE operation on the same values, summed in the same order
+(:func:`_class_sum`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_int_in_range
+
+#: Float64 elements of one scoring call's cumsum tensor.  Larger
+#: batches are scored in chunks, which bounds the grower's scratch
+#: memory at a few MiB whatever the number of trees.
+_SCORE_ELEMENTS = 1 << 17
 
 
 def gini_impurity(counts: np.ndarray) -> np.ndarray:
@@ -66,6 +65,20 @@ def _resolve_max_features(max_features, n_features: int) -> int:
             raise ValueError("fractional max_features must be in (0, 1]")
         return max(1, int(max_features * n_features))
     raise ValueError(f"unsupported max_features: {max_features!r}")
+
+
+def check_fit_data(X, y) -> Tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as a float64 matrix and one label per row."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise ValueError("y must be 1-D with one label per row of X")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    return X, y
+
 
 
 class DecisionTreeClassifier:
@@ -98,13 +111,7 @@ class DecisionTreeClassifier:
         )
         self.max_features = max_features
         self._rng = ensure_rng(seed)
-        # Flat node arrays, filled during fit().
-        self._children_left: List[int] = []
-        self._children_right: List[int] = []
-        self._split_feature: List[int] = []
-        self._split_threshold: List[float] = []
-        self._node_proba: List[np.ndarray] = []
-        # Prediction-time caches, built once at the end of fit().
+        # Flat node arrays and leaf probabilities, written by the grower.
         self._left_arr: Optional[np.ndarray] = None
         self._right_arr: Optional[np.ndarray] = None
         self._feature_arr: Optional[np.ndarray] = None
@@ -115,316 +122,13 @@ class DecisionTreeClassifier:
         self.n_features_: Optional[int] = None
         self.feature_importances_: Optional[np.ndarray] = None
 
-    # ----------------------------------------------------------- fit
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         """Grow the tree on data ``X`` (n, d) and labels ``y`` (n,)."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise ValueError("y must be 1-D with one label per row of X")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        self.classes_, encoded = np.unique(y, return_inverse=True)
-        self.n_features_ = X.shape[1]
-        n_classes = self.classes_.size
-        n_total = X.shape[0]
-        self._children_left = []
-        self._children_right = []
-        self._split_feature = []
-        self._split_threshold = []
-        node_counts: List[np.ndarray] = []
-        importances = np.zeros(self.n_features_)
-
-        n_subset = _resolve_max_features(self.max_features, self.n_features_)
-
-        # Presort every feature column once; stable sort breaks value
-        # ties by row index.  Node index sets stay ascending down the
-        # whole tree (children are mask-selections of the parent), so
-        # filtering a global column to a node's members preserves
-        # exactly the order a per-node stable argsort would produce.
-        presorted = np.argsort(X, axis=0, kind="stable")
-        # Per-fit scratch reused by every node: node-local class codes
-        # addressed by global sample index, the membership flags that
-        # filter the presort down to a node, the present-class code
-        # remap, and one arange whose slices serve as every index
-        # vector a node needs (allocating fresh aranges per node costs
-        # more than the node's actual math at this data scale).
-        member_scratch = np.zeros(n_total, dtype=bool)
-        class_remap = np.empty(n_classes, dtype=np.int64)
-        ar = np.arange(max(n_total, self.n_features_, n_classes) + 1)
-        # Split-size validity and child-size vectors depend only on the
-        # node's sample count, so nodes of equal size share one cached
-        # entry: (any_valid, size_valid, left_sizes, right_sizes,
-        # left_sizes_col_f64, right_sizes_col_f64).
-        size_cache: dict = {}
-
-        def new_node(counts: np.ndarray) -> int:
-            index = len(self._children_left)
-            self._children_left.append(-1)
-            self._children_right.append(-1)
-            self._split_feature.append(-1)
-            self._split_threshold.append(np.nan)
-            node_counts.append(counts)
-            return index
-
-        # Iterative depth-first growth (avoids recursion limits at
-        # depth 32 x wide trees).  Each entry carries the node's class
-        # counts so no node recounts its own labels.
-        stack: List[Tuple[np.ndarray, int, int, np.ndarray]] = []
-        root_counts = np.bincount(encoded, minlength=n_classes)
-        root = new_node(root_counts)
-        stack.append((np.arange(n_total), root, 0, root_counts))
-        max_depth_seen = 0
-
-        while stack:
-            indices, node, depth, counts = stack.pop()
-            if (
-                depth >= self.max_depth
-                or indices.size < self.min_samples_split
-                or np.count_nonzero(counts) <= 1
-            ):
-                continue
-            split = self._best_split(
-                X,
-                encoded,
-                indices,
-                presorted,
-                counts,
-                n_subset,
-                member_scratch,
-                class_remap,
-                ar,
-                size_cache,
-            )
-            if split is None:
-                continue
-            feature, threshold, gain, left_idx, right_idx, left_counts = split
-            self._split_feature[node] = feature
-            self._split_threshold[node] = threshold
-            importances[feature] += gain * indices.size
-            right_counts = counts - left_counts
-            left = new_node(left_counts)
-            right = new_node(right_counts)
-            self._children_left[node] = left
-            self._children_right[node] = right
-            stack.append((left_idx, left, depth + 1, left_counts))
-            stack.append((right_idx, right, depth + 1, right_counts))
-            if depth + 1 > max_depth_seen:
-                max_depth_seen = depth + 1
-
-        total = importances.sum()
-        self.feature_importances_ = (
-            importances / total if total > 0 else importances
-        )
-        self._depth = max_depth_seen
-        self._left_arr = np.asarray(self._children_left, dtype=np.int64)
-        self._right_arr = np.asarray(self._children_right, dtype=np.int64)
-        self._feature_arr = np.asarray(self._split_feature, dtype=np.int64)
-        self._threshold_arr = np.asarray(
-            self._split_threshold, dtype=np.float64
-        )
-        # One vectorized division builds every node's class
-        # probabilities (the count matrix is exact integers, so the
-        # row totals equal the per-node float sums bit for bit).
-        counts_matrix = np.asarray(node_counts, dtype=np.float64)
-        row_totals = counts_matrix.sum(axis=1)
-        self._proba_matrix = counts_matrix / row_totals[:, np.newaxis]
-        self._node_proba = list(self._proba_matrix)
+        X, y = check_fit_data(X, y)
+        classes, codes = np.unique(y, return_inverse=True)
+        grow_trees([(self, X, codes, np.arange(X.shape[0]))])
+        self.classes_ = classes[self.classes_]
         return self
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        encoded: np.ndarray,
-        indices: np.ndarray,
-        presorted: np.ndarray,
-        counts: np.ndarray,
-        n_subset: int,
-        member_scratch: np.ndarray,
-        class_remap: np.ndarray,
-        ar: np.ndarray,
-        size_cache: dict,
-    ):
-        """Exact best Gini split over a random feature subset.
-
-        Scores every candidate feature in one pass: the node's sorted
-        sample order per candidate feature is recovered by masking the
-        global presort down to the node's members (stable, so it
-        matches a per-node stable argsort exactly), and one
-        ``(features, samples, classes)`` one-hot/cumsum tensor yields
-        the class prefix counts of all candidate split positions of
-        all candidate features at once.
-
-        The impurity math is inlined rather than routed through
-        :func:`gini_impurity`: child class totals are the (exact,
-        integer-valued) child sizes, so the guarded
-        ``where(totals > 0, ...)`` division collapses to a plain
-        division by the cached size vectors — same bits, no per-node
-        ``errstate`` entry or totals reduction.
-
-        Returns ``(feature, threshold, impurity_decrease, left, right,
-        left_class_counts)`` or ``None`` if no valid split exists.
-        """
-        n = indices.size
-        sizes = size_cache.get(n)
-        if sizes is None:
-            left_sizes = ar[1:n]
-            right_sizes = n - left_sizes
-            size_valid = (left_sizes >= self.min_samples_leaf) & (
-                right_sizes >= self.min_samples_leaf
-            )
-            sizes = (
-                bool(size_valid.any()),
-                size_valid,
-                left_sizes,
-                right_sizes,
-                left_sizes.astype(np.float64)[:, np.newaxis],
-                right_sizes.astype(np.float64)[:, np.newaxis],
-            )
-            size_cache[n] = sizes
-        any_valid, size_valid, left_sizes, right_sizes, lsf, rsf = sizes
-        if not any_valid:
-            return None
-
-        # Work only with the classes present in this node: deep nodes
-        # hold few classes, which shrinks the prefix-sum tensor.  The
-        # node's counts arrive from the growth stack, so presence and
-        # the dense code remap come from them, not a per-node unique().
-        present = counts.nonzero()[0]
-        n_present = present.size
-        if n_present != counts.size:
-            class_remap[present] = ar[:n_present]
-            parent_counts = counts[present].astype(np.float64)
-        else:
-            parent_counts = counts.astype(np.float64)
-        parent_p = parent_counts / n
-        parent_gini = 1.0 - (parent_p**2).sum()
-
-        features = self._rng.choice(
-            self.n_features_, size=n_subset, replace=False
-        )
-        # Two bit-identical routes to the node's per-candidate sorted
-        # order (stable sorts break value ties by node position either
-        # way); pick by cost.  Small nodes sort their own few rows
-        # directly — O(n·k·log n); large nodes filter the global
-        # presort, whose mask/nonzero pass is O(N·k) regardless of
-        # node size but beats re-sorting wide nodes.
-        if 4 * n < member_scratch.size:
-            node_values = X[indices[:, np.newaxis], features]
-            order = node_values.argsort(axis=0, kind="stable")
-            columns = indices[order]
-            # Same gather as take_along_axis(..., axis=0) without its
-            # per-call Python index assembly.
-            sorted_values = node_values[order, ar[np.newaxis, :n_subset]]
-        elif n == member_scratch.size:
-            # Whole-population node (the root): the presort columns ARE
-            # the node's sorted members, no filtering needed.
-            columns = presorted[:, features]
-            sorted_values = X[columns, features]
-        else:
-            # Mark members, walk each candidate column in global
-            # sorted order, and keep the members (nonzero over the
-            # transposed mask yields them feature-major,
-            # position-ordered).
-            member_scratch[indices] = True
-            global_columns = presorted[:, features]
-            member_rows = member_scratch[global_columns]
-            feature_pos, sorted_pos = np.nonzero(member_rows.T)
-            columns = global_columns[sorted_pos, feature_pos].reshape(
-                n_subset, n
-            ).T
-            member_scratch[indices] = False
-            sorted_values = X[columns, features]
-        # Candidate split positions: between distinct values only (and
-        # between legal child sizes; with the default leaf minimum of 1
-        # every interior position is legal, so skip the mask there).
-        distinct = sorted_values[1:] != sorted_values[:-1]
-        if self.min_samples_leaf == 1:
-            valid = distinct
-        else:
-            valid = distinct & size_valid[:, np.newaxis]
-
-        # Class prefix counts for every candidate feature in one
-        # cumsum over a one-hot tensor of the sorted class codes (the
-        # dense remap is the identity when every class is present).
-        sorted_labels = encoded[columns]
-        if n_present != counts.size:
-            sorted_labels = class_remap[sorted_labels]
-        one_hot = np.zeros((n_subset, n, n_present))
-        one_hot[
-            ar[:n_subset, np.newaxis],
-            ar[np.newaxis, :n],
-            sorted_labels.T,
-        ] = 1.0
-        one_hot.cumsum(axis=1, out=one_hot)
-        # Child impurities, allocation-lean: the right prefix counts
-        # divide in place (they are a fresh array), both proportion
-        # tensors square in place, and the weighted-impurity chain
-        # reuses its operands.  Every in-place step performs the same
-        # IEEE operation on the same values as the out-of-place
-        # original, so the scores are bit-identical.
-        left_counts = one_hot[:, :-1, :]
-        left_p = left_counts / lsf
-        right_p = parent_counts - left_counts
-        right_p /= rsf
-        left_p *= left_p
-        right_p *= right_p
-        weighted = np.add.reduce(left_p, axis=-1)
-        right_sum = np.add.reduce(right_p, axis=-1)
-        np.subtract(1.0, weighted, out=weighted)
-        weighted *= left_sizes
-        np.subtract(1.0, right_sum, out=right_sum)
-        right_sum *= right_sizes
-        weighted += right_sum
-        weighted /= n
-        weighted[~valid.T] = np.inf
-        positions = weighted.argmin(axis=1)
-        gains = parent_gini - weighted[ar[:n_subset], positions]
-
-        # Feature order still breaks ties: scanning candidates in draw
-        # order and keeping each strict improvement always ends on the
-        # FIRST candidate attaining the maximal gain, which is exactly
-        # what argmax returns.  A candidate with no valid position has
-        # an all-inf weighted row, hence gain -inf — no separate
-        # validity mask needed.
-        candidate = int(gains.argmax())
-        gain = float(gains[candidate])
-        if not gain > 1e-12:
-            return None
-        position = int(positions[candidate])
-        value_low = sorted_values[position, candidate]
-        value_high = sorted_values[position + 1, candidate]
-        threshold = 0.5 * (value_low + value_high)
-        # Guard against float rounding: the midpoint of two very close
-        # values can collapse onto the upper one, which would leave the
-        # right child empty.  Splitting at the lower value keeps both
-        # sides non-empty.
-        if threshold >= value_high:
-            threshold = value_low
-        feature = int(features[candidate])
-        threshold = float(threshold)
-        mask = X[indices, feature] <= threshold
-        n_left = np.count_nonzero(mask)
-        if n_left == 0 or n_left == n:
-            return None
-        # The winning prefix row of the cumsum tensor is the left
-        # child's class histogram (exact integer-valued floats), so the
-        # caller skips re-bincounting the child's labels.
-        left_child_counts = np.zeros(counts.size, dtype=np.int64)
-        left_child_counts[present] = one_hot[candidate, position].astype(
-            np.int64
-        )
-        return (
-            feature,
-            threshold,
-            gain,
-            indices[mask],
-            indices[~mask],
-            left_child_counts,
-        )
 
     # ------------------------------------------------------- predict
 
@@ -480,11 +184,294 @@ class DecisionTreeClassifier:
 
     @property
     def node_count(self) -> int:
-        """Total nodes in the grown tree."""
-        return len(self._children_left)
+        """Total nodes in the grown tree (0 before fit)."""
+        return 0 if self._left_arr is None else int(self._left_arr.size)
 
     @property
     def depth(self) -> int:
         """Actual depth of the grown tree (tracked during growth)."""
         self._check_fitted()
         return self._depth
+
+
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in ``np.add.reduce``'s order; reuses ``terms``.
+
+    The Gini sums run over classes, which numpy reduces pairwise:
+    fewer than 8 terms in sequence, up to 128 as 8 interleaved partial
+    sums plus a sequential tail, more by halving at a multiple of 8.
+    Replaying that order with whole-array adds over a leading class
+    axis gives the reduction's bits without its per-row loop.  Zero
+    terms padded after the real ones change no bits as long as the
+    width stays in the same block of 8 (below 128).
+    """
+    n = terms.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(terms[:half]) + _class_sum(terms[half:])
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    partial = terms[:8]
+    tail = n - n % 8
+    for start in range(8, tail, 8):
+        partial += terms[start:start + 8]
+    total = (partial[0] + partial[1]) + (partial[2] + partial[3])
+    total += (partial[4] + partial[5]) + (partial[6] + partial[7])
+    for term in terms[tail:]:
+        total += term
+    return total
+
+
+class _Growth:
+    """One tree's growth state: its stack, generator and node records.
+
+    A stack entry is ``(rows, node, depth, class counts, classes
+    present)``; only nodes that may split are stacked, since popping
+    any other node draws nothing from the generator.
+    """
+
+    def __init__(self, tree, n_features, rows, counts):
+        self.tree = tree
+        self.n_features = n_features
+        self.n_subset = _resolve_max_features(tree.max_features, n_features)
+        self.stack: List[tuple] = []
+        self.counts: List[np.ndarray] = []
+        self.splits: List[Tuple[int, int, int, float]] = []
+        self.importances = [0.0] * n_features
+        self.depth = 0
+        self.add_node(rows, 0, counts, np.count_nonzero(counts))
+
+    def add_node(self, rows, depth, counts, n_present) -> int:
+        """Number a new node and stack it if it may split."""
+        node = len(self.counts)
+        self.counts.append(counts)
+        tree = self.tree
+        if (
+            depth < tree.max_depth
+            and rows.size >= tree.min_samples_split
+            and n_present > 1
+            and rows.size >= 2 * tree.min_samples_leaf
+        ):
+            self.stack.append((rows, node, depth, counts, n_present))
+        return node
+
+    def pop(self) -> tuple:
+        """Pop the next drawing node and draw its candidate features:
+        ``(self, rows, node, depth, counts, n_present, features)``."""
+        features = self.tree._rng.choice(
+            self.n_features, size=self.n_subset, replace=False
+        )
+        return (self,) + self.stack.pop() + (features,)
+
+    def finish(self) -> None:
+        """Write the flat node arrays and importances onto the tree."""
+        tree = self.tree
+        count = len(self.counts)
+        links = np.full((3, count), -1, dtype=np.int64)
+        threshold = np.full(count, np.nan)
+        if self.splits:
+            nodes, lefts, features, thresholds = map(
+                np.asarray, zip(*self.splits)
+            )
+            links[:, nodes] = lefts, lefts + 1, features
+            threshold[nodes] = thresholds
+        tree._left_arr, tree._right_arr, tree._feature_arr = links
+        tree._threshold_arr = threshold
+        counts = np.asarray(self.counts, dtype=np.float64)
+        present = np.flatnonzero(counts[0])
+        counts = counts[:, present]
+        importances = np.asarray(self.importances)
+        total = importances.sum()
+        tree.classes_ = present
+        tree.n_features_ = self.n_features
+        tree.feature_importances_ = (
+            importances / total if total > 0 else importances
+        )
+        tree._depth = self.depth
+        # Exact integer counts, so the row totals are exact too.
+        tree._proba_matrix = counts / counts.sum(axis=1)[:, np.newaxis]
+
+
+def _stack_blocks(tasks) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """One matrix and code vector over every distinct ``(X, codes)``.
+
+    A trailing all-NaN row serves as the padding row of every node;
+    narrower matrices pad their columns with NaN (no tree reads them).
+    Returns the stacked matrix, the codes and each task's row offset.
+    """
+    blocks = {}
+    for _, X, codes, _ in tasks:
+        blocks.setdefault((id(X), id(codes)), (X, codes))
+    n_rows = sum(X.shape[0] for X, _ in blocks.values())
+    width = max(X.shape[1] for X, _ in blocks.values())
+    stacked = np.full((n_rows + 1, width), np.nan)
+    all_codes = np.zeros(n_rows + 1, dtype=np.int64)
+    starts = {}
+    start = 0
+    for key, (X, codes) in blocks.items():
+        stacked[start:start + X.shape[0], :X.shape[1]] = X
+        all_codes[start:start + X.shape[0]] = codes
+        starts[key] = start
+        start += X.shape[0]
+    return stacked, all_codes, [starts[id(X), id(c)] for _, X, c, _ in tasks]
+
+
+def grow_trees(tasks: Sequence[tuple]) -> None:
+    """Fit unfitted trees together, in lockstep.
+
+    Each task is ``(tree, X, codes, rows)``: the tree grows on
+    ``X[rows]`` with integer class codes ``codes[rows]``, in that row
+    order, which breaks value ties exactly as the row order of a copied
+    ``X[rows]`` would (so a bootstrap passes its row map, not a copy).
+    A fitted tree's ``classes_`` holds the codes its rows contain.
+    """
+    if not tasks:
+        return
+    X, codes, offsets = _stack_blocks(tasks)
+    n_codes = int(codes.max()) + 1
+    growths = []
+    for (tree, X_task, _, rows), offset in zip(tasks, offsets):
+        rows = np.asarray(rows, dtype=np.int64) + offset
+        counts = np.bincount(codes[rows], minlength=n_codes)
+        growths.append(_Growth(tree, X_task.shape[1], rows, counts))
+    live = [growth for growth in growths if growth.stack]
+    while live:
+        groups = {}
+        for growth in live:
+            entry = growth.pop()
+            # Nodes of one group share padded class and row axes: the
+            # class width within one block of :func:`_class_sum`, the
+            # row count within a power of two.
+            n_present = entry[5]
+            key = (
+                n_present // 8 if n_present < 128 else -n_present,
+                (entry[1].size - 1).bit_length(),
+            )
+            groups.setdefault(key, []).append(entry)
+        for group in groups.values():
+            step = _SCORE_ELEMENTS // max(entry[1].size for entry in group)
+            step = max(1, step // max(entry[5] * entry[6].size for entry in group))
+            for start in range(0, len(group), step):
+                _split(X, codes, group[start:start + step])
+        live = [growth for growth in live if growth.stack]
+    for growth in growths:
+        growth.finish()
+
+
+def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
+    """Score one chunk of drawing nodes together and apply the splits.
+
+    Per node this is the exact best Gini split over its candidate
+    features: every position between distinct sorted values that
+    leaves both children at least ``min_samples_leaf`` rows is scored,
+    the best position per feature is the first minimum of the weighted
+    child impurity, and the best feature the first maximum of the gain
+    in draw order.  The threshold is the midpoint of the two values
+    around the winning position (the lower value if rounding lifts the
+    midpoint onto the upper one).
+    """
+    b = len(chunk)
+    nodes = np.arange(b)
+    sizes = np.array([entry[1].size for entry in chunk])
+    n = int(sizes.max())
+    real = np.arange(n) < sizes[:, np.newaxis]
+    rows = np.full((b, n), X.shape[0] - 1)
+    rows[real] = np.concatenate([entry[1] for entry in chunk])
+    n_subsets = np.array([entry[6].size for entry in chunk])
+    real_features = np.arange(n_subsets.max()) < n_subsets[:, np.newaxis]
+    features = np.zeros(real_features.shape, dtype=np.int64)
+    features[real_features] = np.concatenate([entry[6] for entry in chunk])
+    leaf = np.array([[entry[0].tree.min_samples_leaf] for entry in chunk])
+
+    # Present classes get dense codes in ascending order; class-axis
+    # tensors put classes first and pad with zero counts after them.
+    counts = np.stack([entry[4] for entry in chunk])
+    present = counts > 0
+    rank = present.cumsum(axis=1) - 1
+    n_classes = int(present.sum(axis=1).max())
+    owner, code = np.nonzero(present)
+    parent = np.zeros((n_classes, b))
+    parent[rank[owner, code], owner] = counts[owner, code]
+    parent_p = parent / sizes
+    parent_gini = 1.0 - _class_sum(parent_p * parent_p)
+
+    values = X[rows[:, np.newaxis, :], features[:, :, np.newaxis]]
+    order = values.argsort(axis=2, kind="stable")
+    values = np.take_along_axis(values, order, axis=2)
+    # Left-child class counts at every split position: a cumsum over
+    # the one-hot classes of all sorted rows but the last.
+    labels = rank[nodes[:, np.newaxis], codes[rows]]
+    labels = labels[nodes[:, np.newaxis, np.newaxis], order[..., :-1]]
+    left_counts = np.equal(
+        labels, np.arange(n_classes).reshape(-1, 1, 1, 1)
+    ).astype(np.float64)
+    np.cumsum(left_counts, axis=3, out=left_counts)
+    left_sizes = np.arange(1, n)
+    right_sizes = sizes[:, np.newaxis] - left_sizes
+    # Positions past a node's last row divide by zero or negative
+    # sizes; they are masked out below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_p = left_counts / left_sizes
+        right_p = parent[:, :, np.newaxis, np.newaxis] - left_counts
+        right_p /= right_sizes[:, np.newaxis, :]
+        left_p *= left_p
+        right_p *= right_p
+        weighted = _class_sum(left_p)
+        right_sum = _class_sum(right_p)
+        np.subtract(1.0, weighted, out=weighted)
+        weighted *= left_sizes
+        np.subtract(1.0, right_sum, out=right_sum)
+        right_sum *= right_sizes[:, np.newaxis, :]
+        weighted += right_sum
+        weighted /= sizes[:, np.newaxis, np.newaxis]
+    valid = values[:, :, 1:] != values[:, :, :-1]
+    valid &= ((left_sizes >= leaf) & (right_sizes >= leaf))[:, np.newaxis]
+    valid &= real_features[:, :, np.newaxis]
+    weighted[~valid] = np.inf
+    positions = weighted.argmin(axis=2)
+    gains = parent_gini[:, np.newaxis] - np.take_along_axis(
+        weighted, positions[..., np.newaxis], axis=2
+    )[..., 0]
+    best = gains.argmax(axis=1)
+    gain = gains[nodes, best]
+    position = positions[nodes, best]
+    low = values[nodes, best, position]
+    high = values[nodes, best, position + 1]
+    threshold = 0.5 * (low + high)
+    threshold = np.where(threshold >= high, low, threshold)
+    feature = features[nodes, best]
+
+    goes_left = X[rows, feature[:, np.newaxis]] <= threshold[:, np.newaxis]
+    n_left = goes_left.sum(axis=1)
+    child_counts = np.zeros_like(counts)
+    child_counts[owner, code] = left_counts[:, nodes, best, position][
+        rank[owner, code], owner
+    ]
+    right_counts = counts - child_counts
+    left_present = np.count_nonzero(child_counts, axis=1).tolist()
+    right_present = np.count_nonzero(right_counts, axis=1).tolist()
+    left_rows = rows[goes_left]
+    right_rows = rows[real & ~goes_left]
+    left_end = np.cumsum(n_left).tolist()
+    right_end = np.cumsum(sizes - n_left).tolist()
+    accepted = (gain > 1e-12) & (n_left > 0) & (n_left < sizes)
+    gain, feature, threshold, n_left, sizes = (
+        array.tolist() for array in (gain, feature, threshold, n_left, sizes)
+    )
+    for i in np.flatnonzero(accepted).tolist():
+        growth, _, node, depth = chunk[i][:4]
+        growth.importances[feature[i]] += gain[i] * sizes[i]
+        depth += 1
+        left = growth.add_node(
+            left_rows[left_end[i] - n_left[i]:left_end[i]],
+            depth, child_counts[i], left_present[i],
+        )
+        growth.add_node(
+            right_rows[right_end[i] - sizes[i] + n_left[i]:right_end[i]],
+            depth, right_counts[i], right_present[i],
+        )
+        growth.splits.append((node, left, feature[i], threshold[i]))
+        growth.depth = max(growth.depth, depth)

@@ -6,12 +6,13 @@ testing."  Folds are stratified so every class appears in every fold —
 with 39 classes and balanced trace sets this matches the paper's setup.
 
 Folds are independent fit-and-score tasks, so the harness exposes them
-as such: :func:`make_fold_jobs` builds the ordered task list and
-:func:`score_fold` executes one task.  :func:`cross_validate` runs the
-jobs through :func:`repro.perf.parallel_map` (``workers=1`` is the
-plain serial loop), and the Table III grid evaluator flattens the jobs
-of *every* channel x duration cell into a single pool so folds from
-fast cells never wait on slow ones.  Reproducibility contract: for
+as such: :func:`make_fold_jobs` builds the ordered task list,
+:func:`score_fold` executes one task and :func:`score_fold_batch` a
+batch of them, growing every fold forest of the batch together (see
+:func:`repro.ml.forest.fit_forests`).  :func:`cross_validate` scores its
+folds as one batch, or as one batch per worker through
+:func:`repro.perf.parallel_map`, and the Table III grid evaluator makes
+each channel x duration cell one batch.  Reproducibility contract: for
 classifier factories whose products fit deterministically from
 construction (integer seeds — the default), serial and parallel runs
 produce identical scores at any worker count.  Factories that share a
@@ -27,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ml.forest import RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier, fit_forests
 from repro.ml.metrics import accuracy, top_k_accuracy
 from repro.perf.config import resolve_workers
 from repro.perf.executor import in_worker, parallel_map
@@ -164,20 +165,13 @@ def share_fold_jobs(
     return shared
 
 
-def score_fold(job: FoldJob) -> Tuple[float, float]:
-    """Fit one fold's classifier and return its (top-1, top-5) scores.
+def _fold_scores(classifier, X, y, test) -> Tuple[float, float]:
+    """(top-1, top-5) of a fitted classifier on the test rows.
 
     One ``predict_proba`` pass serves both scores — ``predict`` and
     ``predict_topk`` are thin argmax/argsort views over the same
-    probability matrix, so running the forest twice per fold was pure
-    waste.  ``X``/``y`` may arrive as arrays or as shared-memory
-    descriptors (see :func:`share_fold_jobs`); the train/test fancy
-    indexing copies out exactly the rows this fold touches either way.
+    probability matrix.
     """
-    classifier, x_ref, y_ref, train, test = job
-    X = resolve_array(x_ref)
-    y = resolve_array(y_ref)
-    classifier.fit(X[train], y[train])
     proba = classifier.predict_proba(X[test])
     top1 = accuracy(
         y[test], classifier.classes_[np.argmax(proba, axis=1)]
@@ -186,6 +180,53 @@ def score_fold(job: FoldJob) -> Tuple[float, float]:
     order = np.argsort(-proba, axis=1, kind="stable")[:, :k]
     top5 = top_k_accuracy(y[test], classifier.classes_[order])
     return top1, top5
+
+
+def score_fold(job: FoldJob) -> Tuple[float, float]:
+    """Fit one fold's classifier and return its (top-1, top-5) scores.
+
+    ``X``/``y`` may arrive as arrays or as shared-memory descriptors
+    (see :func:`share_fold_jobs`); the train/test fancy indexing copies
+    out exactly the rows this fold touches either way.
+    """
+    classifier, x_ref, y_ref, train, test = job
+    X = resolve_array(x_ref)
+    y = resolve_array(y_ref)
+    classifier.fit(X[train], y[train])
+    return _fold_scores(classifier, X, y, test)
+
+
+def score_fold_batch(jobs: Sequence[FoldJob]) -> List[Tuple[float, float]]:
+    """Fit every fold of a batch, then score each as :func:`score_fold`.
+
+    The batch's forests grow together: their trees share every
+    scoring step of the lockstep grower, reading their training rows
+    straight from the shared ``X``.  Any other classifier fits alone.
+    The scores equal ``[score_fold(job) for job in jobs]``.
+    """
+    resolved = {}
+    folds = []
+    for classifier, x_ref, y_ref, train, test in jobs:
+        for ref in (x_ref, y_ref):
+            if id(ref) not in resolved:
+                resolved[id(ref)] = resolve_array(ref)
+        folds.append(
+            (classifier, resolved[id(x_ref)], resolved[id(y_ref)], train, test)
+        )
+    fit_forests(
+        [
+            (classifier, X, y, train)
+            for classifier, X, y, train, _ in folds
+            if isinstance(classifier, RandomForestClassifier)
+        ]
+    )
+    for classifier, X, y, train, _ in folds:
+        if not isinstance(classifier, RandomForestClassifier):
+            classifier.fit(X[train], y[train])
+    return [
+        _fold_scores(classifier, X, y, test)
+        for classifier, X, y, _, test in folds
+    ]
 
 
 def collect_cv_result(
@@ -210,22 +251,24 @@ def cross_validate(
 
     ``classifier_factory`` builds a fresh classifier per fold; the
     default is the paper's RForest(100 trees, depth 32), seeded
-    independently per fold.  ``workers`` fans the folds out over
-    processes (``None`` honors ``AMPEREBLEED_WORKERS``, default
-    serial); scores are identical at any worker count for
-    deterministic factories.
+    independently per fold.  ``workers`` splits the folds into one
+    :func:`score_fold_batch` per process (``None`` honors
+    ``AMPEREBLEED_WORKERS``, default serial: one batch of all folds);
+    scores are identical at any worker count for deterministic
+    factories.
     """
     jobs = make_fold_jobs(
         X, y, n_folds=n_folds, classifier_factory=classifier_factory,
         seed=seed,
     )
-    if resolve_workers(workers) > 1 and len(jobs) > 1 and not in_worker():
-        with ExitStack() as stack:
-            shared = share_fold_jobs(jobs, stack)
-            return collect_cv_result(
-                parallel_map(score_fold, shared, workers=workers)
-            )
-    return collect_cv_result(parallel_map(score_fold, jobs, workers=workers))
+    n_batches = 1 if in_worker() else min(resolve_workers(workers), len(jobs))
+    with ExitStack() as stack:
+        if n_batches > 1:
+            jobs = share_fold_jobs(jobs, stack)
+        size = -(-len(jobs) // n_batches)
+        batches = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+        scores = parallel_map(score_fold_batch, batches, workers=workers)
+    return collect_cv_result([score for batch in scores for score in batch])
 
 
 @dataclass(frozen=True)

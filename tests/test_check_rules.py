@@ -110,7 +110,7 @@ def test_bad_fixtures_report_locations():
     "package, flagged", [("repro/perf", True), ("repro/ml", False)]
 )
 def test_api004_exempts_only_repro_ml(package, flagged, tmp_path):
-    """The presorted CART may sort per node; no other package may."""
+    """The CART grower may sort per step; no other package may."""
     target = tmp_path / package / "kernels.py"
     target.parent.mkdir(parents=True)
     target.write_text((FIXTURES / "api004_bad.py").read_text())

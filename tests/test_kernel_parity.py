@@ -1,9 +1,9 @@
 """Bit-parity pins for the vectorized batch kernels.
 
-Every kernel the PR-6 rework touched — presorted CART, batched forest
-prediction, grouped trace resampling, 2-D summary features, vectorized
-stratified folds, memory-mapped archive loads — is pinned here against
-its frozen legacy twin in ``tests/reference_kernels.py``, twice over:
+Every batch kernel — lockstep CART growth, batched forest prediction,
+grouped trace resampling, 2-D summary features, vectorized stratified
+folds, memory-mapped archive loads — is pinned here against its frozen
+legacy twin in ``tests/reference_kernels.py``, twice over:
 
 * on the checked-in fixtures (``tests/data/collect_seed3_v1.npz``,
   ``tests/data/traceset_v1.npz``) so the comparison covers real
@@ -35,9 +35,14 @@ from repro.core.io import (
     load_traceset,
 )
 from repro.core.traces import Trace
-from repro.ml.forest import RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier, fit_forests
 from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.validation import stratified_kfold_indices
+from repro.ml.validation import (
+    make_fold_jobs,
+    score_fold,
+    score_fold_batch,
+    stratified_kfold_indices,
+)
 from repro.utils.rng import ensure_rng
 
 DATA = Path(__file__).parent / "data"
@@ -187,6 +192,25 @@ class TestTreeParity:
             X_eval = rng.normal(size=(25, d))
             _assert_tree_parity(old, new, X_eval, f"tree seed={seed}")
 
+    def test_randomized_many_classes(self):
+        """9-16 classes: nodes cross numpy's 8-wide summation switch."""
+        for seed in range(8):
+            rng = ensure_rng(300 + seed)
+            n = int(rng.integers(40, 160))
+            d = int(rng.integers(2, 40))
+            k = int(rng.integers(9, 17))
+            X = rng.normal(size=(n, d))
+            X[-4:] = X[:4]
+            y = rng.integers(0, k, size=n)
+            params = {
+                "max_features": [None, "sqrt", 0.5][seed % 3],
+                "min_samples_leaf": 1 + seed % 3,
+                "max_depth": [32, 3][seed % 2],
+            }
+            old, new = _tree_pair(X, y, seed=seed, **params)
+            X_eval = rng.normal(size=(25, d))
+            _assert_tree_parity(old, new, X_eval, f"tree k={k} seed={seed}")
+
     def test_depth_matches_legacy_traversal(self):
         X, y = _fixture_problem(seed=7)
         old, new = _tree_pair(X, y, seed=11, max_features="sqrt")
@@ -218,6 +242,23 @@ class TestForestParity:
             ).fit(X[sample], y[sample])
             _assert_tree_parity(legacy, tree, X, f"tree seed={tree_seed}")
 
+    def test_table3_shape_matches_legacy_grown_trees(self):
+        """12 classes x 140 features x 58 rows, as one Table III cell."""
+        X, y = _table3_problem()
+        forest = RandomForestClassifier(
+            n_estimators=10, max_depth=32, seed=17, n_jobs=1
+        ).fit(X, y)
+        tree_seeds = ensure_rng(17).integers(
+            0, np.iinfo(np.int64).max, size=10
+        )
+        for tree, tree_seed in zip(forest.trees_, tree_seeds):
+            rng = ensure_rng(int(tree_seed))
+            sample = rng.integers(0, X.shape[0], size=X.shape[0])
+            legacy = LegacyDecisionTreeClassifier(
+                max_depth=32, max_features="sqrt", seed=rng
+            ).fit(X[sample], y[sample])
+            _assert_tree_parity(legacy, tree, X, f"tree seed={tree_seed}")
+
     def test_batched_predict_matches_legacy_reduction(self):
         X, y = _fixture_problem(n_rows=48, seed=2)
         forest = RandomForestClassifier(
@@ -230,6 +271,91 @@ class TestForestParity:
             forest.predict_proba(X_eval),
             "forest predict",
         )
+
+
+def _table3_problem(n_rows=58, n_features=140, n_classes=12, seed=0):
+    """Rows shaped like one Table III cell, with some duplicated rows."""
+    rng = ensure_rng(seed)
+    y = np.array([f"model-{i % n_classes:02d}" for i in range(n_rows)])
+    X = rng.normal(size=(n_rows, n_features))
+    X += np.repeat(rng.normal(size=(n_classes, n_features)), 5, axis=0)[
+        np.arange(n_rows) % n_classes
+    ]
+    X[-3:] = X[:3]
+    return X, y
+
+
+def _assert_same_trees(alone, together, context):
+    assert len(alone.trees_) == len(together.trees_), context
+    _assert_bitwise(alone.classes_, together.classes_, context)
+    _assert_bitwise(
+        alone.feature_importances_, together.feature_importances_, context
+    )
+    for a, b in zip(alone.trees_, together.trees_):
+        for name in ("_left_arr", "_right_arr", "_feature_arr",
+                     "_proba_matrix", "feature_importances_", "classes_"):
+            _assert_bitwise(getattr(a, name), getattr(b, name), context)
+        assert np.array_equal(
+            a._threshold_arr, b._threshold_arr, equal_nan=True
+        ), context
+        assert a.depth == b.depth, context
+
+
+class TestLockstepParity:
+    """Forests grown together equal each forest grown alone, bit for bit."""
+
+    def test_mixed_forests_match_solo_fits(self):
+        rng = ensure_rng(7)
+        jobs = []
+        solo = []
+        configs = [
+            # (rows, features, classes, min_samples_leaf, depth, bootstrap)
+            (60, 140, 12, 1, 32, True),
+            (45, 9, 3, 3, 32, True),
+            (80, 30, 10, 1, 3, False),
+            (33, 4, 2, 3, 3, True),
+            (50, 17, 9, 1, 32, False),
+        ]
+        for index, (n, d, k, leaf, depth, bootstrap) in enumerate(configs):
+            X = rng.normal(size=(n, d))
+            # Duplicated rows and a coarse grid force value ties.
+            X[-5:] = X[:5]
+            X[:, 0] = np.round(X[:, 0])
+            y = rng.integers(0, k, size=n)
+            if index % 2:
+                y = np.array([f"label-{value}" for value in y])
+            rows = None if index % 2 else np.sort(
+                rng.choice(n, size=n - n // 5, replace=False)
+            )
+            params = dict(
+                n_estimators=6, max_depth=depth, min_samples_leaf=leaf,
+                bootstrap=bootstrap, seed=100 + index, n_jobs=1,
+            )
+            jobs.append((RandomForestClassifier(**params), X, y, rows))
+            picked = slice(None) if rows is None else rows
+            solo.append(
+                RandomForestClassifier(**params).fit(X[picked], y[picked])
+            )
+        fit_forests(jobs)
+        for index, ((together, X, _, _), alone) in enumerate(zip(jobs, solo)):
+            context = f"forest {index}"
+            _assert_same_trees(alone, together, context)
+            _assert_bitwise(
+                alone.predict_proba(X), together.predict_proba(X), context
+            )
+
+    def test_cell_batch_matches_per_fold_scores(self):
+        X, y = _table3_problem(seed=3)
+
+        def factory():
+            return RandomForestClassifier(n_estimators=8, seed=5)
+
+        jobs = make_fold_jobs(X, y, n_folds=5, classifier_factory=factory,
+                              seed=1)
+        batched = score_fold_batch(jobs)
+        jobs = make_fold_jobs(X, y, n_folds=5, classifier_factory=factory,
+                              seed=1)
+        assert batched == [score_fold(job) for job in jobs]
 
 
 # --------------------------------------------------------------- kfold

@@ -190,3 +190,34 @@ class TestCrossValidation:
         y = np.arange(4)
         with pytest.raises(ValueError):
             stratified_kfold_indices(y, 10, seed=0)
+
+
+class TestLockstepMemory:
+    def test_table3_cell_growth_peak_stays_small(self):
+        """One Table III cell: 5 folds x 30 trees, 58 x 140, 12 classes.
+
+        The grower gathers rows through bootstrap row maps and scores
+        in chunks of a fixed element budget, so growing a whole cell
+        stays within a few MiB of traced allocations.
+        """
+        import tracemalloc
+
+        from repro.ml.validation import make_fold_jobs, score_fold_batch
+
+        rng = np.random.default_rng(0)
+        y = np.arange(58) % 12
+        X = rng.normal(size=(58, 140)) + rng.normal(size=(12, 140))[y]
+
+        def factory():
+            return RandomForestClassifier(n_estimators=30, seed=3)
+
+        jobs = make_fold_jobs(
+            X, y, n_folds=5, classifier_factory=factory, seed=0
+        )
+        tracemalloc.start()
+        try:
+            score_fold_batch(jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"

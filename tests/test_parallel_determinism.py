@@ -48,11 +48,9 @@ class TestForestDeterminism:
             serial.feature_importances_, parallel.feature_importances_
         )
         for tree_a, tree_b in zip(serial.trees_, parallel.trees_):
-            assert tree_a._split_feature == tree_b._split_feature
+            assert np.array_equal(tree_a._feature_arr, tree_b._feature_arr)
             assert np.array_equal(
-                np.asarray(tree_a._split_threshold),
-                np.asarray(tree_b._split_threshold),
-                equal_nan=True,
+                tree_a._threshold_arr, tree_b._threshold_arr, equal_nan=True
             )
 
     def test_env_var_worker_count_is_identical(self, monkeypatch):
