@@ -16,7 +16,7 @@ through calls (caller holds A, callee acquires B).  Two locks acquired
 in both orders anywhere in the program is the classic ABBA deadlock
 shape; both sites are reported.
 
-The pool/shm internals (``repro/perf/``) are exempt from FLOW004: that
+The pool internals (``repro/perf/``) are exempt from FLOW004: that
 layer *is* the supervised infrastructure (its globals are the pool
 registry protected by its own lifecycle) and its discipline is pinned
 by the chaos/resilience test suites instead.

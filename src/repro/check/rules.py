@@ -29,8 +29,8 @@ API002      no float ``==`` / ``!=`` on computed data (seed/chunking
 API003      no mutable default arguments (shared across calls — and
             across forked workers)
 API004      no ``argsort`` calls inside loops outside ``repro/ml`` —
-            per-iteration sorting is the quadratic pattern the
-            presorted kernels replaced
+            per-iteration sorting is the quadratic pattern
+            ``grow_trees``' one batched sort replaced
 API005      streaming state classes must stay bounded: a ``push*``
             method growing ``self.<attr>`` in place (``append`` /
             ``extend`` / ``+=``) needs a matching trim (``pop`` /
@@ -38,9 +38,9 @@ API005      streaming state classes must stay bounded: a ``push*``
             class, else memory scales with the stream, not the window
 API006      no bare ``multiprocessing.Pool`` / ``ProcessPoolExecutor``
             / ``SharedMemory`` outside ``repro/perf`` — ad-hoc pools
-            skip the deterministic task→seed assignment, crash
-            recovery, and segment-lifetime bookkeeping the
-            ``repro.perf`` pool/shm layer provides
+            and segments skip the deterministic task→seed assignment
+            and crash recovery of the ``repro.perf`` pool; arrays
+            travel to workers through ``parallel_map``
 API007      no untimed blocking ``Queue.get`` / ``Event.wait`` /
             ``Process.join`` outside ``repro/perf`` +
             ``repro/resilience`` — a dead peer strands the caller
@@ -722,11 +722,11 @@ def check_api004(module: Module) -> List[Finding]:
     """Sorting inside a loop re-derives order the caller should presort.
 
     One ``argsort`` per node/row/trace is how the pre-vectorization
-    CART spent its time: O(n log n) work per iteration that a single
-    columnwise presort (or one batched sort) does once.  Outside the
-    sanctioned kernels, an ``argsort`` in any loop body (or
-    comprehension) is flagged — hoist it above the loop or batch the
-    whole operation.
+    CART spent its time: O(n log n) work per iteration that one
+    batched sort (``repro.ml.tree.grow_trees``) does once per step.
+    Outside the sanctioned kernels, an ``argsort`` in any loop body
+    (or comprehension) is flagged — hoist it above the loop or batch
+    the whole operation.
     """
     if _path_matches(module.rel_path, _ARGSORT_ALLOWED):
         return []
@@ -763,10 +763,10 @@ def check_api004(module: Module) -> List[Finding]:
                         "API004",
                         node,
                         "argsort inside a loop re-sorts per iteration — "
-                        "the quadratic pattern the presorted kernels "
-                        "replaced; presort once outside the loop (see "
-                        "repro.ml.tree's columnwise presort) or batch "
-                        "the sort over one axis",
+                        "the quadratic pattern the batched kernels "
+                        "replaced; sort once outside the loop or batch "
+                        "the sort over one axis (see grow_trees' one "
+                        "batched sort in repro.ml.tree)",
                     )
                 )
     return findings
@@ -869,7 +869,7 @@ def check_api005(module: Module) -> List[Finding]:
 
 # ------------------------------------------------------------------- API006
 
-#: Process-pool / shared-memory constructors the perf layer wraps.
+#: Process-pool / shared-memory constructors the perf layer replaces.
 _RAW_POOL_CALLS = {
     "multiprocessing.Pool": "repro.perf.parallel_map (or "
     "repro.perf.pool.get_pool)",
@@ -881,11 +881,11 @@ _RAW_POOL_CALLS = {
         "repro.perf.parallel_map (or repro.perf.pool.get_pool)"
     ),
     "multiprocessing.shared_memory.SharedMemory": (
-        "repro.perf.shm.publish_arrays / SharedArena"
+        "plain arrays passed through repro.perf.parallel_map"
     ),
 }
 
-#: The one layer allowed to construct pools and segments directly.
+#: The one layer allowed to construct pools directly.
 _RAW_POOL_ALLOWED = ("repro/perf/",)
 
 
@@ -895,10 +895,12 @@ def check_api006(module: Module) -> List[Finding]:
     A bare ``multiprocessing.Pool`` or ``ProcessPoolExecutor`` loses
     the :func:`~repro.perf.parallel_map` contract (submission-order
     results, deterministic task→seed assignment, nested-worker serial
-    degradation, crash respawn); a bare ``SharedMemory`` segment loses
-    the arena's alignment, resource-tracker, and lifetime bookkeeping.
-    Only ``repro/perf/`` — the layer providing those wrappers — may
-    construct them directly.
+    degradation, crash respawn).  A bare ``SharedMemory`` segment
+    needs unlink and resource-tracker bookkeeping in every process
+    that touches it; arrays should instead travel to workers inside
+    the task pickle, by passing them through ``parallel_map``.  Only
+    ``repro/perf/`` — the pool's own layer — may construct these
+    directly.
     """
     if _path_matches(module.rel_path, _RAW_POOL_ALLOWED):
         return []
@@ -915,7 +917,7 @@ def check_api006(module: Module) -> List[Finding]:
                     "API006",
                     node,
                     f"{target} constructed outside repro/perf bypasses "
-                    f"the pooled execution/shared-memory layer; use "
+                    f"the pooled execution layer; use "
                     f"{replacement} instead",
                 )
             )
@@ -1081,7 +1083,7 @@ RULES: Dict[str, Rule] = {
             "API004",
             "argsort-in-loop",
             "per-iteration argsort outside repro/ml re-derives order "
-            "the presorted/batched kernels compute once",
+            "the batched kernels compute once",
             check_api004,
         ),
         Rule(
@@ -1095,8 +1097,8 @@ RULES: Dict[str, Rule] = {
             "API006",
             "raw-process-pool",
             "bare multiprocessing.Pool/ProcessPoolExecutor/SharedMemory "
-            "outside repro/perf bypasses the pooled execution and "
-            "shared-memory lifetime layer",
+            "outside repro/perf bypasses the pooled execution layer; "
+            "pass arrays through parallel_map",
             check_api006,
         ),
         Rule(

@@ -24,7 +24,6 @@ accuracies bit-exactly.
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -48,11 +47,8 @@ from repro.ml.validation import (
     make_fold_jobs,
     score_fold,  # noqa: F401  (one-fold entry; bench/tracing.py wraps it here)
     score_fold_batch,
-    share_fold_jobs,
 )
-from repro.perf.config import resolve_workers
-from repro.perf.executor import in_worker, parallel_map
-from repro.perf.shm import publish_arrays, resolve_array
+from repro.perf.executor import parallel_map
 from repro.soc.soc import Soc
 from repro.utils.rng import derive_seed
 
@@ -71,14 +67,9 @@ TABLE3_DURATIONS: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 def _fit_classifier_job(job):
-    """Pool task: fit one channel's classifier on its full dataset.
-
-    ``X``/``y`` may be arrays or shared-memory descriptors
-    (:func:`repro.perf.shm.publish_arrays` on the fan-out side);
-    either way the fit sees the same values.
-    """
-    classifier, x_ref, y_ref = job
-    classifier.fit(resolve_array(x_ref), resolve_array(y_ref))
+    """Pool task: fit one channel's classifier on its full dataset."""
+    classifier, X, y = job
+    classifier.fit(X, y)
     return classifier
 
 
@@ -306,23 +297,9 @@ class FingerprintAnalyzer:
                     )
                 )
                 cells.append((domain, quantity, duration))
-        # Each cell's feature matrix goes into shared memory once and
-        # its folds carry descriptors.  Serial runs skip the publish
-        # (descriptors would just resolve locally).
-        fan_out = (
-            resolve_workers(self._workers(workers)) > 1
-            and len(batches) > 1
-            and not in_worker()
+        scores = parallel_map(
+            score_fold_batch, batches, workers=self._workers(workers)
         )
-        with ExitStack() as stack:
-            scores = parallel_map(
-                score_fold_batch,
-                [
-                    share_fold_jobs(batch, stack, enabled=fan_out)
-                    for batch in batches
-                ],
-                workers=self._workers(workers),
-            )
         return {
             cell: collect_cv_result(cell_scores)
             for cell, cell_scores in zip(cells, scores)
@@ -428,22 +405,13 @@ class FingerprintAnalyzer:
         per-channel forests are identical at any worker count.
         """
         channels = list(datasets)
-        fan_out = (
-            resolve_workers(self._workers(workers)) > 1
-            and len(channels) > 1
-            and not in_worker()
+        jobs = []
+        for channel in channels:
+            X, y = self._features(datasets[channel], None)
+            jobs.append((self._forest_factory()(), X, y))
+        fitted = parallel_map(
+            _fit_classifier_job, jobs, workers=self._workers(workers)
         )
-        with ExitStack() as stack:
-            jobs = []
-            for channel in channels:
-                X, y = self._features(datasets[channel], None)
-                x_ref, y_ref = stack.enter_context(
-                    publish_arrays([X, y], enabled=fan_out)
-                )
-                jobs.append((self._forest_factory()(), x_ref, y_ref))
-            fitted = parallel_map(
-                _fit_classifier_job, jobs, workers=self._workers(workers)
-            )
         return dict(zip(channels, fitted))
 
     def classify(

@@ -32,13 +32,12 @@ import json
 import struct
 import zipfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib import format as npy_format
 
 from repro.core.traces import Trace, TraceQuality, TraceSet
-from repro.perf.shm import MmapSlice, resolve_array
 
 #: Latest archive format version.
 FORMAT_VERSION = 2
@@ -156,26 +155,33 @@ _ZIP_LOCAL_HEADER_SIZE = 30
 _ZIP_LOCAL_MAGIC = b"PK\x03\x04"
 
 
+class _MemberLayout(NamedTuple):
+    """Where one STORED ``.npz`` member's ``.npy`` payload sits."""
+
+    offset: int
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    order: str
+
+
 def npz_member_layout(
     chunk_path: Path, names: Tuple[str, ...]
-) -> Optional[Dict[str, MmapSlice]]:
+) -> Optional[Dict[str, _MemberLayout]]:
     """Locate uncompressed ``.npz`` members as mappable byte ranges.
 
     A ``np.savez`` archive stores each array as a STORED (uncompressed)
     zip member, so the ``.npy`` payload is one contiguous byte range of
-    the file: locate it through the member's local header, parse the
-    ``.npy`` header, and describe it as a
-    :class:`~repro.perf.shm.MmapSlice` — the descriptor any process
-    (this one or a pool worker on the other side of a fork) can
-    :func:`~repro.perf.shm.resolve_array` into a read-only
-    ``np.memmap`` without touching the zip layer again.
+    the file: locate it through the member's local header and parse
+    the ``.npy`` header into its offset, shape, dtype and order —
+    enough to ``np.memmap`` the payload without touching the zip layer
+    again.
 
     Returns ``None`` whenever zero-copy is impossible (compressed
     members from older archives, unexpected ``.npy`` versions), letting
     callers fall back to the regular :func:`np.load` path.  Corruption
     raises the same exception types ``np.load`` would.
     """
-    offsets = {}
+    layout = {}
     with open(chunk_path, "rb") as handle:
         with zipfile.ZipFile(handle) as archive:
             for name in names:
@@ -218,17 +224,10 @@ def npz_member_layout(
                     raise ValueError(
                         f"object arrays in {chunk_path} cannot be mapped"
                     )
-                offsets[name] = (handle.tell(), shape, fortran, dtype)
-    return {
-        name: MmapSlice(
-            path=str(chunk_path),
-            dtype=dtype.str,
-            shape=tuple(shape),
-            offset=offset,
-            order="F" if fortran else "C",
-        )
-        for name, (offset, shape, fortran, dtype) in offsets.items()
-    }
+                layout[name] = _MemberLayout(
+                    handle.tell(), tuple(shape), dtype, "F" if fortran else "C"
+                )
+    return layout
 
 
 def _mmap_npz_arrays(
@@ -236,14 +235,23 @@ def _mmap_npz_arrays(
 ) -> Optional[Dict[str, np.ndarray]]:
     """Read-only memory-mapped views of uncompressed ``.npz`` members.
 
-    The in-process spelling of :func:`npz_member_layout`: resolve each
-    member's :class:`~repro.perf.shm.MmapSlice` right here — no copy,
+    Maps each member located by :func:`npz_member_layout` — no copy,
     no decompression, pages fault in on first touch.
     """
     layout = npz_member_layout(chunk_path, names)
     if layout is None:
         return None
-    return {name: resolve_array(piece) for name, piece in layout.items()}
+    return {
+        name: np.memmap(
+            chunk_path,
+            dtype=member.dtype,
+            mode="r",
+            offset=member.offset,
+            shape=member.shape,
+            order=member.order,
+        )
+        for name, member in layout.items()
+    }
 
 
 def read_chunk_entry(path: Path, entry: dict, mmap: bool = False) -> Trace:
@@ -698,16 +706,14 @@ class TraceArchiveReader:
 
     def chunk_descriptors(
         self, entry: dict
-    ) -> Optional[Dict[str, MmapSlice]]:
-        """Zero-copy descriptors for one entry's times/values arrays.
+    ) -> Optional[Dict[str, _MemberLayout]]:
+        """Header-only layout of one entry's times/values arrays.
 
-        Returns ``{"times": MmapSlice, "values": MmapSlice}`` for a
-        STORED chunk — the handles a fleet job or pool worker can
-        :func:`~repro.perf.shm.resolve_array` in its own process, so
-        shipping archive data to a worker costs descriptor bytes
-        instead of array pickles.  ``None`` when the chunk cannot be
-        mapped (compressed legacy chunks); callers fall back to
-        :func:`read_chunk_entry`.
+        Returns ``{"times": layout, "values": layout}`` for a STORED
+        chunk — offset, shape, dtype and order, read from the zip and
+        ``.npy`` headers without mapping any array data.  ``None`` when
+        the chunk cannot be mapped (compressed legacy chunks); callers
+        fall back to :func:`read_chunk_entry`.
         """
         chunk_path = self.path / entry["file"]
         if not chunk_path.exists():

@@ -26,7 +26,6 @@ import numpy as np
 from repro.ml.tree import DecisionTreeClassifier, check_fit_data, grow_trees
 from repro.perf.config import resolve_workers
 from repro.perf.executor import in_worker, parallel_map
-from repro.perf.shm import publish_arrays, resolve_array
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_int_in_range
 
@@ -49,14 +48,8 @@ def _seeded_trees(params, seeds, rows) -> List[tuple]:
 
 
 def _grow_slice_task(task) -> List[DecisionTreeClassifier]:
-    """Pool-worker entry: grow one slice of a forest's tree seeds.
-
-    ``X`` and the label codes arrive as shared-memory descriptors (or
-    raw arrays); trees read their rows straight from the segment.
-    """
-    x_ref, codes_ref, params, seeds = task
-    X = resolve_array(x_ref)
-    codes = resolve_array(codes_ref)
+    """Pool-worker entry: grow one slice of a forest's tree seeds."""
+    X, codes, params, seeds = task
     trees = _seeded_trees(params, seeds, np.arange(X.shape[0]))
     grow_trees([(tree, X, codes, rows) for tree, rows in trees])
     return [tree for tree, _ in trees]
@@ -168,17 +161,14 @@ class RandomForestClassifier:
             return self
         X, y = check_fit_data(X, y)
         classes, codes = np.unique(y, return_inverse=True)
-        # The fit matrices are published once in shared memory; each
-        # task carries descriptors plus one contiguous slice of seeds.
         slices = np.array_split(
             self._tree_seeds(), min(workers, self.n_estimators)
         )
-        with publish_arrays([X, codes]) as (x_ref, codes_ref):
-            parts = parallel_map(
-                _grow_slice_task,
-                [(x_ref, codes_ref, self._tree_params(), s) for s in slices],
-                workers=workers,
-            )
+        parts = parallel_map(
+            _grow_slice_task,
+            [(X, codes, self._tree_params(), s) for s in slices],
+            workers=workers,
+        )
         self._adopt(classes, codes, [tree for part in parts for tree in part])
         return self
 

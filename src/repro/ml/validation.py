@@ -22,7 +22,6 @@ live RNG across folds remain order-dependent and should stick to
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -32,7 +31,6 @@ from repro.ml.forest import RandomForestClassifier, fit_forests
 from repro.ml.metrics import accuracy, top_k_accuracy
 from repro.perf.config import resolve_workers
 from repro.perf.executor import in_worker, parallel_map
-from repro.perf.shm import publish_arrays, resolve_array
 from repro.utils.rng import RngLike, derive_seed, spawn
 from repro.utils.validation import require_int_in_range
 
@@ -139,32 +137,6 @@ def make_fold_jobs(
     return jobs
 
 
-def share_fold_jobs(
-    jobs: Sequence[FoldJob], stack: ExitStack, enabled: bool = True
-) -> List[FoldJob]:
-    """Swap each job's (X, y) for shared-memory descriptors.
-
-    Folds of one CV run (and all cells of the Table III grid) reuse
-    the same matrices, so each distinct (X, y) pair is published into
-    shared memory exactly once — the fan-out then pickles descriptors
-    and fold indices instead of a full matrix copy per fold.  The
-    caller's ``stack`` owns the segments; unwind it only after the
-    fan-out returns.  On platforms without shared memory this is the
-    identity (``publish_arrays`` yields the arrays themselves).
-    """
-    cache = {}
-    shared: List[FoldJob] = []
-    for classifier, X, y, train, test in jobs:
-        key = (id(X), id(y))
-        if key not in cache:
-            cache[key] = stack.enter_context(
-                publish_arrays([X, y], enabled=enabled)
-            )
-        x_ref, y_ref = cache[key]
-        shared.append((classifier, x_ref, y_ref, train, test))
-    return shared
-
-
 def _fold_scores(classifier, X, y, test) -> Tuple[float, float]:
     """(top-1, top-5) of a fitted classifier on the test rows.
 
@@ -183,15 +155,8 @@ def _fold_scores(classifier, X, y, test) -> Tuple[float, float]:
 
 
 def score_fold(job: FoldJob) -> Tuple[float, float]:
-    """Fit one fold's classifier and return its (top-1, top-5) scores.
-
-    ``X``/``y`` may arrive as arrays or as shared-memory descriptors
-    (see :func:`share_fold_jobs`); the train/test fancy indexing copies
-    out exactly the rows this fold touches either way.
-    """
-    classifier, x_ref, y_ref, train, test = job
-    X = resolve_array(x_ref)
-    y = resolve_array(y_ref)
+    """Fit one fold's classifier and return its (top-1, top-5) scores."""
+    classifier, X, y, train, test = job
     classifier.fit(X[train], y[train])
     return _fold_scores(classifier, X, y, test)
 
@@ -204,28 +169,19 @@ def score_fold_batch(jobs: Sequence[FoldJob]) -> List[Tuple[float, float]]:
     straight from the shared ``X``.  Any other classifier fits alone.
     The scores equal ``[score_fold(job) for job in jobs]``.
     """
-    resolved = {}
-    folds = []
-    for classifier, x_ref, y_ref, train, test in jobs:
-        for ref in (x_ref, y_ref):
-            if id(ref) not in resolved:
-                resolved[id(ref)] = resolve_array(ref)
-        folds.append(
-            (classifier, resolved[id(x_ref)], resolved[id(y_ref)], train, test)
-        )
     fit_forests(
         [
             (classifier, X, y, train)
-            for classifier, X, y, train, _ in folds
+            for classifier, X, y, train, _ in jobs
             if isinstance(classifier, RandomForestClassifier)
         ]
     )
-    for classifier, X, y, train, _ in folds:
+    for classifier, X, y, train, _ in jobs:
         if not isinstance(classifier, RandomForestClassifier):
             classifier.fit(X[train], y[train])
     return [
         _fold_scores(classifier, X, y, test)
-        for classifier, X, y, _, test in folds
+        for classifier, X, y, _, test in jobs
     ]
 
 
@@ -262,12 +218,9 @@ def cross_validate(
         seed=seed,
     )
     n_batches = 1 if in_worker() else min(resolve_workers(workers), len(jobs))
-    with ExitStack() as stack:
-        if n_batches > 1:
-            jobs = share_fold_jobs(jobs, stack)
-        size = -(-len(jobs) // n_batches)
-        batches = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-        scores = parallel_map(score_fold_batch, batches, workers=workers)
+    size = -(-len(jobs) // n_batches)
+    batches = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+    scores = parallel_map(score_fold_batch, batches, workers=workers)
     return collect_cv_result([score for batch in scores for score in batch])
 
 

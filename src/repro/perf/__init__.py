@@ -16,11 +16,8 @@ this package holds the shared machinery:
 * :mod:`repro.perf.pool` — the persistent :class:`WorkerPool` behind
   :func:`parallel_map`: long-lived fork workers with warm imports
   that survive across calls, respawn on death, and keep the
-  deterministic task→seed assignment;
-* :mod:`repro.perf.shm` — the zero-copy data plane: fit matrices and
-  trace batches travel to workers as shared-memory / memmap
-  descriptors (:class:`ShmSlice` / :class:`MmapSlice`) instead of
-  pickled array copies.
+  deterministic task→seed assignment.  Task inputs, arrays included,
+  travel to workers in the task pickle.
 """
 
 from repro.perf.config import (
@@ -38,14 +35,6 @@ from repro.perf.pool import (
     get_pool,
     shutdown_pool,
 )
-from repro.perf.shm import (
-    MmapSlice,
-    SharedArena,
-    ShmSlice,
-    publish_arrays,
-    release_attachments,
-    resolve_array,
-)
 
 __all__ = [
     "FAULT_RATE_ENV",
@@ -60,10 +49,4 @@ __all__ = [
     "WorkerPool",
     "get_pool",
     "shutdown_pool",
-    "MmapSlice",
-    "SharedArena",
-    "ShmSlice",
-    "publish_arrays",
-    "release_attachments",
-    "resolve_array",
 ]

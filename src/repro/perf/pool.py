@@ -13,9 +13,7 @@ run, fed through per-worker task queues:
   :meth:`map` returns ``[fn(x) for x in items]`` in order — the exact
   :func:`parallel_map` contract — at any worker count.  Task payloads
   are pickled *before* queueing (plain bytes ride the queue feeder
-  thread), and each worker pickles its result before releasing its
-  shared-memory attachments, so zero-copy views never outlive their
-  segment.
+  thread), and each worker pickles its result before queueing it.
 * **Exact crash ownership.**  Each worker owns a dedicated task
   queue, so when a worker dies mid-task the pool knows precisely
   which submissions are lost: it respawns the worker with a fresh
@@ -62,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.faults.policy import RetryPolicy
 from repro.perf.executor import _fork_context, _mark_worker
-from repro.perf.shm import release_attachments
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -135,12 +132,7 @@ def _run_chunk(task):
 
 
 def _worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Worker loop: pull ``(tid, payload)``, run, push ``(tid, body)``.
-
-    The result body is pickled before shared-memory attachments are
-    released, so results that read zero-copy views are materialized
-    while the mapping is still valid.
-    """
+    """Worker loop: pull ``(tid, payload)``, run, push ``(tid, body)``."""
     _mark_worker()
     while True:
         message = task_queue.get()
@@ -163,7 +155,6 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                     (False, RuntimeError(repr(exc))),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
-        release_attachments()
         result_queue.put((tid, body))
 
 

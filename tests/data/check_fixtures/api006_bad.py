@@ -17,7 +17,7 @@ def fan_out_with_raw_executor(items):
 
 
 def share_with_raw_segment(payload):
-    # Bypasses the arena's alignment and lifetime bookkeeping.
+    # Needs unlink and resource-tracker bookkeeping in every process.
     segment = SharedMemory(create=True, size=len(payload))
     segment.buf[: len(payload)] = payload
     return segment.name

@@ -1,6 +1,6 @@
 """Fixture: API006 must stay quiet on the sanctioned perf wrappers."""
 
-from repro.perf import parallel_map, publish_arrays
+from repro.perf import parallel_map
 from repro.perf.pool import get_pool
 
 
@@ -14,8 +14,3 @@ def fan_out(items):
 
 def fan_out_pooled(items):
     return get_pool(2).map(task, items)
-
-
-def share(arrays):
-    with publish_arrays(arrays) as refs:
-        return parallel_map(task, list(refs), workers=2)

@@ -6,7 +6,12 @@ multi-channel acquisition, and a parallel CV grid must produce
 bit-identical outputs to their serial / per-channel counterparts.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,38 @@ from repro.core.sampler import HwmonSampler
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.validation import cross_validate
 from repro.soc.soc import Soc
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Three two-worker CV fan-outs and one serial run, in a fresh
+#: interpreter whose stderr the test inspects.  The last line of stdout
+#: is the JSON ``{"parallel": [...], "serial": ...}`` of fold scores.
+_FAN_OUT_SCRIPT = """
+import json
+import numpy as np
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.validation import cross_validate
+
+rng = np.random.default_rng(0)
+X = rng.normal(size=(60, 20))
+y = np.repeat(["a", "b", "c"], 20)
+X[y == "b", 0] += 2.0
+
+
+def factory():
+    return RandomForestClassifier(n_estimators=6, max_depth=6, seed=1)
+
+
+def scores(workers):
+    result = cross_validate(
+        X, y, n_folds=3, classifier_factory=factory, seed=2, workers=workers
+    )
+    return [list(result.top1_per_fold), list(result.top5_per_fold)]
+
+
+parallel = [scores(2) for _ in range(3)]
+print(json.dumps({"parallel": parallel, "serial": scores(1)}))
+"""
 
 
 def _blobs(n_per_class=30, n_classes=4, d=10, seed=0):
@@ -93,6 +130,25 @@ class TestCrossValidationDeterminism:
         parallel = cross_validate(X, y, n_folds=3, seed=5, workers=2)
         assert serial.top1_per_fold == parallel.top1_per_fold
         assert serial.top5_per_fold == parallel.top5_per_fold
+
+    def test_repeated_fan_out_is_silent_on_stderr(self):
+        # Fold inputs ride the task pickle; nothing registers process-
+        # wide resources a worker or the parent must later release.
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        env.pop("AMPEREBLEED_WORKERS", None)
+        run = subprocess.run(
+            [sys.executable, "-c", _FAN_OUT_SCRIPT],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "resource_tracker" not in run.stderr, run.stderr
+        assert "KeyError" not in run.stderr, run.stderr
+        outcome = json.loads(run.stdout.strip().splitlines()[-1])
+        assert outcome["parallel"] == [outcome["serial"]] * 3
 
 
 class TestBatchedAcquisition:

@@ -1,11 +1,11 @@
-"""Persistent worker pool + zero-copy shm plane: the PR 8 substrate.
+"""Persistent worker pool: the engine behind ``parallel_map``.
 
 The pool must be invisible except for speed: ``WorkerPool.map`` returns
 exactly ``[fn(x) for x in items]`` at any worker count, a SIGKILLed
 worker is respawned with its lost tasks resubmitted in order, a task
 that keeps killing workers fails with :class:`WorkerCrashError` instead
-of wedging the pool, and arrays published through the shared-memory
-arena resolve in workers to read-only views with the same bytes.
+of wedging the pool, and arrays ride the task pickle to workers with
+the same bytes.
 """
 
 import os
@@ -21,13 +21,6 @@ from repro.perf.pool import (
     WorkerPool,
     get_pool,
     shutdown_pool,
-)
-from repro.perf.shm import (
-    MmapSlice,
-    SharedArena,
-    ShmSlice,
-    publish_arrays,
-    resolve_array,
 )
 
 
@@ -69,10 +62,7 @@ def _kill_if_flag(flag):
     return "survived"
 
 
-def _sum_ref(ref):
-    array = resolve_array(ref)
-    if isinstance(ref, (ShmSlice, MmapSlice)):
-        assert not array.flags.writeable
+def _array_sum(array):
     return float(np.sum(array))
 
 
@@ -90,6 +80,11 @@ class TestDeterministicMap:
         expected = [_square(x) for x in items]
         for chunksize in (1, 3, 50):
             assert pool.map(_square, items, chunksize=chunksize) == expected
+
+    def test_arrays_round_trip_through_workers(self, pool):
+        a = np.arange(1000, dtype=np.float64)
+        b = np.ones((40, 50), dtype=np.float32)
+        assert pool.map(_array_sum, [a, b]) == [float(a.sum()), float(b.sum())]
 
     def test_more_workers_than_items(self):
         wide = WorkerPool(workers=4)
@@ -180,45 +175,3 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="shut down"):
             worker_pool.submit(_square, 1)
         worker_pool.shutdown()  # idempotent
-
-
-# ------------------------------------------------------ zero-copy shm
-
-
-class TestSharedMemoryPlane:
-    def test_shm_round_trip_through_workers(self, pool):
-        a = np.arange(1000, dtype=np.float64)
-        b = np.ones((40, 50), dtype=np.float32)
-        with publish_arrays([a, b]) as (a_ref, b_ref):
-            assert isinstance(a_ref, ShmSlice)
-            assert isinstance(b_ref, ShmSlice)
-            sums = pool.map(_sum_ref, [a_ref, b_ref])
-        assert sums == [float(a.sum()), float(b.sum())]
-
-    def test_publish_disabled_passes_arrays_through(self):
-        a = np.arange(4)
-        with publish_arrays([a], enabled=False) as (ref,):
-            assert ref is a
-
-    def test_object_dtype_falls_back_to_raw_arrays(self):
-        tagged = np.array(["resnet", "vgg"], dtype=object)
-        with publish_arrays([tagged, np.arange(3)]) as (ref_a, ref_b):
-            assert ref_a is tagged
-            assert isinstance(ref_b, np.ndarray)
-
-    def test_arena_resolves_locally_without_attaching(self):
-        a = np.linspace(0.0, 1.0, 64)
-        with SharedArena([a]) as arena:
-            (slice_a,) = arena.slices
-            view = resolve_array(slice_a)
-            np.testing.assert_array_equal(view, a)
-            assert not view.flags.writeable
-
-    def test_mmap_slice_resolves_in_worker(self, pool, tmp_path):
-        a = np.arange(128, dtype=np.int64)
-        path = tmp_path / "payload.bin"
-        a.tofile(path)
-        ref = MmapSlice(
-            path=str(path), dtype=a.dtype.str, shape=a.shape, offset=0
-        )
-        assert pool.map(_sum_ref, [ref]) == [float(a.sum())]
