@@ -28,6 +28,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import zipfile
@@ -539,7 +540,9 @@ class TraceArchiveWriter:
         Chunks are stored uncompressed so readers can memory-map the
         arrays in place; ``np.savez`` is deterministic (fixed zip
         timestamps, STORED members), so archive bytes stay a pure
-        function of the recording.
+        function of the recording.  Each chunk is encoded in memory and
+        lands with one write: zipfile writes the same bytes to any
+        seekable stream, so the file equals ``np.savez(path, ...)``.
         """
         if self._closed:
             raise ArchiveError(f"archive {self.path} is already closed")
@@ -549,9 +552,9 @@ class TraceArchiveWriter:
         if trace_id is None:
             trace_id = f"trace-{index:06d}"
         file_name = f"chunk_{index:06d}.npz"
-        np.savez(
-            self.path / file_name, times=trace.times, values=trace.values
-        )
+        encoded = io.BytesIO()
+        np.savez(encoded, times=trace.times, values=trace.values)
+        (self.path / file_name).write_bytes(encoded.getbuffer())
         entry = {
             "chunk": index,
             "file": file_name,

@@ -114,10 +114,12 @@ class RoSensorBank:
         generator = ensure_rng(rng)
         voltage = np.atleast_1d(np.asarray(voltage, dtype=np.float64))
         expected = self.oscillator.frequency(voltage) * self.sample_window
-        noise = generator.standard_normal(
-            (self.n_instances,) + expected.shape
-        ) * self.jitter_counts
-        per_ro = np.floor(expected[np.newaxis, :] + noise)
+        # One array, updated in place: IEEE add and multiply commute, so
+        # this equals floor(expected + noise * jitter) bit for bit.
+        per_ro = generator.standard_normal((self.n_instances,) + expected.shape)
+        per_ro *= self.jitter_counts
+        per_ro += expected
+        np.floor(per_ro, out=per_ro)
         return per_ro.mean(axis=0)
 
     def circuit_spec(self) -> CircuitSpec:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.sensors.ina226 import Ina226, Ina226Config, Ina226Reading
 from repro.soc.rails import PowerRail
-from repro.utils.hashrand import hashed_normal, hashed_uniform
+from repro.utils.hashrand import hashed_normals, hashed_uniform
 from repro.utils.rng import derive_seed
 
 #: Noise stream tags (see utils.hashrand): one per physical source.
@@ -36,6 +36,8 @@ _STREAM_SHUNT = 1
 _STREAM_BUS = 2
 _STREAM_POWER = 3
 _STREAM_RIPPLE = 4
+#: The normal streams of one conversion, drawn in one kernel call.
+_CONVERSION_STREAMS = (_STREAM_POWER, _STREAM_RIPPLE, _STREAM_SHUNT, _STREAM_BUS)
 
 #: The update-interval range the paper reports for these boards (ms).
 MIN_UPDATE_INTERVAL_MS = 2
@@ -193,20 +195,15 @@ class HwmonDevice:
         period = self.update_period
         t_done = self.phase + latches * period
         t_start = t_done - period
-        counters = latches.astype(np.uint64)
-        power_noise = (
-            hashed_normal(self._key, counters, stream=_STREAM_POWER)
-            * self.rail.noise_power_sigma
-        )
-        ripple = (
-            hashed_normal(self._key, counters, stream=_STREAM_RIPPLE)
-            * self.rail.ripple_sigma
+        power, ripple, shunt_noise, bus_noise = hashed_normals(
+            self._key, latches.astype(np.uint64), _CONVERSION_STREAMS
         )
         current, voltage = self.rail.window_state(
-            t_start, t_done, power_noise=power_noise, ripple=ripple
+            t_start,
+            t_done,
+            power_noise=power * self.rail.noise_power_sigma,
+            ripple=ripple * self.rail.ripple_sigma,
         )
-        shunt_noise = hashed_normal(self._key, counters, stream=_STREAM_SHUNT)
-        bus_noise = hashed_normal(self._key, counters, stream=_STREAM_BUS)
         return self.sensor.convert(
             current, voltage, shunt_noise=shunt_noise, bus_noise=bus_noise
         )

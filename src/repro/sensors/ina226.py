@@ -210,7 +210,6 @@ class Ina226:
         pure function of its latch index.  When omitted, noise is drawn
         from ``rng``.
         """
-        generator = ensure_rng(rng)
         current_amps = np.atleast_1d(np.asarray(current_amps, dtype=np.float64))
         bus_volts = np.atleast_1d(np.asarray(bus_volts, dtype=np.float64))
         if current_amps.shape != bus_volts.shape:
@@ -218,10 +217,12 @@ class Ina226:
         averaging_gain = np.sqrt(self.config.averages)
         shunt_sigma = self.shunt_noise_volts / averaging_gain
         bus_sigma = self.bus_noise_volts / averaging_gain
-        if shunt_noise is None:
-            shunt_noise = generator.standard_normal(current_amps.shape)
-        if bus_noise is None:
-            bus_noise = generator.standard_normal(bus_volts.shape)
+        if shunt_noise is None or bus_noise is None:
+            generator = ensure_rng(rng)
+            if shunt_noise is None:
+                shunt_noise = generator.standard_normal(current_amps.shape)
+            if bus_noise is None:
+                bus_noise = generator.standard_normal(bus_volts.shape)
 
         shunt_volts = current_amps * self.shunt_ohms
         shunt_noisy = shunt_volts + shunt_sigma * np.asarray(

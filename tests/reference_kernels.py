@@ -15,9 +15,15 @@ replaced implementations live on here, verbatim:
 * :func:`legacy_summary_features_loop` — one summary row per call.
 * :func:`legacy_stratified_kfold_indices` — the per-sample
   Python-append fold assembly.
+* :func:`legacy_splitmix64`, :func:`legacy_hashed_uniform` and
+  :func:`legacy_hashed_normal` — the one-stream counter-hash noise
+  kernels (one ``np.errstate`` and three ``splitmix64`` calls per
+  uniform row) that the fused ``repro.utils.hashrand.hashed_normals``
+  replaced.
 
-One consumer: ``tests/test_kernel_parity.py`` pins the new kernels
-against these on the checked-in fixtures and on randomized inputs.
+Two consumers: ``tests/test_kernel_parity.py`` pins the new kernels
+against these on the checked-in fixtures and on randomized inputs, and
+``tests/test_hashrand.py`` pins the counter-hash kernels.
 The module lives under ``tests/`` because it is a parity oracle, not
 a fallback path; nothing in ``src/`` may import it.
 """
@@ -319,3 +325,52 @@ def legacy_stratified_kfold_indices(
         for position, index in enumerate(members):
             folds[position % n_folds].append(int(index))
     return [np.asarray(sorted(fold), dtype=np.int64) for fold in folds]
+
+
+_LEGACY_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_LEGACY_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_LEGACY_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def legacy_splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer over uint64 values."""
+    x = np.asarray(x, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = x + _LEGACY_GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _LEGACY_MIX1
+        z = (z ^ (z >> np.uint64(27))) * _LEGACY_MIX2
+        z = z ^ (z >> np.uint64(31))
+    return z
+
+
+def _legacy_mix(key: int, counter: np.ndarray, stream: int) -> np.ndarray:
+    counter = np.asarray(counter, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        seeded = legacy_splitmix64(
+            np.uint64(key & 0xFFFFFFFFFFFFFFFF)
+            + legacy_splitmix64(np.uint64(stream))
+        )
+        return legacy_splitmix64(counter ^ seeded)
+
+
+def legacy_hashed_uniform(
+    key: int, counter: np.ndarray, stream: int = 0
+) -> np.ndarray:
+    """Uniform floats in [0, 1), a pure function of (key, counter, stream)."""
+    bits = _legacy_mix(key, counter, stream)
+    # Use the top 53 bits for a full-precision double in [0, 1).
+    return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+
+
+def legacy_hashed_normal(
+    key: int, counter: np.ndarray, stream: int = 0
+) -> np.ndarray:
+    """Standard-normal draws, a pure function of (key, counter, stream).
+
+    Box-Muller over two independent hashed uniforms; ``u1`` is nudged
+    away from zero so the log never overflows.
+    """
+    u1 = legacy_hashed_uniform(key, counter, stream=2 * stream)
+    u2 = legacy_hashed_uniform(key, counter, stream=2 * stream + 1)
+    u1 = np.maximum(u1, 2.0**-53)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

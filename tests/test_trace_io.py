@@ -6,6 +6,7 @@ import pytest
 from repro.core.io import (
     FORMAT_VERSION,
     V1_FORMAT_VERSION,
+    TraceArchiveWriter,
     load_traceset,
     save_traceset,
 )
@@ -62,6 +63,31 @@ class TestRoundTrip:
         Xb, yb = loaded.to_matrix(16)
         np.testing.assert_array_equal(Xa, Xb)
         np.testing.assert_array_equal(ya, yb)
+
+
+class TestChunkBytes:
+    """Archive chunks are byte-equal to ``np.savez`` writing to a path.
+
+    A :class:`Trace` needs at least one sample, so the one-sample chunk
+    is the smallest a writer can be handed.
+    """
+
+    @pytest.mark.parametrize(
+        "n_samples", [14, 1, 6000], ids=["poll", "smallest", "over-64k"]
+    )
+    def test_chunk_equals_savez_file(self, tmp_path, n_samples):
+        times = np.arange(n_samples) * 0.0352 + 1.5
+        values = (np.arange(n_samples, dtype=np.int64) * 7919) % 4001 - 2000
+        trace = Trace(times=times, values=values, domain="fpga",
+                      quantity="current", label="resnet-50")
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            file_name = writer.append(trace)
+        reference = tmp_path / "reference.npz"
+        np.savez(reference, times=trace.times, values=trace.values)
+        written = (tmp_path / "arch" / file_name).read_bytes()
+        assert written == reference.read_bytes()
+        if n_samples == 6000:
+            assert len(written) > 64 * 1024
 
 
 class TestErrors:
