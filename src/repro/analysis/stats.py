@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.utils.validation import as_1d_float_array
 
@@ -29,7 +28,10 @@ def pearson(x, y) -> float:
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         # A constant series has no linear relationship to quantify.
         return 0.0
-    return float(scipy_stats.pearsonr(x, y)[0])
+    dx = x - x.mean()
+    dy = y - y.mean()
+    r = np.dot(dx / np.linalg.norm(dx), dy / np.linalg.norm(dy))
+    return float(np.clip(r, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -51,16 +53,31 @@ class LinearFit:
 
 
 def linear_fit(x, y) -> LinearFit:
-    """Least-squares linear fit of y on x."""
+    """Least-squares linear fit of y on x, from centred sums.
+
+    A constant ``x`` has no fit and raises; a constant ``y`` fits a
+    flat line through its mean with an undefined ``r`` (``nan``).
+    """
     x = as_1d_float_array(x, "x")
     y = as_1d_float_array(y, "y")
     if x.size != y.size or x.size < 2:
         raise ValueError("need two equal-length series of >= 2 points")
-    result = scipy_stats.linregress(x, y)
+    if np.ptp(x) == 0:
+        raise ValueError("cannot fit a line when all x values are identical")
+    x_mean = x.mean()
+    y_mean = y.mean()
+    if np.ptp(y) == 0:
+        return LinearFit(slope=0.0, intercept=float(y_mean), r=float("nan"))
+    dx = x - x_mean
+    dy = y - y_mean
+    sxx = np.dot(dx, dx)
+    sxy = np.dot(dx, dy)
+    slope = sxy / sxx
+    r = sxy / np.sqrt(sxx * np.dot(dy, dy))
     return LinearFit(
-        slope=float(result.slope),
-        intercept=float(result.intercept),
-        r=float(result.rvalue),
+        slope=float(slope),
+        intercept=float(y_mean - slope * x_mean),
+        r=float(np.clip(r, -1.0, 1.0)),
     )
 
 

@@ -9,13 +9,13 @@ parallelism, lock discipline and hwmon API hygiene.  See
 
 Per-file syntactic rules are complemented by the whole-program flow
 layer (:mod:`repro.check.flow`): interprocedural seed/clock taint
-tracking and lock-discipline analysis over a cached, incrementally
-invalidated project model.
+tracking and lock-discipline analysis over a project model rebuilt
+from every file on every run.
 
 Run it as ``python -m repro check`` (flags: ``--rules``, ``--baseline``,
 ``--format json|sarif``, ``--fail-on-findings``, ``--fail-on-stale``,
-``--write-baseline``, ``--prune-baseline``, ``--changed-only``,
-``--no-cache``, ``--workers``, ``--list-rules``) or programmatically::
+``--write-baseline``, ``--prune-baseline``, ``--workers``,
+``--list-rules``) or programmatically::
 
     from repro.check import run_check
     result = run_check(["src"])
@@ -31,7 +31,6 @@ from repro.check.baseline import (
 )
 from repro.check.engine import (
     CheckResult,
-    GitDiffError,
     ParseError,
     UnknownRuleError,
     render_json,
@@ -48,7 +47,6 @@ __all__ = [
     "BaselineError",
     "CheckResult",
     "Finding",
-    "GitDiffError",
     "Module",
     "ParseError",
     "RULES",

@@ -1,20 +1,21 @@
-"""File discovery, caching, suppression, baseline matching, reporting.
+"""File discovery, suppression, baseline matching, reporting.
 
 The engine is the orchestration half of ``repro.check``.  A run has
 two phases:
 
-1. a **per-module phase** — parse each file once, run every syntactic
-   rule (:data:`repro.check.rules.RULES`), apply inline
+1. a **per-module phase** — parse each file once, run the selected
+   syntactic rules (:data:`repro.check.rules.RULES`), apply inline
    ``# repro: ignore[RULE]`` suppressions, and extract the module's
    flow facts (:mod:`repro.check.flow.symbols`).  This phase is pure
-   per file, so it is cached under ``.repro_check_cache/`` keyed by
-   content hash (invalidated transitively through the module graph)
-   and fanned out over :func:`repro.perf.parallel_map` when workers
-   are available;
-2. a **whole-program phase** — assemble the cached/fresh facts into a
-   project model and run the FLOW rules (:mod:`repro.check.flow`)
-   over the call graph.  This phase always runs; it is cheap next to
-   parsing.
+   per file, so it fans out over :func:`repro.perf.parallel_map` when
+   workers are available;
+2. a **whole-program phase** — assemble the facts into a project model
+   and run the FLOW rules (:mod:`repro.check.flow`) over the call
+   graph.  It is cheap next to parsing.
+
+Every run analyses every file fresh: there is no result cache, so a
+changed rule or a changed import can never be answered from stale
+results.
 
 Findings from both phases flow through the same suppression and
 baseline machinery.  Files that cannot be read or parsed are *never*
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
@@ -39,15 +39,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 from repro.check.baseline import BaselineEntry, load_baseline
 from repro.check.findings import Finding
 from repro.check.flow import (
-    FactCache,
+    FLOW_RULE_IDS,
     ModuleFacts,
-    ModuleGraph,
-    build_module_graph,
     extract_module_facts,
-    module_name_for,
     run_flow_analysis,
 )
-from repro.check.flow.cache import DEFAULT_CACHE_DIR, content_hash
 from repro.check.rules import RULES, Module, Rule
 
 PathLike = Union[str, Path]
@@ -82,11 +78,6 @@ class CheckResult:
     stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
-    #: incremental-run accounting (0 when the cache is disabled)
-    modules_analyzed: int = 0
-    cache_hits: int = 0
-    #: rel paths selected by --changed-only (None when not used)
-    changed_files: Optional[List[str]] = None
 
     @property
     def ok(self) -> bool:
@@ -96,10 +87,6 @@ class CheckResult:
 
 class UnknownRuleError(ValueError):
     """A ``--rules`` selection named a rule that does not exist."""
-
-
-class GitDiffError(RuntimeError):
-    """``--changed-only`` could not resolve the changed file set."""
 
 
 def select_rules(rule_ids: Optional[Sequence[str]] = None) -> List[Rule]:
@@ -184,11 +171,26 @@ def default_paths(root: Path) -> List[Path]:
 # ------------------------------------------------------- per-module phase
 
 
-def _parse_failure_entry(rel: str, line: int, message: str) -> Dict:
-    """Cacheable per-module entry for an unreadable/unparseable file."""
-    return {
-        "parse_error": {"path": rel, "line": line, "message": message},
-        "findings": [
+@dataclass
+class ModuleResult:
+    """One file's per-module product, pickled back from a worker."""
+
+    findings: List[Finding] = field(default_factory=list)
+    suppressed: int = 0
+    #: line -> rule ids suppressed there (applied to FLOW findings later)
+    suppress_lines: Dict[int, Set[str]] = field(default_factory=dict)
+    #: ``None`` when the file failed to parse or no FLOW rule runs
+    facts: Optional[ModuleFacts] = None
+    parse_error: Optional[ParseError] = None
+
+
+def _parse_failure(
+    rel: str, line: int, message: str, rule_ids: Sequence[str]
+) -> ModuleResult:
+    """Result for an unreadable/unparseable file."""
+    findings = []
+    if "PARSE000" in rule_ids:
+        findings.append(
             Finding(
                 path=rel,
                 line=line,
@@ -200,80 +202,43 @@ def _parse_failure_entry(rel: str, line: int, message: str) -> Dict:
                     f"— fix it or delete it"
                 ),
                 snippet="",
-            ).to_dict()
-        ],
-        "suppressed": {},
-        "suppress_lines": {},
-        "facts": None,
-        "module": module_name_for(rel),
-        "imports": [],
-    }
+            )
+        )
+    return ModuleResult(
+        findings=findings, parse_error=ParseError(rel, line, message)
+    )
 
 
-def analyze_source_file(payload) -> Dict:
+def analyze_source_file(payload) -> ModuleResult:
     """Per-module analysis pass: rules + suppressions + flow facts.
 
-    ``payload`` is ``(absolute path, rel path)``.  Pure function of the
-    file's content — this is the unit the cache stores and
-    ``parallel_map`` fans out.  Runs *every* per-module rule; the
-    caller filters by selection so one cache entry serves any
-    ``--rules`` subset.
+    ``payload`` is ``(absolute path, rel path, selected rule ids)``.
+    Pure function of the file's content and the selection — the unit
+    ``parallel_map`` fans out.
     """
-    path_str, rel = payload
-    path = Path(path_str)
+    path_str, rel, rule_ids = payload
     try:
-        module = Module.parse(path, rel)
+        module = Module.parse(Path(path_str), rel)
     except SyntaxError as exc:
-        return _parse_failure_entry(
-            rel, exc.lineno or 1, f"syntax error: {exc.msg}"
+        return _parse_failure(
+            rel, exc.lineno or 1, f"syntax error: {exc.msg}", rule_ids
         )
     except (OSError, UnicodeDecodeError, ValueError) as exc:
-        return _parse_failure_entry(rel, 1, f"unreadable: {exc}")
+        return _parse_failure(rel, 1, f"unreadable: {exc}", rule_ids)
 
-    suppressions = _suppressions(module.lines)
-    findings: List[Dict] = []
-    suppressed: Dict[str, int] = {}
-    for rule in RULES.values():
+    result = ModuleResult(suppress_lines=_suppressions(module.lines))
+    for rule_id in rule_ids:
+        rule = RULES[rule_id]
         if rule.whole_program:
             continue
         for finding in rule.check(module):
-            if rule.id in suppressions.get(finding.line, ()):
-                suppressed[rule.id] = suppressed.get(rule.id, 0) + 1
+            if rule.id in result.suppress_lines.get(finding.line, ()):
+                result.suppressed += 1
             else:
-                findings.append(finding.to_dict())
-    facts = extract_module_facts(module)
-    return {
-        "parse_error": None,
-        "findings": findings,
-        "suppressed": suppressed,
-        "suppress_lines": {
-            str(line): sorted(rules)
-            for line, rules in suppressions.items()
-        },
-        "facts": facts.to_dict(),
-        "module": facts.module,
-        "imports": facts.imports,
-    }
-
-
-def _git_changed_files(root: Path, base: str) -> List[str]:
-    """POSIX rel paths changed vs ``base`` per ``git diff --name-only``."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", base, "--", "*.py"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        raise GitDiffError(f"git diff failed: {exc}") from exc
-    if proc.returncode != 0:
-        raise GitDiffError(
-            f"git diff --name-only {base} failed: "
-            f"{proc.stderr.strip() or proc.stdout.strip()}"
-        )
-    return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
+                result.findings.append(finding)
+    if any(rule_id in FLOW_RULE_IDS for rule_id in rule_ids):
+        result.facts = extract_module_facts(module)
+    return result
 
 
 def run_check(
@@ -282,10 +247,7 @@ def run_check(
     baseline: Optional[PathLike] = None,
     root: Optional[PathLike] = None,
     *,
-    use_cache: bool = True,
-    cache_dir: Optional[PathLike] = None,
     workers: Optional[int] = None,
-    changed_base: Optional[str] = None,
 ) -> CheckResult:
     """Run the selected rules over ``paths`` and classify the findings.
 
@@ -297,22 +259,17 @@ def run_check(
             ``""`` to force no baseline.
         root: directory findings are reported relative to (default:
             auto-detected repo root).
-        use_cache: reuse per-module analysis cached under
-            ``<root>/.repro_check_cache/`` (content-hash keyed,
-            transitively invalidated through the module graph).
-        cache_dir: override the cache location.
         workers: worker count for the per-module pass (``None`` honors
             ``AMPEREBLEED_WORKERS``; serial fallback as usual).
-        changed_base: when set, report findings only for files changed
-            vs this git ref (``git diff --name-only <base>``) plus
-            their transitive dependents in the module graph.
 
     Returns:
         a :class:`CheckResult`; ``result.ok`` is the pass/fail signal.
     """
+    from repro.perf.executor import parallel_map
+
     root = Path(root) if root is not None else default_root()
     selected = select_rules(rules)
-    selected_ids = {rule.id for rule in selected}
+    rule_ids = tuple(rule.id for rule in selected)
     scan_paths = (
         [Path(p) for p in paths] if paths else default_paths(root)
     )
@@ -326,141 +283,37 @@ def run_check(
     else:
         baseline_entries = load_baseline(Path(baseline))
 
-    result = CheckResult(rules_run=[rule.id for rule in selected])
+    result = CheckResult(rules_run=list(rule_ids))
 
     files = iter_python_files(scan_paths, root)
-    rels = [_rel_path(path, root) for path in files]
-    hashes = [content_hash(path.read_bytes()) for path in files]
-    hashes_by_module: Dict[str, str] = {
-        module_name_for(rel): digest
-        for rel, digest in zip(rels, hashes)
-    }
-
-    cache: Optional[FactCache] = None
-    if use_cache:
-        cache = FactCache(
-            Path(cache_dir) if cache_dir is not None
-            else root / DEFAULT_CACHE_DIR
-        )
-
-    entries: Dict[str, Dict] = {}
-    misses: List[int] = []
-    for index, rel in enumerate(rels):
-        entry = (
-            cache.load(rel, hashes[index], hashes_by_module)
-            if cache is not None
-            else None
-        )
-        if entry is None:
-            misses.append(index)
-        else:
-            entries[rel] = entry
-    # A changed module invalidates its transitive dependents too: their
-    # cached analysis was derived against the old import surface.
-    if misses and entries:
-        index_by_rel = {rel: i for i, rel in enumerate(rels)}
-        imports_by_module = {
-            entry["module"]: entry.get("imports", [])
-            for entry in entries.values()
-        }
-        dirty = {module_name_for(rels[i]) for i in misses}
-        for name in dirty:
-            imports_by_module.setdefault(name, [])
-        invalid = ModuleGraph(imports_by_module).dependents_closure(dirty)
-        for rel in list(entries):
-            if entries[rel]["module"] in invalid:
-                del entries[rel]
-                misses.append(index_by_rel[rel])
-        misses.sort()
-    result.cache_hits = len(rels) - len(misses)
-    result.modules_analyzed = len(misses)
-
-    if misses:
-        payloads = [(str(files[i]), rels[i]) for i in misses]
-        if len(payloads) > 1:
-            from repro.perf.executor import parallel_map
-
-            fresh = parallel_map(
-                analyze_source_file, payloads, workers=workers,
-                chunksize=8,
-            )
-        else:
-            fresh = [analyze_source_file(payloads[0])]
-        for index, entry in zip(misses, fresh):
-            rel = rels[index]
-            entries[rel] = entry
-            if cache is not None:
-                cache.store(
-                    rel,
-                    hashes[index],
-                    entry,
-                    hashes_by_module,
-                    entry.get("imports", []),
-                )
+    payloads = [(str(path), _rel_path(path, root), rule_ids) for path in files]
+    modules = parallel_map(
+        analyze_source_file, payloads, workers=workers, chunksize=8
+    )
 
     # -- assemble per-module results ------------------------------------
     raw_findings: List[Finding] = []
     project: Dict[str, ModuleFacts] = {}
-    rel_by_module: Dict[str, str] = {}
-    for rel in rels:
-        entry = entries[rel]
-        error = entry.get("parse_error")
-        if error is not None:
-            result.errors.append(
-                ParseError(error["path"], error["line"], error["message"])
-            )
-            if "PARSE000" in selected_ids:
-                raw_findings.extend(
-                    Finding(**raw) for raw in entry["findings"]
-                )
+    suppress_lines: Dict[str, Dict[int, Set[str]]] = {}
+    for (_, rel, _), module in zip(payloads, modules):
+        raw_findings.extend(module.findings)
+        if module.parse_error is not None:
+            result.errors.append(module.parse_error)
             continue
         result.files_scanned += 1
-        for raw in entry["findings"]:
-            if raw["rule"] in selected_ids:
-                raw_findings.append(Finding(**raw))
-        for rule_id, count in entry.get("suppressed", {}).items():
-            if rule_id in selected_ids:
-                result.suppressed += count
-        if entry.get("facts") is not None:
-            facts = ModuleFacts.from_dict(entry["facts"])
-            project[facts.module] = facts
-            rel_by_module[facts.module] = rel
+        result.suppressed += module.suppressed
+        suppress_lines[rel] = module.suppress_lines
+        if module.facts is not None:
+            project[module.facts.module] = module.facts
 
     # -- whole-program phase --------------------------------------------
-    flow_findings = run_flow_analysis(project, selected_ids)
-    for finding in flow_findings:
-        entry = entries.get(finding.path)
-        if entry is not None:
-            suppressed_rules = entry.get("suppress_lines", {}).get(
-                str(finding.line), ()
-            )
-            if finding.rule in suppressed_rules:
-                result.suppressed += 1
-                continue
-        raw_findings.append(finding)
-
-    # -- --changed-only filtering ---------------------------------------
-    if changed_base is not None:
-        changed = set(_git_changed_files(root, changed_base))
-        changed_modules = {
-            module
-            for module, rel in rel_by_module.items()
-            if rel in changed
-        }
-        graph = build_module_graph(project)
-        keep_modules = graph.dependents_closure(changed_modules)
-        keep_rels = {rel_by_module[m] for m in keep_modules}
-        # Files that failed to parse have no module; keep them when
-        # they themselves changed.
-        keep_rels |= changed & set(rels)
-        result.changed_files = sorted(keep_rels)
-        raw_findings = [
-            finding for finding in raw_findings
-            if finding.path in keep_rels
-        ]
-        result.errors = [
-            error for error in result.errors if error.path in keep_rels
-        ]
+    for finding in run_flow_analysis(project, rule_ids):
+        if finding.rule in suppress_lines.get(finding.path, {}).get(
+            finding.line, ()
+        ):
+            result.suppressed += 1
+        else:
+            raw_findings.append(finding)
 
     # -- baseline matching ----------------------------------------------
     used_entries: Set[str] = set()
@@ -474,14 +327,12 @@ def run_check(
             result.baselined.append(finding)
         else:
             result.findings.append(finding)
-    # Entries for rules that did not run are neither used nor stale;
-    # under --changed-only an unscanned file's entries stay untouched.
+    # Entries for rules that did not run are neither used nor stale.
     result.stale_baseline = [
         entry
         for entry in baseline_entries
         if entry.fingerprint not in used_entries
-        and entry.rule in selected_ids
-        and (changed_base is None or entry.path in (result.changed_files or ()))
+        and entry.rule in rule_ids
     ]
     return result
 
@@ -527,8 +378,6 @@ def render_json(result: CheckResult) -> str:
             "stale_baseline": len(result.stale_baseline),
             "files_scanned": result.files_scanned,
             "rules_run": result.rules_run,
-            "modules_analyzed": result.modules_analyzed,
-            "cache_hits": result.cache_hits,
         },
         "findings": [finding.to_dict() for finding in result.findings],
         "baselined": [finding.to_dict() for finding in result.baselined],
@@ -537,6 +386,4 @@ def render_json(result: CheckResult) -> str:
             entry.to_dict() for entry in result.stale_baseline
         ],
     }
-    if result.changed_files is not None:
-        document["changed_files"] = result.changed_files
     return json.dumps(document, indent=2)

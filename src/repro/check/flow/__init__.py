@@ -1,9 +1,9 @@
 """``repro.check.flow`` — whole-program flow analysis for the checker.
 
 Where :mod:`repro.check.rules` checks one file at a time, this package
-builds a *project model* — module graph, per-module symbol tables and
-an import-alias-resolved call graph — and runs interprocedural
-analyses over it:
+builds a *project model* — per-module symbol tables and an
+import-alias-resolved call graph — and runs interprocedural analyses
+over it:
 
 ==========  ===========================================================
 Rule        Contract
@@ -28,9 +28,9 @@ FLOW005     no inconsistent lock-acquisition order anywhere in the
             through calls
 ==========  ===========================================================
 
-The per-module half (fact extraction) is pure and cacheable — see
-:mod:`repro.check.flow.cache`; the whole-program half here is a cheap
-fixpoint over those facts and always runs.
+The per-module half (fact extraction, :mod:`repro.check.flow.symbols`)
+is pure per file and fans out over the worker pool; the whole-program
+half here is a cheap fixpoint over those facts.
 """
 
 from __future__ import annotations
@@ -38,23 +38,20 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set
 
 from repro.check.findings import Finding
-from repro.check.flow.cache import CACHE_VERSION, DEFAULT_CACHE_DIR, FactCache
 from repro.check.flow.callgraph import CallGraph
 from repro.check.flow.locks import run_locks
-from repro.check.flow.modgraph import ModuleGraph, module_name_for
 from repro.check.flow.sarif import render_sarif
-from repro.check.flow.symbols import ModuleFacts, extract_module_facts
+from repro.check.flow.symbols import (
+    ModuleFacts,
+    extract_module_facts,
+    module_name_for,
+)
 from repro.check.flow.taint import run_taint
 
 __all__ = [
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_DIR",
     "CallGraph",
-    "FactCache",
     "FLOW_RULE_IDS",
     "ModuleFacts",
-    "ModuleGraph",
-    "build_module_graph",
     "extract_module_facts",
     "module_name_for",
     "render_sarif",
@@ -62,13 +59,6 @@ __all__ = [
 ]
 
 FLOW_RULE_IDS = ("FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005")
-
-
-def build_module_graph(project: Dict[str, ModuleFacts]) -> ModuleGraph:
-    """Import graph restricted to the scanned modules."""
-    return ModuleGraph(
-        {name: facts.imports for name, facts in project.items()}
-    )
 
 
 def run_flow_analysis(

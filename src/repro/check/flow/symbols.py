@@ -1,9 +1,9 @@
 """Per-module symbol tables and local flow facts.
 
 This is the per-module half of the whole-program analysis: one AST walk
-per file that produces a JSON-serializable :class:`ModuleFacts` — the
-unit the incremental cache stores and the worker pool computes in
-parallel.  Everything interprocedural (call-edge resolution, taint
+per file that produces a :class:`ModuleFacts` — the unit the worker
+pool computes in parallel and returns by pickle.  Everything
+interprocedural (call-edge resolution, taint
 fixpoints, lock-order merging) happens later, in
 :mod:`repro.check.flow.callgraph`, :mod:`~repro.check.flow.taint` and
 :mod:`~repro.check.flow.locks`, over these facts alone — the source is
@@ -28,14 +28,14 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.check.flow.modgraph import module_imports, module_name_for
-from repro.check.rules import Module, _canonical, _dotted, _import_map
+from repro.check.rules import Module, _canonical, _dotted
 
 __all__ = [
     "CallSite",
     "FunctionFacts",
     "ModuleFacts",
     "extract_module_facts",
+    "module_name_for",
 ]
 
 #: Collection-mutator method names that count as a write to the base.
@@ -51,6 +51,25 @@ _SUBMIT_ATTRS = {"submit", "map"}
 #: Classes/factories whose instances expose submit()/map() task entry
 #: points (bound-name resolution: ``pool = WorkerPool(4); pool.submit``).
 _POOL_FACTORIES = ("WorkerPool", "get_pool")
+
+
+def module_name_for(rel_path: str) -> str:
+    """Dotted module name for a scan-root-relative POSIX path.
+
+    A leading ``src/`` segment is stripped (the repo layout), and a
+    package ``__init__.py`` names the package itself:
+    ``src/repro/core/io.py`` -> ``repro.core.io``; a bare fixture file
+    ``helper.py`` -> ``helper``.
+    """
+    posix = rel_path.replace("\\", "/")
+    if posix.startswith("src/"):
+        posix = posix[len("src/"):]
+    if posix.endswith(".py"):
+        posix = posix[: -len(".py")]
+    parts = [piece for piece in posix.split("/") if piece]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else posix
 
 
 def _is_lock_name(tail: str) -> bool:
@@ -70,23 +89,6 @@ class CallSite:
     base: List[str] = field(default_factory=list)  # taint of func.value
     locks_held: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "line": self.line, "col": self.col,
-            "args": self.args, "kwargs": self.kwargs,
-            "base": self.base, "locks_held": self.locks_held,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CallSite":
-        return cls(
-            name=raw["name"], line=raw["line"], col=raw["col"],
-            args=[list(a) for a in raw["args"]],
-            kwargs={k: list(v) for k, v in raw["kwargs"].items()},
-            base=list(raw["base"]),
-            locks_held=list(raw["locks_held"]),
-        )
-
 
 @dataclass
 class FunctionFacts:
@@ -103,34 +105,6 @@ class FunctionFacts:
     lock_pairs: List[dict] = field(default_factory=list)
     submissions: List[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "line": self.line,
-            "params": self.params,
-            "calls": [c.to_dict() for c in self.calls],
-            "returns": self.returns,
-            "self_writes": self.self_writes,
-            "global_writes": self.global_writes,
-            "locks_acquired": self.locks_acquired,
-            "lock_pairs": self.lock_pairs,
-            "submissions": self.submissions,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FunctionFacts":
-        facts = cls(qualname=raw["qualname"], line=raw["line"])
-        facts.params = list(raw["params"])
-        facts.calls = [CallSite.from_dict(c) for c in raw["calls"]]
-        facts.returns = list(raw["returns"])
-        facts.self_writes = {
-            k: list(v) for k, v in raw["self_writes"].items()
-        }
-        facts.global_writes = [dict(w) for w in raw["global_writes"]]
-        facts.locks_acquired = list(raw["locks_acquired"])
-        facts.lock_pairs = [dict(p) for p in raw["lock_pairs"]]
-        facts.submissions = [dict(s) for s in raw["submissions"]]
-        return facts
-
 
 @dataclass
 class ModuleFacts:
@@ -138,40 +112,13 @@ class ModuleFacts:
 
     module: str
     rel_path: str
-    imports: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     classes: Dict[str, List[str]] = field(default_factory=dict)
     toplevel_names: List[str] = field(default_factory=list)
-    snippets: Dict[str, str] = field(default_factory=dict)  # line -> text
+    snippets: Dict[int, str] = field(default_factory=dict)  # line -> text
 
     def snippet(self, line: int) -> str:
-        return self.snippets.get(str(line), "")
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "rel_path": self.rel_path,
-            "imports": self.imports,
-            "functions": {
-                k: f.to_dict() for k, f in self.functions.items()
-            },
-            "classes": self.classes,
-            "toplevel_names": self.toplevel_names,
-            "snippets": self.snippets,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModuleFacts":
-        facts = cls(module=raw["module"], rel_path=raw["rel_path"])
-        facts.imports = list(raw["imports"])
-        facts.functions = {
-            k: FunctionFacts.from_dict(f)
-            for k, f in raw["functions"].items()
-        }
-        facts.classes = {k: list(v) for k, v in raw["classes"].items()}
-        facts.toplevel_names = list(raw["toplevel_names"])
-        facts.snippets = dict(raw["snippets"])
-        return facts
+        return self.snippets.get(line, "")
 
 
 # ------------------------------------------------------------- extraction
@@ -212,16 +159,18 @@ class _FunctionExtractor:
         self.call_index: Dict[int, int] = {}   # id(node) -> call idx
         self.call_nodes: List[ast.Call] = []
         self.lock_stack: List[str] = []
+        #: the function's subtree in ``ast.walk`` order, walked once
+        self.nodes: List[ast.AST] = list(ast.walk(node))
         self.declared_global: Set[str] = {
             name
-            for stmt in ast.walk(node)
+            for stmt in self.nodes
             if isinstance(stmt, ast.Global)
             for name in stmt.names
         }
         # Names assigned locally (no ``global``) shadow module-level
         # names; writes through them are not global writes.
         self.local_names: Set[str] = set(self.env)
-        for stmt in ast.walk(node):
+        for stmt in self.nodes:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = (
                     stmt.targets
@@ -378,7 +327,7 @@ class _FunctionExtractor:
 
     def _dataflow_pass(self) -> bool:
         changed = False
-        for node in ast.walk(self.node):
+        for node in self.nodes:
             if isinstance(node, ast.Assign):
                 atoms = self._expr_taint(node.value)
                 # Bound-name resolution: var = ClassName(...) makes
@@ -588,12 +537,12 @@ class _FunctionExtractor:
             if isinstance(call.func, ast.Attribute):
                 site.base = sorted(self._expr_taint(call.func.value))
         returns: Set[str] = set()
-        for node in ast.walk(self.node):
+        for node in self.nodes:
             if isinstance(node, ast.Return) and node.value is not None:
                 returns |= self._expr_taint(node.value)
         self.facts.returns = sorted(returns)
         self_writes: Dict[str, Set[str]] = {}
-        for node in ast.walk(self.node):
+        for node in self.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (
@@ -612,11 +561,11 @@ class _FunctionExtractor:
 
 
 def extract_module_facts(module: Module) -> ModuleFacts:
-    """One parse-tree walk producing the module's serializable facts."""
-    aliases = _import_map(module.tree)
-    name = module_name_for(module.rel_path)
-    facts = ModuleFacts(module=name, rel_path=module.rel_path)
-    facts.imports = sorted(module_imports(module.tree, name))
+    """One parse-tree walk producing the module's flow facts."""
+    aliases = module.aliases
+    facts = ModuleFacts(
+        module=module_name_for(module.rel_path), rel_path=module.rel_path
+    )
 
     toplevel: Set[str] = set()
     for node in module.tree.body:
@@ -672,7 +621,7 @@ def extract_module_facts(module: Module) -> ModuleFacts:
     _visit(module.tree.body, "", None)
 
     facts.snippets = {
-        str(line): module.snippet(line)
+        line: module.snippet(line)
         for line in sorted(lines_needed)
         if module.snippet(line)
     }

@@ -17,9 +17,9 @@ RNG003      Generators are built via ``repro.utils.rng`` (``ensure_rng``
             / ``spawn``) so the ``normalize_seed`` policy applies
 TIME001     no wall-clock reads in simulated-time modules (the
             ``repro/perf`` timing helpers are exempt)
-CONC002     fields documented as lock-guarded (``_clock`` by
-            ``_clock_lock``, ``_FIT_CONTEXT`` by ``_FIT_LOCK``) are only
-            touched inside a ``with <lock>`` block
+CONC002     ``self._clock`` is only touched inside a
+            ``with self._clock_lock`` block in classes that define that
+            lock
 CONC003     only module-level functions go to ``parallel_map`` — no
             lambdas/closures (they capture handles and cannot pickle)
 API001      hwmon register reads stay behind the
@@ -70,8 +70,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.check.findings import Finding
 
@@ -99,6 +100,16 @@ class Module:
             tree=tree,
             lines=source.splitlines(),
         )
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree, in ``ast.walk`` order (walked once)."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name -> canonical dotted origin, from every import."""
+        return _import_map(self.nodes)
 
     def snippet(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -154,10 +165,10 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _import_map(tree: ast.Module) -> Dict[str, str]:
+def _import_map(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Local name -> canonical dotted origin, from every import node."""
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -204,9 +215,9 @@ _SEEDED_FACTORIES = ("numpy.random.default_rng", "numpy.random.SeedSequence")
 
 def check_rng001(module: Module) -> List[Finding]:
     """Unseeded numpy Generator construction reaches OS entropy."""
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _canonical(node.func, aliases)
@@ -255,9 +266,9 @@ _NUMPY_LEGACY = {
 
 def check_rng002(module: Module) -> List[Finding]:
     """Nondeterministic or global-state entropy sources are banned."""
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _canonical(node.func, aliases)
@@ -298,9 +309,9 @@ def check_rng003(module: Module) -> List[Finding]:
     """Direct default_rng construction bypasses the seed policy."""
     if _path_matches(module.rel_path, _RNG_HELPER_MODULES):
         return []
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         if _canonical(node.func, aliases) != "numpy.random.default_rng":
@@ -342,9 +353,9 @@ def check_time001(module: Module) -> List[Finding]:
     """Wall-clock reads poison simulated-time determinism."""
     if _path_matches(module.rel_path, _WALL_CLOCK_ALLOWED):
         return []
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _canonical(node.func, aliases)
@@ -365,36 +376,20 @@ def check_time001(module: Module) -> List[Finding]:
 # ------------------------------------------------------------------ CONC002
 
 
-def _module_level_names(tree: ast.Module) -> Set[str]:
-    names: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        names.add(name.id)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(node.target, ast.Name):
-                names.add(node.target.id)
-    return names
-
-
 #: Fields whose access contract is "hold this lock".  The rule only
-#: applies where the lock actually exists in the same scope (class body
-#: assigns ``self.<lock>``, or the module defines it at top level), so
-#: an unrelated ``_clock`` in a lockless class is not flagged.
+#: applies where the lock actually exists (the class body assigns
+#: ``self.<lock>``), so an unrelated ``_clock`` in a lockless class is
+#: not flagged.
 GUARDED_FIELDS: Dict[str, str] = {
     "_clock": "_clock_lock",
-    "_FIT_CONTEXT": "_FIT_LOCK",
 }
 
 
 class _LockScopeVisitor(ast.NodeVisitor):
     """Tracks class/function nesting and the set of locks held."""
 
-    def __init__(self, module: Module, module_locks: Set[str]):
+    def __init__(self, module: Module):
         self.module = module
-        self.module_locks = module_locks
         self.class_stack: List[Set[str]] = []
         self.function_depth = 0
         self.held: List[str] = []
@@ -461,17 +456,6 @@ class _LockScopeVisitor(ast.NodeVisitor):
             self._flag(node, f"self.{node.attr}", f"self.{lock}")
         self.generic_visit(node)
 
-    def visit_Name(self, node: ast.Name) -> None:
-        lock = GUARDED_FIELDS.get(node.id)
-        if (
-            lock is not None
-            and self.function_depth > 0
-            and lock in self.module_locks
-            and lock not in self.held
-        ):
-            self._flag(node, node.id, lock)
-        self.generic_visit(node)
-
 
 def _class_self_attrs(node: ast.ClassDef) -> Set[str]:
     """Attribute names ever assigned on ``self`` within a class body."""
@@ -493,12 +477,7 @@ def _class_self_attrs(node: ast.ClassDef) -> Set[str]:
 
 def check_conc002(module: Module) -> List[Finding]:
     """Lock-guarded fields touched outside their ``with`` block."""
-    module_locks = {
-        name
-        for name in _module_level_names(module.tree)
-        if name in GUARDED_FIELDS.values()
-    }
-    visitor = _LockScopeVisitor(module, module_locks)
+    visitor = _LockScopeVisitor(module)
     visitor.visit(module.tree)
     return visitor.findings
 
@@ -523,9 +502,9 @@ def _nested_function_names(tree: ast.Module) -> Set[str]:
     return nested
 
 
-def _lambda_names(tree: ast.Module) -> Set[str]:
+def _lambda_names(nodes: Iterable[ast.AST]) -> Set[str]:
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -535,11 +514,11 @@ def _lambda_names(tree: ast.Module) -> Set[str]:
 
 def check_conc003(module: Module) -> List[Finding]:
     """Closures/lambdas handed to parallel_map cannot cross the fork."""
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     nested = _nested_function_names(module.tree)
-    lambdas = _lambda_names(module.tree)
+    lambdas = _lambda_names(module.nodes)
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _canonical(node.func, aliases) or ""
@@ -595,7 +574,7 @@ def check_api001(module: Module) -> List[Finding]:
     if _path_matches(module.rel_path, _HWMON_ALLOWED):
         return []
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -631,7 +610,7 @@ def _is_float_literal(node: ast.AST) -> bool:
 def check_api002(module: Module) -> List[Finding]:
     """Exact float equality on computed data is seed/chunking fragile."""
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
@@ -671,9 +650,9 @@ _MUTABLE_FACTORY_CALLS = {
 
 def check_api003(module: Module) -> List[Finding]:
     """Mutable default arguments are shared across calls and workers."""
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         defaults = list(node.args.defaults) + [
@@ -730,11 +709,11 @@ def check_api004(module: Module) -> List[Finding]:
     """
     if _path_matches(module.rel_path, _ARGSORT_ALLOWED):
         return []
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
     seen: Set[int] = set()
     once: Set[int] = set()
-    for loop in ast.walk(module.tree):
+    for loop in module.nodes:
         if not isinstance(loop, _LOOP_NODES):
             continue
         # The iterable itself is evaluated once, not per iteration:
@@ -805,7 +784,7 @@ def check_api005(module: Module) -> List[Finding]:
     ``push*`` method counts as growth, not a rebind.
     """
     findings = []
-    for cls in ast.walk(module.tree):
+    for cls in module.nodes:
         if not isinstance(cls, ast.ClassDef):
             continue
         grow_sites: List[Tuple[str, ast.AST]] = []
@@ -904,9 +883,9 @@ def check_api006(module: Module) -> List[Finding]:
     """
     if _path_matches(module.rel_path, _RAW_POOL_ALLOWED):
         return []
-    aliases = _import_map(module.tree)
+    aliases = module.aliases
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _canonical(node.func, aliases)
@@ -962,11 +941,11 @@ def check_api007(module: Module) -> List[Finding]:
         return []
     awaited = {
         id(node.value)
-        for node in ast.walk(module.tree)
+        for node in module.nodes
         if isinstance(node, ast.Await)
     }
     findings = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if (
             not isinstance(node, ast.Call)
             or not isinstance(node.func, ast.Attribute)
@@ -1047,8 +1026,8 @@ RULES: Dict[str, Rule] = {
         Rule(
             "CONC002",
             "unlocked-guarded-field",
-            "fields documented as lock-guarded (_clock/_FIT_CONTEXT) "
-            "must be accessed under their lock",
+            "self._clock must be accessed under self._clock_lock in "
+            "classes that define that lock",
             check_conc002,
         ),
         Rule(

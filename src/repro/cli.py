@@ -142,7 +142,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         run_check,
         write_baseline,
     )
-    from repro.check.engine import GitDiffError, default_root
+    from repro.check.engine import default_root
 
     if args.list_rules:
         width = max(len(rule.id) for rule in RULES.values())
@@ -159,14 +159,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             rules=args.rules,
             baseline=baseline,
             root=root,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
             workers=args.workers,
-            changed_base=args.changed_only,
         )
-    except (
-        UnknownRuleError, BaselineError, FileNotFoundError, GitDiffError
-    ) as exc:
+    except (UnknownRuleError, BaselineError, FileNotFoundError) as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
     baseline_path = (
@@ -741,21 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune-baseline", action="store_true",
         help="rewrite the baseline file with stale entries removed "
              "(justifications for surviving entries are kept)",
-    )
-    check.add_argument(
-        "--changed-only", nargs="?", const="HEAD", default=None,
-        metavar="BASE",
-        help="report only files changed vs the given git ref (default "
-             "HEAD) plus their transitive import dependents",
-    )
-    check.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the per-module analysis cache "
-             "(.repro_check_cache/)",
-    )
-    check.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="override the analysis cache directory",
     )
     check.add_argument(
         "--workers", type=int, default=None,

@@ -2,14 +2,6 @@
 
 import threading
 
-_FIT_CONTEXT = None
-_FIT_LOCK = threading.Lock()
-
-
-def read_context_unlocked():
-    X, y = _FIT_CONTEXT
-    return X, y
-
 
 class Scheduler:
     def __init__(self):

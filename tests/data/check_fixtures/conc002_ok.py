@@ -2,17 +2,6 @@
 
 import threading
 
-_FIT_CONTEXT = None
-_FIT_LOCK = threading.Lock()
-
-
-def swap_context(context):
-    global _FIT_CONTEXT
-    with _FIT_LOCK:
-        previous = _FIT_CONTEXT
-        _FIT_CONTEXT = context
-    return previous
-
 
 class Scheduler:
     def __init__(self):

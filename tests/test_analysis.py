@@ -1,5 +1,9 @@
 """Tests for analysis statistics and distribution helpers."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,6 +56,88 @@ class TestLinearFit:
         y = 2 * x + rng.normal(scale=5.0, size=50)
         fit = linear_fit(x, y)
         assert 0.9 < fit.r < 1.0
+
+
+def _random_series(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 200))
+    x = rng.normal(size=n) * rng.uniform(0.1, 100.0)
+    y = (
+        rng.normal() * 3.0 * x
+        + rng.normal(size=n) * rng.uniform(0.01, 10.0)
+        + rng.normal() * 50.0
+    )
+    return x, y
+
+
+def _fig2_series(seed):
+    """Per-level means of a 161-level sweep: current, voltage, RO."""
+    rng = np.random.default_rng(seed)
+    levels = np.arange(161.0)
+    return levels, [
+        1000.0 + 40.0 * levels + rng.normal(scale=2.0, size=161),
+        850.0 - 0.004 * levels + rng.normal(scale=0.2, size=161),
+        52000.0 - 0.3 * levels + rng.normal(scale=4.0, size=161),
+    ]
+
+
+class TestClosedFormsMatchNumpy:
+    """pearson/linear_fit agree with numpy's own estimators."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_inputs(self, seed):
+        x, y = _random_series(seed)
+        self._assert_agree(x, y)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fig2_shaped_inputs(self, seed):
+        levels, channels = _fig2_series(seed)
+        for means in channels:
+            self._assert_agree(levels, means)
+
+    @staticmethod
+    def _assert_agree(x, y):
+        expected_r = np.corrcoef(x, y)[0, 1]
+        slope, intercept = np.polyfit(x, y, 1)
+        fit = linear_fit(x, y)
+        assert pearson(x, y) == pytest.approx(expected_r, rel=1e-12)
+        assert fit.r == pytest.approx(expected_r, rel=1e-12)
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+
+
+class TestClosedFormEdges:
+    def test_constant_x_raises(self):
+        with pytest.raises(ValueError, match="identical"):
+            linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_constant_y_is_flat_with_undefined_r(self):
+        fit = linear_fit([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+        assert fit.slope == 0.0
+        assert fit.intercept == 5.0
+        assert np.isnan(fit.r)
+
+    def test_r_stays_in_unit_interval(self):
+        x = np.arange(1000.0) * 1e-3
+        assert linear_fit(x, 7.0 * x + 1.0).r <= 1.0
+        assert -1.0 <= pearson(x, -3.0 * x)
+
+    def test_pearson_constant_series_is_zero(self):
+        assert pearson([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) == 0.0
+
+
+def test_import_repro_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import repro; "
+        "print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestLsbPerStep:

@@ -1,16 +1,17 @@
-"""Whole-program flow analysis: call graph, taint, cache, SARIF.
+"""Whole-program flow analysis: call graph, taint, fresh runs, SARIF.
 
 Covers the ``repro.check.flow`` layer end to end: cross-module taint
 (the rules the per-file checker cannot express), call-graph
-resolution, incremental cache invalidation through the module graph,
-SARIF rendering, baseline pruning and the ``--changed-only`` git mode.
-Marked ``check`` alongside the tree meta-tests.
+resolution, re-runs that must see every edit and every rule change,
+SARIF rendering and baseline pruning.  Marked ``check`` alongside the
+tree meta-tests.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import json
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -28,11 +29,9 @@ from repro.check import (
 from repro.check.flow import (
     CallGraph,
     FLOW_RULE_IDS,
-    build_module_graph,
     extract_module_facts,
     module_name_for,
 )
-from repro.check.flow.modgraph import ModuleGraph
 from repro.check.rules import Module
 
 pytestmark = pytest.mark.check
@@ -51,7 +50,6 @@ def _facts(tmp_path, name: str, source: str):
 def _check(paths, rules=None, **kwargs):
     kwargs.setdefault("baseline", "")
     kwargs.setdefault("root", FIXTURES)
-    kwargs.setdefault("use_cache", False)
     return run_check(paths=paths, rules=rules, **kwargs)
 
 
@@ -113,7 +111,6 @@ def test_flow_rules_honor_inline_suppression(tmp_path):
     bad.write_text(source)
     result = run_check(
         paths=[bad], rules=["FLOW002"], baseline="", root=tmp_path,
-        use_cache=False,
     )
     assert result.ok
     assert result.suppressed == 1
@@ -225,19 +222,6 @@ def test_callgraph_reachability(tmp_path):
     assert "reach:island" not in reachable
 
 
-def test_module_graph_dependents_closure():
-    graph = ModuleGraph(
-        {
-            "a": [],
-            "b": ["a"],
-            "c": ["b"],
-            "d": [],
-        }
-    )
-    assert graph.dependents_closure({"a"}) == {"a", "b", "c"}
-    assert graph.dependents_closure({"d"}) == {"d"}
-
-
 def test_module_name_for_paths():
     assert module_name_for("src/repro/perf/pool.py") == (
         "repro.perf.pool"
@@ -248,64 +232,10 @@ def test_module_name_for_paths():
     assert module_name_for("flow/flow001_bad.py") == "flow.flow001_bad"
 
 
-# ------------------------------------------------------------------ cache
+# ------------------------------------------------------------ fresh runs
 
 
-def _write_chain(root: Path) -> None:
-    (root / "base.py").write_text(
-        "def origin():\n    return 1\n"
-    )
-    (root / "mid.py").write_text(
-        "from base import origin\n\n\n"
-        "def relay():\n    return origin()\n"
-    )
-    (root / "top.py").write_text(
-        "from mid import relay\n\n\n"
-        "def consume():\n    return relay()\n"
-    )
-    (root / "island.py").write_text(
-        "def alone():\n    return 0\n"
-    )
-
-
-def test_cache_warm_run_reanalyzes_nothing(tmp_path):
-    _write_chain(tmp_path)
-    cache_dir = tmp_path / "cache"
-    cold = run_check(
-        paths=[tmp_path], baseline="", root=tmp_path,
-        cache_dir=cache_dir,
-    )
-    assert cold.modules_analyzed == 4
-    assert cold.cache_hits == 0
-    warm = run_check(
-        paths=[tmp_path], baseline="", root=tmp_path,
-        cache_dir=cache_dir,
-    )
-    assert warm.modules_analyzed == 0
-    assert warm.cache_hits == 4
-    assert warm.files_scanned == cold.files_scanned
-
-
-def test_cache_invalidation_is_transitive(tmp_path):
-    _write_chain(tmp_path)
-    cache_dir = tmp_path / "cache"
-    run_check(
-        paths=[tmp_path], baseline="", root=tmp_path,
-        cache_dir=cache_dir,
-    )
-    # editing base invalidates base + mid + top, but not island
-    (tmp_path / "base.py").write_text(
-        "def origin():\n    return 2\n"
-    )
-    result = run_check(
-        paths=[tmp_path], baseline="", root=tmp_path,
-        cache_dir=cache_dir,
-    )
-    assert result.modules_analyzed == 3
-    assert result.cache_hits == 1
-
-
-def test_cache_catches_new_cross_module_taint(tmp_path):
+def test_rerun_catches_new_cross_module_taint(tmp_path):
     """A dependency edit must re-derive its dependents' findings."""
     source = tmp_path / "origin.py"
     sink = tmp_path / "sink.py"
@@ -318,10 +248,8 @@ def test_cache_catches_new_cross_module_taint(tmp_path):
         "def record():\n"
         "    return Trace(samples=make(), seed=0)\n"
     )
-    cache_dir = tmp_path / "cache"
     clean = run_check(
-        paths=[tmp_path], rules=["FLOW002"], baseline="",
-        root=tmp_path, cache_dir=cache_dir,
+        paths=[tmp_path], rules=["FLOW002"], baseline="", root=tmp_path,
     )
     assert clean.ok
     # the helper becomes an entropy source; the *sink* must now flag
@@ -329,30 +257,52 @@ def test_cache_catches_new_cross_module_taint(tmp_path):
         "import os\n\n\ndef make():\n    return os.urandom(8)\n"
     )
     dirty = run_check(
-        paths=[tmp_path], rules=["FLOW002"], baseline="",
-        root=tmp_path, cache_dir=cache_dir,
+        paths=[tmp_path], rules=["FLOW002"], baseline="", root=tmp_path,
     )
     assert not dirty.ok
     assert {f.path for f in dirty.findings} == {"sink.py"}
 
 
-def test_cache_entries_survive_rule_subsetting(tmp_path):
-    """One cache entry serves any --rules selection."""
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "import numpy as np\n\nrng = np.random.default_rng()\n"
+def test_rerun_sees_a_changed_rule(tmp_path, monkeypatch):
+    """A rule edited between two runs over unchanged files is applied.
+
+    The files do not change, only the rule does: a run that answered
+    from results stored by the first run would report the old rule's
+    findings.
+    """
+    (tmp_path / "flat.py").write_text(
+        "def level(x):\n    return x == 1\n"
     )
-    cache_dir = tmp_path / "cache"
-    full = run_check(
-        paths=[bad], baseline="", root=tmp_path, cache_dir=cache_dir
+    before = run_check(
+        paths=[tmp_path], rules=["API002"], baseline="", root=tmp_path,
+        workers=1,
     )
-    assert any(f.rule == "RNG001" for f in full.findings)
-    subset = run_check(
-        paths=[bad], rules=["API002"], baseline="", root=tmp_path,
-        cache_dir=cache_dir,
+    assert before.ok  # ``x == 1`` compares against an int literal
+
+    def flag_every_compare(module):
+        return [
+            module.finding("API002", node, "widened")
+            for node in module.nodes
+            if isinstance(node, ast.Compare)
+        ]
+
+    monkeypatch.setitem(
+        RULES, "API002",
+        dataclasses.replace(RULES["API002"], check=flag_every_compare),
     )
-    assert subset.cache_hits == 1
-    assert subset.ok  # RNG001 finding filtered out by selection
+    after = run_check(
+        paths=[tmp_path], rules=["API002"], baseline="", root=tmp_path,
+        workers=1,
+    )
+    assert [(f.path, f.line, f.message) for f in after.findings] == [
+        ("flat.py", 2, "widened")
+    ]
+
+
+def test_no_run_leaves_state_behind(tmp_path):
+    (tmp_path / "one.py").write_text("VALUE = 1\n")
+    run_check(paths=[tmp_path], baseline="", root=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.py"]
 
 
 # ------------------------------------------------------------------ SARIF
@@ -403,7 +353,7 @@ def test_sarif_reports_parse_errors(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
     result = run_check(
-        paths=[broken], baseline="", root=tmp_path, use_cache=False
+        paths=[broken], baseline="", root=tmp_path
     )
     document = json.loads(render_sarif(result, RULES))
     invocation = document["runs"][0]["invocations"][0]
@@ -469,58 +419,6 @@ def test_prune_baseline_keeps_unexercised_rules(tmp_path):
     assert len(survivors) == 1
 
 
-# --------------------------------------------------------- changed-only
-
-
-def _git(root: Path, *argv: str) -> None:
-    subprocess.run(
-        ["git", *argv], cwd=root, check=True, capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-            "HOME": str(root),
-        },
-    )
-
-
-def test_changed_only_tracks_dependents(tmp_path):
-    _write_chain(tmp_path)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-qm", "seed")
-    # introduce a violation in an untouched file: must NOT be reported
-    (tmp_path / "island.py").write_text(
-        "import numpy as np\n\nrng = np.random.default_rng()\n"
-    )
-    _git(tmp_path, "add", "island.py")
-    _git(tmp_path, "commit", "-qm", "island violation")
-    # now change only base.py
-    (tmp_path / "base.py").write_text(
-        "def origin():\n    return 3\n"
-    )
-    result = run_check(
-        paths=[tmp_path], baseline="", root=tmp_path,
-        use_cache=False, changed_base="HEAD",
-    )
-    assert result.changed_files is not None
-    assert set(result.changed_files) == {"base.py", "mid.py", "top.py"}
-    assert not any(f.path == "island.py" for f in result.findings)
-
-
-def test_changed_only_with_no_changes(tmp_path):
-    _write_chain(tmp_path)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-qm", "seed")
-    result = run_check(
-        paths=[tmp_path], baseline="", root=tmp_path,
-        use_cache=False, changed_base="HEAD",
-    )
-    assert result.changed_files == []
-    assert result.ok
-
-
 # -------------------------------------------------------- flow rule table
 
 
@@ -528,15 +426,3 @@ def test_every_flow_rule_is_registered():
     for rule_id in FLOW_RULE_IDS:
         assert rule_id in RULES
         assert RULES[rule_id].whole_program
-
-
-def test_build_module_graph_reflects_imports(tmp_path):
-    helper = _facts(
-        tmp_path, "h", "def f():\n    return 1\n"
-    )
-    caller = _facts(
-        tmp_path, "c", "import h\n\n\ndef g():\n    return h.f()\n"
-    )
-    graph = build_module_graph({f.module: f for f in (helper, caller)})
-    assert "h" in graph.dependents_closure({"h"})
-    assert "c" in graph.dependents_closure({"h"})

@@ -50,7 +50,6 @@ def _check_fixture(name: str, rule_id: str):
         rules=[rule_id],
         baseline="",
         root=FIXTURES,
-        use_cache=False,
     )
 
 
@@ -72,7 +71,7 @@ def test_bad_fixture_triggers_rule(rule_id, tmp_path):
         broken.write_text("def f(:\n")
         result = run_check(
             paths=[broken], rules=[rule_id], baseline="",
-            root=tmp_path, use_cache=False,
+            root=tmp_path,
         )
     else:
         result = _check_fixture(_fixture_rel(rule_id, "bad"), rule_id)
@@ -87,7 +86,7 @@ def test_ok_fixture_is_quiet(rule_id, tmp_path):
         fine.write_text("VALUE = 1\n")
         result = run_check(
             paths=[fine], rules=[rule_id], baseline="",
-            root=tmp_path, use_cache=False,
+            root=tmp_path,
         )
     else:
         result = _check_fixture(_fixture_rel(rule_id, "ok"), rule_id)
@@ -116,7 +115,7 @@ def test_api004_exempts_only_repro_ml(package, flagged, tmp_path):
     target.write_text((FIXTURES / "api004_bad.py").read_text())
     result = run_check(
         paths=[target], rules=["API004"], baseline="",
-        root=tmp_path, use_cache=False,
+        root=tmp_path,
     )
     assert bool(result.findings) == flagged
 
@@ -319,7 +318,7 @@ def test_broken_file_never_checks_green(tmp_path):
     broken.write_text("def f(:\n")
     result = run_check(
         paths=[broken], rules=["RNG001"], baseline="",
-        root=tmp_path, use_cache=False,
+        root=tmp_path,
     )
     assert not result.ok
     assert result.errors
