@@ -2,10 +2,11 @@
 
 Every bench regenerates one table or figure from the paper and prints
 the same rows/series the paper reports, alongside pytest-benchmark
-timing.  Set ``AMPEREBLEED_FULL=1`` to run at full paper scale
-(10 k samples per level, 100-tree forests, 10-fold CV); the default
-scale keeps the whole suite in the minutes range while preserving the
-reported shapes.
+timing.  Fig 2 and Fig 4 always run at the paper's sample counts.
+``AMPEREBLEED_FULL=1`` scales Table III alone to the paper's protocol
+(100-tree forests, 10-fold CV, all five durations); the default Table
+III scale keeps the whole suite in the minutes range while preserving
+the reported shapes.
 """
 
 from typing import Iterable, Sequence

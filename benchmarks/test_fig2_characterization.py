@@ -7,14 +7,13 @@ stays sub-LSB; and current varies ~261x more than the RO counts over
 the same sweep (§I + §IV-A).
 """
 
-from conftest import full_scale, print_table
+from conftest import print_table
 
 from repro.core.characterize import characterize
 
 
 def run_sweep():
-    samples = 10_000 if full_scale() else 1_500
-    return characterize(samples_per_level=samples, seed=0)
+    return characterize(samples_per_level=10_000, seed=0)
 
 
 def test_fig2_characterization(benchmark):

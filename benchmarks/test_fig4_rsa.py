@@ -6,14 +6,14 @@ channel (25 mW LSB) collapses them into ~5 groups.  The victim runs at
 100 MHz; the attacker polls at 1 kHz.
 """
 
-from conftest import full_scale, print_table
+from conftest import print_table
 
 from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.crypto.rsa_math import PAPER_HAMMING_WEIGHTS
 
 
 def run_fig4():
-    n_samples = 100_000 if full_scale() else 20_000
+    n_samples = 100_000
     attack = RsaHammingWeightAttack(seed=0)
     current = attack.sweep(n_samples=n_samples)
     power = attack.sweep(quantity="power", n_samples=n_samples)
@@ -66,9 +66,7 @@ def test_fig4_rsa(benchmark):
     # Current decodes HW linearly.
     assert calibration.r > 0.999
     # End-to-end: an unseen key decodes within one 64-HW grid step.
-    estimate = attack.end_to_end(
-        448, calibration, n_samples=10_000 if not full_scale() else 50_000
-    )
+    estimate = attack.end_to_end(448, calibration, n_samples=50_000)
     nearest = min(PAPER_HAMMING_WEIGHTS, key=lambda w: abs(w - estimate))
     print(f"online attack on HW=448: estimate {estimate:.0f} -> {nearest}")
     assert abs(estimate - 448) < 64

@@ -145,10 +145,8 @@ def characterize(
     ro_rng = spawn(seed, "characterize-ro")
     ro_window = ro_bank.sample_window
 
-    current_means = np.empty(levels.size)
-    voltage_means = np.empty(levels.size)
-    power_means = np.empty(levels.size)
-    ro_means = np.empty(levels.size)
+    means = {name: np.empty(levels.size) for name in CHANNEL_LSBS}
+    channels = [("fpga", quantity) for quantity in ("current", "voltage", "power")]
 
     # The RO bank itself burns constant power on the rail (its loops
     # toggle continuously); it shifts the floor but not the slopes.
@@ -161,16 +159,11 @@ def characterize(
         start = position * session + period
         soc.replace_workload("fpga", "power-virus", virus.timeline())
 
+        # One INA226 latch serves all three sysfs files: one pass.
         poll_times = start + np.arange(samples_per_level) * period
-        current_means[position] = soc.sample(
-            "fpga", "current", poll_times
-        ).mean()
-        voltage_means[position] = soc.sample(
-            "fpga", "voltage", poll_times
-        ).mean()
-        power_means[position] = soc.sample(
-            "fpga", "power", poll_times
-        ).mean()
+        polled = soc.sample_many(channels, poll_times)
+        for (_, quantity), values in polled.items():
+            means[quantity][position] = values.mean()
 
         # The RO samples its counter at 2 MHz from the same rail; the
         # rail voltage it sees carries the regulator droop + ripple.
@@ -181,15 +174,15 @@ def characterize(
             ripple=rail.ripple_sigma
             * ro_rng.standard_normal(samples_per_level),
         )
-        ro_means[position] = ro_bank.counts(rail_volts, rng=ro_rng).mean()
+        means["ro"][position] = ro_bank.counts(rail_volts, rng=ro_rng).mean()
 
     soc.detach_workload("fpga", "power-virus")
     soc.detach_workload("fpga", "ro-bank")
 
     return CharacterizationResult(
         levels=levels,
-        current=ChannelSweep("current", CHANNEL_LSBS["current"], current_means),
-        voltage=ChannelSweep("voltage", CHANNEL_LSBS["voltage"], voltage_means),
-        power=ChannelSweep("power", CHANNEL_LSBS["power"], power_means),
-        ro=ChannelSweep("ro", CHANNEL_LSBS["ro"], ro_means),
+        **{
+            name: ChannelSweep(name, lsb, means[name])
+            for name, lsb in CHANNEL_LSBS.items()
+        },
     )

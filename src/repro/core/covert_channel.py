@@ -219,10 +219,6 @@ class PowerCovertReceiver:
         means = self._bit_means(start, total_bits, bit_period, sink=sink)
         return slice_bits(means, n_payload_bits)
 
-    def decode_trace(self, trace: Trace, n_payload_bits: int) -> List[int]:
-        """See :func:`decode_frame` (kept for API symmetry)."""
-        return decode_frame(trace, n_payload_bits)
-
 
 class CovertChannel:
     """End-to-end channel harness over one simulated SoC."""

@@ -322,19 +322,6 @@ class OnsetDetector:
                 raise ValueError("baseline sigma must be > 0")
         return (values - mu) / sigma
 
-    def active_mask(
-        self,
-        values: np.ndarray,
-        baseline: Optional[Tuple[float, float]] = None,
-    ) -> np.ndarray:
-        """Boolean mask of samples flagged as victim activity."""
-        scores = self.scores(values, baseline=baseline)
-        mask = np.abs(scores) >= self.z_threshold
-        if baseline is None:
-            # Never flag the self-estimated baseline region itself.
-            mask[: self.baseline_window] = False
-        return mask
-
     def tracker(
         self,
         baseline: Optional[Tuple[float, float]] = None,

@@ -574,11 +574,6 @@ class TraceArchiveWriter:
         self._n_chunks += 1
         return file_name
 
-    def append_traceset(self, traceset: TraceSet) -> None:
-        """Append every trace of a set, one chunk each."""
-        for trace in traceset:
-            self.append(trace)
-
     def update_meta(self, **updates) -> None:
         """Record metadata only known after capture (e.g. outcomes).
 

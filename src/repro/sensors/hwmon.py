@@ -17,6 +17,15 @@ faster than the update interval returns runs of identical values.
 Every conversion's noise is a pure function of its latch index
 (counter-based hashing), so re-reading any historical instant gives
 the same bytes the kernel would have served — across calls and runs.
+
+Every read goes through one batched pass (``HwmonDevice._read``): the
+union of the requests' latch indices is converted once, each requested
+attribute is extracted from that pass and gathered back onto its
+polls, and each request comes back fault-annotated.  The three public
+reads differ only in what they do with a failed poll:
+:meth:`HwmonDevice.read_series_faulted` returns the masks, while
+:meth:`HwmonDevice.read_series` and :meth:`HwmonDevice.read_series_batch`
+raise as a naive poll loop would.
 """
 
 from __future__ import annotations
@@ -67,9 +76,11 @@ class HwmonValueError(HwmonError, ValueError):
 class HwmonTransientError(HwmonError):
     """A transient read failure (EAGAIN/EIO) — retrying may succeed.
 
-    Only raised while a :class:`repro.faults.FaultPlan` is armed; the
-    resilient sampler catches these per sample via
-    :meth:`HwmonDevice.read_series_faulted` instead.
+    Raised by the raising reads (:meth:`HwmonDevice.read_series`,
+    :meth:`HwmonDevice.read_series_batch`) only while a
+    :class:`repro.faults.FaultPlan` is armed.  The same polls come back
+    from :meth:`HwmonDevice.read_series_faulted` as a ``transient``
+    mask instead, which the resilient sampler retries sample by sample.
     """
 
 
@@ -208,57 +219,10 @@ class HwmonDevice:
             current, voltage, shunt_noise=shunt_noise, bus_noise=bus_noise
         )
 
-    def readings_at(self, times: np.ndarray) -> Ina226Reading:
-        """The latched conversion visible at each poll time (vectorized).
-
-        Duplicate latches are converted once and broadcast back, both
-        for speed and because the kernel would serve the same cached
-        register to every poll within one period.
-        """
-        latches = self.latch_index(times)
-        unique, inverse = np.unique(latches, return_inverse=True)
-        reading = self._convert_latches(unique)
-        return Ina226Reading(
-            shunt_register=reading.shunt_register[inverse],
-            bus_register=reading.bus_register[inverse],
-            current_register=reading.current_register[inverse],
-            power_register=reading.power_register[inverse],
-            current_amps=reading.current_amps[inverse],
-            bus_volts=reading.bus_volts[inverse],
-            power_watts=reading.power_watts[inverse],
-        )
-
-    def _check_series_request(
-        self,
-        attribute: str,
-        times: np.ndarray,
-        raise_on_unbind: bool = True,
-    ) -> np.ndarray:
-        """Validate one (attribute, times) poll; returns clean times."""
-        times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-        if raise_on_unbind and self._unbound_mask(times).any():
-            raise HwmonLookupError(
-                f"{self.path}/{attribute}: no such device "
-                f"(driver unbound)"
-            )
-        if attribute == "update_interval":
-            return times
-        if attribute not in self.READABLE_ATTRS or attribute == "name":
-            raise HwmonLookupError(
-                f"{self.path}/{attribute}: not a readable numeric attribute"
-            )
-        return times
-
-    def _unbound_mask(self, times: np.ndarray) -> np.ndarray:
-        """Polls at or past an injected driver unbind (legacy ENOENT)."""
-        if self._failure is not None and self._failure[0] == "unbind":
-            return times >= self._failure[1]
-        return np.zeros(times.shape, dtype=bool)
-
     def _attribute_values(
         self, attribute: str, reading: Ina226Reading
     ) -> np.ndarray:
-        """Extract one sysfs attribute's integers from a conversion."""
+        """Extract one numeric sysfs attribute's integers from conversions."""
         if attribute == "curr1_input":
             return np.rint(reading.current_amps * 1e3).astype(np.int64)
         if attribute == "in0_input":
@@ -266,9 +230,68 @@ class HwmonDevice:
             return np.rint(shunt_volts * 1e3).astype(np.int64)
         if attribute == "in1_input":
             return np.rint(reading.bus_volts * 1e3).astype(np.int64)
-        if attribute == "power1_input":
-            return np.rint(reading.power_watts * 1e6).astype(np.int64)
-        raise HwmonLookupError(f"{self.path}/{attribute}: unknown attribute")
+        return np.rint(reading.power_watts * 1e6).astype(np.int64)
+
+    def _read(
+        self, requests
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The one read path: serve ``(attribute, times)`` polls together.
+
+        Converts the union of every request's latch indices once,
+        extracts each requested attribute from that pass, gathers it
+        back onto each request's polls, and returns ``(values,
+        transient, gone)`` per request.  Never raises for a scheduled
+        fault or an injected unbind; the public reads decide that.
+        """
+        prepared = []
+        for attribute, times in requests:
+            if attribute not in self.READABLE_ATTRS or attribute == "name":
+                raise HwmonLookupError(
+                    f"{self.path}/{attribute}: not a readable numeric "
+                    f"attribute"
+                )
+            times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+            prepared.append((attribute, times))
+        latches = [
+            self.latch_index(times)
+            for attribute, times in prepared
+            if attribute != "update_interval"
+        ]
+        if latches:
+            unique, inverse = np.unique(
+                np.concatenate(latches), return_inverse=True
+            )
+            reading = self._convert_latches(unique)
+        results = []
+        cursor = 0
+        for attribute, times in prepared:
+            if attribute == "update_interval":
+                values = np.full(
+                    times.shape, round(self.update_period * 1e3), dtype=np.int64
+                )
+            else:
+                column = self._attribute_values(attribute, reading)
+                values = column[inverse[cursor:cursor + times.size]]
+                cursor += times.size
+            results.append(self._annotate_faults(values, times))
+        return results
+
+    def _annotate_faults(
+        self, values: np.ndarray, times: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply the armed faults to one request's polls."""
+        gone = np.zeros(times.shape, dtype=bool)
+        if self._failure is not None and self._failure[0] == "unbind":
+            gone = times >= self._failure[1]
+        if not self.faults_active:
+            return values, np.zeros(times.shape, dtype=bool), gone
+        plan = self._fault_plan
+        key = self._fault_key
+        gone = gone | plan.hotplug_mask(key, times)
+        transient = plan.transient_mask(key, times) & ~gone
+        torn = plan.torn_mask(key, times) & ~gone & ~transient
+        values = plan.torn_values(key, values, times, torn)
+        return values, transient, gone
 
     def read_series(self, attribute: str, times: np.ndarray) -> np.ndarray:
         """Integer attribute values at each poll time (the sysfs ABI).
@@ -276,34 +299,14 @@ class HwmonDevice:
         ``curr1_input`` in mA, ``in0_input``/``in1_input`` in mV,
         ``power1_input`` in uW, ``update_interval`` in ms.
 
-        With an active fault plan this is the *naive* poll loop's view:
-        torn values arrive silently corrupted, while the first
-        transient error raises :class:`HwmonTransientError` and the
-        first hotplug window raises :class:`HwmonLookupError` — the
-        resilient sampler uses :meth:`read_series_faulted` instead.
+        This is the *naive* poll loop's view: an injected driver unbind
+        raises :class:`HwmonLookupError`; with an active fault plan,
+        torn values arrive silently corrupted, while the first hotplug
+        window raises :class:`HwmonLookupError` and the first transient
+        error raises :class:`HwmonTransientError` — the resilient
+        sampler uses :meth:`read_series_faulted` instead.
         """
-        if self.faults_active:
-            values, transient, gone = self.read_series_faulted(
-                attribute, times
-            )
-            if gone.any():
-                raise HwmonLookupError(
-                    f"{self.path}/{attribute}: no such device "
-                    f"(sensor hotplug window)"
-                )
-            if transient.any():
-                raise HwmonTransientError(
-                    f"{self.path}/{attribute}: resource temporarily "
-                    f"unavailable (EAGAIN)"
-                )
-            return values
-        times = self._check_series_request(attribute, times)
-        if attribute == "update_interval":
-            return np.full(
-                times.shape, round(self.update_period * 1e3), dtype=np.int64
-            )
-        reading = self.readings_at(times)
-        return self._attribute_values(attribute, reading)
+        return self.read_series_batch([(attribute, times)])[0]
 
     def read_series_faulted(
         self, attribute: str, times: np.ndarray
@@ -319,26 +322,7 @@ class HwmonDevice:
         must treat them as unread.  Never raises for scheduled faults,
         so a resilient poll loop can retry sample by sample.
         """
-        times = self._check_series_request(
-            attribute, times, raise_on_unbind=False
-        )
-        if attribute == "update_interval":
-            values = np.full(
-                times.shape, round(self.update_period * 1e3), dtype=np.int64
-            )
-        else:
-            reading = self.readings_at(times)
-            values = self._attribute_values(attribute, reading)
-        gone = self._unbound_mask(times)
-        if not self.faults_active:
-            return values, np.zeros(times.shape, dtype=bool), gone
-        plan = self._fault_plan
-        key = self._fault_key
-        gone = gone | plan.hotplug_mask(key, times)
-        transient = plan.transient_mask(key, times) & ~gone
-        torn = plan.torn_mask(key, times) & ~gone & ~transient
-        values = plan.torn_values(key, values, times, torn)
-        return values, transient, gone
+        return self._read([(attribute, times)])[0]
 
     def read_series_batch(self, requests) -> List[np.ndarray]:
         """Serve several ``(attribute, times)`` polls in one pass.
@@ -346,63 +330,27 @@ class HwmonDevice:
         The conversions behind every request are computed once over the
         union of latch indices, then each request's values are gathered
         from that shared pass.  Because a conversion is a pure function
-        of its latch index, the results are bit-identical to issuing
-        one :meth:`read_series` per request — concurrent sampling
-        threads and this batched path observe the same registers.
-
-        With an active fault plan the batched union pass is skipped:
-        each request runs through :meth:`read_series` so faults hit
-        (and raise) exactly as they would per request.
+        of its latch index and every fault mask a function of poll
+        time, the results are bit-identical to one :meth:`read_series`
+        per request; a failed poll raises exactly as the first failing
+        :meth:`read_series` would.
         """
-        if self.faults_active:
-            return [
-                self.read_series(attribute, times)
-                for attribute, times in requests
-            ]
-        prepared = [
-            (attribute, self._check_series_request(attribute, times))
-            for attribute, times in requests
-        ]
-        convertible = [
-            (position, attribute, times)
-            for position, (attribute, times) in enumerate(prepared)
-            if attribute != "update_interval"
-        ]
-        results: List[Optional[np.ndarray]] = [None] * len(prepared)
-        for position, (attribute, times) in enumerate(prepared):
-            if attribute == "update_interval":
-                results[position] = np.full(
-                    times.shape,
-                    round(self.update_period * 1e3),
-                    dtype=np.int64,
+        requests = list(requests)
+        results = self._read(requests)
+        cause = (
+            "sensor hotplug window" if self.faults_active else "driver unbound"
+        )
+        for (attribute, _), (_, transient, gone) in zip(requests, results):
+            if gone.any():
+                raise HwmonLookupError(
+                    f"{self.path}/{attribute}: no such device ({cause})"
                 )
-        if convertible:
-            latches = [
-                self.latch_index(times) for _, _, times in convertible
-            ]
-            unique, inverse = np.unique(
-                np.concatenate(latches), return_inverse=True
-            )
-            reading = self._convert_latches(unique)
-            cursor = 0
-            for (position, attribute, times), request_latches in zip(
-                convertible, latches
-            ):
-                span = inverse[cursor:cursor + request_latches.size]
-                cursor += request_latches.size
-                request_reading = Ina226Reading(
-                    shunt_register=reading.shunt_register[span],
-                    bus_register=reading.bus_register[span],
-                    current_register=reading.current_register[span],
-                    power_register=reading.power_register[span],
-                    current_amps=reading.current_amps[span],
-                    bus_volts=reading.bus_volts[span],
-                    power_watts=reading.power_watts[span],
+            if transient.any():
+                raise HwmonTransientError(
+                    f"{self.path}/{attribute}: resource temporarily "
+                    f"unavailable (EAGAIN)"
                 )
-                results[position] = self._attribute_values(
-                    attribute, request_reading
-                )
-        return results
+        return [values for values, _, _ in results]
 
     def read(self, attribute: str, time: float = 0.0) -> str:
         """Read one attribute file, returning its string contents."""

@@ -23,7 +23,6 @@ is also the fastest an unprivileged attacker can see fresh data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -55,10 +54,6 @@ CONVERSION_TIMES = (
 
 #: Valid averaging counts (datasheet table 7-3).
 AVERAGING_COUNTS = (1, 4, 16, 64, 128, 256, 512, 1024)
-
-
-def _nearest_allowed(value: float, allowed: Tuple[float, ...]) -> float:
-    return min(allowed, key=lambda option: abs(option - value))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@
 An unprivileged attacker interacts with the SoC *only* through
 :attr:`Soc.hwmon` (or the higher-level :class:`repro.core.sampler`
 machinery): that is the entire attack surface AmpereBleed needs.
+
+The SoC's three reads share one gate and one export step: each
+channel's quantity is validated and its poll times pass the hardening
+policy's access check and rate limit, and the values it serves pass
+the policy's dither/quantization.  :meth:`Soc.sample` is
+:meth:`Soc.sample_many` of one channel; :meth:`Soc.sample_faulted` is
+its fault-annotated, never-raising counterpart.
 """
 
 from __future__ import annotations
@@ -224,6 +231,28 @@ class Soc:
 
     # -------------------------------------------------------- sampling
 
+    def _gate(self, quantity: str, times, privileged: bool) -> np.ndarray:
+        """Validate a quantity and gate its polls through any hardening.
+
+        Returns the poll times the device serves (folded onto the
+        policy's rate-limited grid, if it has one).
+        """
+        require_one_of(quantity, QUANTITY_ATTRS, "quantity")
+        times = np.asarray(times, dtype=np.float64)
+        if self.hardening is not None:
+            self.hardening.check_access(privileged)
+            times = self.hardening.effective_times(times)
+        return times
+
+    def _export(
+        self, channel: Tuple[str, str], values: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """The values the hardening policy lets through for one channel."""
+        if self.hardening is None:
+            return values
+        domain, quantity = channel
+        return self.hardening.transform(values, times, f"{domain}-{quantity}")
+
     def sample(
         self,
         domain: str,
@@ -237,20 +266,10 @@ class Soc:
         ``"power"`` (uW) — exactly what a read of the corresponding
         sysfs file returns.  When a hardening policy is attached, it
         gates access by ``privileged`` and filters the exported values.
+        This is :meth:`sample_many` of one channel.
         """
-        require_one_of(quantity, QUANTITY_ATTRS, "quantity")
-        if self.hardening is not None:
-            self.hardening.check_access(privileged)
-            times = self.hardening.effective_times(
-                np.asarray(times, dtype=np.float64)
-            )
-        device = self.device(domain)
-        values = device.read_series(QUANTITY_ATTRS[quantity], times)
-        if self.hardening is not None:
-            values = self.hardening.transform(
-                values, times, f"{domain}-{quantity}"
-            )
-        return values
+        channel = (domain, quantity)
+        return self.sample_many([channel], times, privileged)[channel]
 
     def sample_faulted(
         self,
@@ -266,20 +285,11 @@ class Soc:
         HwmonDevice.read_series_faulted` with any hardening policy
         applied to the values, never raising for scheduled faults.
         """
-        require_one_of(quantity, QUANTITY_ATTRS, "quantity")
-        times = np.asarray(times, dtype=np.float64)
-        if self.hardening is not None:
-            self.hardening.check_access(privileged)
-            times = self.hardening.effective_times(times)
-        device = self.device(domain)
-        values, transient, gone = device.read_series_faulted(
+        times = self._gate(quantity, times, privileged)
+        values, transient, gone = self.device(domain).read_series_faulted(
             QUANTITY_ATTRS[quantity], times
         )
-        if self.hardening is not None:
-            values = self.hardening.transform(
-                values, times, f"{domain}-{quantity}"
-            )
-        return values, transient, gone
+        return self._export((domain, quantity), values, times), transient, gone
 
     def sample_many(
         self,
@@ -296,58 +306,34 @@ class Soc:
         that share a physical sensor — e.g. the FPGA rail's current,
         voltage and power — are served from a single conversion pass
         over the union of their latch windows, so one victim run's rail
-        activity is evaluated once rather than per channel.  Values are
-        bit-identical to calling :meth:`sample` per channel.
+        activity is evaluated once rather than per channel.  A failed
+        poll raises as the naive loop's first failing read would.
         """
         channels = [tuple(channel) for channel in channels]
-        if not channels:
-            return {}
         if len(set(channels)) != len(channels):
             raise ValueError("duplicate channels in sample_many")
-
-        per_channel_times: Dict[Tuple[str, str], np.ndarray] = {}
-        for channel in channels:
-            domain, quantity = channel
-            require_one_of(quantity, QUANTITY_ATTRS, "quantity")
-            if isinstance(times, dict):
-                try:
-                    channel_times = times[channel]
-                except KeyError:
-                    raise KeyError(
-                        f"no poll times for channel {channel!r}"
-                    ) from None
-            else:
-                channel_times = times
-            channel_times = np.asarray(channel_times, dtype=np.float64)
-            if self.hardening is not None:
-                self.hardening.check_access(privileged)
-                channel_times = self.hardening.effective_times(channel_times)
-            per_channel_times[channel] = channel_times
-
+        polls = {
+            channel: self._gate(
+                channel[1],
+                times[channel] if isinstance(times, dict) else times,
+                privileged,
+            )
+            for channel in channels
+        }
         # Group channels by physical device; one batched read each.
-        by_device: Dict[str, List[Tuple[str, str]]] = {}
+        by_device: Dict[HwmonDevice, List[Tuple[str, str]]] = {}
         for channel in channels:
-            designator = SENSITIVE_SENSOR_MAP.get(channel[0], channel[0])
-            by_device.setdefault(designator, []).append(channel)
-
+            by_device.setdefault(self.device(channel[0]), []).append(channel)
         values: Dict[Tuple[str, str], np.ndarray] = {}
-        for designator, device_channels in by_device.items():
-            device = self.device(device_channels[0][0])
+        for device, device_channels in by_device.items():
             requests = [
-                (QUANTITY_ATTRS[quantity], per_channel_times[(domain, quantity)])
+                (QUANTITY_ATTRS[quantity], polls[(domain, quantity)])
                 for domain, quantity in device_channels
             ]
             series = device.read_series_batch(requests)
             for channel, channel_values in zip(device_channels, series):
-                values[channel] = channel_values
-
-        if self.hardening is not None:
-            for channel in channels:
-                domain, quantity = channel
-                values[channel] = self.hardening.transform(
-                    values[channel],
-                    per_channel_times[channel],
-                    f"{domain}-{quantity}",
+                values[channel] = self._export(
+                    channel, channel_values, polls[channel]
                 )
         return values
 

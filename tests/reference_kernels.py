@@ -20,10 +20,15 @@ replaced implementations live on here, verbatim:
   kernels (one ``np.errstate`` and three ``splitmix64`` calls per
   uniform row) that the fused ``repro.utils.hashrand.hashed_normals``
   replaced.
+* :func:`legacy_read_series_faulted` — the one-request hwmon read
+  (its own latch ``np.unique``, a 7-field conversion gather, then the
+  attribute and the fault masks) that the batched read core replaced.
 
-Two consumers: ``tests/test_kernel_parity.py`` pins the new kernels
-against these on the checked-in fixtures and on randomized inputs, and
-``tests/test_hashrand.py`` pins the counter-hash kernels.
+Three consumers: ``tests/test_kernel_parity.py`` pins the new kernels
+against these on the checked-in fixtures and on randomized inputs,
+``tests/test_hashrand.py`` pins the counter-hash kernels, and
+``tests/test_parallel_determinism.py`` pins every hwmon/SoC/sampler
+read against the one-request read.
 The module lives under ``tests/`` because it is a parity oracle, not
 a fallback path; nothing in ``src/`` may import it.
 """
@@ -35,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.ml.tree import _resolve_max_features, gini_impurity
+from repro.sensors.ina226 import Ina226Reading
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_int_in_range
 
@@ -374,3 +380,54 @@ def legacy_hashed_normal(
     u2 = legacy_hashed_uniform(key, counter, stream=2 * stream + 1)
     u1 = np.maximum(u1, 2.0**-53)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def legacy_read_series_faulted(
+    device, attribute: str, times: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``(values, transient, gone)`` poll series, read on its own.
+
+    ``attribute`` must be a readable numeric sysfs attribute of
+    ``device`` (a :class:`repro.sensors.hwmon.HwmonDevice`).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if attribute == "update_interval":
+        values = np.full(
+            times.shape, round(device.update_period * 1e3), dtype=np.int64
+        )
+    else:
+        latches = device.latch_index(times)
+        unique, inverse = np.unique(latches, return_inverse=True)
+        converted = device._convert_latches(unique)
+        reading = Ina226Reading(
+            shunt_register=converted.shunt_register[inverse],
+            bus_register=converted.bus_register[inverse],
+            current_register=converted.current_register[inverse],
+            power_register=converted.power_register[inverse],
+            current_amps=converted.current_amps[inverse],
+            bus_volts=converted.bus_volts[inverse],
+            power_watts=converted.power_watts[inverse],
+        )
+        if attribute == "curr1_input":
+            values = np.rint(reading.current_amps * 1e3).astype(np.int64)
+        elif attribute == "in0_input":
+            shunt_volts = reading.shunt_register * 2.5e-6
+            values = np.rint(shunt_volts * 1e3).astype(np.int64)
+        elif attribute == "in1_input":
+            values = np.rint(reading.bus_volts * 1e3).astype(np.int64)
+        else:
+            values = np.rint(reading.power_watts * 1e6).astype(np.int64)
+    failure = device._failure
+    if failure is not None and failure[0] == "unbind":
+        gone = times >= failure[1]
+    else:
+        gone = np.zeros(times.shape, dtype=bool)
+    if not device.faults_active:
+        return values, np.zeros(times.shape, dtype=bool), gone
+    plan = device.fault_plan
+    key = device._fault_key
+    gone = gone | plan.hotplug_mask(key, times)
+    transient = plan.transient_mask(key, times) & ~gone
+    torn = plan.torn_mask(key, times) & ~gone & ~transient
+    values = plan.torn_values(key, values, times, torn)
+    return values, transient, gone

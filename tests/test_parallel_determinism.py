@@ -15,16 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_kernels import legacy_read_series_faulted
 
+from repro.core.countermeasures import SensorHardening
 from repro.core.fingerprint import (
     TABLE3_CHANNELS,
     DnnFingerprinter,
     FingerprintConfig,
 )
 from repro.core.sampler import HwmonSampler
+from repro.faults import FaultPlan
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.validation import cross_validate
-from repro.soc.soc import Soc
+from repro.sensors.hwmon import HwmonLookupError, HwmonTransientError
+from repro.soc.soc import QUANTITY_ATTRS, Soc
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -151,39 +155,210 @@ class TestCrossValidationDeterminism:
         assert outcome["parallel"] == [outcome["serial"]] * 3
 
 
+#: Fault plans and hardening policies every acquisition case runs under.
+_PLANS = (None, FaultPlan.at_rate(0.2, seed=3))
+_HARDENINGS = (
+    None,
+    SensorHardening(noise_sigma=4.0, min_interval=0.01, seed=5),
+)
+_CONFIGS = [(plan, hardening) for plan in _PLANS for hardening in _HARDENINGS]
+
+
+def _soc(seed, plan, hardening):
+    soc = Soc("ZCU102", seed=seed, hardening=hardening)
+    soc.arm_faults(plan)
+    return soc
+
+
+def _expected_error(device, attribute, transient, gone):
+    """What a raising read does with one request's oracle masks."""
+    if gone.any():
+        cause = (
+            "sensor hotplug window" if device.faults_active
+            else "driver unbound"
+        )
+        return HwmonLookupError(
+            f"{device.path}/{attribute}: no such device ({cause})"
+        )
+    if transient.any():
+        return HwmonTransientError(
+            f"{device.path}/{attribute}: resource temporarily "
+            f"unavailable (EAGAIN)"
+        )
+    return None
+
+
+def _oracle_channel(soc, channel, times):
+    """``(values, transient, gone, error)`` of one channel via the oracle."""
+    domain, quantity = channel
+    device = soc.device(domain)
+    attribute = QUANTITY_ATTRS[quantity]
+    times = np.asarray(times, dtype=np.float64)
+    if soc.hardening is not None:
+        times = soc.hardening.effective_times(times)
+    values, transient, gone = legacy_read_series_faulted(
+        device, attribute, times
+    )
+    if soc.hardening is not None:
+        values = soc.hardening.transform(values, times, f"{domain}-{quantity}")
+    error = _expected_error(device, attribute, transient, gone)
+    return values, transient, gone, error
+
+
+def _assert_raises_like(expected, call):
+    with pytest.raises(type(expected)) as caught:
+        call()
+    assert type(caught.value) is type(expected)
+    assert str(caught.value) == str(expected)
+
+
+def _oracle_sample_many(soc, channels, times):
+    """Per-channel oracle values, or the first failure a batch raises.
+
+    Channels are read device by device, in order of each device's
+    first appearance, and a device's requests in channel order.
+    """
+    def times_for(channel):
+        return times[channel] if isinstance(times, dict) else times
+
+    expected = {
+        channel: _oracle_channel(soc, channel, times_for(channel))
+        for channel in channels
+    }
+    devices = []
+    for domain, _ in channels:
+        if soc.device(domain) not in devices:
+            devices.append(soc.device(domain))
+    for device in devices:
+        for channel in channels:
+            if soc.device(channel[0]) is device and expected[channel][3]:
+                return expected, expected[channel][3]
+    return expected, None
+
+
 class TestBatchedAcquisition:
-    def test_sample_many_matches_sample(self):
-        soc = Soc("ZCU102", seed=0)
+    """Every read path is pinned to the frozen one-request read."""
+
+    @pytest.mark.parametrize("plan", _PLANS, ids=["clean", "faulted"])
+    def test_read_series_faulted_matches_oracle(self, plan):
+        device = _soc(0, plan, None).device("fpga")
         times = np.linspace(1.0, 3.0, 57)
-        batched = soc.sample_many(TABLE3_CHANNELS, times)
-        for domain, quantity in TABLE3_CHANNELS:
-            solo = soc.sample(domain, quantity, times)
-            assert np.array_equal(batched[(domain, quantity)], solo)
+        for attribute in (
+            "curr1_input", "in0_input", "in1_input", "power1_input",
+            "update_interval",
+        ):
+            got = device.read_series_faulted(attribute, times)
+            want = legacy_read_series_faulted(device, attribute, times)
+            for got_part, want_part in zip(got, want):
+                assert np.array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("plan", _PLANS, ids=["clean", "faulted"])
+    def test_read_series_batch_mixed_matches_per_request(self, plan):
+        device = _soc(0, plan, None).device("fpga")
+        requests = [
+            ("curr1_input", np.linspace(1.0, 3.0, 57)),
+            ("update_interval", np.linspace(0.5, 1.0, 5)),
+            ("in1_input", np.linspace(1.2, 2.5, 31)),
+            ("power1_input", np.linspace(2.0, 4.0, 44)),
+        ]
+        first_error = None
+        for attribute, times in requests:
+            values, transient, gone = legacy_read_series_faulted(
+                device, attribute, times
+            )
+            error = _expected_error(device, attribute, transient, gone)
+            if error is not None:
+                _assert_raises_like(
+                    error, lambda: device.read_series(attribute, times)
+                )
+                first_error = first_error or error
+            else:
+                assert np.array_equal(
+                    device.read_series(attribute, times), values
+                )
+        if first_error is not None:
+            _assert_raises_like(
+                first_error, lambda: device.read_series_batch(requests)
+            )
+            return
+        batched = device.read_series_batch(requests)
+        for (attribute, times), values in zip(requests, batched):
+            want = legacy_read_series_faulted(device, attribute, times)[0]
+            assert np.array_equal(values, want)
+
+    def test_sample_many_matches_sample(self):
+        times = np.linspace(1.0, 3.0, 57)
+        for plan, hardening in _CONFIGS:
+            soc = _soc(0, plan, hardening)
+            self._check_soc_reads(soc, TABLE3_CHANNELS, times)
 
     def test_sample_many_per_channel_times(self):
-        soc = Soc("ZCU102", seed=1)
         times = {
             channel: np.linspace(0.5 + 0.01 * i, 2.0, 40 + i)
             for i, channel in enumerate(TABLE3_CHANNELS)
         }
-        batched = soc.sample_many(TABLE3_CHANNELS, times)
-        for channel in TABLE3_CHANNELS:
-            solo = soc.sample(channel[0], channel[1], times[channel])
-            assert np.array_equal(batched[channel], solo)
+        for plan, hardening in _CONFIGS:
+            soc = _soc(1, plan, hardening)
+            self._check_soc_reads(soc, TABLE3_CHANNELS, times)
+
+    @staticmethod
+    def _check_soc_reads(soc, channels, times):
+        expected, batch_error = _oracle_sample_many(soc, channels, times)
+        for channel in channels:
+            channel_times = (
+                times[channel] if isinstance(times, dict) else times
+            )
+            values, transient, gone, error = expected[channel]
+            faulted = soc.sample_faulted(*channel, channel_times)
+            assert np.array_equal(faulted[0], values)
+            assert np.array_equal(faulted[1], transient)
+            assert np.array_equal(faulted[2], gone)
+            if error is not None:
+                _assert_raises_like(
+                    error, lambda: soc.sample(*channel, channel_times)
+                )
+            else:
+                assert np.array_equal(
+                    soc.sample(*channel, channel_times), values
+                )
+        if batch_error is not None:
+            _assert_raises_like(
+                batch_error, lambda: soc.sample_many(channels, times)
+            )
+            return
+        batched = soc.sample_many(channels, times)
+        for channel in channels:
+            assert np.array_equal(batched[channel], expected[channel][0])
 
     def test_collect_many_matches_collect(self):
-        sampler = HwmonSampler(Soc("ZCU102", seed=2), seed=2)
-        batched = sampler.collect_many(
+        for plan, hardening in _CONFIGS:
+            self._check_collects(plan, hardening)
+
+    @staticmethod
+    def _check_collects(plan, hardening):
+        def sampler():
+            return HwmonSampler(_soc(2, plan, hardening), seed=2)
+
+        batched = sampler().collect_many(
             TABLE3_CHANNELS, start=1.5, duration=1.0, label="victim"
         )
         for domain, quantity in TABLE3_CHANNELS:
-            solo = sampler.collect(
+            solo = sampler().collect(
                 domain, quantity, start=1.5, duration=1.0, label="victim"
             )
             trace = batched[(domain, quantity)]
             assert np.array_equal(trace.times, solo.times)
             assert np.array_equal(trace.values, solo.values)
+            assert trace.quality == solo.quality
             assert trace.label == "victim"
+            if plan is None:
+                assert trace.quality is None
+                want = _oracle_channel(
+                    sampler().soc, (domain, quantity), trace.times
+                )[0]
+                assert np.array_equal(trace.values, want)
+            else:
+                assert trace.quality is not None
 
     def test_sample_many_rejects_duplicates(self):
         soc = Soc("ZCU102", seed=0)

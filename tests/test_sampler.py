@@ -86,8 +86,8 @@ class TestCollect:
         hz = sampler.default_poll_hz("fpga")
         assert hz == pytest.approx(1 / 0.0352, rel=0.01)
 
-    def test_collect_concurrent(self, sampler):
-        traces = sampler.collect_concurrent(
+    def test_collect_many_channels(self, sampler):
+        traces = sampler.collect_many(
             [("fpga", "current"), ("ddr", "current"), ("fpga", "voltage")],
             start=1.0,
             duration=1.0,
@@ -100,9 +100,9 @@ class TestCollect:
             assert trace.label == "run"
             assert trace.times[0] >= 0.99
 
-    def test_collect_concurrent_empty_rejected(self, sampler):
+    def test_collect_many_empty_rejected(self, sampler):
         with pytest.raises(ValueError, match="at least one channel"):
-            sampler.collect_concurrent([], duration=1.0)
+            sampler.collect_many([], duration=1.0)
 
     def test_rejects_non_soc(self):
         with pytest.raises(TypeError):
