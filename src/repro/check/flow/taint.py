@@ -81,7 +81,9 @@ _SINK_SUFFIXES = (
     "repro.TraceSet",
     "repro.save_traceset",
     "TraceArchiveWriter.append",
-    "TraceArchiveWriter.append_many",
+    # Both write archive bytes that byte-identical resume depends on.
+    "TraceArchiveWriter.checkpoint",
+    "TraceArchiveWriter.update_meta",
 )
 
 #: Classifier sinks by bare attribute (``clf.fit(X, y)``).

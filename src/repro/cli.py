@@ -23,7 +23,7 @@ contracts every reported number depends on (see ``repro.check``).
 
 The ``record`` / ``analyze`` / ``replay`` trio is the paper's
 two-machine workflow: ``record`` runs only the acquisition plane and
-streams traces into a v2 archive, ``analyze`` runs the evaluation
+streams traces into a v3 archive, ``analyze`` runs the evaluation
 purely from the archive (no SoC construction), and ``replay`` re-feeds
 archived captures through the detector or covert demodulator.  With
 the same seed, ``record`` then ``analyze`` prints exactly the numbers
@@ -794,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = sub.add_parser(
         "record",
         help="acquisition plane only: stream an experiment's traces "
-             "into a v2 archive",
+             "into a v3 archive",
     )
     record.add_argument(
         "--experiment", choices=("fingerprint", "rsa", "covert"),

@@ -203,7 +203,7 @@ class AttackCampaign:
         chunk_duration: float = 1.0,
         resume: bool = False,
     ) -> Optional[Trace]:
-        """The full chain, checkpointed to a v2 trace archive.
+        """The full chain, checkpointed to a v3 trace archive.
 
         Each stage (recon, stakeout, every recorded attack chunk)
         lands in the archive manifest as it completes, so a campaign

@@ -7,20 +7,23 @@ machine.  Two formats are supported:
 * **v1** — one compressed ``.npz`` with a JSON header and every trace
   resident; written by :func:`save_traceset`, loaded bit-exactly by
   :func:`load_traceset`.  Kept for existing archives.
-* **v2** — a directory archive (:class:`TraceArchiveWriter` /
+* **v3** — a directory archive (:class:`TraceArchiveWriter` /
   :class:`TraceArchiveReader`): an append-only ``manifest.jsonl``
-  plus one small ``.npz`` per chunk, so a recording session can
-  stream to disk as it polls and an analysis process can replay
-  chunk-by-chunk without materializing the capture.  Long captures
-  may be split across parts (``trace_id`` + ``part``) and reassemble
-  bit-exactly on load.
+  plus append-only ``segment_NNNNNN.bin`` files, so a recording
+  session can stream to disk as it polls and an analysis process can
+  replay chunk-by-chunk without materializing the capture.  Long
+  captures may be split across parts (``trace_id`` + ``part``) and
+  reassemble bit-exactly on load.
 
-Chunks are written *uncompressed* (``np.savez``), which makes every
-array a contiguous byte range inside its ``.npz`` — so readers can
-memory-map chunk arrays straight off disk (``mmap=True`` on
-:class:`TraceArchiveReader` / :func:`read_chunk_entry`) instead of
-copying them through the zip layer.  Compressed chunks from older
-archives still load through the copying path transparently.
+A v3 chunk is its raw ``times`` (``<f8``) bytes followed by its raw
+``values`` bytes, appended to the current segment; its manifest entry
+names the segment (``file``) and records the byte ``offset``, the
+values ``dtype`` and a ``crc32`` of the chunk's bytes.  A segment rolls
+over before a chunk would push it past :data:`SEGMENT_BYTES` (a chunk
+larger than that gets a segment of its own), so the layout depends
+only on chunk sizes.  Copying reads check the checksum; with
+``mmap=True`` (:class:`TraceArchiveReader`) each segment is mapped
+once and chunks are read-only views into it.
 
 Readings are integers and timestamps float64; both formats round-trip
 bit-exactly.
@@ -28,29 +31,34 @@ bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
-import struct
+import os
 import zipfile
+import zlib
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib import format as npy_format
 
 from repro.core.traces import Trace, TraceQuality, TraceSet
 
 #: Latest archive format version.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: The ``.npz`` single-file format written by :func:`save_traceset`.
 V1_FORMAT_VERSION = 1
 
-#: Manifest file name inside a v2 archive directory.
+#: Manifest file name inside a v3 archive directory.
 MANIFEST_NAME = "manifest.jsonl"
 
-#: Archive kind tag in the v2 manifest header.
+#: Archive kind tag in the v3 manifest header.
 ARCHIVE_KIND = "amperebleed-trace-archive"
+
+#: A segment rolls over before a chunk would push it past this size.
+SEGMENT_BYTES = 1 << 20
+
+#: On-disk dtype of every chunk's timestamps.
+_TIMES_DTYPE = np.dtype("<f8")
 
 
 class ArchiveError(ValueError):
@@ -147,150 +155,97 @@ def _load_traceset_v1(path: Path) -> TraceSet:
     return traceset
 
 
-# --------------------------------------------------- v2 directory archive
+# --------------------------------------------------- v3 directory archive
 
 
-#: Byte layout of a zip local file header: the name/extra lengths that
-#: position a STORED member's payload sit at offsets 26 and 28.
-_ZIP_LOCAL_HEADER_SIZE = 30
-_ZIP_LOCAL_MAGIC = b"PK\x03\x04"
+def _segment_name(index: int) -> str:
+    return f"segment_{index:06d}.bin"
 
 
-class _MemberLayout(NamedTuple):
-    """Where one STORED ``.npz`` member's ``.npy`` payload sits."""
-
-    offset: int
-    shape: Tuple[int, ...]
-    dtype: np.dtype
-    order: str
+def _segment_index(name: str) -> int:
+    return int(name[len("segment_"):-len(".bin")])
 
 
-def npz_member_layout(
-    chunk_path: Path, names: Tuple[str, ...]
-) -> Optional[Dict[str, _MemberLayout]]:
-    """Locate uncompressed ``.npz`` members as mappable byte ranges.
-
-    A ``np.savez`` archive stores each array as a STORED (uncompressed)
-    zip member, so the ``.npy`` payload is one contiguous byte range of
-    the file: locate it through the member's local header and parse
-    the ``.npy`` header into its offset, shape, dtype and order —
-    enough to ``np.memmap`` the payload without touching the zip layer
-    again.
-
-    Returns ``None`` whenever zero-copy is impossible (compressed
-    members from older archives, unexpected ``.npy`` versions), letting
-    callers fall back to the regular :func:`np.load` path.  Corruption
-    raises the same exception types ``np.load`` would.
-    """
-    layout = {}
-    with open(chunk_path, "rb") as handle:
-        with zipfile.ZipFile(handle) as archive:
-            for name in names:
-                info = archive.getinfo(f"{name}.npy")
-                if info.compress_type != zipfile.ZIP_STORED:
-                    return None
-                # The central directory's name/extra lengths can differ
-                # from the local header's; the payload follows the
-                # *local* header, so read the lengths from there.
-                handle.seek(info.header_offset)
-                local = handle.read(_ZIP_LOCAL_HEADER_SIZE)
-                if (
-                    len(local) != _ZIP_LOCAL_HEADER_SIZE
-                    or local[:4] != _ZIP_LOCAL_MAGIC
-                ):
-                    raise zipfile.BadZipFile(
-                        f"bad local file header for {name}.npy"
-                    )
-                name_length, extra_length = struct.unpack(
-                    "<HH", local[26:30]
-                )
-                handle.seek(
-                    info.header_offset
-                    + _ZIP_LOCAL_HEADER_SIZE
-                    + name_length
-                    + extra_length
-                )
-                version = npy_format.read_magic(handle)
-                if version == (1, 0):
-                    shape, fortran, dtype = (
-                        npy_format.read_array_header_1_0(handle)
-                    )
-                elif version == (2, 0):
-                    shape, fortran, dtype = (
-                        npy_format.read_array_header_2_0(handle)
-                    )
-                else:
-                    return None
-                if dtype.hasobject:
-                    raise ValueError(
-                        f"object arrays in {chunk_path} cannot be mapped"
-                    )
-                layout[name] = _MemberLayout(
-                    handle.tell(), tuple(shape), dtype, "F" if fortran else "C"
-                )
-    return layout
+def _chunk_nbytes(entry: dict) -> int:
+    """Bytes one manifest entry's chunk occupies in its segment."""
+    itemsize = _TIMES_DTYPE.itemsize + np.dtype(entry["dtype"]).itemsize
+    return int(entry["n_samples"]) * itemsize
 
 
-def _mmap_npz_arrays(
-    chunk_path: Path, names: Tuple[str, ...]
-) -> Optional[Dict[str, np.ndarray]]:
-    """Read-only memory-mapped views of uncompressed ``.npz`` members.
-
-    Maps each member located by :func:`npz_member_layout` — no copy,
-    no decompression, pages fault in on first touch.
-    """
-    layout = npz_member_layout(chunk_path, names)
-    if layout is None:
-        return None
-    return {
-        name: np.memmap(
-            chunk_path,
-            dtype=member.dtype,
-            mode="r",
-            offset=member.offset,
-            shape=member.shape,
-            order=member.order,
+def _read_chunk_bytes(path: Path, entry: dict) -> np.ndarray:
+    """Copy one chunk's bytes out of its segment and verify ``crc32``."""
+    nbytes = _chunk_nbytes(entry)
+    raw = np.empty(nbytes, dtype=np.uint8)
+    try:
+        with open(path / entry["file"], "rb") as handle:
+            handle.seek(int(entry["offset"]))
+            got = handle.readinto(raw)
+    except FileNotFoundError:
+        raise ArchiveError(
+            f"truncated trace archive {path}: segment file "
+            f"{entry['file']} is missing"
+        ) from None
+    if got != nbytes:
+        raise ArchiveError(
+            f"truncated trace archive {path}: chunk {entry['chunk']} "
+            f"needs {nbytes} bytes at offset {entry['offset']} of "
+            f"{entry['file']}, found {got}"
         )
-        for name, member in layout.items()
-    }
+    if zlib.crc32(raw) != entry["crc32"]:
+        raise ArchiveError(
+            f"corrupted chunk {entry['chunk']} in {entry['file']} of "
+            f"{path}: crc32 mismatch"
+        )
+    return raw
 
 
-def read_chunk_entry(path: Path, entry: dict, mmap: bool = False) -> Trace:
+def _map_segment(path: Path, name: str) -> np.ndarray:
+    """Map one whole segment read-only."""
+    try:
+        return np.memmap(path / name, dtype=np.uint8, mode="r")
+    except FileNotFoundError:
+        raise ArchiveError(
+            f"truncated trace archive {path}: segment file {name} is "
+            f"missing"
+        ) from None
+    except ValueError:  # numpy refuses to map an empty file
+        raise ArchiveError(
+            f"truncated trace archive {path}: segment file {name} is empty"
+        ) from None
+
+
+def read_chunk_entry(
+    path: Path, entry: dict, maps: Optional[dict] = None
+) -> Trace:
     """Load one manifest chunk entry from an archive directory.
 
     Shared by :class:`TraceArchiveReader` and by resumed
     :class:`TraceArchiveWriter` sessions rebuilding their in-memory
-    datasets from already-persisted chunks.  ``mmap=True`` maps the
-    chunk's arrays off disk instead of copying them (falling back to a
-    copy for compressed chunks written by older archives).
+    datasets from already-persisted chunks.  By default the chunk is
+    copied and checked against its ``crc32``.  Passing a dict as
+    ``maps`` memory-maps instead: each segment is mapped once into
+    ``maps`` and the chunk's arrays are read-only views of it.
     """
-    chunk_path = Path(path) / entry["file"]
-    if not chunk_path.exists():
-        raise ArchiveError(
-            f"truncated trace archive {path}: chunk file "
-            f"{entry['file']} is missing"
-        )
-    try:
-        mapped = (
-            _mmap_npz_arrays(chunk_path, ("times", "values"))
-            if mmap
-            else None
-        )
-        if mapped is not None:
-            times = mapped["times"]
-            values = mapped["values"]
-        else:
-            with np.load(chunk_path, allow_pickle=False) as arrays:
-                times = arrays["times"]
-                values = arrays["values"]
-    except (zipfile.BadZipFile, OSError, ValueError, KeyError) as error:
-        raise ArchiveError(
-            f"corrupted chunk {entry['file']} in {path}: {error}"
-        ) from None
+    path = Path(path)
+    nbytes = _chunk_nbytes(entry)
+    if maps is None:
+        raw = _read_chunk_bytes(path, entry)
+    else:
+        name = entry["file"]
+        if name not in maps:
+            maps[name] = _map_segment(path, name)
+        offset = int(entry["offset"])
+        if maps[name].size < offset + nbytes:
+            raise ArchiveError(
+                f"truncated trace archive {path}: chunk {entry['chunk']} "
+                f"runs past the end of {name}"
+            )
+        raw = maps[name][offset:offset + nbytes]
+    split = int(entry["n_samples"]) * _TIMES_DTYPE.itemsize
     quality = entry.get("quality")
     return Trace(
-        times=times,
-        values=values,
+        times=raw[:split].view(_TIMES_DTYPE),
+        values=raw[split:].view(np.dtype(entry["dtype"])),
         domain=entry["domain"],
         quantity=entry["quantity"],
         label=entry.get("label"),
@@ -301,22 +256,25 @@ def read_chunk_entry(path: Path, entry: dict, mmap: bool = False) -> Trace:
 
 
 class TraceArchiveWriter:
-    """Append-mode writer for a v2 directory archive.
+    """Append-mode writer for a v3 directory archive.
 
-    Every :meth:`append` immediately writes one chunk ``.npz`` and one
-    manifest line, so a crash mid-capture loses at most the chunk in
-    flight; :meth:`close` seals the archive with a footer line that
-    readers use to detect truncation.
+    Every :meth:`append` immediately writes one chunk's bytes to the
+    current segment and then its manifest line, so a crash
+    mid-capture loses at most the chunk in flight; :meth:`close` seals
+    the archive with a footer line that readers use to detect
+    truncation.
 
     An interrupted recording leaves an unsealed manifest; reopening
     the same directory with ``resume=True`` recovers it — a corrupt
     trailing manifest line (a write torn mid-crash) is truncated away,
-    an unreadable trailing chunk file is dropped along with its entry,
-    and appending continues at the exact chunk index where the crash
-    hit.  Because recording is deterministic, a resumed session
-    rewrites the lost tail bit-identically.  :meth:`checkpoint` records
-    arbitrary JSON progress markers in the manifest that the resumed
-    session reads back via :attr:`checkpoint_state`.
+    a trailing chunk whose bytes are short or fail their ``crc32`` is
+    dropped along with its entry, the active segment is truncated to
+    the end of the last kept chunk, later segments are deleted, and
+    appending continues at the exact chunk index and byte offset where
+    the crash hit.  Because recording is deterministic, a resumed
+    session rewrites the lost tail bit-identically.  :meth:`checkpoint`
+    records arbitrary JSON progress markers in the manifest that the
+    resumed session reads back via :attr:`checkpoint_state`.
 
     Args:
         path: archive directory (created; must not already contain a
@@ -344,6 +302,9 @@ class TraceArchiveWriter:
         self._meta_updates: dict = {}
         self._n_chunks = 0
         self._closed = False
+        self._segment = None
+        self._segment_index = 0
+        self._segment_size = 0
         #: Chunk entries recovered from an interrupted manifest
         #: (empty for a fresh archive).
         self.entries: list = []
@@ -371,10 +332,11 @@ class TraceArchiveWriter:
         """Rebuild writer state from an interrupted manifest.
 
         Tolerates exactly the damage a killed recorder can cause — a
-        torn final manifest line or a chunk entry whose ``.npz`` never
-        became readable — by truncating the manifest back to the last
-        fully-persisted record.  Damage anywhere *earlier* is real
-        corruption and raises instead of being papered over.
+        torn final manifest line, or a final chunk whose bytes never
+        fully reached its segment — by truncating the manifest and the
+        segments back to the last fully-persisted record.  Damage
+        anywhere *earlier* is real corruption and raises instead of
+        being papered over.
         """
         lines = self._manifest_path.read_text(encoding="utf-8").split("\n")
         records = []
@@ -421,30 +383,19 @@ class TraceArchiveWriter:
         self.meta = dict(header_meta)
         body = records[1:]
         entries = [record for record in body if "checkpoint" not in record]
-        # Only the final chunk write can be torn (chunk .npz lands on
-        # disk before its manifest line); verify it and drop the entry
-        # — plus any checkpoint recorded after it — if unreadable.
+        # Only the final chunk write can be torn (its bytes land in the
+        # segment before its manifest line); verify it and drop the
+        # entry — plus any checkpoint recorded after it — if damaged.
         while entries:
-            last = entries[-1]
-            chunk_path = self.path / last["file"]
             try:
-                with np.load(chunk_path, allow_pickle=False) as arrays:
-                    arrays["times"], arrays["values"]
+                _read_chunk_bytes(self.path, entries[-1])
                 break
-            except (
-                zipfile.BadZipFile, OSError, ValueError, KeyError,
-            ):
-                cut = body.index(last)
-                body = body[:cut]
+            except ArchiveError:
+                body = body[:body.index(entries[-1])]
                 entries = entries[:-1]
         kept = [header] + body
         if torn_tail or len(kept) != len(records):
-            tmp_path = self._manifest_path.with_suffix(".jsonl.tmp")
-            tmp_path.write_text(
-                "".join(json.dumps(record) + "\n" for record in kept),
-                encoding="utf-8",
-            )
-            tmp_path.replace(self._manifest_path)
+            self._rewrite_manifest(kept)
         elif lines and lines[-1].strip():
             # Manifest survived intact but without a trailing newline;
             # make sure the next append starts on its own line.
@@ -456,6 +407,41 @@ class TraceArchiveWriter:
         self.entries = entries
         self.checkpoint_state = checkpoints[-1] if checkpoints else None
         self._n_chunks = len(entries)
+        self._cut_segments()
+
+    def _rewrite_manifest(self, records: list) -> None:
+        tmp_path = self._manifest_path.with_suffix(".jsonl.tmp")
+        tmp_path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records),
+            encoding="utf-8",
+        )
+        tmp_path.replace(self._manifest_path)
+
+    def _cut_segments(self) -> None:
+        """Cut the segments back to the end of the last kept entry.
+
+        The active segment is truncated there and every later segment
+        deleted, so re-recorded chunks land at the offsets an
+        uninterrupted session would have used.
+        """
+        self._close_segment()
+        if self.entries:
+            last = self.entries[-1]
+            self._segment_index = _segment_index(last["file"])
+            self._segment_size = int(last["offset"]) + _chunk_nbytes(last)
+        else:
+            self._segment_index = self._segment_size = 0
+        active = _segment_name(self._segment_index)
+        for segment in self.path.glob("segment_*.bin"):
+            if segment.name > active:
+                segment.unlink()
+        if (self.path / active).exists():
+            os.truncate(self.path / active, self._segment_size)
+
+    def _close_segment(self) -> None:
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None
 
     @property
     def n_chunks(self) -> int:
@@ -488,9 +474,9 @@ class TraceArchiveWriter:
         checkpoint *between* units call this right after resuming: any
         chunk persisted after the final checkpoint belongs to a
         half-finished unit and will be re-recorded (deterministically,
-        hence bit-identically) at the same chunk indices.  Returns the
-        number of entries dropped.  Without a checkpoint, every
-        recovered entry is dropped.
+        hence bit-identically) at the same chunk indices and segment
+        offsets.  Returns the number of entries dropped.  Without a
+        checkpoint, every recovered entry is dropped.
         """
         if self._closed:
             raise ArchiveError(f"archive {self.path} is already closed")
@@ -509,12 +495,7 @@ class TraceArchiveWriter:
         if not dropped:
             return 0
         self._manifest.close()
-        tmp_path = self._manifest_path.with_suffix(".jsonl.tmp")
-        tmp_path.write_text(
-            "".join(json.dumps(record) + "\n" for record in kept),
-            encoding="utf-8",
-        )
-        tmp_path.replace(self._manifest_path)
+        self._rewrite_manifest(kept)
         self._manifest = self._manifest_path.open("a", encoding="utf-8")
         self.entries = [
             record
@@ -522,6 +503,7 @@ class TraceArchiveWriter:
             if "checkpoint" not in record and not record.get("footer")
         ]
         self._n_chunks = len(self.entries)
+        self._cut_segments()
         return len(dropped)
 
     def append(
@@ -530,44 +512,57 @@ class TraceArchiveWriter:
         trace_id: Optional[str] = None,
         part: int = 0,
     ) -> str:
-        """Persist one trace chunk; returns the chunk file name.
+        """Persist one trace chunk; returns its segment file name.
 
         ``trace_id``/``part`` group the chunks of one long capture:
         chunks sharing a ``trace_id`` are concatenated in ``part``
         order at load time.  Left unset, each append is its own
         single-part trace.
 
-        Chunks are stored uncompressed so readers can memory-map the
-        arrays in place; ``np.savez`` is deterministic (fixed zip
-        timestamps, STORED members), so archive bytes stay a pure
-        function of the recording.  Each chunk is encoded in memory and
-        lands with one write: zipfile writes the same bytes to any
-        seekable stream, so the file equals ``np.savez(path, ...)``.
+        The chunk's raw ``times`` and ``values`` bytes are appended to
+        the current segment and flushed before the manifest line is
+        written.  Where segments roll depends only on chunk sizes, so
+        archive bytes stay a pure function of the recording.
         """
         if self._closed:
             raise ArchiveError(f"archive {self.path} is already closed")
         if not isinstance(trace, Trace):
             raise TypeError("only Trace objects can be appended")
+        times = np.ascontiguousarray(trace.times, dtype=_TIMES_DTYPE)
+        values = np.ascontiguousarray(trace.values)
+        if values.dtype.hasobject:
+            raise TypeError("trace values must be a numeric array")
+        nbytes = times.nbytes + values.nbytes
+        if self._segment_size and self._segment_size + nbytes > SEGMENT_BYTES:
+            self._close_segment()
+            self._segment_index += 1
+            self._segment_size = 0
+        file_name = _segment_name(self._segment_index)
+        if self._segment is None:
+            # A fresh segment starts empty; a resumed one was already
+            # cut back to the end of its last kept chunk.
+            mode = "ab" if self._segment_size else "wb"
+            self._segment = open(self.path / file_name, mode)
+        self._segment.write(times)
+        self._segment.write(values)
+        self._segment.flush()
         index = self._n_chunks
-        if trace_id is None:
-            trace_id = f"trace-{index:06d}"
-        file_name = f"chunk_{index:06d}.npz"
-        encoded = io.BytesIO()
-        np.savez(encoded, times=trace.times, values=trace.values)
-        (self.path / file_name).write_bytes(encoded.getbuffer())
         entry = {
             "chunk": index,
             "file": file_name,
-            "trace_id": trace_id,
+            "offset": self._segment_size,
+            "trace_id": f"trace-{index:06d}" if trace_id is None else trace_id,
             "part": int(part),
             "domain": trace.domain,
             "quantity": trace.quantity,
             "label": trace.label,
             "n_samples": trace.n_samples,
+            "dtype": values.dtype.str,
+            "crc32": zlib.crc32(values, zlib.crc32(times)),
         }
+        self._segment_size += nbytes
         # Quality metadata rides the manifest only when the resilient
-        # path produced some — fault-free archives stay byte-identical
-        # to ones written before quality existed.
+        # path produced some.
         if trace.quality is not None:
             entry["quality"] = trace.quality.to_dict()
         self._write_line(entry)
@@ -594,13 +589,13 @@ class TraceArchiveWriter:
         if self._meta_updates:
             footer["meta"] = self._meta_updates
         self._write_line(footer)
-        self._manifest.close()
-        self._closed = True
+        self.abort()
 
     def abort(self) -> None:
         """Stop writing without sealing — the archive stays resumable."""
         if self._closed:
             return
+        self._close_segment()
         self._manifest.close()
         self._closed = True
 
@@ -613,23 +608,21 @@ class TraceArchiveWriter:
         if exc_type is None:
             self.close()
         else:
-            self._manifest.close()
-            self._closed = True
+            self.abort()
 
 
 class TraceArchiveReader:
-    """Streaming reader for a v2 directory archive.
+    """Streaming reader for a v3 directory archive.
 
     Args:
         path: archive directory.
         allow_partial: accept an unsealed (footer-less) manifest —
             for tailing a capture still in progress.  Default strict:
             a missing footer raises :class:`ArchiveError`.
-        mmap: memory-map chunk arrays instead of copying them into
-            RAM — traces become read-only views whose pages fault in
-            on first touch, so replaying a large archive no longer
-            materializes it.  Compressed chunks from older archives
-            fall back to the copying path per chunk.
+        mmap: memory-map each segment once instead of copying chunks
+            into RAM — traces become read-only views whose pages fault
+            in on first touch, so replaying a large archive no longer
+            materializes it.  Mapped reads skip the ``crc32`` check.
     """
 
     def __init__(
@@ -639,6 +632,7 @@ class TraceArchiveReader:
         mmap: bool = False,
     ):
         self.mmap = bool(mmap)
+        self._maps: Optional[dict] = {} if self.mmap else None
         self.path = Path(path)
         manifest_path = self.path / MANIFEST_NAME
         if not manifest_path.exists():
@@ -700,31 +694,7 @@ class TraceArchiveReader:
         return len(self.entries)
 
     def _read_chunk(self, entry: dict) -> Trace:
-        return read_chunk_entry(self.path, entry, mmap=self.mmap)
-
-    def chunk_descriptors(
-        self, entry: dict
-    ) -> Optional[Dict[str, _MemberLayout]]:
-        """Header-only layout of one entry's times/values arrays.
-
-        Returns ``{"times": layout, "values": layout}`` for a STORED
-        chunk — offset, shape, dtype and order, read from the zip and
-        ``.npy`` headers without mapping any array data.  ``None`` when
-        the chunk cannot be mapped (compressed legacy chunks); callers
-        fall back to :func:`read_chunk_entry`.
-        """
-        chunk_path = self.path / entry["file"]
-        if not chunk_path.exists():
-            raise ArchiveError(
-                f"truncated trace archive {self.path}: chunk file "
-                f"{entry['file']} is missing"
-            )
-        try:
-            return npz_member_layout(chunk_path, ("times", "values"))
-        except (zipfile.BadZipFile, OSError, ValueError, KeyError) as error:
-            raise ArchiveError(
-                f"corrupted chunk {entry['file']} in {self.path}: {error}"
-            ) from None
+        return read_chunk_entry(self.path, entry, maps=self._maps)
 
     def iter_chunks(self) -> Iterator[Trace]:
         """Yield chunks in recorded order, one resident at a time.
@@ -788,7 +758,7 @@ class TraceArchiveReader:
 
 
 def is_archive_dir(path: Union[str, Path]) -> bool:
-    """Does ``path`` look like a v2 directory archive?"""
+    """Does ``path`` look like a v3 directory archive (has a manifest)?"""
     path = Path(path)
     return path.is_dir() and (path / MANIFEST_NAME).exists()
 
@@ -798,14 +768,14 @@ def open_archive(
     allow_partial: bool = False,
     mmap: bool = False,
 ) -> TraceArchiveReader:
-    """Open a v2 archive for streaming reads."""
+    """Open a v3 directory archive for streaming reads."""
     return TraceArchiveReader(path, allow_partial=allow_partial, mmap=mmap)
 
 
 def load_traceset(path: Union[str, Path]) -> TraceSet:
     """Read a trace set from either archive format.
 
-    v1 ``.npz`` files load bit-exactly as before; v2 directories are
+    v1 ``.npz`` files load bit-exactly as before; v3 directories are
     reassembled through :class:`TraceArchiveReader`.
     """
     path = Path(path)

@@ -157,22 +157,12 @@ class JobResult:
 def _archive_counts(out: Path) -> Tuple[int, int]:
     """(traces, samples) of an archive, without reading array data.
 
-    Chunk shapes come from :meth:`TraceArchiveReader.chunk_descriptors`
-    — the zip-member layout holds each array's shape, so counting a
-    sealed archive touches headers only.  Legacy compressed chunks
-    fall back to a full read.
+    Every v3 manifest entry records its chunk's ``n_samples``, so
+    counting a sealed archive reads the manifest only.
     """
-    reader = TraceArchiveReader(out, allow_partial=True, mmap=True)
-    trace_ids = set()
-    samples = 0
-    for entry in reader.entries:
-        trace_ids.add(entry["trace_id"])
-        layout = reader.chunk_descriptors(entry)
-        if layout is not None:
-            samples += int(layout["values"].shape[0])
-        else:  # pragma: no cover - legacy compressed chunk
-            samples += int(reader._read_chunk(entry).values.size)
-    return len(trace_ids), samples
+    entries = TraceArchiveReader(out, allow_partial=True).entries
+    trace_ids = {entry["trace_id"] for entry in entries}
+    return len(trace_ids), sum(int(entry["n_samples"]) for entry in entries)
 
 
 def _traceset_counts(datasets) -> Tuple[int, int]:

@@ -1,6 +1,6 @@
 """Quarantine for corrupt trace archives.
 
-A v2 archive whose manifest is damaged beyond a torn tail
+A v3 archive whose manifest is damaged beyond a torn tail
 (:class:`repro.core.io.ArchiveCorruptError`) used to abort whatever
 touched it — one flipped bit in one shard could kill a whole fleet
 campaign at resume.  Quarantine contains the blast radius instead:

@@ -1,6 +1,9 @@
-"""The v2 streaming archive, plus v1 compatibility and failure modes."""
+"""The v3 streaming archive, plus v1 compatibility and failure modes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from repro.core.io import (
     MANIFEST_NAME,
+    SEGMENT_BYTES,
     ArchiveError,
     TraceArchiveReader,
     TraceArchiveWriter,
@@ -19,6 +23,7 @@ from repro.core.io import (
 from repro.core.traces import Trace, TraceSet
 
 FIXTURE_V1 = Path(__file__).parent / "data" / "traceset_v1.npz"
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _make_trace(n=30, offset=0, domain="fpga", quantity="current",
@@ -140,17 +145,35 @@ class TestTruncationAndCorruption:
     def test_missing_chunk_file(self, tmp_path):
         with TraceArchiveWriter(tmp_path / "arch") as writer:
             writer.append(_make_trace())
-        (tmp_path / "arch" / "chunk_000000.npz").unlink()
-        reader = TraceArchiveReader(tmp_path / "arch")
-        with pytest.raises(ArchiveError, match="missing"):
-            reader.load_traceset()
+        (tmp_path / "arch" / "segment_000000.bin").unlink()
+        for mmap in (False, True):
+            reader = TraceArchiveReader(tmp_path / "arch", mmap=mmap)
+            with pytest.raises(ArchiveError, match="missing"):
+                reader.load_traceset()
 
     def test_corrupted_chunk_file(self, tmp_path):
         with TraceArchiveWriter(tmp_path / "arch") as writer:
             writer.append(_make_trace())
-        (tmp_path / "arch" / "chunk_000000.npz").write_bytes(b"garbage")
-        with pytest.raises(ArchiveError, match="corrupted chunk"):
-            TraceArchiveReader(tmp_path / "arch").load_traceset()
+            writer.append(_make_trace(offset=1))
+        segment = tmp_path / "arch" / "segment_000000.bin"
+        data = bytearray(segment.read_bytes())
+        data[-3] ^= 0x01  # one bit of the second chunk's last value
+        segment.write_bytes(bytes(data))
+        reader = TraceArchiveReader(tmp_path / "arch")
+        assert int(next(reader.iter_chunks()).values[0]) == 700
+        with pytest.raises(ArchiveError, match="corrupted chunk 1"):
+            reader.load_traceset()
+
+    def test_truncated_segment(self, tmp_path):
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            writer.append(_make_trace())
+        segment = tmp_path / "arch" / "segment_000000.bin"
+        for size in (len(segment.read_bytes()) - 1, 0):
+            os.truncate(segment, size)
+            for mmap in (False, True):
+                reader = TraceArchiveReader(tmp_path / "arch", mmap=mmap)
+                with pytest.raises(ArchiveError, match="truncated"):
+                    reader.load_traceset()
 
     def test_corrupted_manifest_line(self, tmp_path):
         with TraceArchiveWriter(tmp_path / "arch") as writer:
@@ -186,6 +209,160 @@ class TestTruncationAndCorruption:
         assert issubclass(ArchiveError, ValueError)
         with pytest.raises(ValueError):
             TraceArchiveReader(tmp_path / "nonexistent")
+
+
+def _samples(n_bytes):
+    """A chunk of exactly ``n_bytes`` (16 bytes a sample: f8 + i8)."""
+    assert n_bytes % 16 == 0
+    return _make_trace(n=n_bytes // 16)
+
+
+class TestSegments:
+    """Chunks append into segments that roll at ``SEGMENT_BYTES``."""
+
+    def _layout(self, path):
+        return [
+            (entry["file"], entry["offset"])
+            for entry in TraceArchiveReader(path).entries
+        ]
+
+    def test_segment_fills_to_exactly_one_mib(self, tmp_path):
+        assert SEGMENT_BYTES == 1 << 20
+        half = SEGMENT_BYTES // 2
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            writer.append(_samples(half))
+            writer.append(_samples(half))  # lands exactly on the bound
+            writer.append(_samples(16))  # one sample more rolls
+        assert self._layout(tmp_path / "arch") == [
+            ("segment_000000.bin", 0),
+            ("segment_000000.bin", half),
+            ("segment_000001.bin", 0),
+        ]
+        assert (
+            tmp_path / "arch" / "segment_000000.bin"
+        ).stat().st_size == SEGMENT_BYTES
+
+    def test_one_byte_past_the_bound_rolls(self, tmp_path):
+        half = SEGMENT_BYTES // 2
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            writer.append(_samples(half))
+            writer.append(_samples(half + 16))
+        assert self._layout(tmp_path / "arch") == [
+            ("segment_000000.bin", 0),
+            ("segment_000001.bin", 0),
+        ]
+
+    def test_chunk_larger_than_a_segment_gets_its_own(self, tmp_path):
+        big = SEGMENT_BYTES + 4096
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            writer.append(_samples(big))  # empty segment: no roll
+            writer.append(_samples(64))
+            writer.append(_samples(big))
+            writer.append(_samples(64))
+        assert self._layout(tmp_path / "arch") == [
+            ("segment_000000.bin", 0),
+            ("segment_000001.bin", 0),
+            ("segment_000002.bin", 0),
+            ("segment_000003.bin", 0),
+        ]
+        sizes = [
+            (tmp_path / "arch" / f"segment_00000{index}.bin").stat().st_size
+            for index in range(4)
+        ]
+        assert sizes == [big, 64, big, 64]
+        loaded = list(TraceArchiveReader(tmp_path / "arch").load_traceset())
+        assert [trace.values.nbytes * 2 for trace in loaded] == [
+            big, 64, big, 64
+        ]
+
+    def test_mmap_maps_each_segment_once_read_only(self, tmp_path):
+        half = SEGMENT_BYTES // 2
+        traces = [_samples(half), _samples(4096), _samples(half)]
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            for trace in traces:
+                writer.append(trace)
+        reader = TraceArchiveReader(tmp_path / "arch", mmap=True)
+        loaded = list(reader.load_traceset())
+
+        def mapping(array):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            return array.base
+
+        roots = [
+            mapping(array)
+            for trace in loaded
+            for array in (trace.times, trace.values)
+        ]
+        # Chunks 0 and 1 share segment 0; chunk 2 rolled to segment 1.
+        assert len({id(root) for root in roots}) == 2
+        assert roots[0] is roots[3]
+        assert roots[0] is not roots[4]
+        for original, trace in zip(traces, loaded):
+            assert not trace.values.flags.writeable
+            assert not trace.times.flags.writeable
+            with pytest.raises(ValueError):
+                trace.values[0] = -1
+            assert (trace.values == original.values).all()
+            assert (trace.times == original.times).all()
+
+    def test_copying_reads_are_writable(self, tmp_path):
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            writer.append(_make_trace())
+        trace = next(TraceArchiveReader(tmp_path / "arch").iter_chunks())
+        trace.values[0] = -1
+        assert trace.values.dtype == np.int64
+
+
+#: Writes, aborts, resumes and seals an archive across segment rolls,
+#: dropping every writer and reader before a full collection.
+_HANDLES_SCRIPT = """
+import gc, sys
+import numpy as np
+from repro.core.io import TraceArchiveReader, TraceArchiveWriter
+from repro.core.traces import Trace
+
+def chunk(n):
+    return Trace(times=np.arange(n) * 0.5, values=np.arange(n),
+                 domain="fpga", quantity="current")
+
+def session(out):
+    writer = TraceArchiveWriter(out)
+    writer.append(chunk(40000))
+    writer.checkpoint({"done": 1})
+    writer.append(chunk(40000))  # rolls to a second segment
+    writer.append(chunk(10))
+    writer.abort()
+    with TraceArchiveWriter(out, resume=True) as writer:
+        writer.drop_entries_after_checkpoint()
+        writer.append(chunk(70000))
+    for mmap in (False, True):
+        TraceArchiveReader(out, mmap=mmap).load_traceset()
+
+session(sys.argv[1])
+gc.collect()
+print("ok")
+"""
+
+
+class TestHandles:
+    def test_no_resource_warnings(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        run = subprocess.run(
+            [
+                sys.executable, "-W", "error::ResourceWarning",
+                "-c", _HANDLES_SCRIPT, str(tmp_path / "arch"),
+            ],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "ResourceWarning" not in run.stderr, run.stderr
+        assert run.stdout.strip() == "ok"
+        assert len(list((tmp_path / "arch").glob("segment_*.bin"))) == 2
 
 
 class TestV1Compatibility:

@@ -100,6 +100,35 @@ def test_flow004_flags_every_write_kind():
     ]
 
 
+def test_archive_writes_are_recording_sinks(tmp_path):
+    """Every archive-writing method is a sink, not only ``append``."""
+    bad = tmp_path / "archive_sinks.py"
+    bad.write_text(textwrap.dedent("""\
+        import random
+
+        from repro.core.io import TraceArchiveWriter
+
+
+        def record(path, trace):
+            writer = TraceArchiveWriter(path)
+            writer.append(trace, part=random.randrange(4))
+            writer.checkpoint({"nonce": random.random()})
+            writer.update_meta(nonce=random.random())
+            writer.close()
+        """))
+    result = run_check(
+        paths=[bad], rules=["FLOW002"], baseline="", root=tmp_path,
+    )
+    assert [
+        finding.message.split("recording sink ")[1].split(" ")[0]
+        for finding in result.findings
+    ] == [
+        "'repro.core.io.TraceArchiveWriter.append'",
+        "'repro.core.io.TraceArchiveWriter.checkpoint'",
+        "'repro.core.io.TraceArchiveWriter.update_meta'",
+    ]
+
+
 def test_flow_rules_honor_inline_suppression(tmp_path):
     source = (FLOW_FIXTURES / "flow002_bad.py").read_text()
     source = source.replace(

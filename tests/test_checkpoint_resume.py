@@ -2,8 +2,9 @@
 
 The contract: every recording loop (fingerprint dataset collection,
 the RSA sweep, the end-to-end campaign) checkpoints its progress into
-the v2 archive manifest, and a run killed at any point — torn manifest
-tail, orphaned chunk file, half-finished multi-chunk unit — resumes
+the v3 archive manifest, and a run killed at any point — torn manifest
+tail, torn or corrupted segment tail, half-finished multi-chunk unit,
+a crash across a segment roll — resumes
 from its last checkpoint and seals an archive *byte-identical* to an
 uninterrupted run's.  Corruption that cannot be safely rolled back
 (mid-manifest damage, a sealed archive) is refused with a clear
@@ -12,6 +13,7 @@ uninterrupted run's.  Corruption that cannot be safely rolled back
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,13 @@ import pytest
 
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.core.io import (
+    SEGMENT_BYTES,
     ArchiveError,
     TraceArchiveReader,
     TraceArchiveWriter,
 )
 from repro.core.rsa_attack import RsaHammingWeightAttack
+from repro.core.traces import Trace
 from repro.session import AttackSession
 
 pytestmark = pytest.mark.faults
@@ -268,20 +272,72 @@ class TestArchiveRecovery:
         writer.abort()
         assert manifest.read_text() == intact
 
+    def _last_chunk(self, out):
+        entry = TraceArchiveReader(out, allow_partial=True).entries[-1]
+        nbytes = entry["n_samples"] * 16  # <f8 times + <i8 values
+        return out / entry["file"], entry["offset"], nbytes
+
+    def _finish_sweep(self, out):
+        attack = RsaHammingWeightAttack(session=AttackSession.create(seed=5))
+        with TraceArchiveWriter(
+            out, meta={"experiment": "test"}, resume=True
+        ) as writer:
+            attack.collect_sweep(
+                weights=(4, 8, 12), n_samples=300, sink=writer, resume=True
+            )
+
+    def _sealed_sweep(self, out):
+        attack = RsaHammingWeightAttack(session=AttackSession.create(seed=5))
+        with TraceArchiveWriter(out, meta={"experiment": "test"}) as writer:
+            attack.collect_sweep(
+                weights=(4, 8, 12), n_samples=300, sink=writer
+            )
+        return tree_hash(out)
+
     def test_corrupt_trailing_chunk_is_dropped(self, tmp_path):
         out = self._partial_archive(tmp_path / "arch")
-        chunks = sorted(out.glob("chunk_*.npz"))
-        chunks[-1].write_bytes(b"not an npz at all")
+        segment, offset, nbytes = self._last_chunk(out)
+        data = bytearray(segment.read_bytes())
+        data[offset + nbytes - 1] ^= 0x40  # one bit of the last value
+        segment.write_bytes(bytes(data))
         writer = TraceArchiveWriter(
             out, meta={"experiment": "test"}, resume=True
         )
         try:
-            # The unreadable chunk's manifest entry is gone; recording
-            # will overwrite the file at the same index.
-            assert len(writer.entries) == len(chunks) - 1
-            assert writer.n_chunks == len(chunks) - 1
+            # The corrupted chunk's entry is gone, and the segment is
+            # cut back so recording rewrites it at the same offset.
+            assert len(writer.entries) == 1
+            assert writer.n_chunks == 1
+            assert writer.checkpoint_state["keys_done"] == 1
+            assert segment.stat().st_size == offset
         finally:
             writer.abort()
+        self._finish_sweep(out)
+        assert tree_hash(out) == self._sealed_sweep(tmp_path / "clean")
+
+    def test_torn_segment_tail_is_dropped(self, tmp_path):
+        out = self._partial_archive(tmp_path / "arch")
+        segment, offset, nbytes = self._last_chunk(out)
+        os.truncate(segment, offset + nbytes - 5)
+        writer = TraceArchiveWriter(
+            out, meta={"experiment": "test"}, resume=True
+        )
+        try:
+            assert writer.n_chunks == 1
+            assert segment.stat().st_size == offset
+        finally:
+            writer.abort()
+        self._finish_sweep(out)
+        assert tree_hash(out) == self._sealed_sweep(tmp_path / "clean")
+
+    def test_bytes_without_a_manifest_line_are_cut(self, tmp_path):
+        # A crash between the segment write and the manifest line.
+        out = self._partial_archive(tmp_path / "arch")
+        segment, offset, nbytes = self._last_chunk(out)
+        with open(segment, "ab") as handle:
+            handle.write(b"\x5a" * 1000)
+        self._finish_sweep(out)
+        assert tree_hash(out) == self._sealed_sweep(tmp_path / "clean")
 
     def test_mid_manifest_corruption_is_refused(self, tmp_path):
         out = self._partial_archive(tmp_path / "arch")
@@ -354,6 +410,110 @@ class TestArchiveRecovery:
         out = self._partial_archive(tmp_path / "arch")
         with pytest.raises(ArchiveError):
             TraceArchiveReader(out)
+
+
+#: Chunk sizes in samples (16 bytes each) chosen so that segments roll
+#: before chunks 2, 3, 4 and 5: chunks 0 and 1 share segment 0.
+_SIZES = [24000 + 5000 * index for index in range(6)]
+
+
+def _chunk(index):
+    n = _SIZES[index]
+    return Trace(
+        times=0.5 * index + np.arange(n) * 0.0352,
+        values=(np.arange(n, dtype=np.int64) * (index + 3)) % 997,
+        domain="fpga",
+        quantity="current",
+        label=f"chunk-{index}",
+    )
+
+
+def _record_chunks(writer, start=0):
+    for index in range(start, len(_SIZES)):
+        writer.append(_chunk(index))
+        writer.checkpoint({"done": index + 1})
+
+
+class TestSegmentResume:
+    """Resume across segment rolls lands re-recorded bytes in place."""
+
+    def _segments(self, out):
+        return sorted(path.name for path in out.glob("segment_*.bin"))
+
+    def test_chunk_sizes_roll_segments(self, tmp_path):
+        with TraceArchiveWriter(tmp_path / "arch") as writer:
+            _record_chunks(writer)
+        files = [
+            entry["file"]
+            for entry in TraceArchiveReader(tmp_path / "arch").entries
+        ]
+        assert files == [
+            "segment_000000.bin",
+            "segment_000000.bin",
+            "segment_000001.bin",
+            "segment_000002.bin",
+            "segment_000003.bin",
+            "segment_000004.bin",
+        ]
+        assert 16 * (_SIZES[0] + _SIZES[1]) <= SEGMENT_BYTES
+
+    @pytest.mark.parametrize("crash_at", [1, 2, 4])
+    def test_drop_after_checkpoint_resumes_byte_identical(
+        self, tmp_path, crash_at
+    ):
+        clean, broken = tmp_path / "clean", tmp_path / "broken"
+        with TraceArchiveWriter(clean, meta={"experiment": "test"}) as writer:
+            _record_chunks(writer)
+        # Chunk ``crash_at`` lands on disk, its checkpoint never does.
+        writer = TraceArchiveWriter(broken, meta={"experiment": "test"})
+        for index in range(crash_at + 1):
+            writer.append(_chunk(index))
+            if index < crash_at:
+                writer.checkpoint({"done": index + 1})
+        writer.abort()
+        with TraceArchiveWriter(
+            broken, meta={"experiment": "test"}, resume=True
+        ) as writer:
+            assert writer.drop_entries_after_checkpoint() == 1
+            _record_chunks(writer, start=writer.checkpoint_state["done"])
+        assert tree_hash(clean) == tree_hash(broken)
+
+    def test_drop_truncates_and_deletes_later_segments(self, tmp_path):
+        out = tmp_path / "arch"
+        writer = TraceArchiveWriter(out, meta={"experiment": "test"})
+        writer.append(_chunk(0))
+        writer.checkpoint({"done": 1})
+        for index in range(1, 4):  # never checkpointed
+            writer.append(_chunk(index))
+        writer.abort()
+        assert len(self._segments(out)) == 3
+        with TraceArchiveWriter(
+            out, meta={"experiment": "test"}, resume=True
+        ) as writer:
+            assert writer.drop_entries_after_checkpoint() == 3
+        assert self._segments(out) == ["segment_000000.bin"]
+        assert (out / "segment_000000.bin").stat().st_size == 16 * _SIZES[0]
+        entries = TraceArchiveReader(out).entries
+        assert [entry["chunk"] for entry in entries] == [0]
+
+    def test_torn_append_after_a_roll_resumes_byte_identical(self, tmp_path):
+        clean, broken = tmp_path / "clean", tmp_path / "broken"
+        with TraceArchiveWriter(clean, meta={"experiment": "test"}) as writer:
+            _record_chunks(writer)
+        writer = TraceArchiveWriter(broken, meta={"experiment": "test"})
+        for index in range(3):
+            writer.append(_chunk(index))
+            writer.checkpoint({"done": index + 1})
+        writer.abort()
+        # Chunk 3 rolled to a fresh segment and tore mid-write, before
+        # its manifest line.
+        (broken / "segment_000002.bin").write_bytes(b"torn")
+        with TraceArchiveWriter(
+            broken, meta={"experiment": "test"}, resume=True
+        ) as writer:
+            assert writer.n_chunks == 3
+            _record_chunks(writer, start=writer.checkpoint_state["done"])
+        assert tree_hash(clean) == tree_hash(broken)
 
 
 class TestFaultedArchiveRoundtrip:

@@ -437,20 +437,6 @@ class TestArchiveMmapParity:
         with pytest.raises((ValueError, RuntimeError)):
             trace.values[0] = -1
 
-    def test_compressed_legacy_chunks_fall_back(self, tmp_path):
-        """Old archives wrote compressed chunks; mmap must degrade."""
-        archive = tmp_path / "arch"
-        _write_archive(archive, n_traces=2)
-        for chunk in sorted(archive.glob("chunk_*.npz")):
-            with np.load(chunk, allow_pickle=False) as arrays:
-                loaded = {name: arrays[name] for name in arrays.files}
-            np.savez_compressed(chunk, **loaded)
-        plain = TraceArchiveReader(archive, mmap=False).load_traceset()
-        mapped = TraceArchiveReader(archive, mmap=True).load_traceset()
-        for old, new in zip(plain, mapped):
-            _assert_bitwise(old.times, new.times, "times")
-            _assert_bitwise(old.values, new.values, "values")
-
     def test_fixture_v1_loads_unchanged(self):
         """The single-file v1 format stays on the regular path."""
         traces = load_traceset(TRACESET_FIXTURE)

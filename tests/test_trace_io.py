@@ -1,11 +1,14 @@
 """Tests for trace persistence."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core.io import (
     FORMAT_VERSION,
     V1_FORMAT_VERSION,
+    TraceArchiveReader,
     TraceArchiveWriter,
     load_traceset,
     save_traceset,
@@ -65,8 +68,13 @@ class TestRoundTrip:
         np.testing.assert_array_equal(ya, yb)
 
 
+def _make_small():
+    return Trace(times=np.array([0.5, 0.6]), values=np.array([3, 4]),
+                 domain="fpga", quantity="current")
+
+
 class TestChunkBytes:
-    """Archive chunks are byte-equal to ``np.savez`` writing to a path.
+    """A chunk is its raw ``<f8`` times, then its raw values, in place.
 
     A :class:`Trace` needs at least one sample, so the one-sample chunk
     is the smallest a writer can be handed.
@@ -75,19 +83,26 @@ class TestChunkBytes:
     @pytest.mark.parametrize(
         "n_samples", [14, 1, 6000], ids=["poll", "smallest", "over-64k"]
     )
-    def test_chunk_equals_savez_file(self, tmp_path, n_samples):
+    def test_chunk_is_raw_times_then_values(self, tmp_path, n_samples):
         times = np.arange(n_samples) * 0.0352 + 1.5
         values = (np.arange(n_samples, dtype=np.int64) * 7919) % 4001 - 2000
         trace = Trace(times=times, values=values, domain="fpga",
                       quantity="current", label="resnet-50")
         with TraceArchiveWriter(tmp_path / "arch") as writer:
+            writer.append(_make_small())
             file_name = writer.append(trace)
-        reference = tmp_path / "reference.npz"
-        np.savez(reference, times=trace.times, values=trace.values)
+        entry = TraceArchiveReader(tmp_path / "arch").entries[1]
+        expected = (
+            times.astype("<f8").tobytes() + values.astype("<i8").tobytes()
+        )
         written = (tmp_path / "arch" / file_name).read_bytes()
-        assert written == reference.read_bytes()
+        assert entry["file"] == file_name
+        assert entry["offset"] == _make_small().times.nbytes * 2
+        assert entry["dtype"] == "<i8"
+        assert entry["crc32"] == zlib.crc32(expected)
+        assert written[entry["offset"]:] == expected
         if n_samples == 6000:
-            assert len(written) > 64 * 1024
+            assert len(expected) > 64 * 1024
 
 
 class TestErrors:
@@ -102,7 +117,7 @@ class TestErrors:
             load_traceset(path)
 
     def test_format_version_pinned(self):
-        # v1 single-file archives must stay loadable forever; v2 is the
-        # streaming directory format.
+        # v1 single-file archives must stay loadable forever; v3 is the
+        # streaming directory format (manifest plus segment files).
         assert V1_FORMAT_VERSION == 1
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
