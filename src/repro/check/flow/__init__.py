@@ -17,11 +17,10 @@ FLOW002     same sinks, OS/clock entropy (``os.urandom``, ``secrets``,
             stdlib ``random``, time-seeded generators)
 FLOW003     a helper's wall-clock return value (``time.time`` /
             ``monotonic`` / ``perf_counter``) must not flow into
-            simulated-time code outside ``repro/perf`` +
-            ``repro/resilience``
+            simulated-time code outside ``repro/perf``
 FLOW004     no unlocked write to module-level state in any function
             transitively reachable from a ``parallel_map`` /
-            ``WorkerPool.submit`` task callable, the task itself
+            ``pool.submit`` task callable, the task itself
             included
 FLOW005     no inconsistent lock-acquisition order anywhere in the
             program (ABBA deadlock shape), including orders completed

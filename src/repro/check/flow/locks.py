@@ -2,7 +2,7 @@
 
 FLOW004 — *unlocked shared write on a worker path*.  The set of
 functions transitively reachable from any task callable handed to
-``parallel_map`` / ``WorkerPool.submit`` / ``pool.map`` runs inside
+``parallel_map`` / ``pool.submit`` / ``pool.map`` runs inside
 forked workers.  A write to module-level state (a ``global`` assign, a
 ``STATE[key] = ...`` store, or a mutator call like ``CACHE.update``)
 on one of those paths is lost in the child — or races the parent when
@@ -17,9 +17,9 @@ in both orders anywhere in the program is the classic ABBA deadlock
 shape; both sites are reported.
 
 The pool internals (``repro/perf/``) are exempt from FLOW004: that
-layer *is* the supervised infrastructure (its globals are the pool
-registry protected by its own lifecycle) and its discipline is pinned
-by the chaos/resilience test suites instead.
+layer *is* the pool (its globals are the pool registry, guarded by
+its own lock) and its discipline is pinned by ``tests/test_pool.py``
+instead.
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ _MUTATOR_METHODS = {
 #: Submission entry points whose first argument is a task callable.
 _SUBMIT_ATTRS = {"submit", "map"}
 
-#: Classes/factories whose instances expose submit()/map() task entry
-#: points (bound-name resolution: ``pool = WorkerPool(4); pool.submit``).
-_POOL_FACTORIES = ("WorkerPool", "get_pool")
+#: Factories whose results expose submit()/map() task entry points
+#: (bound-name resolution: ``pool = get_pool(4); pool.submit``).
+_POOL_FACTORIES = ("get_pool",)
 
 
 def module_name_for(rel_path: str) -> str:
@@ -432,10 +432,7 @@ class _FunctionExtractor:
         is_submit = name.endswith("parallel_map") or (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in _SUBMIT_ATTRS
-            and any(
-                piece in name
-                for piece in ("WorkerPool", "get_pool", "pool")
-            )
+            and "pool" in name
         )
         if is_submit:
             fn = node.args[0] if node.args else None

@@ -15,11 +15,10 @@ Two taint lattices run over the call graph in one fixpoint:
 
 * **wallclock** — values returned by ``time.time``/``monotonic``/
   ``perf_counter`` (and datetime ``now``-style constructors).  A call
-  site *outside* the supervision layers (``repro/perf``,
-  ``repro/resilience``) whose resolved project callee returns a
-  wall-clock-tainted value is FLOW003: real time has leaked into
-  simulated-time computation through a helper, which the per-file
-  TIME001 rule cannot see.
+  site *outside* the timing layer (``repro/perf``) whose resolved
+  project callee returns a wall-clock-tainted value is FLOW003: real
+  time has leaked into simulated-time computation through a helper,
+  which the per-file TIME001 rule cannot see.
 
 The algorithm is summary-based: each function's return taint and
 self-attribute writes are evaluated from its local facts
@@ -89,8 +88,8 @@ _SINK_SUFFIXES = (
 #: Classifier sinks by bare attribute (``clf.fit(X, y)``).
 _SINK_ATTRS = {"fit", "partial_fit"}
 
-#: Modules whose wall-clock plumbing is the supervision layer's job.
-_WALLCLOCK_EXEMPT = ("repro/perf/", "repro/resilience/")
+#: Modules whose wall-clock plumbing is the timing layer's job.
+_WALLCLOCK_EXEMPT = ("repro/perf/",)
 
 Kinds = FrozenSet[str]
 _EMPTY: Kinds = frozenset()
@@ -336,9 +335,8 @@ class TaintAnalysis:
                                         f"which flows into simulated-"
                                         f"time code here; derive times "
                                         f"from the experiment clock "
-                                        f"(only repro/perf and "
-                                        f"repro/resilience may consume "
-                                        f"wall time)",
+                                        f"(only repro/perf may "
+                                        f"consume wall time)",
                                     )
                                 )
         return out

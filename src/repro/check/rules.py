@@ -42,19 +42,17 @@ API006      no bare ``multiprocessing.Pool`` / ``ProcessPoolExecutor``
             and crash recovery of the ``repro.perf`` pool; arrays
             travel to workers through ``parallel_map``
 API007      no untimed blocking ``Queue.get`` / ``Event.wait`` /
-            ``Process.join`` outside ``repro/perf`` +
-            ``repro/resilience`` — a dead peer strands the caller
-            forever; only the pool internals and the resilience layer
-            that reaps them may park without a deadline
+            ``Process.join`` outside ``repro/perf`` — a dead peer
+            strands the caller forever; only the pool layer may park
+            without a timeout
 PARSE000    unreadable/unparseable files are findings, not skips
 FLOW001     (whole-program) unseeded-generator taint must not reach
             Trace/archive/classifier sinks, even across modules
 FLOW002     (whole-program) OS/clock entropy taint, same sinks
 FLOW003     (whole-program) wall-clock values must not flow through
-            helpers into simulated-time code outside repro/perf +
-            repro/resilience
+            helpers into simulated-time code outside repro/perf
 FLOW004     (whole-program) no unlocked module-state writes on paths
-            reachable from parallel_map/WorkerPool task callables
+            reachable from parallel_map/pool task callables
 FLOW005     (whole-program) no inconsistent (ABBA) lock-acquisition
             ordering anywhere, including through calls
 ==========  ============================================================
@@ -344,8 +342,7 @@ _WALL_CLOCK_CALLS = {
     "datetime.date.today",
 }
 
-#: Modules whose whole job is wall-clock timing (StageTimer, pool
-#: deadlines).
+#: Modules whose whole job is wall-clock timing (StageTimer).
 _WALL_CLOCK_ALLOWED = ("repro/perf/",)
 
 
@@ -874,7 +871,7 @@ def check_api006(module: Module) -> List[Finding]:
     A bare ``multiprocessing.Pool`` or ``ProcessPoolExecutor`` loses
     the :func:`~repro.perf.parallel_map` contract (submission-order
     results, deterministic task→seed assignment, nested-worker serial
-    degradation, crash respawn).  A bare ``SharedMemory`` segment
+    degradation, rebuild after a worker death).  A bare ``SharedMemory`` segment
     needs unlink and resource-tracker bookkeeping in every process
     that touches it; arrays should instead travel to workers inside
     the task pickle, by passing them through ``parallel_map``.  Only
@@ -908,11 +905,11 @@ def check_api006(module: Module) -> List[Finding]:
 #: Blocking rendezvous methods whose no-timeout form can hang forever.
 _BLOCKING_METHODS = ("get", "wait", "join")
 
-#: The layers allowed to park without a deadline: the pool internals
-#: (repro/perf — whose collector is itself watched) and the resilience
-#: layer that reaps hung workers.  Everyone else must bound the wait so
-#: a dead peer surfaces as a timeout, not a hang.
-_BLOCKING_ALLOWED = ("repro/perf/", "repro/resilience/")
+#: The one layer allowed to park without a timeout: the pool, whose
+#: executor turns a dead worker into ``BrokenProcessPool``.  Everyone
+#: else must bound the wait so a dead peer surfaces as a timeout, not
+#: a hang.
+_BLOCKING_ALLOWED = ("repro/perf/",)
 
 
 def _keyword(node: ast.Call, name: str) -> Optional[ast.expr]:
@@ -925,10 +922,9 @@ def _keyword(node: ast.Call, name: str) -> Optional[ast.expr]:
 def check_api007(module: Module) -> List[Finding]:
     """Untimed blocking waits strand the caller when the peer dies.
 
-    The chaos harness's first invariant is *no hang*: every wait on
-    another process or thread must carry a deadline so a SIGKILLed
-    worker or dead collector turns into a timeout the caller can
-    handle.  A call is flagged when it blocks indefinitely:
+    Every wait on another process or thread must carry a timeout so
+    a SIGKILLed or wedged peer turns into an error the caller can
+    handle, not a hang.  A call is flagged when it blocks indefinitely:
     ``q.get()`` / ``q.get(True)`` / ``q.get(block=True)``,
     ``event.wait()``, ``proc.join()``, or any of them with an explicit
     ``timeout=None``.  Calls with a finite timeout — positional
@@ -983,8 +979,7 @@ def check_api007(module: Module) -> List[Finding]:
                     f".{attr}() blocks with no timeout; if the peer "
                     f"process/thread dies this caller hangs forever — "
                     f"pass a finite timeout and handle expiry (only "
-                    f"repro/perf and repro/resilience may park "
-                    f"indefinitely)",
+                    f"repro/perf may park indefinitely)",
                 )
             )
     return findings
@@ -1085,7 +1080,7 @@ RULES: Dict[str, Rule] = {
             "untimed-blocking-call",
             "blocking Queue.get/Event.wait/Process.join without a "
             "timeout hangs forever when the peer dies; bound every "
-            "wait outside repro/perf + repro/resilience",
+            "wait outside repro/perf",
             check_api007,
         ),
         # Whole-program rules: evaluated by repro.check.flow over the
@@ -1119,14 +1114,14 @@ RULES: Dict[str, Rule] = {
             "FLOW003",
             "wall-clock-taint-escape",
             "a helper's wall-clock return value flows into "
-            "simulated-time code outside repro/perf + "
-            "repro/resilience; the interprocedural TIME001",
+            "simulated-time code outside repro/perf; the "
+            "interprocedural TIME001",
             whole_program=True,
         ),
         Rule(
             "FLOW004",
             "unlocked-worker-path-write",
-            "a function reachable from a parallel_map/WorkerPool task "
+            "a function reachable from a parallel_map/pool task "
             "writes module-level state without a lock; the write is "
             "lost under fork",
             whole_program=True,

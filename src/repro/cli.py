@@ -124,7 +124,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(f"{report.traces} traces / {report.total_s:.2f} s = "
           f"{report.traces_per_sec:.1f} traces/s  "
           f"(p95 job latency {report.latency_percentile(95):.2f} s, "
-          f"{report.respawns} worker respawns)")
+          f"{report.respawns} pool rebuilds)")
     return 0 if report.ok else 1
 
 
@@ -678,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--retries", type=int, default=1,
-        help="job-level resume-and-retry attempts after an "
-             "unrecovered worker crash",
+        help="job-level resume-and-retry attempts after a worker "
+             "death broke the pool",
     )
     fleet.add_argument(
         "--no-pool", action="store_true",

@@ -73,7 +73,16 @@ class ChannelOutageError(RuntimeError):
         super().__init__(f"{domain}/{quantity}: {message}")
         self.domain = domain
         self.quantity = quantity
+        self.message = message
         self.retries = retries
+
+    def __reduce__(self):
+        # Rebuild from the fields, as StreamInterrupted does: ``args``
+        # holds only the formatted string, which ``__init__`` rejects.
+        return (
+            type(self),
+            (self.domain, self.quantity, self.message, self.retries),
+        )
 
 
 class ChannelDeadError(ChannelOutageError):

@@ -17,19 +17,19 @@ This package is that orchestrator, built on the PR 8 substrate:
   byte-identical to an uninterrupted run.
 * :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, one
   dispatch loop on the calling thread that keeps up to
-  ``max_concurrent`` recording sessions in flight on the persistent
-  :class:`repro.perf.pool.WorkerPool`; per-job wall-clock latency
-  lands in a :class:`~repro.perf.StageTimer` and worker death
-  surfaces as a bounded resume-and-retry, not a lost campaign.
+  ``max_concurrent`` recording sessions in flight on the shared
+  process pool of :func:`repro.perf.pool.get_pool`; per-job
+  wall-clock latency lands in a :class:`~repro.perf.StageTimer` and
+  a worker death surfaces as a bounded retry on a fresh pool that
+  resumes the partial archive, not a lost campaign.
 
 The ``fleet`` workload of ``bench/run.py`` measures the scheduler's
 throughput and latency; ``tests/test_fleet.py`` holds it to exact
 archive parity against the serial path.
 
-The failure-containment threading — per-board circuit breakers, job
-deadlines riding the pool's watchdog, and archive quarantine — comes
-from :mod:`repro.resilience`; every job ends in one of the scheduler's
-:data:`~repro.fleet.scheduler.TERMINAL_STATUSES`.
+The failure containment — per-board circuit breakers and archive
+quarantine — comes from :mod:`repro.resilience`; every job ends in
+one of the scheduler's :data:`~repro.fleet.scheduler.TERMINAL_STATUSES`.
 
 The ``repro fleet`` CLI command drives the scheduler from the command
 line; its ``--boards`` option restricts which catalog boards the fleet

@@ -4,7 +4,7 @@ A :class:`FleetJob` names everything needed to reproduce one recording
 campaign — the attack kind, the catalog board, the seed, the archive
 directory, and the experiment parameters — as a small frozen value
 that pickles in bytes, so the scheduler can ship it to a pool worker,
-lose that worker, and ship it again.
+lose that worker, and ship it again on a fresh pool.
 
 :func:`run_job` is deliberately **resume-first**: it always opens the
 job's archive through the PR 3 checkpoint/resume path, so the three
@@ -23,8 +23,7 @@ possible starting states need no coordination from the scheduler:
   aborting the campaign.
 
 :func:`build_fleet_jobs` builds the standard batch — every job kind on
-every selected board — that the ``repro fleet`` command and the chaos
-harness run.
+every selected board — that the ``repro fleet`` command runs.
 """
 
 from __future__ import annotations
@@ -69,14 +68,6 @@ class FleetJob:
         params: experiment parameters as sorted ``(key, value)`` pairs
             — tuple-of-tuples so the job stays hashable and cheap to
             pickle; :meth:`param_dict` restores the dict view.
-        timeout: wall-clock budget for one execution attempt, in
-            seconds; the scheduler propagates it into the worker
-            pool's deadline watchdog, which SIGKILLs and resubmits a
-            worker holding the job past it.  Distinct from any
-            simulated-time ``timeout`` *parameter* a kind may take
-            (the campaign's detection window lives in ``params``);
-            :meth:`make` spells it ``deadline`` for that reason.
-            ``None`` means no budget.
     """
 
     job_id: str
@@ -85,7 +76,6 @@ class FleetJob:
     seed: int
     out: str
     params: Tuple[Tuple[str, object], ...] = ()
-    timeout: Optional[float] = None
 
     @classmethod
     def make(
@@ -95,22 +85,13 @@ class FleetJob:
         seed: int,
         out,
         job_id: Optional[str] = None,
-        deadline: Optional[float] = None,
         **params,
     ) -> "FleetJob":
-        """Build a validated job (board resolved against the catalog).
-
-        ``deadline`` populates :attr:`timeout` (the wall-clock attempt
-        budget); the name differs so experiment parameters that happen
-        to be called ``timeout`` — the campaign's simulated detection
-        window — still flow into ``params`` untouched.
-        """
+        """Build a validated job (board resolved against the catalog)."""
         if kind not in JOB_KINDS:
             raise ValueError(
                 f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
             )
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be > 0 or None")
         spec = get_board(board)  # KeyError lists the catalog
         if job_id is None:
             job_id = f"{kind}/{spec.name}/{int(seed)}"
@@ -121,7 +102,6 @@ class FleetJob:
             seed=int(seed),
             out=str(out),
             params=tuple(sorted(params.items())),
-            timeout=deadline,
         )
 
     def param_dict(self) -> Dict[str, object]:
@@ -377,7 +357,6 @@ def build_fleet_jobs(
     kinds: Optional[Sequence[str]] = None,
     seed: int = 0,
     smoke: bool = False,
-    deadline: Optional[float] = None,
 ) -> List[FleetJob]:
     """The standard batch: every kind of campaign on every board.
 
@@ -386,8 +365,7 @@ def build_fleet_jobs(
     quick (an explicit ``boards`` list is never trimmed).  Each job's
     archive lands under ``root`` in a directory named after the job, so one
     batch built against two different roots yields the job pairs the
-    parity check compares.  ``deadline`` arms each job's wall-clock
-    attempt budget (the chaos harness uses it to bound hung workers).
+    parity check compares.
     """
     if boards is None:
         boards = [spec.name for spec in list_boards()]
@@ -406,7 +384,6 @@ def build_fleet_jobs(
                     board,
                     seed=seed,
                     out=root / f"{kind}-{board}-{int(seed)}",
-                    deadline=deadline,
                     **params,
                 )
             )

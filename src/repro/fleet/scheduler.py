@@ -4,28 +4,22 @@
 FleetJob`\\ s from one loop on the calling thread: it hands up to
 ``max_concurrent`` recording sessions to a
 :class:`~concurrent.futures.ThreadPoolExecutor` of that width, each
-executed by :func:`~repro.fleet.jobs.run_job` on the persistent
-:class:`~repro.perf.pool.WorkerPool` (or inline with
-``use_pool=False`` — the serial baseline the chaos harness and the
-tests compare against), and blocks until the next one completes.  Only
-the loop touches the job queue, the breakers and the tick clock, so
-none of them needs a lock.
+executed by :func:`~repro.fleet.jobs.run_job` on the shared process
+pool of :func:`~repro.perf.pool.get_pool` (or inline with
+``use_pool=False`` — the serial baseline the tests compare against),
+and blocks until the next one completes.  Only the loop touches the
+job queue, the breakers and the tick clock, so none of them needs a
+lock.
 
 Fault story, layered bottom-up so each layer only sees what the one
 below could not absorb:
 
-* a **worker death** is first absorbed by the pool itself, which
-  respawns the worker and resubmits the task (bounded by its
-  :class:`~repro.faults.RetryPolicy`); a worker merely *hung* —
-  SIGSTOPped, livelocked — is SIGKILLed by the pool's deadline
-  watchdog when the job carries a ``timeout`` budget, then handled
-  like any other death;
-* if the pool gives up (:class:`~repro.perf.pool.WorkerCrashError`,
-  including its deadline flavor :class:`~repro.perf.pool.
-  TaskDeadlineError`), the scheduler retries the *job* up to
-  ``retries`` times — and because jobs are resume-first, the retry
-  continues the partial archive from its last checkpoint and seals it
-  byte-identical to an uninterrupted run;
+* a **worker death** breaks the pool: every job in flight on it fails
+  with ``BrokenProcessPool``, the next :func:`~repro.perf.pool.
+  get_pool` forks a fresh pool, and the scheduler retries each such
+  job up to ``retries`` times — because jobs are resume-first, the
+  retry continues the partial archive from its last checkpoint and
+  seals it byte-identical to an uninterrupted run;
 * a **board** that keeps failing trips its per-board
   :class:`~repro.resilience.CircuitBreaker`: dispatches to it are
   requeued until the breaker half-opens and a probe succeeds, so one
@@ -54,22 +48,18 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fleet.jobs import FleetJob, JobResult, run_job
+from repro.perf import pool
 from repro.perf.config import available_cpus, resolve_workers
 from repro.perf.executor import _fork_context
-from repro.perf.pool import WorkerCrashError, get_pool
 from repro.perf.timer import StageTimer
-from repro.resilience.breaker import (
-    OPEN,
-    BreakerPolicy,
-    CircuitBreaker,
-    TransientJobError,
-)
+from repro.resilience.breaker import OPEN, BreakerPolicy, CircuitBreaker
 
 __all__ = [
     "STATUS_DONE",
@@ -105,9 +95,8 @@ class JobOutcome:
     Attributes:
         status: terminal state, one of :data:`TERMINAL_STATUSES`.
         attempt_errors: every error observed on the way to the
-            terminal state, in order — crash retries and transient
-            board outages included, so a ``failed`` outcome carries
-            its full attempt trace.
+            terminal state, in order — broken-pool retries included,
+            so a ``failed`` outcome carries its full attempt trace.
     """
 
     job: FleetJob
@@ -125,7 +114,11 @@ class JobOutcome:
 
 @dataclass(frozen=True)
 class FleetReport:
-    """Aggregated outcome of one fleet run."""
+    """Aggregated outcome of one fleet run.
+
+    ``respawns`` counts the pools rebuilt after a worker death broke
+    one during the run.
+    """
 
     outcomes: Tuple[JobOutcome, ...]
     total_s: float
@@ -173,7 +166,7 @@ class FleetReport:
         return float(np.percentile(np.asarray(latencies), q))
 
     def as_dict(self) -> Dict:
-        """The JSON shape each chaos-scenario report embeds."""
+        """The report as one JSON-ready dict."""
         return {
             "jobs": len(self.outcomes),
             "ok": self.ok,
@@ -222,30 +215,21 @@ class FleetScheduler:
         jobs: the batch; job ids and archive directories must be
             unique (two jobs writing one archive would corrupt it).
         max_concurrent: recording sessions in flight at once.
-        retries: job-level re-runs after the pool reports a worker
-            crash it could not absorb; each retry resumes the job's
-            partial archive.
-        use_pool: execute jobs on the shared :class:`WorkerPool`
-            (falls back to inline execution when ``fork`` is
-            unavailable); ``False`` runs every job inline — the
-            serial baseline.  A job's ``timeout`` deadline is only
-            enforceable on the pool path (inline execution cannot be
-            preempted).
+        retries: job-level re-runs after a worker death broke the
+            pool; each retry runs on a fresh pool and resumes the
+            job's partial archive.
+        use_pool: execute jobs on the shared process pool (falls back
+            to inline execution when ``fork`` is unavailable);
+            ``False`` runs every job inline — the serial baseline.
         workers: pool width (``None`` honors ``AMPEREBLEED_WORKERS``,
             defaulting to all CPUs).
         breaker_policy: per-board circuit-breaker parameters
             (``None`` = the :class:`BreakerPolicy` defaults).
         breaker_seed: seed for the breakers' deterministic cooldown
             jitter.
-        chaos: optional dispatch hook ``chaos(job)`` called before
-            each execution; raising :class:`TransientJobError` models
-            a board outage window (the dispatch is counted as a board
-            failure and the job requeued).  This is the chaos
-            harness's injection point — leave ``None`` in production.
 
-    A job may be requeued — refused by an open breaker, or hit by a
-    transient outage — ``max(32, 8 * len(jobs))`` times before it is
-    forced terminal.
+    A job an open breaker refuses may be requeued
+    ``max(32, 8 * len(jobs))`` times before it ends ``deferred``.
     """
 
     def __init__(
@@ -257,7 +241,6 @@ class FleetScheduler:
         workers: Optional[int] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         breaker_seed: int = 0,
-        chaos: Optional[Callable[[FleetJob], None]] = None,
     ):
         self.jobs = list(jobs)
         seen_ids = set()
@@ -280,7 +263,6 @@ class FleetScheduler:
         self.use_pool = bool(use_pool) and _fork_context() is not None
         self.workers = resolve_workers(workers, default=available_cpus())
         self.max_defers = max(32, 8 * len(self.jobs))
-        self._chaos = chaos
         policy = breaker_policy or BreakerPolicy()
         self._breakers: Dict[str, CircuitBreaker] = {
             board: CircuitBreaker(board, policy=policy, seed=breaker_seed)
@@ -305,11 +287,7 @@ class FleetScheduler:
     def _execute(self, job: FleetJob) -> JobResult:
         """Run one job, blocking — called from dispatch threads."""
         if self.use_pool:
-            return (
-                get_pool(self.workers)
-                .submit(run_job, job, deadline_s=job.timeout)
-                .result()
-            )
+            return pool.get_pool(self.workers).submit(run_job, job).result()
         return run_job(job)
 
     def _attempt(
@@ -329,10 +307,9 @@ class FleetScheduler:
                     result = self._execute(job)
                     error = None
                     break
-                except WorkerCrashError as crash:
-                    # The pool already resubmitted up to its retry
-                    # budget; one more job-level attempt resumes the
-                    # partial archive from its checkpoint.
+                except BrokenProcessPool as crash:
+                    # A worker died; the next attempt runs on a fresh
+                    # pool and resumes the partial archive.
                     error = f"{type(crash).__name__}: {crash}"
                     attempt_errors += (error,)
                 except Exception as exc:
@@ -391,33 +368,6 @@ class FleetScheduler:
                                 (index, job, defers + 1, attempt_errors)
                             )
                         continue
-                    if self._chaos is not None:
-                        try:
-                            self._chaos(job)
-                        except TransientJobError as outage:
-                            breaker.record_failure(self._next_tick())
-                            attempt_errors += (
-                                f"{type(outage).__name__}: {outage}",
-                            )
-                            if defers + 1 >= self.max_defers:
-                                outcomes[index] = JobOutcome(
-                                    job=job,
-                                    result=None,
-                                    error=(
-                                        f"transient failures exhausted "
-                                        f"{defers + 1} deferrals: "
-                                        f"{attempt_errors[-1]}"
-                                    ),
-                                    latency_s=0.0,
-                                    attempts=0,
-                                    status=STATUS_FAILED,
-                                    attempt_errors=attempt_errors,
-                                )
-                            else:
-                                queue.append(
-                                    (index, job, defers + 1, attempt_errors)
-                                )
-                            continue
                     future = threads.submit(self._attempt, job, attempt_errors)
                     inflight[future] = index
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
@@ -439,14 +389,9 @@ class FleetScheduler:
         completion order, so fleet reports are stable run to run.
         """
         timer = StageTimer()
-        respawns_before = 0
-        if self.use_pool:
-            respawns_before = get_pool(self.workers).respawns
+        rebuilds_before = pool.rebuilds()
         with timer.stage("fleet"):
             outcomes = self._dispatch()
-        respawns = 0
-        if self.use_pool:
-            respawns = get_pool(self.workers).respawns - respawns_before
         breaker_events = tuple(
             {"board": board, **transition.as_dict()}
             for board, breaker in sorted(self._breakers.items())
@@ -455,6 +400,6 @@ class FleetScheduler:
         return FleetReport(
             outcomes=tuple(outcomes),
             total_s=timer.elapsed("fleet"),
-            respawns=respawns,
+            respawns=pool.rebuilds() - rebuilds_before,
             breaker_events=breaker_events,
         )

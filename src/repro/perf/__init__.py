@@ -11,13 +11,13 @@ this package holds the shared machinery:
   fan-out helper over the persistent worker pool that degrades to a
   plain serial loop when one worker is requested (or when already
   inside a worker, so nested stages never oversubscribe);
-* :mod:`repro.perf.timer` — :class:`StageTimer`, a wall-clock stage
-  timer the fleet scheduler and the chaos harness report from;
-* :mod:`repro.perf.pool` — the persistent :class:`WorkerPool` behind
-  :func:`parallel_map`: long-lived fork workers with warm imports
-  that survive across calls, respawn on death, and keep the
-  deterministic task→seed assignment.  Task inputs, arrays included,
-  travel to workers in the task pickle.
+* :mod:`repro.perf.timer` — :class:`StageTimer`, the wall-clock stage
+  timer the fleet scheduler reports job latencies from;
+* :mod:`repro.perf.pool` — :func:`get_pool`, the shared fork
+  ``ProcessPoolExecutor`` behind :func:`parallel_map`: long-lived
+  workers with warm imports, reused across calls and rebuilt once
+  after a worker dies.  Task inputs, arrays included, travel to
+  workers in the task pickle.
 """
 
 from repro.perf.config import (
@@ -28,13 +28,8 @@ from repro.perf.config import (
     resolve_workers,
 )
 from repro.perf.executor import in_worker, parallel_map
+from repro.perf.pool import get_pool, shutdown_pool
 from repro.perf.timer import StageTimer
-from repro.perf.pool import (
-    WorkerCrashError,
-    WorkerPool,
-    get_pool,
-    shutdown_pool,
-)
 
 __all__ = [
     "FAULT_RATE_ENV",
@@ -45,8 +40,6 @@ __all__ = [
     "in_worker",
     "parallel_map",
     "StageTimer",
-    "WorkerCrashError",
-    "WorkerPool",
     "get_pool",
     "shutdown_pool",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic parallel fan-out over the persistent worker pool.
+"""Deterministic parallel fan-out over the shared process pool.
 
 :func:`parallel_map` is the single execution primitive every parallel
 stage uses.  Its contract:
@@ -19,9 +19,10 @@ stage uses.  Its contract:
 Tasks and results must be picklable; the task callable must be a
 module-level function (the usual :mod:`concurrent.futures` rules).
 
-Fan-out rides the persistent :class:`repro.perf.pool.WorkerPool` —
+Fan-out rides the shared pool of :func:`repro.perf.pool.get_pool` —
 workers forked once and reused across calls, so repeated small stages
-stop paying pool start-up.
+stop paying pool start-up.  A worker that dies breaks the pool: the
+call raises ``BrokenProcessPool`` and the next call forks a fresh one.
 """
 
 from __future__ import annotations
@@ -87,4 +88,4 @@ def parallel_map(
     from repro.perf.pool import get_pool
 
     workers = min(workers, len(items))
-    return get_pool(workers).map(fn, items, chunksize=chunksize)
+    return list(get_pool(workers).map(fn, items, chunksize=chunksize))

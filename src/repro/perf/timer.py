@@ -11,9 +11,8 @@ Usage::
 
 Re-entering a stage name accumulates into the same bucket, so a loop
 can be timed under one label.  The timer is deliberately wall-clock
-(``perf_counter``): the fleet scheduler's job latencies and the chaos
-harness's no-hang bound include process-pool overheads, which
-CPU-time counters would hide.
+(``perf_counter``): the fleet scheduler's job latencies include
+process-pool overheads, which CPU-time counters would hide.
 """
 
 from __future__ import annotations

@@ -44,27 +44,12 @@ __all__ = [
     "BreakerPolicy",
     "BreakerTransition",
     "CircuitBreaker",
-    "TransientJobError",
-    "BoardOutageError",
 ]
 
 #: Breaker states (strings so logs and reports read without a legend).
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class TransientJobError(RuntimeError):
-    """A job failure worth retrying: the board, not the job, is sick.
-
-    The fleet scheduler requeues a job whose dispatch raised this (or
-    a subclass) instead of recording a terminal failure — it is the
-    error type chaos injectors use to model outage windows.
-    """
-
-
-class BoardOutageError(TransientJobError):
-    """A board was unreachable for a dispatch (injected or real)."""
 
 
 @dataclass(frozen=True)
@@ -218,7 +203,7 @@ class CircuitBreaker:
         self._probes_inflight = 0
 
     def record_failure(self, now: float) -> None:
-        """A dispatch to this board failed (crash, outage, error)."""
+        """A dispatch to this board failed (crash or job error)."""
         if self._state == HALF_OPEN:
             self._trips += 1
             self._open_until = now + self._cooldown()

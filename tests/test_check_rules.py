@@ -120,6 +120,23 @@ def test_api004_exempts_only_repro_ml(package, flagged, tmp_path):
     assert bool(result.findings) == flagged
 
 
+@pytest.mark.parametrize("rule_id", ["API007", "FLOW003"])
+@pytest.mark.parametrize(
+    "package, flagged", [("repro/resilience", True), ("repro/perf", False)]
+)
+def test_untimed_waits_and_wall_time_exempt_only_repro_perf(
+    rule_id, package, flagged, tmp_path
+):
+    """Only the pool layer may park untimed or consume wall time."""
+    target = tmp_path / package / "supervise.py"
+    target.parent.mkdir(parents=True)
+    target.write_text((FIXTURES / _fixture_rel(rule_id, "bad")).read_text())
+    result = run_check(
+        paths=[target], rules=[rule_id], baseline="", root=tmp_path
+    )
+    assert bool(result.findings) == flagged
+
+
 # --------------------------------------------------------------- selection
 
 

@@ -1,9 +1,12 @@
 """Meta-tests: the shipped tree passes its own static checker.
 
-These run the real ``python -m repro check`` entry point (and the
-library API) against ``src/`` with the checked-in baseline, so any new
-contract violation fails CI here first.  Marked ``check`` so the gate
-can be run in isolation: ``pytest -m check``.
+One whole-tree pass of the library API over ``src/`` with the
+checked-in baseline is shared by every shipped-tree test: the text,
+JSON and SARIF reports and the exit codes come from the real ``repro
+check`` command run in process over that result.  The real ``python -m
+repro check`` entry point runs as a subprocess on single fixtures.
+Any new contract violation fails CI here first.  Marked ``check`` so
+the gate can be run in isolation: ``pytest -m check``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.check
 from repro.check import RULES, run_check
+from repro.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -36,25 +41,51 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_shipped_tree_is_clean_via_api():
-    result = run_check(root=REPO)
-    assert result.ok, "\n".join(f.format() for f in result.findings)
-    assert not result.stale_baseline, [
-        entry.fingerprint for entry in result.stale_baseline
+@pytest.fixture(scope="module")
+def tree_result():
+    """The one whole-tree checker pass every shipped-tree test reads."""
+    return run_check(root=REPO)
+
+
+@pytest.fixture
+def tree_cli(tree_result, monkeypatch, capsys):
+    """``repro check ARGS`` in process, over the shared whole-tree pass.
+
+    Returns ``(exit code, stdout)``.  The command must ask for the
+    whole tree with every rule and the default baseline.
+    """
+
+    def shared_pass(paths, rules, baseline, root, workers):
+        assert (paths, rules, baseline) == (None, None, None)
+        return tree_result
+
+    monkeypatch.setattr(repro.check, "run_check", shared_pass)
+
+    def run(*argv):
+        code = main(["check", *argv])
+        return code, capsys.readouterr().out
+
+    return run
+
+
+def test_shipped_tree_is_clean_via_api(tree_result):
+    assert tree_result.ok, "\n".join(f.format() for f in tree_result.findings)
+    assert not tree_result.stale_baseline, [
+        entry.fingerprint for entry in tree_result.stale_baseline
     ]
-    assert result.files_scanned > 50
+    assert tree_result.files_scanned > 50
 
 
-def test_shipped_tree_is_clean_via_cli():
-    proc = _run_cli("--fail-on-findings")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip().endswith("files")
+def test_shipped_tree_is_clean_via_cli(tree_cli):
+    code, out = tree_cli("--fail-on-findings")
+    assert code == 0, out
+    assert out.strip().endswith("files")
 
 
-def test_cli_json_report_on_shipped_tree():
-    proc = _run_cli("--format", "json")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    document = json.loads(proc.stdout)
+def test_cli_json_report_on_shipped_tree(tree_cli):
+    code, out = tree_cli("--format", "json")
+    assert code == 0, out
+    document = json.loads(out)
     assert document["ok"] is True
     assert document["summary"]["findings"] == 0
     assert document["summary"]["stale_baseline"] == 0
@@ -82,19 +113,22 @@ def test_cli_fails_on_every_bad_fixture(rule_id):
     assert rule_id in proc.stdout
 
 
-def test_shipped_tree_is_flow_clean():
-    """The whole-program rules alone pass on the shipped tree."""
-    result = run_check(
-        root=REPO,
-        rules=["FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005"],
-    )
-    assert result.ok, "\n".join(f.format() for f in result.findings)
+def test_shipped_tree_is_flow_clean(tree_result):
+    """The whole-program rules ran and found nothing on the tree."""
+    flow_rules = ["FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005"]
+    assert set(flow_rules) <= set(tree_result.rules_run)
+    flow_findings = [
+        finding
+        for finding in tree_result.findings
+        if finding.rule in flow_rules
+    ]
+    assert not flow_findings, "\n".join(f.format() for f in flow_findings)
 
 
-def test_cli_sarif_report_on_shipped_tree():
-    proc = _run_cli("--format", "sarif")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    document = json.loads(proc.stdout)
+def test_cli_sarif_report_on_shipped_tree(tree_cli):
+    code, out = tree_cli("--format", "sarif")
+    assert code == 0, out
+    document = json.loads(out)
     assert document["version"] == "2.1.0"
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-check"

@@ -14,6 +14,7 @@ uninterrupted run's.  Corruption that cannot be safely rolled back
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.core.io import (
+    MANIFEST_NAME,
     SEGMENT_BYTES,
     ArchiveError,
     TraceArchiveReader,
@@ -28,6 +30,13 @@ from repro.core.io import (
 )
 from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.core.traces import Trace
+from repro.fleet import (
+    STATUS_DONE,
+    STATUS_QUARANTINED,
+    FleetScheduler,
+    build_fleet_jobs,
+)
+from repro.resilience import list_quarantined
 from repro.session import AttackSession
 
 pytestmark = pytest.mark.faults
@@ -577,3 +586,34 @@ class TestFaultedArchiveRoundtrip:
             for line in (out / "manifest.jsonl").read_text().splitlines()
         ]
         assert any(manifest_kinds), "checkpoints must be in the manifest"
+
+
+class TestCorruptArchiveInFleet:
+    def test_garbled_manifest_is_quarantined_and_rerecorded(self, tmp_path):
+        # A garbled line mid-manifest is damage no torn tail explains:
+        # the fleet run must quarantine the archive, not abort, and
+        # re-record it byte-identical to a clean run.
+        clean = build_fleet_jobs(tmp_path / "clean", boards=["ZCU102"])
+        assert FleetScheduler(clean, use_pool=False).run().ok
+        jobs = build_fleet_jobs(tmp_path / "fleet", boards=["ZCU102"])
+        victim = next(job for job in jobs if job.kind == "rsa")
+        template = next(job for job in clean if job.kind == "rsa")
+        shutil.copytree(template.out, victim.out)
+        manifest = Path(victim.out) / MANIFEST_NAME
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines[1] = '{"chunk": garbled'
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        report = FleetScheduler(jobs, max_concurrent=2, use_pool=False).run()
+
+        assert [outcome.status for outcome in report.outcomes] == [
+            STATUS_QUARANTINED if job is victim else STATUS_DONE
+            for job in jobs
+        ]
+        quarantined = list_quarantined(Path(victim.out).parent)
+        assert len(quarantined) == 1
+        _, record = quarantined[0]
+        assert record.reason == "archive-corrupt"
+        assert record.job_id == victim.job_id
+        for clean_job, job in zip(clean, jobs):
+            assert tree_hash(clean_job.out) == tree_hash(job.out), job.job_id

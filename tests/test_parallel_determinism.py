@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference_kernels import legacy_read_series_faulted
+from test_checkpoint_resume import tree_hash
 
 from repro.core.countermeasures import SensorHardening
 from repro.core.fingerprint import (
@@ -25,8 +26,11 @@ from repro.core.fingerprint import (
 )
 from repro.core.sampler import HwmonSampler
 from repro.faults import FaultPlan
+from repro.fleet import FleetScheduler, build_fleet_jobs
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.validation import cross_validate
+from repro.perf.config import FAULT_RATE_ENV
+from repro.perf.pool import shutdown_pool
 from repro.sensors.hwmon import HwmonLookupError, HwmonTransientError
 from repro.soc.soc import QUANTITY_ATTRS, Soc
 
@@ -428,6 +432,33 @@ class TestPipelineDeterminism:
             assert np.array_equal(
                 fitted[channel].predict_proba(X), solo.predict_proba(X)
             )
+
+
+class TestFleetUnderFaults:
+    def test_fault_storm_fleet_seals_like_serial(self, tmp_path, monkeypatch):
+        # Sensor faults are part of the recording: a batch on the
+        # two-worker pool at a high fault rate must end every job as
+        # the serial run at the same rate does, with the same bytes on
+        # disk — a job the storm kills included.
+        def seal(root, **kwargs):
+            jobs = build_fleet_jobs(root, boards=["ZCU102"], seed=0)
+            report = FleetScheduler(jobs, max_concurrent=2, **kwargs).run()
+            return [
+                (outcome.status, outcome.error, tree_hash(outcome.job.out))
+                for outcome in report.outcomes
+            ]
+
+        clean = seal(tmp_path / "clean", use_pool=False)
+        monkeypatch.setenv(FAULT_RATE_ENV, "0.25")
+        shutdown_pool()  # the workers must fork with the faults armed
+        try:
+            serial = seal(tmp_path / "serial", use_pool=False)
+            pooled = seal(tmp_path / "pooled", use_pool=True, workers=2)
+        finally:
+            shutdown_pool()
+        assert pooled == serial
+        assert [status for status, _, _ in clean] == ["done"] * 3
+        assert all(a[2] != b[2] for a, b in zip(serial, clean))
 
 
 class TestWindowReservation:

@@ -1,26 +1,20 @@
-"""Resilience layer: deadlines, breakers, quarantine.
+"""Resilience layer: breakers, quarantine, terminal job statuses.
 
-The chaos contract (PR 9) in unit-sized pieces: a hung or SIGSTOPped
-worker is reaped within its task deadline and the task completes via
-resubmission; an untimed ``PoolFuture.result()`` can never be stranded
-by a dead collector; per-board circuit breakers walk the deterministic
-closed→open→half-open machine and surface their transition log in the
-fleet report; jobs queued behind a half-open probe wait for its
-verdict instead of polling the breaker; corrupt archives move to
-quarantine with a machine-readable reason instead of killing the
-campaign.
+Per-board circuit breakers walk the deterministic
+closed→open→half-open machine, driven by real job failures, and
+surface their transition log in the fleet report; jobs queued behind a
+half-open probe wait for its verdict instead of polling the breaker;
+corrupt archives move to quarantine with a machine-readable reason
+instead of killing the campaign.
 """
 
 import json
-import os
-import signal
-import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.io import MANIFEST_NAME
-from repro.faults.policy import RetryPolicy
 from repro.fleet import (
     STATUS_DEFERRED,
     STATUS_DONE,
@@ -29,18 +23,10 @@ from repro.fleet import (
     FleetScheduler,
     run_job,
 )
-from repro.perf.pool import (
-    PoolConfig,
-    TaskDeadlineError,
-    WorkerCrashError,
-    WorkerPool,
-    shutdown_pool,
-)
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    BoardOutageError,
     BreakerPolicy,
     CircuitBreaker,
     QuarantineRecord,
@@ -51,143 +37,6 @@ from repro.resilience import (
 SEED = 5
 
 RSA_PARAMS = dict(weights=(1, 16), quantity="current", n_samples=400)
-
-
-@pytest.fixture(autouse=True)
-def _reset_shared_pool():
-    yield
-    shutdown_pool()
-
-
-# ----------------------------------------------------------- task fns
-# Module-level on purpose: pool tasks are pickled by reference.
-
-
-def _square(x):
-    return x * x
-
-
-def _sleep_forever(_):
-    time.sleep(3600)
-
-
-def _stop_if_flag(flag):
-    if os.path.exists(flag):
-        os.unlink(flag)
-        os.kill(os.getpid(), signal.SIGSTOP)
-    return "survived"
-
-
-class _Unpicklable(RuntimeError):
-    """Round-trip bomb: pickles fine, explodes at load time."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a}/{b}")
-
-
-def _raise_unpicklable(_):
-    raise _Unpicklable("left", "right")
-
-
-# ---------------------------------------------------------- PoolConfig
-
-
-class TestPoolConfig:
-    def test_rejects_nonpositive_budgets(self):
-        with pytest.raises(ValueError, match="sweep_interval_s"):
-            PoolConfig(sweep_interval_s=0.0)
-        with pytest.raises(ValueError, match="reap_join_s"):
-            PoolConfig(reap_join_s=-1.0)
-        with pytest.raises(ValueError, match="default_deadline_s"):
-            PoolConfig(default_deadline_s=0.0)
-
-    def test_pool_routes_config(self):
-        config = PoolConfig(sweep_interval_s=0.05, shutdown_join_s=1.0)
-        pool = WorkerPool(workers=1, config=config)
-        try:
-            assert pool.config is config
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        finally:
-            pool.shutdown()
-
-    def test_submit_rejects_nonpositive_deadline(self):
-        pool = WorkerPool(workers=1)
-        try:
-            with pytest.raises(ValueError, match="deadline_s"):
-                pool.submit(_square, 2, deadline_s=0.0)
-        finally:
-            pool.shutdown()
-
-
-# ------------------------------------------------- deadlines & reaping
-
-
-class TestDeadlines:
-    def test_hung_task_fails_with_deadline_error(self):
-        pool = WorkerPool(
-            workers=1,
-            retry_policy=RetryPolicy(max_retries=1),
-            config=PoolConfig(sweep_interval_s=0.05),
-        )
-        try:
-            future = pool.submit(_sleep_forever, None, deadline_s=0.3)
-            with pytest.raises(TaskDeadlineError, match="deadline"):
-                future.result()
-            assert pool.respawns >= 1
-        finally:
-            pool.shutdown()
-
-    def test_sigstopped_worker_is_reaped_and_task_completes(self, tmp_path):
-        # The acceptance scenario: the worker wedges (SIGSTOP — alive,
-        # so liveness scans never fire), the watchdog SIGKILLs it at
-        # the deadline, and the resubmitted attempt succeeds.
-        flag = tmp_path / "stop-once"
-        flag.write_text("armed")
-        pool = WorkerPool(
-            workers=1, config=PoolConfig(sweep_interval_s=0.05)
-        )
-        try:
-            future = pool.submit(
-                _stop_if_flag, str(flag), deadline_s=1.0
-            )
-            assert future.result(timeout=30.0) == "survived"
-            assert pool.respawns >= 1
-            assert not flag.exists()
-        finally:
-            pool.shutdown()
-
-    def test_untimed_result_survives_dead_collector(self):
-        # satellite: a worker dying after dequeue must not strand an
-        # untimed result() — the caller polls and runs the watch tick
-        # itself, which flushes pending futures when the collector is
-        # gone.
-        pool = WorkerPool(
-            workers=1, config=PoolConfig(sweep_interval_s=0.05)
-        )
-        try:
-            future = pool.submit(_sleep_forever, None)
-            stand_in = threading.Thread(target=lambda: None)
-            stand_in.start()
-            stand_in.join()
-            pool._collector = stand_in  # simulate collector death
-            with pytest.raises(WorkerCrashError, match="collector"):
-                future.result()
-        finally:
-            pool.shutdown()
-
-    def test_undecodable_result_fails_one_task_not_the_pool(self):
-        # An exception that cannot survive the pickle round trip must
-        # surface on its own future; the collector (and the pool)
-        # stay serviceable.
-        pool = WorkerPool(
-            workers=1, config=PoolConfig(sweep_interval_s=0.05)
-        )
-        try:
-            with pytest.raises(RuntimeError, match="undecodable"):
-                pool.submit(_raise_unpicklable, None).result(timeout=30.0)
-            assert pool.map(_square, [4]) == [16]
-        finally:
-            pool.shutdown()
 
 
 # ------------------------------------------------------------ breakers
@@ -316,16 +165,35 @@ class TestQuarantine:
 # ----------------------------------------------------------- scheduler
 
 
-class _OutageWindow:
-    """Chaos hook: the board is down for the first ``n`` dispatches."""
+def _rsa_jobs(root, boards):
+    """One small RSA job per entry of ``boards``, in order."""
+    return [
+        FleetJob.make(
+            "rsa",
+            board,
+            seed=SEED + index,
+            out=root / f"rsa{index}",
+            **RSA_PARAMS,
+        )
+        for index, board in enumerate(boards)
+    ]
 
-    def __init__(self, n):
-        self.remaining = n
 
-    def __call__(self, job):
-        if self.remaining > 0:
-            self.remaining -= 1
-            raise BoardOutageError(f"{job.board} unreachable (injected)")
+def _failing_execute(scheduler, failing, hold_s=None):
+    """``_execute`` that fails the jobs in ``failing`` and runs the rest.
+
+    Holds every successful job for ``hold_s[job_id]`` seconds first,
+    when given.
+    """
+    execute = scheduler._execute
+
+    def run(job):
+        if job.job_id in failing:
+            raise RuntimeError(f"{job.board} unreachable")
+        time.sleep((hold_s or {}).get(job.job_id, 0.0))
+        return execute(job)
+
+    return run
 
 
 class TestSchedulerResilience:
@@ -338,7 +206,7 @@ class TestSchedulerResilience:
         scheduler = FleetScheduler([job], use_pool=False, retries=2)
 
         def crash(_job):
-            raise WorkerCrashError("worker died mid-shard (injected)")
+            raise BrokenProcessPool("worker died mid-shard")
 
         monkeypatch.setattr(scheduler, "_execute", crash)
         report = scheduler.run()
@@ -347,7 +215,7 @@ class TestSchedulerResilience:
         assert outcome.attempts == 3  # 1 + retries
         assert len(outcome.attempt_errors) == 3
         assert all(
-            "WorkerCrashError" in error
+            "BrokenProcessPool" in error
             for error in outcome.attempt_errors
         )
         payload = report.as_dict()
@@ -364,91 +232,93 @@ class TestSchedulerResilience:
         ]
 
     def test_breaker_opens_and_recovers_with_transition_log(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        # Acceptance: N consecutive injected outages open the board's
-        # breaker; after the cooldown a half-open probe succeeds and
-        # the job completes — the full transition log lands in the
-        # report.
+        # Two failing jobs open the board's breaker; the third job is
+        # refused until the cooldown elapses, then runs as the
+        # half-open probe, succeeds and closes it — the full
+        # transition log lands in the report.
         policy = BreakerPolicy(
             failure_threshold=2, cooldown=3.0, jitter=0.0
         )
-        job = FleetJob.make(
-            "rsa", "ZCU102", seed=SEED, out=tmp_path / "rsa", **RSA_PARAMS
+        jobs = _rsa_jobs(tmp_path, ["ZCU102"] * 3)
+        scheduler = FleetScheduler(
+            jobs, max_concurrent=1, use_pool=False, breaker_policy=policy
         )
-        report = FleetScheduler(
-            [job],
-            use_pool=False,
-            breaker_policy=policy,
-            chaos=_OutageWindow(policy.failure_threshold),
-        ).run()
-        outcome = report.outcomes[0]
-        assert outcome.status == STATUS_DONE
-        assert len(outcome.attempt_errors) == policy.failure_threshold
+        failing = {job.job_id for job in jobs[:2]}
+        monkeypatch.setattr(
+            scheduler, "_execute", _failing_execute(scheduler, failing)
+        )
+        report = scheduler.run()
+        assert [outcome.status for outcome in report.outcomes] == [
+            STATUS_FAILED,
+            STATUS_FAILED,
+            STATUS_DONE,
+        ]
         events = [
             (event["from"], event["to"])
             for event in report.breaker_events
             if event["board"] == "ZCU102"
         ]
-        assert (CLOSED, OPEN) in events
-        assert (OPEN, HALF_OPEN) in events
-        assert (HALF_OPEN, CLOSED) in events
+        assert events == [
+            (CLOSED, OPEN),
+            (OPEN, HALF_OPEN),
+            (HALF_OPEN, CLOSED),
+        ]
         assert report.as_dict()["breaker_events"] == list(
             report.breaker_events
         )
 
-    def test_unrelenting_outage_ends_deferred_not_hung(self, tmp_path):
+    def test_unrelenting_outage_ends_deferred_not_hung(
+        self, tmp_path, monkeypatch
+    ):
+        # The first failure opens the breaker for longer than the
+        # second job's requeue budget, so that job ends deferred.
         policy = BreakerPolicy(
-            failure_threshold=1, cooldown=2.0, jitter=0.0
+            failure_threshold=1, cooldown=40.0, jitter=0.0
         )
-        job = FleetJob.make(
-            "rsa", "ZCU102", seed=SEED, out=tmp_path / "rsa", **RSA_PARAMS
+        jobs = _rsa_jobs(tmp_path, ["ZCU102"] * 2)
+        scheduler = FleetScheduler(
+            jobs, max_concurrent=1, use_pool=False, breaker_policy=policy
         )
-        report = FleetScheduler(
-            [job],
-            use_pool=False,
-            breaker_policy=policy,
-            chaos=_OutageWindow(10_000),
-        ).run()
-        outcome = report.outcomes[0]
-        assert outcome.status in (STATUS_DEFERRED, STATUS_FAILED)
-        assert outcome.error is not None
-        assert outcome.attempt_errors  # the outage left its trace
+        failing = {job.job_id for job in jobs}
+        monkeypatch.setattr(
+            scheduler, "_execute", _failing_execute(scheduler, failing)
+        )
+        report = scheduler.run()
+        first, second = report.outcomes
+        assert first.status == STATUS_FAILED
+        assert first.attempt_errors == (
+            "RuntimeError: ZCU102 unreachable",
+        )
+        assert second.status == STATUS_DEFERRED
+        assert second.attempts == 0
+        assert second.error.startswith("deferred: circuit breaker")
 
     def test_jobs_behind_half_open_probe_wait_instead_of_polling(
         self, tmp_path, monkeypatch
     ):
-        # One outage trips the board's breaker; the half-open probe is
-        # then held for 0.3 s.  The second job, refused while the probe
+        # A fails at once and trips ZCU102's breaker while a short job
+        # on another board holds the second slot.  D runs as the
+        # half-open probe, held for 0.3 s; C, refused while the probe
         # is in flight, must wait for the probe's completion rather
         # than re-ask the breaker in a loop.
         policy = BreakerPolicy(
             failure_threshold=1, cooldown=2.0, jitter=0.0
         )
-        jobs = [
-            FleetJob.make(
-                "rsa",
-                "ZCU102",
-                seed=SEED + index,
-                out=tmp_path / f"rsa{index}",
-                **RSA_PARAMS,
-            )
-            for index in range(2)
-        ]
+        jobs = _rsa_jobs(tmp_path, ["ZCU102", "ZCU111", "ZCU102", "ZCU102"])
         scheduler = FleetScheduler(
-            jobs,
-            max_concurrent=2,
-            use_pool=False,
-            breaker_policy=policy,
-            chaos=_OutageWindow(1),
+            jobs, max_concurrent=2, use_pool=False, breaker_policy=policy
         )
-        execute = scheduler._execute
-
-        def held_execute(job):
-            time.sleep(0.3)
-            return execute(job)
-
-        monkeypatch.setattr(scheduler, "_execute", held_execute)
+        monkeypatch.setattr(
+            scheduler,
+            "_execute",
+            _failing_execute(
+                scheduler,
+                {jobs[0].job_id},
+                hold_s={jobs[1].job_id: 0.05, jobs[3].job_id: 0.3},
+            ),
+        )
         allow = CircuitBreaker.allow
         calls = []
 
@@ -459,7 +329,12 @@ class TestSchedulerResilience:
         monkeypatch.setattr(CircuitBreaker, "allow", counted_allow)
         report = scheduler.run()
         assert [outcome.status for outcome in report.outcomes] == [
+            STATUS_FAILED,
             STATUS_DONE,
             STATUS_DONE,
+            STATUS_DONE,
+        ]
+        assert (HALF_OPEN, CLOSED) in [
+            (event["from"], event["to"]) for event in report.breaker_events
         ]
         assert len(calls) <= 10, len(calls)
