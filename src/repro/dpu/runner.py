@@ -18,7 +18,10 @@ runner builds those traces:
 * :meth:`DpuRunner.trace_timelines` — a finite jittered run: per-cycle
   duration jitter plus occasional OS preemption stalls, which is what
   the fingerprinting evaluation samples (same model, different trace
-  every time);
+  every time).  The four rails share one
+  :class:`repro.soc.workload.CycleRun`, which stores the cycle profile,
+  the per-cycle jitter and stalls, and block checkpoints, so a run costs
+  O(cycles) memory rather than O(segments);
 * :meth:`DpuRunner.deploy` — attach a run to a :class:`repro.soc.Soc`.
 """
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from repro.dpu.dpu import DpuCore
 from repro.dpu.models import ModelSpec
-from repro.soc.workload import ActivityTimeline, PiecewiseActivity
+from repro.soc.workload import ActivityTimeline, CycleRun, PiecewiseActivity
 from repro.utils.rng import RngLike, spawn
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -215,7 +218,11 @@ class DpuRunner:
         Every cycle's length is scaled by ``N(1, cycle_jitter)`` and a
         preemption stall is appended with ``stall_probability`` — so two
         runs of the same model give *different* traces, as on real
-        hardware.  All four rails share the same jittered time base.
+        hardware.  All four rails share the same jittered time base: one
+        :class:`~repro.soc.workload.CycleRun`, whose per-rail
+        :class:`~repro.soc.workload.CycleRunActivity` timelines answer
+        with the bits of a :class:`PiecewiseActivity` over the full
+        segment arrays.
 
         The timelines are finite and hold their end segments outside
         the run.  Every rail ends at 0 W and the FPGA rail also starts at
@@ -237,26 +244,9 @@ class DpuRunner:
             0.0,
         )
 
-        n_segments = profile.durations.size
-        # (cycles, segments+1): jitter-scaled cycle segments + stall slot.
-        durations = np.empty((n_cycles, n_segments + 1), dtype=np.float64)
-        durations[:, :n_segments] = np.outer(scales, profile.durations)
-        durations[:, n_segments] = stalls
-        flat_durations = durations.reshape(-1)
-
-        keep = flat_durations > 0.0
-        flat_durations = flat_durations[keep]
-        edges = start + np.concatenate(([0.0], np.cumsum(flat_durations)))
-
-        timelines: Dict[str, ActivityTimeline] = {}
-        for rail in DPU_RAILS:
-            powers = np.empty((n_cycles, n_segments + 1), dtype=np.float64)
-            powers[:, :n_segments] = profile.powers[rail][np.newaxis, :]
-            powers[:, n_segments] = 0.0  # stalled: serving loop idle
-            timelines[rail] = PiecewiseActivity(
-                edges, powers.reshape(-1)[keep]
-            )
-        return timelines
+        return CycleRun(
+            start, profile.durations, profile.powers, scales, stalls
+        ).timelines()
 
     # ----------------------------------------------------- deployment
 

@@ -25,6 +25,8 @@ from repro.soc.workload import (
     ActivityTimeline,
     CompositeActivity,
     ConstantActivity,
+    CycleRun,
+    CycleRunActivity,
     PiecewiseActivity,
 )
 
@@ -47,5 +49,7 @@ __all__ = [
     "ActivityTimeline",
     "CompositeActivity",
     "ConstantActivity",
+    "CycleRun",
+    "CycleRunActivity",
     "PiecewiseActivity",
 ]

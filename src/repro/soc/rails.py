@@ -52,12 +52,26 @@ class PowerRail:
     ):
         self.name = str(name)
         self.regulator = regulator if regulator is not None else VoltageRegulator()
-        self.idle_power = require_non_negative(idle_power, "idle_power")
+        self._idle_power = require_non_negative(idle_power, "idle_power")
         self.noise_power_sigma = require_non_negative(
             noise_power_sigma, "noise_power_sigma"
         )
         self.ripple_sigma = require_non_negative(ripple_sigma, "ripple_sigma")
         self._workloads: Dict[str, ActivityTimeline] = {}
+        self._compose()
+
+    @property
+    def idle_power(self) -> float:
+        """Constant draw with no workload attached, watts."""
+        return self._idle_power
+
+    def _compose(self) -> None:
+        """Rebuild the cached total timeline after the workloads change."""
+        components = [ConstantActivity(self._idle_power)]
+        components.extend(self._workloads.values())
+        self._timeline = (
+            components[0] if len(components) == 1 else CompositeActivity(components)
+        )
 
     def attach(self, name: str, timeline: ActivityTimeline) -> None:
         """Attach a named workload timeline to this rail."""
@@ -66,21 +80,26 @@ class PowerRail:
         if not isinstance(timeline, ActivityTimeline):
             raise TypeError("timeline must be an ActivityTimeline")
         self._workloads[name] = timeline
+        self._compose()
 
     def detach(self, name: str) -> None:
         """Remove a previously attached workload."""
         if name not in self._workloads:
             raise KeyError(f"workload {name!r} not attached to {self.name}")
         del self._workloads[name]
+        self._compose()
 
     def replace(self, name: str, timeline: ActivityTimeline) -> None:
         """Attach, replacing any existing workload of the same name."""
+        if not isinstance(timeline, ActivityTimeline):
+            raise TypeError("timeline must be an ActivityTimeline")
         self._workloads.pop(name, None)
         self.attach(name, timeline)
 
     def clear(self) -> None:
         """Detach all workloads (idle draw remains)."""
         self._workloads.clear()
+        self._compose()
 
     @property
     def workload_names(self) -> Tuple[str, ...]:
@@ -88,12 +107,12 @@ class PowerRail:
         return tuple(self._workloads)
 
     def timeline(self) -> ActivityTimeline:
-        """The rail's total power timeline (idle + all workloads)."""
-        components = [ConstantActivity(self.idle_power)]
-        components.extend(self._workloads.values())
-        if len(components) == 1:
-            return components[0]
-        return CompositeActivity(components)
+        """The rail's total power timeline (idle + all workloads).
+
+        Built once per change of the attached workloads, so conversion
+        batches reuse one composite instead of flattening it each time.
+        """
+        return self._timeline
 
     def mean_power(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """True mean power over each window [t0, t1], noise-free."""

@@ -21,12 +21,20 @@ A composite skips every finite component whose held 0 W end covers a
 whole batch of windows (:meth:`ActivityTimeline.silent_between`), so a
 rail with many staggered victims integrates only the ones near the
 batch, and the sum stays bit-identical to integrating them all.
+
+A jittered serving run repeats one short cycle thousands of times, so
+:class:`CycleRun` stores it in O(cycles) memory: the cycle's segments,
+each cycle's scale and stall, and checkpoints every
+:data:`CHECKPOINT_CYCLES` cycles.  Its per-rail
+:class:`CycleRunActivity` rebuilds the segments a query touches from the
+nearest checkpoint and answers with the bits a :class:`PiecewiseActivity`
+over the full arrays would give.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -253,6 +261,285 @@ class PiecewiseActivity(ActivityTimeline):
         return (
             f"PiecewiseActivity({self.powers.size} segments, "
             f"span={self.span:.6g}s, {kind})"
+        )
+
+
+#: Cycles between two stored checkpoints of a :class:`CycleRun`.
+CHECKPOINT_CYCLES = 8
+
+#: Most slots a :class:`CycleRunActivity` keeps rebuilt between queries.
+MEMO_SLOTS = 4096
+
+
+class CycleRun:
+    """A finite run of one repeating cycle, stored in O(cycles) memory.
+
+    Cycle ``c`` is the segments ``scales[c] * durations`` followed by a
+    stall slot of ``stalls[c]`` seconds that draws 0 W on every rail.
+    Laid out flat, cycle ``c`` owns slots ``c * width`` to
+    ``c * width + width - 1`` (``width = durations.size + 1``), and
+    zero-length slots stay in place.  The run keeps only those per-cycle
+    values, the per-rail slot powers, and, every
+    :data:`CHECKPOINT_CYCLES` cycles, a checkpoint of the slot-edge
+    cumsum and of each rail's cumulative energy.  :meth:`block_arrays`
+    rebuilds any range of blocks from its checkpoint.
+
+    The rebuilt arrays hold the bits of a :class:`PiecewiseActivity` over
+    the whole run with its zero-length segments dropped:
+
+    * ``np.cumsum`` accumulates strictly in sequence, so continuing from
+      a checkpoint repeats the whole cumsum's additions one for one;
+    * a zero-length slot adds +0.0 to both cumsums, which changes no
+      value, and ``searchsorted(side="right")`` steps past its repeated
+      edge onto the next real segment;
+    * the run ends on its last real slot (later zero-length slots are
+      cut off), and it holds the powers of its first and last real
+      slots outside its span.
+
+    Args:
+        start: time of the first edge, seconds.
+        durations: the cycle's segment durations, seconds.
+        powers: per-rail segment powers in watts, one entry per duration.
+        scales: per-cycle duration scale.
+        stalls: per-cycle stall appended after the cycle, seconds.
+    """
+
+    def __init__(
+        self,
+        start: float,
+        durations: Sequence[float],
+        powers: Mapping[str, Sequence[float]],
+        scales: Sequence[float],
+        stalls: Sequence[float],
+    ):
+        # start + 0.0 is the first edge the full arrays would hold.
+        self.start = float(start) + 0.0
+        self.durations = as_1d_float_array(durations, "durations")
+        self.scales = as_1d_float_array(scales, "scales")
+        self.stalls = as_1d_float_array(stalls, "stalls")
+        if self.scales.size != self.stalls.size:
+            raise ValueError("scales and stalls need one entry per cycle")
+        for name in ("durations", "scales", "stalls"):
+            if np.any(getattr(self, name) < 0):
+                raise ValueError(f"{name} must be >= 0")
+        self.width = self.durations.size + 1
+        self.block_slots = CHECKPOINT_CYCLES * self.width
+        # Slot powers per rail: the cycle's segments, then the 0 W stall.
+        self.powers: Dict[str, np.ndarray] = {}
+        for rail, rail_powers in powers.items():
+            rail_powers = as_1d_float_array(rail_powers, f"powers[{rail!r}]")
+            if rail_powers.size != self.durations.size:
+                raise ValueError(f"powers[{rail!r}] needs one entry per duration")
+            if np.any(rail_powers < 0):
+                raise ValueError("segment powers must be >= 0")
+            self.powers[rail] = np.append(rail_powers, 0.0)
+
+        flat = self._slot_durations(0, self.scales.size, 0.0)
+        real = flat[1:] > 0.0
+        if not real.any():
+            raise ValueError("need at least one segment")
+        self.first_slot = int(np.argmax(real))
+        self.n_slots = real.size - int(np.argmax(real[::-1]))
+        cum = np.cumsum(flat)
+        edges = self.start + cum
+        block_starts = slice(0, self.n_slots, self.block_slots)
+        self._edge_checkpoints = cum[block_starts].copy()
+        self.block_offsets = edges[block_starts] - self.start
+        self.span = float(edges[self.n_slots] - self.start)
+        self._energy_checkpoints: Dict[str, np.ndarray] = {}
+        self.energy: Dict[str, float] = {}
+        for rail in self.powers:
+            energy = self._energy(rail, 0.0, edges)
+            self._energy_checkpoints[rail] = energy[block_starts].copy()
+            self.energy[rail] = float(energy[self.n_slots])
+
+    @property
+    def n_blocks(self) -> int:
+        """Number of checkpointed blocks."""
+        return self.block_offsets.size
+
+    def _slot_durations(
+        self, first_cycle: int, end_cycle: int, head: float
+    ) -> np.ndarray:
+        """``head``, then the slot durations of cycles ``[first_cycle, end_cycle)``."""
+        flat = np.empty(1 + (end_cycle - first_cycle) * self.width)
+        flat[0] = head
+        slots = flat[1:].reshape(end_cycle - first_cycle, self.width)
+        np.multiply(
+            self.scales[first_cycle:end_cycle, np.newaxis],
+            self.durations,
+            out=slots[:, :-1],
+        )
+        slots[:, -1] = self.stalls[first_cycle:end_cycle]
+        return flat
+
+    def _energy(self, rail: str, head: float, edges: np.ndarray) -> np.ndarray:
+        """Cumulative energy at each edge, continuing from ``head``.
+
+        ``edges`` covers whole cycles from a cycle start.
+        """
+        energy = np.empty(edges.size)
+        energy[0] = head
+        np.multiply(
+            np.diff(edges).reshape(-1, self.width),
+            self.powers[rail],
+            out=energy[1:].reshape(-1, self.width),
+        )
+        return np.cumsum(energy, out=energy)
+
+    def block_arrays(
+        self, rail: str, first: int, last: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rebuild blocks ``first`` to ``last`` for one rail.
+
+        Returns the edges relative to :attr:`start` of the slots the
+        blocks cover, and the cumulative energy at each edge.  Slot ``k``
+        of the result is slot ``k % width`` of its cycle.
+        """
+        first_cycle = first * CHECKPOINT_CYCLES
+        end_cycle = min((last + 1) * CHECKPOINT_CYCLES, self.scales.size)
+        edges = self.start + np.cumsum(
+            self._slot_durations(
+                first_cycle, end_cycle, self._edge_checkpoints[first]
+            )
+        )
+        energy = self._energy(
+            rail, self._energy_checkpoints[rail][first], edges
+        )
+        size = min(end_cycle * self.width, self.n_slots) - first_cycle * self.width
+        return edges[: size + 1] - self.start, energy[: size + 1]
+
+    def full_arrays(self, rail: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole run's ``(edges, powers)`` with zero-length segments dropped."""
+        flat = self._slot_durations(0, self.scales.size, 0.0)[1 : self.n_slots + 1]
+        keep = flat > 0.0
+        edges = self.start + np.concatenate(([0.0], np.cumsum(flat[keep])))
+        powers = np.tile(self.powers[rail], self.scales.size)[: self.n_slots]
+        return edges, powers[keep]
+
+    def timelines(self) -> Dict[str, "CycleRunActivity"]:
+        """One timeline per rail, all sharing this run."""
+        return {rail: CycleRunActivity(self, rail) for rail in self.powers}
+
+
+class CycleRunActivity(ActivityTimeline):
+    """One rail of a :class:`CycleRun`: a finite piecewise-constant profile.
+
+    It answers every query with the bits :class:`PiecewiseActivity` gives
+    over the whole run's arrays (:attr:`edges`, :attr:`powers`), holding
+    its first and last segment's power outside the run, but stores only
+    the shared run.  A query rebuilds the blocks its times touch, filled
+    forward to about :data:`MEMO_SLOTS` slots, and keeps them for the
+    next query, so forward-moving conversion batches rebuild about once
+    per filled range.
+    """
+
+    def __init__(self, run: CycleRun, rail: str):
+        self.run = run
+        self.rail = rail
+        self.start = run.start
+        self.span = run.span
+        self._powers = run.powers[rail]
+        ends = self._powers[[run.first_slot % run.width, (run.n_slots - 1) % run.width]]
+        self._first_power, self._last_power = ends
+        self._blocks_per_memo = max(1, MEMO_SLOTS // run.block_slots)
+        # (first block, last block, rel_edges, cum_energy) of the last rebuild.
+        self._memo = None
+        # Exact-zero sentinel: held end powers are configured, not computed.
+        held_zero = ends == 0.0  # repro: ignore[API002]
+        exact = math.isfinite(run.energy[rail])
+        self._silent_before = bool(exact and held_zero[0])
+        self._silent_after = bool(exact and held_zero[1])
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Segment boundaries of the whole run, built on every access."""
+        return self.run.full_arrays(self.rail)[0]
+
+    @property
+    def powers(self) -> np.ndarray:
+        """Per-segment powers of the whole run, built on every access."""
+        return self.run.full_arrays(self.rail)[1]
+
+    @property
+    def mean_power(self) -> float:
+        """Mean power over the run's span."""
+        return self.run.energy[self.rail] / self.span
+
+    def _segments(self, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rel_edges, cum_energy)`` over blocks covering ``offsets``.
+
+        Each offset (``t - start``, clipped to the span) lies in the block
+        whose first edge is the last one at or below it, so the slot
+        :class:`PiecewiseActivity` would pick for it is in the range.
+        """
+        first = last = 0
+        if offsets.size:
+            blocks = np.searchsorted(self.run.block_offsets, offsets, side="right")
+            first, last = int(blocks.min()) - 1, int(blocks.max()) - 1
+        memo = self._memo
+        if memo is None or not (memo[0] <= first and last <= memo[1]):
+            end = min(
+                max(last, first + self._blocks_per_memo - 1),
+                self.run.n_blocks - 1,
+            )
+            memo = (first, end) + self.run.block_arrays(self.rail, first, end)
+            if last - first < self._blocks_per_memo:
+                self._memo = memo
+        return memo[2], memo[3]
+
+    @staticmethod
+    def _slot_index(rel_edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        index = np.searchsorted(rel_edges, offsets, side="right") - 1
+        return np.clip(index, 0, rel_edges.size - 2)
+
+    def power_at(self, t: np.ndarray) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        # Hold first/last segment value outside the span.
+        offset = np.clip(t - self.start, 0.0, np.nextafter(self.span, 0.0))
+        rel_edges, _ = self._segments(offset)
+        index = self._slot_index(rel_edges, offset)
+        return self._powers[index % self.run.width]
+
+    def _energy_from_start(self, offset: np.ndarray) -> np.ndarray:
+        """Energy from the run start to each offset (``t - start``)."""
+        clipped = np.clip(offset, 0.0, self.span)
+        rel_edges, cum_energy = self._segments(clipped)
+        index = self._slot_index(rel_edges, clipped)
+        power = self._powers[index % self.run.width]
+        energy = cum_energy[index] + power * (clipped - rel_edges[index])
+        # Before the start: extrapolate with the first segment's power;
+        # after the end: extrapolate with the last segment's.
+        energy = energy + np.where(offset < 0, offset * self._first_power, 0.0)
+        return energy + np.where(
+            offset > self.span, (offset - self.span) * self._last_power, 0.0
+        )
+
+    def energy_between(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Exact window energies; both ends go through one rebuilt range."""
+        t0 = np.atleast_1d(np.asarray(t0, dtype=np.float64))
+        t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
+        if t0.shape != t1.shape:
+            t0, t1 = np.broadcast_arrays(t0, t1)
+        # Elementwise, so one pass over both ends gives each end's bits.
+        energy = self._energy_from_start(
+            np.concatenate((t1.reshape(-1), t0.reshape(-1))) - self.start
+        )
+        return (energy[: t1.size] - energy[t1.size :]).reshape(t1.shape)
+
+    def silent_between(self, lo: float, hi: float) -> bool:
+        """True if a held 0 W end of the run covers [lo, hi].
+
+        The same test as :meth:`PiecewiseActivity.silent_between`.
+        """
+        return (self._silent_before and hi - self.start <= 0.0) or (
+            self._silent_after and lo - self.start >= self.span
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CycleRunActivity({self.rail!r}, {self.run.scales.size} cycles, "
+            f"span={self.span:.6g}s)"
         )
 
 

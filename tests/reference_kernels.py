@@ -23,26 +23,33 @@ replaced implementations live on here, verbatim:
 * :func:`legacy_read_series_faulted` — the one-request hwmon read
   (its own latch ``np.unique``, a 7-field conversion gather, then the
   attribute and the fault masks) that the batched read core replaced.
+* :func:`legacy_trace_timelines` — the DPU serving run as four
+  :class:`~repro.soc.workload.PiecewiseActivity` objects over the full
+  segment arrays, which the O(cycles) ``CycleRun`` record replaced.
 
-Three consumers: ``tests/test_kernel_parity.py`` pins the new kernels
+Four consumers: ``tests/test_kernel_parity.py`` pins the new kernels
 against these on the checked-in fixtures and on randomized inputs,
-``tests/test_hashrand.py`` pins the counter-hash kernels, and
+``tests/test_hashrand.py`` pins the counter-hash kernels,
 ``tests/test_parallel_determinism.py`` pins every hwmon/SoC/sampler
-read against the one-request read.
+read against the one-request read, and ``tests/test_dpu_runner.py``
+pins the DPU run timelines against the full-array ones.
 The module lives under ``tests/`` because it is a parity oracle, not
 a fallback path; nothing in ``src/`` may import it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.dpu.models import ModelSpec
+from repro.dpu.runner import DPU_RAILS, DpuRunner
 from repro.ml.tree import _resolve_max_features, gini_impurity
 from repro.sensors.ina226 import Ina226Reading
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import require_int_in_range
+from repro.soc.workload import ActivityTimeline, PiecewiseActivity
+from repro.utils.rng import RngLike, ensure_rng, spawn
+from repro.utils.validation import require_int_in_range, require_positive
 
 
 class LegacyDecisionTreeClassifier:
@@ -431,3 +438,51 @@ def legacy_read_series_faulted(
     torn = plan.torn_mask(key, times) & ~gone & ~transient
     values = plan.torn_values(key, values, times, torn)
     return values, transient, gone
+
+
+def legacy_trace_timelines(
+    runner: DpuRunner,
+    model: ModelSpec,
+    duration: float,
+    seed: RngLike = None,
+    start: float = 0.0,
+) -> Dict[str, ActivityTimeline]:
+    """``DpuRunner.trace_timelines`` over the full segment arrays.
+
+    Verbatim apart from ``self`` -> ``runner``: every rail is one
+    :class:`PiecewiseActivity` holding all ``edges``, ``powers`` and
+    cumulative energies of the run.
+    """
+    require_positive(duration, "duration")
+    rng = spawn(seed, f"dpu-trace-{model.name}")
+    profile = runner.cycle_profile(model)
+    n_cycles = int(np.ceil(duration / profile.period)) + 2
+
+    scales = 1.0 + runner.cycle_jitter * rng.standard_normal(n_cycles)
+    scales = np.clip(scales, 0.5, 1.5)
+    stalls = np.where(
+        rng.random(n_cycles) < runner.stall_probability,
+        runner.stall_seconds,
+        0.0,
+    )
+
+    n_segments = profile.durations.size
+    # (cycles, segments+1): jitter-scaled cycle segments + stall slot.
+    durations = np.empty((n_cycles, n_segments + 1), dtype=np.float64)
+    durations[:, :n_segments] = np.outer(scales, profile.durations)
+    durations[:, n_segments] = stalls
+    flat_durations = durations.reshape(-1)
+
+    keep = flat_durations > 0.0
+    flat_durations = flat_durations[keep]
+    edges = start + np.concatenate(([0.0], np.cumsum(flat_durations)))
+
+    timelines: Dict[str, ActivityTimeline] = {}
+    for rail in DPU_RAILS:
+        powers = np.empty((n_cycles, n_segments + 1), dtype=np.float64)
+        powers[:, :n_segments] = profile.powers[rail][np.newaxis, :]
+        powers[:, n_segments] = 0.0  # stalled: serving loop idle
+        timelines[rail] = PiecewiseActivity(
+            edges, powers.reshape(-1)[keep]
+        )
+    return timelines

@@ -3,8 +3,10 @@
 One whole-tree pass of the library API over ``src/`` with the
 checked-in baseline is shared by every shipped-tree test: the text,
 JSON and SARIF reports and the exit codes come from the real ``repro
-check`` command run in process over that result.  The real ``python -m
-repro check`` entry point runs as a subprocess on single fixtures.
+check`` command run in process over that result.  The per-rule fixture
+runs, ``--list-rules`` and the usage error also call ``repro.cli.main``
+in process; one bad fixture still goes through the real ``python -m
+repro check`` entry point as a subprocess.
 Any new contract violation fails CI here first.  Marked ``check`` so
 the gate can be run in isolation: ``pytest -m check``.
 """
@@ -68,6 +70,22 @@ def tree_cli(tree_result, monkeypatch, capsys):
     return run
 
 
+@pytest.fixture
+def cli(monkeypatch, capsys):
+    """``repro check ARGS`` in process, from the repository root.
+
+    Returns ``(exit code, stdout, stderr)``.
+    """
+    monkeypatch.chdir(REPO)
+
+    def run(*argv):
+        code = main(["check", *argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
+
+
 def test_shipped_tree_is_clean_via_api(tree_result):
     assert tree_result.ok, "\n".join(f.format() for f in tree_result.findings)
     assert not tree_result.stale_baseline, [
@@ -101,16 +119,16 @@ def test_cli_fails_on_bad_fixture():
 @pytest.mark.parametrize(
     "rule_id", [rule_id for rule_id in RULES if rule_id != "PARSE000"]
 )
-def test_cli_fails_on_every_bad_fixture(rule_id):
+def test_cli_fails_on_every_bad_fixture(cli, rule_id):
     subdir = "flow/" if rule_id.startswith("FLOW") else ""
     fixture = (
         f"tests/data/check_fixtures/{subdir}{rule_id.lower()}_bad.py"
     )
-    proc = _run_cli(
+    code, out, err = cli(
         fixture, "--rules", rule_id, "--no-baseline", "--fail-on-findings"
     )
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert rule_id in proc.stdout
+    assert code == 1, out + err
+    assert rule_id in out
 
 
 def test_shipped_tree_is_flow_clean(tree_result):
@@ -135,14 +153,14 @@ def test_cli_sarif_report_on_shipped_tree(tree_cli):
     assert run["invocations"][0]["executionSuccessful"] is True
 
 
-def test_cli_unknown_rule_is_usage_error():
-    proc = _run_cli("--rules", "BOGUS123")
-    assert proc.returncode == 2
-    assert "unknown rule" in proc.stderr
+def test_cli_unknown_rule_is_usage_error(cli):
+    code, _, err = cli("--rules", "BOGUS123")
+    assert code == 2
+    assert "unknown rule" in err
 
 
-def test_cli_list_rules():
-    proc = _run_cli("--list-rules")
-    assert proc.returncode == 0
+def test_cli_list_rules(cli):
+    code, out, _ = cli("--list-rules")
+    assert code == 0
     for rule_id in ("RNG001", "CONC002", "API003"):
-        assert rule_id in proc.stdout
+        assert rule_id in out

@@ -130,6 +130,58 @@ class TestTraceTimelines:
             DpuRunner(stall_probability=1.5)
 
 
+def _reachable_nbytes(*roots):
+    """Bytes of every distinct array reachable from ``roots``.
+
+    Follows instance attributes, dicts, lists and tuples; an array that
+    is a view counts its base, so shared storage is counted once.
+    """
+    seen, arrays, stack = set(), {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return sum(arrays.values())
+
+
+class TestVictimMemory:
+    """A deployed victim's memory grows with its cycles, not its segments."""
+
+    @pytest.mark.parametrize(
+        "name", ["mobilenet-v1-0.25", "resnet-152", "vgg-19"]
+    )
+    def test_bytes_per_simulated_second_is_bounded(self, runner, name):
+        model = build_model(name)
+        held = {}
+        for duration in (10.0, 100.0):
+            soc = Soc(seed=0)
+            runner.deploy(soc, model, duration=duration, seed=1)
+            timelines = [
+                soc.rail(rail).timeline().components[1] for rail in DPU_RAILS
+            ]
+            edges = np.linspace(-1.0, duration + 1.0, 200)
+            chunk = np.linspace(1.0, 1.5, 10)
+            for timeline in timelines:
+                # A full-span batch, then a 0.5 s chunk that fills the memo.
+                timeline.energy_between(edges[:-1], edges[1:])
+                timeline.energy_between(chunk[:-1], chunk[1:])
+            held[duration] = _reachable_nbytes(*timelines)
+        slope = (held[100.0] - held[10.0]) / 90.0
+        # The full segment arrays held ~290 KB per simulated second.
+        assert slope < 16_000, f"{name}: {slope:.0f} B per simulated second"
+
+
 class TestDeployment:
     def test_deploy_attaches_all_rails(self, runner, resnet):
         soc = Soc(seed=0)

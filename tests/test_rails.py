@@ -48,6 +48,57 @@ class TestAttachment:
         with pytest.raises(TypeError):
             rail.attach("x", 3.0)
 
+    def test_failed_replace_keeps_workload(self, rail):
+        rail.attach("virus", ConstantActivity(1.0))
+        with pytest.raises(TypeError):
+            rail.replace("virus", 3.0)
+        assert rail.workload_names == ("virus",)
+        assert rail.mean_power(np.array([0.0]), np.array([1.0]))[0] == (
+            pytest.approx(1.5)
+        )
+
+
+class TestCachedComposite:
+    """The rail builds its composite once per change of its workloads."""
+
+    @pytest.fixture
+    def rail(self):
+        return PowerRail("VCCINT", idle_power=0.5)
+
+    def test_batches_reuse_one_composite(self, rail):
+        rail.attach("a", ConstantActivity(1.0))
+        timeline = rail.timeline()
+        rail.window_state(np.array([0.0]), np.array([1.0]))
+        assert rail.timeline() is timeline
+
+    def test_every_change_rebuilds_it(self, rail):
+        a, b = ConstantActivity(1.0), ConstantActivity(0.25)
+        seen = [rail.timeline()]
+        assert isinstance(seen[-1], ConstantActivity)
+        rail.attach("a", a)
+        seen.append(rail.timeline())
+        assert seen[-1].components[1:] == (a,)
+        rail.attach("b", b)
+        seen.append(rail.timeline())
+        assert seen[-1].components[1:] == (a, b)
+        rail.replace("a", b)
+        seen.append(rail.timeline())
+        assert seen[-1].components[1:] == (b, b)
+        rail.detach("b")
+        seen.append(rail.timeline())
+        assert seen[-1].components[1:] == (b,)
+        rail.clear()
+        seen.append(rail.timeline())
+        assert isinstance(seen[-1], ConstantActivity)
+        assert len({id(timeline) for timeline in seen}) == len(seen)
+        np.testing.assert_allclose(
+            rail.mean_power(np.array([0.0]), np.array([1.0])), [0.5]
+        )
+
+    def test_idle_power_is_read_only(self, rail):
+        with pytest.raises(AttributeError):
+            rail.idle_power = 1.0
+
 
 class TestPowerAggregation:
     def test_idle_only(self):

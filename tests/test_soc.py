@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.soc import ConstantActivity, PiecewiseActivity, Soc
+from repro.soc import ConstantActivity, CycleRunActivity, Soc
 from repro.soc.soc import RailNoiseProfile
 
 
@@ -158,18 +158,18 @@ class TestStaggeredVictims:
         victims = {
             id(component)
             for component in staggered_soc.rail("fpga").timeline().components
-            if isinstance(component, PiecewiseActivity)
+            if isinstance(component, CycleRunActivity)
         }
         assert len(victims) == 60
         evaluated = []
-        energy_between = PiecewiseActivity.energy_between
+        energy_between = CycleRunActivity.energy_between
 
         def counting(self, t0, t1):
             if id(self) in victims:
                 evaluated.append(id(self))
             return energy_between(self, t0, t1)
 
-        monkeypatch.setattr(PiecewiseActivity, "energy_between", counting)
+        monkeypatch.setattr(CycleRunActivity, "energy_between", counting)
         # A 0.5 s chunk across the hand-over from victim 9 to victim 10.
         times = np.linspace(99.75, 100.25, 500, endpoint=False)
         staggered_soc.device("fpga").read_series("curr1_input", times)

@@ -6,6 +6,7 @@ import pytest
 from repro.soc.workload import (
     CompositeActivity,
     ConstantActivity,
+    CycleRunActivity,
     PiecewiseActivity,
 )
 
@@ -393,9 +394,11 @@ class TestStaggeredVictimRails:
         for t0, t1 in batches:
             noise = rng.standard_normal((2, t0.size)) * 1e-3
             pruned.append(rail.window_state(t0, t1, noise[0], noise[1] * 1e-3))
-        monkeypatch.setattr(
-            PiecewiseActivity, "silent_between", lambda self, lo, hi: False
-        )
+        # The victims are CycleRunActivity timelines; patch both kinds.
+        for kind in (PiecewiseActivity, CycleRunActivity):
+            monkeypatch.setattr(
+                kind, "silent_between", lambda self, lo, hi: False
+            )
         rng = np.random.default_rng(1)
         for (t0, t1), got in zip(batches, pruned):
             noise = rng.standard_normal((2, t0.size)) * 1e-3
