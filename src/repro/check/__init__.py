@@ -8,12 +8,12 @@ parallelism, lock discipline and hwmon API hygiene.  See
 :mod:`repro.check.baseline` for the grandfathering workflow.
 
 Per-file syntactic rules are complemented by the whole-program flow
-layer (:mod:`repro.check.flow`): interprocedural seed/clock taint
+layer (:mod:`repro.check.flow`): interprocedural wall-clock taint
 tracking and lock-discipline analysis over a project model rebuilt
 from every file on every run.
 
 Run it as ``python -m repro check`` (flags: ``--rules``, ``--baseline``,
-``--format json|sarif``, ``--fail-on-findings``, ``--fail-on-stale``,
+``--format text|json``, ``--fail-on-findings``, ``--fail-on-stale``,
 ``--write-baseline``, ``--prune-baseline``, ``--workers``,
 ``--list-rules``) or programmatically::
 
@@ -39,7 +39,6 @@ from repro.check.engine import (
     select_rules,
 )
 from repro.check.findings import Finding
-from repro.check.flow import render_sarif
 from repro.check.rules import RULES, Module, Rule
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "load_baseline",
     "prune_baseline",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_check",
     "select_rules",

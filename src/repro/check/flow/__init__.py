@@ -8,16 +8,10 @@ over it:
 ==========  ===========================================================
 Rule        Contract
 ==========  ===========================================================
-FLOW001     no value derived from an unseeded ``default_rng`` /
-            ``SeedSequence`` may reach a recording sink (``Trace`` /
-            archive append / classifier ``fit``) without passing
-            through ``repro.utils.rng.ensure_rng`` — even when the
-            generator is laundered through helpers in other modules
-FLOW002     same sinks, OS/clock entropy (``os.urandom``, ``secrets``,
-            stdlib ``random``, time-seeded generators)
 FLOW003     a helper's wall-clock return value (``time.time`` /
             ``monotonic`` / ``perf_counter``) must not flow into
-            simulated-time code outside ``repro/perf``
+            simulated-time code outside ``repro/perf`` — including a
+            helper defined under ``repro/perf``, which TIME001 exempts
 FLOW004     no unlocked write to module-level state in any function
             transitively reachable from a ``parallel_map`` /
             ``pool.submit`` task callable, the task itself
@@ -26,6 +20,9 @@ FLOW005     no inconsistent lock-acquisition order anywhere in the
             program (ABBA deadlock shape), including orders completed
             through calls
 ==========  ===========================================================
+
+Entropy needs no whole-program rule: RNG001-RNG003 ban every unseeded
+or OS entropy source at the line where it appears, in every module.
 
 The per-module half (fact extraction, :mod:`repro.check.flow.symbols`)
 is pure per file and fans out over the worker pool; the whole-program
@@ -39,7 +36,6 @@ from typing import Dict, Iterable, List, Set
 from repro.check.findings import Finding
 from repro.check.flow.callgraph import CallGraph
 from repro.check.flow.locks import run_locks
-from repro.check.flow.sarif import render_sarif
 from repro.check.flow.symbols import (
     ModuleFacts,
     extract_module_facts,
@@ -53,11 +49,10 @@ __all__ = [
     "ModuleFacts",
     "extract_module_facts",
     "module_name_for",
-    "render_sarif",
     "run_flow_analysis",
 ]
 
-FLOW_RULE_IDS = ("FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005")
+FLOW_RULE_IDS = ("FLOW003", "FLOW004", "FLOW005")
 
 
 def run_flow_analysis(

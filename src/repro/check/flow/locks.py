@@ -29,10 +29,9 @@ from typing import Dict, List, Set, Tuple
 from repro.check.findings import Finding
 from repro.check.flow.callgraph import CallGraph, FunctionId
 from repro.check.flow.symbols import ModuleFacts
+from repro.check.rules import PERF_LAYER, _path_matches
 
 __all__ = ["run_locks", "LockAnalysis"]
-
-_WORKER_WRITE_EXEMPT = ("repro/perf/",)
 
 
 def _short_lock(lock: str) -> str:
@@ -90,9 +89,7 @@ class LockAnalysis:
             facts = self.project.get(module_name)
             if facts is None:
                 continue
-            if any(
-                piece in facts.rel_path for piece in _WORKER_WRITE_EXEMPT
-            ):
+            if _path_matches(facts.rel_path, PERF_LAYER):
                 continue
             fn = self.facts_by_id[fn_id]
             root = origin.get(fn_id, fn_id)

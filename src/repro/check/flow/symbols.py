@@ -10,16 +10,15 @@ fixpoints, lock-order merging) happens later, in
 never re-read.
 
 Local dataflow is intentionally modest: flow-insensitive name-level
-taint within one function, with three atom kinds —
+taint within one function, with two atom kinds —
 
-* ``source:<kind>`` — the value originates at a taint source here;
 * ``param:<i>`` — the value derives from positional parameter ``i``;
 * ``call:<j>`` — the value is the result of this function's ``j``-th
   recorded call site (resolved and evaluated interprocedurally).
 
 Reads of ``self.<attr>`` contribute ``selfattr:<attr>`` atoms, which
 the global phase resolves against every write to that attribute across
-the class (the ``__init__``-launders-an-RNG pattern).
+the class (a value stored in ``__init__`` and read in another method).
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ RNG001      no unseeded ``np.random.default_rng()`` / ``SeedSequence()``
             (OS entropy makes a recording unreplayable)
 RNG002      no stdlib ``random``, ``os.urandom``, ``secrets``,
             ``uuid.uuid4`` or legacy global-state ``np.random.*``
-RNG003      Generators are built via ``repro.utils.rng`` (``ensure_rng``
-            / ``spawn``) so the ``normalize_seed`` policy applies
+RNG003      Generators and ``SeedSequence`` objects are built via
+            ``repro.utils.rng`` (``ensure_rng`` / ``spawn``) so the
+            ``normalize_seed`` policy applies
 TIME001     no wall-clock reads in simulated-time modules (the
             ``repro/perf`` timing helpers are exempt)
 CONC002     ``self._clock`` is only touched inside a
@@ -46,9 +47,6 @@ API007      no untimed blocking ``Queue.get`` / ``Event.wait`` /
             strands the caller forever; only the pool layer may park
             without a timeout
 PARSE000    unreadable/unparseable files are findings, not skips
-FLOW001     (whole-program) unseeded-generator taint must not reach
-            Trace/archive/classifier sinks, even across modules
-FLOW002     (whole-program) OS/clock entropy taint, same sinks
 FLOW003     (whole-program) wall-clock values must not flow through
             helpers into simulated-time code outside repro/perf
 FLOW004     (whole-program) no unlocked module-state writes on paths
@@ -206,6 +204,13 @@ def _path_matches(rel_path: str, allowed: Sequence[str]) -> bool:
     return any(piece in posix for piece in allowed)
 
 
+#: The timing and pool layer: the one place allowed to read the wall
+#: clock (TIME001, FLOW003), build process pools (API006), park
+#: without a timeout (API007) and write module state on worker paths
+#: (FLOW004, the pool registry under its own lock).
+PERF_LAYER = ("repro/perf/",)
+
+
 # ------------------------------------------------------------------- RNG001
 
 _SEEDED_FACTORIES = ("numpy.random.default_rng", "numpy.random.SeedSequence")
@@ -298,13 +303,14 @@ def check_rng002(module: Module) -> List[Finding]:
 
 # ------------------------------------------------------------------- RNG003
 
-#: The one module allowed to construct Generators directly — everything
-#: else goes through ensure_rng/spawn so the seed policy applies.
+#: The one module allowed to construct Generators and SeedSequences
+#: directly — everything else goes through ensure_rng/spawn so the seed
+#: policy applies.
 _RNG_HELPER_MODULES = ("repro/utils/rng.py",)
 
 
 def check_rng003(module: Module) -> List[Finding]:
-    """Direct default_rng construction bypasses the seed policy."""
+    """Direct default_rng/SeedSequence construction bypasses the policy."""
     if _path_matches(module.rel_path, _RNG_HELPER_MODULES):
         return []
     aliases = module.aliases
@@ -312,15 +318,17 @@ def check_rng003(module: Module) -> List[Finding]:
     for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
-        if _canonical(node.func, aliases) != "numpy.random.default_rng":
+        target = _canonical(node.func, aliases)
+        if target not in _SEEDED_FACTORIES:
             continue
         findings.append(
             module.finding(
                 "RNG003",
                 node,
-                "construct Generators via repro.utils.rng.ensure_rng or "
-                "spawn so the library seed policy (None -> 0, name-keyed "
-                "streams) applies uniformly",
+                f"{target.rsplit('.', 1)[-1]} built directly; construct "
+                f"Generators via repro.utils.rng.ensure_rng or spawn so "
+                f"the library seed policy (None -> 0, name-keyed "
+                f"streams) applies uniformly",
             )
         )
     return findings
@@ -328,7 +336,9 @@ def check_rng003(module: Module) -> List[Finding]:
 
 # ------------------------------------------------------------------ TIME001
 
-_WALL_CLOCK_CALLS = {
+#: Wall-clock reads: read directly (TIME001) or returned through a
+#: helper (FLOW003, :mod:`repro.check.flow.taint`).
+WALL_CLOCK_CALLS = frozenset({
     "time.time",
     "time.time_ns",
     "time.monotonic",
@@ -340,15 +350,12 @@ _WALL_CLOCK_CALLS = {
     "datetime.datetime.utcnow",
     "datetime.datetime.today",
     "datetime.date.today",
-}
-
-#: Modules whose whole job is wall-clock timing (StageTimer).
-_WALL_CLOCK_ALLOWED = ("repro/perf/",)
+})
 
 
 def check_time001(module: Module) -> List[Finding]:
     """Wall-clock reads poison simulated-time determinism."""
-    if _path_matches(module.rel_path, _WALL_CLOCK_ALLOWED):
+    if _path_matches(module.rel_path, PERF_LAYER):
         return []
     aliases = module.aliases
     findings = []
@@ -356,7 +363,7 @@ def check_time001(module: Module) -> List[Finding]:
         if not isinstance(node, ast.Call):
             continue
         target = _canonical(node.func, aliases)
-        if target in _WALL_CLOCK_CALLS:
+        if target in WALL_CLOCK_CALLS:
             findings.append(
                 module.finding(
                     "TIME001",
@@ -861,9 +868,6 @@ _RAW_POOL_CALLS = {
     ),
 }
 
-#: The one layer allowed to construct pools directly.
-_RAW_POOL_ALLOWED = ("repro/perf/",)
-
 
 def check_api006(module: Module) -> List[Finding]:
     """Ad-hoc pools/segments bypass the perf layer's guarantees.
@@ -878,7 +882,7 @@ def check_api006(module: Module) -> List[Finding]:
     ``repro/perf/`` — the pool's own layer — may construct these
     directly.
     """
-    if _path_matches(module.rel_path, _RAW_POOL_ALLOWED):
+    if _path_matches(module.rel_path, PERF_LAYER):
         return []
     aliases = module.aliases
     findings = []
@@ -903,13 +907,10 @@ def check_api006(module: Module) -> List[Finding]:
 # ------------------------------------------------------------------- API007
 
 #: Blocking rendezvous methods whose no-timeout form can hang forever.
+#: Only the pool (``PERF_LAYER``) may park untimed: its executor turns a
+#: dead worker into ``BrokenProcessPool``.  Everyone else must bound the
+#: wait so a dead peer surfaces as a timeout, not a hang.
 _BLOCKING_METHODS = ("get", "wait", "join")
-
-#: The one layer allowed to park without a timeout: the pool, whose
-#: executor turns a dead worker into ``BrokenProcessPool``.  Everyone
-#: else must bound the wait so a dead peer surfaces as a timeout, not
-#: a hang.
-_BLOCKING_ALLOWED = ("repro/perf/",)
 
 
 def _keyword(node: ast.Call, name: str) -> Optional[ast.expr]:
@@ -933,7 +934,7 @@ def check_api007(module: Module) -> List[Finding]:
     value-carrying lookups (``d.get(key)``, ``sep.join(parts)``), and
     ``await``-ed coroutine methods (the event loop stays responsive).
     """
-    if _path_matches(module.rel_path, _BLOCKING_ALLOWED):
+    if _path_matches(module.rel_path, PERF_LAYER):
         return []
     awaited = {
         id(node.value)
@@ -1007,8 +1008,9 @@ RULES: Dict[str, Rule] = {
         Rule(
             "RNG003",
             "rng-helper-bypass",
-            "Generators must be built by utils.rng.ensure_rng/spawn so "
-            "normalize_seed(None) -> 0 applies everywhere",
+            "Generators and SeedSequences must be built by "
+            "utils.rng.ensure_rng/spawn so normalize_seed(None) -> 0 "
+            "applies everywhere",
             check_rng003,
         ),
         Rule(
@@ -1091,23 +1093,6 @@ RULES: Dict[str, Rule] = {
             "a file the checker cannot read or parse can hide any "
             "violation; it is reported as a finding so the tree can "
             "never check green around it",
-            whole_program=True,
-        ),
-        Rule(
-            "FLOW001",
-            "entropy-taint-reaches-sink",
-            "a value derived from an unseeded default_rng/SeedSequence "
-            "reaches a Trace/archive/classifier sink — even through "
-            "helpers in other modules — making the recording "
-            "unreplayable; sanitize via utils.rng.ensure_rng",
-            whole_program=True,
-        ),
-        Rule(
-            "FLOW002",
-            "os-entropy-taint-reaches-sink",
-            "a value derived from OS/clock entropy (os.urandom, "
-            "secrets, stdlib random, time-seeded generators) reaches "
-            "a recording sink; such runs cannot be replayed",
             whole_program=True,
         ),
         Rule(

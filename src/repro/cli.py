@@ -137,7 +137,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         UnknownRuleError,
         load_baseline,
         render_json,
-        render_sarif,
         render_text,
         run_check,
         write_baseline,
@@ -200,8 +199,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
     if args.format == "json":
         report = render_json(result)
-    elif args.format == "sarif":
-        report = render_sarif(result, RULES)
     else:
         report = render_text(result, verbose=args.verbose)
     if args.output:
@@ -715,9 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore any baseline file (report every finding)",
     )
     check.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (json is CI-annotation friendly; sarif is "
-             "SARIF 2.1.0 for code-scanning upload)",
+        "--format", choices=("text", "json"), default="text",
+        help="report format (json is the machine-readable one, for CI "
+             "annotation)",
     )
     check.add_argument(
         "--fail-on-findings", action="store_true",

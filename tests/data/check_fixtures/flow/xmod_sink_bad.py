@@ -1,10 +1,8 @@
-"""FLOW001 across modules: the tainted generator is made elsewhere."""
-from flow.xmod_source import make_generator
-
-from repro import Trace
+"""FLOW003 across modules: the wall-clock helper is defined elsewhere."""
+from flow.xmod_source import read_clock
 
 
-def record():
-    gen = make_generator()
-    samples = gen.normal(size=32)
-    return Trace(samples=samples, seed=0)
+def schedule_tick(state):
+    now = read_clock()
+    state.advance(now)
+    return now

@@ -1,6 +1,6 @@
-"""Cross-module taint source: an unseeded generator factory."""
-import numpy as np
+"""Cross-module wall-clock helper: the clock read sits in this module."""
+import time
 
 
-def make_generator():
-    return np.random.default_rng()
+def read_clock():
+    return time.time()

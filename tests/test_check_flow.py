@@ -1,17 +1,16 @@
-"""Whole-program flow analysis: call graph, taint, fresh runs, SARIF.
+"""Whole-program flow analysis: call graph, taint, fresh runs.
 
-Covers the ``repro.check.flow`` layer end to end: cross-module taint
-(the rules the per-file checker cannot express), call-graph
-resolution, re-runs that must see every edit and every rule change,
-SARIF rendering and baseline pruning.  Marked ``check`` alongside the
-tree meta-tests.
+Covers the ``repro.check.flow`` layer end to end: cross-module
+wall-clock taint and fork safety (the rules the per-file checker
+cannot express), call-graph resolution, re-runs that must see every
+edit and every rule change, and baseline pruning.  Marked ``check``
+alongside the tree meta-tests.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import textwrap
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from repro.check import (
     Finding,
     load_baseline,
     prune_baseline,
-    render_sarif,
     run_check,
     write_baseline,
     RULES,
@@ -56,24 +54,48 @@ def _check(paths, rules=None, **kwargs):
 # ------------------------------------------------------- cross-module taint
 
 
-def test_cross_module_flow001():
-    """The tainted generator is constructed in a different module."""
+def test_cross_module_flow003():
+    """The wall-clock helper is defined in a different module."""
     result = _check(
         [FLOW_FIXTURES / "xmod_source.py",
          FLOW_FIXTURES / "xmod_sink_bad.py"],
-        rules=["FLOW001"],
+        rules=["FLOW003"],
     )
-    assert result.findings
-    assert {f.path for f in result.findings} == {"flow/xmod_sink_bad.py"}
-    assert all(f.rule == "FLOW001" for f in result.findings)
+    assert [(f.path, f.line, f.rule) for f in result.findings] == [
+        ("flow/xmod_sink_bad.py", 6, "FLOW003")
+    ]
 
 
-def test_cross_module_flow001_needs_both_files():
-    """Scanning the sink alone cannot prove the taint — no finding."""
+def test_cross_module_flow003_needs_both_files():
+    """Scanning the consumer alone cannot prove the taint — no finding."""
     result = _check(
-        [FLOW_FIXTURES / "xmod_sink_bad.py"], rules=["FLOW001"]
+        [FLOW_FIXTURES / "xmod_sink_bad.py"], rules=["FLOW003"]
     )
     assert not result.findings
+
+
+def test_flow003_sees_a_perf_helper_consumed_outside_perf(tmp_path):
+    """TIME001 exempts the clock read under repro/perf; FLOW003 flags
+    the simulated-time code that consumes it."""
+    helper = tmp_path / "repro" / "perf" / "clock.py"
+    consumer = tmp_path / "repro" / "core" / "schedule.py"
+    helper.parent.mkdir(parents=True)
+    consumer.parent.mkdir(parents=True)
+    helper.write_text(
+        "import time\n\n\ndef wall_now():\n    return time.perf_counter()\n"
+    )
+    consumer.write_text(
+        "from repro.perf.clock import wall_now\n\n\n"
+        "def next_tick(period):\n"
+        "    return wall_now() + period\n"
+    )
+    result = run_check(
+        paths=[tmp_path], rules=["TIME001", "FLOW003"], baseline="",
+        root=tmp_path,
+    )
+    assert [(f.path, f.line, f.rule) for f in result.findings] == [
+        ("repro/core/schedule.py", 5, "FLOW003")
+    ]
 
 
 def test_cross_module_flow004():
@@ -100,49 +122,19 @@ def test_flow004_flags_every_write_kind():
     ]
 
 
-def test_archive_writes_are_recording_sinks(tmp_path):
-    """Every archive-writing method is a sink, not only ``append``."""
-    bad = tmp_path / "archive_sinks.py"
-    bad.write_text(textwrap.dedent("""\
-        import random
-
-        from repro.core.io import TraceArchiveWriter
-
-
-        def record(path, trace):
-            writer = TraceArchiveWriter(path)
-            writer.append(trace, part=random.randrange(4))
-            writer.checkpoint({"nonce": random.random()})
-            writer.update_meta(nonce=random.random())
-            writer.close()
-        """))
-    result = run_check(
-        paths=[bad], rules=["FLOW002"], baseline="", root=tmp_path,
-    )
-    assert [
-        finding.message.split("recording sink ")[1].split(" ")[0]
-        for finding in result.findings
-    ] == [
-        "'repro.core.io.TraceArchiveWriter.append'",
-        "'repro.core.io.TraceArchiveWriter.checkpoint'",
-        "'repro.core.io.TraceArchiveWriter.update_meta'",
-    ]
-
-
 def test_flow_rules_honor_inline_suppression(tmp_path):
-    source = (FLOW_FIXTURES / "flow002_bad.py").read_text()
-    source = source.replace(
-        "return Trace(samples=noise, seed=0)",
-        "return Trace(samples=noise, seed=0)  "
-        "# repro: ignore[FLOW002]",
-    )
+    fixture = FLOW_FIXTURES / "flow003_bad.py"
+    flagged = {f.line for f in _check([fixture], rules=["FLOW003"]).findings}
+    lines = fixture.read_text().splitlines()
+    for line in flagged:
+        lines[line - 1] += "  # repro: ignore[FLOW003]"
     bad = tmp_path / "suppressed.py"
-    bad.write_text(source)
+    bad.write_text("\n".join(lines) + "\n")
     result = run_check(
-        paths=[bad], rules=["FLOW002"], baseline="", root=tmp_path,
+        paths=[bad], rules=["FLOW003"], baseline="", root=tmp_path,
     )
     assert result.ok
-    assert result.suppressed == 1
+    assert result.suppressed == len(flagged) == 3
 
 
 def test_flow_findings_can_be_baselined(tmp_path):
@@ -258,7 +250,7 @@ def test_module_name_for_paths():
     assert module_name_for("src/repro/check/__init__.py") == (
         "repro.check"
     )
-    assert module_name_for("flow/flow001_bad.py") == "flow.flow001_bad"
+    assert module_name_for("flow/flow003_bad.py") == "flow.flow003_bad"
 
 
 # ------------------------------------------------------------ fresh runs
@@ -272,21 +264,20 @@ def test_rerun_catches_new_cross_module_taint(tmp_path):
         "def make():\n    return 17\n"
     )
     sink.write_text(
-        "from origin import make\n"
-        "from repro import Trace\n\n\n"
-        "def record():\n"
-        "    return Trace(samples=make(), seed=0)\n"
+        "from origin import make\n\n\n"
+        "def next_tick(period):\n"
+        "    return make() + period\n"
     )
     clean = run_check(
-        paths=[tmp_path], rules=["FLOW002"], baseline="", root=tmp_path,
+        paths=[tmp_path], rules=["FLOW003"], baseline="", root=tmp_path,
     )
     assert clean.ok
-    # the helper becomes an entropy source; the *sink* must now flag
+    # the helper starts reading the wall clock; its *caller* must flag
     source.write_text(
-        "import os\n\n\ndef make():\n    return os.urandom(8)\n"
+        "import time\n\n\ndef make():\n    return time.time()\n"
     )
     dirty = run_check(
-        paths=[tmp_path], rules=["FLOW002"], baseline="", root=tmp_path,
+        paths=[tmp_path], rules=["FLOW003"], baseline="", root=tmp_path,
     )
     assert not dirty.ok
     assert {f.path for f in dirty.findings} == {"sink.py"}
@@ -332,63 +323,6 @@ def test_no_run_leaves_state_behind(tmp_path):
     (tmp_path / "one.py").write_text("VALUE = 1\n")
     run_check(paths=[tmp_path], baseline="", root=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.py"]
-
-
-# ------------------------------------------------------------------ SARIF
-
-
-def test_sarif_shape_on_bad_fixture():
-    result = _check(
-        [FLOW_FIXTURES / "flow001_bad.py"], rules=["FLOW001"]
-    )
-    document = json.loads(render_sarif(result, RULES))
-    assert document["version"] == "2.1.0"
-    assert document["$schema"].endswith("sarif-schema-2.1.0.json")
-    run = document["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-check"
-    assert [r["id"] for r in driver["rules"]] == ["FLOW001"]
-    sarif_result = run["results"][0]
-    assert sarif_result["ruleId"] == "FLOW001"
-    assert sarif_result["level"] == "error"
-    location = sarif_result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == (
-        "flow/flow001_bad.py"
-    )
-    assert location["region"]["startLine"] >= 1
-    assert "reproCheck/v1" in sarif_result["fingerprints"]
-    assert run["invocations"][0]["executionSuccessful"] is False
-
-
-def test_sarif_marks_baselined_findings(tmp_path):
-    fresh = _check(
-        [FLOW_FIXTURES / "flow001_bad.py"], rules=["FLOW001"]
-    )
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, fresh.findings, existing=[])
-    absorbed = _check(
-        [FLOW_FIXTURES / "flow001_bad.py"],
-        rules=["FLOW001"],
-        baseline=baseline_path,
-    )
-    document = json.loads(render_sarif(absorbed, RULES))
-    results = document["runs"][0]["results"]
-    assert results
-    assert all(r["baselineState"] == "unchanged" for r in results)
-    assert all(r["level"] == "note" for r in results)
-
-
-def test_sarif_reports_parse_errors(tmp_path):
-    broken = tmp_path / "broken.py"
-    broken.write_text("def f(:\n")
-    result = run_check(
-        paths=[broken], baseline="", root=tmp_path
-    )
-    document = json.loads(render_sarif(result, RULES))
-    invocation = document["runs"][0]["invocations"][0]
-    assert invocation["executionSuccessful"] is False
-    notes = invocation["toolExecutionNotifications"]
-    assert notes and "syntax error" in notes[0]["message"]["text"]
 
 
 # ------------------------------------------------------- baseline pruning
@@ -452,6 +386,9 @@ def test_prune_baseline_keeps_unexercised_rules(tmp_path):
 
 
 def test_every_flow_rule_is_registered():
+    assert FLOW_RULE_IDS == ("FLOW003", "FLOW004", "FLOW005")
+    assert [
+        rule_id for rule_id in RULES if rule_id.startswith("FLOW")
+    ] == list(FLOW_RULE_IDS)
     for rule_id in FLOW_RULE_IDS:
-        assert rule_id in RULES
         assert RULES[rule_id].whole_program

@@ -36,6 +36,28 @@ RULE_IDS = sorted(RULES)
 #: Rules whose bad fixture is a broken file, synthesized per-test.
 SYNTHESIZED = {"PARSE000"}
 
+#: The entropy sources that the retired whole-program taint
+#: (FLOW001/FLOW002) followed to a recording sink, in ``entropy/``:
+#: an unseeded generator through a helper, a factory consumed by
+#: another module, ``os.urandom``, stdlib ``random`` and a
+#: clock-seeded ``SeedSequence`` under ``repro/perf`` (where TIME001 is
+#: exempt).  Each is flagged at its source line: rule -> (path, line).
+ENTROPY_SOURCES = {
+    "RNG001": [
+        ("entropy/factory_source.py", 6),
+        ("entropy/unseeded_helper.py", 8),
+    ],
+    "RNG002": [
+        ("entropy/os_urandom.py", 8),
+        ("entropy/stdlib_random.py", 8),
+    ],
+    "RNG003": [
+        ("entropy/factory_source.py", 6),
+        ("entropy/repro/perf/clock_seeded.py", 8),
+        ("entropy/unseeded_helper.py", 8),
+    ],
+}
+
 
 def _fixture_rel(rule_id: str, kind: str) -> str:
     """Fixture path relative to FIXTURES (FLOW rules live in flow/)."""
@@ -77,6 +99,11 @@ def test_bad_fixture_triggers_rule(rule_id, tmp_path):
         result = _check_fixture(_fixture_rel(rule_id, "bad"), rule_id)
     assert result.findings, f"{rule_id} missed its bad fixture"
     assert all(f.rule == rule_id for f in result.findings)
+    if rule_id in ENTROPY_SOURCES:
+        sources = _check_fixture("entropy", rule_id)
+        assert sorted(
+            (f.path, f.line) for f in sources.findings
+        ) == ENTROPY_SOURCES[rule_id]
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
@@ -120,14 +147,17 @@ def test_api004_exempts_only_repro_ml(package, flagged, tmp_path):
     assert bool(result.findings) == flagged
 
 
-@pytest.mark.parametrize("rule_id", ["API007", "FLOW003"])
+@pytest.mark.parametrize(
+    "rule_id", ["API006", "API007", "FLOW003", "FLOW004", "TIME001"]
+)
 @pytest.mark.parametrize(
     "package, flagged", [("repro/resilience", True), ("repro/perf", False)]
 )
 def test_untimed_waits_and_wall_time_exempt_only_repro_perf(
     rule_id, package, flagged, tmp_path
 ):
-    """Only the pool layer may park untimed or consume wall time."""
+    """Only the timing and pool layer may read the wall clock, build
+    pools, park untimed or write module state on worker paths."""
     target = tmp_path / package / "supervise.py"
     target.parent.mkdir(parents=True)
     target.write_text((FIXTURES / _fixture_rel(rule_id, "bad")).read_text())

@@ -1,9 +1,9 @@
 """Meta-tests: the shipped tree passes its own static checker.
 
 One whole-tree pass of the library API over ``src/`` with the
-checked-in baseline is shared by every shipped-tree test: the text,
-JSON and SARIF reports and the exit codes come from the real ``repro
-check`` command run in process over that result.  The per-rule fixture
+checked-in baseline is shared by every shipped-tree test: the text
+and JSON reports and the exit codes come from the real ``repro check``
+command run in process over that result.  The per-rule fixture
 runs, ``--list-rules`` and the usage error also call ``repro.cli.main``
 in process; one bad fixture still goes through the real ``python -m
 repro check`` entry point as a subprocess.
@@ -133,7 +133,7 @@ def test_cli_fails_on_every_bad_fixture(cli, rule_id):
 
 def test_shipped_tree_is_flow_clean(tree_result):
     """The whole-program rules ran and found nothing on the tree."""
-    flow_rules = ["FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005"]
+    flow_rules = ["FLOW003", "FLOW004", "FLOW005"]
     assert set(flow_rules) <= set(tree_result.rules_run)
     flow_findings = [
         finding
@@ -141,16 +141,6 @@ def test_shipped_tree_is_flow_clean(tree_result):
         if finding.rule in flow_rules
     ]
     assert not flow_findings, "\n".join(f.format() for f in flow_findings)
-
-
-def test_cli_sarif_report_on_shipped_tree(tree_cli):
-    code, out = tree_cli("--format", "sarif")
-    assert code == 0, out
-    document = json.loads(out)
-    assert document["version"] == "2.1.0"
-    run = document["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-check"
-    assert run["invocations"][0]["executionSuccessful"] is True
 
 
 def test_cli_unknown_rule_is_usage_error(cli):
