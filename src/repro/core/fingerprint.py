@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -64,6 +65,21 @@ TABLE3_CHANNELS: Tuple[Tuple[str, str], ...] = (
 
 #: Table III's duration columns in seconds.
 TABLE3_DURATIONS: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+def _score_cells(task) -> List[CrossValidationResult]:
+    """Pool task: cross-validate several ``(X, y)`` cells as one batch.
+
+    The cells' fold forests are built here, in cell and fold order,
+    grow together, and are dropped with the jobs once scored.
+    """
+    cells, n_folds, factory, seed = task
+    jobs = [
+        make_fold_jobs(X, y, n_folds=n_folds, classifier_factory=factory, seed=seed)
+        for X, y in cells
+    ]
+    scores = iter(score_fold_batch([job for cell in jobs for job in cell]))
+    return [collect_cv_result([next(scores) for _ in cell]) for cell in jobs]
 
 
 def _fit_classifier_job(job):
@@ -203,16 +219,12 @@ class FingerprintAnalyzer:
         return self.workers if workers is None else workers
 
     def _forest_factory(self):
-        fit_seed = derive_seed(self.seed, "forest")
-
-        def factory():
-            return RandomForestClassifier(
-                n_estimators=self.config.forest_trees,
-                max_depth=self.config.forest_depth,
-                seed=fit_seed,
-            )
-
-        return factory
+        return partial(
+            RandomForestClassifier,
+            n_estimators=self.config.forest_trees,
+            max_depth=self.config.forest_depth,
+            seed=derive_seed(self.seed, "forest"),
+        )
 
     #: Entries kept in the feature-extraction cache before eviction.
     _FEATURE_CACHE_LIMIT = 128
@@ -275,34 +287,29 @@ class FingerprintAnalyzer:
     ) -> Dict[Tuple[str, str, float], CrossValidationResult]:
         """The full Table III grid: channels x durations.
 
-        Each cell's CV folds are one :func:`score_fold_batch` — its fold
-        forests grow together — and the cells fan out over workers as
-        whole batches; the scores per cell are exactly what
-        :meth:`evaluate_channel` computes serially.
+        Each channel's duration cells x folds are one
+        :func:`score_fold_batch` — its fold forests grow together over
+        feature matrices of every width — and the channels fan out over
+        workers as whole batches.  A batch builds its forests where it
+        runs and drops them once scored.  The scores per cell are
+        exactly what :meth:`evaluate_channel` computes serially.
         """
-        cells = []
-        batches = []
-        cv_seed = derive_seed(self.seed, "cv")
-        for channel, dataset in datasets.items():
-            domain, quantity = channel
-            for duration in durations:
-                X, y = self._features(dataset, duration)
-                batches.append(
-                    make_fold_jobs(
-                        X,
-                        y,
-                        n_folds=self.config.n_folds,
-                        classifier_factory=self._forest_factory(),
-                        seed=cv_seed,
-                    )
-                )
-                cells.append((domain, quantity, duration))
+        tasks = [
+            (
+                [self._features(dataset, duration) for duration in durations],
+                self.config.n_folds,
+                self._forest_factory(),
+                derive_seed(self.seed, "cv"),
+            )
+            for dataset in datasets.values()
+        ]
         scores = parallel_map(
-            score_fold_batch, batches, workers=self._workers(workers)
+            _score_cells, tasks, workers=self._workers(workers)
         )
         return {
-            cell: collect_cv_result(cell_scores)
-            for cell, cell_scores in zip(cells, scores)
+            (domain, quantity, duration): result
+            for (domain, quantity), results in zip(datasets, scores)
+            for duration, result in zip(durations, results)
         }
 
     def evaluate_fused(

@@ -11,8 +11,8 @@ Tree fitting is embarrassingly parallel and the forest exploits it:
 then grows every tree from its own ``default_rng(tree_seed)``.  Each
 tree is therefore a pure function of ``(X, y, params, tree_seed)``, so
 the trees can grow in lockstep (:func:`repro.ml.tree.grow_trees`) —
-all trees of one forest, or all forests of a CV cell at once
-(:func:`fit_forests`) — and serial and parallel fits, at any worker
+all trees of one forest, or all fold forests of a Table III channel at
+once (:func:`fit_forests`) — and serial and parallel fits, at any worker
 count, produce bit-identical forests (trees, importances, and
 predictions).
 """
@@ -61,7 +61,8 @@ def fit_forests(jobs: Sequence[tuple]) -> None:
     Each job is ``(forest, X, y, rows)``: the forest fits on
     ``X[rows]``, ``y[rows]`` (``rows=None`` for all of them), exactly as
     ``forest.fit(X[rows], y[rows])`` would, at any ``n_jobs``.  The
-    folds of one CV cell share ``X`` and train on different rows, so
+    folds of one CV cell share ``X`` and train on different rows, and
+    the cells of one channel bring matrices of different widths;
     batching them multiplies the nodes every scoring step covers.
     """
     tasks = []

@@ -14,15 +14,17 @@ stream, tie-breaks and importance order are those of the tree grown
 alone.  Per step, every live tree pops its next such *drawing* node
 and all of them are scored together: one stable argsort of the node
 values (ragged nodes padded with NaN, which sorts after every real
-value) and one ``(classes, nodes, features, positions)`` one-hot/cumsum
-Gini tensor.  Batching a forest, or a whole CV cell of forests, spreads
-numpy's per-call cost over the ~10-row nodes of deep trees.
+value), then an exact integer score per split position from cumsums
+over the sorted rows, with no class axis (:func:`_split`).  Batching a
+forest, or every fold forest of a Table III channel, spreads numpy's
+per-call cost over the ~10-row nodes of deep trees.
 
 The grown tree is bit-identical to the per-node implementation
 (``LegacyDecisionTreeClassifier`` in ``tests/reference_kernels.py``,
-pinned by ``tests/test_kernel_parity.py``): every Gini step is the
-same IEEE operation on the same values, summed in the same order
-(:func:`_class_sum`).
+pinned by ``tests/test_kernel_parity.py``): the float Gini criterion
+is replayed, as the same IEEE operations on the same values summed in
+the same order (:func:`_class_sum`), at every position whose exact
+score lies within its proven rounding error of the node's best.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ import numpy as np
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_int_in_range
 
-#: Float64 elements of one scoring call's cumsum tensor.  Larger
-#: batches are scored in chunks, which bounds the grower's scratch
-#: memory at a few MiB whatever the number of trees.
+#: ``(nodes, features, rows)`` elements of one scoring call; about ten
+#: 8-byte arrays of that shape are alive at once.  Larger batches are
+#: scored in chunks, which bounds the grower's scratch memory at ~10 MiB
+#: whatever the number of trees.
 _SCORE_ELEMENTS = 1 << 17
 
 
@@ -300,15 +303,19 @@ def _stack_blocks(tasks) -> Tuple[np.ndarray, np.ndarray, List[int]]:
 
     A trailing all-NaN row serves as the padding row of every node;
     narrower matrices pad their columns with NaN (no tree reads them).
-    Returns the stacked matrix, the codes and each task's row offset.
+    The padding row's code is one past the last class code, so it
+    sorts after every real row by class too.  Returns the stacked
+    matrix, the codes (the narrowest integer type that holds them) and
+    each task's row offset.
     """
     blocks = {}
     for _, X, codes, _ in tasks:
         blocks.setdefault((id(X), id(codes)), (X, codes))
     n_rows = sum(X.shape[0] for X, _ in blocks.values())
     width = max(X.shape[1] for X, _ in blocks.values())
+    n_codes = 1 + max(int(codes.max()) for _, codes in blocks.values())
     stacked = np.full((n_rows + 1, width), np.nan)
-    all_codes = np.zeros(n_rows + 1, dtype=np.int64)
+    all_codes = np.full(n_rows + 1, n_codes, dtype=np.min_scalar_type(n_codes))
     starts = {}
     start = 0
     for key, (X, codes) in blocks.items():
@@ -326,12 +333,13 @@ def grow_trees(tasks: Sequence[tuple]) -> None:
     ``X[rows]`` with integer class codes ``codes[rows]``, in that row
     order, which breaks value ties exactly as the row order of a copied
     ``X[rows]`` would (so a bootstrap passes its row map, not a copy).
-    A fitted tree's ``classes_`` holds the codes its rows contain.
+    Tasks may bring matrices of different widths.  A fitted tree's
+    ``classes_`` holds the codes its rows contain.
     """
     if not tasks:
         return
     X, codes, offsets = _stack_blocks(tasks)
-    n_codes = int(codes.max()) + 1
+    n_codes = int(codes[-1])
     growths = []
     for (tree, X_task, _, rows), offset in zip(tasks, offsets):
         rows = np.asarray(rows, dtype=np.int64) + offset
@@ -339,26 +347,47 @@ def grow_trees(tasks: Sequence[tuple]) -> None:
         growths.append(_Growth(tree, X_task.shape[1], rows, counts))
     live = [growth for growth in growths if growth.stack]
     while live:
+        # Nodes of one group share a padded row axis: their row counts
+        # lie within one power of two.
         groups = {}
         for growth in live:
             entry = growth.pop()
-            # Nodes of one group share padded class and row axes: the
-            # class width within one block of :func:`_class_sum`, the
-            # row count within a power of two.
-            n_present = entry[5]
-            key = (
-                n_present // 8 if n_present < 128 else -n_present,
-                (entry[1].size - 1).bit_length(),
-            )
-            groups.setdefault(key, []).append(entry)
+            groups.setdefault((entry[1].size - 1).bit_length(), []).append(entry)
         for group in groups.values():
-            step = _SCORE_ELEMENTS // max(entry[1].size for entry in group)
-            step = max(1, step // max(entry[5] * entry[6].size for entry in group))
+            width = max(entry[1].size for entry in group)
+            width *= max(entry[6].size for entry in group)
+            step = max(1, _SCORE_ELEMENTS // width)
             for start in range(0, len(group), step):
                 _split(X, codes, group[start:start + step])
         live = [growth for growth in live if growth.stack]
     for growth in growths:
         growth.finish()
+
+
+def criterion_error_bound(n_classes):
+    """``γ(k + 6)``: how far the float criterion can be from the exact
+    one at a node of ``k`` classes (derived in :func:`_split`)."""
+    steps = (np.asarray(n_classes) + 6) * 2.0**-53
+    return steps / (1.0 - steps)
+
+
+def _float_criterion(counts: np.ndarray, sizes: np.ndarray):
+    """The shipped float criterion: ``(weighted child Gini, parent Gini)``.
+
+    ``counts`` is ``(classes, 3, m)``: the left, right and parent class
+    counts of ``m`` split positions, present classes first in ascending
+    code order and zero-padded within one block of :func:`_class_sum`;
+    ``sizes`` is ``(3, m)``: left, right and node row counts.  Every
+    step is the IEEE operation of the per-node CART, in its order.
+    """
+    squares = counts / sizes
+    squares *= squares
+    gini = _class_sum(squares)
+    np.subtract(1.0, gini, out=gini)
+    weighted = gini[0] * sizes[0]
+    weighted += gini[1] * sizes[1]
+    weighted /= sizes[2]
+    return weighted, gini[2]
 
 
 def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
@@ -368,10 +397,32 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     features: every position between distinct sorted values that
     leaves both children at least ``min_samples_leaf`` rows is scored,
     the best position per feature is the first minimum of the weighted
-    child impurity, and the best feature the first maximum of the gain
-    in draw order.  The threshold is the midpoint of the two values
+    child impurity ``w``, and the best feature the first maximum of the
+    gain in draw order.  The threshold is the midpoint of the two values
     around the winning position (the lower value if rounding lifts the
     midpoint onto the upper one).
+
+    *Search.*  With ``S`` the sum of squared class counts, exactly ``w*
+    = 1 − (S_l/n_l + S_r/n_r)/n``.  Along sorted rows ``S_l`` grows by
+    ``2·r + 1``, ``r`` being the row's rank within its class, and ``S_r
+    = S_P − 2·cumsum(P[label]) + S_l``: integer cumsums, no class axis.
+
+    *Replay.*  With ``u = 2⁻⁵³``, ``γ(j) = j·u/(1 − j·u)`` and ``k``
+    classes, ``|w − w*| ≤ E = γ(k + 6)`` at any node size (``n <
+    2⁵³``): each ``p²`` takes two roundings and the sum of ``k`` of
+    them ``k − 1`` more (``Σp²`` is off by ``γ(k + 1)``); ``1 − Σp²``
+    and the product with ``n_l`` or ``n_r`` two more; their sum and the
+    division by ``n`` two more.  A feature wins only if its gain
+    ``fl(gini − w)`` rounds to the best gain, so its least ``w`` is
+    within ``2u`` (an ulp below 2) of the node's least, which is within
+    ``E`` of the least ``w*``: its minimal positions have ``w*`` within
+    ``2E + 2u`` of the best.  The float score ``S_l/n_l + S_r/n_r`` is
+    off by ``γ(2)·n`` at most.  So every valid position whose score is
+    within ``4E·n`` of its node's best (``E ≥ γ(8)`` covers the rest)
+    is replayed through :func:`_float_criterion` and every other one
+    counts as ``w = inf``: each feature that can win sees all its
+    minimal positions, and no other feature can win.  The winner's left
+    class counts come from the replay.
     """
     b = len(chunk)
     nodes = np.arange(b)
@@ -381,63 +432,96 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     rows = np.full((b, n), X.shape[0] - 1)
     rows[real] = np.concatenate([entry[1] for entry in chunk])
     n_subsets = np.array([entry[6].size for entry in chunk])
-    real_features = np.arange(n_subsets.max()) < n_subsets[:, np.newaxis]
+    n_features = int(n_subsets.max())
+    real_features = np.arange(n_features) < n_subsets[:, np.newaxis]
     features = np.zeros(real_features.shape, dtype=np.int64)
     features[real_features] = np.concatenate([entry[6] for entry in chunk])
     leaf = np.array([[entry[0].tree.min_samples_leaf] for entry in chunk])
-
-    # Present classes get dense codes in ascending order; class-axis
-    # tensors put classes first and pad with zero counts after them.
     counts = np.stack([entry[4] for entry in chunk])
-    present = counts > 0
-    rank = present.cumsum(axis=1) - 1
-    n_classes = int(present.sum(axis=1).max())
-    owner, code = np.nonzero(present)
-    parent = np.zeros((n_classes, b))
-    parent[rank[owner, code], owner] = counts[owner, code]
-    parent_p = parent / sizes
-    parent_gini = 1.0 - _class_sum(parent_p * parent_p)
+    n_present = np.array([entry[5] for entry in chunk])
 
     values = X[rows[:, np.newaxis, :], features[:, :, np.newaxis]]
     order = values.argsort(axis=2, kind="stable")
-    values = np.take_along_axis(values, order, axis=2)
-    # Left-child class counts at every split position: a cumsum over
-    # the one-hot classes of all sorted rows but the last.
-    labels = rank[nodes[:, np.newaxis], codes[rows]]
-    labels = labels[nodes[:, np.newaxis, np.newaxis], order[..., :-1]]
-    left_counts = np.equal(
-        labels, np.arange(n_classes).reshape(-1, 1, 1, 1)
-    ).astype(np.float64)
-    np.cumsum(left_counts, axis=3, out=left_counts)
+    values = np.take(values, order + n * np.arange(b * n_features).reshape(b, -1, 1))
+    labels = np.take(codes[rows], order + (nodes * n)[:, np.newaxis, np.newaxis])
+
+    # In class order every feature of a node reads the same rows: class
+    # 0's ranked 0, 1, ..., then class 1's, ..., then the padding.  A
+    # row at place q of class c steps S_l by 2·(q − start_c) + 1 and
+    # S_r − S_P by 2·(q − end_c) + 1; both go back to value order
+    # through the inverse of the class sort.
+    blocks = np.concatenate([counts, (n - sizes)[:, np.newaxis]], axis=1)
+    ends = blocks.cumsum(axis=1)
+    bounds = np.stack([ends - blocks, ends]).reshape(2, -1)
+    step = 2 * (np.arange(b * n) % n - np.repeat(bounds, blocks.ravel(), axis=1)) + 1
+    by_class = labels.argsort(axis=2, kind="stable").reshape(b * n_features, n)
+    inverse = np.empty_like(by_class)
+    inverse[np.arange(b * n_features)[:, np.newaxis], by_class] = (
+        np.arange(n) + np.repeat(nodes * n, n_features)[:, np.newaxis]
+    )
+    steps = np.take(step, inverse, axis=1)
+    np.cumsum(steps, axis=2, out=steps)
+    steps = steps.reshape(2, b, n_features, n)[..., :-1]
     left_sizes = np.arange(1, n)
     right_sizes = sizes[:, np.newaxis] - left_sizes
     # Positions past a node's last row divide by zero or negative
     # sizes; they are masked out below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        left_p = left_counts / left_sizes
-        right_p = parent[:, :, np.newaxis, np.newaxis] - left_counts
-        right_p /= right_sizes[:, np.newaxis, :]
-        left_p *= left_p
-        right_p *= right_p
-        weighted = _class_sum(left_p)
-        right_sum = _class_sum(right_p)
-        np.subtract(1.0, weighted, out=weighted)
-        weighted *= left_sizes
-        np.subtract(1.0, right_sum, out=right_sum)
-        right_sum *= right_sizes[:, np.newaxis, :]
-        weighted += right_sum
-        weighted /= sizes[:, np.newaxis, np.newaxis]
+        score = steps[0] / left_sizes
+        steps[1] += (counts * counts).sum(axis=1)[:, np.newaxis, np.newaxis]
+        score += steps[1] / right_sizes[:, np.newaxis, :]
     valid = values[:, :, 1:] != values[:, :, :-1]
     valid &= ((left_sizes >= leaf) & (right_sizes >= leaf))[:, np.newaxis]
     valid &= real_features[:, :, np.newaxis]
-    weighted[~valid] = np.inf
-    positions = weighted.argmin(axis=2)
-    gains = parent_gini[:, np.newaxis] - np.take_along_axis(
-        weighted, positions[..., np.newaxis], axis=2
-    )[..., 0]
+    score[~valid] = -np.inf
+    floor = score.max(axis=(1, 2)) - 4 * criterion_error_bound(n_present) * sizes
+    near = valid & (score >= floor[:, np.newaxis, np.newaxis])
+    at_node, at_feature, at_position = np.nonzero(near)
+    m = at_node.size
+    if m == 0:
+        return
+
+    # Class counts left of every replayed position.
+    width = counts.shape[1] + 1
+    tagged = labels[at_node, at_feature] + width * np.arange(m)[:, np.newaxis]
+    left_counts = np.bincount(
+        tagged[np.arange(n) <= at_position[:, np.newaxis]], minlength=m * width
+    ).reshape(m, width)[:, :-1]
+    parents = counts[at_node]
+    present_first = np.argsort(parents == 0, axis=1, kind="stable")
+    terms = np.take_along_axis(
+        np.stack([left_counts, parents - left_counts, parents]),
+        present_first[np.newaxis],
+        axis=2,
+    ).transpose(2, 0, 1).astype(np.float64)
+    left_size = at_position + 1
+    replay_sizes = np.stack([left_size, sizes[at_node] - left_size, sizes[at_node]])
+    n_classes = n_present[at_node]
+    # One reduction order per block of :func:`_class_sum`.
+    sum_blocks = np.where(n_classes < 128, n_classes // 8, -n_classes)
+    weighted = np.empty(m)
+    parent_gini = np.empty(m)
+    for block in np.unique(sum_blocks).tolist():
+        pick = np.flatnonzero(sum_blocks == block)
+        weighted[pick], parent_gini[pick] = _float_criterion(
+            terms[:n_classes[pick].max(), :, pick], replay_sizes[:, pick]
+        )
+
+    # Per (node, feature) the first replayed minimum; replayed
+    # positions come in (node, feature, position) order.
+    pair = at_node * n_features + at_feature
+    by_pair = np.lexsort((weighted, pair))
+    firsts = by_pair[np.flatnonzero(np.diff(pair, prepend=-1))]
+    gains = np.full((b, n_features), -np.inf)
+    winners = np.zeros((b, n_features), dtype=np.int64)
+    gains[at_node[firsts], at_feature[firsts]] = (
+        parent_gini[firsts] - weighted[firsts]
+    )
+    winners[at_node[firsts], at_feature[firsts]] = firsts
     best = gains.argmax(axis=1)
     gain = gains[nodes, best]
-    position = positions[nodes, best]
+    winner = winners[nodes, best]
+    position = at_position[winner]
     low = values[nodes, best, position]
     high = values[nodes, best, position + 1]
     threshold = 0.5 * (low + high)
@@ -446,10 +530,7 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
 
     goes_left = X[rows, feature[:, np.newaxis]] <= threshold[:, np.newaxis]
     n_left = goes_left.sum(axis=1)
-    child_counts = np.zeros_like(counts)
-    child_counts[owner, code] = left_counts[:, nodes, best, position][
-        rank[owner, code], owner
-    ]
+    child_counts = left_counts[winner]
     right_counts = counts - child_counts
     left_present = np.count_nonzero(child_counts, axis=1).tolist()
     right_present = np.count_nonzero(right_counts, axis=1).tolist()

@@ -12,7 +12,7 @@ batch of them, growing every fold forest of the batch together (see
 :func:`repro.ml.forest.fit_forests`).  :func:`cross_validate` scores its
 folds as one batch, or as one batch per worker through
 :func:`repro.perf.parallel_map`, and the Table III grid evaluator makes
-each channel x duration cell one batch.  Reproducibility contract: for
+all duration cells of one channel one batch.  Reproducibility contract: for
 classifier factories whose products fit deterministically from
 construction (integer seeds — the default), serial and parallel runs
 produce identical scores at any worker count.  Factories that share a

@@ -1,5 +1,7 @@
 """Integration tests for DNN fingerprinting (reduced-size pipeline)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,28 @@ class TestEvaluation:
         )
         assert len(results) == len(datasets) * 2
         assert ("fpga", "current", 3.0) in results
+
+    def test_table3_drops_each_channels_forests_once_scored(
+        self, fingerprinter, datasets, monkeypatch
+    ):
+        analyzer = fingerprinter.analyzer
+        durations = (1.0, 3.0)
+        per_channel = len(durations) * analyzer.config.n_folds
+        factory = analyzer._forest_factory()
+        forests = []
+
+        def tracked():
+            # A channel's forests are gone before the next one builds.
+            scored = len(forests) - len(forests) % per_channel
+            assert all(ref() is None for ref in forests[:scored])
+            forest = factory()
+            forests.append(weakref.ref(forest))
+            return forest
+
+        monkeypatch.setattr(analyzer, "_forest_factory", lambda: tracked)
+        fingerprinter.evaluate_table3(datasets, durations=durations, workers=1)
+        assert len(forests) == len(datasets) * per_channel
+        assert all(ref() is None for ref in forests)
 
 
 class TestOnlinePhase:

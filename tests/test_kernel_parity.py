@@ -36,7 +36,7 @@ from repro.core.io import (
 )
 from repro.core.traces import Trace
 from repro.ml.forest import RandomForestClassifier, fit_forests
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _class_sum
 from repro.ml.validation import (
     make_fold_jobs,
     score_fold,
@@ -356,6 +356,114 @@ class TestLockstepParity:
         jobs = make_fold_jobs(X, y, n_folds=5, classifier_factory=factory,
                               seed=1)
         assert batched == [score_fold(job) for job in jobs]
+
+
+def _assert_forest_matches_legacy(forest, X, y, rows, seed, context):
+    """Regrow every tree of a fitted forest with the legacy CART."""
+    tree_seeds = ensure_rng(seed).integers(
+        0, np.iinfo(np.int64).max, size=forest.n_estimators
+    )
+    for tree, tree_seed in zip(forest.trees_, tree_seeds):
+        rng = ensure_rng(int(tree_seed))
+        sample = rows[rng.integers(0, rows.size, size=rows.size)]
+        legacy = LegacyDecisionTreeClassifier(
+            max_depth=forest.max_depth,
+            max_features=forest.max_features,
+            min_samples_leaf=forest.min_samples_leaf,
+            seed=rng,
+        ).fit(X[sample], y[sample])
+        _assert_tree_parity(legacy, tree, X, f"{context} tree={tree_seed}")
+
+
+def _many_class_problem(n_classes, per_class, n_features, seed):
+    """Class-structured rows with rounded columns and duplicated rows."""
+    rng = ensure_rng(seed)
+    y = np.repeat(np.arange(n_classes), per_class)
+    X = rng.normal(size=(y.size, n_features))
+    X += 0.8 * rng.normal(size=(n_classes, n_features))[y]
+    X[:, ::3] = np.round(X[:, ::3], 1)
+    X[-6:] = X[:6]
+    return X, y
+
+
+class TestClassFreeParity:
+    """Nodes the exact-score search and its float replay must agree on."""
+
+    def test_nodes_without_a_valid_position(self):
+        """>= 2 classes, yet no split: twin rows with conflicting labels,
+        every drawn feature constant, or every boundary between distinct
+        values too close to an end for ``min_samples_leaf``."""
+        for seed in range(6):
+            rng = ensure_rng(500 + seed)
+            X = np.round(rng.normal(size=(48, 6)))
+            X[:, 3:] = 1.5
+            X[24:36] = X[:12]
+            y = rng.integers(0, 3, size=48)
+            y[24:36] = (y[:12] + 1) % 3
+            old, new = _tree_pair(
+                X, y, seed=seed, max_features=1 + seed % 2,
+                min_samples_leaf=1 + seed % 3,
+            )
+            _assert_tree_parity(old, new, X, f"no valid position seed={seed}")
+            leaves = new._proba_matrix[new._left_arr < 0]
+            assert (np.count_nonzero(leaves, axis=1) > 1).any()
+
+    @pytest.mark.parametrize("max_features, leaf", [("sqrt", 1), (None, 3)])
+    def test_39_classes_702_rows(self, max_features, leaf):
+        X, y = _many_class_problem(39, 18, 30, seed=7)
+        assert X.shape == (702, 30)
+        old, new = _tree_pair(
+            X, y, seed=13, max_features=max_features, min_samples_leaf=leaf
+        )
+        _assert_tree_parity(old, new, X, f"39 x 702 {max_features} {leaf}")
+
+    def test_class_sum_order_and_padding(self):
+        """``_class_sum`` adds in numpy's order, and zero padding within
+        one block of 8 classes, below 128, keeps its bits."""
+        rng = ensure_rng(21)
+        for k in range(1, 300):
+            terms = (rng.integers(0, 9, size=(k, 40)) / 701.0) ** 2
+            expected = np.add.reduce(np.ascontiguousarray(terms.T), axis=1)
+            _assert_bitwise(expected, _class_sum(terms.copy()), f"k={k}")
+            if k < 128:
+                padded = np.zeros((max(7, k - k % 8 + 7), 40))
+                padded[:k] = terms
+                _assert_bitwise(expected, _class_sum(padded), f"k={k} padded")
+
+    def test_more_than_128_classes(self):
+        """Past 128 terms numpy halves the class sum; no block padding."""
+        X, y = _many_class_problem(150, 4, 6, seed=11)
+        forest = RandomForestClassifier(
+            n_estimators=3, max_features=None, seed=4, n_jobs=1
+        ).fit(X, y)
+        _assert_forest_matches_legacy(
+            forest, X, y, np.arange(y.size), 4, "150 classes"
+        )
+
+    @pytest.mark.parametrize("leaf", [2, 4, 7])
+    def test_min_samples_leaf_above_one(self, leaf):
+        for seed in range(3):
+            X, y = _many_class_problem(13, 9, 12, seed=600 + seed)
+            forest = RandomForestClassifier(
+                n_estimators=4, min_samples_leaf=leaf, seed=seed, n_jobs=1
+            ).fit(X, y)
+            _assert_forest_matches_legacy(
+                forest, X, y, np.arange(y.size), seed, f"leaf={leaf}"
+            )
+
+    def test_one_growth_over_blocks_of_different_widths(self):
+        """A fused Table III channel: one grow over 28- to 140-wide X."""
+        X, y = _table3_problem(seed=5)
+        train = np.sort(ensure_rng(9).choice(y.size, size=46, replace=False))
+        jobs = []
+        for index, width in enumerate((28, 56, 140, 28)):
+            forest = RandomForestClassifier(n_estimators=5, seed=20 + index)
+            jobs.append((forest, np.ascontiguousarray(X[:, :width]), y, train))
+        fit_forests(jobs)
+        for index, (forest, X_block, _, rows) in enumerate(jobs):
+            _assert_forest_matches_legacy(
+                forest, X_block, y, rows, 20 + index, f"width {X_block.shape[1]}"
+            )
 
 
 # --------------------------------------------------------------- kfold

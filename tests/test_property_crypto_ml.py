@@ -1,5 +1,7 @@
 """Property-based tests for RSA math and the ML stack."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,12 @@ from repro.crypto.rsa_math import (
     square_and_multiply,
 )
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier, gini_impurity
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    _float_criterion,
+    criterion_error_bound,
+    gini_impurity,
+)
 
 
 class TestRsaProperties:
@@ -76,6 +83,64 @@ class TestGiniProperties:
         counts = np.zeros(k)
         counts[0] = count
         assert gini_impurity(counts) == 0.0
+
+
+def _largest_criterion_gap(labels):
+    """Largest ``|w − w*|`` over every split position of one node.
+
+    ``labels`` are the node's class codes in value order; ``w`` is the
+    shipped float criterion and ``w* = 1 − (S_l/n_l + S_r/n_r)/n`` the
+    exact one, ``S`` being the sum of squared class counts.
+    """
+    n = labels.size
+    present = np.unique(labels)
+    one_hot = labels[:, np.newaxis] == present
+    left = np.cumsum(one_hot, axis=0)[:-1]
+    parent = one_hot.sum(axis=0)
+    terms = np.stack(
+        [left, parent - left, np.broadcast_to(parent, left.shape)]
+    ).transpose(2, 0, 1).astype(np.float64)
+    n_left = np.arange(1, n)
+    sizes = np.stack([n_left, n - n_left, np.full(n - 1, n)])
+    weighted, _ = _float_criterion(terms, sizes)
+    gap = Fraction(0)
+    for position in range(n - 1):
+        s_left = int((left[position] ** 2).sum())
+        s_right = int(((parent - left[position]) ** 2).sum())
+        exact = 1 - (
+            Fraction(s_left, int(n_left[position]))
+            + Fraction(s_right, n - int(n_left[position]))
+        ) / n
+        gap = max(gap, abs(Fraction(float(weighted[position])) - exact))
+    return gap
+
+
+class TestCriterionErrorBound:
+    """The float-vs-exact bound the split search replays within."""
+
+    @given(
+        st.integers(min_value=2, max_value=39),
+        st.integers(min_value=2, max_value=240),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_criterion_within_bound(self, n_classes, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_classes, size=n_rows)
+        labels[:2] = 0, 1
+        bound = criterion_error_bound(np.unique(labels).size)
+        assert _largest_criterion_gap(labels) <= Fraction(float(bound))
+
+    def test_39_classes_702_rows_within_bound(self):
+        rng = np.random.default_rng(0)
+        for labels in (
+            rng.permutation(np.repeat(np.arange(39), 18)),
+            np.repeat(np.arange(39), 18),
+            np.sort(rng.integers(0, 39, size=702)),
+        ):
+            assert labels.size == 702 and np.unique(labels).size == 39
+            bound = criterion_error_bound(39)
+            assert _largest_criterion_gap(labels) <= Fraction(float(bound))
 
 
 @st.composite
