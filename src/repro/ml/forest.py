@@ -34,7 +34,8 @@ def _seeded_trees(params, seeds, rows) -> List[tuple]:
     """``(unfitted tree, training rows)`` per seed.
 
     Each tree's generator first draws its bootstrap row map, then
-    serves the tree's per-node feature draws.
+    serves the tree's per-node feature draws, which the grower computes
+    in blocks ahead but leaves the generator's stream as drawn per node.
     """
     tree_params, bootstrap = params
     trees = []

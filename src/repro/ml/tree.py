@@ -8,8 +8,12 @@ from scratch: exact greedy CART with threshold splits and per-node
 random feature subsampling.
 
 Trees grow in lockstep (:func:`grow_trees`).  Each tree keeps its own
-depth-first stack and generator, which draws one candidate-feature
-``choice`` per node it tries to split, so node numbering, the RNG
+depth-first stack and generator, whose stream gives one candidate-feature
+``choice`` per node the tree tries to split.  The subsets come in blocks
+computed across trees (:func:`repro.utils.rng.fill_subsets` mirrors
+numpy's Floyd and Fisher–Yates draws on PCG64 words, falling back to
+``choice`` for other generators and populations over 10 000) and the
+generator is rewound to the per-node state, so node numbering, the RNG
 stream, tie-breaks and importance order are those of the tree grown
 alone.  Per step, every live tree pops its next such *drawing* node
 and all of them are scored together: one stable argsort of the node
@@ -33,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, SubsetDraws, ensure_rng, fill_subsets
 from repro.utils.validation import require_int_in_range
 
 #: ``(nodes, features, rows)`` elements of one scoring call; about ten
@@ -229,17 +233,20 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
 
 
 class _Growth:
-    """One tree's growth state: its stack, generator and node records.
+    """One tree's growth state: its stack, feature subsets and node records.
 
     A stack entry is ``(rows, node, depth, class counts, classes
     present)``; only nodes that may split are stacked, since popping
-    any other node draws nothing from the generator.
+    any other node draws nothing from the generator.  ``subsets``
+    serves the generator's per-node draws from blocks filled ahead;
+    :meth:`finish` rewinds the generator to the per-node state.
     """
 
     def __init__(self, tree, n_features, rows, counts):
         self.tree = tree
         self.n_features = n_features
-        self.n_subset = _resolve_max_features(tree.max_features, n_features)
+        n_subset = _resolve_max_features(tree.max_features, n_features)
+        self.subsets = SubsetDraws(tree._rng, n_features, n_subset)
         self.stack: List[tuple] = []
         self.counts: List[np.ndarray] = []
         self.splits: List[Tuple[int, int, int, float]] = []
@@ -262,15 +269,15 @@ class _Growth:
         return node
 
     def pop(self) -> tuple:
-        """Pop the next drawing node and draw its candidate features:
+        """Pop the next drawing node with its candidate features, the
+        next row of a block :func:`fill_subsets` refilled this step:
         ``(self, rows, node, depth, counts, n_present, features)``."""
-        features = self.tree._rng.choice(
-            self.n_features, size=self.n_subset, replace=False
-        )
-        return (self,) + self.stack.pop() + (features,)
+        return (self,) + self.stack.pop() + (self.subsets.take(),)
 
     def finish(self) -> None:
-        """Write the flat node arrays and importances onto the tree."""
+        """Rewind the generator over the subsets drawn ahead, then write
+        the flat node arrays and importances onto the tree."""
+        self.subsets.sync()
         tree = self.tree
         count = len(self.counts)
         links = np.full((3, count), -1, dtype=np.int64)
@@ -347,6 +354,7 @@ def grow_trees(tasks: Sequence[tuple]) -> None:
         growths.append(_Growth(tree, X_task.shape[1], rows, counts))
     live = [growth for growth in growths if growth.stack]
     while live:
+        fill_subsets([growth.subsets for growth in live])
         # Nodes of one group share a padded row axis: their row counts
         # lie within one power of two.
         groups = {}

@@ -282,7 +282,8 @@ class CycleRun:
     values, the per-rail slot powers, and, every
     :data:`CHECKPOINT_CYCLES` cycles, a checkpoint of the slot-edge
     cumsum and of each rail's cumulative energy.  :meth:`block_arrays`
-    rebuilds any range of blocks from its checkpoint.
+    rebuilds any range of blocks from its checkpoint, the edges once for
+    all rails.
 
     The rebuilt arrays hold the bits of a :class:`PiecewiseActivity` over
     the whole run with its zero-length segments dropped:
@@ -324,6 +325,8 @@ class CycleRun:
                 raise ValueError(f"{name} must be >= 0")
         self.width = self.durations.size + 1
         self.block_slots = CHECKPOINT_CYCLES * self.width
+        #: Blocks a rail keeps rebuilt between queries (about MEMO_SLOTS slots).
+        self.blocks_per_memo = max(1, MEMO_SLOTS // self.block_slots)
         # Slot powers per rail: the cycle's segments, then the 0 W stall.
         self.powers: Dict[str, np.ndarray] = {}
         for rail, rail_powers in powers.items():
@@ -346,6 +349,8 @@ class CycleRun:
         self._edge_checkpoints = cum[block_starts].copy()
         self.block_offsets = edges[block_starts] - self.start
         self.span = float(edges[self.n_slots] - self.start)
+        # (first block, last block, edges, rel_edges) of the last shared range.
+        self._edge_memo = None
         self._energy_checkpoints: Dict[str, np.ndarray] = {}
         self.energy: Dict[str, float] = {}
         for rail in self.powers:
@@ -394,20 +399,30 @@ class CycleRun:
 
         Returns the edges relative to :attr:`start` of the slots the
         blocks cover, and the cumulative energy at each edge.  Slot ``k``
-        of the result is slot ``k % width`` of its cycle.
+        of the result is slot ``k % width`` of its cycle.  The edges of
+        the last range longer than a rail keeps (:attr:`blocks_per_memo`)
+        are kept and shared by every rail that asks for the same range;
+        only the energy cumsum is per rail.
         """
-        first_cycle = first * CHECKPOINT_CYCLES
-        end_cycle = min((last + 1) * CHECKPOINT_CYCLES, self.scales.size)
-        edges = self.start + np.cumsum(
-            self._slot_durations(
-                first_cycle, end_cycle, self._edge_checkpoints[first]
+        memo = self._edge_memo
+        if memo is None or memo[:2] != (first, last):
+            first_cycle = first * CHECKPOINT_CYCLES
+            end_cycle = min((last + 1) * CHECKPOINT_CYCLES, self.scales.size)
+            edges = self.start + np.cumsum(
+                self._slot_durations(
+                    first_cycle, end_cycle, self._edge_checkpoints[first]
+                )
             )
-        )
+            size = min(end_cycle * self.width, self.n_slots) - first_cycle * self.width
+            memo = (first, last, edges, edges[: size + 1] - self.start)
+            # A range a rail keeps for itself is rebuilt once per rail
+            # anyway; sharing a longer one spares the other rails' rebuilds.
+            self._edge_memo = memo if last - first >= self.blocks_per_memo else None
+        edges, rel_edges = memo[2:]
         energy = self._energy(
             rail, self._energy_checkpoints[rail][first], edges
         )
-        size = min(end_cycle * self.width, self.n_slots) - first_cycle * self.width
-        return edges[: size + 1] - self.start, energy[: size + 1]
+        return rel_edges, energy[: rel_edges.size]
 
     def full_arrays(self, rail: str) -> Tuple[np.ndarray, np.ndarray]:
         """The whole run's ``(edges, powers)`` with zero-length segments dropped."""
@@ -442,7 +457,6 @@ class CycleRunActivity(ActivityTimeline):
         self._powers = run.powers[rail]
         ends = self._powers[[run.first_slot % run.width, (run.n_slots - 1) % run.width]]
         self._first_power, self._last_power = ends
-        self._blocks_per_memo = max(1, MEMO_SLOTS // run.block_slots)
         # (first block, last block, rel_edges, cum_energy) of the last rebuild.
         self._memo = None
         # Exact-zero sentinel: held end powers are configured, not computed.
@@ -480,11 +494,11 @@ class CycleRunActivity(ActivityTimeline):
         memo = self._memo
         if memo is None or not (memo[0] <= first and last <= memo[1]):
             end = min(
-                max(last, first + self._blocks_per_memo - 1),
+                max(last, first + self.run.blocks_per_memo - 1),
                 self.run.n_blocks - 1,
             )
             memo = (first, end) + self.run.block_arrays(self.rail, first, end)
-            if last - first < self._blocks_per_memo:
+            if last - first < self.run.blocks_per_memo:
                 self._memo = memo
         return memo[2], memo[3]
 

@@ -181,6 +181,26 @@ class TestVictimMemory:
         # The full segment arrays held ~290 KB per simulated second.
         assert slope < 16_000, f"{name}: {slope:.0f} B per simulated second"
 
+    def test_rails_share_only_ranges_no_rail_keeps(self, runner):
+        """A full-span batch rebuilds the run's edges once for all four
+        rails; a rail's own forward memo leaves no shared copy held."""
+        soc = Soc(seed=0)
+        runner.deploy(soc, build_model("resnet-152"), duration=4.0, seed=1)
+        timelines = [
+            soc.rail(rail).timeline().components[1] for rail in DPU_RAILS
+        ]
+        run = timelines[0].run
+        edges = np.linspace(-1.0, 5.0, 200)
+        for timeline in timelines:
+            timeline.energy_between(edges[:-1], edges[1:])
+        memo = run._edge_memo
+        assert memo[1] - memo[0] >= run.blocks_per_memo
+        for rail in DPU_RAILS:
+            assert run.block_arrays(rail, memo[0], memo[1])[0] is memo[3]
+        chunk = np.linspace(1.0, 1.01, 10)
+        timelines[0].energy_between(chunk[:-1], chunk[1:])
+        assert run._edge_memo is None
+
 
 class TestDeployment:
     def test_deploy_attaches_all_rails(self, runner, resnet):

@@ -15,6 +15,7 @@ legacy twin in ``tests/reference_kernels.py``, twice over:
 difference is a bug in the fast path.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.ml.validation import (
     score_fold_batch,
     stratified_kfold_indices,
 )
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import BLOCK_ROWS, SubsetDraws, ensure_rng, fill_subsets
 
 DATA = Path(__file__).parent / "data"
 COLLECT_FIXTURE = DATA / "collect_seed3_v1.npz"
@@ -145,6 +146,14 @@ def _assert_tree_parity(old, new, X_eval, context):
     )
     _assert_bitwise(
         old.predict_proba(X_eval), new.predict_proba(X_eval), context
+    )
+    _assert_same_state(old._rng, new._rng, context)
+
+
+def _assert_same_state(old_rng, new_rng, context):
+    """The whole bit-generator state, buffered half included."""
+    np.testing.assert_equal(
+        new_rng.bit_generator.state, old_rng.bit_generator.state, context
     )
 
 
@@ -464,6 +473,144 @@ class TestClassFreeParity:
             _assert_forest_matches_legacy(
                 forest, X_block, y, rows, 20 + index, f"width {X_block.shape[1]}"
             )
+
+
+# ----------------------------------------------------- feature subsets
+
+
+def _streams_and_references(specs, pre):
+    """Per spec ``(seed, n, k)``: a block stream and a same-state twin
+    generator, both after ``pre`` buffered 32-bit draws."""
+    streams, references = [], []
+    for seed, n, k in specs:
+        pair = [ensure_rng(seed), ensure_rng(seed)]
+        for rng in pair:
+            rng.integers(0, 2**32, size=pre, dtype=np.uint32)
+        assert pair[0].bit_generator.state["has_uint32"] == pre % 2
+        streams.append(SubsetDraws(pair[0], n, k))
+        references.append(pair[1])
+    return streams, references
+
+
+def _assert_blocks_match_choice(streams, references, nodes, context):
+    """``nodes`` rows of every stream equal per-node ``choice`` calls,
+    and the synced generators equal the per-node ones."""
+    for node in range(nodes):
+        fill_subsets(streams)
+        for index, (stream, reference) in enumerate(zip(streams, references)):
+            expected = reference.choice(stream.n, size=stream.k, replace=False)
+            _assert_bitwise(
+                expected, stream.take(), f"{context} stream={index} node={node}"
+            )
+    for index, (stream, reference) in enumerate(zip(streams, references)):
+        stream.sync()
+        _assert_same_state(reference, stream.rng, f"{context} stream={index}")
+
+
+class TestBlockChoiceParity:
+    """Block-drawn subsets equal ``Generator.choice`` called per node."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 28, 56, 84, 112, 140, 702])
+    def test_subsets_and_state(self, n):
+        for k in sorted({1, math.isqrt(n), n}):
+            for pre in (0, 1, 2):
+                # 5 rows end inside the first block, 24 at the second's
+                # end; 61 span four refills.
+                for nodes in (5, 24, 61):
+                    streams, references = _streams_and_references(
+                        [(seed, n, k) for seed in range(3)], pre
+                    )
+                    _assert_blocks_match_choice(
+                        streams, references, nodes, f"n={n} k={k} pre={pre}"
+                    )
+
+    def test_groups_of_different_shapes_in_one_fill(self):
+        specs = [(40 + i, n, k) for i, (n, k) in enumerate(
+            [(140, 11), (28, 5), (140, 11), (702, 26), (28, 28), (1, 1)]
+        )]
+        for pre in (0, 1):
+            streams, references = _streams_and_references(specs, pre)
+            _assert_blocks_match_choice(streams, references, 70, f"pre={pre}")
+
+    @pytest.mark.parametrize("seed, node", [(42101, 130), (53780, 67), (68256, 123)])
+    def test_rejected_draw_cuts_the_block(self, seed, node):
+        """``choice(140, 11)`` on these seeds has one Lemire rejection,
+        at ``node``: the block ends there and ``choice`` serves it."""
+        (stream,), _ = _streams_and_references([(seed, 140, 11)], 0)
+        served = 0
+        while not stream.cut and served < node:
+            served += len(stream.rows)
+            stream.taken = len(stream.rows)
+            fill_subsets([stream])
+        assert stream.cut and served + len(stream.rows) == node
+        for nodes in (node, node + 1, node + 40):
+            streams, references = _streams_and_references(
+                [(seed, 140, 11), (seed + 1, 140, 11)], 0
+            )
+            _assert_blocks_match_choice(
+                streams, references, nodes, f"seed={seed} nodes={nodes}"
+            )
+
+    def test_fallbacks_match_choice(self):
+        """Other bit generators, populations over 10 000 and two streams
+        on one generator all take ``choice`` per row."""
+        for bit_generator in (np.random.MT19937, np.random.SFC64):
+            rng = np.random.Generator(bit_generator(5))
+            reference = np.random.Generator(bit_generator(5))
+            stream = SubsetDraws(rng, 140, 11)
+            assert not stream.blocked
+            _assert_blocks_match_choice([stream], [reference], 20, "non-PCG64")
+        (stream,), references = _streams_and_references([(5, 20_000, 141)], 0)
+        assert not stream.blocked
+        _assert_blocks_match_choice([stream], references, 3, "n=20000")
+        rng, reference = ensure_rng(8), ensure_rng(8)
+        shared = [SubsetDraws(rng, 140, 11), SubsetDraws(rng, 56, 7)]
+        _assert_blocks_match_choice(shared, [reference, reference], 20, "shared")
+
+    def test_blocks_use_the_narrowest_integer_type(self):
+        for n, dtype in ((140, np.uint8), (256, np.uint8), (702, np.uint16)):
+            (stream,), _ = _streams_and_references([(1, n, 9)], 0)
+            fill_subsets([stream])
+            assert stream.rows.dtype == dtype
+            assert stream.rows.shape == (BLOCK_ROWS[0], 9)
+
+
+class TestFitRngContract:
+    """A fit leaves each tree's generator where per-node draws would."""
+
+    def test_second_fit_continues_the_stream(self):
+        X, y = _table3_problem(seed=2)
+        for max_features in ("sqrt", 3, None):
+            old, new = _tree_pair(X, y, seed=6, max_features=max_features)
+            _assert_same_state(old._rng, new._rng, f"{max_features} first fit")
+            old.fit(X[::2], y[::2])
+            new.fit(X[::2], y[::2])
+            _assert_tree_parity(old, new, X, f"{max_features} second fit")
+
+    def test_batched_fit_forests(self):
+        """Trees grown in one lockstep batch, across widths and seeds."""
+        X, y = _table3_problem(seed=4)
+        jobs = []
+        for index, width in enumerate((28, 140, 84)):
+            forest = RandomForestClassifier(n_estimators=6, seed=30 + index)
+            jobs.append((forest, np.ascontiguousarray(X[:, :width]), y, None))
+        fit_forests(jobs)
+        rows = np.arange(y.size)
+        for index, (forest, X_block, _, _) in enumerate(jobs):
+            # Compares every tree's generator state with the legacy fit's.
+            _assert_forest_matches_legacy(
+                forest, X_block, y, rows, 30 + index, f"width {X_block.shape[1]}"
+            )
+
+    def test_non_pcg64_generator_falls_back_to_choice(self):
+        X, y = _table3_problem(seed=1)
+        old = LegacyDecisionTreeClassifier(
+            max_features="sqrt", seed=np.random.Generator(np.random.MT19937(3))
+        ).fit(X, y)
+        new = DecisionTreeClassifier(
+            max_features="sqrt", seed=np.random.Generator(np.random.MT19937(3))
+        ).fit(X, y)
+        _assert_tree_parity(old, new, X, "MT19937")
 
 
 # --------------------------------------------------------------- kfold
