@@ -1,20 +1,14 @@
 """Random forest built on the from-scratch CART tree.
 
-Matches the paper's classifier configuration (§IV-B): 100 trees,
-maximum depth 32, Gini splitting, bootstrap sampling "so each tree is
-trained on a unique subset of data by selecting samples with
-replacement", with sqrt-feature subsampling per split (the standard
-random-forest recipe the text's RForest refers to).
-
-Tree fitting is embarrassingly parallel and the forest exploits it:
-``fit`` draws one integer seed per tree in a single atomic RNG call,
-then grows every tree from its own ``default_rng(tree_seed)``.  Each
-tree is therefore a pure function of ``(X, y, params, tree_seed)``, so
-the trees can grow in lockstep (:func:`repro.ml.tree.grow_trees`) —
-all trees of one forest, or all fold forests of a Table III channel at
-once (:func:`fit_forests`) — and serial and parallel fits, at any worker
-count, produce bit-identical forests (trees, importances, and
-predictions).
+The paper's classifier (§IV-B): 100 trees, maximum depth 32, Gini
+splits, bootstrap sampling "so each tree is trained on a unique subset
+of data by selecting samples with replacement", and sqrt-feature
+subsampling per split.  ``fit`` draws one integer seed per tree in one
+RNG call and grows each tree from its own ``default_rng(tree_seed)``,
+so a tree is a pure function of ``(X, y, params, tree_seed)``: trees
+grow in lockstep (:func:`repro.ml.tree.grow_trees`), all of one forest
+or of every fold forest of a Table III channel (:func:`fit_forests`),
+and serial and parallel fits give bit-identical forests.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier, check_fit_data, grow_trees
+from repro.ml.tree import DecisionTreeClassifier, check_fit_data, descend, grow_trees
 from repro.perf.config import resolve_workers
 from repro.perf.executor import in_worker, parallel_map
 from repro.utils.rng import RngLike, ensure_rng
@@ -31,12 +25,9 @@ from repro.utils.validation import require_int_in_range
 
 
 def _seeded_trees(params, seeds, rows) -> List[tuple]:
-    """``(unfitted tree, training rows)`` per seed.
-
-    Each tree's generator first draws its bootstrap row map, then
-    serves the tree's per-node feature draws, which the grower computes
-    in blocks ahead but leaves the generator's stream as drawn per node.
-    """
+    """``(unfitted tree, training rows)`` per seed: each tree's generator
+    draws its bootstrap row map, then the tree's per-node feature subsets
+    (drawn ahead in blocks, its stream left as per-node draws leave it)."""
     tree_params, bootstrap = params
     trees = []
     for seed in seeds:
@@ -59,12 +50,10 @@ def _grow_slice_task(task) -> List[DecisionTreeClassifier]:
 def fit_forests(jobs: Sequence[tuple]) -> None:
     """Fit several forests together, all their trees in lockstep.
 
-    Each job is ``(forest, X, y, rows)``: the forest fits on
-    ``X[rows]``, ``y[rows]`` (``rows=None`` for all of them), exactly as
-    ``forest.fit(X[rows], y[rows])`` would, at any ``n_jobs``.  The
-    folds of one CV cell share ``X`` and train on different rows, and
-    the cells of one channel bring matrices of different widths;
-    batching them multiplies the nodes every scoring step covers.
+    Each job is ``(forest, X, y, rows)``: the forest fits exactly as
+    ``forest.fit(X[rows], y[rows])`` would (``rows=None`` for all rows)
+    at any ``n_jobs``.  Batching every fold forest of a channel, over
+    matrices of different widths, multiplies the nodes a step scores.
     """
     tasks = []
     fitted = []
@@ -124,8 +113,7 @@ class RandomForestClassifier:
         self.trees_: List[DecisionTreeClassifier] = []
         self.classes_: Optional[np.ndarray] = None
         self.feature_importances_: Optional[np.ndarray] = None
-        # Padded forest-level node arrays for batched prediction,
-        # built lazily on first predict after a fit.
+        # Padded node arrays for batched prediction, built on first use.
         self._aligned_probas: Optional[Tuple[np.ndarray, ...]] = None
 
     def _tree_params(self) -> Tuple[dict, bool]:
@@ -179,82 +167,50 @@ class RandomForestClassifier:
             raise RuntimeError("forest is not fitted; call fit() first")
 
     def _batch_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Forest-level node arrays for batched prediction.
-
-        Every tree's flat node arrays are padded to the widest tree:
-        children/features pad with -1, thresholds with NaN, and each
-        tree's ``(node_count, n_classes)`` probability matrix scatters
-        into the forest-wide class columns (bootstrap trees can miss
-        rare classes).  Built once per fit; ``predict_proba`` then
-        walks all trees simultaneously instead of looping per tree.
-        Padding with exact zeros keeps the averaged probabilities
-        bit-identical to the old accumulate-into-columns loop (tree
-        probabilities are non-negative, so ``x + 0.0`` is exact).
+        """Forest-level node arrays for batched prediction, built once
+        per fit: every tree's node arrays padded to the widest tree
+        (children with -1, thresholds with NaN), and its leaf
+        probabilities scattered into the forest's class columns
+        (bootstrap trees can miss rare classes).  Exact zero padding
+        keeps the averaged probabilities bit-identical to accumulating
+        each tree into its own columns (``x + 0.0`` is exact).
         """
         if self._aligned_probas is None:
             n_trees = len(self.trees_)
-            n_classes = self.classes_.size
-            class_index = {
-                value: i for i, value in enumerate(self.classes_)
-            }
             width = max(tree.node_count for tree in self.trees_)
             left = np.full((n_trees, width), -1, dtype=np.int64)
-            right = np.full((n_trees, width), -1, dtype=np.int64)
             feature = np.zeros((n_trees, width), dtype=np.int64)
             threshold = np.full((n_trees, width), np.nan)
-            proba = np.zeros((n_trees, width, n_classes))
+            proba = np.zeros((n_trees, width, self.classes_.size))
             for position, tree in enumerate(self.trees_):
                 count = tree.node_count
                 left[position, :count] = tree._left_arr
-                right[position, :count] = tree._right_arr
                 feature[position, :count] = tree._feature_arr
                 threshold[position, :count] = tree._threshold_arr
-                columns = [class_index[value] for value in tree.classes_]
-                proba[position][
-                    np.arange(count)[:, np.newaxis], columns
-                ] = tree.node_proba_matrix
-            self._aligned_probas = (left, right, feature, threshold, proba)
+                columns = np.searchsorted(self.classes_, tree.classes_)
+                proba[position, :count, columns] = tree._proba_matrix.T
+            self._aligned_probas = (left, feature, threshold, proba)
         return self._aligned_probas
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Forest probability: average of tree probabilities, with each
         tree's (possibly partial) class set mapped onto the forest's.
 
-        Batched: all trees descend together over a ``(n_trees,
-        n_samples)`` node frontier, the leaf probabilities gather into
-        one ``(n_trees, n_samples, n_classes)`` tensor, and the tree
-        axis reduces in one pass (an axis-0 reduce accumulates
-        sequentially, matching the old per-tree loop bit for bit).
+        All trees descend together (:func:`repro.ml.tree.descend`), the
+        leaf probabilities gather into one ``(n_trees, n_samples,
+        n_classes)`` tensor, and the tree axis reduces in one pass (an
+        axis-0 reduce accumulates sequentially, matching a per-tree
+        loop bit for bit).
         """
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        left, right, feature, threshold, proba = self._batch_arrays()
-        n_trees = len(self.trees_)
-        n_rows = X.shape[0]
-        tree_idx = np.arange(n_trees)[:, np.newaxis]
-        row_idx = np.arange(n_rows)[np.newaxis, :]
-        nodes = np.zeros((n_trees, n_rows), dtype=np.int64)
-        while True:
-            current_left = left[tree_idx, nodes]
-            interior = current_left >= 0
-            if not interior.any():
-                break
-            # Leaf rows read feature -1 / threshold NaN; the NaN
-            # comparison is False and ``interior`` pins them in place.
-            values = X[row_idx, feature[tree_idx, nodes]]
-            goes_left = values <= threshold[tree_idx, nodes]
-            descended = np.where(
-                goes_left, current_left, right[tree_idx, nodes]
-            )
-            nodes = np.where(interior, descended, nodes)
-        stacked = proba[tree_idx, nodes]
-        total = np.add.reduce(stacked, axis=0)
-        return total / self.n_estimators
+        left, feature, threshold, proba = self._batch_arrays()
+        leaves = descend(left, feature, threshold, np.asarray(X, dtype=np.float64))
+        stacked = proba[np.arange(len(self.trees_))[:, np.newaxis], leaves]
+        return np.add.reduce(stacked, axis=0) / self.n_estimators
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority (probability-averaged) class per row."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def predict_topk(self, X: np.ndarray, k: int) -> np.ndarray:
         """The k most probable classes per row, best first."""

@@ -1,43 +1,39 @@
 """CART decision tree with Gini impurity, implemented on numpy.
 
-The paper's fingerprinting classifier is a random forest "with 100
-trees and ... maximum depth ... 32", using "Gini impurity as the
-splitting criterion" (§IV-B).  scikit-learn is not available offline,
-so the tree (and the forest in :mod:`repro.ml.forest`) is implemented
-from scratch: exact greedy CART with threshold splits and per-node
-random feature subsampling.
+The paper's classifier is a random forest "with 100 trees and ...
+maximum depth ... 32", using "Gini impurity as the splitting criterion"
+(§IV-B).  Without scikit-learn offline, the tree is exact greedy CART
+from scratch, with threshold splits and per-node feature subsampling.
 
-Trees grow in lockstep (:func:`grow_trees`).  Each tree keeps its own
-depth-first stack and generator, whose stream gives one candidate-feature
-``choice`` per node the tree tries to split.  The subsets come in blocks
-computed across trees (:func:`repro.utils.rng.fill_subsets` mirrors
-numpy's Floyd and Fisher–Yates draws on PCG64 words, falling back to
-``choice`` for other generators and populations over 10 000) and the
-generator is rewound to the per-node state, so node numbering, the RNG
-stream, tie-breaks and importance order are those of the tree grown
-alone.  Per step, every live tree pops its next such *drawing* node
-and all of them are scored together: one stable argsort of the node
-values (ragged nodes padded with NaN, which sorts after every real
-value), then an exact integer score per split position from cumsums
-over the sorted rows, with no class axis (:func:`_split`).  Batching a
-forest, or every fold forest of a Table III channel, spreads numpy's
-per-call cost over the ~10-row nodes of deep trees.
+Trees grow in lockstep (:func:`grow_trees`), their state in arrays
+shared by every tree of one growth: a node table, one depth-first stack
+of table rows per tree, and one flat sample array in which each node's
+rows are a ``(start, size)`` segment that its split partitions stably
+in place.  Per step, every live tree pops its next node that may split
+and all of them are scored together (:func:`_split`).  Each tree's
+generator gives one candidate-feature ``choice`` per such node, served
+from blocks computed across trees (:func:`repro.utils.rng.fill_subsets`)
+and rewound to the per-node state at the end, so node numbering, the
+RNG stream, tie-breaks and importance order are those of the tree grown
+alone.  Scoring sorts each matrix column's integer value ranks (NaN and
+the padding row of ragged nodes rank last), which a stable sort orders
+exactly as a stable float argsort, and scores every split position
+exactly in integers, with no class axis.
 
-The grown tree is bit-identical to the per-node implementation
-(``LegacyDecisionTreeClassifier`` in ``tests/reference_kernels.py``,
-pinned by ``tests/test_kernel_parity.py``): the float Gini criterion
-is replayed, as the same IEEE operations on the same values summed in
-the same order (:func:`_class_sum`), at every position whose exact
-score lies within its proven rounding error of the node's best.
+The grown tree is bit-identical to the per-node CART in
+``tests/reference_kernels.py``: the float Gini criterion is replayed,
+as the same IEEE operations in the same order (:func:`_class_sum`), at
+every position whose exact score is within its rounding error of the
+node's best.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.utils.rng import RngLike, SubsetDraws, ensure_rng, fill_subsets
+from repro.utils.rng import RngLike, SubsetBlocks, SubsetDraws, ensure_rng
 from repro.utils.validation import require_int_in_range
 
 #: ``(nodes, features, rows)`` elements of one scoring call; about ten
@@ -45,6 +41,11 @@ from repro.utils.validation import require_int_in_range
 #: scored in chunks, which bounds the grower's scratch memory at ~10 MiB
 #: whatever the number of trees.
 _SCORE_ELEMENTS = 1 << 17
+
+#: Keys of buckets narrower than this sort as ``int32`` (timsort); wider
+#: ones by radix on their uint8/uint16 type, whose cost per row is flat:
+#: on ``table3``, 16-row keys sort in ~0.6× the radix time, 32-row ~1.4×.
+_RADIX_ROWS = 32
 
 
 def gini_impurity(counts: np.ndarray) -> np.ndarray:
@@ -87,7 +88,6 @@ def check_fit_data(X, y) -> Tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-
 class DecisionTreeClassifier:
     """A greedy CART classifier.
 
@@ -120,7 +120,6 @@ class DecisionTreeClassifier:
         self._rng = ensure_rng(seed)
         # Flat node arrays and leaf probabilities, written by the grower.
         self._left_arr: Optional[np.ndarray] = None
-        self._right_arr: Optional[np.ndarray] = None
         self._feature_arr: Optional[np.ndarray] = None
         self._threshold_arr: Optional[np.ndarray] = None
         self._proba_matrix: Optional[np.ndarray] = None
@@ -137,8 +136,6 @@ class DecisionTreeClassifier:
         self.classes_ = classes[self.classes_]
         return self
 
-    # ------------------------------------------------------- predict
-
     def _check_fitted(self):
         if self.classes_ is None:
             raise RuntimeError("tree is not fitted; call fit() first")
@@ -151,43 +148,18 @@ class DecisionTreeClassifier:
             raise ValueError(
                 f"X must have shape (n, {self.n_features_}), got {X.shape}"
             )
-        nodes = np.zeros(X.shape[0], dtype=np.int64)
-        left = self._left_arr
-        right = self._right_arr
-        feature = self._feature_arr
-        threshold = self._threshold_arr
-        active = left[nodes] >= 0
-        while active.any():
-            rows = np.nonzero(active)[0]
-            current = nodes[rows]
-            goes_left = (
-                X[rows, feature[current]] <= threshold[current]
-            )
-            nodes[rows] = np.where(
-                goes_left, left[current], right[current]
-            )
-            active = left[nodes] >= 0
-        return nodes
-
-    @property
-    def node_proba_matrix(self) -> np.ndarray:
-        """Stacked ``(node_count, n_classes)`` leaf probabilities.
-
-        Built once at fit time; the forest indexes it directly when
-        assembling its batched prediction tensor.
-        """
-        self._check_fitted()
-        return self._proba_matrix
+        return descend(
+            self._left_arr[np.newaxis], self._feature_arr[np.newaxis],
+            self._threshold_arr[np.newaxis], X,
+        )[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability estimates, columns ordered as classes_."""
-        leaves = self.apply(X)
-        return self._proba_matrix[leaves]
+        return self._proba_matrix[self.apply(X)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class per row."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     @property
     def node_count(self) -> int:
@@ -201,16 +173,32 @@ class DecisionTreeClassifier:
         return self._depth
 
 
+def descend(left, feature, threshold, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of ``X`` reaches in each tree, all trees at once.
+
+    The node arrays are ``(trees, nodes)``; a right child's id is its left
+    sibling's + 1, and leaves (feature -1, threshold NaN) stay put.
+    """
+    trees = np.arange(left.shape[0])[:, np.newaxis]
+    rows = np.arange(X.shape[0])
+    nodes = np.zeros((left.shape[0], X.shape[0]), dtype=np.int64)
+    while True:
+        children = left[trees, nodes]
+        interior = children >= 0
+        if not interior.any():
+            return nodes
+        goes_left = X[rows, feature[trees, nodes]] <= threshold[trees, nodes]
+        nodes = np.where(interior, children + ~goes_left, nodes)
+
+
 def _class_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the first axis in ``np.add.reduce``'s order; reuses ``terms``.
 
-    The Gini sums run over classes, which numpy reduces pairwise:
-    fewer than 8 terms in sequence, up to 128 as 8 interleaved partial
-    sums plus a sequential tail, more by halving at a multiple of 8.
-    Replaying that order with whole-array adds over a leading class
-    axis gives the reduction's bits without its per-row loop.  Zero
-    terms padded after the real ones change no bits as long as the
-    width stays in the same block of 8 (below 128).
+    numpy reduces fewer than 8 terms in sequence, up to 128 as 8
+    interleaved partial sums plus a sequential tail, more by halving at
+    a multiple of 8; whole-array adds over a leading class axis replay
+    that order.  Zero terms padded after the real ones change no bits
+    while the width stays in one block of 8 (below 128).
     """
     n = terms.shape[0]
     if n > 128:
@@ -232,105 +220,48 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-class _Growth:
-    """One tree's growth state: its stack, feature subsets and node records.
-
-    A stack entry is ``(rows, node, depth, class counts, classes
-    present)``; only nodes that may split are stacked, since popping
-    any other node draws nothing from the generator.  ``subsets``
-    serves the generator's per-node draws from blocks filled ahead;
-    :meth:`finish` rewinds the generator to the per-node state.
-    """
-
-    def __init__(self, tree, n_features, rows, counts):
-        self.tree = tree
-        self.n_features = n_features
-        n_subset = _resolve_max_features(tree.max_features, n_features)
-        self.subsets = SubsetDraws(tree._rng, n_features, n_subset)
-        self.stack: List[tuple] = []
-        self.counts: List[np.ndarray] = []
-        self.splits: List[Tuple[int, int, int, float]] = []
-        self.importances = [0.0] * n_features
-        self.depth = 0
-        self.add_node(rows, 0, counts, np.count_nonzero(counts))
-
-    def add_node(self, rows, depth, counts, n_present) -> int:
-        """Number a new node and stack it if it may split."""
-        node = len(self.counts)
-        self.counts.append(counts)
-        tree = self.tree
-        if (
-            depth < tree.max_depth
-            and rows.size >= tree.min_samples_split
-            and n_present > 1
-            and rows.size >= 2 * tree.min_samples_leaf
-        ):
-            self.stack.append((rows, node, depth, counts, n_present))
-        return node
-
-    def pop(self) -> tuple:
-        """Pop the next drawing node with its candidate features, the
-        next row of a block :func:`fill_subsets` refilled this step:
-        ``(self, rows, node, depth, counts, n_present, features)``."""
-        return (self,) + self.stack.pop() + (self.subsets.take(),)
-
-    def finish(self) -> None:
-        """Rewind the generator over the subsets drawn ahead, then write
-        the flat node arrays and importances onto the tree."""
-        self.subsets.sync()
-        tree = self.tree
-        count = len(self.counts)
-        links = np.full((3, count), -1, dtype=np.int64)
-        threshold = np.full(count, np.nan)
-        if self.splits:
-            nodes, lefts, features, thresholds = map(
-                np.asarray, zip(*self.splits)
-            )
-            links[:, nodes] = lefts, lefts + 1, features
-            threshold[nodes] = thresholds
-        tree._left_arr, tree._right_arr, tree._feature_arr = links
-        tree._threshold_arr = threshold
-        counts = np.asarray(self.counts, dtype=np.float64)
-        present = np.flatnonzero(counts[0])
-        counts = counts[:, present]
-        importances = np.asarray(self.importances)
-        total = importances.sum()
-        tree.classes_ = present
-        tree.n_features_ = self.n_features
-        tree.feature_importances_ = (
-            importances / total if total > 0 else importances
-        )
-        tree._depth = self.depth
-        # Exact integer counts, so the row totals are exact too.
-        tree._proba_matrix = counts / counts.sum(axis=1)[:, np.newaxis]
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's rank among its column's distinct values; NaN is -1."""
+    order = X.argsort(axis=0, kind="stable")
+    ordered = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros(X.shape, dtype=np.intp)
+    steps[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=0), axis=0)
+    ranks[np.isnan(X)] = -1
+    return ranks
 
 
-def _stack_blocks(tasks) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-    """One matrix and code vector over every distinct ``(X, codes)``.
+def _stack_blocks(tasks) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Every distinct ``(X, codes)`` stacked: one matrix, its value ranks
+    (:func:`_dense_ranks`), one code vector, and each task's row offset.
 
-    A trailing all-NaN row serves as the padding row of every node;
-    narrower matrices pad their columns with NaN (no tree reads them).
-    The padding row's code is one past the last class code, so it
-    sorts after every real row by class too.  Returns the stacked
-    matrix, the codes (the narrowest integer type that holds them) and
-    each task's row offset.
+    A trailing all-NaN row is every node's padding row, and narrower
+    matrices pad their columns with NaN.  NaN, padding and padded
+    columns share the last rank, and the padding row's code is one past
+    the last class, so padding sorts after every real row both ways.
+    Ranks and codes take the narrowest type that holds them.
     """
     blocks = {}
     for _, X, codes, _ in tasks:
-        blocks.setdefault((id(X), id(codes)), (X, codes))
-    n_rows = sum(X.shape[0] for X, _ in blocks.values())
-    width = max(X.shape[1] for X, _ in blocks.values())
-    n_codes = 1 + max(int(codes.max()) for _, codes in blocks.values())
-    stacked = np.full((n_rows + 1, width), np.nan)
+        if (id(X), id(codes)) not in blocks:
+            blocks[id(X), id(codes)] = (X, codes, _dense_ranks(X))
+    parts = blocks.values()
+    n_rows = sum(X.shape[0] for X, _, _ in parts)
+    n_codes = 1 + max(int(codes.max()) for _, codes, _ in parts)
+    last = 1 + max(int(ranks.max(initial=-1)) for _, _, ranks in parts)
+    stacked = np.full((n_rows + 1, max(X.shape[1] for X, _, _ in parts)), np.nan)
+    all_ranks = np.full(stacked.shape, last, dtype=np.min_scalar_type(last))
     all_codes = np.full(n_rows + 1, n_codes, dtype=np.min_scalar_type(n_codes))
-    starts = {}
-    start = 0
-    for key, (X, codes) in blocks.items():
-        stacked[start:start + X.shape[0], :X.shape[1]] = X
-        all_codes[start:start + X.shape[0]] = codes
-        starts[key] = start
-        start += X.shape[0]
-    return stacked, all_codes, [starts[id(X), id(c)] for _, X, c, _ in tasks]
+    starts, start = {}, 0
+    for key, (X, codes, ranks) in blocks.items():
+        rows = slice(start, start + X.shape[0])
+        stacked[rows, :X.shape[1]] = X
+        all_ranks[rows, :X.shape[1]] = np.where(ranks < 0, last, ranks)
+        all_codes[rows] = codes
+        starts[key], start = start, rows.stop
+    offsets = [starts[id(X), id(c)] for _, X, c, _ in tasks]
+    return stacked, all_ranks, all_codes, offsets
 
 
 def grow_trees(tasks: Sequence[tuple]) -> None:
@@ -343,33 +274,156 @@ def grow_trees(tasks: Sequence[tuple]) -> None:
     Tasks may bring matrices of different widths.  A fitted tree's
     ``classes_`` holds the codes its rows contain.
     """
-    if not tasks:
-        return
-    X, codes, offsets = _stack_blocks(tasks)
-    n_codes = int(codes[-1])
-    growths = []
-    for (tree, X_task, _, rows), offset in zip(tasks, offsets):
-        rows = np.asarray(rows, dtype=np.int64) + offset
-        counts = np.bincount(codes[rows], minlength=n_codes)
-        growths.append(_Growth(tree, X_task.shape[1], rows, counts))
-    live = [growth for growth in growths if growth.stack]
-    while live:
-        fill_subsets([growth.subsets for growth in live])
-        # Nodes of one group share a padded row axis: their row counts
-        # lie within one power of two.
-        groups = {}
-        for growth in live:
-            entry = growth.pop()
-            groups.setdefault((entry[1].size - 1).bit_length(), []).append(entry)
-        for group in groups.values():
-            width = max(entry[1].size for entry in group)
-            width *= max(entry[6].size for entry in group)
-            step = max(1, _SCORE_ELEMENTS // width)
-            for start in range(0, len(group), step):
-                _split(X, codes, group[start:start + step])
-        live = [growth for growth in live if growth.stack]
-    for growth in growths:
-        growth.finish()
+    if tasks:
+        _Lockstep(tasks).run()
+
+
+class _Lockstep:
+    """One lockstep growth, its state in arrays shared by all its trees.
+
+    ``table`` has a row per node: tree, depth, row segment ``(start,
+    size)`` of ``samples``, class counts, and once it splits the left
+    child's id (the right one's is next), feature and threshold (-1, -1,
+    NaN on a leaf).  Row ``t`` is tree ``t``'s root; a tree's rows come
+    in id order.  ``stack[t, :top[t]]`` is its depth-first stack of the
+    table rows that may split.
+    """
+
+    def __init__(self, tasks):
+        self.X, self.ranks, self.codes, offsets = _stack_blocks(tasks)
+        self.trees = [task[0] for task in tasks]
+        self.widths = [task[1].shape[1] for task in tasks]
+        self.subsets = SubsetBlocks([
+            SubsetDraws(tree._rng, d, _resolve_max_features(tree.max_features, d))
+            for tree, d in zip(self.trees, self.widths)
+        ])
+        self.max_depth, self.min_size, self.leaf = np.array([
+            (t.max_depth, max(t.min_samples_split, 2 * t.min_samples_leaf),
+             t.min_samples_leaf) for t in self.trees
+        ]).T
+        self.samples = np.concatenate([
+            np.asarray(task[3], dtype=np.intp) + offset
+            for task, offset in zip(tasks, offsets)
+        ])
+        sizes = np.array([len(task[3]) for task in tasks])
+        n_trees, n_codes = len(tasks), int(self.codes[-1])
+        tagged = np.repeat(np.arange(n_trees), sizes) * (n_codes + 1)
+        tagged += self.codes[self.samples]
+        counts = np.bincount(tagged, minlength=n_trees * (n_codes + 1))
+        self.table = np.empty(4 * n_trees, dtype=[
+            ("tree", np.intp), ("depth", np.intp), ("start", np.intp),
+            ("size", np.intp), ("left", np.intp), ("feature", np.intp),
+            ("threshold", np.float64),
+            ("counts", np.min_scalar_type(int(sizes.max())), (n_codes,)),
+        ])
+        self.used = 0
+        self.n_nodes, self.top = np.zeros((2, n_trees), dtype=np.intp)
+        self.stack = np.zeros((n_trees, 8), dtype=np.intp)
+        self._add(np.arange(n_trees), 0, np.cumsum(sizes) - sizes, sizes,
+                  counts.reshape(n_trees, -1)[:, :-1])
+        self.importances = np.zeros((n_trees, max(self.widths)))
+
+    def _add(self, owners, depth, starts, sizes, counts) -> np.ndarray:
+        """Number, record and stack the same number of new nodes for
+        each owner tree, a left child before its right sibling; returns
+        each owner's first new id."""
+        per = sizes.size // owners.size
+        if self.used + sizes.size > self.table.size:
+            self.table = np.concatenate([self.table, np.empty_like(self.table)])
+        nodes = self.table[self.used:self.used + sizes.size]
+        nodes["tree"] = tree = np.repeat(owners, per)
+        nodes["depth"], nodes["start"], nodes["size"] = depth, starts, sizes
+        nodes["counts"] = counts
+        nodes["left"] = nodes["feature"] = -1
+        nodes["threshold"] = np.nan
+        ids = self.n_nodes[owners]
+        self.n_nodes[owners] += per
+        pushed = (depth < self.max_depth[tree]) & (sizes >= self.min_size[tree])
+        pushed &= np.count_nonzero(counts, axis=1) > 1
+        if self.top.max() + per > self.stack.shape[1]:
+            self.stack = np.concatenate([self.stack, np.zeros_like(self.stack)], axis=1)
+        index = (self.used + np.arange(sizes.size)).reshape(-1, per)
+        for push, child in zip(pushed.reshape(-1, per).T, index.T):
+            self.stack[owners[push], self.top[owners[push]]] = child[push]
+            self.top[owners] += push
+        self.used += sizes.size
+        return ids
+
+    def run(self) -> None:
+        """Per step, pop every live tree's next node and subset and split
+        them all, grouped by row count within a power of two; then give
+        each tree compact arrays of its own."""
+        while self.top.any():
+            live = np.flatnonzero(self.top)
+            drawn = self.subsets.take(live)
+            self.top[live] -= 1
+            popped = self.stack[live, self.top[live]]
+            size = self.table["size"][popped]
+            bucket = np.frexp(size - 1)[1]
+            for value in np.unique(bucket):
+                group = np.flatnonzero(bucket == value)
+                width = size[group].max() * self.subsets.k[live[group]].max()
+                step = max(1, _SCORE_ELEMENTS // width)
+                for first in range(0, group.size, step):
+                    chunk = group[first:first + step]
+                    self._split_nodes(popped[chunk], live[chunk], drawn[chunk])
+        self.subsets.sync()
+        table = self.table[:self.used]
+        order = np.argsort(table["tree"], kind="stable")
+        groups = np.split(order, np.cumsum(self.n_nodes)[:-1])
+        for t, (tree, nodes) in enumerate(zip(self.trees, groups)):
+            tree._left_arr = table["left"][nodes]
+            tree._feature_arr = table["feature"][nodes]
+            tree._threshold_arr = table["threshold"][nodes]
+            tree.classes_ = present = np.flatnonzero(table["counts"][t])
+            # Exact integer counts over exact node sizes.
+            tree._proba_matrix = (
+                table["counts"][np.ix_(nodes, present)]
+                / table["size"][nodes, np.newaxis]
+            )
+            tree.n_features_ = width = self.widths[t]
+            importance = self.importances[t, :width].copy()
+            total = importance.sum()
+            tree.feature_importances_ = importance / total if total > 0 else importance
+            tree._depth = int(table["depth"][nodes].max())
+
+    def _split_nodes(self, nodes, owners, drawn) -> None:
+        """Score nodes of different trees together and make their splits."""
+        starts, sizes = self.table["start"][nodes], self.table["size"][nodes]
+        n = int(sizes.max())
+        real = np.arange(n) < sizes[:, np.newaxis]
+        rows = self.samples.take(starts[:, np.newaxis] + np.arange(n), mode="clip")
+        rows[~real] = self.X.shape[0] - 1
+        counts = self.table["counts"][nodes].astype(np.intp)
+        k = self.subsets.k[owners]
+        split = _split(
+            self.X, self.ranks, self.codes, rows, sizes, drawn[:, :k.max()], k,
+            counts, self.leaf[owners],
+        )
+        if split is None:
+            return
+        picked, feature, threshold, gain, goes_left, left_counts = split
+        nodes, owners, starts, sizes, real, rows = (
+            array[picked] for array in (nodes, owners, starts, sizes, real, rows)
+        )
+        # Partition each segment stably in place, left rows first.
+        n_left = goes_left.sum(axis=1)
+        place = np.where(
+            goes_left, goes_left.cumsum(axis=1),
+            (real & ~goes_left).cumsum(axis=1) + n_left[:, np.newaxis],
+        )
+        self.samples[(place + starts[:, np.newaxis] - 1)[real]] = rows[real]
+        self.importances[owners, feature] += gain * sizes
+        left = self._add(
+            owners, self.table["depth"][nodes].repeat(2) + 1,
+            np.stack([starts, starts + n_left], axis=1).ravel(),
+            np.stack([n_left, sizes - n_left], axis=1).ravel(),
+            np.stack([left_counts, counts[picked] - left_counts], axis=1)
+            .reshape(2 * picked.size, -1),
+        )
+        table = self.table
+        table["left"][nodes], table["feature"][nodes] = left, feature
+        table["threshold"][nodes] = threshold
 
 
 def criterion_error_bound(n_classes):
@@ -398,8 +452,15 @@ def _float_criterion(counts: np.ndarray, sizes: np.ndarray):
     return weighted, gini[2]
 
 
-def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
-    """Score one chunk of drawing nodes together and apply the splits.
+def _split(X, ranks, codes, rows, sizes, features, n_subsets, counts,
+           leaf) -> Optional[tuple]:
+    """Score ``b`` drawing nodes together; return the splits to make.
+
+    Node ``i`` has ``sizes[i]`` rows (``rows[i]``, then padding), class
+    ``counts[i]``, ``min_samples_leaf`` ``leaf[i]`` and candidate
+    ``features[i]``, the first ``n_subsets[i]`` real.  Returns None if
+    no node splits, else ``(picked, feature, threshold, gain, goes_left,
+    left_counts)`` over the nodes that do.
 
     Per node this is the exact best Gini split over its candidate
     features: every position between distinct sorted values that
@@ -409,6 +470,10 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     gain in draw order.  The threshold is the midpoint of the two values
     around the winning position (the lower value if rounding lifts the
     midpoint onto the upper one).
+
+    *Sort.*  Rows sort stably by rank, which orders them as a stable
+    float argsort would; NaN ranks last with the padding row, and a
+    boundary between two NaNs stays valid since NaN ≠ NaN.
 
     *Search.*  With ``S`` the sum of squared class counts, exactly ``w*
     = 1 − (S_l/n_l + S_r/n_r)/n``.  Along sorted rows ``S_l`` grows by
@@ -432,27 +497,17 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     minimal positions, and no other feature can win.  The winner's left
     class counts come from the replay.
     """
-    b = len(chunk)
+    b, n = rows.shape
     nodes = np.arange(b)
-    sizes = np.array([entry[1].size for entry in chunk])
-    n = int(sizes.max())
-    real = np.arange(n) < sizes[:, np.newaxis]
-    rows = np.full((b, n), X.shape[0] - 1)
-    rows[real] = np.concatenate([entry[1] for entry in chunk])
-    n_subsets = np.array([entry[6].size for entry in chunk])
-    n_features = int(n_subsets.max())
+    leaf = leaf[:, np.newaxis]
+    n_present = np.count_nonzero(counts, axis=1)
+    n_features = features.shape[1]
     real_features = np.arange(n_features) < n_subsets[:, np.newaxis]
-    features = np.zeros(real_features.shape, dtype=np.int64)
-    features[real_features] = np.concatenate([entry[6] for entry in chunk])
-    leaf = np.array([[entry[0].tree.min_samples_leaf] for entry in chunk])
-    counts = np.stack([entry[4] for entry in chunk])
-    n_present = np.array([entry[5] for entry in chunk])
 
-    values = X[rows[:, np.newaxis, :], features[:, :, np.newaxis]]
-    order = values.argsort(axis=2, kind="stable")
-    values = np.take(values, order + n * np.arange(b * n_features).reshape(b, -1, 1))
+    keys = ranks[rows[:, np.newaxis, :], features[:, :, np.newaxis]]
+    order = _stable_order(keys)
+    keys = np.take(keys, order + n * np.arange(b * n_features).reshape(b, -1, 1))
     labels = np.take(codes[rows], order + (nodes * n)[:, np.newaxis, np.newaxis])
-
     # In class order every feature of a node reads the same rows: class
     # 0's ranked 0, 1, ..., then class 1's, ..., then the padding.  A
     # row at place q of class c steps S_l by 2·(q − start_c) + 1 and
@@ -462,14 +517,15 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     ends = blocks.cumsum(axis=1)
     bounds = np.stack([ends - blocks, ends]).reshape(2, -1)
     step = 2 * (np.arange(b * n) % n - np.repeat(bounds, blocks.ravel(), axis=1)) + 1
-    by_class = labels.argsort(axis=2, kind="stable").reshape(b * n_features, n)
-    inverse = np.empty_like(by_class)
-    inverse[np.arange(b * n_features)[:, np.newaxis], by_class] = (
-        np.arange(n) + np.repeat(nodes * n, n_features)[:, np.newaxis]
-    )
-    steps = np.take(step, inverse, axis=1)
-    np.cumsum(steps, axis=2, out=steps)
-    steps = steps.reshape(2, b, n_features, n)[..., :-1]
+    by_class = _stable_order(labels)
+    by_class += n * np.arange(b * n_features).reshape(b, -1, 1)
+    inverse = np.empty(by_class.size, dtype=np.intp)
+    inverse[by_class.ravel()] = np.broadcast_to(
+        np.arange(n) + (nodes * n)[:, np.newaxis, np.newaxis], by_class.shape
+    ).ravel()
+    steps = np.take(step, inverse.reshape(b, n_features, n), axis=1)
+    np.cumsum(steps, axis=3, out=steps)
+    steps = steps[..., :-1]
     left_sizes = np.arange(1, n)
     right_sizes = sizes[:, np.newaxis] - left_sizes
     # Positions past a node's last row divide by zero or negative
@@ -478,7 +534,8 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
         score = steps[0] / left_sizes
         steps[1] += (counts * counts).sum(axis=1)[:, np.newaxis, np.newaxis]
         score += steps[1] / right_sizes[:, np.newaxis, :]
-    valid = values[:, :, 1:] != values[:, :, :-1]
+    valid = keys[:, :, 1:] != keys[:, :, :-1]
+    valid |= keys[:, :, :-1] == ranks[-1, 0]
     valid &= ((left_sizes >= leaf) & (right_sizes >= leaf))[:, np.newaxis]
     valid &= real_features[:, :, np.newaxis]
     score[~valid] = -np.inf
@@ -487,7 +544,7 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     at_node, at_feature, at_position = np.nonzero(near)
     m = at_node.size
     if m == 0:
-        return
+        return None
 
     # Class counts left of every replayed position.
     width = counts.shape[1] + 1
@@ -496,19 +553,18 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
         tagged[np.arange(n) <= at_position[:, np.newaxis]], minlength=m * width
     ).reshape(m, width)[:, :-1]
     parents = counts[at_node]
-    present_first = np.argsort(parents == 0, axis=1, kind="stable")
+    present_first = np.argsort(counts == 0, axis=1, kind="stable")[at_node]
     terms = np.take_along_axis(
         np.stack([left_counts, parents - left_counts, parents]),
         present_first[np.newaxis],
         axis=2,
-    ).transpose(2, 0, 1).astype(np.float64)
+    ).transpose(2, 0, 1)
     left_size = at_position + 1
     replay_sizes = np.stack([left_size, sizes[at_node] - left_size, sizes[at_node]])
     n_classes = n_present[at_node]
     # One reduction order per block of :func:`_class_sum`.
     sum_blocks = np.where(n_classes < 128, n_classes // 8, -n_classes)
-    weighted = np.empty(m)
-    parent_gini = np.empty(m)
+    weighted, parent_gini = np.empty((2, m))
     for block in np.unique(sum_blocks).tolist():
         pick = np.flatnonzero(sum_blocks == block)
         weighted[pick], parent_gini[pick] = _float_criterion(
@@ -522,45 +578,32 @@ def _split(X: np.ndarray, codes: np.ndarray, chunk: Sequence[tuple]) -> None:
     firsts = by_pair[np.flatnonzero(np.diff(pair, prepend=-1))]
     gains = np.full((b, n_features), -np.inf)
     winners = np.zeros((b, n_features), dtype=np.int64)
-    gains[at_node[firsts], at_feature[firsts]] = (
-        parent_gini[firsts] - weighted[firsts]
-    )
-    winners[at_node[firsts], at_feature[firsts]] = firsts
+    at = at_node[firsts], at_feature[firsts]
+    gains[at] = parent_gini[firsts] - weighted[firsts]
+    winners[at] = firsts
     best = gains.argmax(axis=1)
     gain = gains[nodes, best]
     winner = winners[nodes, best]
     position = at_position[winner]
-    low = values[nodes, best, position]
-    high = values[nodes, best, position + 1]
+    feature = features[nodes, best]
+    low = X[rows[nodes, order[nodes, best, position]], feature]
+    high = X[rows[nodes, order[nodes, best, position + 1]], feature]
     threshold = 0.5 * (low + high)
     threshold = np.where(threshold >= high, low, threshold)
-    feature = features[nodes, best]
 
     goes_left = X[rows, feature[:, np.newaxis]] <= threshold[:, np.newaxis]
     n_left = goes_left.sum(axis=1)
-    child_counts = left_counts[winner]
-    right_counts = counts - child_counts
-    left_present = np.count_nonzero(child_counts, axis=1).tolist()
-    right_present = np.count_nonzero(right_counts, axis=1).tolist()
-    left_rows = rows[goes_left]
-    right_rows = rows[real & ~goes_left]
-    left_end = np.cumsum(n_left).tolist()
-    right_end = np.cumsum(sizes - n_left).tolist()
-    accepted = (gain > 1e-12) & (n_left > 0) & (n_left < sizes)
-    gain, feature, threshold, n_left, sizes = (
-        array.tolist() for array in (gain, feature, threshold, n_left, sizes)
+    picked = np.flatnonzero((gain > 1e-12) & (n_left > 0) & (n_left < sizes))
+    if not picked.size:
+        return None
+    return (
+        picked, feature[picked], threshold[picked], gain[picked],
+        goes_left[picked], left_counts[winner[picked]],
     )
-    for i in np.flatnonzero(accepted).tolist():
-        growth, _, node, depth = chunk[i][:4]
-        growth.importances[feature[i]] += gain[i] * sizes[i]
-        depth += 1
-        left = growth.add_node(
-            left_rows[left_end[i] - n_left[i]:left_end[i]],
-            depth, child_counts[i], left_present[i],
-        )
-        growth.add_node(
-            right_rows[right_end[i] - sizes[i] + n_left[i]:right_end[i]],
-            depth, right_counts[i], right_present[i],
-        )
-        growth.splits.append((node, left, feature[i], threshold[i]))
-        growth.depth = max(growth.depth, depth)
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort over the last axis (see :data:`_RADIX_ROWS`)."""
+    if keys.shape[-1] < _RADIX_ROWS:
+        keys = keys.astype(np.int32)
+    return keys.argsort(axis=-1, kind="stable")

@@ -113,9 +113,10 @@ class SubsetDraws:
     in 10⁸); that row, like every row of another bit generator or a
     larger ``n``, comes from ``Generator.choice`` itself.
 
-    :meth:`take` serves the next row; :meth:`sync` rewinds the
-    generator over the words drawn ahead, so its whole ``state`` (the
-    buffered half included) is what per-call ``choice`` would leave.
+    ``rows[taken]`` is the next row (:class:`SubsetBlocks` serves them);
+    :meth:`sync` rewinds the generator over the words drawn ahead, so
+    its whole ``state`` (the buffered half included) is what per-call
+    ``choice`` would leave.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, k: int):
@@ -139,12 +140,6 @@ class SubsetDraws:
         self.start = None
         self.drawn = 0
         self.last = 0
-
-    def take(self) -> np.ndarray:
-        """The next subset (a refill must have left one)."""
-        row = self.rows[self.taken]
-        self.taken += 1
-        return row
 
     def _position(self, taken: int):
         """``(raw words read, has_uint32, uinteger)`` after ``taken`` rows
@@ -286,3 +281,44 @@ def _fill_block(group: Sequence[SubsetDraws], n: int, k: int, m: int) -> None:
         stream.cut = rows < m
         if not rows:
             stream._choose()
+
+
+class SubsetBlocks:
+    """Many streams' :class:`SubsetDraws`, served a row each per call.
+
+    Each stream's current block is copied into one shared array, so a
+    lockstep step takes the next subset of every live stream with one
+    gather; :meth:`sync` then rewinds every generator.
+    """
+
+    def __init__(self, draws: Sequence[SubsetDraws]):
+        self.draws = list(draws)
+        self.k = np.array([stream.k for stream in self.draws])
+        self.rows = np.zeros(
+            (len(self.draws), BLOCK_ROWS[-1], self.k.max()),
+            dtype=np.min_scalar_type(max(d.n for d in self.draws) - 1),
+        )
+        self.held, self.taken = np.zeros((2, len(self.draws)), dtype=np.intp)
+
+    def take(self, streams: np.ndarray) -> np.ndarray:
+        """The next subset of each of ``streams`` (indices, ascending),
+        zero-padded to the widest one."""
+        spent = streams[self.taken[streams] == self.held[streams]].tolist()
+        if spent:
+            group = [self.draws[i] for i in spent]
+            for stream in group:
+                stream.taken = len(stream.rows)
+            fill_subsets(group)
+            for i, stream in zip(spent, group):
+                self.held[i] = len(stream.rows)
+                self.rows[i, :len(stream.rows), :stream.k] = stream.rows
+            self.taken[spent] = 0
+        rows = self.rows[streams, self.taken[streams]]
+        self.taken[streams] += 1
+        return rows
+
+    def sync(self) -> None:
+        """Rewind every generator to where the subsets taken leave it."""
+        for stream, taken in zip(self.draws, self.taken.tolist()):
+            stream.taken = taken
+            stream.sync()

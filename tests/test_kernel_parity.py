@@ -37,14 +37,27 @@ from repro.core.io import (
 )
 from repro.core.traces import Trace
 from repro.ml.forest import RandomForestClassifier, fit_forests
-from repro.ml.tree import DecisionTreeClassifier, _class_sum
+from repro.ml.tree import (
+    _RADIX_ROWS,
+    DecisionTreeClassifier,
+    _class_sum,
+    _stable_order,
+    _stack_blocks,
+    grow_trees,
+)
 from repro.ml.validation import (
     make_fold_jobs,
     score_fold,
     score_fold_batch,
     stratified_kfold_indices,
 )
-from repro.utils.rng import BLOCK_ROWS, SubsetDraws, ensure_rng, fill_subsets
+from repro.utils.rng import (
+    BLOCK_ROWS,
+    SubsetBlocks,
+    SubsetDraws,
+    ensure_rng,
+    fill_subsets,
+)
 
 DATA = Path(__file__).parent / "data"
 COLLECT_FIXTURE = DATA / "collect_seed3_v1.npz"
@@ -141,6 +154,25 @@ def _assert_tree_parity(old, new, X_eval, context):
     assert old.node_count == new.node_count, context
     assert old.depth == new.depth, context
     _assert_bitwise(old.classes_, new.classes_, context)
+    # Every node, including those no row of X_eval reaches: children,
+    # split feature, threshold bits and leaf probabilities, the tree's
+    # present classes mapped onto the legacy columns.
+    _assert_bitwise(old._children_left, new._left_arr, context)
+    _assert_bitwise(
+        old._children_right,
+        np.where(new._left_arr < 0, -1, new._left_arr + 1),
+        context,
+    )
+    _assert_bitwise(old._split_feature, new._feature_arr, context)
+    _assert_bitwise(
+        np.asarray(old._split_threshold).view(np.int64),
+        new._threshold_arr.view(np.int64),
+        context,
+    )
+    columns = np.searchsorted(old.classes_, new.classes_)
+    _assert_bitwise(
+        np.stack(old._node_proba)[:, columns], new._proba_matrix, context
+    )
     _assert_bitwise(
         old.feature_importances_, new.feature_importances_, context
     )
@@ -227,6 +259,143 @@ class TestTreeParity:
         assert new.depth >= 1
 
 
+class TestGrowerEdges:
+    """Inputs at the edges of the array-state grower: NaN beside the
+    padding row, signed zeros, duplicate rows, the sort dispatch, wide
+    rank types, unsplittable roots, depth 1 and task order."""
+
+    def test_nan_rows_next_to_the_padding_row(self):
+        for seed in range(4):
+            rng = ensure_rng(700 + seed)
+            X = np.round(rng.normal(size=(40, 5)), 1)
+            X[rng.random(X.shape) < 0.25] = np.nan
+            X[:, 4] = np.nan
+            X[30:] = X[:10]
+            y = rng.integers(0, 3, size=40)
+            old, new = _tree_pair(X, y, seed=seed, max_features=[None, 2][seed % 2])
+            _assert_tree_parity(old, new, X, f"NaN seed={seed}")
+            forest = RandomForestClassifier(
+                n_estimators=4, max_features=None, seed=seed, n_jobs=1
+            ).fit(X, y)
+            _assert_forest_matches_legacy(
+                forest, X, y, np.arange(y.size), seed, f"NaN forest seed={seed}"
+            )
+
+    def test_signed_zero_ties(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        values = np.array([-0.0, 0.0, tiny, 2 * tiny, -tiny, 1.0, -1.0])
+        for seed in range(4):
+            rng = ensure_rng(710 + seed)
+            X = rng.choice(values, size=(36, 4))
+            y = rng.integers(0, 2, size=36)
+            old, new = _tree_pair(X, y, seed=seed)
+            _assert_tree_parity(old, new, X, f"signed zeros seed={seed}")
+
+    def test_bootstrap_duplicate_rows(self):
+        rng = ensure_rng(720)
+        X = np.repeat(rng.normal(size=(9, 6)), 4, axis=0)
+        X[::5, 2] = np.nan
+        y = np.repeat(rng.integers(0, 4, size=9), 4)
+        y[::7] = 3
+        forest = RandomForestClassifier(n_estimators=6, seed=8, n_jobs=1).fit(X, y)
+        _assert_forest_matches_legacy(
+            forest, X, y, np.arange(y.size), 8, "duplicates"
+        )
+
+    @pytest.mark.parametrize("n_rows", [15, 16, 17, 31, 32, 33])
+    def test_nodes_at_the_sort_dispatch_edges(self, n_rows):
+        for seed in range(3):
+            rng = ensure_rng(730 + seed)
+            X = np.round(rng.normal(size=(n_rows, 7)), 1)
+            y = rng.integers(0, 1 + n_rows // 4, size=n_rows)
+            old, new = _tree_pair(
+                X, y, seed=seed, max_features=[None, "sqrt", 3][seed]
+            )
+            _assert_tree_parity(old, new, X, f"{n_rows} rows seed={seed}")
+
+    @pytest.mark.parametrize("width", [_RADIX_ROWS - 1, _RADIX_ROWS, 15, 16, 17])
+    def test_stable_order_either_side_of_the_dispatch(self, width):
+        rng = ensure_rng(width)
+        for dtype in (np.uint8, np.uint16):
+            keys = rng.integers(0, 6, size=(5, 3, width)).astype(dtype)
+            _assert_bitwise(
+                keys.astype(np.float64).argsort(axis=2, kind="stable"),
+                _stable_order(keys),
+                f"width={width} {dtype}",
+            )
+
+    def test_more_than_256_distinct_values(self):
+        rng = ensure_rng(740)
+        X = rng.normal(size=(400, 6))
+        X[:, 1] = np.round(X[:, 1])
+        y = rng.integers(0, 5, size=400)
+        _, ranks, _, _ = _stack_blocks([(None, X, y, None)])
+        assert ranks.dtype == np.uint16
+        old, new = _tree_pair(X, y, seed=4, max_features="sqrt")
+        _assert_tree_parity(old, new, X, "uint16 ranks")
+
+    def test_roots_that_cannot_split(self):
+        rng = ensure_rng(750)
+        X = rng.normal(size=(20, 4))
+        one_class = np.zeros(20, dtype=int)
+        old, new = _tree_pair(X, one_class, seed=1, max_features=2)
+        _assert_tree_parity(old, new, X, "one class")
+        constant = np.ones((20, 4))
+        y = rng.integers(0, 3, size=20)
+        old, new = _tree_pair(constant, y, seed=1, max_features=2)
+        _assert_tree_parity(old, new, constant, "constant features")
+        assert new.node_count == 1
+
+    def test_max_depth_one(self):
+        X, y = _table3_problem(seed=6)
+        old, new = _tree_pair(X, y, seed=2, max_features="sqrt", max_depth=1)
+        _assert_tree_parity(old, new, X, "max_depth=1")
+        assert new.node_count == 3
+        forest = RandomForestClassifier(
+            n_estimators=5, max_depth=1, seed=3, n_jobs=1
+        ).fit(X, y)
+        _assert_forest_matches_legacy(
+            forest, X, y, np.arange(y.size), 3, "forest max_depth=1"
+        )
+
+    def test_task_order_does_not_change_trees(self):
+        X, y = _table3_problem(seed=7)
+        codes = np.unique(y, return_inverse=True)[1]
+        narrow = np.ascontiguousarray(X[:, :30])
+        rng = ensure_rng(760)
+
+        def tasks():
+            grown = []
+            for index in range(12):
+                data = (X, narrow)[index % 2]
+                rows = ensure_rng(index).integers(0, y.size, size=y.size - index)
+                tree = DecisionTreeClassifier(
+                    max_depth=(32, 4, 2)[index % 3],
+                    min_samples_leaf=1 + index % 2,
+                    max_features="sqrt",
+                    seed=50 + index,
+                )
+                grown.append((tree, data, codes, rows))
+            return grown
+
+        in_order = tasks()
+        grow_trees(in_order)
+        shuffled = tasks()
+        grow_trees([shuffled[i] for i in rng.permutation(len(shuffled))])
+        for index, ((a, *_), (b, *_)) in enumerate(zip(in_order, shuffled)):
+            context = f"task {index}"
+            for name in ("_left_arr", "_feature_arr",
+                         "_proba_matrix", "feature_importances_", "classes_"):
+                _assert_bitwise(getattr(a, name), getattr(b, name), context)
+            _assert_bitwise(
+                a._threshold_arr.view(np.int64),
+                b._threshold_arr.view(np.int64),
+                context,
+            )
+            assert a.depth == b.depth, context
+            _assert_same_state(a._rng, b._rng, context)
+
+
 # -------------------------------------------------------------- forest
 
 
@@ -301,7 +470,7 @@ def _assert_same_trees(alone, together, context):
         alone.feature_importances_, together.feature_importances_, context
     )
     for a, b in zip(alone.trees_, together.trees_):
-        for name in ("_left_arr", "_right_arr", "_feature_arr",
+        for name in ("_left_arr", "_feature_arr",
                      "_proba_matrix", "feature_importances_", "classes_"):
             _assert_bitwise(getattr(a, name), getattr(b, name), context)
         assert np.array_equal(
@@ -493,17 +662,20 @@ def _streams_and_references(specs, pre):
 
 
 def _assert_blocks_match_choice(streams, references, nodes, context):
-    """``nodes`` rows of every stream equal per-node ``choice`` calls,
-    and the synced generators equal the per-node ones."""
+    """``nodes`` rows of every stream, taken through ``SubsetBlocks``,
+    equal per-node ``choice`` calls, and the synced generators equal the
+    per-node ones."""
+    blocks = SubsetBlocks(streams)
     for node in range(nodes):
-        fill_subsets(streams)
+        rows = blocks.take(np.arange(len(streams)))
         for index, (stream, reference) in enumerate(zip(streams, references)):
             expected = reference.choice(stream.n, size=stream.k, replace=False)
             _assert_bitwise(
-                expected, stream.take(), f"{context} stream={index} node={node}"
+                expected, rows[index, :stream.k],
+                f"{context} stream={index} node={node}",
             )
+    blocks.sync()
     for index, (stream, reference) in enumerate(zip(streams, references)):
-        stream.sync()
         _assert_same_state(reference, stream.rng, f"{context} stream={index}")
 
 
@@ -566,6 +738,29 @@ class TestBlockChoiceParity:
         rng, reference = ensure_rng(8), ensure_rng(8)
         shared = [SubsetDraws(rng, 140, 11), SubsetDraws(rng, 56, 7)]
         _assert_blocks_match_choice(shared, [reference, reference], 20, "shared")
+
+    def test_subset_blocks_serve_live_streams(self):
+        """``SubsetBlocks`` takes the next subset of any ascending set of
+        streams at once, zero-padded, and syncs every generator."""
+        specs = [(80 + i, n, k) for i, (n, k) in enumerate(
+            [(140, 11), (28, 5), (702, 26), (1, 1), (140, 11)]
+        )]
+        for pre in (0, 1):
+            streams, references = _streams_and_references(specs, pre)
+            blocks = SubsetBlocks(streams)
+            rng = ensure_rng(pre)
+            for node in range(70):
+                live = np.flatnonzero(rng.random(len(specs)) < 0.7)
+                rows = blocks.take(live)
+                for row, index in zip(rows, live.tolist()):
+                    _, n, k = specs[index]
+                    expected = references[index].choice(n, size=k, replace=False)
+                    context = f"pre={pre} node={node} stream={index}"
+                    _assert_bitwise(expected, row[:k], context)
+                    assert not row[k:].any(), context
+            blocks.sync()
+            for index, (stream, reference) in enumerate(zip(streams, references)):
+                _assert_same_state(reference, stream.rng, f"pre={pre} {index}")
 
     def test_blocks_use_the_narrowest_integer_type(self):
         for n, dtype in ((140, np.uint8), (256, np.uint8), (702, np.uint16)):

@@ -221,3 +221,25 @@ class TestLockstepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_trees_own_compact_arrays(self):
+        """No fitted tree pins its growth's node table or sample array."""
+        from repro.ml.forest import fit_forests
+
+        rng = np.random.default_rng(1)
+        y = np.arange(60) % 6
+        X = rng.normal(size=(60, 40)) + rng.normal(size=(6, 40))[y]
+        jobs = [
+            (RandomForestClassifier(n_estimators=6, seed=seed), X[:, :width], y, None)
+            for seed, width in ((0, 40), (1, 12))
+        ]
+        fit_forests(jobs)
+        for forest, *_ in jobs:
+            for tree in forest.trees_:
+                for name in ("_left_arr", "_feature_arr",
+                             "_threshold_arr", "_proba_matrix",
+                             "feature_importances_", "classes_"):
+                    array = getattr(tree, name)
+                    assert array.base is None or array.base.nbytes <= array.nbytes, (
+                        f"{name} is a view of {array.base.nbytes} bytes"
+                    )
