@@ -1,4 +1,4 @@
-"""File discovery, suppression, baseline matching, reporting.
+"""File discovery, suppression, reporting.
 
 The engine is the orchestration half of ``repro.check``.  A run has
 two phases:
@@ -17,15 +17,15 @@ Every run analyses every file fresh: there is no result cache, so a
 changed rule or a changed import can never be answered from stale
 results.
 
-Findings from both phases flow through the same suppression and
-baseline machinery.  Files that cannot be read or parsed are *never*
-skipped: they produce a synthetic ``PARSE000`` finding (plus a
+Findings from both phases flow through the same inline suppressions,
+the checker's one waiver mechanism: a ``# repro: ignore[RULE] reason``
+comment on the flagged line.  Files that cannot be read or parsed are
+*never* skipped: they produce a synthetic ``PARSE000`` finding (plus a
 :class:`ParseError` for the exit-code path), so a broken file cannot
 make the tree check green.
 
 Exit-code policy (used by the CLI): a run is *clean* when there are no
-new findings and no unparsable files; stale baseline entries are
-reported but do not fail the run unless ``--fail-on-stale`` is given.
+findings and no unparsable files.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from repro.check.baseline import BaselineEntry, load_baseline
 from repro.check.findings import Finding
 from repro.check.flow import (
     FLOW_RULE_IDS,
@@ -72,16 +71,14 @@ class CheckResult:
     """Everything one ``run_check`` pass produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     errors: List[ParseError] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Clean: nothing new to report and every file parsed."""
+        """Clean: nothing to report and every file parsed."""
         return not self.findings and not self.errors
 
 
@@ -244,7 +241,6 @@ def analyze_source_file(payload) -> ModuleResult:
 def run_check(
     paths: Optional[Sequence[PathLike]] = None,
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[PathLike] = None,
     root: Optional[PathLike] = None,
     *,
     workers: Optional[int] = None,
@@ -254,9 +250,6 @@ def run_check(
     Args:
         paths: files/directories to scan (default: ``<root>/src``).
         rules: rule-id selection (default: every registered rule).
-        baseline: baseline file.  ``None`` auto-loads
-            ``<root>/repro_check_baseline.json`` when it exists; pass
-            ``""`` to force no baseline.
         root: directory findings are reported relative to (default:
             auto-detected repo root).
         workers: worker count for the per-module pass (``None`` honors
@@ -273,16 +266,6 @@ def run_check(
     scan_paths = (
         [Path(p) for p in paths] if paths else default_paths(root)
     )
-    if baseline is None:
-        candidate = root / "repro_check_baseline.json"
-        baseline_entries = (
-            load_baseline(candidate) if candidate.exists() else []
-        )
-    elif baseline == "":
-        baseline_entries = []
-    else:
-        baseline_entries = load_baseline(Path(baseline))
-
     result = CheckResult(rules_run=list(rule_ids))
 
     files = iter_python_files(scan_paths, root)
@@ -292,11 +275,11 @@ def run_check(
     )
 
     # -- assemble per-module results ------------------------------------
-    raw_findings: List[Finding] = []
+    findings: List[Finding] = []
     project: Dict[str, ModuleFacts] = {}
     suppress_lines: Dict[str, Dict[int, Set[str]]] = {}
     for (_, rel, _), module in zip(payloads, modules):
-        raw_findings.extend(module.findings)
+        findings.extend(module.findings)
         if module.parse_error is not None:
             result.errors.append(module.parse_error)
             continue
@@ -313,54 +296,26 @@ def run_check(
         ):
             result.suppressed += 1
         else:
-            raw_findings.append(finding)
-
-    # -- baseline matching ----------------------------------------------
-    used_entries: Set[str] = set()
-    by_fingerprint = {
-        entry.fingerprint: entry for entry in baseline_entries
-    }
-    for finding in sorted(raw_findings):
-        matched = by_fingerprint.get(finding.fingerprint)
-        if matched is not None:
-            used_entries.add(matched.fingerprint)
-            result.baselined.append(finding)
-        else:
-            result.findings.append(finding)
-    # Entries for rules that did not run are neither used nor stale.
-    result.stale_baseline = [
-        entry
-        for entry in baseline_entries
-        if entry.fingerprint not in used_entries
-        and entry.rule in rule_ids
-    ]
+            findings.append(finding)
+    result.findings = sorted(findings)
     return result
 
 
 # ---------------------------------------------------------------- rendering
 
 
-def render_text(result: CheckResult, verbose: bool = False) -> str:
-    """Human-readable report: one diagnostic line per new finding."""
+def render_text(result: CheckResult) -> str:
+    """Human-readable report: one diagnostic line per finding."""
     lines: List[str] = []
     for error in result.errors:
         lines.append(error.format())
     for finding in result.findings:
         lines.append(finding.format())
-    if verbose:
-        for finding in result.baselined:
-            lines.append(f"{finding.format()} [baselined]")
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry.path}: STALE baseline entry {entry.rule} "
-            f"({entry.snippet!r}) matches nothing — delete it"
-        )
     lines.append(
         f"{len(result.findings)} finding"
         f"{'' if len(result.findings) == 1 else 's'} "
-        f"({len(result.baselined)} baselined, {result.suppressed} "
-        f"suppressed, {len(result.stale_baseline)} stale baseline "
-        f"entries) across {result.files_scanned} files"
+        f"({result.suppressed} suppressed) across "
+        f"{result.files_scanned} files"
     )
     return "\n".join(lines)
 
@@ -372,18 +327,12 @@ def render_json(result: CheckResult) -> str:
         "ok": result.ok,
         "summary": {
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": result.suppressed,
             "errors": len(result.errors),
-            "stale_baseline": len(result.stale_baseline),
             "files_scanned": result.files_scanned,
             "rules_run": result.rules_run,
         },
         "findings": [finding.to_dict() for finding in result.findings],
-        "baselined": [finding.to_dict() for finding in result.baselined],
         "errors": [error.to_dict() for error in result.errors],
-        "stale_baseline": [
-            entry.to_dict() for entry in result.stale_baseline
-        ],
     }
     return json.dumps(document, indent=2)

@@ -1,9 +1,6 @@
 """Finding model for the ``repro.check`` static analyzer.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-identity for baseline purposes is the *fingerprint* — rule id, path and
-the stripped source line — deliberately excluding the line number, so a
-grandfathered finding survives unrelated edits that shift the file.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ class Finding:
         col: 0-based column of the offending node.
         rule: rule identifier (e.g. ``"RNG001"``).
         message: human-readable description of the violation.
-        snippet: the stripped source line, used for baseline matching.
+        snippet: the stripped source line, for reports.
     """
 
     path: str
@@ -31,11 +28,6 @@ class Finding:
     rule: str
     message: str
     snippet: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used to match baseline entries."""
-        return f"{self.rule}::{self.path}::{self.snippet}"
 
     def format(self) -> str:
         """One ``path:line:col: RULE message`` diagnostic line."""

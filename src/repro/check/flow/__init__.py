@@ -12,17 +12,17 @@ FLOW003     a helper's wall-clock return value (``time.time`` /
             ``monotonic`` / ``perf_counter``) must not flow into
             simulated-time code outside ``repro/perf`` — including a
             helper defined under ``repro/perf``, which TIME001 exempts
-FLOW004     no unlocked write to module-level state in any function
+FLOW004     no write to module-level state in any function
             transitively reachable from a ``parallel_map`` /
             ``pool.submit`` task callable, the task itself
-            included
-FLOW005     no inconsistent lock-acquisition order anywhere in the
-            program (ABBA deadlock shape), including orders completed
-            through calls
+            included — held lock or not, a forked worker's write
+            never reaches the parent
 ==========  ===========================================================
 
 Entropy needs no whole-program rule: RNG001-RNG003 ban every unseeded
 or OS entropy source at the line where it appears, in every module.
+Lock order needs none either: no module outside ``repro.check`` starts
+a thread, so there is no lock to order.
 
 The per-module half (fact extraction, :mod:`repro.check.flow.symbols`)
 is pure per file and fans out over the worker pool; the whole-program
@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Set
 
 from repro.check.findings import Finding
 from repro.check.flow.callgraph import CallGraph
-from repro.check.flow.locks import run_locks
+from repro.check.flow.locks import run_worker_writes
 from repro.check.flow.symbols import (
     ModuleFacts,
     extract_module_facts,
@@ -52,7 +52,7 @@ __all__ = [
     "run_flow_analysis",
 ]
 
-FLOW_RULE_IDS = ("FLOW003", "FLOW004", "FLOW005")
+FLOW_RULE_IDS = ("FLOW003", "FLOW004")
 
 
 def run_flow_analysis(
@@ -66,5 +66,5 @@ def run_flow_analysis(
     graph = CallGraph(project)
     findings: List[Finding] = []
     findings.extend(run_taint(project, graph, wanted))
-    findings.extend(run_locks(project, graph, wanted))
+    findings.extend(run_worker_writes(project, graph, wanted))
     return findings

@@ -3,8 +3,8 @@
 This is the per-module half of the whole-program analysis: one AST walk
 per file that produces a :class:`ModuleFacts` — the unit the worker
 pool computes in parallel and returns by pickle.  Everything
-interprocedural (call-edge resolution, taint
-fixpoints, lock-order merging) happens later, in
+interprocedural (call-edge resolution, taint fixpoints, worker-path
+reachability) happens later, in
 :mod:`repro.check.flow.callgraph`, :mod:`~repro.check.flow.taint` and
 :mod:`~repro.check.flow.locks`, over these facts alone — the source is
 never re-read.
@@ -71,11 +71,6 @@ def module_name_for(rel_path: str) -> str:
     return ".".join(parts) if parts else posix
 
 
-def _is_lock_name(tail: str) -> bool:
-    """Heuristic: the dotted tail names a lock object."""
-    return "lock" in tail.lower()
-
-
 @dataclass
 class CallSite:
     """One call expression, with enough context to resolve it later."""
@@ -86,7 +81,6 @@ class CallSite:
     args: List[List[str]] = field(default_factory=list)
     kwargs: Dict[str, List[str]] = field(default_factory=dict)
     base: List[str] = field(default_factory=list)  # taint of func.value
-    locks_held: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -100,8 +94,6 @@ class FunctionFacts:
     returns: List[str] = field(default_factory=list)      # taint atoms
     self_writes: Dict[str, List[str]] = field(default_factory=dict)
     global_writes: List[dict] = field(default_factory=list)
-    locks_acquired: List[str] = field(default_factory=list)
-    lock_pairs: List[dict] = field(default_factory=list)
     submissions: List[dict] = field(default_factory=list)
 
 
@@ -128,14 +120,12 @@ class _FunctionExtractor:
 
     def __init__(
         self,
-        module: Module,
         aliases: Dict[str, str],
         toplevel: Set[str],
         node: ast.AST,
         qualname: str,
         class_name: Optional[str],
     ):
-        self.module = module
         self.aliases = aliases
         self.toplevel = toplevel
         self.node = node
@@ -157,7 +147,6 @@ class _FunctionExtractor:
         self.bound: Dict[str, str] = {}
         self.call_index: Dict[int, int] = {}   # id(node) -> call idx
         self.call_nodes: List[ast.Call] = []
-        self.lock_stack: List[str] = []
         #: the function's subtree in ``ast.walk`` order, walked once
         self.nodes: List[ast.AST] = list(ast.walk(node))
         self.declared_global: Set[str] = {
@@ -188,25 +177,6 @@ class _FunctionExtractor:
                         self.local_names.add(sub.id)
 
     # -- naming ---------------------------------------------------------
-
-    def _lock_identity(self, expr: ast.AST) -> Optional[str]:
-        """Qualified identity for a lock context expression."""
-        dotted = _dotted(expr)
-        if not dotted:
-            return None
-        tail = dotted.rsplit(".", 1)[-1]
-        if not _is_lock_name(tail):
-            return None
-        head = dotted.split(".", 1)[0]
-        if head == "self" and self.class_name:
-            return f"{self.module.rel_path}::{self.class_name}.{tail}"
-        canonical = _canonical(expr, self.aliases) or dotted
-        if canonical != dotted or head in self.toplevel:
-            # resolved through an import, or a module-level lock
-            if "." not in canonical:
-                return f"{self.module.rel_path}::{canonical}"
-            return canonical
-        return f"{self.module.rel_path}::{dotted}"
 
     def _call_target(self, node: ast.Call) -> Tuple[str, List[str]]:
         """(canonical target name, base-object taint atoms)."""
@@ -376,32 +346,9 @@ class _FunctionExtractor:
                     changed |= self._assign_target(gen.target, atoms)
         return changed
 
-    # -- structural walk (locks, writes, submissions, calls) ------------
+    # -- structural walk (writes, submissions, calls) -------------------
 
     def _walk_structure(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            n_acquired = 0
-            for item in node.items:
-                lock = self._lock_identity(item.context_expr)
-                if lock is not None:
-                    for held in self.lock_stack:
-                        if held != lock:
-                            self.facts.lock_pairs.append(
-                                {
-                                    "outer": held,
-                                    "inner": lock,
-                                    "line": item.context_expr.lineno,
-                                }
-                            )
-                    if lock not in self.facts.locks_acquired:
-                        self.facts.locks_acquired.append(lock)
-                    self.lock_stack.append(lock)
-                    n_acquired += 1
-            for child in ast.iter_child_nodes(node):
-                self._walk_structure(child)
-            if n_acquired:
-                del self.lock_stack[-n_acquired:]
-            return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node is not self.node:
                 return  # nested functions analyzed separately
@@ -424,7 +371,6 @@ class _FunctionExtractor:
                 line=node.lineno,
                 col=node.col_offset,
                 base=base_atoms,
-                locks_held=list(self.lock_stack),
             )
         )
         # Task submissions: parallel_map(fn, ...) / pool.submit(fn, ...)
@@ -460,7 +406,6 @@ class _FunctionExtractor:
                     "line": where.lineno,
                     "col": getattr(where, "col_offset", 0),
                     "kind": kind,
-                    "locks_held": list(self.lock_stack),
                 }
             )
 
@@ -581,13 +526,12 @@ def extract_module_facts(module: Module) -> ModuleFacts:
         node: ast.AST, qualname: str, class_name: Optional[str]
     ) -> None:
         extractor = _FunctionExtractor(
-            module, aliases, toplevel, node, qualname, class_name
+            aliases, toplevel, node, qualname, class_name
         )
         fn_facts = extractor.run()
         facts.functions[qualname] = fn_facts
         lines_needed.update(c.line for c in fn_facts.calls)
         lines_needed.update(w["line"] for w in fn_facts.global_writes)
-        lines_needed.update(p["line"] for p in fn_facts.lock_pairs)
         lines_needed.update(s["line"] for s in fn_facts.submissions)
 
     def _visit(body, prefix: str, class_name: Optional[str]) -> None:

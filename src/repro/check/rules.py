@@ -16,11 +16,9 @@ RNG002      no stdlib ``random``, ``os.urandom``, ``secrets``,
 RNG003      Generators and ``SeedSequence`` objects are built via
             ``repro.utils.rng`` (``ensure_rng`` / ``spawn``) so the
             ``normalize_seed`` policy applies
-TIME001     no wall-clock reads in simulated-time modules (the
-            ``repro/perf`` timing helpers are exempt)
-CONC002     ``self._clock`` is only touched inside a
-            ``with self._clock_lock`` block in classes that define that
-            lock
+TIME001     no wall-clock reads in simulated-time modules
+            (``repro/perf`` is exempt; the fleet scheduler's report
+            timings carry inline waivers)
 CONC003     only module-level functions go to ``parallel_map`` — no
             lambdas/closures (they capture handles and cannot pickle)
 API001      hwmon register reads stay behind the
@@ -42,22 +40,16 @@ API006      no bare ``multiprocessing.Pool`` / ``ProcessPoolExecutor``
             and segments skip the deterministic task→seed assignment
             and crash recovery of the ``repro.perf`` pool; arrays
             travel to workers through ``parallel_map``
-API007      no untimed blocking ``Queue.get`` / ``Event.wait`` /
-            ``Process.join`` outside ``repro/perf`` — a dead peer
-            strands the caller forever; only the pool layer may park
-            without a timeout
 PARSE000    unreadable/unparseable files are findings, not skips
 FLOW003     (whole-program) wall-clock values must not flow through
             helpers into simulated-time code outside repro/perf
-FLOW004     (whole-program) no unlocked module-state writes on paths
+FLOW004     (whole-program) no module-state writes on paths
             reachable from parallel_map/pool task callables
-FLOW005     (whole-program) no inconsistent (ABBA) lock-acquisition
-            ordering anywhere, including through calls
 ==========  ============================================================
 
 Each per-module rule is a pure function ``(Module) -> List[Finding]``;
-the engine (:mod:`repro.check.engine`) handles file discovery,
-suppression comments and the baseline.  Rules marked ``whole_program``
+the engine (:mod:`repro.check.engine`) handles file discovery and
+suppression comments.  Rules marked ``whole_program``
 are evaluated by :mod:`repro.check.flow` over the assembled project
 model instead.
 """
@@ -205,9 +197,9 @@ def _path_matches(rel_path: str, allowed: Sequence[str]) -> bool:
 
 
 #: The timing and pool layer: the one place allowed to read the wall
-#: clock (TIME001, FLOW003), build process pools (API006), park
-#: without a timeout (API007) and write module state on worker paths
-#: (FLOW004, the pool registry under its own lock).
+#: clock (TIME001, FLOW003), build process pools (API006) and write
+#: module state on worker paths (FLOW004: the pool registry is
+#: per-process by design, rebuilt after a ``fork``).
 PERF_LAYER = ("repro/perf/",)
 
 
@@ -375,115 +367,6 @@ def check_time001(module: Module) -> List[Finding]:
                 )
             )
     return findings
-
-
-# ------------------------------------------------------------------ CONC002
-
-
-#: Fields whose access contract is "hold this lock".  The rule only
-#: applies where the lock actually exists (the class body assigns
-#: ``self.<lock>``), so an unrelated ``_clock`` in a lockless class is
-#: not flagged.
-GUARDED_FIELDS: Dict[str, str] = {
-    "_clock": "_clock_lock",
-}
-
-
-class _LockScopeVisitor(ast.NodeVisitor):
-    """Tracks class/function nesting and the set of locks held."""
-
-    def __init__(self, module: Module):
-        self.module = module
-        self.class_stack: List[Set[str]] = []
-        self.function_depth = 0
-        self.held: List[str] = []
-        self.in_init = False
-        self.findings: List[Finding] = []
-
-    # -- scope bookkeeping
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.class_stack.append(_class_self_attrs(node))
-        self.generic_visit(node)
-        self.class_stack.pop()
-
-    def _visit_function(self, node) -> None:
-        outer_init = self.in_init
-        if self.class_stack and node.name == "__init__":
-            self.in_init = True
-        self.function_depth += 1
-        self.generic_visit(node)
-        self.function_depth -= 1
-        self.in_init = outer_init
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_With(self, node: ast.With) -> None:
-        acquired = []
-        for item in node.items:
-            dotted = _dotted(item.context_expr) or ""
-            tail = dotted.rsplit(".", 1)[-1]
-            if tail in GUARDED_FIELDS.values():
-                acquired.append(tail)
-        self.held.extend(acquired)
-        self.generic_visit(node)
-        del self.held[len(self.held) - len(acquired):]
-
-    visit_AsyncWith = visit_With
-
-    # -- the accesses under contract
-
-    def _flag(self, node: ast.AST, name: str, lock: str) -> None:
-        self.findings.append(
-            self.module.finding(
-                "CONC002",
-                node,
-                f"{name} is documented as guarded by {lock}; access it "
-                f"inside a `with {lock}:` block (or move the access "
-                f"into the guarded section)",
-            )
-        )
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        lock = GUARDED_FIELDS.get(node.attr)
-        if (
-            lock is not None
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and self.function_depth > 0
-            and not self.in_init
-            and lock not in self.held
-            and self.class_stack
-            and lock in self.class_stack[-1]
-        ):
-            self._flag(node, f"self.{node.attr}", f"self.{lock}")
-        self.generic_visit(node)
-
-
-def _class_self_attrs(node: ast.ClassDef) -> Set[str]:
-    """Attribute names ever assigned on ``self`` within a class body."""
-    attrs: Set[str] = set()
-    for stmt in ast.walk(node):
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    attrs.add(target.attr)
-    return attrs
-
-
-def check_conc002(module: Module) -> List[Finding]:
-    """Lock-guarded fields touched outside their ``with`` block."""
-    visitor = _LockScopeVisitor(module)
-    visitor.visit(module.tree)
-    return visitor.findings
 
 
 # ------------------------------------------------------------------ CONC003
@@ -904,88 +787,6 @@ def check_api006(module: Module) -> List[Finding]:
     return findings
 
 
-# ------------------------------------------------------------------- API007
-
-#: Blocking rendezvous methods whose no-timeout form can hang forever.
-#: Only the pool (``PERF_LAYER``) may park untimed: its executor turns a
-#: dead worker into ``BrokenProcessPool``.  Everyone else must bound the
-#: wait so a dead peer surfaces as a timeout, not a hang.
-_BLOCKING_METHODS = ("get", "wait", "join")
-
-
-def _keyword(node: ast.Call, name: str) -> Optional[ast.expr]:
-    for kw in node.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def check_api007(module: Module) -> List[Finding]:
-    """Untimed blocking waits strand the caller when the peer dies.
-
-    Every wait on another process or thread must carry a timeout so
-    a SIGKILLed or wedged peer turns into an error the caller can
-    handle, not a hang.  A call is flagged when it blocks indefinitely:
-    ``q.get()`` / ``q.get(True)`` / ``q.get(block=True)``,
-    ``event.wait()``, ``proc.join()``, or any of them with an explicit
-    ``timeout=None``.  Calls with a finite timeout — positional
-    (``join(2.0)``, ``wait(5)``, ``get(True, 5)``) or keyword — pass,
-    as do non-blocking forms (``get(False)``, ``get_nowait``),
-    value-carrying lookups (``d.get(key)``, ``sep.join(parts)``), and
-    ``await``-ed coroutine methods (the event loop stays responsive).
-    """
-    if _path_matches(module.rel_path, PERF_LAYER):
-        return []
-    awaited = {
-        id(node.value)
-        for node in module.nodes
-        if isinstance(node, ast.Await)
-    }
-    findings = []
-    for node in module.nodes:
-        if (
-            not isinstance(node, ast.Call)
-            or not isinstance(node.func, ast.Attribute)
-            or node.func.attr not in _BLOCKING_METHODS
-            or id(node) in awaited
-        ):
-            continue
-        timeout = _keyword(node, "timeout")
-        if timeout is not None and not _is_none(timeout):
-            continue
-        attr = node.func.attr
-        if attr in ("wait", "join"):
-            # A positional argument is the timeout (join(2.0)) or the
-            # payload (sep.join(parts)) — either way, not an untimed
-            # park.
-            blocking = not node.args
-        else:  # get
-            if len(node.args) >= 2:
-                blocking = False  # get(True, 5): second arg is timeout
-            elif len(node.args) == 1:
-                first = node.args[0]
-                blocking = (
-                    isinstance(first, ast.Constant) and first.value is True
-                )
-            else:
-                block = _keyword(node, "block")
-                blocking = block is None or (
-                    isinstance(block, ast.Constant) and block.value is True
-                )
-        if blocking:
-            findings.append(
-                module.finding(
-                    "API007",
-                    node,
-                    f".{attr}() blocks with no timeout; if the peer "
-                    f"process/thread dies this caller hangs forever — "
-                    f"pass a finite timeout and handle expiry (only "
-                    f"repro/perf may park indefinitely)",
-                )
-            )
-    return findings
-
-
 # ----------------------------------------------------------------- registry
 
 RULES: Dict[str, Rule] = {
@@ -1019,13 +820,6 @@ RULES: Dict[str, Rule] = {
             "time.time()/datetime.now() in simulated-time modules breaks "
             "replayability (repro/perf timing helpers exempt)",
             check_time001,
-        ),
-        Rule(
-            "CONC002",
-            "unlocked-guarded-field",
-            "self._clock must be accessed under self._clock_lock in "
-            "classes that define that lock",
-            check_conc002,
         ),
         Rule(
             "CONC003",
@@ -1077,14 +871,6 @@ RULES: Dict[str, Rule] = {
             "pass arrays through parallel_map",
             check_api006,
         ),
-        Rule(
-            "API007",
-            "untimed-blocking-call",
-            "blocking Queue.get/Event.wait/Process.join without a "
-            "timeout hangs forever when the peer dies; bound every "
-            "wait outside repro/perf",
-            check_api007,
-        ),
         # Whole-program rules: evaluated by repro.check.flow over the
         # project model, not per module (see that package's docstring).
         Rule(
@@ -1105,18 +891,10 @@ RULES: Dict[str, Rule] = {
         ),
         Rule(
             "FLOW004",
-            "unlocked-worker-path-write",
+            "worker-path-module-write",
             "a function reachable from a parallel_map/pool task "
-            "writes module-level state without a lock; the write is "
-            "lost under fork",
-            whole_program=True,
-        ),
-        Rule(
-            "FLOW005",
-            "inconsistent-lock-order",
-            "two locks are acquired in opposite orders on different "
-            "paths (including through calls) — the ABBA deadlock "
-            "shape",
+            "writes module-level state; the write is lost under fork, "
+            "lock or no lock",
             whole_program=True,
         ),
     )

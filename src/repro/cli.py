@@ -133,82 +133,36 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     from repro.check import (
         RULES,
-        BaselineError,
         UnknownRuleError,
-        load_baseline,
         render_json,
         render_text,
         run_check,
-        write_baseline,
     )
-    from repro.check.engine import default_root
 
     if args.list_rules:
         width = max(len(rule.id) for rule in RULES.values())
         for rule in RULES.values():
             print(f"{rule.id:{width}s}  {rule.name}: {rule.rationale}")
         return 0
-    root = default_root()
-    baseline = args.baseline
-    if args.no_baseline:
-        baseline = ""
     try:
         result = run_check(
             paths=args.paths or None,
             rules=args.rules,
-            baseline=baseline,
-            root=root,
             workers=args.workers,
         )
-    except (UnknownRuleError, BaselineError, FileNotFoundError) as exc:
+    except (UnknownRuleError, FileNotFoundError) as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
-    baseline_path = (
-        Path(baseline)
-        if baseline
-        else root / "repro_check_baseline.json"
-    )
-    if args.write_baseline:
-        entries = write_baseline(
-            baseline_path,
-            list(result.findings) + list(result.baselined),
-            existing=(
-                load_baseline(baseline_path)
-                if baseline_path.exists()
-                else []
-            ),
-        )
-        print(
-            f"baseline with {len(entries)} entries written to "
-            f"{baseline_path}"
-        )
-        return 0
-    if args.prune_baseline:
-        from repro.check.baseline import prune_baseline
-
-        existing = (
-            load_baseline(baseline_path) if baseline_path.exists() else []
-        )
-        entries = prune_baseline(
-            baseline_path, existing, result.stale_baseline
-        )
-        print(
-            f"pruned {len(result.stale_baseline)} stale entries; "
-            f"{len(entries)} remain in {baseline_path}"
-        )
-        return 0
     if args.format == "json":
         report = render_json(result)
     else:
-        report = render_text(result, verbose=args.verbose)
+        report = render_text(result)
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         print(f"report written to {args.output}")
     else:
         print(report)
     if result.errors:
-        return 2
-    if args.fail_on_stale and result.stale_baseline:
         return 2
     if args.fail_on_findings and not result.ok:
         return 1
@@ -703,36 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="rule ids to run (default: all; see --list-rules)",
     )
     check.add_argument(
-        "--baseline", type=str, default=None,
-        help="baseline file of grandfathered findings (default: "
-             "repro_check_baseline.json at the repo root, if present)",
-    )
-    check.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    check.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (json is the machine-readable one, for CI "
              "annotation)",
     )
     check.add_argument(
         "--fail-on-findings", action="store_true",
-        help="exit 1 when new findings remain after baseline/suppressions",
-    )
-    check.add_argument(
-        "--fail-on-stale", action="store_true",
-        help="exit 2 when the baseline holds entries matching nothing",
-    )
-    check.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather current findings into the baseline file "
-             "(existing justifications are kept)",
-    )
-    check.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline file with stale entries removed "
-             "(justifications for surviving entries are kept)",
+        help="exit 1 when findings remain after inline suppressions",
     )
     check.add_argument(
         "--workers", type=int, default=None,
@@ -746,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--list-rules", action="store_true",
         help="print the rule table and exit",
-    )
-    check.add_argument(
-        "--verbose", action="store_true",
-        help="also print baselined findings",
     )
 
     rsa = sub.add_parser("rsa", help="RSA Hamming-weight attack (Fig 4)")

@@ -23,7 +23,6 @@ accuracies bit-exactly.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -524,8 +523,6 @@ class DnnFingerprinter:
             config=config, seed=self.session.seed, workers=workers
         )
         self._clock = 1.0  # virtual experiment time, advanced per run
-        self._clock_lock = threading.Lock()
-        self._run_lock = threading.Lock()
 
     # Acquisition state lives on the session; analysis knobs on the
     # analyzer.  These properties keep the original one-object API.
@@ -555,14 +552,12 @@ class DnnFingerprinter:
     def _next_window(self) -> float:
         """Reserve a fresh time window for one victim run.
 
-        Atomic: concurrent ``record_run`` callers always receive
-        disjoint windows.
+        Successive ``record_run`` calls always receive disjoint windows.
         """
-        with self._clock_lock:
-            start = self._clock
-            guard = 4 * self.soc.device("fpga").update_period
-            self._clock += self.config.duration + 0.3 + guard
-            return start
+        start = self._clock
+        guard = 4 * self.soc.device("fpga").update_period
+        self._clock += self.config.duration + 0.3 + guard
+        return start
 
     def record_run(
         self,
@@ -587,27 +582,23 @@ class DnnFingerprinter:
         """
         start = self._next_window()
         run_seed = derive_seed(self.seed, f"run-{model.name}-{run_index}")
-        # Deploy/sample/undeploy share the SoC's rail state; serialize
-        # them so concurrent record_run calls cannot interleave
-        # another victim's workload into this run's window.
-        with self._run_lock:
-            self.runner.deploy(
-                self.soc,
-                model,
-                duration=self.config.duration + 0.3,
-                seed=run_seed,
+        self.runner.deploy(
+            self.soc,
+            model,
+            duration=self.config.duration + 0.3,
+            seed=run_seed,
+            start=start,
+        )
+        try:
+            traces = self.sampler.collect_many(
+                channels,
                 start=start,
+                duration=self.config.duration,
+                label=model.name,
+                on_dead=on_dead,
             )
-            try:
-                traces = self.sampler.collect_many(
-                    channels,
-                    start=start,
-                    duration=self.config.duration,
-                    label=model.name,
-                    on_dead=on_dead,
-                )
-            finally:
-                self.runner.undeploy(self.soc)
+        finally:
+            self.runner.undeploy(self.soc)
         return traces
 
     def archive_meta(

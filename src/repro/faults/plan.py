@@ -154,12 +154,14 @@ class FaultPlan:
     @property
     def is_noop(self) -> bool:
         """True when no fault family can ever fire."""
+        # Exact-zero sentinels: a rate is configured, never computed,
+        # and 0.0 is its documented "class disabled" value.
         return (
-            self.transient_rate == 0.0
-            and self.torn_rate == 0.0
-            and self.stale_rate == 0.0
-            and self.hotplug_rate == 0.0
-            and self.interval_change_rate == 0.0
+            self.transient_rate == 0.0  # repro: ignore[API002] sentinel
+            and self.torn_rate == 0.0  # repro: ignore[API002] sentinel
+            and self.stale_rate == 0.0  # repro: ignore[API002] sentinel
+            and self.hotplug_rate == 0.0  # repro: ignore[API002] sentinel
+            and self.interval_change_rate == 0.0  # repro: ignore[API002] sentinel
         )
 
     def device_key(self, device_name: str) -> int:
@@ -168,7 +170,7 @@ class FaultPlan:
 
     def transient_mask(self, key: int, times: np.ndarray) -> np.ndarray:
         """Which polls fail with a transient error (EAGAIN/EIO)."""
-        if self.transient_rate == 0.0:
+        if self.transient_rate == 0.0:  # repro: ignore[API002] 0.0 disables the class
             return np.zeros(np.shape(np.atleast_1d(times)), dtype=bool)
         draws = hashed_uniform(
             key, _time_counters(times), stream=_STREAM_TRANSIENT
@@ -177,7 +179,7 @@ class FaultPlan:
 
     def torn_mask(self, key: int, times: np.ndarray) -> np.ndarray:
         """Which polls return a torn, out-of-range value."""
-        if self.torn_rate == 0.0:
+        if self.torn_rate == 0.0:  # repro: ignore[API002] 0.0 disables the class
             return np.zeros(np.shape(np.atleast_1d(times)), dtype=bool)
         draws = hashed_uniform(key, _time_counters(times), stream=_STREAM_TORN)
         return draws < self.torn_rate
@@ -203,7 +205,7 @@ class FaultPlan:
     def hotplug_mask(self, key: int, times: np.ndarray) -> np.ndarray:
         """Which polls land inside a sensor-disappeared window (ENOENT)."""
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-        if self.hotplug_rate == 0.0:
+        if self.hotplug_rate == 0.0:  # repro: ignore[API002] 0.0 disables the class
             return np.zeros(times.shape, dtype=bool)
         slots = np.floor(times / self.slot_s)
         armed = (

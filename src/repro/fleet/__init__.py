@@ -16,12 +16,13 @@ This package is that orchestrator, built on the PR 8 substrate:
   partial archive via the PR 3 checkpoint path and seals it
   byte-identical to an uninterrupted run.
 * :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, one
-  dispatch loop on the calling thread that keeps up to
-  ``max_concurrent`` recording sessions in flight on the shared
-  process pool of :func:`repro.perf.pool.get_pool`; per-job
-  wall-clock latency lands in a :class:`~repro.perf.StageTimer` and
-  a worker death surfaces as a bounded retry on a fresh pool that
-  resumes the partial archive, not a lost campaign.
+  dispatch loop on the calling thread, with no threads of its own,
+  that keeps up to ``max_concurrent`` recording sessions in flight as
+  futures on the shared process pool of
+  :func:`repro.perf.pool.get_pool`; per-job wall-clock latency comes
+  from ``time.perf_counter`` reads in that loop, and a worker death
+  surfaces as a bounded resubmission on a fresh pool that resumes the
+  partial archive, not a lost campaign.
 
 The ``fleet`` workload of ``bench/run.py`` measures the scheduler's
 throughput and latency; ``tests/test_fleet.py`` holds it to exact

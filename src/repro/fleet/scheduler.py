@@ -1,15 +1,14 @@
 """Fleet scheduler: many boards, one dispatch loop, one worker pool.
 
 :class:`FleetScheduler` runs a batch of :class:`~repro.fleet.jobs.
-FleetJob`\\ s from one loop on the calling thread: it hands up to
-``max_concurrent`` recording sessions to a
-:class:`~concurrent.futures.ThreadPoolExecutor` of that width, each
-executed by :func:`~repro.fleet.jobs.run_job` on the shared process
-pool of :func:`~repro.perf.pool.get_pool` (or inline with
-``use_pool=False`` — the serial baseline the tests compare against),
-and blocks until the next one completes.  Only the loop touches the
-job queue, the breakers and the tick clock, so none of them needs a
-lock.
+FleetJob`\\ s from one loop on the calling thread, with no threads of
+its own: it submits up to ``max_concurrent`` recording sessions to the
+shared process pool of :func:`~repro.perf.pool.get_pool` as futures,
+each executed by :func:`~repro.fleet.jobs.run_job`, and blocks in
+:func:`concurrent.futures.wait` until the next one completes.  With
+``use_pool=False`` each job runs inline, one at a time in submission
+order — the serial baseline the tests compare against.  Only the loop
+touches the job queue, the breakers and the tick clock.
 
 Fault story, layered bottom-up so each layer only sees what the one
 below could not absorb:
@@ -39,15 +38,17 @@ Every job therefore ends in exactly one terminal status:
 tick, not wall time, so a replayed batch replays the same breaker
 windows.
 
-Per-job latency is wall-clock time from dispatch to result, measured
-with :class:`~repro.perf.StageTimer`; the report folds those into
-p50/p95 job latencies.
+Per-job latency is wall-clock time from dispatch to result, read with
+``time.perf_counter`` once per loop iteration; the report folds those
+into p50/p95 job latencies.  Host wall time goes into the report only,
+never into simulated time.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -58,7 +59,6 @@ from repro.fleet.jobs import FleetJob, JobResult, run_job
 from repro.perf import pool
 from repro.perf.config import available_cpus, resolve_workers
 from repro.perf.executor import _fork_context
-from repro.perf.timer import StageTimer
 from repro.resilience.breaker import OPEN, BreakerPolicy, CircuitBreaker
 
 __all__ = [
@@ -214,7 +214,8 @@ class FleetScheduler:
     Args:
         jobs: the batch; job ids and archive directories must be
             unique (two jobs writing one archive would corrupt it).
-        max_concurrent: recording sessions in flight at once.
+        max_concurrent: recording sessions in flight at once on the
+            pool (inline, jobs run one at a time).
         retries: job-level re-runs after a worker death broke the
             pool; each retry runs on a fresh pool and resumes the
             job's partial archive.
@@ -275,111 +276,119 @@ class FleetScheduler:
     def _next_tick(self) -> float:
         """Advance the breaker clock by one scheduling decision.
 
-        Only the dispatch loop's thread calls this, so a plain counter
-        is race-free — and being event-driven rather than wall-clock
-        keeps breaker windows replayable.
+        Event-driven rather than wall-clock, so breaker windows replay.
         """
         self._tick += 1.0
         return self._tick
 
     # -- execution ----------------------------------------------------
 
-    def _execute(self, job: FleetJob) -> JobResult:
-        """Run one job, blocking — called from dispatch threads."""
-        if self.use_pool:
-            return pool.get_pool(self.workers).submit(run_job, job).result()
-        return run_job(job)
+    def _submit(self, job: FleetJob) -> Future:
+        """Start one job and return its future: the only execution seam.
 
-    def _attempt(
-        self, job: FleetJob, attempt_errors: Tuple[str, ...]
-    ) -> JobOutcome:
-        """Run one dispatched job to its outcome, on a dispatch thread.
-
-        Touches no scheduler state: the retry loop and its timer are
-        local to the call, and the loop records the breaker verdict.
+        ``run_job`` is looked up by its module-global name at each
+        call, so a wrapper patched over that name is what runs.  On the
+        pool the future resolves when a worker finishes the job;
+        inline, the job runs now and the future comes back resolved
+        with its result or its exception.
         """
-        timer = StageTimer()
-        result: Optional[JobResult] = None
-        error: Optional[str] = None
-        with timer.stage(job.job_id):
-            for attempts in range(1, self.retries + 2):
-                try:
-                    result = self._execute(job)
-                    error = None
-                    break
-                except BrokenProcessPool as crash:
-                    # A worker died; the next attempt runs on a fresh
-                    # pool and resumes the partial archive.
-                    error = f"{type(crash).__name__}: {crash}"
-                    attempt_errors += (error,)
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    attempt_errors += (error,)
-                    break
-        return JobOutcome(
-            job=job,
-            result=result,
-            error=error,
-            latency_s=timer.elapsed(job.job_id),
-            attempts=attempts,
-            status=_terminal_status(result, error),
-            attempt_errors=attempt_errors,
-        )
+        future: Future = Future()
+        try:
+            if self.use_pool:
+                return pool.get_pool(self.workers).submit(run_job, job)
+            future.set_result(run_job(job))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
-    def _dispatch(self) -> List[JobOutcome]:
+    def _dispatch(self, now: float) -> List[JobOutcome]:
         """The dispatch loop: fill free slots, then await a completion.
 
-        A job an open breaker refuses is requeued and counts against
-        its budget — the cooldown elapses in these very refusal ticks,
-        so the count is bounded.  A job refused because the board's
-        half-open probe is still in flight is parked until the next
-        completion, without spending budget.
+        ``now`` is the wall time the first dispatches count latency
+        from.  A job whose future fails with ``BrokenProcessPool`` is
+        resubmitted at once, up to ``retries`` times, on the pool the
+        next :func:`~repro.perf.pool.get_pool` rebuilds.  A job an open
+        breaker refuses is requeued and counts against its budget — the
+        cooldown elapses in these very refusal ticks, so the count is
+        bounded.  A job refused because the board's half-open probe is
+        still in flight is parked until the next completion, without
+        spending budget.
         """
         outcomes: List[Optional[JobOutcome]] = [None] * len(self.jobs)
         queue = deque(
             (index, job, 0, ()) for index, job in enumerate(self.jobs)
         )
-        inflight = {}
-        with ThreadPoolExecutor(self.max_concurrent) as threads:
-            while queue or inflight:
-                parked = []
-                while queue and len(inflight) < self.max_concurrent:
-                    index, job, defers, attempt_errors = queue.popleft()
-                    breaker = self._breakers[job.board]
-                    if not breaker.allow(self._next_tick()):
-                        if breaker.state != OPEN:
-                            parked.append((index, job, defers, attempt_errors))
-                        elif defers + 1 >= self.max_defers:
-                            outcomes[index] = JobOutcome(
-                                job=job,
-                                result=None,
-                                error=(
-                                    f"deferred: circuit breaker for board "
-                                    f"{job.board} still open after "
-                                    f"{defers + 1} deferrals"
-                                ),
-                                latency_s=0.0,
-                                attempts=0,
-                                status=STATUS_DEFERRED,
-                                attempt_errors=attempt_errors,
-                            )
-                        else:
-                            queue.append(
-                                (index, job, defers + 1, attempt_errors)
-                            )
-                        continue
-                    future = threads.submit(self._attempt, job, attempt_errors)
-                    inflight[future] = index
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcome = future.result()
-                    breaker = self._breakers[outcome.job.board]
-                    if outcome.error is None:
-                        breaker.record_success(self._next_tick())
+        #: future -> (index, job, attempts, attempt errors, dispatched at)
+        inflight: Dict[Future, Tuple] = {}
+        slots = self.max_concurrent if self.use_pool else 1
+        while queue or inflight:
+            parked = []
+            while queue and len(inflight) < slots:
+                index, job, defers, attempt_errors = queue.popleft()
+                breaker = self._breakers[job.board]
+                if not breaker.allow(self._next_tick()):
+                    if breaker.state != OPEN:
+                        parked.append((index, job, defers, attempt_errors))
+                    elif defers + 1 >= self.max_defers:
+                        outcomes[index] = JobOutcome(
+                            job=job,
+                            result=None,
+                            error=(
+                                f"deferred: circuit breaker for board "
+                                f"{job.board} still open after "
+                                f"{defers + 1} deferrals"
+                            ),
+                            latency_s=0.0,
+                            attempts=0,
+                            status=STATUS_DEFERRED,
+                            attempt_errors=attempt_errors,
+                        )
                     else:
-                        breaker.record_failure(self._next_tick())
-                    outcomes[inflight.pop(future)] = outcome
-                queue.extendleft(reversed(parked))
+                        queue.append((index, job, defers + 1, attempt_errors))
+                    continue
+                inflight[self._submit(job)] = (
+                    index, job, 1, attempt_errors, now
+                )
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            # Host wall time: it feeds the report's latencies, never
+            # simulated time.
+            now = time.perf_counter()  # repro: ignore[TIME001]
+            for future in done:
+                index, job, attempts, attempt_errors, started = inflight.pop(
+                    future
+                )
+                result: Optional[JobResult] = None
+                error: Optional[str] = None
+                try:
+                    result = future.result()
+                except BrokenProcessPool as crash:
+                    # A worker died; the retry runs on a fresh pool and
+                    # resumes the partial archive.
+                    error = f"{type(crash).__name__}: {crash}"
+                    attempt_errors += (error,)
+                    if attempts <= self.retries:
+                        inflight[self._submit(job)] = (
+                            index, job, attempts + 1, attempt_errors, started
+                        )
+                        continue
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    attempt_errors += (error,)
+                breaker = self._breakers[job.board]
+                if error is None:
+                    breaker.record_success(self._next_tick())
+                else:
+                    breaker.record_failure(self._next_tick())
+                outcomes[index] = JobOutcome(
+                    job=job,
+                    result=result,
+                    error=error,
+                    latency_s=now - started,
+                    attempts=attempts,
+                    status=_terminal_status(result, error),
+                    attempt_errors=attempt_errors,
+                )
+            queue.extendleft(reversed(parked))
         return outcomes
 
     def run(self) -> FleetReport:
@@ -388,10 +397,12 @@ class FleetScheduler:
         Outcomes come back in job-submission order regardless of
         completion order, so fleet reports are stable run to run.
         """
-        timer = StageTimer()
         rebuilds_before = pool.rebuilds()
-        with timer.stage("fleet"):
-            outcomes = self._dispatch()
+        # Host wall time: it feeds the report's total, never simulated
+        # time.
+        start = time.perf_counter()  # repro: ignore[TIME001]
+        outcomes = self._dispatch(start)
+        total_s = time.perf_counter() - start  # repro: ignore[TIME001]
         breaker_events = tuple(
             {"board": board, **transition.as_dict()}
             for board, breaker in sorted(self._breakers.items())
@@ -399,7 +410,7 @@ class FleetScheduler:
         )
         return FleetReport(
             outcomes=tuple(outcomes),
-            total_s=timer.elapsed("fleet"),
+            total_s=total_s,
             respawns=pool.rebuilds() - rebuilds_before,
             breaker_events=breaker_events,
         )

@@ -1,4 +1,4 @@
-"""Performance engine: worker configuration, parallel execution, timing.
+"""Performance engine: worker configuration and parallel execution.
 
 The evaluation pipeline (collect traces -> train forests -> sweep the
 Table III grid) is embarrassingly parallel at several granularities;
@@ -11,8 +11,6 @@ this package holds the shared machinery:
   fan-out helper over the persistent worker pool that degrades to a
   plain serial loop when one worker is requested (or when already
   inside a worker, so nested stages never oversubscribe);
-* :mod:`repro.perf.timer` — :class:`StageTimer`, the wall-clock stage
-  timer the fleet scheduler reports job latencies from;
 * :mod:`repro.perf.pool` — :func:`get_pool`, the shared fork
   ``ProcessPoolExecutor`` behind :func:`parallel_map`: long-lived
   workers with warm imports, reused across calls and rebuilt once
@@ -29,7 +27,6 @@ from repro.perf.config import (
 )
 from repro.perf.executor import in_worker, parallel_map
 from repro.perf.pool import get_pool, shutdown_pool
-from repro.perf.timer import StageTimer
 
 __all__ = [
     "FAULT_RATE_ENV",
@@ -39,7 +36,6 @@ __all__ = [
     "resolve_workers",
     "in_worker",
     "parallel_map",
-    "StageTimer",
     "get_pool",
     "shutdown_pool",
 ]

@@ -12,13 +12,17 @@ the next :func:`get_pool` builds a fresh pool.  The fleet's one
 recovery path sits above this layer: its job-level ``retries`` re-run
 a job on the rebuilt pool, and the resume-first job continues the
 partial archive.
+
+No module of ``repro`` starts a thread (the fleet's dispatch loop
+runs on its caller's), so the registry below has no lock: the first
+:func:`get_pool` after a break replaces the broken pool, and one break
+causes exactly one rebuild.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
@@ -29,7 +33,6 @@ __all__ = ["get_pool", "rebuilds", "shutdown_pool"]
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_PID: Optional[int] = None
 _REBUILDS = 0
-_POOL_LOCK = threading.Lock()
 
 
 def get_pool(workers: int) -> ProcessPoolExecutor:
@@ -37,31 +40,28 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
 
     The pool is rebuilt when a wider one is asked for (results are
     identical at any width, so narrower requests reuse it), when it
-    was inherited across a ``fork``, or when it is broken.  The check
-    and the rebuild share one lock, so one break causes exactly one
-    rebuild however many dispatch threads hit it.
+    was inherited across a ``fork``, or when it is broken.
     """
     global _POOL, _POOL_PID, _REBUILDS
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL_PID != os.getpid():
-            _POOL = None
-        if _POOL is not None:
-            # ``_broken`` is the executor's own flag, set before it
-            # fails the pending futures with BrokenProcessPool.
-            if _POOL._broken:
-                _REBUILDS += 1
-                workers = max(workers, _POOL._max_workers)
-            elif _POOL._max_workers >= workers:
-                return _POOL
-            _POOL.shutdown()
-        _POOL = ProcessPoolExecutor(
-            workers, mp_context=_fork_context(), initializer=_mark_worker
-        )
-        _POOL_PID = os.getpid()
-        # The executor forks on first submit; do it now, so callers
-        # that time a pass do not pay the fork inside it.
-        _POOL.submit(int).result()
-        return _POOL
+    if _POOL is not None and _POOL_PID != os.getpid():
+        _POOL = None
+    if _POOL is not None:
+        # ``_broken`` is the executor's own flag, set before it fails
+        # the pending futures with BrokenProcessPool.
+        if _POOL._broken:
+            _REBUILDS += 1
+            workers = max(workers, _POOL._max_workers)
+        elif _POOL._max_workers >= workers:
+            return _POOL
+        _POOL.shutdown()
+    _POOL = ProcessPoolExecutor(
+        workers, mp_context=_fork_context(), initializer=_mark_worker
+    )
+    _POOL_PID = os.getpid()
+    # The executor forks on first submit; do it now, so callers that
+    # time a pass do not pay the fork inside it.
+    _POOL.submit(int).result()
+    return _POOL
 
 
 def rebuilds() -> int:
@@ -72,10 +72,9 @@ def rebuilds() -> int:
 def shutdown_pool() -> None:
     """Join the shared pool's workers (tests and interpreter exit)."""
     global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL_PID == os.getpid():
-            _POOL.shutdown()
-        _POOL = None
+    if _POOL is not None and _POOL_PID == os.getpid():
+        _POOL.shutdown()
+    _POOL = None
 
 
 atexit.register(shutdown_pool)

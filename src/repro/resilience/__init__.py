@@ -10,7 +10,8 @@ Two layers, each independently usable:
   a ``quarantine/`` sidecar with a machine-readable reason record
   instead of aborting the campaign.
 
-The scheduler threading lives in :mod:`repro.fleet.scheduler`.
+The dispatch loop that drives the breakers lives in
+:mod:`repro.fleet.scheduler`; it runs on its caller's thread.
 """
 
 from repro.resilience.breaker import (

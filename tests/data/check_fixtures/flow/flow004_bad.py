@@ -1,9 +1,13 @@
-"""FLOW004: worker tasks write module state without a lock."""
+"""FLOW004: worker tasks write module state, with or without a lock."""
+import threading
+
 from repro.perf.executor import parallel_map
 
 COUNTER = 0
 _RESULTS = []
 _CACHE = {}
+_SEEN = {}
+_LOCK = threading.Lock()
 
 
 def task(item):
@@ -23,9 +27,17 @@ def memoize(item):
     return _CACHE[item]
 
 
+def mark_seen(item):
+    # The worker holds its own copy of the lock too: still lost.
+    with _LOCK:
+        _SEEN[item] = True
+    return item
+
+
 def launch(items):
     return (
         parallel_map(task, items),
         parallel_map(accumulate, items),
         parallel_map(memoize, items),
+        parallel_map(mark_seen, items),
     )

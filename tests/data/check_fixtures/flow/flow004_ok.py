@@ -1,9 +1,6 @@
-"""FLOW004 ok: workers return state; parent-side writes hold a lock."""
-import threading
-
+"""FLOW004 ok: workers return state; only the parent writes it."""
 from repro.perf.executor import parallel_map
 
-_STATE_LOCK = threading.Lock()
 _TOTALS = {}
 
 
@@ -12,8 +9,7 @@ def task(item):
 
 
 def record(key, value):
-    with _STATE_LOCK:
-        _TOTALS[key] = value
+    _TOTALS[key] = value
 
 
 def launch(items):

@@ -1,4 +1,4 @@
-"""FLOW004 across modules: the unlocked-writing task is submitted here."""
+"""FLOW004 across modules: the state-writing task is submitted here."""
 from flow.xmod_task import accumulate
 
 from repro.perf.executor import parallel_map

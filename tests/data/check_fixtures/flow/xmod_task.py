@@ -1,4 +1,4 @@
-"""Cross-module worker task: writes module state without a lock."""
+"""Cross-module worker task: writes module state."""
 RESULTS = {}
 
 

@@ -2,9 +2,9 @@
 
 Covers the ``repro.check.flow`` layer end to end: cross-module
 wall-clock taint and fork safety (the rules the per-file checker
-cannot express), call-graph resolution, re-runs that must see every
-edit and every rule change, and baseline pruning.  Marked ``check``
-alongside the tree meta-tests.
+cannot express), call-graph resolution, and re-runs that must see
+every edit and every rule change.  Marked ``check`` alongside the tree
+meta-tests.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import (
-    Finding,
-    load_baseline,
-    prune_baseline,
-    run_check,
-    write_baseline,
-    RULES,
-)
+from repro.check import RULES, run_check
 from repro.check.flow import (
     CallGraph,
     FLOW_RULE_IDS,
@@ -46,7 +39,6 @@ def _facts(tmp_path, name: str, source: str):
 
 
 def _check(paths, rules=None, **kwargs):
-    kwargs.setdefault("baseline", "")
     kwargs.setdefault("root", FIXTURES)
     return run_check(paths=paths, rules=rules, **kwargs)
 
@@ -90,7 +82,7 @@ def test_flow003_sees_a_perf_helper_consumed_outside_perf(tmp_path):
         "    return wall_now() + period\n"
     )
     result = run_check(
-        paths=[tmp_path], rules=["TIME001", "FLOW003"], baseline="",
+        paths=[tmp_path], rules=["TIME001", "FLOW003"],
         root=tmp_path,
     )
     assert [(f.path, f.line, f.rule) for f in result.findings] == [
@@ -99,7 +91,7 @@ def test_flow003_sees_a_perf_helper_consumed_outside_perf(tmp_path):
 
 
 def test_cross_module_flow004():
-    """The unlocked-writing task is submitted from another module."""
+    """The state-writing task is submitted from another module."""
     result = _check(
         [FLOW_FIXTURES / "xmod_task.py",
          FLOW_FIXTURES / "xmod_launch_bad.py"],
@@ -111,14 +103,16 @@ def test_cross_module_flow004():
 
 
 def test_flow004_flags_every_write_kind():
-    """``global`` assign, mutator call and item store are each flagged."""
+    """``global`` assign, mutator call and item store are each flagged,
+    and so is a store under a lock: the worker's lock is its own."""
     result = _check(
         [FLOW_FIXTURES / "flow004_bad.py"], rules=["FLOW004"]
     )
     assert [(f.line, f.snippet) for f in result.findings] == [
-        (11, "COUNTER += 1"),
-        (17, "_RESULTS.append(item * 2)"),
-        (22, "_CACHE[item] = item * 2"),
+        (15, "COUNTER += 1"),
+        (21, "_RESULTS.append(item * 2)"),
+        (26, "_CACHE[item] = item * 2"),
+        (33, "_SEEN[item] = True"),
     ]
 
 
@@ -131,26 +125,10 @@ def test_flow_rules_honor_inline_suppression(tmp_path):
     bad = tmp_path / "suppressed.py"
     bad.write_text("\n".join(lines) + "\n")
     result = run_check(
-        paths=[bad], rules=["FLOW003"], baseline="", root=tmp_path,
+        paths=[bad], rules=["FLOW003"], root=tmp_path,
     )
     assert result.ok
     assert result.suppressed == len(flagged) == 3
-
-
-def test_flow_findings_can_be_baselined(tmp_path):
-    fresh = _check(
-        [FLOW_FIXTURES / "flow004_bad.py"], rules=["FLOW004"]
-    )
-    assert fresh.findings
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, fresh.findings, existing=[])
-    absorbed = _check(
-        [FLOW_FIXTURES / "flow004_bad.py"],
-        rules=["FLOW004"],
-        baseline=baseline_path,
-    )
-    assert absorbed.ok
-    assert len(absorbed.baselined) == len(fresh.findings)
 
 
 # ------------------------------------------------------------- call graph
@@ -269,7 +247,7 @@ def test_rerun_catches_new_cross_module_taint(tmp_path):
         "    return make() + period\n"
     )
     clean = run_check(
-        paths=[tmp_path], rules=["FLOW003"], baseline="", root=tmp_path,
+        paths=[tmp_path], rules=["FLOW003"], root=tmp_path,
     )
     assert clean.ok
     # the helper starts reading the wall clock; its *caller* must flag
@@ -277,7 +255,7 @@ def test_rerun_catches_new_cross_module_taint(tmp_path):
         "import time\n\n\ndef make():\n    return time.time()\n"
     )
     dirty = run_check(
-        paths=[tmp_path], rules=["FLOW003"], baseline="", root=tmp_path,
+        paths=[tmp_path], rules=["FLOW003"], root=tmp_path,
     )
     assert not dirty.ok
     assert {f.path for f in dirty.findings} == {"sink.py"}
@@ -294,7 +272,7 @@ def test_rerun_sees_a_changed_rule(tmp_path, monkeypatch):
         "def level(x):\n    return x == 1\n"
     )
     before = run_check(
-        paths=[tmp_path], rules=["API002"], baseline="", root=tmp_path,
+        paths=[tmp_path], rules=["API002"], root=tmp_path,
         workers=1,
     )
     assert before.ok  # ``x == 1`` compares against an int literal
@@ -311,7 +289,7 @@ def test_rerun_sees_a_changed_rule(tmp_path, monkeypatch):
         dataclasses.replace(RULES["API002"], check=flag_every_compare),
     )
     after = run_check(
-        paths=[tmp_path], rules=["API002"], baseline="", root=tmp_path,
+        paths=[tmp_path], rules=["API002"], root=tmp_path,
         workers=1,
     )
     assert [(f.path, f.line, f.message) for f in after.findings] == [
@@ -321,72 +299,15 @@ def test_rerun_sees_a_changed_rule(tmp_path, monkeypatch):
 
 def test_no_run_leaves_state_behind(tmp_path):
     (tmp_path / "one.py").write_text("VALUE = 1\n")
-    run_check(paths=[tmp_path], baseline="", root=tmp_path)
+    run_check(paths=[tmp_path], root=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.py"]
-
-
-# ------------------------------------------------------- baseline pruning
-
-
-def test_prune_baseline_removes_only_stale(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    live = Finding(
-        path="flow/flow004_bad.py", line=11, col=4, rule="FLOW004",
-        message="m", snippet="COUNTER += 1",
-    )
-    fresh = _check(
-        [FLOW_FIXTURES / "flow004_bad.py"], rules=["FLOW004"]
-    )
-    write_baseline(baseline_path, fresh.findings, existing=[])
-    ghost = Finding(
-        path="gone.py", line=1, col=0, rule="FLOW004",
-        message="m", snippet="GONE += 1",
-    )
-    entries = load_baseline(baseline_path)
-    write_baseline(
-        baseline_path, list(fresh.findings) + [ghost], existing=entries
-    )
-    result = _check(
-        [FLOW_FIXTURES / "flow004_bad.py"],
-        rules=["FLOW004"],
-        baseline=baseline_path,
-    )
-    assert len(result.stale_baseline) == 1
-    survivors = prune_baseline(
-        baseline_path, load_baseline(baseline_path),
-        result.stale_baseline,
-    )
-    assert all(e.path != "gone.py" for e in survivors)
-    assert len(survivors) == len(fresh.findings)
-    del live  # silence the linter: the fingerprint shape is documented
-
-
-def test_prune_baseline_keeps_unexercised_rules(tmp_path):
-    """Pruning after a --rules subset must not drop other entries."""
-    baseline_path = tmp_path / "baseline.json"
-    other = Finding(
-        path="x.py", line=1, col=0, rule="API002",
-        message="m", snippet="a == 0.5",
-    )
-    write_baseline(baseline_path, [other], existing=[])
-    result = _check(
-        [FLOW_FIXTURES / "flow004_ok.py"],
-        rules=["FLOW004"],
-        baseline=baseline_path,
-    )
-    assert not result.stale_baseline  # API002 did not run
-    survivors = prune_baseline(
-        baseline_path, load_baseline(baseline_path),
-        result.stale_baseline,
-    )
-    assert len(survivors) == 1
 
 
 # -------------------------------------------------------- flow rule table
 
 
 def test_every_flow_rule_is_registered():
-    assert FLOW_RULE_IDS == ("FLOW003", "FLOW004", "FLOW005")
+    assert FLOW_RULE_IDS == ("FLOW003", "FLOW004")
     assert [
         rule_id for rule_id in RULES if rule_id.startswith("FLOW")
     ] == list(FLOW_RULE_IDS)

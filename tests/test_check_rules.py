@@ -19,14 +19,10 @@ import pytest
 
 from repro.check import (
     RULES,
-    BaselineError,
-    Finding,
     UnknownRuleError,
-    load_baseline,
     render_json,
     render_text,
     run_check,
-    write_baseline,
 )
 
 FIXTURES = Path(__file__).parent / "data" / "check_fixtures"
@@ -66,11 +62,10 @@ def _fixture_rel(rule_id: str, kind: str) -> str:
 
 
 def _check_fixture(name: str, rule_id: str):
-    """Run one rule over one fixture file, with no baseline."""
+    """Run one rule over one fixture file."""
     return run_check(
         paths=[FIXTURES / name],
         rules=[rule_id],
-        baseline="",
         root=FIXTURES,
     )
 
@@ -92,8 +87,7 @@ def test_bad_fixture_triggers_rule(rule_id, tmp_path):
         broken = tmp_path / "parse000_bad.py"
         broken.write_text("def f(:\n")
         result = run_check(
-            paths=[broken], rules=[rule_id], baseline="",
-            root=tmp_path,
+            paths=[broken], rules=[rule_id], root=tmp_path
         )
     else:
         result = _check_fixture(_fixture_rel(rule_id, "bad"), rule_id)
@@ -112,8 +106,7 @@ def test_ok_fixture_is_quiet(rule_id, tmp_path):
         fine = tmp_path / "parse000_ok.py"
         fine.write_text("VALUE = 1\n")
         result = run_check(
-            paths=[fine], rules=[rule_id], baseline="",
-            root=tmp_path,
+            paths=[fine], rules=[rule_id], root=tmp_path
         )
     else:
         result = _check_fixture(_fixture_rel(rule_id, "ok"), rule_id)
@@ -141,14 +134,13 @@ def test_api004_exempts_only_repro_ml(package, flagged, tmp_path):
     target.parent.mkdir(parents=True)
     target.write_text((FIXTURES / "api004_bad.py").read_text())
     result = run_check(
-        paths=[target], rules=["API004"], baseline="",
-        root=tmp_path,
+        paths=[target], rules=["API004"], root=tmp_path
     )
     assert bool(result.findings) == flagged
 
 
 @pytest.mark.parametrize(
-    "rule_id", ["API006", "API007", "FLOW003", "FLOW004", "TIME001"]
+    "rule_id", ["API006", "FLOW003", "FLOW004", "TIME001"]
 )
 @pytest.mark.parametrize(
     "package, flagged", [("repro/resilience", True), ("repro/perf", False)]
@@ -157,12 +149,12 @@ def test_untimed_waits_and_wall_time_exempt_only_repro_perf(
     rule_id, package, flagged, tmp_path
 ):
     """Only the timing and pool layer may read the wall clock, build
-    pools, park untimed or write module state on worker paths."""
+    pools or write module state on worker paths."""
     target = tmp_path / package / "supervise.py"
     target.parent.mkdir(parents=True)
     target.write_text((FIXTURES / _fixture_rel(rule_id, "bad")).read_text())
     result = run_check(
-        paths=[target], rules=[rule_id], baseline="", root=tmp_path
+        paths=[target], rules=[rule_id], root=tmp_path
     )
     assert bool(result.findings) == flagged
 
@@ -175,7 +167,6 @@ def test_unknown_rule_rejected():
         run_check(
             paths=[FIXTURES],
             rules=["NOPE999"],
-            baseline="",
             root=FIXTURES,
         )
 
@@ -190,7 +181,6 @@ def test_missing_path_raises():
     with pytest.raises(FileNotFoundError):
         run_check(
             paths=[FIXTURES / "does_not_exist.py"],
-            baseline="",
             root=FIXTURES,
         )
 
@@ -205,7 +195,7 @@ def test_inline_suppression(tmp_path):
         "rng = np.random.default_rng()  # repro: ignore[RNG001]\n"
     )
     result = run_check(
-        paths=[bad], rules=["RNG001"], baseline="", root=tmp_path
+        paths=[bad], rules=["RNG001"], root=tmp_path
     )
     assert result.ok
     assert result.suppressed == 1
@@ -218,7 +208,7 @@ def test_suppression_only_covers_named_rules(tmp_path):
         "rng = np.random.default_rng()  # repro: ignore[API002]\n"
     )
     result = run_check(
-        paths=[bad], rules=["RNG001"], baseline="", root=tmp_path
+        paths=[bad], rules=["RNG001"], root=tmp_path
     )
     assert not result.ok
     assert result.suppressed == 0
@@ -231,101 +221,10 @@ def test_suppression_accepts_rule_lists(tmp_path):
         "x = np.random.default_rng()  # repro: ignore[API002, RNG001]\n"
     )
     result = run_check(
-        paths=[bad], rules=["RNG001"], baseline="", root=tmp_path
+        paths=[bad], rules=["RNG001"], root=tmp_path
     )
     assert result.ok
     assert result.suppressed == 1
-
-
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_absorbs_known_findings(tmp_path):
-    fixture = FIXTURES / "api002_bad.py"
-    fresh = run_check(
-        paths=[fixture], rules=["API002"], baseline="", root=FIXTURES
-    )
-    assert fresh.findings
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, fresh.findings, existing=[])
-    absorbed = run_check(
-        paths=[fixture],
-        rules=["API002"],
-        baseline=baseline_path,
-        root=FIXTURES,
-    )
-    assert absorbed.ok
-    assert len(absorbed.baselined) == len(fresh.findings)
-    assert not absorbed.stale_baseline
-
-
-def test_baseline_keeps_existing_justifications(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    finding = Finding(
-        path="x.py", line=1, col=0, rule="API002",
-        message="m", snippet="a == 0.5",
-    )
-    first = write_baseline(baseline_path, [finding], existing=[])
-    justified = [
-        type(entry)(
-            rule=entry.rule,
-            path=entry.path,
-            snippet=entry.snippet,
-            justification="intentional sentinel",
-        )
-        for entry in first
-    ]
-    second = write_baseline(baseline_path, [finding], existing=justified)
-    assert second[0].justification == "intentional sentinel"
-    reloaded = load_baseline(baseline_path)
-    assert reloaded[0].justification == "intentional sentinel"
-
-
-def test_stale_baseline_entries_reported(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    ghost = Finding(
-        path="gone.py", line=9, col=0, rule="API002",
-        message="m", snippet="y == 1.5",
-    )
-    write_baseline(baseline_path, [ghost], existing=[])
-    result = run_check(
-        paths=[FIXTURES / "api002_ok.py"],
-        rules=["API002"],
-        baseline=baseline_path,
-        root=FIXTURES,
-    )
-    assert result.ok  # stale entries do not fail the run
-    assert len(result.stale_baseline) == 1
-    assert result.stale_baseline[0].rule == "API002"
-    assert "STALE" in render_text(result)
-
-
-def test_stale_filtering_respects_rule_subset(tmp_path):
-    """Entries for rules that did not run are neither used nor stale."""
-    baseline_path = tmp_path / "baseline.json"
-    ghost = Finding(
-        path="gone.py", line=9, col=0, rule="API002",
-        message="m", snippet="y == 1.5",
-    )
-    write_baseline(baseline_path, [ghost], existing=[])
-    result = run_check(
-        paths=[FIXTURES / "rng001_ok.py"],
-        rules=["RNG001"],
-        baseline=baseline_path,
-        root=FIXTURES,
-    )
-    assert not result.stale_baseline
-
-
-def test_malformed_baseline_rejected(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(BaselineError):
-        run_check(
-            paths=[FIXTURES / "api002_ok.py"],
-            baseline=baseline_path,
-            root=FIXTURES,
-        )
 
 
 # --------------------------------------------------------------- rendering
@@ -351,7 +250,7 @@ def test_render_text_summary_line():
 def test_parse_error_fails_run(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
-    result = run_check(paths=[broken], baseline="", root=tmp_path)
+    result = run_check(paths=[broken], root=tmp_path)
     assert not result.ok
     assert result.errors and "syntax error" in result.errors[0].message
     assert "PARSE" in render_text(result)
@@ -364,7 +263,7 @@ def test_broken_file_never_checks_green(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
     result = run_check(
-        paths=[broken], rules=["RNG001"], baseline="",
+        paths=[broken], rules=["RNG001"],
         root=tmp_path,
     )
     assert not result.ok

@@ -10,6 +10,7 @@ through the resume path.
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.fleet import (
     run_job,
 )
 from repro.perf.pool import shutdown_pool
+from repro.resilience import CircuitBreaker
 
 pytestmark = pytest.mark.fleet
 
@@ -126,6 +128,47 @@ class TestScheduler:
             <= report.latency_percentile(95)
             <= report.latency_percentile(100)
         )
+
+    def test_inline_runs_one_job_at_a_time_in_order(
+        self, tmp_path, monkeypatch
+    ):
+        # The serial baseline: with use_pool=False the loop runs each
+        # job to its end and records its breaker verdict before it
+        # dispatches the next, whatever max_concurrent says.
+        jobs = [
+            FleetJob.make(
+                "rsa", "ZCU102", seed=SEED + index,
+                out=tmp_path / f"rsa{index}",
+                weights=(1, 16), quantity="current", n_samples=400,
+            )
+            for index in range(3)
+        ]
+        scheduler = FleetScheduler(jobs, max_concurrent=2, use_pool=False)
+        events = []
+        submit = scheduler._submit
+
+        def timed_submit(job):
+            start = time.perf_counter()
+            future = submit(job)
+            future.result()
+            events.append(("run", job.job_id, start, time.perf_counter()))
+            return future
+
+        record_success = CircuitBreaker.record_success
+
+        def logged_success(breaker, now):
+            events.append(("verdict", breaker.name))
+            return record_success(breaker, now)
+
+        monkeypatch.setattr(scheduler, "_submit", timed_submit)
+        monkeypatch.setattr(CircuitBreaker, "record_success", logged_success)
+        report = scheduler.run()
+        assert report.ok
+        assert [event[0] for event in events] == ["run", "verdict"] * 3
+        runs = [event for event in events if event[0] == "run"]
+        assert [run[1] for run in runs] == [job.job_id for job in jobs]
+        for before, after in zip(runs, runs[1:]):
+            assert before[3] <= after[2]
 
     def test_sealed_jobs_are_skipped_on_rerun(self, tmp_path):
         jobs = [

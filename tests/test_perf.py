@@ -1,9 +1,8 @@
-"""Unit tests for the repro.perf engine (config, executor, timer)."""
+"""Unit tests for the repro.perf engine (config, executor) and the
+source-wide rules it rests on (documented knobs, no threads)."""
 
 import ast
-import json
 import re
-import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from repro.perf import config
 from repro.perf import (
     WORKERS_ENV,
-    StageTimer,
     available_cpus,
     in_worker,
     parallel_map,
@@ -99,43 +97,6 @@ class TestParallelMap:
         assert flags == [True, True, True]
 
 
-class TestStageTimer:
-    def test_records_stages_in_order(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            pass
-        with timer.stage("b"):
-            time.sleep(0.01)
-        stages = timer.as_dict()
-        assert list(stages) == ["a", "b"]
-        assert stages["b"] >= 0.01
-        assert timer.total == pytest.approx(sum(stages.values()))
-
-    def test_reentry_accumulates(self):
-        timer = StageTimer()
-        for _ in range(3):
-            with timer.stage("loop"):
-                time.sleep(0.002)
-        assert timer.elapsed("loop") >= 0.006
-        assert len(timer.as_dict()) == 1
-
-    def test_unknown_stage_is_zero(self):
-        assert StageTimer().elapsed("nope") == 0.0
-
-    def test_exception_still_recorded(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("boom"):
-                raise RuntimeError("x")
-        assert timer.elapsed("boom") > 0.0
-
-    def test_report_is_json_serializable(self):
-        timer = StageTimer()
-        with timer.stage("s"):
-            pass
-        json.dumps(timer.as_dict())
-
-
 class TestEnvKnobDocs:
     """The knobs the code reads are exactly the knobs the docs list."""
 
@@ -169,3 +130,21 @@ class TestEnvKnobDocs:
         documented = set(self.KNOB.findall(config.__doc__))
         assert self._source_knobs() == documented
         assert self._readme_knobs() == documented
+
+
+def test_no_module_outside_check_starts_threads():
+    """Parallelism is the fork process pool alone: no module under
+    ``src/repro`` outside the checker names ``threading`` or
+    ``ThreadPoolExecutor``, in an import or anywhere else."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    banned = re.compile(r"\b(threading|ThreadPoolExecutor)\b")
+    offenders = [
+        f"{path.relative_to(src)}:{lineno}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src).parts[0] != "check"
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if banned.search(line)
+    ]
+    assert not offenders, offenders

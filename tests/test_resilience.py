@@ -10,6 +10,7 @@ instead of killing the campaign.
 
 import json
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -179,21 +180,33 @@ def _rsa_jobs(root, boards):
     ]
 
 
-def _failing_execute(scheduler, failing, hold_s=None):
-    """``_execute`` that fails the jobs in ``failing`` and runs the rest.
+def _resolved(fn, job):
+    """A future already resolved with ``fn(job)`` or its exception."""
+    future = Future()
+    try:
+        future.set_result(fn(job))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _failing_submit(failing, hold_s=None, executor=None):
+    """``_submit`` that fails the jobs in ``failing`` and runs the rest.
 
     Holds every successful job for ``hold_s[job_id]`` seconds first,
-    when given.
+    when given.  Jobs run inline unless ``executor`` is given; on the
+    test's own executor several can be in flight at once.
     """
-    execute = scheduler._execute
 
     def run(job):
         if job.job_id in failing:
             raise RuntimeError(f"{job.board} unreachable")
         time.sleep((hold_s or {}).get(job.job_id, 0.0))
-        return execute(job)
+        return run_job(job)
 
-    return run
+    if executor is not None:
+        return lambda job: executor.submit(run, job)
+    return lambda job: _resolved(run, job)
 
 
 class TestSchedulerResilience:
@@ -208,7 +221,9 @@ class TestSchedulerResilience:
         def crash(_job):
             raise BrokenProcessPool("worker died mid-shard")
 
-        monkeypatch.setattr(scheduler, "_execute", crash)
+        monkeypatch.setattr(
+            scheduler, "_submit", lambda job: _resolved(crash, job)
+        )
         report = scheduler.run()
         outcome = report.outcomes[0]
         assert outcome.status == STATUS_FAILED
@@ -246,9 +261,7 @@ class TestSchedulerResilience:
             jobs, max_concurrent=1, use_pool=False, breaker_policy=policy
         )
         failing = {job.job_id for job in jobs[:2]}
-        monkeypatch.setattr(
-            scheduler, "_execute", _failing_execute(scheduler, failing)
-        )
+        monkeypatch.setattr(scheduler, "_submit", _failing_submit(failing))
         report = scheduler.run()
         assert [outcome.status for outcome in report.outcomes] == [
             STATUS_FAILED,
@@ -282,9 +295,7 @@ class TestSchedulerResilience:
             jobs, max_concurrent=1, use_pool=False, breaker_policy=policy
         )
         failing = {job.job_id for job in jobs}
-        monkeypatch.setattr(
-            scheduler, "_execute", _failing_execute(scheduler, failing)
-        )
+        monkeypatch.setattr(scheduler, "_submit", _failing_submit(failing))
         report = scheduler.run()
         first, second = report.outcomes
         assert first.status == STATUS_FAILED
@@ -302,21 +313,24 @@ class TestSchedulerResilience:
         # on another board holds the second slot.  D runs as the
         # half-open probe, held for 0.3 s; C, refused while the probe
         # is in flight, must wait for the probe's completion rather
-        # than re-ask the breaker in a loop.
+        # than re-ask the breaker in a loop.  The jobs run on the
+        # test's own two threads: use_pool=True gives the loop two
+        # slots, and the substituted _submit keeps the pool unused.
         policy = BreakerPolicy(
             failure_threshold=1, cooldown=2.0, jitter=0.0
         )
         jobs = _rsa_jobs(tmp_path, ["ZCU102", "ZCU111", "ZCU102", "ZCU102"])
         scheduler = FleetScheduler(
-            jobs, max_concurrent=2, use_pool=False, breaker_policy=policy
+            jobs, max_concurrent=2, use_pool=True, breaker_policy=policy
         )
+        executor = ThreadPoolExecutor(2)
         monkeypatch.setattr(
             scheduler,
-            "_execute",
-            _failing_execute(
-                scheduler,
+            "_submit",
+            _failing_submit(
                 {jobs[0].job_id},
                 hold_s={jobs[1].job_id: 0.05, jobs[3].job_id: 0.3},
+                executor=executor,
             ),
         )
         allow = CircuitBreaker.allow
@@ -327,7 +341,8 @@ class TestSchedulerResilience:
             return allow(breaker, now)
 
         monkeypatch.setattr(CircuitBreaker, "allow", counted_allow)
-        report = scheduler.run()
+        with executor:
+            report = scheduler.run()
         assert [outcome.status for outcome in report.outcomes] == [
             STATUS_FAILED,
             STATUS_DONE,
