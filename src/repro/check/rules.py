@@ -362,8 +362,9 @@ def check_time001(module: Module) -> List[Finding]:
                     node,
                     f"{target} reads the wall clock inside a "
                     f"simulated-time module; derive times from the "
-                    f"experiment clock (repro/perf timing helpers are "
-                    f"the only exemption)",
+                    f"experiment clock, or waive a host-time read that "
+                    f"never reaches simulated time with an inline "
+                    f"'repro: ignore[TIME001] <reason>' comment",
                 )
             )
     return findings
@@ -818,7 +819,8 @@ RULES: Dict[str, Rule] = {
             "TIME001",
             "wall-clock-in-simulated-time",
             "time.time()/datetime.now() in simulated-time modules breaks "
-            "replayability (repro/perf timing helpers exempt)",
+            "replayability (a host-time read for reports takes an inline "
+            "'repro: ignore[TIME001] <reason>' comment)",
             check_time001,
         ),
         Rule(

@@ -27,6 +27,7 @@ runner builds those traces:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -40,6 +41,13 @@ from repro.utils.validation import require_non_negative, require_positive
 
 #: The rails a DPU serving loop loads (Table II domains).
 DPU_RAILS = ("fpga", "ddr", "fpd", "lpd")
+
+
+def _read_only(values: List[float]) -> np.ndarray:
+    """``values`` as a float64 array that refuses writes."""
+    array = np.asarray(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -141,12 +149,44 @@ class DpuRunner:
         self.stall_seconds = require_non_negative(
             stall_seconds, "stall_seconds"
         )
+        # id(spec) -> (weakref to spec, dpu config, runtime, profile);
+        # see cycle_profile.
+        self._profiles: Dict[int, tuple] = {}
 
     # ------------------------------------------------------- profiles
 
     def cycle_profile(self, model: ModelSpec) -> CycleProfile:
         """One serving cycle: preprocess, per-layer DPU run, postprocess,
-        inter-cycle gap — with each segment's draw on all four rails."""
+        inter-cycle gap — with each segment's draw on all four rails.
+
+        The profile is a pure function of the spec, the DPU config and
+        the runtime config, so the runner builds it once per spec object
+        and hands the same read-only :class:`CycleProfile` back on every
+        later call.  The memo is keyed by the spec's identity (hashing a
+        frozen spec walks every layer).  An entry leaves the memo when
+        its spec is collected, so a spec's id is never reused while its
+        entry lives, and the memo keeps no spec alive: a session that
+        builds a fresh spec per victim holds no more than before.  An
+        entry built under a since-replaced ``dpu.config`` or ``runtime``
+        is rebuilt.
+        """
+        key = id(model)
+        entry = self._profiles.get(key)
+        if (
+            entry is not None
+            and entry[0]() is model
+            and entry[1] is self.dpu.config
+            and entry[2] is self.runtime
+        ):
+            return entry[3]
+        profile = self._build_profile(model)
+        profiles = self._profiles
+        spec = weakref.ref(model, lambda _: profiles.pop(key, None))
+        profiles[key] = (spec, self.dpu.config, self.runtime, profile)
+        return profile
+
+    def _build_profile(self, model: ModelSpec) -> CycleProfile:
+        """Schedule ``model`` into a fresh, read-only :class:`CycleProfile`."""
         runtime = self.runtime
         executions = self.dpu.schedule(model)
         pre_seconds = runtime.preprocess_seconds(model.input_size)
@@ -178,12 +218,12 @@ class DpuRunner:
 
         return CycleProfile(
             model=model.name,
-            durations=np.asarray(durations, dtype=np.float64),
+            durations=_read_only(durations),
             powers={
-                "fpga": np.asarray(fpga, dtype=np.float64),
-                "ddr": np.asarray(ddr, dtype=np.float64),
-                "fpd": np.asarray(fpd, dtype=np.float64),
-                "lpd": np.asarray(lpd, dtype=np.float64),
+                "fpga": _read_only(fpga),
+                "ddr": _read_only(ddr),
+                "fpd": _read_only(fpd),
+                "lpd": _read_only(lpd),
             },
         )
 

@@ -53,6 +53,65 @@ MIN_UPDATE_INTERVAL_MS = 2
 MAX_UPDATE_INTERVAL_MS = 35
 
 
+def _sorted_runs(latches: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``np.unique(latches, return_inverse=True)`` for non-decreasing latches.
+
+    A sorted array's unique values are its runs, so each run's first
+    latch is kept and each poll maps to its run's number.  The latches
+    are non-decreasing exactly when those run values strictly increase,
+    which is checked on the (much shorter) run values.  Returns ``None``
+    when they are not.
+    """
+    size = latches.size
+    if size == 0:
+        return latches, np.zeros(0, dtype=np.intp)
+    # Plain ufuncs and methods: a read of a few polls is as common as
+    # one of 35 000, and numpy's Python-level helpers (diff, flatnonzero)
+    # would cost more than ``np.unique`` on the short ones.
+    starts = np.empty(size, dtype=bool)
+    starts[0] = True
+    np.not_equal(latches[1:], latches[:-1], out=starts[1:])
+    firsts = starts.nonzero()[0]
+    unique = latches[firsts]
+    if not np.greater(unique[1:], unique[:-1]).all():
+        return None
+    lengths = np.empty_like(firsts)
+    np.subtract(firsts[1:], firsts[:-1], out=lengths[:-1])
+    lengths[-1] = size - firsts[-1]
+    return unique, np.arange(unique.size).repeat(lengths)
+
+
+def _unique_latches(latches: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(np.concatenate(latches), return_inverse=True)``.
+
+    Poll clocks are monotonic, so without value-shaping faults every
+    request's latches are sorted and no sort is needed: requests that
+    carry equal latches are deduped once and the inverse tiled, and
+    requests on different clocks are each deduped, their (small) unique
+    sets joined, and each mapped back with ``searchsorted``.  Any
+    request whose latches step backwards sends the whole read to
+    ``np.unique``.  Every path gives ``np.unique``'s integers.
+    """
+    first = latches[0]
+    same = all(np.array_equal(other, first) for other in latches[1:])
+    every_runs = []
+    for request in latches[:1] if same else latches:
+        runs = _sorted_runs(request)
+        if runs is None:
+            return np.unique(np.concatenate(latches), return_inverse=True)
+        every_runs.append(runs)
+    if same:
+        unique, inverse = every_runs[0]
+        if len(latches) > 1:
+            inverse = np.tile(inverse, len(latches))
+        return unique, inverse
+    unique = np.unique(np.concatenate([runs[0] for runs in every_runs]))
+    inverse = np.concatenate(
+        [np.searchsorted(unique, runs[0])[runs[1]] for runs in every_runs]
+    )
+    return unique, inverse
+
+
 class HwmonError(RuntimeError):
     """Base class for hwmon access failures."""
 
@@ -240,8 +299,11 @@ class HwmonDevice:
         Converts the union of every request's latch indices once,
         extracts each requested attribute from that pass, gathers it
         back onto each request's polls, and returns ``(values,
-        transient, gone)`` per request.  Never raises for a scheduled
-        fault or an injected unbind; the public reads decide that.
+        transient, gone)`` per request.  The union is deduped without a
+        sort while every request's latches are sorted (any fault-free
+        poll clock) and with ``np.unique`` otherwise
+        (:func:`_unique_latches`).  Never raises for a scheduled fault
+        or an injected unbind; the public reads decide that.
         """
         prepared = []
         for attribute, times in requests:
@@ -258,9 +320,7 @@ class HwmonDevice:
             if attribute != "update_interval"
         ]
         if latches:
-            unique, inverse = np.unique(
-                np.concatenate(latches), return_inverse=True
-            )
+            unique, inverse = _unique_latches(latches)
             reading = self._convert_latches(unique)
         results = []
         cursor = 0

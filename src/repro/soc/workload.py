@@ -281,9 +281,11 @@ class CycleRun:
     zero-length slots stay in place.  The run keeps only those per-cycle
     values, the per-rail slot powers, and, every
     :data:`CHECKPOINT_CYCLES` cycles, a checkpoint of the slot-edge
-    cumsum and of each rail's cumulative energy.  :meth:`block_arrays`
-    rebuilds any range of blocks from its checkpoint, the edges once for
-    all rails.
+    cumsum and of each rail's cumulative energy.  The constructor takes
+    every rail's checkpoints and total from one diff of the run's edges
+    and one reused energy buffer, with :meth:`_energy`'s bits for each
+    rail.  :meth:`block_arrays` rebuilds any range of blocks from its
+    checkpoint, the edges once for all rails.
 
     The rebuilt arrays hold the bits of a :class:`PiecewiseActivity` over
     the whole run with its zero-length segments dropped:
@@ -351,10 +353,17 @@ class CycleRun:
         self.span = float(edges[self.n_slots] - self.start)
         # (first block, last block, edges, rel_edges) of the last shared range.
         self._edge_memo = None
+        # Every rail's cumulative energy from one diff of the edges and
+        # one reused buffer: each pass holds what ``_energy(rail, 0.0,
+        # edges)`` builds (the same products, added in sequence).
+        steps = np.diff(edges).reshape(self.scales.size, self.width)
+        energy = np.empty(edges.size)
+        energy[0] = 0.0
         self._energy_checkpoints: Dict[str, np.ndarray] = {}
         self.energy: Dict[str, float] = {}
-        for rail in self.powers:
-            energy = self._energy(rail, 0.0, edges)
+        for rail, rail_powers in self.powers.items():
+            np.multiply(steps, rail_powers, out=energy[1:].reshape(steps.shape))
+            np.cumsum(energy, out=energy)
             self._energy_checkpoints[rail] = energy[block_starts].copy()
             self.energy[rail] = float(energy[self.n_slots])
 

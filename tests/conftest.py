@@ -1,9 +1,11 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from repro.dpu.models import build_model
 from repro.dpu.runner import DpuRunner
+from repro.sensors import hwmon
 from repro.soc import Soc
 
 #: Slot length and count of the staggered-victim board: 60 back-to-back
@@ -32,3 +34,25 @@ def staggered_soc():
             name=f"victim-{slot}",
         )
     return soc
+
+
+class _UniqueCounter:
+    """numpy as ``repro.sensors.hwmon`` sees it, counting ``np.unique`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unique(self, *args, **kwargs):
+        self.calls += 1
+        return np.unique(*args, **kwargs)
+
+
+@pytest.fixture
+def hwmon_unique_calls(monkeypatch):
+    """Count the hwmon read path's ``np.unique`` sorts; numpy elsewhere is untouched."""
+    counter = _UniqueCounter()
+    monkeypatch.setattr(hwmon, "np", counter)
+    return counter

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from reference_kernels import legacy_trace_timelines
 
-from repro.dpu.models import build_model
+from repro.dpu.models import build_model, list_models
 from repro.dpu.runner import DPU_RAILS, DpuRunner, RuntimeConfig
 from repro.soc import Soc
 from repro.soc.workload import MEMO_SLOTS, CycleRunActivity
@@ -113,6 +113,38 @@ def test_run_matches_full_arrays(runner, model, start):
                 _assert_bits(got.power_at(t0), want.power_at(t0))
                 lo, hi = t0[0], t1[-1]
                 assert got.silent_between(lo, hi) == want.silent_between(lo, hi)
+
+
+def test_constructor_energies_match_per_rail_cumsums(runner, model):
+    """Checkpoints and totals from the shared buffer equal ``_energy`` per rail."""
+    run = runner.trace_timelines(model, DURATION, seed=3)["fpga"].run
+    edges = run.start + np.cumsum(run._slot_durations(0, run.scales.size, 0.0))
+    block_starts = slice(0, run.n_slots, run.block_slots)
+    assert list(run.energy) == list(DPU_RAILS)
+    for rail in DPU_RAILS:
+        energy = run._energy(rail, 0.0, edges)
+        _assert_bits(run._energy_checkpoints[rail], energy[block_starts])
+        _assert_bits(run.energy[rail], energy[run.n_slots])
+
+
+def test_zoo_runs_from_a_warm_memo_match_full_arrays():
+    """Every zoo model, traced from a cached profile, against a fresh oracle."""
+    warm = DpuRunner(stall_probability=0.2)
+    for name in list_models():
+        model = build_model(name)
+        warm.trace_timelines(model, 0.5, seed=1)
+        new = warm.trace_timelines(model, 1.0, seed=2, start=3.0)
+        old = legacy_trace_timelines(
+            DpuRunner(stall_probability=0.2), model, 1.0, seed=2, start=3.0
+        )
+        edges = old["fpga"].edges
+        for rail in DPU_RAILS:
+            _assert_bits(new[rail].edges, old[rail].edges)
+            _assert_bits(new[rail].powers, old[rail].powers)
+            _assert_bits(
+                new[rail].energy_between(edges[:-1], edges[1:]),
+                old[rail].energy_between(edges[:-1], edges[1:]),
+            )
 
 
 def test_memo_is_reused_by_forward_batches():

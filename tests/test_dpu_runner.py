@@ -1,5 +1,8 @@
 """Tests for the DPU inference runner and its rail timelines."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,55 @@ class TestCycleProfile:
         b = runner.cycle_profile(build_model("squeezenet-1.1"))
         assert a.period != b.period
         assert a.mean_power("fpga") != b.mean_power("fpga")
+
+
+class TestProfileMemo:
+    """A runner schedules each spec object once and shares the result."""
+
+    def test_same_spec_same_profile(self, resnet):
+        runner = DpuRunner()
+        profile = runner.cycle_profile(resnet)
+        assert runner.cycle_profile(resnet) is profile
+        assert runner.cycle_period(resnet) == profile.period
+
+    def test_fresh_runner_builds_its_own(self, resnet):
+        profile = DpuRunner().cycle_profile(resnet)
+        fresh = DpuRunner().cycle_profile(resnet)
+        assert fresh is not profile
+        assert np.array_equal(fresh.durations, profile.durations)
+        for rail in DPU_RAILS:
+            assert np.array_equal(fresh.powers[rail], profile.powers[rail])
+
+    def test_equal_spec_objects_are_separate_entries(self):
+        runner = DpuRunner()
+        first = runner.cycle_profile(build_model("vgg-19"))
+        second = runner.cycle_profile(build_model("vgg-19"))
+        assert second is not first
+        assert np.array_equal(second.durations, first.durations)
+
+    def test_memo_keeps_no_spec_alive(self):
+        runner = DpuRunner()
+        spec = build_model("vgg-19")
+        runner.cycle_profile(spec)
+        collected = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert collected() is None
+        assert runner._profiles == {}
+
+    def test_cached_arrays_are_read_only(self, resnet):
+        profile = DpuRunner().cycle_profile(resnet)
+        for array in (profile.durations, *profile.powers.values()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_replaced_runtime_rebuilds(self, resnet):
+        runner = DpuRunner()
+        before = runner.cycle_profile(resnet)
+        runner.runtime = RuntimeConfig(gap_seconds=1e-3)
+        after = runner.cycle_profile(resnet)
+        assert after is not before
+        assert after.durations[-1] == 1e-3
 
 
 class TestPeriodicTimelines:

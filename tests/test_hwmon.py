@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.sampler import HwmonSampler
+from repro.faults import FaultPlan
 from repro.sensors.hwmon import (
     HwmonDevice,
     HwmonLookupError,
     HwmonPermissionError,
     HwmonTree,
+    _sorted_runs,
+    _unique_latches,
 )
 from repro.sensors.ina226 import Ina226
+from repro.soc import Soc
 from repro.soc.rails import PowerRail
 from repro.soc.workload import PiecewiseActivity
 
@@ -201,3 +206,76 @@ class TestTree:
     def test_unprivileged_write_through_tree(self, tree):
         with pytest.raises(HwmonPermissionError):
             tree.write("/sys/class/hwmon/hwmon0/update_interval", "2")
+
+
+class TestSortFreeDedupe:
+    """``_unique_latches`` gives ``np.unique``'s integers on every path."""
+
+    @staticmethod
+    def _assert_matches_unique(latches):
+        got = _unique_latches(latches)
+        want = np.unique(np.concatenate(latches), return_inverse=True)
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part)
+
+    @staticmethod
+    def _fpga(plan=None):
+        soc = Soc("ZCU102", seed=0)
+        soc.arm_faults(plan)
+        return soc.device("fpga")
+
+    def test_one_sorted_request(self):
+        device = self._fpga()
+        self._assert_matches_unique(
+            [device.latch_index(np.linspace(1.0, 3.0, 2000))]
+        )
+
+    def test_three_equal_requests(self):
+        device = self._fpga()
+        times = np.linspace(1.0, 3.0, 2000)
+        self._assert_matches_unique(
+            [device.latch_index(times) for _ in range(3)]
+        )
+
+    def test_three_different_sorted_requests(self):
+        device = self._fpga()
+        self._assert_matches_unique(
+            [
+                device.latch_index(np.linspace(0.5 + 0.3 * i, 2.0 + i, 700 + i))
+                for i in range(3)
+            ]
+        )
+
+    def test_fault_shaped_latches_fall_back(self):
+        # At seed 0 an interval flip near 92 s steps the latches back.
+        device = self._fpga(FaultPlan.at_rate(0.05))
+        latches = [
+            device.latch_index(np.linspace(90.0, 94.0, 4000 + i))
+            for i in range(3)
+        ]
+        assert all((np.diff(request) < 0).any() for request in latches)
+        assert _sorted_runs(latches[0]) is None
+        self._assert_matches_unique(latches)
+        self._assert_matches_unique(latches[:1])
+
+    def test_stale_failure(self):
+        device = self._fpga()
+        device.inject_failure("stale", 2.0)
+        times = np.linspace(1.0, 3.0, 2000)
+        latches = device.latch_index(times)
+        assert (latches[times >= 2.0] == latches[-1]).all()
+        self._assert_matches_unique([latches])
+        self._assert_matches_unique([latches, device.latch_index(times[::3])])
+
+    def test_empty_and_constant_requests(self):
+        empty = np.zeros(0, dtype=np.int64)
+        constant = np.full(5, 7, dtype=np.int64)
+        self._assert_matches_unique([empty])
+        self._assert_matches_unique([constant, empty, constant])
+
+    def test_fault_free_collect_never_sorts(self, hwmon_unique_calls):
+        sampler = HwmonSampler(Soc("ZCU102", seed=0), seed=0)
+        trace = sampler.collect("fpga", "current", start=1.0, duration=2.0)
+        assert trace.values.size > 0
+        assert hwmon_unique_calls.calls == 0

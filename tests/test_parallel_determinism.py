@@ -165,6 +165,8 @@ _HARDENINGS = (
     SensorHardening(noise_sigma=4.0, min_interval=0.01, seed=5),
 )
 _CONFIGS = [(plan, hardening) for plan in _PLANS for hardening in _HARDENINGS]
+#: Fig 2's three files of one sensor, converted in one pass.
+FIG2_CHANNELS = (("fpga", "current"), ("fpga", "voltage"), ("fpga", "power"))
 
 
 def _soc(seed, plan, hardening):
@@ -362,6 +364,22 @@ class TestBatchedAcquisition:
                 assert np.array_equal(trace.values, want)
             else:
                 assert trace.quality is not None
+
+    def test_sorted_latches_skip_the_sort(self, hwmon_unique_calls):
+        """Fig 2's three FPGA files on one clean clock: no ``np.unique``."""
+        soc = _soc(0, None, None)
+        self._check_soc_reads(soc, FIG2_CHANNELS, np.linspace(1.0, 3.0, 2000))
+        assert hwmon_unique_calls.calls == 0
+
+    def test_backward_latches_fall_back_to_the_sort(self, hwmon_unique_calls):
+        """An interval flip near 92 s steps the faulted latches back."""
+        soc = _soc(0, FaultPlan.at_rate(0.05), None)
+        times = {
+            channel: np.linspace(90.0, 94.0, 4000 + i)
+            for i, channel in enumerate(FIG2_CHANNELS)
+        }
+        self._check_soc_reads(soc, FIG2_CHANNELS, times)
+        assert hwmon_unique_calls.calls > 0
 
     def test_sample_many_rejects_duplicates(self):
         soc = Soc("ZCU102", seed=0)
