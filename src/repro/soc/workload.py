@@ -18,9 +18,11 @@ held segments are 0 W: a finite timeline that begins with a non-zero
 segment draws that power at every time before its start.
 
 A composite skips every finite component whose held 0 W end covers a
-whole batch of windows (:meth:`ActivityTimeline.silent_between`), so a
+whole batch of windows (:meth:`ActivityTimeline.quiet_bounds`), so a
 rail with many staggered victims integrates only the ones near the
-batch, and the sum stays bit-identical to integrating them all.
+batch, and the sum stays bit-identical to integrating them all.  It
+compares each batch against its components' bounds, stored on its
+first batch, instead of calling each component on every batch.
 
 A jittered serving run repeats one short cycle thousands of times, so
 :class:`CycleRun` stores it in O(cycles) memory: the cycle's segments,
@@ -63,9 +65,21 @@ class ActivityTimeline:
     def silent_between(self, lo: float, hi: float) -> bool:
         """True if every window inside [lo, hi] has exactly +/-0.0 energy.
 
-        A composite skips such components; the base class never claims it.
+        The exact test that :meth:`quiet_bounds` is held to; the base
+        class never claims it.
         """
         return False
+
+    def quiet_bounds(self) -> Tuple[float, float]:
+        """Bounds of the batches this timeline is silent over.
+
+        ``(until, after)``: every window inside [lo, hi] has exactly
+        +/-0.0 energy if ``hi <= until`` or ``lo >= after``.  A composite
+        skips the components these bounds call silent for a batch.  They
+        may claim less than :meth:`silent_between`, never more; the base
+        class claims nothing.
+        """
+        return -math.inf, math.inf
 
     def window_mean(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Mean power over each window [t0, t1] (t1 > t0, elementwise)."""
@@ -84,6 +98,23 @@ class ActivityTimeline:
         if not isinstance(other, ActivityTimeline):
             return NotImplemented
         return CompositeActivity([self, other])
+
+
+def _held_zero_bounds(
+    start: float, span: float, before: bool, after: bool
+) -> Tuple[float, float]:
+    """``quiet_bounds`` of a profile over ``[start, start + span]``.
+
+    ``before``/``after`` say whether a held 0 W end is silent on that
+    side.  ``hi <= start`` makes ``hi - start <= 0.0``.  The float above
+    ``start + span`` is at least the exact sum, so any ``lo`` at or past
+    it has an exact ``lo - start`` of at least ``span``, and rounding
+    keeps ``lo - start >= span``.
+    """
+    return (
+        start if before else -math.inf,
+        math.nextafter(start + span, math.inf) if after else math.inf,
+    )
 
 
 class ConstantActivity(ActivityTimeline):
@@ -254,6 +285,11 @@ class PiecewiseActivity(ActivityTimeline):
         """
         return (self._silent_before and hi - self.start <= 0.0) or (
             self._silent_after and lo - self.start >= self.span
+        )
+
+    def quiet_bounds(self) -> Tuple[float, float]:
+        return _held_zero_bounds(
+            self.start, self.span, self._silent_before, self._silent_after
         )
 
     def __repr__(self) -> str:
@@ -559,6 +595,11 @@ class CycleRunActivity(ActivityTimeline):
             self._silent_after and lo - self.start >= self.span
         )
 
+    def quiet_bounds(self) -> Tuple[float, float]:
+        return _held_zero_bounds(
+            self.start, self.span, self._silent_before, self._silent_after
+        )
+
     def __repr__(self) -> str:
         return (
             f"CycleRunActivity({self.rail!r}, {self.run.scales.size} cycles, "
@@ -579,6 +620,23 @@ class CompositeActivity(ActivityTimeline):
         if not flattened:
             raise ValueError("CompositeActivity needs at least one component")
         self.components: Tuple[ActivityTimeline, ...] = tuple(flattened)
+        # (component, until, after) per component, from its quiet_bounds,
+        # built on the first batch: a rail recomposed per deploy never
+        # pays for it.
+        self._quiet = None
+
+    def _live(self, lo: float, hi: float) -> List[ActivityTimeline]:
+        """The components, in order, that a batch inside [lo, hi] integrates."""
+        if self._quiet is None:
+            self._quiet = [
+                (component, *component.quiet_bounds())
+                for component in self.components
+            ]
+        return [
+            component
+            for component, until, after in self._quiet
+            if until < hi and after > lo
+        ]
 
     def power_at(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -592,19 +650,21 @@ class CompositeActivity(ActivityTimeline):
 
         ``total`` starts at +0.0 and so is never -0.0, which makes adding
         a silent component's +/-0.0 the identity: skipping it is exact.
-        Batches with non-finite (or no) bounds skip nothing.
+        Only components whose :meth:`~ActivityTimeline.quiet_bounds` call
+        them silent over the batch are skipped, and the rest are summed
+        in their original order.  Batches with non-finite (or no) bounds
+        skip nothing.
         """
         t0 = np.atleast_1d(np.asarray(t0, dtype=np.float64))
         t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
         total = np.zeros(np.broadcast_shapes(t0.shape, t1.shape))
-        lo = hi = np.nan
+        components = self.components
         if total.size:
-            lo = min(t0.min(), t1.min())
-            hi = max(t0.max(), t1.max())
-        prune = math.isfinite(hi - lo)
-        for component in self.components:
-            if prune and component.silent_between(lo, hi):
-                continue
+            lo = float(min(t0.min(), t1.min()))
+            hi = float(max(t0.max(), t1.max()))
+            if math.isfinite(hi - lo):
+                components = self._live(lo, hi)
+        for component in components:
             total = total + component.energy_between(t0, t1)
         return total
 
@@ -630,6 +690,11 @@ class _ScaledActivity(ActivityTimeline):
     def silent_between(self, lo: float, hi: float) -> bool:
         # +/-0.0 times a finite factor stays +/-0.0; inf or NaN would not.
         return math.isfinite(self.factor) and self.base.silent_between(lo, hi)
+
+    def quiet_bounds(self) -> Tuple[float, float]:
+        if math.isfinite(self.factor):
+            return self.base.quiet_bounds()
+        return -math.inf, math.inf
 
     def __repr__(self) -> str:
         return f"{self.base!r} * {self.factor:.6g}"

@@ -26,13 +26,18 @@ replaced implementations live on here, verbatim:
 * :func:`legacy_trace_timelines` — the DPU serving run as four
   :class:`~repro.soc.workload.PiecewiseActivity` objects over the full
   segment arrays, which the O(cycles) ``CycleRun`` record replaced.
+* :func:`legacy_sample_resilient` — the resilient sampler's retry loop
+  with one device read per attempt, which the one read of a chunk and
+  all its re-polls replaced.
 
-Four consumers: ``tests/test_kernel_parity.py`` pins the new kernels
+Five consumers: ``tests/test_kernel_parity.py`` pins the new kernels
 against these on the checked-in fixtures and on randomized inputs,
 ``tests/test_hashrand.py`` pins the counter-hash kernels,
 ``tests/test_parallel_determinism.py`` pins every hwmon/SoC/sampler
 read against the one-request read, and ``tests/test_dpu_runner.py``
-pins the DPU run timelines against the full-array ones.
+pins the DPU run timelines against the full-array ones, and
+``tests/test_resilient_sampler.py`` pins the resilient sampler against
+the per-attempt loop.
 The module lives under ``tests/`` because it is a parity oracle, not
 a fallback path; nothing in ``src/`` may import it.
 """
@@ -43,6 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.sampler import ChannelDeadError, ChannelOutageError
+from repro.core.traces import TraceQuality
 from repro.dpu.models import ModelSpec
 from repro.dpu.runner import DPU_RAILS, DpuRunner
 from repro.ml.tree import _resolve_max_features, gini_impurity
@@ -486,3 +493,78 @@ def legacy_trace_timelines(
             edges, powers.reshape(-1)[keep]
         )
     return timelines
+
+
+def legacy_sample_resilient(sampler, domain: str, quantity: str, times):
+    """``HwmonSampler._sample_resilient`` with one read per retry attempt.
+
+    Verbatim apart from ``self`` -> ``sampler``: the chunk is read, then
+    each attempt re-reads only the still-bad polls at the backed-off
+    times.
+    """
+    policy = sampler.retry_policy
+    health = sampler._health_for(domain)
+    if health.is_dead:
+        raise ChannelDeadError(
+            domain, quantity, "channel health is pinned dead"
+        )
+    times = np.asarray(times, dtype=np.float64)
+    total = int(times.size)
+    values, bad = sampler._gated_read(domain, quantity, times)
+    faults_seen = int(bad.sum())
+    retries = 0
+    offset = 0.0
+    for attempt in range(policy.max_retries):
+        if not bad.any():
+            break
+        offset += policy.backoff(attempt)
+        idx = np.flatnonzero(bad)
+        retry_values, retry_bad = sampler._gated_read(
+            domain, quantity, times[idx] + offset
+        )
+        recovered = idx[~retry_bad]
+        values[recovered] = retry_values[~retry_bad]
+        bad[recovered] = False
+        retries += int(idx.size)
+    gaps = int(bad.sum())
+    good = ~bad
+    if gaps >= total:
+        health.note_read(faults_seen, gaps, total)
+        if health.is_dead:
+            raise ChannelDeadError(
+                domain,
+                quantity,
+                f"dead after repeated outages "
+                f"({retries} retries exhausted)",
+                retries=retries,
+            )
+        raise ChannelOutageError(
+            domain,
+            quantity,
+            f"all {total} samples lost after {retries} retries",
+            retries=retries,
+        )
+    interpolated = 0
+    if gaps:
+        if policy.interpolate_gaps:
+            filled = np.interp(
+                times[bad], times[good], values[good].astype(np.float64)
+            )
+            values[bad] = np.rint(filled).astype(values.dtype)
+            interpolated = gaps
+        else:
+            # Sample-and-hold: repeat the nearest preceding good
+            # poll (the first good poll for leading gaps).
+            good_idx = np.flatnonzero(good)
+            pos = np.searchsorted(
+                good_idx, np.flatnonzero(bad), side="right"
+            ) - 1
+            pos = np.clip(pos, 0, good_idx.size - 1)
+            values[bad] = values[good_idx[pos]]
+    quality = TraceQuality(
+        retries=retries,
+        gaps=gaps,
+        interpolated=interpolated,
+        health=health.note_read(faults_seen, gaps, total),
+    )
+    return values, quality

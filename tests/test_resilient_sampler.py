@@ -9,13 +9,17 @@ Covers the sampler-facing half of the fault plane:
   plausibility gating of torn reads);
 * the per-sensor health machine and degraded-mode fallbacks
   (``collect_many(on_dead="drop")``, fused evaluation with dead
-  channels, mid-stream partial flush).
+  channels, mid-stream partial flush);
+* the one read a faulted chunk makes for itself and all its re-polls,
+  pinned against the per-attempt loop it replaced
+  (``legacy_sample_resilient``) and by a read count.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_kernels import legacy_sample_resilient
 
 from repro.core import (
     ChannelDeadError,
@@ -23,8 +27,14 @@ from repro.core import (
     StreamInterrupted,
     TraceQuality,
 )
+from repro.core.countermeasures import SensorHardening
 from repro.core.io import load_traceset
+from repro.core.sampler import PREFETCH_POLLS, HwmonSampler
+from repro.dpu.models import build_model
+from repro.dpu.runner import DpuRunner
 from repro.faults import DEAD, FLAKY, HEALTHY, FaultPlan, RetryPolicy
+from repro.ml.forest import RandomForestClassifier
+from repro.sensors.hwmon import HwmonDevice
 from repro.session import AttackSession
 
 pytestmark = pytest.mark.faults
@@ -267,3 +277,210 @@ class TestTraceQualityType:
         assert TraceQuality.from_dict(merged.to_dict()) == merged
         assert TraceQuality().clean
         assert not merged.clean
+
+
+class _ReadCounter:
+    """Counts ``HwmonDevice.read_series_faulted`` calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        read = HwmonDevice.read_series_faulted
+
+        def counted(device, attribute, times):
+            self.calls += 1
+            return read(device, attribute, times)
+
+        monkeypatch.setattr(HwmonDevice, "read_series_faulted", counted)
+
+
+def _outcome(sampler, read, times, domain="fpga", quantity="current"):
+    """A read's values (dtype and bytes), quality or error, then the health."""
+    try:
+        values, quality = read(domain, quantity, times)
+        result = (values.dtype.str, values.tobytes(), quality, None)
+    except ChannelOutageError as exc:
+        result = (None, None, None, (type(exc), str(exc), exc.retries))
+    health = sampler._health_for(domain)
+    return result + (health.state, health._consecutive_outages)
+
+
+def _assert_reads_match(make_session, reads, prepare=None):
+    """Each read gives the oracle's outcome, on twin sessions, in order."""
+    new, old = make_session(), make_session()
+    if prepare is not None:
+        prepare(new)
+        prepare(old)
+    for times in reads:
+        got = _outcome(new.sampler, new.sampler._sample_resilient, times)
+        want = _outcome(
+            old.sampler,
+            lambda *args: legacy_sample_resilient(old.sampler, *args),
+            times,
+        )
+        assert got == want
+
+
+def _chunks(n_chunks, n_polls, poll_hz, start=1.0):
+    """Consecutive jittered chunks of one channel's poll clock."""
+    sampler = AttackSession.create(seed=11).sampler
+    return [
+        sampler.poll_times(
+            start + k * n_polls / poll_hz, n_polls, poll_hz, stream=f"c{k}"
+        )
+        for k in range(n_chunks)
+    ]
+
+
+class TestOneReadPerChunk:
+    """One device read serves a chunk and its re-polls, bit for bit."""
+
+    @pytest.mark.parametrize("rate", [0.05, 0.25, 0.6])
+    @pytest.mark.parametrize("max_retries", [0, 1, 3, 5])
+    @pytest.mark.parametrize("multiplier", [1.0, 2.0])
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_matches_per_attempt_loop(
+        self, rate, max_retries, multiplier, interpolate
+    ):
+        policy = RetryPolicy(
+            max_retries=max_retries,
+            backoff_multiplier=multiplier,
+            interpolate_gaps=interpolate,
+        )
+        _assert_reads_match(
+            lambda: AttackSession.create(
+                seed=3, faults=rate, retry_policy=policy
+            ),
+            _chunks(16, 14, 1 / 0.035),
+        )
+
+    @pytest.mark.parametrize("rate", [0.05, 0.25])
+    def test_hardening_matches(self, rate):
+        hardening = SensorHardening(
+            noise_sigma=3.0, min_interval=0.004, quantize_lsb=4.0, seed=5
+        )
+        _assert_reads_match(
+            lambda: AttackSession.create(
+                seed=3, faults=rate, hardening=hardening
+            ),
+            _chunks(16, 40, 1000.0),
+        )
+
+    @pytest.mark.parametrize("mode", ["stale", "unbind"])
+    def test_injected_failures_match(self, mode):
+        def prepare(session):
+            session.soc.device("fpga").inject_failure(mode, at_time=1.3)
+
+        _assert_reads_match(
+            lambda: AttackSession.create(seed=3, faults=0.1),
+            _chunks(12, 14, 1 / 0.035, start=1.0) + _chunks(4, 50, 200.0),
+            prepare,
+        )
+
+    @pytest.mark.parametrize(
+        "n_polls, one_read",
+        [(PREFETCH_POLLS // 4, True), (PREFETCH_POLLS // 4 + 1, False)],
+    )
+    def test_both_sides_of_the_budget(self, monkeypatch, n_polls, one_read):
+        # The default policy retries 3 times: a chunk and its re-polls
+        # make 4 * n_polls polls.
+        def make():
+            return AttackSession.create(seed=3, faults=0.25)
+
+        counter = _ReadCounter(monkeypatch)
+        chunks = _chunks(2, n_polls, 1000.0, start=3.0)
+        _assert_reads_match(make, chunks)
+        session = make()
+        for times in chunks:
+            counter.calls = 0
+            session.sampler._sample_resilient("fpga", "current", times)
+            if one_read:
+                assert counter.calls == 1
+            else:
+                assert counter.calls > 1
+
+    @pytest.mark.parametrize("chunk_samples", [1, 14, 200])
+    @pytest.mark.parametrize("rate", [0.05, 0.25])
+    def test_stream_and_collect_match(self, monkeypatch, chunk_samples, rate):
+        def record(session):
+            sampler = session.sampler
+            kwargs = dict(start=1.0, n_samples=400, poll_hz=200.0)
+            traces, error = [], None
+            try:
+                for chunk in sampler.stream(
+                    "fpga", "current", chunk_samples=chunk_samples, **kwargs
+                ):
+                    traces.append(chunk)
+            except StreamInterrupted as exc:
+                error = (str(exc), exc.emitted)
+            sampler.reset_health()
+            try:
+                traces.append(sampler.collect("fpga", "current", **kwargs))
+            except ChannelOutageError as exc:
+                error = (error, str(exc), exc.retries)
+            return [
+                (t.times.tobytes(), t.values.tobytes(), t.quality)
+                for t in traces
+            ], error, sampler.channel_health("fpga")
+
+        got = record(AttackSession.create(seed=3, faults=rate))
+        monkeypatch.setattr(
+            HwmonSampler, "_sample_resilient", legacy_sample_resilient
+        )
+        want = record(AttackSession.create(seed=3, faults=rate))
+        assert got == want
+        assert len(got[0]) > 1
+
+    def test_monitor_makes_one_read_per_chunk(self, monkeypatch):
+        """A 30 s monitor at rate 0.05: one read a chunk, the oracle's retries."""
+        n_features = 20
+        rng = np.random.default_rng(0)
+        forest = RandomForestClassifier(n_estimators=3, seed=0).fit(
+            rng.standard_normal((30, n_features)),
+            np.array(["a", "b", "c"] * 10),
+        )
+        counter = _ReadCounter(monkeypatch)
+
+        def monitor(read):
+            log = []
+
+            def logged(sampler, domain, quantity, times):
+                before = counter.calls
+                values, quality = read(sampler, domain, quantity, times)
+                log.append((counter.calls - before, times.size, quality.retries))
+                return values, quality
+
+            monkeypatch.setattr(HwmonSampler, "_sample_resilient", logged)
+            session = AttackSession.create(
+                seed=7, faults=FaultPlan.at_rate(0.05, seed=2)
+            )
+            DpuRunner().deploy(
+                session.soc,
+                build_model("resnet-50"),
+                duration=30.0,
+                seed=session.derive("victim"),
+                name="victim",
+            )
+            poll_hz = session.sampler.default_poll_hz("fpga")
+            verdicts = [
+                verdict
+                for update in session.monitor(
+                    forest,
+                    duration=30.0,
+                    window_samples=int(round(2.0 * poll_hz)),
+                    hop_samples=int(round(0.5 * poll_hz)),
+                    poll_hz=poll_hz,
+                    chunk_duration=0.5,
+                    n_features=n_features,
+                )
+                for verdict in update.verdicts
+            ]
+            return log, verdicts
+
+        log, verdicts = monitor(HwmonSampler._sample_resilient)
+        legacy_log, legacy_verdicts = monitor(legacy_sample_resilient)
+        assert len(log) == len(legacy_log) >= 60
+        assert all(size * 4 <= PREFETCH_POLLS for _, size, _ in log)
+        assert [reads for reads, _, _ in log] == [1] * len(log)
+        retries = sum(r for _, _, r in log)
+        assert retries == sum(r for _, _, r in legacy_log) > 0
+        assert verdicts == legacy_verdicts

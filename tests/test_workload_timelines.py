@@ -367,6 +367,56 @@ class TestPruningParity:
         )
 
 
+class TestQuietBounds:
+    """The bounds a composite prunes by claim no more than silent_between."""
+
+    def test_burst_bounds(self):
+        burst = PiecewiseActivity([1.0, 2.0, 3.0, 4.0], [0.0, 5.0, 0.0])
+        assert burst.quiet_bounds() == (1.0, np.nextafter(4.0, np.inf))
+        assert burst.scaled(2.0).quiet_bounds() == burst.quiet_bounds()
+        assert burst.scaled(np.inf).quiet_bounds() == (-np.inf, np.inf)
+        wave = PiecewiseActivity([1.0, 2.0, 3.0], [0.0, 0.0], period=2.0)
+        assert wave.quiet_bounds() == (-np.inf, np.inf)
+        assert ConstantActivity(0.0).quiet_bounds() == (-np.inf, np.inf)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_bounds_imply_silent(self, seed):
+        rng = np.random.default_rng(seed)
+        composite, _ = _random_composite(rng)
+        for component in composite.components:
+            until, after = component.quiet_bounds()
+            if np.isfinite(until):
+                assert component.silent_between(until - 3.0, until)
+            if np.isfinite(after):
+                assert component.silent_between(after, after + 3.0)
+
+    def test_composite_integrates_only_live_components(self, monkeypatch):
+        # Burst k draws 2 W over [10 k, 10 k + 1] and holds 0 W around it.
+        bursts = [
+            PiecewiseActivity(
+                [10.0 * k - 1.0, 10.0 * k, 10.0 * k + 1.0, 10.0 * k + 2.0],
+                [0.0, 2.0, 0.0],
+            )
+            for k in range(5)
+        ]
+        steps = PiecewiseActivity([0.0, 50.0, 100.0], [1.0, 3.0])
+        composite = CompositeActivity(
+            [bursts[0], steps, ConstantActivity(1.0)] + bursts[1:]
+        )
+        visited = []
+        energy = PiecewiseActivity.energy_between
+
+        def logged(self, t0, t1):
+            visited.append(self)
+            return energy(self, t0, t1)
+
+        monkeypatch.setattr(PiecewiseActivity, "energy_between", logged)
+        t0 = np.linspace(20.2, 20.8, 7)
+        got = composite.energy_between(t0, t0 + 0.1)
+        assert visited == [steps, bursts[2]]
+        _assert_bit_equal(got, _unpruned_energy(composite, t0, t0 + 0.1))
+
+
 class TestStaggeredVictimRails:
     """Monitor-shaped board: 60 back-to-back DPU victims on every rail."""
 
@@ -394,11 +444,16 @@ class TestStaggeredVictimRails:
         for t0, t1 in batches:
             noise = rng.standard_normal((2, t0.size)) * 1e-3
             pruned.append(rail.window_state(t0, t1, noise[0], noise[1] * 1e-3))
-        # The victims are CycleRunActivity timelines; patch both kinds.
+        # The victims are CycleRunActivity timelines; patch both kinds,
+        # then give the rail a fresh composite, whose bounds are built
+        # under the patch.
         for kind in (PiecewiseActivity, CycleRunActivity):
             monkeypatch.setattr(
-                kind, "silent_between", lambda self, lo, hi: False
+                kind, "quiet_bounds", lambda self: (-np.inf, np.inf)
             )
+        monkeypatch.setattr(
+            rail, "_timeline", CompositeActivity(rail.timeline().components)
+        )
         rng = np.random.default_rng(1)
         for (t0, t1), got in zip(batches, pruned):
             noise = rng.standard_normal((2, t0.size)) * 1e-3
