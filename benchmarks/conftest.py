@@ -2,20 +2,16 @@
 
 Every bench regenerates one table or figure from the paper and prints
 the same rows/series the paper reports, alongside pytest-benchmark
-timing.  Fig 2 and Fig 4 always run at the paper's sample counts.
-``AMPEREBLEED_FULL=1`` scales Table III alone to the paper's protocol
-(100-tree forests, 10-fold CV, all five durations); the default Table
-III scale keeps the whole suite in the minutes range while preserving
-the reported shapes.
+timing.  Every bench runs at the paper's scale: Fig 2 and Fig 4 at
+the paper's sample counts, Table III at the paper's protocol
+(100-tree forests, 10-fold CV, all five durations).
 """
 
 from typing import Iterable, Sequence
 
 import pytest
 
-from repro.perf.config import full_scale
-
-__all__ = ["full_scale", "print_table", "table_printer"]
+__all__ = ["print_table", "table_printer"]
 
 
 def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]):

@@ -22,6 +22,7 @@ from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.sensors.hwmon import HwmonPermissionError
 from repro.sensors.ina226 import Ina226
+from repro.session import AttackSession
 from repro.soc import Soc
 
 WEIGHTS = (1, 256, 512, 768, 1024)
@@ -34,7 +35,7 @@ def sweep_update_interval():
         soc = Soc("ZCU102", seed=0)
         device = soc.device("fpga")
         device.write("update_interval", str(interval_ms), privileged=True)
-        attack = RsaHammingWeightAttack(soc=soc, seed=0)
+        attack = RsaHammingWeightAttack(AttackSession(soc))
         sweep = attack.sweep(weights=WEIGHTS, n_samples=6000)
         iqr = np.mean([p.summary.iqr for p in sweep.profiles])
         results.append((interval_ms, sweep.distinguishable_groups(), iqr))
@@ -59,7 +60,7 @@ def test_ablation_update_interval(benchmark):
 def sweep_current_lsb():
     """RSA groups vs current quantization (mitigation-style ablation)."""
     results = []
-    attack = RsaHammingWeightAttack(seed=0)
+    attack = RsaHammingWeightAttack()
     sweep = attack.sweep(weights=tuple(range(64, 1025, 64)), n_samples=4000)
     medians = sweep.medians  # mA, 1 mA grid
     for lsb_ma in (1, 4, 8, 16, 32):
@@ -94,7 +95,7 @@ def sweep_forest_size():
         config = FingerprintConfig(
             duration=5.0, traces_per_model=10, n_folds=5, forest_trees=trees
         )
-        fingerprinter = DnnFingerprinter(config=config, seed=0)
+        fingerprinter = DnnFingerprinter(config=config)
         datasets = fingerprinter.collect_datasets(
             models=models, channels=[("fpga", "current")]
         )

@@ -10,6 +10,7 @@ cares about.
 from conftest import print_table
 
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
+from repro.session import AttackSession
 from repro.soc import HEAVY_BACKGROUND, LIGHT_BACKGROUND, BackgroundLoad, Soc
 
 MODELS = [
@@ -31,7 +32,7 @@ def run_robustness():
         config = FingerprintConfig(
             duration=5.0, traces_per_model=10, n_folds=4, forest_trees=25
         )
-        fingerprinter = DnnFingerprinter(soc=soc, config=config, seed=0)
+        fingerprinter = DnnFingerprinter(AttackSession(soc), config=config)
         if profiles is not None:
             # Background spans the whole collection campaign.
             campaign_seconds = (

@@ -44,7 +44,7 @@ def run_comparison():
     config = FingerprintConfig(
         duration=5.0, traces_per_model=12, n_folds=4, forest_trees=30
     )
-    fingerprinter = DnnFingerprinter(config=config, seed=0)
+    fingerprinter = DnnFingerprinter(config=config)
     datasets = fingerprinter.collect_datasets(
         models=MODELS,
         channels=[("fpga", "current"), ("fpga", "voltage")],

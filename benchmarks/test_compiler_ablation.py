@@ -48,9 +48,7 @@ def run_ablation():
         config = FingerprintConfig(
             duration=5.0, traces_per_model=8, n_folds=4, forest_trees=20
         )
-        fingerprinter = DnnFingerprinter(
-            runner=runner, config=config, seed=0
-        )
+        fingerprinter = DnnFingerprinter(runner=runner, config=config)
         if label == "compiled":
             # Per-model derived efficiencies: rebuild the runner's core
             # per model by monkey-free means — collect per model with a

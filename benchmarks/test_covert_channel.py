@@ -15,7 +15,7 @@ BIT_PERIODS = (0.40, 0.20, 0.12, 0.08, 0.05, 0.035)
 
 
 def run_capacity_sweep():
-    channel = CovertChannel(seed=0)
+    channel = CovertChannel()
     return channel.capacity_sweep(BIT_PERIODS, n_bits=96, seed=1)
 
 

@@ -12,6 +12,7 @@ from conftest import print_table
 
 from repro.boards import list_boards
 from repro.core.rsa_attack import RsaHammingWeightAttack
+from repro.session import AttackSession
 from repro.soc import Soc
 
 WEIGHTS = (1, 256, 512, 768, 1024)
@@ -21,7 +22,7 @@ def run_cross_board():
     rows = []
     for board in list_boards():
         soc = Soc(board.name, seed=0)
-        attack = RsaHammingWeightAttack(soc=soc, seed=0)
+        attack = RsaHammingWeightAttack(AttackSession(soc))
         sweep = attack.sweep(weights=WEIGHTS, n_samples=3000)
         calibration = sweep.calibration()
         rows.append(

@@ -23,7 +23,7 @@ def run_confusion():
     config = FingerprintConfig(
         duration=5.0, traces_per_model=12, n_folds=4, forest_trees=30
     )
-    fingerprinter = DnnFingerprinter(config=config, seed=0)
+    fingerprinter = DnnFingerprinter(config=config)
     datasets = fingerprinter.collect_datasets(
         channels=[("fpga", "current")]
     )

@@ -14,6 +14,7 @@ from conftest import print_table
 
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.dpu.models import FIG3_MODELS, build_model
+from repro.session import AttackSession
 
 CHANNELS = (
     ("fpga", "current"),
@@ -25,7 +26,7 @@ CHANNELS = (
 
 def collect_traces():
     config = FingerprintConfig(duration=5.0, traces_per_model=2)
-    fingerprinter = DnnFingerprinter(config=config, seed=5)
+    fingerprinter = DnnFingerprinter(AttackSession.create(seed=5), config=config)
     traces = {}
     for name in FIG3_MODELS:
         traces[name] = fingerprinter.record_run(

@@ -14,7 +14,7 @@ from repro.crypto.rsa_math import PAPER_HAMMING_WEIGHTS
 
 def run_fig4():
     n_samples = 100_000
-    attack = RsaHammingWeightAttack(seed=0)
+    attack = RsaHammingWeightAttack()
     current = attack.sweep(n_samples=n_samples)
     power = attack.sweep(quantity="power", n_samples=n_samples)
     return attack, current, power

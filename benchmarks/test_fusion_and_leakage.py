@@ -32,7 +32,7 @@ def run_fusion():
     config = FingerprintConfig(
         duration=5.0, traces_per_model=12, n_folds=4, forest_trees=30
     )
-    fingerprinter = DnnFingerprinter(config=config, seed=0)
+    fingerprinter = DnnFingerprinter(config=config)
     datasets = fingerprinter.collect_datasets(
         models=MODELS, channels=CURRENT_CHANNELS
     )
@@ -64,7 +64,7 @@ def test_channel_fusion(benchmark):
 
 
 def run_tvla():
-    attack = RsaHammingWeightAttack(seed=0)
+    attack = RsaHammingWeightAttack()
     weights = (64, 128, 192, 256, 320, 384)
     current = attack.sweep(weights=weights, n_samples=4000)
     power = attack.sweep(weights=weights, quantity="power", n_samples=4000)

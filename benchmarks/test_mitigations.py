@@ -23,6 +23,7 @@ from repro.core.countermeasures import (
 )
 from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.sensors.hwmon import HwmonPermissionError
+from repro.session import AttackSession
 from repro.soc import Soc
 
 WEIGHTS = tuple(range(64, 1025, 64))  # 16 keys
@@ -39,7 +40,7 @@ def run_mitigation_matrix():
     rows = []
     for name, policy in policies:
         soc = Soc("ZCU102", seed=0, hardening=policy)
-        attack = RsaHammingWeightAttack(soc=soc, seed=0)
+        attack = RsaHammingWeightAttack(AttackSession(soc))
         sweep = attack.sweep(weights=WEIGHTS, n_samples=6000)
         min_gap = 1.0
         if policy is not None and policy.quantize_lsb:

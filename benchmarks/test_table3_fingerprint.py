@@ -12,15 +12,15 @@ Paper numbers (5 s traces, 39 classes, random guess = 0.0256):
 
 and accuracy grows with trace duration (1 s .. 5 s columns).
 
-The default bench runs a reduced-but-faithful protocol (20 traces per
-model, 5 folds, 40 trees, durations 1 s and 5 s); AMPEREBLEED_FULL=1
-switches to the paper protocol (10 folds, 100 trees, all durations).
+The bench runs the paper protocol: 20 traces per model, 10-fold CV,
+100-tree forests and all five durations.
 """
 
-from conftest import full_scale, print_table
+from conftest import print_table
 
 from repro.core.fingerprint import (
     TABLE3_CHANNELS,
+    TABLE3_DURATIONS,
     DnnFingerprinter,
     FingerprintConfig,
 )
@@ -37,20 +37,10 @@ PAPER_TOP1 = {
 
 
 def run_table3():
-    if full_scale():
-        config = FingerprintConfig(
-            duration=5.0, traces_per_model=20, n_folds=10, forest_trees=100
-        )
-        durations = (1.0, 2.0, 3.0, 4.0, 5.0)
-    else:
-        config = FingerprintConfig(
-            duration=5.0, traces_per_model=20, n_folds=5, forest_trees=40
-        )
-        durations = (1.0, 5.0)
-    fingerprinter = DnnFingerprinter(config=config, seed=0)
+    fingerprinter = DnnFingerprinter(config=FingerprintConfig())
     datasets = fingerprinter.collect_datasets()
-    results = fingerprinter.evaluate_table3(datasets, durations=durations)
-    return results, durations
+    results = fingerprinter.evaluate_table3(datasets)
+    return results, TABLE3_DURATIONS
 
 
 def test_table3_fingerprint(benchmark):

@@ -12,6 +12,7 @@ from repro.core.campaign import AttackCampaign
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.dpu.models import build_model
 from repro.dpu.runner import DpuRunner
+from repro.session import AttackSession
 from repro.soc import Soc
 
 ZOO = ["mobilenet-v1-1.0", "squeezenet-1.1", "inception-v3",
@@ -20,7 +21,7 @@ ZOO = ["mobilenet-v1-1.0", "squeezenet-1.1", "inception-v3",
 
 def main():
     soc = Soc("ZCU102", seed=17)
-    campaign = AttackCampaign(soc, seed=17)
+    campaign = AttackCampaign(AttackSession(soc, seed=17))
 
     print("Stage 1 — recon (unprivileged 'name' file reads):")
     report = campaign.recon()
@@ -31,7 +32,7 @@ def main():
     print("\nStage 0 (offline, attacker's own board) — train classifiers:")
     config = FingerprintConfig(duration=5.0, traces_per_model=10,
                                n_folds=5, forest_trees=30)
-    fingerprinter = DnnFingerprinter(soc=soc, config=config, seed=17)
+    fingerprinter = DnnFingerprinter(AttackSession(soc, seed=17), config=config)
     datasets = fingerprinter.collect_datasets(
         models=ZOO, channels=[("fpga", "current")]
     )

@@ -10,6 +10,7 @@ Run:  python examples/characterize_sensors.py
 
 
 from repro import characterize
+from repro.session import AttackSession
 
 
 def ascii_plot(name, levels, means, width=60):
@@ -25,7 +26,7 @@ def ascii_plot(name, levels, means, width=60):
 def main():
     print("Running the characterization sweep "
           "(161 levels x 1000 samples)...")
-    result = characterize(samples_per_level=1000, seed=7)
+    result = characterize(AttackSession.create(seed=7), samples_per_level=1000, seed=7)
 
     print("\nPer-channel statistics (paper Fig 2):")
     print(f"  {'channel':8s} {'pearson':>8s} {'LSB/step':>9s}")

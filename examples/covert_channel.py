@@ -13,6 +13,7 @@ Run:  python examples/covert_channel.py
 
 
 from repro.core.covert_channel import CovertChannel
+from repro.session import AttackSession
 
 
 def text_to_bits(text):
@@ -27,7 +28,7 @@ def bits_to_text(bits):
 
 
 def main():
-    channel = CovertChannel(seed=21)
+    channel = CovertChannel(AttackSession.create(seed=21))
     message = "AMPERE"
     bits = text_to_bits(message)
 

@@ -9,6 +9,7 @@ Run:  python examples/dnn_fingerprinting.py
 """
 
 from repro import DnnFingerprinter, FingerprintConfig, build_model
+from repro.session import AttackSession
 
 #: One representative per family — swap in repro.dpu.list_models() for
 #: the full 39-model evaluation (see benchmarks/).
@@ -27,7 +28,7 @@ def main():
     config = FingerprintConfig(
         duration=5.0, traces_per_model=10, n_folds=5, forest_trees=30
     )
-    fingerprinter = DnnFingerprinter(config=config, seed=11)
+    fingerprinter = DnnFingerprinter(AttackSession.create(seed=11), config=config)
 
     print(f"Offline phase: recording {len(ZOO)} models x "
           f"{config.traces_per_model} traces on 2 channels...")

@@ -21,12 +21,13 @@ from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.core.sampler import HwmonSampler
 from repro.dpu.models import build_model
 from repro.dpu.runner import DpuRunner
+from repro.session import AttackSession
 from repro.soc import Soc
 
 
 def main():
     print("1. TVLA: does the current channel leak the RSA key?")
-    attack = RsaHammingWeightAttack(seed=13)
+    attack = RsaHammingWeightAttack(AttackSession.create(seed=13))
     light = attack.profile_key(attack.make_circuit(256), n_samples=4000)
     heavy = attack.profile_key(attack.make_circuit(320), n_samples=4000)
     result = welch_t_test(light.values, heavy.values)

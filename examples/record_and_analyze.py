@@ -20,6 +20,7 @@ from repro.core.fingerprint import (
     FingerprintConfig,
 )
 from repro.core.io import TraceArchiveReader, TraceArchiveWriter
+from repro.session import AttackSession
 
 MODELS = ["resnet-50", "vgg-19", "squeezenet-1.1"]
 CONFIG = FingerprintConfig(
@@ -34,7 +35,7 @@ def main():
 
     # --- Acquisition plane: on the victim board. -------------------
     print(f"Recording {len(MODELS)} models -> {archive}")
-    recorder = DnnFingerprinter(config=CONFIG, seed=7)
+    recorder = DnnFingerprinter(AttackSession.create(seed=7), config=CONFIG)
     with TraceArchiveWriter(
         archive, meta=recorder.archive_meta(MODELS, CHANNELS)
     ) as writer:

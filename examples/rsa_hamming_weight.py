@@ -12,10 +12,11 @@ Run:  python examples/rsa_hamming_weight.py
 
 from repro import RsaHammingWeightAttack
 from repro.crypto import PAPER_HAMMING_WEIGHTS
+from repro.session import AttackSession
 
 
 def main():
-    attack = RsaHammingWeightAttack(seed=3)
+    attack = RsaHammingWeightAttack(AttackSession.create(seed=3))
 
     print("Profiling the paper's 17 keys (HW = 1, 64, 128, ..., 1024)")
     print("on the current channel (1 kHz polling)...")

@@ -53,10 +53,29 @@ def _cmd_boards(args: argparse.Namespace) -> int:
     return 0
 
 
+def _session(args: argparse.Namespace):
+    """The attack session a subcommand mounts its pipeline on.
+
+    Built from the subcommand's ``--seed`` plus its ``--board`` and
+    ``--faults`` where it has them (default board ZCU102; no
+    ``--faults`` leaves ``AMPEREBLEED_FAULT_RATE`` in charge).
+    """
+    from repro.session import DEFAULT_BOARD, AttackSession
+
+    board = getattr(args, "board", None)
+    return AttackSession.create(
+        board=DEFAULT_BOARD if board is None else board,
+        seed=args.seed,
+        faults=getattr(args, "faults", None),
+    )
+
+
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.core.characterize import characterize
 
-    result = characterize(samples_per_level=args.samples, seed=args.seed)
+    result = characterize(
+        _session(args), samples_per_level=args.samples, seed=args.seed
+    )
     print(f"{'channel':8s} {'pearson':>8s} {'LSB/step':>9s}")
     for sweep in (result.current, result.voltage, result.power, result.ro):
         print(f"{sweep.name:8s} {sweep.pearson:8.4f} {sweep.lsb_step:9.2f}")
@@ -77,7 +96,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
         forest_trees=args.trees,
     )
     fingerprinter = DnnFingerprinter(
-        config=config, seed=args.seed, workers=args.workers
+        _session(args), config=config, workers=args.workers
     )
     channels = [tuple(channel.split("/")) for channel in args.channels]
     print(f"collecting {len(models)} models x {args.traces} traces...")
@@ -172,7 +191,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_rsa(args: argparse.Namespace) -> int:
     from repro.core.rsa_attack import RsaHammingWeightAttack
 
-    attack = RsaHammingWeightAttack(seed=args.seed, board=args.board)
+    attack = RsaHammingWeightAttack(_session(args))
     current = attack.sweep(n_samples=args.samples)
     power = attack.sweep(quantity="power", n_samples=args.samples)
     print(f"{'HW':>5s} {'I median (mA)':>14s} {'P median (mW)':>14s}")
@@ -187,7 +206,7 @@ def _cmd_rsa(args: argparse.Namespace) -> int:
 def _cmd_covert(args: argparse.Namespace) -> int:
     from repro.core.covert_channel import CovertChannel
 
-    channel = CovertChannel(seed=args.seed, board=args.board)
+    channel = CovertChannel(_session(args))
     rng = ensure_rng(args.seed)
     bits = rng.integers(0, 2, size=args.bits)
     report = channel.transmit(bits, bit_period=args.bit_period)
@@ -217,17 +236,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_session(args: argparse.Namespace):
-    """The acquisition session behind `record`, faults armed if asked."""
-    from repro.session import DEFAULT_BOARD, AttackSession
-
-    return AttackSession.create(
-        board=args.board if args.board is not None else DEFAULT_BOARD,
-        seed=args.seed,
-        faults=args.faults,
-    )
-
-
 def _record_fingerprint(args: argparse.Namespace) -> None:
     from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
     from repro.core.io import TraceArchiveWriter
@@ -241,9 +249,7 @@ def _record_fingerprint(args: argparse.Namespace) -> None:
         n_folds=args.folds,
         forest_trees=args.trees,
     )
-    fingerprinter = DnnFingerprinter(
-        session=_record_session(args), config=config
-    )
+    fingerprinter = DnnFingerprinter(_session(args), config=config)
     print(f"recording {len(models)} models x {args.traces} traces...")
     writer = TraceArchiveWriter(
         args.out,
@@ -266,7 +272,7 @@ def _record_rsa(args: argparse.Namespace) -> None:
     from repro.core.io import TraceArchiveWriter
     from repro.core.rsa_attack import RsaHammingWeightAttack
 
-    attack = RsaHammingWeightAttack(session=_record_session(args))
+    attack = RsaHammingWeightAttack(_session(args))
     print(f"recording the Hamming-weight sweep on {args.quantity}...")
     writer = TraceArchiveWriter(
         args.out,
@@ -288,7 +294,7 @@ def _record_covert(args: argparse.Namespace) -> None:
     from repro.core.covert_channel import CovertChannel
     from repro.core.io import TraceArchiveWriter
 
-    channel = CovertChannel(seed=args.seed, board=args.board)
+    channel = CovertChannel(_session(args))
     rng = ensure_rng(args.seed)
     bits = [int(bit) for bit in rng.integers(0, 2, size=args.bits)]
     meta = {
@@ -478,7 +484,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
           f"{domain}/{quantity} traces...")
     forest = analyzer.train(dataset)
 
-    session = _record_session(args)
+    session = _session(args)
     poll_hz = session.sampler.default_poll_hz(domain)
     window = max(1, int(round(args.window * poll_hz)))
     hop = (

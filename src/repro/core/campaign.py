@@ -78,22 +78,25 @@ def deploy_victim(
 
 
 class AttackCampaign:
-    """Drives the recon -> stakeout -> attack chain on one SoC."""
+    """Drives the recon -> stakeout -> attack chain on one session.
+
+    Args:
+        session: the malicious process's foothold (default: a fresh
+            :meth:`~repro.session.AttackSession.create`).
+        detector: stakeout onset detector (default: a fresh
+            :class:`~repro.core.detector.OnsetDetector`).
+    """
 
     def __init__(
         self,
-        soc: Optional[Soc] = None,
-        sampler: Optional[HwmonSampler] = None,
-        detector: Optional[OnsetDetector] = None,
-        seed: Optional[int] = 0,
         session=None,
-        board=None,
+        detector: Optional[OnsetDetector] = None,
     ):
-        from repro.session import resolve_session
+        if session is None:
+            from repro.session import AttackSession
 
-        self.session = resolve_session(
-            session, soc=soc, sampler=sampler, board=board, seed=seed
-        )
+            session = AttackSession.create()
+        self.session = session
         self.detector = detector if detector is not None else OnsetDetector()
 
     @property

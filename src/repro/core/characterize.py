@@ -28,7 +28,6 @@ from repro.analysis.stats import (
 )
 from repro.fpga.power_virus import PowerVirusArray
 from repro.fpga.ring_osc import RoSensorBank
-from repro.soc.soc import Soc
 from repro.soc.workload import ConstantActivity
 from repro.utils.rng import RngLike, spawn
 from repro.utils.validation import require_int_in_range
@@ -90,19 +89,19 @@ class CharacterizationResult:
 
 
 def characterize(
-    soc: Optional[Soc] = None,
+    session=None,
     virus: Optional[PowerVirusArray] = None,
     ro_bank: Optional[RoSensorBank] = None,
     samples_per_level: int = 10_000,
     levels: Optional[np.ndarray] = None,
     seed: RngLike = 0,
-    session=None,
-    board=None,
 ) -> CharacterizationResult:
     """Run the Fig 2 sweep and aggregate per-level statistics.
 
     Args:
-        soc: platform under test (default: the session's seeded board).
+        session: the attacker's foothold; its SoC is the platform under
+            test and its seed keys the hwmon noise (default: a fresh
+            :meth:`~repro.session.AttackSession.create`).
         virus: the activatable victim array (default: the paper's
             160 groups x 1 k instances).
         ro_bank: the crafted-circuit baseline (default: distributed
@@ -111,18 +110,16 @@ def characterize(
             (paper: 10 000; reduce for quick runs — the means converge
             long before that).
         levels: activation levels to visit (default 0..n_groups).
-        seed: keys the RO jitter stream (the SoC's own seed keys the
-            hwmon noise).
-        session: acquisition session superseding ``soc``.
-        board: board name when no session/soc is given (default
-            ZCU102).
+        seed: keys the power-virus and RO jitter streams.
     """
-    from repro.session import resolve_session
-
     samples_per_level = require_int_in_range(
         samples_per_level, 2, 10_000_000, "samples_per_level"
     )
-    soc = resolve_session(session, soc=soc, board=board, seed=seed).soc
+    if session is None:
+        from repro.session import AttackSession
+
+        session = AttackSession.create()
+    soc = session.soc
     if virus is None:
         virus = PowerVirusArray(seed=seed)
     if ro_bank is None:

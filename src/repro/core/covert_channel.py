@@ -221,21 +221,25 @@ class PowerCovertReceiver:
 
 
 class CovertChannel:
-    """End-to-end channel harness over one simulated SoC."""
+    """End-to-end channel harness over one attack session.
+
+    Args:
+        session: the receiver's foothold (default: a fresh
+            :meth:`~repro.session.AttackSession.create`).
+        sender: the fabric-side transmitter (default: a fresh
+            :class:`PowerCovertSender`).
+    """
 
     def __init__(
         self,
-        soc: Optional[Soc] = None,
-        sender: Optional[PowerCovertSender] = None,
-        seed: Optional[int] = 0,
         session=None,
-        board=None,
+        sender: Optional[PowerCovertSender] = None,
     ):
-        from repro.session import resolve_session
+        if session is None:
+            from repro.session import AttackSession
 
-        self.session = resolve_session(
-            session, soc=soc, board=board, seed=seed
-        )
+            session = AttackSession.create()
+        self.session = session
         self.sender = sender if sender is not None else PowerCovertSender()
         self.receiver = PowerCovertReceiver(self.session.sampler)
         self._clock = 1.0

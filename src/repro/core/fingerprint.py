@@ -179,9 +179,8 @@ class FingerprintAnalyzer:
         # recycled while the entry lives.
         self._feature_cache: Dict[Tuple, Tuple] = {}
 
-    @classmethod
+    @staticmethod
     def from_archive(
-        cls,
         archive: Union[str, Path, TraceArchiveReader],
         workers: Optional[int] = None,
         config: Optional[FingerprintConfig] = None,
@@ -202,7 +201,8 @@ class FingerprintAnalyzer:
         setting.
 
         Returns ``(analyzer, datasets)`` with datasets keyed by
-        ``(domain, quantity)``.
+        ``(domain, quantity)``; the analyzer is a plain
+        :class:`FingerprintAnalyzer` even when called on a subclass.
         """
         if not isinstance(archive, TraceArchiveReader):
             archive = TraceArchiveReader(archive, mmap=mmap)
@@ -211,7 +211,9 @@ class FingerprintAnalyzer:
             config = FingerprintConfig.from_dict(meta["config"])
         if seed is None:
             seed = meta.get("seed", 0)
-        analyzer = cls(config=config, seed=seed, workers=workers)
+        analyzer = FingerprintAnalyzer(
+            config=config, seed=seed, workers=workers
+        )
         return analyzer, archive.load_datasets()
 
     def _workers(self, workers: Optional[int]) -> Optional[int]:
@@ -484,48 +486,40 @@ class FingerprintAnalyzer:
         return monitor_chunks(analyzer, chunks)
 
 
-class DnnFingerprinter:
+class DnnFingerprinter(FingerprintAnalyzer):
     """Mounts the fingerprinting attack end to end on one session.
 
-    Owns the acquisition plane (victim serving runs + trace recording
-    on an :class:`~repro.session.AttackSession`) and delegates every
-    evaluation call to an embedded :class:`FingerprintAnalyzer`, so
-    the in-process workflow keeps its one-object API while the
-    two-machine workflow records with this class and analyzes with the
-    analyzer alone.
+    A :class:`FingerprintAnalyzer` that also records: it triggers
+    victim serving runs on the session's SoC and records them through
+    the session's sampler (the acquisition plane), then trains and
+    evaluates with the inherited analysis methods.  The in-process
+    workflow is this one object; the two-machine workflow records with
+    this class and analyzes with a :class:`FingerprintAnalyzer` alone.
 
     Args:
-        soc / runner / sampler / config / seed: as before; ``session``
-            supersedes ``soc``/``sampler`` (they remain for
-            compatibility and must belong to the session if both are
-            given).
-        workers: default worker count for the evaluation stages.
+        session: the attacker's foothold (default: a fresh
+            :meth:`~repro.session.AttackSession.create`); its seed keys
+            the victim runs, forest fitting and CV splits.
+        runner: the DPU serving the victims (default: a fresh
+            :class:`~repro.dpu.runner.DpuRunner`).
+        config / workers: as for :class:`FingerprintAnalyzer`.
     """
 
     def __init__(
         self,
-        soc: Optional[Soc] = None,
-        runner: Optional[DpuRunner] = None,
-        sampler: Optional[HwmonSampler] = None,
-        config: FingerprintConfig = None,
-        seed: Optional[int] = 0,
-        workers: Optional[int] = None,
         session=None,
-        board=None,
+        runner: Optional[DpuRunner] = None,
+        config: Optional[FingerprintConfig] = None,
+        workers: Optional[int] = None,
     ):
-        from repro.session import resolve_session
+        if session is None:
+            from repro.session import AttackSession
 
-        self.session = resolve_session(
-            session, soc=soc, sampler=sampler, board=board, seed=seed
-        )
+            session = AttackSession.create()
+        super().__init__(config=config, seed=session.seed, workers=workers)
+        self.session = session
         self.runner = runner if runner is not None else DpuRunner()
-        self.analyzer = FingerprintAnalyzer(
-            config=config, seed=self.session.seed, workers=workers
-        )
         self._clock = 1.0  # virtual experiment time, advanced per run
-
-    # Acquisition state lives on the session; analysis knobs on the
-    # analyzer.  These properties keep the original one-object API.
 
     @property
     def soc(self) -> Soc:
@@ -534,18 +528,6 @@ class DnnFingerprinter:
     @property
     def sampler(self) -> HwmonSampler:
         return self.session.sampler
-
-    @property
-    def seed(self) -> Optional[int]:
-        return self.session.seed
-
-    @property
-    def config(self) -> FingerprintConfig:
-        return self.analyzer.config
-
-    @property
-    def workers(self) -> Optional[int]:
-        return self.analyzer.workers
 
     # ---------------------------------------------------- collection
 
@@ -692,41 +674,3 @@ class DnnFingerprinter:
                         }
                     )
         return datasets
-
-    # ------------------------------------------- delegated evaluation
-
-    def _features(self, dataset: TraceSet, duration: Optional[float]):
-        """See :meth:`FingerprintAnalyzer._features`."""
-        return self.analyzer._features(dataset, duration)
-
-    def evaluate_channel(self, *args, **kwargs) -> CrossValidationResult:
-        """See :meth:`FingerprintAnalyzer.evaluate_channel`."""
-        return self.analyzer.evaluate_channel(*args, **kwargs)
-
-    def evaluate_table3(self, *args, **kwargs):
-        """See :meth:`FingerprintAnalyzer.evaluate_table3`."""
-        return self.analyzer.evaluate_table3(*args, **kwargs)
-
-    def evaluate_fused(self, *args, **kwargs) -> CrossValidationResult:
-        """See :meth:`FingerprintAnalyzer.evaluate_fused`."""
-        return self.analyzer.evaluate_fused(*args, **kwargs)
-
-    def evaluate_fused_degraded(self, *args, **kwargs) -> Dict:
-        """See :meth:`FingerprintAnalyzer.evaluate_fused_degraded`."""
-        return self.analyzer.evaluate_fused_degraded(*args, **kwargs)
-
-    def train(self, dataset: TraceSet) -> RandomForestClassifier:
-        """See :meth:`FingerprintAnalyzer.train`."""
-        return self.analyzer.train(dataset)
-
-    def train_all(self, *args, **kwargs):
-        """See :meth:`FingerprintAnalyzer.train_all`."""
-        return self.analyzer.train_all(*args, **kwargs)
-
-    def classify(self, classifier, trace: Trace) -> str:
-        """See :meth:`FingerprintAnalyzer.classify`."""
-        return self.analyzer.classify(classifier, trace)
-
-    def classify_topk(self, classifier, trace: Trace, k: int = 5):
-        """See :meth:`FingerprintAnalyzer.classify_topk`."""
-        return self.analyzer.classify_topk(classifier, trace, k=k)

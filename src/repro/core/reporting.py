@@ -98,7 +98,9 @@ def generate_report(
 
     # Fig 2.
     sweep = characterize(
-        samples_per_level=samples_per_level, seed=seed, board=board
+        AttackSession.create(board=board, seed=seed),
+        samples_per_level=samples_per_level,
+        seed=seed,
     )
     report.section("Fig 2 — channel characterization")
     report.table(
@@ -128,9 +130,10 @@ def generate_report(
     config = FingerprintConfig(
         duration=5.0, traces_per_model=8, n_folds=4, forest_trees=20
     )
-    fingerprint_session = AttackSession.create(board=board, seed=seed)
     fingerprinter = DnnFingerprinter(
-        session=fingerprint_session, config=config, workers=workers
+        AttackSession.create(board=board, seed=seed),
+        config=config,
+        workers=workers,
     )
     datasets = fingerprinter.collect_datasets(
         models=fingerprint_models,
@@ -147,7 +150,9 @@ def generate_report(
     report.table(("channel", "top-1", "top-5"), rows)
 
     # Fig 4.
-    attack = RsaHammingWeightAttack(seed=seed, board=board)
+    attack = RsaHammingWeightAttack(
+        AttackSession.create(board=board, seed=seed)
+    )
     current = attack.sweep(n_samples=rsa_samples)
     power = attack.sweep(quantity="power", n_samples=rsa_samples)
     report.section("Fig 4 — RSA Hamming weight")

@@ -145,30 +145,24 @@ class RsaHammingWeightAttack:
     """Mounts the Fig 4 experiment on a simulated SoC.
 
     Args:
-        soc: the platform (default: the session's seeded board).
-        sampler: the polling loop (default: the session's sampler).
+        session: the attacker's foothold; its SoC hosts the victim, its
+            sampler polls it, and its seed keys key construction and
+            the victim's plaintext (default: a fresh
+            :meth:`~repro.session.AttackSession.create`).
         sampling_hz: poll rate (paper: 1 kHz — far above the 35 ms
             sensor refresh, so readings repeat in runs of ~35).
-        seed: keys key construction and the victim's plaintext.
-        session: acquisition session superseding ``soc``/``sampler``.
-        board: board name when no session/soc is given (Table I
-            catalog; default ZCU102).
     """
 
     def __init__(
         self,
-        soc: Optional[Soc] = None,
-        sampler: Optional[HwmonSampler] = None,
-        sampling_hz: float = 1000.0,
-        seed: Optional[int] = 0,
         session=None,
-        board=None,
+        sampling_hz: float = 1000.0,
     ):
-        from repro.session import resolve_session
+        if session is None:
+            from repro.session import AttackSession
 
-        self.session = resolve_session(
-            session, soc=soc, sampler=sampler, board=board, seed=seed
-        )
+            session = AttackSession.create()
+        self.session = session
         self.sampling_hz = require_positive(sampling_hz, "sampling_hz")
         self.modulus = random_modulus(seed=self.seed)
         self._clock = 1.0

@@ -1,6 +1,6 @@
 """Runtime configuration knobs for the evaluation engine.
 
-The library reads three environment variables, all resolved here and
+The library reads two environment variables, both resolved here and
 nowhere else (README's "Environment knobs" table documents them):
 
 * ``AMPEREBLEED_WORKERS`` — via :func:`resolve_workers`.  Every
@@ -12,9 +12,6 @@ nowhere else (README's "Environment knobs" table documents them):
   available CPU".  The resolution never exceeds what the scheduler
   actually grants this process (cgroup CPU masks on shared boxes), so
   asking for 16 workers on a 4-core container fans out 4 wide.
-* ``AMPEREBLEED_FULL`` — via :func:`full_scale`.  Opt-in to
-  paper-scale benchmark configurations (10 k samples per level,
-  100-tree forests, 10-fold CV) instead of the minutes-range defaults.
 * ``AMPEREBLEED_FAULT_RATE`` — via :func:`fault_rate_from_env`.  A
   rate in [0, 1] that arms :meth:`repro.faults.FaultPlan.at_rate` on
   every session built without an explicit ``faults=`` argument (unset
@@ -29,25 +26,11 @@ from typing import Optional
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "AMPEREBLEED_WORKERS"
 
-#: Environment variable opting benches into full paper scale.
-FULL_ENV = "AMPEREBLEED_FULL"
-
 #: Environment variable arming a default fault-injection rate.
 FAULT_RATE_ENV = "AMPEREBLEED_FAULT_RATE"
 
 #: Hard cap: more workers than this is always a configuration mistake.
 MAX_WORKERS = 256
-
-
-def full_scale() -> bool:
-    """True when paper-scale benchmark runs are requested.
-
-    Reads ``AMPEREBLEED_FULL``; any of ``1``/``true``/``yes``/``on``
-    (case-insensitive) enables full scale.
-    """
-    return os.environ.get(FULL_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 def fault_rate_from_env() -> float:

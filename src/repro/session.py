@@ -8,12 +8,12 @@ owner of the *device side* of that split — the board spec, the
 simulated SoC, the unprivileged sampler, and the channel registry —
 with one seed-derivation policy shared by every pipeline.
 
-Before this module existed, each pipeline (`characterize`,
-`DnnFingerprinter`, `RsaHammingWeightAttack`, `CovertChannel`,
-`AttackCampaign`) privately built its own ``Soc("ZCU102", seed=...)``
-with subtly different ``None`` handling; now they all accept a
-``session=`` and fall back to :func:`AttackSession.create` with the
-same normalization.
+Every pipeline (`characterize`, `DnnFingerprinter`,
+`RsaHammingWeightAttack`, `CovertChannel`, `AttackCampaign`) takes a
+session as its first argument and is built from nothing else: wrap an
+existing SoC with ``AttackSession(soc, sampler=..., seed=...)`` or
+start on a fresh board with :meth:`AttackSession.create`, which is
+also what a pipeline builds when given no session.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_BOARD",
     "AttackSession",
     "normalize_seed",
-    "resolve_session",
 ]
 
 #: Default board: the paper's experimental machine.
@@ -47,9 +46,9 @@ class AttackSession:
         seed: session seed (``None`` normalizes to 0 — see
             :func:`normalize_seed`).
 
-    All attack pipelines accept a session so several of them can share
-    one foothold (same SoC, same noise streams) — exactly what one
-    malicious process on the real board would have.
+    Every attack pipeline is built from a session, so several of them
+    can share one foothold (same SoC, same noise streams) — exactly
+    what one malicious process on the real board would have.
     """
 
     def __init__(
@@ -275,31 +274,3 @@ class AttackSession:
             f"{len(self.domains())} domains)"
         )
 
-
-def resolve_session(
-    session: Optional[AttackSession],
-    soc: Optional[Soc] = None,
-    sampler: Optional[HwmonSampler] = None,
-    board=None,
-    seed: Optional[int] = 0,
-) -> AttackSession:
-    """The shared constructor shim for pipelines.
-
-    Pipelines accept ``session=`` (preferred), or legacy ``soc=`` /
-    ``sampler=`` parts, or nothing at all; this resolves the three
-    spellings into one :class:`AttackSession` with the library seed
-    policy applied.
-    """
-    if session is not None:
-        if soc is not None and soc is not session.soc:
-            raise ValueError("pass either session or soc, not both")
-        if sampler is not None and sampler is not session.sampler:
-            raise ValueError("pass either session or sampler, not both")
-        return session
-    if soc is not None:
-        return AttackSession(soc, sampler=sampler, seed=seed)
-    if sampler is not None:
-        return AttackSession(sampler.soc, sampler=sampler, seed=seed)
-    return AttackSession.create(
-        board=DEFAULT_BOARD if board is None else board, seed=seed
-    )

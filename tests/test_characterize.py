@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.characterize import CHANNEL_LSBS, characterize
 from repro.fpga.power_virus import PowerVirusArray
+from repro.session import AttackSession
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +76,18 @@ class TestSweepOptions:
         assert result.current.means[2] > result.current.means[0]
 
     def test_seeded_reproducibility(self):
-        a = characterize(samples_per_level=50,
-                         levels=np.array([0, 160]), seed=3)
-        b = characterize(samples_per_level=50,
-                         levels=np.array([0, 160]), seed=3)
+        a = characterize(
+            AttackSession.create(seed=3),
+            samples_per_level=50,
+            levels=np.array([0, 160]),
+            seed=3,
+        )
+        b = characterize(
+            AttackSession.create(seed=3),
+            samples_per_level=50,
+            levels=np.array([0, 160]),
+            seed=3,
+        )
         np.testing.assert_allclose(a.current.means, b.current.means)
 
     def test_small_virus_array(self):

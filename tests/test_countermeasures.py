@@ -11,6 +11,7 @@ from repro.core.countermeasures import (
     rate_limited,
 )
 from repro.sensors.hwmon import HwmonPermissionError
+from repro.session import AttackSession
 from repro.soc import ConstantActivity, Soc
 
 
@@ -108,7 +109,7 @@ class TestHardenedSoc:
         from repro.core.rsa_attack import RsaHammingWeightAttack
 
         hardened_soc = Soc("ZCU102", seed=0, hardening=dithered(60.0, seed=9))
-        noisy = RsaHammingWeightAttack(soc=hardened_soc, seed=0)
+        noisy = RsaHammingWeightAttack(AttackSession(hardened_soc))
         weights = (1, 128, 256, 384, 512)
         sweep = noisy.sweep(weights=weights, n_samples=4000)
         assert np.all(np.diff(sweep.medians) > 0)
@@ -120,7 +121,7 @@ class TestHardenedSoc:
         from repro.core.rsa_attack import RsaHammingWeightAttack
 
         hardened_soc = Soc("ZCU102", seed=0, hardening=coarsened(256))
-        attack = RsaHammingWeightAttack(soc=hardened_soc, seed=0)
+        attack = RsaHammingWeightAttack(AttackSession(hardened_soc))
         weights = (1, 128, 256, 384, 512)
         sweep = attack.sweep(weights=weights, n_samples=2000)
         assert sweep.distinguishable_groups(min_gap=1.0) < len(weights)

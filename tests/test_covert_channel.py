@@ -9,6 +9,7 @@ from repro.core.covert_channel import (
     CovertChannel,
     PowerCovertSender,
 )
+from repro.session import AttackSession
 
 
 class TestSender:
@@ -54,7 +55,7 @@ class TestChannelReport:
 
 class TestEndToEnd:
     def test_slow_rate_is_error_free(self):
-        channel = CovertChannel(seed=0)
+        channel = CovertChannel()
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=48)
         report = channel.transmit(bits, bit_period=0.2)
@@ -62,7 +63,7 @@ class TestEndToEnd:
         np.testing.assert_array_equal(report.received, report.sent)
 
     def test_rate_near_update_interval_degrades(self):
-        channel = CovertChannel(seed=0)
+        channel = CovertChannel()
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=48)
         fast = channel.transmit(bits, bit_period=0.04)
@@ -70,14 +71,14 @@ class TestEndToEnd:
         assert fast.bit_error_rate >= slow.bit_error_rate
 
     def test_channel_cleans_up_rail(self):
-        channel = CovertChannel(seed=0)
+        channel = CovertChannel()
         channel.transmit([1, 0, 1], bit_period=0.1)
         assert "covert-sender" not in (
             channel.soc.rail("fpga").workload_names
         )
 
     def test_capacity_sweep_shapes(self):
-        channel = CovertChannel(seed=0)
+        channel = CovertChannel()
         reports = channel.capacity_sweep(
             bit_periods=[0.3, 0.1], n_bits=16, seed=3
         )
@@ -85,16 +86,18 @@ class TestEndToEnd:
         assert reports[0].raw_throughput_bps < reports[1].raw_throughput_bps
 
     def test_deterministic_with_seed(self):
-        a = CovertChannel(seed=5).transmit([1, 0, 1, 1], bit_period=0.15)
-        b = CovertChannel(seed=5).transmit([1, 0, 1, 1], bit_period=0.15)
+        a = CovertChannel(
+            AttackSession.create(seed=5)
+        ).transmit([1, 0, 1, 1], bit_period=0.15)
+        b = CovertChannel(
+            AttackSession.create(seed=5)
+        ).transmit([1, 0, 1, 1], bit_period=0.15)
         assert a.received == b.received
 
     def test_weak_sender_fails(self):
         # A 15 mW load cannot clear the rail's ambient noise reliably
         # at high signaling rates — BER should be clearly nonzero.
-        channel = CovertChannel(
-            seed=0, sender=PowerCovertSender(p_high=0.015, p_low=0.0)
-        )
+        channel = CovertChannel(sender=PowerCovertSender(p_high=0.015, p_low=0.0))
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=64)
         report = channel.transmit(bits, bit_period=0.05)

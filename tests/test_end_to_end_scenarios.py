@@ -13,6 +13,7 @@ from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.core.covert_channel import CovertChannel
 from repro.core.sampler import HwmonSampler
+from repro.session import AttackSession
 from repro.soc import Soc
 
 
@@ -22,7 +23,7 @@ class TestSequentialAttacks:
         config = FingerprintConfig(
             duration=2.0, traces_per_model=4, n_folds=2, forest_trees=8
         )
-        fingerprinter = DnnFingerprinter(soc=soc, config=config, seed=7)
+        fingerprinter = DnnFingerprinter(AttackSession(soc, seed=7), config=config)
         datasets = fingerprinter.collect_datasets(
             models=["resnet-50", "vgg-19", "squeezenet-1.1"],
             channels=[("fpga", "current")],
@@ -37,7 +38,7 @@ class TestSequentialAttacks:
 
         # ...so the RSA phase starts from a quiet platform.  Its clock
         # must not collide with the fingerprinting windows.
-        attack = RsaHammingWeightAttack(soc=soc, seed=7)
+        attack = RsaHammingWeightAttack(AttackSession(soc, seed=7))
         attack._clock = fingerprinter._clock + 1.0
         sweep = attack.sweep(weights=(1, 512, 1024), n_samples=1200)
         assert sweep.distinguishable_groups() == 3
@@ -45,10 +46,10 @@ class TestSequentialAttacks:
 
     def test_covert_channel_after_attacks(self):
         soc = Soc("ZCU102", seed=9)
-        attack = RsaHammingWeightAttack(soc=soc, seed=9)
+        attack = RsaHammingWeightAttack(AttackSession(soc, seed=9))
         attack.sweep(weights=(1, 1024), n_samples=800)
 
-        channel = CovertChannel(soc=soc, seed=9)
+        channel = CovertChannel(AttackSession(soc, seed=9))
         channel._clock = attack._clock + 1.0
         rng = np.random.default_rng(0)
         report = channel.transmit(
@@ -63,7 +64,7 @@ class TestSequentialAttacks:
             "fpga", "current", start=0.5, duration=1.0
         ).values.mean()
 
-        attack = RsaHammingWeightAttack(soc=soc, seed=11)
+        attack = RsaHammingWeightAttack(AttackSession(soc, seed=11))
         attack._clock = 10.0
         attack.sweep(weights=(1, 1024), n_samples=600)
 
@@ -94,10 +95,10 @@ class TestSequentialAttacks:
 class TestClockHygiene:
     def test_fingerprinter_windows_monotone(self):
         fingerprinter = DnnFingerprinter(
+            AttackSession.create(seed=2),
             config=FingerprintConfig(
                 duration=1.0, traces_per_model=2, n_folds=2, forest_trees=4
             ),
-            seed=2,
         )
         starts = [fingerprinter._next_window() for _ in range(10)]
         assert all(b > a for a, b in zip(starts, starts[1:]))
@@ -105,7 +106,7 @@ class TestClockHygiene:
         assert np.all(gaps >= 1.0)  # at least the trace duration apart
 
     def test_rsa_clock_advances_past_each_session(self):
-        attack = RsaHammingWeightAttack(seed=3)
+        attack = RsaHammingWeightAttack(AttackSession.create(seed=3))
         clock_before = attack._clock
         attack.profile_key(attack.make_circuit(64), n_samples=500)
         expected = 500 / attack.sampling_hz

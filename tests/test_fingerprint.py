@@ -21,7 +21,7 @@ def fingerprinter():
     config = FingerprintConfig(
         duration=3.0, traces_per_model=6, n_folds=3, forest_trees=12
     )
-    return DnnFingerprinter(config=config, seed=0)
+    return DnnFingerprinter(config=config)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestEvaluation:
     def test_table3_drops_each_channels_forests_once_scored(
         self, fingerprinter, datasets, monkeypatch
     ):
-        analyzer = fingerprinter.analyzer
+        analyzer = fingerprinter
         durations = (1.0, 3.0)
         per_channel = len(durations) * analyzer.config.n_folds
         factory = analyzer._forest_factory()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
+from repro.session import AttackSession
 
 MODELS = ["mobilenet-v1-1.0", "resnet-50", "vgg-19", "inception-v3",
           "squeezenet-1.1"]
@@ -18,7 +19,7 @@ def fingerprinter():
     config = FingerprintConfig(
         duration=3.0, traces_per_model=6, n_folds=3, forest_trees=12
     )
-    return DnnFingerprinter(config=config, seed=3)
+    return DnnFingerprinter(AttackSession.create(seed=3), config=config)
 
 
 @pytest.fixture(scope="module")

@@ -88,7 +88,7 @@ class TestPairwiseTvla:
         # key pair exceeds the 4.5 threshold on the current channel.
         from repro.core.rsa_attack import RsaHammingWeightAttack
 
-        attack = RsaHammingWeightAttack(seed=0)
+        attack = RsaHammingWeightAttack()
         sweep = attack.sweep(weights=(1, 128, 256, 384), n_samples=2500)
         groups = [profile.values for profile in sweep.profiles]
         statistics = pairwise_tvla(groups)

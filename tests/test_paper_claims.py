@@ -116,7 +116,7 @@ class TestSection4Claims:
         """'the attacker can use the FPGA current measurements to infer
         the Hamming weights' / 'power measurements could only
         categorize the 17 keys into 5 groups.'"""
-        attack = RsaHammingWeightAttack(seed=0)
+        attack = RsaHammingWeightAttack()
         current = attack.sweep(n_samples=4000)
         power = attack.sweep(quantity="power", n_samples=4000)
         assert current.distinguishable_groups() == 17
@@ -125,7 +125,7 @@ class TestSection4Claims:
     def test_rsa_circuit_at_100mhz(self):
         """'we follow Zhao et al. to implement an RSA-1024 circuit ...
         and modify it to operate at 100 MHz.'"""
-        attack = RsaHammingWeightAttack(seed=0)
+        attack = RsaHammingWeightAttack()
         circuit = attack.make_circuit(64)
         assert circuit.clock_hz == pytest.approx(100e6)
         assert circuit.width == 1024

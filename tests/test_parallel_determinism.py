@@ -31,6 +31,7 @@ from repro.ml.validation import cross_validate
 from repro.perf.config import FAULT_RATE_ENV
 from repro.perf.pool import shutdown_pool
 from repro.sensors.hwmon import HwmonLookupError, HwmonTransientError
+from repro.session import AttackSession
 from repro.soc.soc import QUANTITY_ATTRS, Soc
 
 REPO = Path(__file__).resolve().parents[1]
@@ -401,8 +402,8 @@ class TestPipelineDeterminism:
 
     def test_grid_parallel_matches_serial(self, config):
         models = ["resnet-50", "vgg-19", "inception-v1"]
-        serial_fp = DnnFingerprinter(config=config, seed=0)
-        parallel_fp = DnnFingerprinter(config=config, seed=0)
+        serial_fp = DnnFingerprinter(config=config)
+        parallel_fp = DnnFingerprinter(config=config)
         channels = [("fpga", "current"), ("fpga", "power")]
         serial_sets = serial_fp.collect_datasets(
             models=models, channels=channels
@@ -423,7 +424,7 @@ class TestPipelineDeterminism:
             assert serial[cell].top5_per_fold == parallel[cell].top5_per_fold
 
     def test_grid_matches_evaluate_channel(self, config):
-        fp = DnnFingerprinter(config=config, seed=1)
+        fp = DnnFingerprinter(AttackSession.create(seed=1), config=config)
         datasets = fp.collect_datasets(
             models=["resnet-50", "vgg-19", "squeezenet-1.0"],
             channels=[("fpga", "current")],
@@ -437,7 +438,7 @@ class TestPipelineDeterminism:
         assert cell.top5_per_fold == single.top5_per_fold
 
     def test_train_all_matches_train(self, config):
-        fp = DnnFingerprinter(config=config, seed=2)
+        fp = DnnFingerprinter(AttackSession.create(seed=2), config=config)
         datasets = fp.collect_datasets(
             models=["resnet-50", "vgg-19"],
             channels=[("fpga", "current"), ("ddr", "current")],
@@ -483,7 +484,7 @@ class TestWindowReservation:
         config = FingerprintConfig(
             duration=1.0, traces_per_model=2, n_folds=2, forest_trees=2
         )
-        fp = DnnFingerprinter(config=config, seed=0)
+        fp = DnnFingerprinter(config=config)
         starts = [fp._next_window() for _ in range(200)]
         # Windows come back in order, each disjoint from the next.
         spacing = np.diff(np.asarray(starts))
@@ -493,7 +494,7 @@ class TestWindowReservation:
         config = FingerprintConfig(
             duration=2.0, traces_per_model=4, n_folds=2, forest_trees=2
         )
-        fp = DnnFingerprinter(config=config, seed=0)
+        fp = DnnFingerprinter(config=config)
         datasets = fp.collect_datasets(
             models=["resnet-50", "vgg-19"], channels=[("fpga", "current")]
         )

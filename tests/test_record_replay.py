@@ -14,6 +14,7 @@ from repro.core.fingerprint import (
 )
 from repro.core.io import TraceArchiveReader, TraceArchiveWriter
 from repro.core.rsa_attack import RsaHammingWeightAttack, sweep_from_traces
+from repro.session import AttackSession
 
 MODELS = ["resnet-50", "vgg-19", "squeezenet-1.1"]
 CONFIG = FingerprintConfig(
@@ -25,7 +26,7 @@ CHANNELS = [("fpga", "current"), ("fpga", "voltage")]
 class TestFingerprintRoundTrip:
     def test_archive_evaluation_is_bit_identical(self, tmp_path):
         # In-process: collect and evaluate in one object.
-        live = DnnFingerprinter(config=CONFIG, seed=11)
+        live = DnnFingerprinter(AttackSession.create(seed=11), config=CONFIG)
         datasets = live.collect_datasets(models=MODELS, channels=CHANNELS)
         expected = {
             channel: live.evaluate_channel(dataset)
@@ -33,7 +34,7 @@ class TestFingerprintRoundTrip:
         }
 
         # Two-plane: a second identical session records to disk...
-        recorder = DnnFingerprinter(config=CONFIG, seed=11)
+        recorder = DnnFingerprinter(AttackSession.create(seed=11), config=CONFIG)
         with TraceArchiveWriter(
             tmp_path / "arch", meta=recorder.archive_meta(MODELS, CHANNELS)
         ) as writer:
@@ -57,7 +58,7 @@ class TestFingerprintRoundTrip:
             ), f"fold accuracies drifted on {channel}"
 
     def test_sink_streams_while_collecting(self, tmp_path):
-        recorder = DnnFingerprinter(config=CONFIG, seed=1)
+        recorder = DnnFingerprinter(AttackSession.create(seed=1), config=CONFIG)
         with TraceArchiveWriter(tmp_path / "arch") as writer:
             datasets = recorder.collect_datasets(
                 models=MODELS[:2],
@@ -73,7 +74,7 @@ class TestFingerprintRoundTrip:
             assert live.label == disk.label
 
     def test_analyzer_override_for_reanalysis(self, tmp_path):
-        recorder = DnnFingerprinter(config=CONFIG, seed=1)
+        recorder = DnnFingerprinter(AttackSession.create(seed=1), config=CONFIG)
         with TraceArchiveWriter(
             tmp_path / "arch",
             meta=recorder.archive_meta(MODELS[:2], [("fpga", "current")]),
@@ -92,10 +93,10 @@ class TestFingerprintRoundTrip:
 class TestRsaRoundTrip:
     def test_sweep_from_archive_matches_in_process(self, tmp_path):
         weights = [1, 224, 448]
-        live = RsaHammingWeightAttack(seed=4)
+        live = RsaHammingWeightAttack(AttackSession.create(seed=4))
         expected = live.sweep(weights=weights, n_samples=2000)
 
-        recorder = RsaHammingWeightAttack(seed=4)
+        recorder = RsaHammingWeightAttack(AttackSession.create(seed=4))
         with TraceArchiveWriter(
             tmp_path / "arch",
             meta=recorder.archive_meta(weights=weights, n_samples=2000),
@@ -114,7 +115,7 @@ class TestRsaRoundTrip:
         )
 
     def test_mixed_quantities_require_filter(self):
-        attack = RsaHammingWeightAttack(seed=0)
+        attack = RsaHammingWeightAttack()
         traces = attack.collect_sweep(weights=[1, 448], n_samples=500)
         power = attack.collect_sweep(
             weights=[1], quantity="power", n_samples=500
@@ -197,8 +198,6 @@ class TestMemoryBoundedCapture:
     def test_streaming_capture_peak_is_chunk_sized(self, tmp_path):
         # A long capture streamed to an archive holds one chunk at a
         # time: peak resident samples == chunk size << session size.
-        from repro.session import AttackSession
-
         session = AttackSession.create(seed=0)
         stream = session.sampler.stream(
             "fpga", "current", n_samples=20_000, chunk_samples=256

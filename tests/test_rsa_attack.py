@@ -12,7 +12,7 @@ WEIGHT_SUBSET = (1, 256, 512, 768, 1024)
 
 @pytest.fixture(scope="module")
 def attack():
-    return RsaHammingWeightAttack(seed=0)
+    return RsaHammingWeightAttack()
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,23 @@
 
 import pytest
 
+from repro.core.campaign import AttackCampaign
+from repro.core.characterize import characterize
+from repro.core.covert_channel import CovertChannel
+from repro.core.fingerprint import DnnFingerprinter
+from repro.core.rsa_attack import RsaHammingWeightAttack
 from repro.core.sampler import HwmonSampler
-from repro.session import (
-    DEFAULT_BOARD,
-    AttackSession,
-    normalize_seed,
-    resolve_session,
-)
+from repro.session import DEFAULT_BOARD, AttackSession, normalize_seed
 from repro.soc.soc import QUANTITY_ATTRS, Soc
+
+#: Every attack pipeline; each is built from a session and nothing else.
+PIPELINES = (
+    DnnFingerprinter,
+    RsaHammingWeightAttack,
+    CovertChannel,
+    AttackCampaign,
+    characterize,
+)
 
 
 class TestSeedPolicy:
@@ -79,52 +88,73 @@ class TestChannelRegistry:
 
 
 class TestResolveSession:
+    """A pipeline's session is the one passed in, else a default one."""
+
     def test_session_wins(self):
         session = AttackSession.create(seed=2)
-        assert resolve_session(session) is session
+        assert RsaHammingWeightAttack(session).session is session
 
     def test_session_conflicts_rejected(self):
+        # A SoC or sampler can only reach a pipeline inside its session.
         session = AttackSession.create(seed=2)
         other = Soc("ZCU102", seed=3)
-        with pytest.raises(ValueError, match="session or soc"):
-            resolve_session(session, soc=other)
-        with pytest.raises(ValueError, match="session or sampler"):
-            resolve_session(session, sampler=HwmonSampler(other, seed=3))
+        with pytest.raises(TypeError, match="soc"):
+            RsaHammingWeightAttack(session, soc=other)
+        with pytest.raises(TypeError, match="sampler"):
+            RsaHammingWeightAttack(
+                session, sampler=HwmonSampler(other, seed=3)
+            )
 
     def test_wraps_legacy_soc(self):
+        # What a pipeline built from ``soc=, seed=`` now spells out.
         soc = Soc("ZCU102", seed=4)
-        session = resolve_session(None, soc=soc, seed=4)
-        assert session.soc is soc
+        session = AttackSession(soc, seed=4)
+        assert AttackCampaign(session).soc is soc
         assert session.seed == 4
 
     def test_wraps_legacy_sampler(self):
         soc = Soc("ZCU102", seed=4)
         sampler = HwmonSampler(soc, seed=4)
-        session = resolve_session(None, sampler=sampler, seed=4)
-        assert session.sampler is sampler
+        session = AttackSession(soc, sampler=sampler, seed=4)
+        assert RsaHammingWeightAttack(session).sampler is sampler
         assert session.soc is soc
 
     def test_board_shortcut(self):
-        session = resolve_session(None, board="VCK190", seed=1)
-        assert session.board.name == "VCK190"
+        session = AttackSession.create(board="VCK190", seed=1)
+        assert CovertChannel(session).soc.board.name == "VCK190"
 
     def test_default_fallback(self):
-        session = resolve_session(None, seed=None)
-        assert session.board.name == DEFAULT_BOARD
-        assert session.seed == 0
+        for pipeline in (RsaHammingWeightAttack, CovertChannel, AttackCampaign):
+            session = pipeline().session
+            assert session.board.name == DEFAULT_BOARD
+            assert session.seed == 0
 
 
 class TestSharedSession:
     def test_pipelines_share_one_foothold(self):
-        from repro.core.campaign import AttackCampaign
-        from repro.core.fingerprint import DnnFingerprinter
-        from repro.core.rsa_attack import RsaHammingWeightAttack
-
         session = AttackSession.create(seed=9)
-        fingerprinter = DnnFingerprinter(session=session)
-        attack = RsaHammingWeightAttack(session=session)
-        campaign = AttackCampaign(session=session)
+        fingerprinter = DnnFingerprinter(session)
+        attack = RsaHammingWeightAttack(session)
+        campaign = AttackCampaign(session)
         assert fingerprinter.soc is session.soc
         assert attack.sampler is session.sampler
         assert campaign.soc is session.soc
         assert fingerprinter.seed == attack.seed == 9
+
+    @pytest.mark.parametrize(
+        "pipeline,spelling",
+        [
+            (pipeline, spelling)
+            for pipeline in PIPELINES
+            for spelling in ("seed", "board")
+            # characterize keeps ``seed``: it keys the virus/RO streams.
+            if not (pipeline is characterize and spelling == "seed")
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_session_arguments_cannot_be_overridden(self, pipeline, spelling):
+        # The session fixes board and seed; nothing may override them.
+        session = AttackSession.create(seed=1)
+        value = {"seed": 5, "board": "VCK190"}[spelling]
+        with pytest.raises(TypeError, match=spelling):
+            pipeline(session=session, **{spelling: value})

@@ -41,11 +41,11 @@ TRAIN_CONFIG = FingerprintConfig(
 def forest():
     """A small pretrained fingerprint forest over N_MODELS classes."""
     models = list_models()[:N_MODELS]
-    fingerprinter = DnnFingerprinter(config=TRAIN_CONFIG, seed=0)
+    fingerprinter = DnnFingerprinter(config=TRAIN_CONFIG)
     datasets = fingerprinter.collect_datasets(
         models=models, channels=(CHANNEL,)
     )
-    return fingerprinter.analyzer, fingerprinter.train(datasets[CHANNEL])
+    return fingerprinter, fingerprinter.train(datasets[CHANNEL])
 
 
 def _victim_stream(

@@ -147,7 +147,7 @@ class TestStreamingConsumers:
 
     def test_covert_decode_frame_matches_live(self):
         # The archived frame replays to exactly the live receiver bits.
-        channel = CovertChannel(seed=5)
+        channel = CovertChannel(AttackSession.create(seed=5))
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=24)
         recorded = []

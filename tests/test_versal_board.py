@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.boards.versal import VCK190_SENSORS
+from repro.session import AttackSession
 from repro.soc import Soc
 
 
@@ -49,12 +50,12 @@ class TestVck190Soc:
     def test_rsa_attack_runs_on_versal(self, soc):
         from repro.core.rsa_attack import RsaHammingWeightAttack
 
-        attack = RsaHammingWeightAttack(soc=soc, seed=0)
+        attack = RsaHammingWeightAttack(AttackSession(soc))
         sweep = attack.sweep(weights=(1, 512, 1024), n_samples=1500)
         assert sweep.distinguishable_groups() == 3
 
     def test_campaign_recon_finds_versal_sensors(self, soc):
         from repro.core.campaign import AttackCampaign
 
-        report = AttackCampaign(soc, seed=0).recon()
+        report = AttackCampaign(AttackSession(soc)).recon()
         assert set(report.sensitive_paths) == {"fpga", "fpd", "lpd", "ddr"}

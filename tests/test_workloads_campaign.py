@@ -9,6 +9,7 @@ from repro.fpga.workloads import (
     generate_dataset,
     generate_workload,
 )
+from repro.session import AttackSession
 from repro.soc import PiecewiseActivity, Soc
 
 
@@ -85,7 +86,7 @@ class TestCampaign:
         return Soc("ZCU102", seed=5)
 
     def test_recon_finds_all_sensitive_sensors(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         report = campaign.recon()
         assert len(report.devices) == 18
         assert set(report.sensitive_paths) == {"fpga", "fpd", "lpd", "ddr"}
@@ -93,13 +94,13 @@ class TestCampaign:
         assert report.sensitive_paths["fpga"].endswith("curr1_input")
 
     def test_recon_paths_are_pollable(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         report = campaign.recon()
         value = soc.hwmon.read(report.sensitive_paths["fpga"], time=1.0)
         assert int(value) > 0
 
     def test_stakeout_detects_late_victim(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         onset_time = 6.0
         soc.attach_workload(
             "fpga",
@@ -111,13 +112,13 @@ class TestCampaign:
         assert abs(onset - onset_time) < 2.5
 
     def test_stakeout_times_out_on_idle_board(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         found, onset = campaign.wait_for_victim(timeout=6.0)
         assert not found
         assert np.isnan(onset)
 
     def test_full_chain(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         soc.attach_workload(
             "fpga",
             "victim",
@@ -129,16 +130,16 @@ class TestCampaign:
         assert trace.values.mean() > 2500  # the 2.5 W victim is in view
 
     def test_full_chain_fails_without_victim(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         trace = campaign.run(victim_start=0.0, timeout=4.0)
         assert trace is None
 
     def test_record_victim_labels(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         trace = campaign.record_victim(duration=1.0, label="suspect")
         assert trace.label == "suspect"
 
     def test_invalid_timeout(self, soc):
-        campaign = AttackCampaign(soc, seed=5)
+        campaign = AttackCampaign(AttackSession(soc, seed=5))
         with pytest.raises(ValueError):
             campaign.wait_for_victim(timeout=0.0)
