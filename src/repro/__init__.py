@@ -4,8 +4,8 @@ A circuit-free current side-channel attack on ARM-FPGA SoCs, rebuilt on a
 physics-grounded simulation substrate (no hardware required):
 
 * :mod:`repro.boards` — evaluation-board catalog and INA226 sensor maps.
-* :mod:`repro.fpga` — fabric, PDN, power model, power-virus / RO / RSA
-  victim circuits.
+* :mod:`repro.fpga` — fabric, PDN, power-virus / RO / RSA victim
+  circuits.
 * :mod:`repro.sensors` — register-level INA226 model and an in-memory
   hwmon sysfs tree.
 * :mod:`repro.soc` — SoC composition: rails, workload timelines, sampling.

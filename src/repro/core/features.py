@@ -111,56 +111,3 @@ def standardize(matrix: np.ndarray) -> np.ndarray:
     safe = np.where(std > 0, std, 1.0)
     return (matrix - mean) / safe
 
-
-def summary_features(values: np.ndarray) -> np.ndarray:
-    """Compact 8-feature summary per trace.
-
-    Mean / std / min / max / quartiles / mean absolute step — useful
-    for quick demos and as a baseline against the full resampled
-    representation.
-
-    Accepts one trace (1-D, returns shape ``(8,)``) or a batch of
-    equal-length traces (2-D row-per-trace, returns ``(n_traces, 8)``
-    with one summary row per input row, bit-identical to calling the
-    1-D form row by row).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 2:
-        if values.shape[0] == 0 or values.shape[1] == 0:
-            raise ValueError("batch must be non-empty in both dimensions")
-        q1, median, q3 = np.percentile(values, [25, 50, 75], axis=1)
-        if values.shape[1] > 1:
-            mean_step = np.mean(np.abs(np.diff(values, axis=1)), axis=1)
-        else:
-            mean_step = np.zeros(values.shape[0])
-        return np.column_stack(
-            [
-                values.mean(axis=1),
-                values.std(axis=1),
-                values.min(axis=1),
-                values.max(axis=1),
-                q1,
-                median,
-                q3,
-                mean_step,
-            ]
-        )
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a non-empty 1-D array")
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    if values.size > 1:
-        mean_step = float(np.mean(np.abs(np.diff(values))))
-    else:
-        mean_step = 0.0
-    return np.array(
-        [
-            values.mean(),
-            values.std(),
-            values.min(),
-            values.max(),
-            q1,
-            median,
-            q3,
-            mean_step,
-        ]
-    )

@@ -423,11 +423,9 @@ class StreamingAnalyzer:
     Composes the incremental feature extractor, an optional
     :class:`~repro.core.detector.OnsetTracker` and a pretrained
     classifier (anything with ``classes_`` and ``predict_proba``, e.g.
-    the fingerprint forest or an
-    :class:`~repro.ml.streaming.OnlineSoftmaxClassifier`).  Push
-    :class:`Trace` chunks in stream order; every push returns a
-    :class:`MonitorUpdate` with the verdicts and detector events the
-    new samples completed.
+    the fingerprint forest).  Push :class:`Trace` chunks in stream
+    order; every push returns a :class:`MonitorUpdate` with the
+    verdicts and detector events the new samples completed.
     """
 
     def __init__(

@@ -5,7 +5,6 @@ from repro.crypto.rsa_math import (
     RSA_BITS,
     exponent_bits_lsb_first,
     hamming_weight,
-    iter_weight_sweep,
     make_exponent_with_weight,
     paper_key_set,
     random_modulus,
@@ -18,7 +17,6 @@ __all__ = [
     "RSA_BITS",
     "exponent_bits_lsb_first",
     "hamming_weight",
-    "iter_weight_sweep",
     "make_exponent_with_weight",
     "paper_key_set",
     "random_modulus",

@@ -15,7 +15,7 @@ the paper's 17 test keys with Hamming weights {1, 64, 128, ..., 1024}.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -130,12 +130,3 @@ def random_modulus(width: int = RSA_BITS, seed: RngLike = None) -> int:
     value |= 1  # odd
     return value
 
-
-def iter_weight_sweep(
-    weights: Tuple[int, ...] = PAPER_HAMMING_WEIGHTS,
-    width: int = RSA_BITS,
-    seed: RngLike = None,
-) -> Iterator[Tuple[int, int]]:
-    """Yield (weight, exponent) pairs over a Hamming-weight sweep."""
-    for weight in weights:
-        yield weight, make_exponent_with_weight(weight, width, seed)

@@ -1,13 +1,6 @@
-"""FPGA substrate: fabric, power model, PDN, and victim circuits."""
+"""FPGA substrate: fabric, PDN, and victim circuits."""
 
 from repro.fpga.aes import AesCircuit, aes128_encrypt_block, expand_key
-from repro.fpga.bitstream import (
-    Bitstream,
-    BitstreamError,
-    FpgaConfigurator,
-    ProgrammingRecord,
-    SealedSecret,
-)
 from repro.fpga.fabric import (
     RESOURCE_TYPES,
     CircuitSpec,
@@ -24,13 +17,6 @@ from repro.fpga.pdn import (
     transient_vdrop,
     versal_regulator,
     zynq_us_plus_regulator,
-)
-from repro.fpga.power import (
-    DEFAULT_RESOURCE_PROFILES,
-    FabricPowerModel,
-    ResourcePowerProfile,
-    dynamic_power,
-    static_power,
 )
 from repro.fpga.power_virus import PowerVirusArray
 from repro.fpga.ring_osc import RingOscillator, RoSensorBank
@@ -53,11 +39,6 @@ __all__ = [
     "generate_dataset",
     "generate_workload",
     "IsolatedTenantPdn",
-    "Bitstream",
-    "BitstreamError",
-    "FpgaConfigurator",
-    "ProgrammingRecord",
-    "SealedSecret",
     "TdcSensor",
     "RESOURCE_TYPES",
     "CircuitSpec",
@@ -72,11 +53,6 @@ __all__ = [
     "transient_vdrop",
     "versal_regulator",
     "zynq_us_plus_regulator",
-    "DEFAULT_RESOURCE_PROFILES",
-    "FabricPowerModel",
-    "ResourcePowerProfile",
-    "dynamic_power",
-    "static_power",
     "PowerVirusArray",
     "RingOscillator",
     "RoSensorBank",

@@ -4,13 +4,10 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LogisticRegressionClassifier, softmax
 from repro.ml.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.ml.neighbors import KNeighborsClassifier
-from repro.ml.streaming import OnlineSoftmaxClassifier
 from repro.ml.tree import DecisionTreeClassifier, gini_impurity
 from repro.ml.validation import (
     CrossValidationResult,
-    PrequentialResult,
     cross_validate,
-    prequential_evaluate,
     stratified_kfold_indices,
 )
 
@@ -19,9 +16,6 @@ __all__ = [
     "LogisticRegressionClassifier",
     "softmax",
     "KNeighborsClassifier",
-    "OnlineSoftmaxClassifier",
-    "PrequentialResult",
-    "prequential_evaluate",
     "accuracy",
     "confusion_matrix",
     "top_k_accuracy",

@@ -223,76 +223,3 @@ def cross_validate(
     scores = parallel_map(score_fold_batch, batches, workers=workers)
     return collect_cv_result([score for batch in scores for score in batch])
 
-
-@dataclass(frozen=True)
-class PrequentialResult:
-    """Test-then-train scores of an online classifier over a stream.
-
-    Attributes:
-        top1_per_batch: accuracy of each mini-batch, scored *before*
-            the model trained on it.
-        batch_sizes: samples per mini-batch (weights for the mean).
-    """
-
-    top1_per_batch: Tuple[float, ...]
-    batch_sizes: Tuple[int, ...]
-
-    @property
-    def n_samples(self) -> int:
-        """Total samples scored."""
-        return int(sum(self.batch_sizes))
-
-    @property
-    def top1(self) -> float:
-        """Sample-weighted prequential accuracy over the whole stream."""
-        weights = np.asarray(self.batch_sizes, dtype=np.float64)
-        scores = np.asarray(self.top1_per_batch, dtype=np.float64)
-        return float((scores * weights).sum() / weights.sum())
-
-    def __repr__(self) -> str:
-        return (
-            f"PrequentialResult(top1={self.top1:.3f}, "
-            f"batches={len(self.top1_per_batch)}, "
-            f"samples={self.n_samples})"
-        )
-
-
-def prequential_evaluate(
-    classifier,
-    X: np.ndarray,
-    y: np.ndarray,
-    batch_size: int = 1,
-) -> PrequentialResult:
-    """Prequential (test-then-train) evaluation of an online classifier.
-
-    The streaming counterpart of :func:`cross_validate`: feature rows
-    arrive in stream order, each mini-batch is first *scored* against
-    the model state built from everything before it and only then
-    folded in with ``partial_fit`` — so every sample is an honest
-    out-of-sample test and no held-out split is needed.  Deterministic
-    for deterministic classifiers: same (X, y, batch order) → same
-    scores.
-
-    ``classifier`` needs ``predict`` and ``partial_fit`` (e.g.
-    :class:`~repro.ml.streaming.OnlineSoftmaxClassifier`).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must be 1-D with one label per row of X")
-    batch_size = require_int_in_range(
-        batch_size, 1, max(1, X.shape[0]), "batch_size"
-    )
-    scores: List[float] = []
-    sizes: List[int] = []
-    for start in range(0, X.shape[0], batch_size):
-        batch_X = X[start:start + batch_size]
-        batch_y = y[start:start + batch_size]
-        scores.append(accuracy(batch_y, classifier.predict(batch_X)))
-        classifier.partial_fit(batch_X, batch_y)
-        sizes.append(int(batch_y.size))
-    return PrequentialResult(
-        top1_per_batch=tuple(scores), batch_sizes=tuple(sizes)
-    )

@@ -11,15 +11,6 @@ from repro.sensors.hwmon import (
     HwmonTree,
     HwmonValueError,
 )
-from repro.sensors.pmbus import (
-    DIE_ID,
-    MANUFACTURER_ID,
-    I2cBus,
-    I2cError,
-    Ina226RegisterFile,
-    decode_configuration,
-    encode_configuration,
-)
 from repro.sensors.ina226 import (
     AVERAGING_COUNTS,
     BUS_LSB_VOLTS,
@@ -32,13 +23,6 @@ from repro.sensors.ina226 import (
 )
 
 __all__ = [
-    "DIE_ID",
-    "MANUFACTURER_ID",
-    "I2cBus",
-    "I2cError",
-    "Ina226RegisterFile",
-    "decode_configuration",
-    "encode_configuration",
     "MAX_UPDATE_INTERVAL_MS",
     "MIN_UPDATE_INTERVAL_MS",
     "HwmonDevice",

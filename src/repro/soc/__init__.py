@@ -14,7 +14,6 @@ from repro.soc.interference import (
     burst_timeline,
 )
 from repro.soc.rails import PowerRail
-from repro.soc.thermal import ThermalModel
 from repro.soc.soc import (
     DEFAULT_NOISE_PROFILES,
     QUANTITY_ATTRS,
@@ -40,7 +39,6 @@ __all__ = [
     "CpuClusterModel",
     "OndemandGovernor",
     "OperatingPoint",
-    "ThermalModel",
     "PowerRail",
     "DEFAULT_NOISE_PROFILES",
     "QUANTITY_ATTRS",

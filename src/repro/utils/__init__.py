@@ -1,20 +1,6 @@
-"""Shared helpers: SI units, RNG seed discipline, argument validation."""
+"""Shared helpers: RNG seed discipline, argument validation."""
 
 from repro.utils.rng import RngLike, derive_seed, ensure_rng, spawn
-from repro.utils.units import (
-    amps_to_hwmon,
-    clamp,
-    giga,
-    kilo,
-    mega,
-    micro,
-    milli,
-    nano,
-    to_micro,
-    to_milli,
-    volts_to_hwmon,
-    watts_to_hwmon,
-)
 from repro.utils.validation import (
     as_1d_float_array,
     require_in_range,
@@ -30,18 +16,6 @@ __all__ = [
     "derive_seed",
     "ensure_rng",
     "spawn",
-    "amps_to_hwmon",
-    "clamp",
-    "giga",
-    "kilo",
-    "mega",
-    "micro",
-    "milli",
-    "nano",
-    "to_micro",
-    "to_milli",
-    "volts_to_hwmon",
-    "watts_to_hwmon",
     "as_1d_float_array",
     "require_in_range",
     "require_int_in_range",

@@ -12,7 +12,6 @@ replaced implementations live on here, verbatim:
 * :func:`legacy_forest_predict_proba` — the tree-by-tree accumulation
   loop that rebuilt the class-column mapping on every call.
 * :func:`legacy_resample_loop` — one ``np.interp`` call per trace.
-* :func:`legacy_summary_features_loop` — one summary row per call.
 * :func:`legacy_stratified_kfold_indices` — the per-sample
   Python-append fold assembly.
 * :func:`legacy_splitmix64`, :func:`legacy_hashed_uniform` and
@@ -319,14 +318,6 @@ def legacy_resample_loop(
     return np.vstack(
         [resample_values(values, n_features) for values in values_list]
     )
-
-
-def legacy_summary_features_loop(matrix: np.ndarray) -> np.ndarray:
-    """Row-by-row summary features, as 2-D callers had to loop them."""
-    from repro.core.features import summary_features
-
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return np.vstack([summary_features(row) for row in matrix])
 
 
 def legacy_stratified_kfold_indices(

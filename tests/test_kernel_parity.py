@@ -1,9 +1,9 @@
 """Bit-parity pins for the vectorized batch kernels.
 
 Every batch kernel — lockstep CART growth, batched forest prediction,
-grouped trace resampling, 2-D summary features, vectorized stratified
-folds, memory-mapped archive loads — is pinned here against its frozen
-legacy twin in ``tests/reference_kernels.py``, twice over:
+grouped trace resampling, vectorized stratified folds, memory-mapped
+archive loads — is pinned here against its frozen legacy twin in
+``tests/reference_kernels.py``, twice over:
 
 * on the checked-in fixtures (``tests/data/collect_seed3_v1.npz``,
   ``tests/data/traceset_v1.npz``) so the comparison covers real
@@ -26,10 +26,9 @@ from reference_kernels import (
     legacy_forest_predict_proba,
     legacy_resample_loop,
     legacy_stratified_kfold_indices,
-    legacy_summary_features_loop,
 )
 
-from repro.core.features import resample_batch, summary_features
+from repro.core.features import resample_batch
 from repro.core.io import (
     TraceArchiveReader,
     TraceArchiveWriter,
@@ -114,31 +113,6 @@ class TestResampleParity:
     def test_rejects_empty_trace(self):
         with pytest.raises(ValueError):
             resample_batch([np.array([])], 8)
-
-
-# ------------------------------------------------------------- summary
-
-
-class TestSummaryParity:
-    def test_fixture_matrix(self):
-        matrix = _fixture_matrix()
-        old = legacy_summary_features_loop(matrix)
-        new = summary_features(matrix)
-        _assert_bitwise(old, new, "summary fixtures")
-
-    def test_batch_rows_match_single_rows(self):
-        matrix = _fixture_matrix()
-        batch = summary_features(matrix)
-        for i, row in enumerate(matrix):
-            _assert_bitwise(summary_features(row), batch[i], f"row {i}")
-
-    @pytest.mark.parametrize("n_columns", [1, 2, 7, 160])
-    def test_randomized(self, n_columns):
-        rng = ensure_rng(n_columns)
-        matrix = rng.normal(size=(40, n_columns))
-        old = legacy_summary_features_loop(matrix)
-        new = summary_features(matrix)
-        _assert_bitwise(old, new, f"summary {n_columns} columns")
 
 
 # ---------------------------------------------------------------- tree

@@ -175,7 +175,7 @@ class TestTaskErrors:
         classes = sorted(
             set(_repro_exception_classes()), key=lambda cls: cls.__name__
         )
-        assert len(classes) >= 14
+        assert len(classes) >= 12
         for cls in classes:
             error = cls(*_FIELD_ARGS.get(cls.__name__, ("boom",)))
             clone = pickle.loads(pickle.dumps(error))

@@ -1,10 +1,9 @@
 """Unit tests for the incremental streaming pipeline.
 
 Covers the pieces in isolation — window geometry, the incremental
-feature extractor, confidence smoothing, the online classifier, the
-analyzer's event stream and the fault-tolerant monitor loop.  The
-end-to-end batch-vs-stream bit-parity contract lives in
-``test_streaming_parity.py``.
+feature extractor, confidence smoothing, the analyzer's event stream
+and the fault-tolerant monitor loop.  The end-to-end batch-vs-stream
+bit-parity contract lives in ``test_streaming_parity.py``.
 """
 
 import numpy as np
@@ -25,8 +24,6 @@ from repro.core.streaming import (
 from repro.core.detector import OnsetDetector
 from repro.core.sampler import StreamInterrupted
 from repro.core.traces import Trace, TraceQuality
-from repro.ml.streaming import OnlineSoftmaxClassifier
-from repro.ml.validation import prequential_evaluate
 from repro.utils.rng import ensure_rng
 
 pytestmark = pytest.mark.stream
@@ -316,71 +313,6 @@ def test_monitor_chunks_flushes_and_survives_interruption():
 def test_monitor_update_episode_filter():
     update = MonitorUpdate(verdicts=(), events=())
     assert update.episodes == ()
-
-
-# ------------------------------------------------- online classifier
-
-
-def test_online_softmax_validation():
-    with pytest.raises(ValueError):
-        OnlineSoftmaxClassifier(["only"], 4)
-    clf = OnlineSoftmaxClassifier(["b", "a"], 4, seed=1)
-    assert list(clf.classes_) == ["a", "b"]  # np.unique order
-    with pytest.raises(ValueError):
-        clf.partial_fit(np.zeros((2, 4)), np.array(["a", "zzz"]))
-    with pytest.raises(ValueError):
-        clf.partial_fit(np.zeros((2, 3)), np.array(["a", "b"]))
-    with pytest.raises(ValueError):
-        clf.partial_fit(np.zeros((2, 4)), np.array(["a"]))
-
-
-def test_online_softmax_is_seed_deterministic():
-    rng = ensure_rng(11)
-    X = rng.standard_normal((64, 6))
-    y = np.where(X[:, 0] > 0, "pos", "neg")
-    runs = []
-    for _ in range(2):
-        clf = OnlineSoftmaxClassifier(["pos", "neg"], 6, seed=4)
-        for start in range(0, 64, 8):
-            clf.partial_fit(X[start:start + 8], y[start:start + 8])
-        runs.append(clf.predict_proba(X))
-    assert np.max(np.abs(runs[0] - runs[1])) == 0.0
-
-
-def test_online_softmax_learns_a_separable_stream():
-    rng = ensure_rng(2)
-    n = 300
-    X = np.vstack(
-        [
-            rng.standard_normal((n, 8)) + 2.0,
-            rng.standard_normal((n, 8)) - 2.0,
-        ]
-    )
-    y = np.array(["a"] * n + ["b"] * n)
-    order = rng.permutation(2 * n)
-    clf = OnlineSoftmaxClassifier(["a", "b"], 8, seed=0)
-    result = prequential_evaluate(clf, X[order], y[order], batch_size=16)
-    assert result.n_samples == 2 * n
-    assert result.top1 > 0.9
-    # Later batches outperform the cold-start ones.
-    half = len(result.top1_per_batch) // 2
-    assert np.mean(result.top1_per_batch[half:]) >= np.mean(
-        result.top1_per_batch[:half]
-    )
-
-
-def test_prequential_validation():
-    clf = OnlineSoftmaxClassifier(["a", "b"], 4)
-    with pytest.raises(ValueError):
-        prequential_evaluate(clf, np.zeros(4), np.array(["a"]))
-    with pytest.raises(ValueError):
-        prequential_evaluate(
-            clf, np.zeros((4, 4)), np.array(["a", "b"])
-        )
-    with pytest.raises(ValueError):
-        prequential_evaluate(
-            clf, np.zeros((2, 4)), np.array(["a", "b"]), batch_size=0
-        )
 
 
 # ------------------------------------------------------- stream resume

@@ -1,4 +1,4 @@
-"""Tests for the thermal model and the DVFS governor."""
+"""Tests for the DVFS governor and the CPU cluster model."""
 
 import numpy as np
 import pytest
@@ -8,67 +8,6 @@ from repro.soc.dvfs import (
     CpuClusterModel,
     OndemandGovernor,
     )
-from repro.soc.thermal import ThermalModel
-from repro.soc.workload import ConstantActivity, PiecewiseActivity
-
-
-class TestThermalModel:
-    def test_steady_state(self):
-        model = ThermalModel(ambient=45.0, r_thermal=2.0)
-        assert model.steady_state_temperature(5.0) == pytest.approx(55.0)
-
-    def test_step_response_converges(self):
-        model = ThermalModel(ambient=45.0, r_thermal=2.0, tau=30.0)
-        late = model.step_response(np.array([300.0]), power=5.0)[0]
-        assert late == pytest.approx(55.0, abs=0.01)
-
-    def test_step_response_time_constant(self):
-        model = ThermalModel(ambient=40.0, r_thermal=1.0, tau=10.0)
-        at_tau = model.step_response(np.array([10.0]), power=10.0)[0]
-        # One tau reaches ~63% of the rise.
-        assert at_tau == pytest.approx(40.0 + 10.0 * 0.632, abs=0.05)
-
-    def test_before_step_is_ambient(self):
-        model = ThermalModel(ambient=45.0)
-        early = model.step_response(np.array([-1.0]), power=5.0, t_start=0.0)
-        assert early[0] == pytest.approx(45.0)
-
-    def test_timeline_constant_matches_step(self):
-        model = ThermalModel(ambient=45.0, r_thermal=2.0, tau=20.0)
-        times = np.linspace(0.0, 100.0, 21)
-        via_timeline = model.temperature_for_timeline(
-            ConstantActivity(3.0), times, warmup=0.0
-        )
-        via_step = model.step_response(times, power=3.0)
-        np.testing.assert_allclose(via_timeline, via_step, atol=0.2)
-
-    def test_timeline_square_wave_oscillates(self):
-        model = ThermalModel(ambient=45.0, r_thermal=2.0, tau=5.0)
-        wave = PiecewiseActivity([0.0, 30.0, 60.0], [4.0, 0.0], period=60.0)
-        times = np.array([29.0, 59.0, 89.0, 119.0])
-        temps = model.temperature_for_timeline(wave, times)
-        # Hot at the end of the on phase, cooler after the off phase.
-        assert temps[0] > temps[1]
-        assert temps[2] > temps[3]
-
-    def test_leakage_multiplier(self):
-        model = ThermalModel(ambient=45.0, leakage_tc=0.012)
-        np.testing.assert_allclose(
-            model.leakage_multiplier(np.array([45.0, 55.0])), [1.0, 1.12]
-        )
-
-    def test_unsorted_times_rejected(self):
-        model = ThermalModel()
-        with pytest.raises(ValueError):
-            model.temperature_for_timeline(
-                ConstantActivity(1.0), np.array([1.0, 0.5])
-            )
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ThermalModel(tau=0.0)
-        with pytest.raises(ValueError):
-            ThermalModel(r_thermal=-1.0)
 
 
 class TestGovernor:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.features import resample_values, standardize, summary_features
+from repro.core.features import resample_values, standardize
 from repro.core.traces import Trace, TraceSet
 
 
@@ -139,12 +139,3 @@ class TestFeatures:
     def test_standardize_needs_2d(self):
         with pytest.raises(ValueError):
             standardize(np.arange(4.0))
-
-    def test_summary_features_shape(self):
-        features = summary_features(np.arange(50.0))
-        assert features.shape == (8,)
-
-    def test_summary_features_values(self):
-        features = summary_features(np.array([1.0, 2.0, 3.0]))
-        assert features[0] == pytest.approx(2.0)  # mean
-        assert features[7] == pytest.approx(1.0)  # mean abs step
