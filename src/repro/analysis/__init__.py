@@ -10,7 +10,6 @@ from repro.analysis.leakage import (
 from repro.analysis.spectral import (
     SpectralPeak,
     amplitude_spectrum,
-    dominant_frequency,
     estimate_serving_rate,
 )
 from repro.analysis.distributions import (
@@ -37,7 +36,6 @@ __all__ = [
     "welch_t_test",
     "SpectralPeak",
     "amplitude_spectrum",
-    "dominant_frequency",
     "estimate_serving_rate",
     "DistributionSummary",
     "count_groups",

@@ -45,23 +45,6 @@ def amplitude_spectrum(values: np.ndarray, sample_rate: float):
     return frequencies[1:], spectrum[1:]
 
 
-def dominant_frequency(
-    values: np.ndarray, sample_rate: float
-) -> SpectralPeak:
-    """The strongest periodic component of a series."""
-    frequencies, magnitudes = amplitude_spectrum(values, sample_rate)
-    peak_index = int(np.argmax(magnitudes))
-    median = float(np.median(magnitudes))
-    prominence = (
-        magnitudes[peak_index] / median if median > 0 else np.inf
-    )
-    return SpectralPeak(
-        frequency_hz=float(frequencies[peak_index]),
-        magnitude=float(magnitudes[peak_index]),
-        prominence=float(prominence),
-    )
-
-
 def estimate_serving_rate(
     trace: Trace, max_rate_hz: Optional[float] = None
 ) -> SpectralPeak:

@@ -12,10 +12,8 @@ from repro.boards.catalog import (
 from repro.boards.versal import VCK190_SENSORS
 from repro.boards.zcu102 import (
     SENSITIVE_SENSOR_MAP,
-    SENSORS_BY_DESIGNATOR,
     ZCU102_SENSORS,
     SensorSpec,
-    get_sensor,
     sensitive_sensors,
     sensor_map_for,
 )
@@ -29,10 +27,8 @@ __all__ = [
     "get_board",
     "list_boards",
     "SENSITIVE_SENSOR_MAP",
-    "SENSORS_BY_DESIGNATOR",
     "ZCU102_SENSORS",
     "SensorSpec",
-    "get_sensor",
     "sensitive_sensors",
     "sensor_map_for",
     "VCK190_SENSORS",

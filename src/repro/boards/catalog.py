@@ -43,18 +43,6 @@ class BoardSpec:
     dsp_blocks: int = 0
 
     @property
-    def fpga_voltage_nominal(self) -> float:
-        """Mid-band FPGA core voltage in volts."""
-        low, high = self.fpga_voltage_range
-        return (low + high) / 2.0
-
-    @property
-    def fpga_voltage_span(self) -> float:
-        """Width of the regulated voltage band in volts."""
-        low, high = self.fpga_voltage_range
-        return high - low
-
-    @property
     def dram_gib(self) -> int:
         """DRAM capacity in GiB (as marketed)."""
         return int(self.dram_bytes // (1024**3))

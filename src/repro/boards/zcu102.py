@@ -256,10 +256,6 @@ ZCU102_SENSORS: List[SensorSpec] = [
     ),
 ]
 
-SENSORS_BY_DESIGNATOR: Dict[str, SensorSpec] = {
-    sensor.designator: sensor for sensor in ZCU102_SENSORS
-}
-
 #: Domain key -> designator for the four sensitive sensors (Table II).
 SENSITIVE_SENSOR_MAP: Dict[str, str] = {
     sensor.domain: sensor.designator
@@ -304,12 +300,3 @@ def sensor_map_for(
             )
         )
     return padded
-
-
-def get_sensor(designator: str) -> SensorSpec:
-    """Look up a ZCU102 INA226 instance by schematic designator."""
-    key = designator.lower()
-    if key not in SENSORS_BY_DESIGNATOR:
-        available = ", ".join(sorted(SENSORS_BY_DESIGNATOR))
-        raise KeyError(f"unknown sensor {designator!r}; available: {available}")
-    return SENSORS_BY_DESIGNATOR[key]

@@ -6,7 +6,7 @@ intra-package patterns the repo actually uses:
 
 * bare local calls (``helper()`` resolves in the caller's module);
 * alias-resolved dotted calls (``import repro.core.io as cio;
-  cio.save_traceset(...)`` and ``from repro.utils.rng import
+  cio.is_archive_dir(...)`` and ``from repro.utils.rng import
   ensure_rng; ensure_rng(...)``);
 * ``self.method()`` within a class;
 * bound-name method calls (``w = TraceArchiveWriter(...);

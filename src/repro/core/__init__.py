@@ -27,13 +27,9 @@ from repro.core.io import (
     ArchiveError,
     TraceArchiveReader,
     TraceArchiveWriter,
-    load_traceset,
-    open_archive,
-    save_traceset,
 )
 from repro.core.features import resample_values, standardize
 from repro.core.fingerprint import (
-    FAST_CONFIG,
     TABLE3_CHANNELS,
     TABLE3_DURATIONS,
     DnnFingerprinter,
@@ -64,7 +60,6 @@ from repro.core.streaming import (
     StreamingAnalyzer,
     Verdict,
     WindowSpec,
-    batch_window_features,
     monitor_chunks,
     window_feature_matrix,
 )
@@ -92,15 +87,11 @@ __all__ = [
     "ArchiveError",
     "TraceArchiveReader",
     "TraceArchiveWriter",
-    "load_traceset",
-    "open_archive",
-    "save_traceset",
     "ChannelSweep",
     "CharacterizationResult",
     "characterize",
     "resample_values",
     "standardize",
-    "FAST_CONFIG",
     "TABLE3_CHANNELS",
     "TABLE3_DURATIONS",
     "DnnFingerprinter",
@@ -125,7 +116,6 @@ __all__ = [
     "StreamingAnalyzer",
     "Verdict",
     "WindowSpec",
-    "batch_window_features",
     "monitor_chunks",
     "window_feature_matrix",
     "Trace",

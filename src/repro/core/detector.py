@@ -407,22 +407,3 @@ class OnsetDetector:
                 if event.kind == "onset":
                     return True, event.time
         return False, float("nan")
-
-    def trim_to_activity(self, trace: Trace) -> Trace:
-        """The sub-trace spanning first to last detected activity.
-
-        Raises :class:`ValueError` when the trace shows no activity —
-        callers should treat that as "victim never ran".
-        """
-        found = self.episodes(np.asarray(trace.values))
-        if not found:
-            raise ValueError("no victim activity detected in trace")
-        start = found[0].start
-        end = found[-1].end
-        return Trace(
-            times=trace.times[start:end],
-            values=trace.values[start:end],
-            domain=trace.domain,
-            quantity=trace.quantity,
-            label=trace.label,
-        )

@@ -81,13 +81,6 @@ def _score_cells(task) -> List[CrossValidationResult]:
     return [collect_cv_result([next(scores) for _ in cell]) for cell in jobs]
 
 
-def _fit_classifier_job(job):
-    """Pool task: fit one channel's classifier on its full dataset."""
-    classifier, X, y = job
-    classifier.fit(X, y)
-    return classifier
-
-
 @dataclass(frozen=True)
 class FingerprintConfig:
     """Knobs of the fingerprinting experiment.
@@ -134,13 +127,6 @@ class FingerprintConfig:
             key: data[key] for key in cls.__dataclass_fields__ if key in data
         }
         return cls(**known)
-
-
-#: A faster-but-faithful configuration for CI-style runs: fewer trees
-#: and folds (the accuracies are stable well below the paper's 100/10).
-FAST_CONFIG = FingerprintConfig(
-    traces_per_model=10, n_folds=5, forest_trees=30
-)
 
 
 class FingerprintAnalyzer:
@@ -402,26 +388,6 @@ class FingerprintAnalyzer:
         forest.fit(X, y)
         return forest
 
-    def train_all(
-        self,
-        datasets: Dict[Tuple[str, str], TraceSet],
-        workers: Optional[int] = None,
-    ) -> Dict[Tuple[str, str], RandomForestClassifier]:
-        """Offline phase for every channel, fanned out over workers.
-
-        Equivalent to ``{channel: self.train(dataset) for ...}`` — the
-        per-channel forests are identical at any worker count.
-        """
-        channels = list(datasets)
-        jobs = []
-        for channel in channels:
-            X, y = self._features(datasets[channel], None)
-            jobs.append((self._forest_factory()(), X, y))
-        fitted = parallel_map(
-            _fit_classifier_job, jobs, workers=self._workers(workers)
-        )
-        return dict(zip(channels, fitted))
-
     def classify(
         self, classifier: RandomForestClassifier, trace: Trace
     ) -> str:
@@ -443,47 +409,6 @@ class FingerprintAnalyzer:
             [trace.values], self.config.n_features
         )
         return [str(name) for name in classifier.predict_topk(features, k)[0]]
-
-    def classify_stream(
-        self,
-        classifier,
-        chunks: Iterable[Trace],
-        window_samples: int,
-        hop_samples: Optional[int] = None,
-        *,
-        top_k: int = 5,
-        smoothing: float = 1.0,
-        detector=None,
-    ):
-        """Live counterpart of :meth:`classify`: verdicts per window.
-
-        Runs a pretrained classifier (the forest, or any model with
-        ``classes_``/``predict_proba``) over a chunk stream through a
-        :class:`~repro.core.streaming.StreamingAnalyzer`, yielding one
-        :class:`~repro.core.streaming.MonitorUpdate` per chunk plus a
-        final flush.  With ``window_samples`` equal to a full trace
-        length and ``smoothing=1.0``, the top-k labels of each verdict
-        are bit-identical to :meth:`classify_topk` on the assembled
-        trace — the parity the streaming test suite pins.
-        """
-        from repro.core.streaming import (
-            StreamingAnalyzer,
-            WindowSpec,
-            monitor_chunks,
-        )
-
-        analyzer = StreamingAnalyzer(
-            classifier,
-            WindowSpec(
-                window_samples,
-                window_samples if hop_samples is None else hop_samples,
-            ),
-            self.config.n_features,
-            top_k=top_k,
-            smoothing=smoothing,
-            detector=detector,
-        )
-        return monitor_chunks(analyzer, chunks)
 
 
 class DnnFingerprinter(FingerprintAnalyzer):

@@ -2,18 +2,13 @@
 
 The offline fingerprinting phase is collect-once / analyze-anywhere:
 traces recorded on the device get archived and shipped to the analysis
-machine.  Two formats are supported:
-
-* **v1** — one compressed ``.npz`` with a JSON header and every trace
-  resident; written by :func:`save_traceset`, loaded bit-exactly by
-  :func:`load_traceset`.  Kept for existing archives.
-* **v3** — a directory archive (:class:`TraceArchiveWriter` /
-  :class:`TraceArchiveReader`): an append-only ``manifest.jsonl``
-  plus append-only ``segment_NNNNNN.bin`` files, so a recording
-  session can stream to disk as it polls and an analysis process can
-  replay chunk-by-chunk without materializing the capture.  Long
-  captures may be split across parts (``trace_id`` + ``part``) and
-  reassemble bit-exactly on load.
+machine in one format, the v3 directory archive
+(:class:`TraceArchiveWriter` / :class:`TraceArchiveReader`): an
+append-only ``manifest.jsonl`` plus append-only
+``segment_NNNNNN.bin`` files, so a recording session can stream to
+disk as it polls and an analysis process can replay chunk-by-chunk
+without materializing the capture.  Long captures may be split across
+parts (``trace_id`` + ``part``) and reassemble bit-exactly on load.
 
 A v3 chunk is its raw ``times`` (``<f8``) bytes followed by its raw
 ``values`` bytes, appended to the current segment; its manifest entry
@@ -25,7 +20,7 @@ only on chunk sizes.  Copying reads check the checksum; with
 ``mmap=True`` (:class:`TraceArchiveReader`) each segment is mapped
 once and chunks are read-only views into it.
 
-Readings are integers and timestamps float64; both formats round-trip
+Readings are integers and timestamps float64; both round-trip
 bit-exactly.
 """
 
@@ -33,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import zipfile
 import zlib
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -42,11 +36,8 @@ import numpy as np
 
 from repro.core.traces import Trace, TraceQuality, TraceSet
 
-#: Latest archive format version.
+#: Archive format version.
 FORMAT_VERSION = 3
-
-#: The ``.npz`` single-file format written by :func:`save_traceset`.
-V1_FORMAT_VERSION = 1
 
 #: Manifest file name inside a v3 archive directory.
 MANIFEST_NAME = "manifest.jsonl"
@@ -77,82 +68,6 @@ class ArchiveCorruptError(ArchiveError):
     damaged directory is moved aside with a reason record and the job
     re-records fresh, instead of aborting the whole campaign.
     """
-
-
-# --------------------------------------------------------------- v1 npz
-
-
-def save_traceset(traceset: TraceSet, path: Union[str, Path]) -> Path:
-    """Write a trace set as a v1 ``.npz`` (appended if missing)."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    header = {
-        "version": V1_FORMAT_VERSION,
-        "n_traces": len(traceset),
-        "traces": [
-            {
-                "domain": trace.domain,
-                "quantity": trace.quantity,
-                "label": trace.label,
-            }
-            for trace in traceset
-        ],
-    }
-    arrays = {"header": np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )}
-    for index, trace in enumerate(traceset):
-        arrays[f"times_{index}"] = trace.times
-        arrays[f"values_{index}"] = trace.values
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
-    return path
-
-
-def _load_traceset_v1(path: Path) -> TraceSet:
-    """Read a v1 archive written by :func:`save_traceset`."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, ValueError) as error:
-        raise ArchiveError(
-            f"corrupted trace archive {path}: {error}"
-        ) from None
-    with archive:
-        try:
-            header_bytes = archive["header"].tobytes()
-        except KeyError:
-            raise ArchiveError(f"{path} is not a trace archive") from None
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ArchiveError(
-                f"corrupted trace archive header in {path}: {error}"
-            ) from None
-        if header.get("version") != V1_FORMAT_VERSION:
-            raise ArchiveError(
-                f"unsupported trace archive version {header.get('version')}"
-            )
-        traceset = TraceSet()
-        for index, meta in enumerate(header["traces"]):
-            try:
-                times = archive[f"times_{index}"]
-                values = archive[f"values_{index}"]
-            except KeyError:
-                raise ArchiveError(
-                    f"truncated trace archive {path}: missing arrays for "
-                    f"trace {index} of {len(header['traces'])}"
-                ) from None
-            traceset.add(
-                Trace(
-                    times=times,
-                    values=values,
-                    domain=meta["domain"],
-                    quantity=meta["quantity"],
-                    label=meta["label"],
-                )
-            )
-    return traceset
 
 
 # --------------------------------------------------- v3 directory archive
@@ -762,30 +677,3 @@ def is_archive_dir(path: Union[str, Path]) -> bool:
     path = Path(path)
     return path.is_dir() and (path / MANIFEST_NAME).exists()
 
-
-def open_archive(
-    path: Union[str, Path],
-    allow_partial: bool = False,
-    mmap: bool = False,
-) -> TraceArchiveReader:
-    """Open a v3 directory archive for streaming reads."""
-    return TraceArchiveReader(path, allow_partial=allow_partial, mmap=mmap)
-
-
-def load_traceset(path: Union[str, Path]) -> TraceSet:
-    """Read a trace set from either archive format.
-
-    v1 ``.npz`` files load bit-exactly as before; v3 directories are
-    reassembled through :class:`TraceArchiveReader`.
-    """
-    path = Path(path)
-    if is_archive_dir(path):
-        return TraceArchiveReader(path).load_traceset()
-    if not path.exists():
-        raise FileNotFoundError(f"no trace archive at {path}")
-    if path.is_dir():
-        raise ArchiveError(
-            f"{path} is a directory without a {MANIFEST_NAME}; "
-            f"not a trace archive"
-        )
-    return _load_traceset_v1(path)

@@ -348,11 +348,6 @@ class HwmonSampler:
         """Pin one domain's sensor dead (a confirmed-unbound device)."""
         self._health_for(domain).force_dead()
 
-    def reset_health(self) -> None:
-        """Forget all channel health history."""
-        for health in self._health.values():
-            health.reset()
-
     def _gated_read(self, domain: str, quantity: str, times: np.ndarray):
         """One fault-annotated read: ``(values, bad)``.
 

@@ -47,7 +47,6 @@ from repro.utils.validation import require_int_in_range
 __all__ = [
     "WindowSpec",
     "window_feature_matrix",
-    "batch_window_features",
     "FeatureWindow",
     "FeatureBatch",
     "IncrementalFeatureExtractor",
@@ -104,28 +103,6 @@ def window_feature_matrix(
     whenever their windows are.
     """
     return resample_batch(windows, n_features)
-
-
-def batch_window_features(
-    values: np.ndarray, spec: WindowSpec, n_features: int
-) -> np.ndarray:
-    """Reference batch form: every sliding window of a complete trace.
-
-    Equal to concatenating the feature batches an
-    :class:`IncrementalFeatureExtractor` emits for the same samples
-    under *any* chunking — the parity tests hold that equality
-    exactly.
-    """
-    values = np.asarray(values)
-    count = spec.n_windows(int(values.size))
-    windows = [
-        values[start * spec.hop_samples:
-               start * spec.hop_samples + spec.window_samples]
-        for start in range(count)
-    ]
-    if not windows:
-        return np.empty((0, n_features))
-    return window_feature_matrix(windows, n_features)
 
 
 @dataclass(frozen=True)
@@ -201,11 +178,6 @@ class IncrementalFeatureExtractor:
     def samples_seen(self) -> int:
         """Global samples consumed so far."""
         return self._consumed + self.resident_samples
-
-    @property
-    def windows_emitted(self) -> int:
-        """Feature rows emitted so far."""
-        return self._emitted_windows
 
     def push_chunk(self, chunk: Trace) -> FeatureBatch:
         """Consume one stream chunk; return the windows it completed."""
@@ -453,12 +425,6 @@ class StreamingAnalyzer:
         classes = np.asarray(classifier.classes_)
         self.top_k = int(min(max(1, top_k), classes.size))
         self._last_label: Optional[str] = None
-        self._verdicts_emitted = 0
-
-    @property
-    def verdicts_emitted(self) -> int:
-        """Total verdicts emitted so far."""
-        return self._verdicts_emitted
 
     @property
     def peak_resident_samples(self) -> int:
@@ -552,7 +518,6 @@ class StreamingAnalyzer:
                     lag_seconds=chunk_end - meta.end_time,
                 )
             )
-            self._verdicts_emitted += 1
         return verdicts
 
 

@@ -173,17 +173,6 @@ class Trace:
             quality=self.quality,
         )
 
-    def relabeled(self, label: str) -> "Trace":
-        """A copy with a different ground-truth label."""
-        return Trace(
-            times=self.times,
-            values=self.values,
-            domain=self.domain,
-            quantity=self.quantity,
-            label=label,
-            quality=self.quality,
-        )
-
     def __repr__(self) -> str:
         return (
             f"Trace({self.domain}/{self.quantity}, {self.n_samples} samples, "

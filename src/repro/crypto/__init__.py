@@ -6,10 +6,8 @@ from repro.crypto.rsa_math import (
     exponent_bits_lsb_first,
     hamming_weight,
     make_exponent_with_weight,
-    paper_key_set,
     random_modulus,
     square_and_multiply,
-    square_and_multiply_trace,
 )
 
 __all__ = [
@@ -18,8 +16,6 @@ __all__ = [
     "exponent_bits_lsb_first",
     "hamming_weight",
     "make_exponent_with_weight",
-    "paper_key_set",
     "random_modulus",
     "square_and_multiply",
-    "square_and_multiply_trace",
 ]

@@ -73,16 +73,6 @@ def square_and_multiply(
     return result
 
 
-def square_and_multiply_trace(
-    base: int, exponent: int, modulus: int, width: int = RSA_BITS
-) -> Tuple[int, List[int]]:
-    """Like :func:`square_and_multiply`, also returning the per-iteration
-    multiply-activation schedule (1 = both modules active, 0 = square
-    only) — the side-channel-relevant control flow."""
-    schedule = exponent_bits_lsb_first(exponent, width)
-    return square_and_multiply(base, exponent, modulus, width), schedule
-
-
 def make_exponent_with_weight(
     weight: int, width: int = RSA_BITS, seed: RngLike = None
 ) -> int:
@@ -101,16 +91,6 @@ def make_exponent_with_weight(
     for position in positions:
         exponent |= 1 << int(position)
     return exponent
-
-
-def paper_key_set(
-    width: int = RSA_BITS, seed: RngLike = None
-) -> List[Tuple[int, int]]:
-    """The paper's 17 (hamming_weight, exponent) pairs for Fig 4."""
-    return [
-        (weight, make_exponent_with_weight(weight, width, seed))
-        for weight in PAPER_HAMMING_WEIGHTS
-    ]
 
 
 def random_modulus(width: int = RSA_BITS, seed: RngLike = None) -> int:

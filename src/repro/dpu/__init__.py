@@ -30,7 +30,6 @@ from repro.dpu.models import (
     MODEL_REGISTRY,
     ModelSpec,
     build_model,
-    list_families,
     list_models,
 )
 from repro.dpu.runner import (
@@ -64,7 +63,6 @@ __all__ = [
     "MODEL_REGISTRY",
     "ModelSpec",
     "build_model",
-    "list_families",
     "list_models",
     "DPU_RAILS",
     "CycleProfile",

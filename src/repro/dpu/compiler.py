@@ -60,18 +60,6 @@ class ArrayGeometry:
             * self.output_channel_parallel
         )
 
-    @classmethod
-    def for_config(cls, config: DpuConfig) -> "ArrayGeometry":
-        """Geometry matching a core config's ops/cycle rating."""
-        geometry = cls()
-        if geometry.macs_per_cycle * 2 != config.ops_per_cycle:
-            # Scale the pixel dimension to match non-B4096 ratings.
-            pixels = max(
-                1, config.ops_per_cycle // (2 * 16 * 16)
-            )
-            geometry = cls(pixel_parallel=pixels)
-        return geometry
-
 
 @dataclass(frozen=True)
 class CompiledLayer:
@@ -92,22 +80,6 @@ class CompiledModel:
 
     model: str
     layers: Tuple[CompiledLayer, ...]
-
-    @property
-    def total_cycles(self) -> int:
-        """Total compute cycles across the stream."""
-        return sum(layer.compute_cycles for layer in self.layers)
-
-    @property
-    def mean_efficiency(self) -> float:
-        """MAC-weighted mean array efficiency."""
-        total_macs = sum(c.layer.macs for c in self.layers)
-        if total_macs == 0:
-            return 0.0
-        weighted = sum(
-            c.efficiency * c.layer.macs for c in self.layers
-        )
-        return weighted / total_macs
 
     def efficiency_by_kind(self) -> Dict[str, float]:
         """MAC-weighted efficiency per layer kind (compute kinds only)."""

@@ -139,16 +139,5 @@ class DpuCore:
         """DPU-side latency of one inference (excludes CPU phases)."""
         return sum(execution.duration for execution in self.schedule(model))
 
-    def mean_fpga_power(self, model: ModelSpec) -> float:
-        """Time-averaged FPGA-rail power during one inference,
-        including the DPU idle floor."""
-        executions = self.schedule(model)
-        total_time = sum(execution.duration for execution in executions)
-        energy = sum(
-            execution.fpga_power * execution.duration
-            for execution in executions
-        )
-        return self.config.p_idle + energy / total_time
-
     def __repr__(self) -> str:
         return f"DpuCore({self.config.name} @ {self.config.clock_hz/1e6:.0f} MHz)"

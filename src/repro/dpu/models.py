@@ -673,16 +673,6 @@ def list_models() -> List[str]:
     return list(MODEL_REGISTRY)
 
 
-def list_families() -> List[str]:
-    """The 7 architecture families."""
-    seen: List[str] = []
-    for name in MODEL_REGISTRY:
-        family = build_model(name).family
-        if family not in seen:
-            seen.append(family)
-    return seen
-
-
 def build_model(name: str) -> ModelSpec:
     """Build a model spec by zoo name."""
     try:

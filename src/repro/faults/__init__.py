@@ -20,7 +20,6 @@ from repro.faults.policy import (
     HEALTHY,
     RetryPolicy,
     SensorHealth,
-    worst_health,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "HEALTHY",
     "FLAKY",
     "DEAD",
-    "worst_health",
 ]

@@ -19,7 +19,7 @@ bit-identical to an unarmed run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -144,10 +144,6 @@ class FaultPlan:
     def from_env(cls, seed: int = 0) -> "FaultPlan":
         """The plan ``AMPEREBLEED_FAULT_RATE`` requests (default none)."""
         return cls.at_rate(fault_rate_from_env(), seed=seed)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same schedule shape under a different seed."""
-        return replace(self, seed=seed)
 
     # -------------------------------------------------------- evaluation
 

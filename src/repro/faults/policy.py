@@ -20,16 +20,6 @@ HEALTHY = "healthy"
 FLAKY = "flaky"
 DEAD = "dead"
 
-_ORDER = {HEALTHY: 0, FLAKY: 1, DEAD: 2}
-
-
-def worst_health(*states: str) -> str:
-    """The most degraded of several health states."""
-    if not states:
-        return HEALTHY
-    return max(states, key=lambda state: _ORDER.get(state, 0))
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the resilient poll loop reacts to read failures.

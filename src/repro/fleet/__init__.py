@@ -30,7 +30,7 @@ archive parity against the serial path.
 
 The failure containment — per-board circuit breakers and archive
 quarantine — comes from :mod:`repro.resilience`; every job ends in
-one of the scheduler's :data:`~repro.fleet.scheduler.TERMINAL_STATUSES`.
+one of the scheduler's ``STATUS_*`` states.
 
 The ``repro fleet`` CLI command drives the scheduler from the command
 line; its ``--boards`` option restricts which catalog boards the fleet
@@ -50,7 +50,6 @@ from repro.fleet.scheduler import (
     STATUS_FAILED,
     STATUS_QUARANTINED,
     STATUS_SKIPPED,
-    TERMINAL_STATUSES,
     FleetReport,
     FleetScheduler,
     JobOutcome,
@@ -63,7 +62,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_QUARANTINED",
     "STATUS_SKIPPED",
-    "TERMINAL_STATUSES",
     "FleetJob",
     "FleetReport",
     "FleetScheduler",

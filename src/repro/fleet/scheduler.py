@@ -67,7 +67,6 @@ __all__ = [
     "STATUS_DEFERRED",
     "STATUS_QUARANTINED",
     "STATUS_FAILED",
-    "TERMINAL_STATUSES",
     "FleetReport",
     "FleetScheduler",
     "JobOutcome",
@@ -79,13 +78,6 @@ STATUS_SKIPPED = "skipped"
 STATUS_DEFERRED = "deferred"
 STATUS_QUARANTINED = "quarantined"
 STATUS_FAILED = "failed"
-TERMINAL_STATUSES = (
-    STATUS_DONE,
-    STATUS_SKIPPED,
-    STATUS_DEFERRED,
-    STATUS_QUARANTINED,
-    STATUS_FAILED,
-)
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ class JobOutcome:
     """One job's fate: result or error, plus latency and attempts.
 
     Attributes:
-        status: terminal state, one of :data:`TERMINAL_STATUSES`.
+        status: terminal state, one of the ``STATUS_*`` constants.
         attempt_errors: every error observed on the way to the
             terminal state, in order — broken-pool retries included,
             so a ``failed`` outcome carries its full attempt trace.

@@ -10,14 +10,7 @@ from repro.fpga.fabric import (
     Region,
     Shard,
 )
-from repro.fpga.pdn import (
-    VoltageRegulator,
-    inductive_drop,
-    resistive_drop,
-    transient_vdrop,
-    versal_regulator,
-    zynq_us_plus_regulator,
-)
+from repro.fpga.pdn import VoltageRegulator
 from repro.fpga.power_virus import PowerVirusArray
 from repro.fpga.ring_osc import RingOscillator, RoSensorBank
 from repro.fpga.multi_tenant import IsolatedTenantPdn
@@ -27,7 +20,6 @@ from repro.fpga.workloads import (
     WORKLOAD_CLASSES,
     WorkloadInstance,
     generate_dataset,
-    generate_workload,
 )
 
 __all__ = [
@@ -37,7 +29,6 @@ __all__ = [
     "WORKLOAD_CLASSES",
     "WorkloadInstance",
     "generate_dataset",
-    "generate_workload",
     "IsolatedTenantPdn",
     "TdcSensor",
     "RESOURCE_TYPES",
@@ -48,11 +39,6 @@ __all__ = [
     "Region",
     "Shard",
     "VoltageRegulator",
-    "inductive_drop",
-    "resistive_drop",
-    "transient_vdrop",
-    "versal_regulator",
-    "zynq_us_plus_regulator",
     "PowerVirusArray",
     "RingOscillator",
     "RoSensorBank",

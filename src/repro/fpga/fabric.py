@@ -174,13 +174,6 @@ class Fabric:
                 totals[resource] = totals.get(resource, 0) + count
         return totals
 
-    def utilization_fraction(self, resource: str) -> float:
-        """Fraction of ``resource`` currently allocated."""
-        capacity = self.total_capacity.get(resource, 0)
-        if capacity == 0:
-            return 0.0
-        return self.total_used.get(resource, 0) / capacity
-
     def deploy(
         self, circuit: CircuitSpec, region: Optional[Tuple[int, int]] = None
     ) -> Placement:
@@ -254,13 +247,6 @@ class Fabric:
     def deployed(self) -> List[Placement]:
         """All current placements, in deployment order."""
         return list(self._placements.values())
-
-    def placement_of(self, name: str) -> Placement:
-        """Look up a deployed circuit by name."""
-        try:
-            return self._placements[name]
-        except KeyError:
-            raise PlacementError(f"circuit {name!r} is not deployed") from None
 
     def _region_at(self, row: int, col: int) -> Region:
         if not (0 <= row < self.rows and 0 <= col < self.cols):

@@ -1,4 +1,4 @@
-"""Power delivery network: regulated rails and the Eq. (1) droop model.
+"""Power delivery network: the regulated rail.
 
 Two physical regimes matter for the paper's argument:
 
@@ -13,9 +13,7 @@ Two physical regimes matter for the paper's argument:
   with V pinned, the *current* tracks the victim's power one-for-one,
   which is exactly the channel AmpereBleed reads through the INA226s.
 
-:class:`VoltageRegulator` implements the stabilized rail; the module
-functions implement the classic droop arithmetic used by the RO
-baseline comparison.
+:class:`VoltageRegulator` implements the stabilized rail.
 """
 
 from __future__ import annotations
@@ -26,28 +24,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.utils.validation import require_non_negative, require_positive
-
-
-def resistive_drop(current: np.ndarray, resistance: float) -> np.ndarray:
-    """Steady-state ``I*R`` drop in volts."""
-    require_non_negative(resistance, "resistance")
-    return np.asarray(current, dtype=np.float64) * resistance
-
-
-def inductive_drop(di_dt: np.ndarray, inductance: float) -> np.ndarray:
-    """Transient ``L*dI/dt`` drop in volts."""
-    require_non_negative(inductance, "inductance")
-    return np.asarray(di_dt, dtype=np.float64) * inductance
-
-
-def transient_vdrop(
-    current: np.ndarray,
-    di_dt: np.ndarray,
-    resistance: float,
-    inductance: float,
-) -> np.ndarray:
-    """Eq. (1) of the paper: ``V_drop = I*R + L*dI/dt``."""
-    return resistive_drop(current, resistance) + inductive_drop(di_dt, inductance)
 
 
 @dataclass(frozen=True)
@@ -112,17 +88,3 @@ class VoltageRegulator:
         """Total (linear + quadratic) droop in volts at ``current`` amps."""
         require_non_negative(current, "current")
         return self.r_loadline * current + self.k_quadratic * current**2
-
-
-def zynq_us_plus_regulator(**overrides) -> VoltageRegulator:
-    """The ZCU102's VCCINT regulator (0.825-0.876 V band)."""
-    defaults = dict(v_set=0.8505, band=(0.825, 0.876))
-    defaults.update(overrides)
-    return VoltageRegulator(**defaults)
-
-
-def versal_regulator(**overrides) -> VoltageRegulator:
-    """A Versal-class core regulator (0.775-0.825 V band)."""
-    defaults = dict(v_set=0.80, band=(0.775, 0.825))
-    defaults.update(overrides)
-    return VoltageRegulator(**defaults)

@@ -125,19 +125,6 @@ _GENERATORS: Dict[str, Callable] = {
 }
 
 
-def generate_workload(kind: str, seed: RngLike = None) -> WorkloadInstance:
-    """Generate one randomized victim of class ``kind``."""
-    try:
-        generator = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload class {kind!r}; "
-            f"expected one of {WORKLOAD_CLASSES}"
-        ) from None
-    rng = spawn(seed, f"workload-{kind}")
-    return generator(rng)
-
-
 def generate_dataset(
     instances_per_class: int, seed: RngLike = None
 ) -> List[WorkloadInstance]:

@@ -4,7 +4,7 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LogisticRegressionClassifier, softmax
 from repro.ml.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.ml.neighbors import KNeighborsClassifier
-from repro.ml.tree import DecisionTreeClassifier, gini_impurity
+from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.validation import (
     CrossValidationResult,
     cross_validate,
@@ -20,7 +20,6 @@ __all__ = [
     "confusion_matrix",
     "top_k_accuracy",
     "DecisionTreeClassifier",
-    "gini_impurity",
     "CrossValidationResult",
     "cross_validate",
     "stratified_kfold_indices",

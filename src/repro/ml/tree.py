@@ -48,15 +48,6 @@ _SCORE_ELEMENTS = 1 << 17
 _RADIX_ROWS = 32
 
 
-def gini_impurity(counts: np.ndarray) -> np.ndarray:
-    """Gini impurity of class-count vectors (last axis = classes)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        proportions = np.where(totals > 0, counts / totals, 0.0)
-    return 1.0 - (proportions**2).sum(axis=-1)
-
-
 def _resolve_max_features(max_features, n_features: int) -> int:
     if max_features is None or max_features == "all":
         return n_features

@@ -25,7 +25,6 @@ from repro.resilience.breaker import (
 from repro.resilience.quarantine import (
     QUARANTINE_DIRNAME,
     QuarantineRecord,
-    list_quarantined,
     quarantine_archive,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "CircuitBreaker",
     "QUARANTINE_DIRNAME",
     "QuarantineRecord",
-    "list_quarantined",
     "quarantine_archive",
 ]

@@ -21,14 +21,13 @@ import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 __all__ = [
     "QUARANTINE_DIRNAME",
     "RECORD_NAME",
     "QuarantineRecord",
     "quarantine_archive",
-    "list_quarantined",
 ]
 
 #: Sidecar directory name, created next to the condemned archive.
@@ -61,15 +60,6 @@ class QuarantineRecord:
             "error": self.error,
             "job_id": self.job_id,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QuarantineRecord":
-        return cls(
-            archive=payload["archive"],
-            reason=payload["reason"],
-            error=payload.get("error", ""),
-            job_id=payload.get("job_id"),
-        )
 
 
 def quarantine_archive(
@@ -121,34 +111,3 @@ def quarantine_archive(
     )
     return dest
 
-
-def list_quarantined(
-    root: Union[str, Path],
-) -> List[Tuple[Path, QuarantineRecord]]:
-    """All quarantined archives under ``root``'s sidecar, in order.
-
-    Returns ``(location, record)`` pairs sorted by quarantine sequence
-    (the zero-padded suffix), i.e. the order the archives were
-    condemned.  An empty list when no sidecar exists.
-    """
-    sidecar = Path(root) / QUARANTINE_DIRNAME
-    if not sidecar.is_dir():
-        return []
-    found: List[Tuple[Path, QuarantineRecord]] = []
-    for entry in sorted(sidecar.iterdir()):
-        record_path = (
-            entry / RECORD_NAME
-            if entry.is_dir()
-            else entry if entry.name.endswith(".quarantine.json") else None
-        )
-        if record_path is None or not record_path.exists():
-            continue
-        payload = json.loads(record_path.read_text(encoding="utf-8"))
-        if entry.is_dir():
-            found.append((entry, QuarantineRecord.from_dict(payload)))
-        else:
-            original = entry.with_name(
-                entry.name[: -len(".quarantine.json")]
-            )
-            found.append((original, QuarantineRecord.from_dict(payload)))
-    return found

@@ -30,7 +30,7 @@ raise as a naive poll loop would.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -460,7 +460,6 @@ class HwmonTree:
 
     def __init__(self):
         self._devices: List[HwmonDevice] = []
-        self._by_name: Dict[str, HwmonDevice] = {}
 
     def register(self, device: HwmonDevice) -> None:
         """Add a device; its index must match its registration order."""
@@ -469,10 +468,9 @@ class HwmonTree:
                 f"device index {device.index} out of order; expected "
                 f"{len(self._devices)}"
             )
-        if device.name in self._by_name:
+        if any(known.name == device.name for known in self._devices):
             raise ValueError(f"duplicate device name {device.name!r}")
         self._devices.append(device)
-        self._by_name[device.name] = device
 
     def devices(self) -> List[HwmonDevice]:
         """All registered devices in hwmonN order."""
@@ -483,24 +481,6 @@ class HwmonTree:
         if not (0 <= index < len(self._devices)):
             raise HwmonLookupError(f"/sys/class/hwmon/hwmon{index}: no such device")
         return self._devices[index]
-
-    def device_by_name(self, name: str) -> HwmonDevice:
-        """Look up by device name (e.g. ``"ina226_u79"``)."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            available = ", ".join(sorted(self._by_name))
-            raise HwmonLookupError(
-                f"no hwmon device named {name!r}; available: {available}"
-            ) from None
-
-    def list_paths(self) -> List[str]:
-        """All attribute file paths (what ``ls`` would enumerate)."""
-        paths = []
-        for device in self._devices:
-            for attribute in HwmonDevice.READABLE_ATTRS:
-                paths.append(f"{device.path}/{attribute}")
-        return paths
 
     def _resolve(self, path: str) -> Tuple[HwmonDevice, str]:
         prefix = "/sys/class/hwmon/hwmon"

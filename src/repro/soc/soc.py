@@ -211,11 +211,6 @@ class Soc:
         """Attach a workload, replacing any previous one of that name."""
         self.rail(domain).replace(name, timeline)
 
-    def clear_workloads(self) -> None:
-        """Detach every workload from every rail (idle board)."""
-        for rail in self.rails.values():
-            rail.clear()
-
     # ---------------------------------------------------------- faults
 
     def arm_faults(self, plan) -> None:

@@ -58,14 +58,6 @@ def _finalize(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 values."""
-    x = np.asarray(x, dtype=np.uint64)
-    z = np.array(x, ndmin=1)
-    _finalize(z, np.empty_like(z))
-    return z.reshape(x.shape)
-
-
 def _splitmix64_int(x: int) -> int:
     """splitmix64 of one value in Python ints, mod 2**64."""
     z = (x + _GOLDEN_INT) & _MASK

@@ -8,10 +8,14 @@ replaced implementations live on here, verbatim:
 * :class:`LegacyDecisionTreeClassifier` — the per-node
   argsort-per-candidate-feature CART (one ``np.argsort`` + one
   histogram/cumsum pass per feature per node, per-call ``np.stack`` of
-  the node probabilities, dict-traversal ``depth``).
+  the node probabilities, dict-traversal ``depth``), scoring splits
+  with the float :func:`gini_impurity`.
 * :func:`legacy_forest_predict_proba` — the tree-by-tree accumulation
   loop that rebuilt the class-column mapping on every call.
 * :func:`legacy_resample_loop` — one ``np.interp`` call per trace.
+* :func:`batch_window_features` — every sliding window of a whole
+  trace in one batch, the reference the incremental streaming
+  extractor must equal under any chunking.
 * :func:`legacy_stratified_kfold_indices` — the per-sample
   Python-append fold assembly.
 * :func:`legacy_splitmix64`, :func:`legacy_hashed_uniform` and
@@ -51,11 +55,21 @@ from repro.core.sampler import ChannelDeadError, ChannelOutageError
 from repro.core.traces import TraceQuality
 from repro.dpu.models import ModelSpec
 from repro.dpu.runner import DPU_RAILS, DpuRunner
-from repro.ml.tree import _resolve_max_features, gini_impurity
+from repro.core.streaming import window_feature_matrix
+from repro.ml.tree import _resolve_max_features
 from repro.sensors.ina226 import Ina226Reading
 from repro.soc.workload import ActivityTimeline, PiecewiseActivity
 from repro.utils.rng import RngLike, ensure_rng, spawn
 from repro.utils.validation import require_int_in_range, require_positive
+
+
+def gini_impurity(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of class-count vectors (last axis = classes)."""
+    counts = np.asarray(counts, dtype=np.float64)
+    totals = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        proportions = np.where(totals > 0, counts / totals, 0.0)
+    return 1.0 - (proportions**2).sum(axis=-1)
 
 
 class LegacyDecisionTreeClassifier:
@@ -318,6 +332,25 @@ def legacy_resample_loop(
     return np.vstack(
         [resample_values(values, n_features) for values in values_list]
     )
+
+
+def batch_window_features(values: np.ndarray, spec, n_features: int) -> np.ndarray:
+    """Every sliding window of a complete trace, in one batch.
+
+    Equal to concatenating the feature batches an
+    :class:`~repro.core.streaming.IncrementalFeatureExtractor` emits
+    for the same samples under *any* chunking.
+    """
+    values = np.asarray(values)
+    count = spec.n_windows(int(values.size))
+    windows = [
+        values[start * spec.hop_samples:
+               start * spec.hop_samples + spec.window_samples]
+        for start in range(count)
+    ]
+    if not windows:
+        return np.empty((0, n_features))
+    return window_feature_matrix(windows, n_features)
 
 
 def legacy_stratified_kfold_indices(

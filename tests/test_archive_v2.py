@@ -1,4 +1,4 @@
-"""The v3 streaming archive, plus v1 compatibility and failure modes."""
+"""The v3 streaming archive, its checked-in fixture and failure modes."""
 
 import json
 import os
@@ -16,13 +16,10 @@ from repro.core.io import (
     TraceArchiveReader,
     TraceArchiveWriter,
     is_archive_dir,
-    load_traceset,
-    open_archive,
-    save_traceset,
 )
 from repro.core.traces import Trace, TraceSet
 
-FIXTURE_V1 = Path(__file__).parent / "data" / "traceset_v1.npz"
+FIXTURE = Path(__file__).parent / "data" / "traceset"
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -119,7 +116,7 @@ class TestWriterReader:
         with TraceArchiveWriter(tmp_path / "arch") as writer:
             writer.append(_make_trace())
         assert is_archive_dir(tmp_path / "arch")
-        assert len(load_traceset(tmp_path / "arch")) == 1
+        assert len(TraceArchiveReader(tmp_path / "arch").load_traceset()) == 1
 
 
 class TestTruncationAndCorruption:
@@ -130,7 +127,7 @@ class TestTruncationAndCorruption:
         with pytest.raises(ArchiveError, match="truncated"):
             TraceArchiveReader(tmp_path / "arch")
         # Tailing a live capture is still possible.
-        partial = open_archive(tmp_path / "arch", allow_partial=True)
+        partial = TraceArchiveReader(tmp_path / "arch", allow_partial=True)
         assert not partial.complete
         assert len(partial) == 1
 
@@ -366,6 +363,8 @@ class TestHandles:
 
 
 class TestV1Compatibility:
+    """Recordings made in the retired v1 ``.npz`` format survive."""
+
     def _fixture_content(self):
         ts = TraceSet()
         for i, (domain, quantity, label) in enumerate([
@@ -386,9 +385,10 @@ class TestV1Compatibility:
         return ts
 
     def test_checked_in_v1_fixture_loads_bit_exactly(self):
-        # The fixture was written by the v1 writer before the v2 format
-        # existed; the current reader must reproduce it bit for bit.
-        loaded = list(load_traceset(FIXTURE_V1))
+        # The fixture was written by the v1 ``.npz`` writer before the
+        # v2 format existed, then converted to v3 bit for bit; the
+        # reader must still reproduce it bit for bit.
+        loaded = list(TraceArchiveReader(FIXTURE).load_traceset())
         expected = list(self._fixture_content())
         assert len(loaded) == len(expected)
         for restored, original in zip(loaded, expected):
@@ -398,21 +398,3 @@ class TestV1Compatibility:
             assert restored.label == original.label
             assert restored.domain == original.domain
             assert restored.quantity == original.quantity
-
-    def test_fresh_v1_round_trip_still_works(self, tmp_path):
-        path = save_traceset(self._fixture_content(), tmp_path / "set.npz")
-        loaded = list(load_traceset(path))
-        assert len(loaded) == 3
-
-    def test_truncated_v1_is_a_clear_error(self, tmp_path):
-        path = save_traceset(self._fixture_content(), tmp_path / "set.npz")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ArchiveError, match="corrupted trace archive"):
-            load_traceset(path)
-
-    def test_garbage_v1_is_a_clear_error(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"\x00\x01 not a zip")
-        with pytest.raises(ArchiveError, match="corrupted trace archive"):
-            load_traceset(path)

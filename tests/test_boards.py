@@ -8,10 +8,14 @@ from repro.boards import (
     ZCU102_SENSORS,
     boards_by_family,
     get_board,
-    get_sensor,
     list_boards,
     sensitive_sensors,
 )
+from repro.soc import Soc
+
+def _sensor(designator):
+    return next(s for s in ZCU102_SENSORS if s.designator == designator)
+
 
 # Table I of the paper, column by column.
 TABLE1 = {
@@ -49,9 +53,11 @@ class TestCatalog:
             assert board.fpga_voltage_range == (0.775, 0.825)
 
     def test_voltage_helpers(self):
-        board = get_board("ZCU102")
-        assert board.fpga_voltage_nominal == pytest.approx(0.8505)
-        assert board.fpga_voltage_span == pytest.approx(0.051)
+        # The FPGA rail regulates to mid-band of the board's range.
+        regulator = Soc("ZCU102", seed=0).rail("fpga").regulator
+        low, high = regulator.band
+        assert regulator.v_set == pytest.approx(0.8505)
+        assert high - low == pytest.approx(0.051)
 
     def test_case_insensitive_lookup(self):
         assert get_board("zcu102").name == "ZCU102"
@@ -95,10 +101,10 @@ class TestZcu102Sensors:
         }
 
     def test_fpga_sensor_rail(self):
-        assert get_sensor("u79").rail == "VCCINT"
+        assert _sensor("u79").rail == "VCCINT"
 
     def test_ddr_sensor_rail(self):
-        assert get_sensor("u93").rail == "VCCPSDDR"
+        assert _sensor("u93").rail == "VCCPSDDR"
 
     def test_unique_designators(self):
         designators = [sensor.designator for sensor in ZCU102_SENSORS]
@@ -106,16 +112,13 @@ class TestZcu102Sensors:
 
     def test_unknown_sensor_raises(self):
         with pytest.raises(KeyError):
-            get_sensor("u999")
+            Soc("ZCU102", seed=0).device("u999")
 
     def test_shunts_positive(self):
         for sensor in ZCU102_SENSORS:
             assert sensor.shunt_ohms > 0
             assert sensor.max_current > 0
             assert sensor.nominal_voltage > 0
-
-    def test_case_insensitive_designator(self):
-        assert get_sensor("U79").designator == "u79"
 
     def test_idle_below_max(self):
         for sensor in ZCU102_SENSORS:

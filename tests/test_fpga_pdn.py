@@ -1,37 +1,10 @@
-"""Tests for the PDN regulator and droop models."""
+"""Tests for the PDN regulator."""
 
 import numpy as np
 import pytest
 
-from repro.fpga.pdn import (
-    VoltageRegulator,
-    inductive_drop,
-    resistive_drop,
-    transient_vdrop,
-    versal_regulator,
-    zynq_us_plus_regulator,
-)
-
-
-class TestDroopEquations:
-    def test_resistive(self):
-        np.testing.assert_allclose(resistive_drop(np.array([2.0]), 0.01), [0.02])
-
-    def test_inductive(self):
-        np.testing.assert_allclose(
-            inductive_drop(np.array([1e6]), 1e-9), [1e-3]
-        )
-
-    def test_equation_one(self):
-        # V_drop = I*R + L*dI/dt (paper Eq. 1).
-        drop = transient_vdrop(
-            np.array([1.0]), np.array([1e6]), 0.01, 1e-9
-        )
-        np.testing.assert_allclose(drop, [0.01 + 1e-3])
-
-    def test_negative_resistance_rejected(self):
-        with pytest.raises(ValueError):
-            resistive_drop(np.array([1.0]), -0.01)
+from repro.fpga.pdn import VoltageRegulator
+from repro.soc import Soc
 
 
 class TestVoltageRegulator:
@@ -60,7 +33,7 @@ class TestVoltageRegulator:
         # ~3 mV over the Fig 2 sweep's ~6.4 A dynamic range: small
         # enough to stay deep inside the 51 mV stabilizer band, large
         # enough for the RO to see *something*.
-        regulator = zynq_us_plus_regulator()
+        regulator = VoltageRegulator()
         droop = regulator.droop_at(7.6) - regulator.droop_at(1.2)
         assert 2e-3 < droop < 5e-3
 
@@ -85,13 +58,9 @@ class TestVoltageRegulator:
             VoltageRegulator(v_set=0.85, band=(0.9, 0.8))
 
     def test_versal_band(self):
-        regulator = versal_regulator()
+        regulator = Soc("VCK190", seed=0).rail("fpga").regulator
         assert regulator.band == (0.775, 0.825)
         np.testing.assert_allclose(regulator.voltage(np.array([0.0])), 0.80)
-
-    def test_factory_overrides(self):
-        regulator = zynq_us_plus_regulator(r_loadline=1e-3)
-        assert regulator.r_loadline == pytest.approx(1e-3)
 
     def test_droop_at_scalar(self):
         regulator = VoltageRegulator(r_loadline=1e-3, k_quadratic=0.0)

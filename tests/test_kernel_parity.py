@@ -5,9 +5,9 @@ grouped trace resampling, vectorized stratified folds, memory-mapped
 archive loads — is pinned here against its frozen legacy twin in
 ``tests/reference_kernels.py``, twice over:
 
-* on the checked-in fixtures (``tests/data/collect_seed3_v1.npz``,
-  ``tests/data/traceset_v1.npz``) so the comparison covers real
-  recorded traces, not just synthetic noise;
+* on the checked-in fixture archives (``tests/data/collect_seed3``,
+  ``tests/data/traceset``) so the comparison covers real recorded
+  traces, not just synthetic noise;
 * on randomized inputs across seeds, shapes, and hyperparameters.
 
 "Parity" always means *bitwise*: exact array equality, never
@@ -29,11 +29,7 @@ from reference_kernels import (
 )
 
 from repro.core.features import resample_batch
-from repro.core.io import (
-    TraceArchiveReader,
-    TraceArchiveWriter,
-    load_traceset,
-)
+from repro.core.io import TraceArchiveReader, TraceArchiveWriter
 from repro.core.traces import Trace
 from repro.ml.forest import RandomForestClassifier, fit_forests
 from repro.ml.tree import (
@@ -59,14 +55,14 @@ from repro.utils.rng import (
 )
 
 DATA = Path(__file__).parent / "data"
-COLLECT_FIXTURE = DATA / "collect_seed3_v1.npz"
-TRACESET_FIXTURE = DATA / "traceset_v1.npz"
+COLLECT_FIXTURE = DATA / "collect_seed3"
+TRACESET_FIXTURE = DATA / "traceset"
 
 
 def _fixture_values():
     """All value series from both fixtures, as float64 arrays."""
-    traces = list(load_traceset(COLLECT_FIXTURE)) + list(
-        load_traceset(TRACESET_FIXTURE)
+    traces = list(TraceArchiveReader(COLLECT_FIXTURE).load_traceset()) + list(
+        TraceArchiveReader(TRACESET_FIXTURE).load_traceset()
     )
     return [np.asarray(trace.values, dtype=np.float64) for trace in traces]
 
@@ -862,6 +858,6 @@ class TestArchiveMmapParity:
             trace.values[0] = -1
 
     def test_fixture_v1_loads_unchanged(self):
-        """The single-file v1 format stays on the regular path."""
-        traces = load_traceset(TRACESET_FIXTURE)
+        """The fixture converted from v1 loads on the copying path."""
+        traces = TraceArchiveReader(TRACESET_FIXTURE).load_traceset()
         assert len(traces) == 3

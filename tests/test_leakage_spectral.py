@@ -11,7 +11,6 @@ from repro.analysis.leakage import (
 )
 from repro.analysis.spectral import (
     amplitude_spectrum,
-    dominant_frequency,
     estimate_serving_rate,
 )
 from repro.core.traces import Trace
@@ -109,7 +108,9 @@ class TestSpectral:
         signal = np.sin(2 * np.pi * 5.0 * t) + 0.1 * rng.standard_normal(
             t.size
         )
-        peak = dominant_frequency(signal, 256.0)
+        trace = Trace(times=t, values=signal, domain="fpga",
+                      quantity="current")
+        peak = estimate_serving_rate(trace)
         assert peak.frequency_hz == pytest.approx(5.0, abs=0.2)
         assert peak.prominence > 10
 

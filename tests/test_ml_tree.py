@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from reference_kernels import gini_impurity
 
-from repro.ml.tree import DecisionTreeClassifier, gini_impurity
+from repro.ml.tree import DecisionTreeClassifier
 
 
 class TestGini:
+    """The float criterion the legacy parity tree splits on."""
+
     def test_pure_node_is_zero(self):
         assert gini_impurity(np.array([10.0, 0.0])) == pytest.approx(0.0)
 

@@ -437,20 +437,6 @@ class TestPipelineDeterminism:
         assert cell.top1_per_fold == single.top1_per_fold
         assert cell.top5_per_fold == single.top5_per_fold
 
-    def test_train_all_matches_train(self, config):
-        fp = DnnFingerprinter(AttackSession.create(seed=2), config=config)
-        datasets = fp.collect_datasets(
-            models=["resnet-50", "vgg-19"],
-            channels=[("fpga", "current"), ("ddr", "current")],
-        )
-        fitted = fp.train_all(datasets, workers=2)
-        for channel, dataset in datasets.items():
-            X, _ = fp._features(dataset, None)
-            solo = fp.train(dataset)
-            assert np.array_equal(
-                fitted[channel].predict_proba(X), solo.predict_proba(X)
-            )
-
 
 class TestFleetUnderFaults:
     def test_fault_storm_fleet_seals_like_serial(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernels import gini_impurity
 
 from repro.crypto.rsa_math import (
     exponent_bits_lsb_first,
@@ -17,7 +18,6 @@ from repro.ml.tree import (
     DecisionTreeClassifier,
     _float_criterion,
     criterion_error_bound,
-    gini_impurity,
 )
 
 
@@ -62,6 +62,8 @@ class TestRsaProperties:
 
 
 class TestGiniProperties:
+    """The float criterion the legacy parity tree splits on."""
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6),
                     min_size=1, max_size=16))
     @settings(max_examples=100, deadline=None)

@@ -25,7 +25,7 @@ PUBLIC_API = {
     "repro.fpga": [
         "Fabric", "CircuitSpec", "VoltageRegulator", "PowerVirusArray",
         "RingOscillator", "RoSensorBank", "TdcSensor", "RsaCircuit",
-        "AesCircuit", "IsolatedTenantPdn", "generate_workload",
+        "AesCircuit", "IsolatedTenantPdn",
     ],
     "repro.sensors": [
         "Ina226", "Ina226Config", "HwmonTree", "HwmonDevice",
@@ -39,8 +39,7 @@ PUBLIC_API = {
         "build_model", "list_models", "FIG3_MODELS",
     ],
     "repro.crypto": [
-        "square_and_multiply", "hamming_weight", "paper_key_set",
-        "PAPER_HAMMING_WEIGHTS",
+        "square_and_multiply", "hamming_weight", "PAPER_HAMMING_WEIGHTS",
     ],
     "repro.ml": [
         "RandomForestClassifier", "DecisionTreeClassifier",
@@ -51,7 +50,6 @@ PUBLIC_API = {
         "HwmonSampler", "Trace", "TraceSet", "characterize",
         "DnnFingerprinter", "RsaHammingWeightAttack", "CovertChannel",
         "OnsetDetector", "AttackCampaign", "SensorHardening",
-        "save_traceset", "load_traceset",
     ],
     "repro.analysis": [
         "pearson", "linear_fit", "relative_variation", "welch_t_test",
@@ -183,3 +181,75 @@ def test_every_module_has_a_production_importer():
     assert not unreached, f"only tests import {unreached}"
     stale = sorted(set(UNREACHED_ALLOWED) & reached)
     assert not stale, f"now reachable, drop from UNREACHED_ALLOWED: {stale}"
+
+
+#: Top-level names no production file references, with the reason each
+#: may stay.  An entry that becomes referenced must leave this table.
+UNREFERENCED_ALLOWED = {
+    "repro.analysis.distributions.pairwise_separable": "ROADMAP item 15",
+    "repro.analysis.distributions.overlap_fraction": "ROADMAP item 15",
+}
+
+
+def _defined_names(tree):
+    """(name, node) per top-level function, class and UPPER_CASE constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node
+
+
+def _references(statement):
+    """Names a statement reads, attribute names and ``from`` imports too."""
+    for node in ast.walk(statement):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if isinstance(node.ctx, ast.Load):
+                yield node.id if isinstance(node, ast.Name) else node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name
+
+
+def test_every_top_level_name_has_a_production_reference():
+    """No ``src/`` function, class or constant is reached only by tests.
+
+    Every top-level function, class and UPPER_CASE constant of a module
+    under ``src/repro`` must be read, as a name, an attribute or a
+    ``from`` import, somewhere in ``src/repro``, ``bench/``,
+    ``benchmarks/`` or ``examples/``.  Its own definition does not
+    count, nor do an ``__init__``'s top-level re-export imports;
+    strings (``__all__``, docstrings) are never references.
+    """
+    modules, packages = _module_table()
+    trees = [
+        (name in packages, tree) for name, tree in modules.items()
+    ] + [
+        (False, ast.parse(path.read_text(), str(path)))
+        for folder in ("bench", "benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    readers = {}  # name -> the top-level statements that read it
+    for is_package, tree in trees:
+        for statement in tree.body:
+            if is_package and isinstance(statement, ast.ImportFrom):
+                continue
+            for name in _references(statement):
+                readers.setdefault(name, set()).add(statement)
+
+    unreferenced = {
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        if module not in packages and module not in UNREACHED_ALLOWED
+        for name, node in _defined_names(tree)
+        if not readers.get(name, set()) - {node}
+    }
+    unallowed = sorted(unreferenced - set(UNREFERENCED_ALLOWED))
+    assert not unallowed, f"only tests reference {unallowed}"
+    stale = sorted(set(UNREFERENCED_ALLOWED) - unreferenced)
+    assert not stale, f"now referenced, drop from UNREFERENCED_ALLOWED: {stale}"

@@ -30,8 +30,6 @@ from repro.resilience import (
     OPEN,
     BreakerPolicy,
     CircuitBreaker,
-    QuarantineRecord,
-    list_quarantined,
     quarantine_archive,
 )
 
@@ -119,19 +117,17 @@ class TestQuarantine:
         assert not archive.exists()
         assert dest.parent == tmp_path / "quarantine"
         assert dest.name == "rsa-000"
-        record = QuarantineRecord.from_dict(
-            json.loads((dest / "QUARANTINE.json").read_text())
-        )
-        assert record.reason == "archive-corrupt"
-        assert record.job_id == "rsa/ZCU102/5"
-        assert record.archive == str(archive)
+        record = json.loads((dest / "QUARANTINE.json").read_text())
+        assert record["reason"] == "archive-corrupt"
+        assert record["job_id"] == "rsa/ZCU102/5"
+        assert record["archive"] == str(archive)
 
         archive.mkdir()  # re-record at the original path, corrupt again
         (archive / MANIFEST_NAME).write_text("{garbled again")
         again = quarantine_archive(archive, reason="archive-corrupt")
         assert again.name == "rsa-001"
-        listed = list_quarantined(tmp_path)
-        assert [path.name for path, _ in listed] == ["rsa-000", "rsa-001"]
+        listed = sorted((tmp_path / "quarantine").iterdir())
+        assert [path.name for path in listed] == ["rsa-000", "rsa-001"]
 
     def test_missing_archive_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -154,11 +150,10 @@ class TestQuarantine:
         again = run_job(job)
         assert again.quarantined
         assert not again.skipped  # re-recorded, not resumed
-        quarantined = list_quarantined(tmp_path)
-        assert len(quarantined) == 1
-        _, record = quarantined[0]
-        assert record.reason == "archive-corrupt"
-        assert record.job_id == job.job_id
+        (entry,) = (tmp_path / "quarantine").iterdir()
+        record = json.loads((entry / "QUARANTINE.json").read_text())
+        assert record["reason"] == "archive-corrupt"
+        assert record["job_id"] == job.job_id
         # The re-recorded archive seals clean: a third run skips it.
         assert run_job(job).skipped
 

@@ -28,7 +28,7 @@ from repro.core import (
     TraceQuality,
 )
 from repro.core.countermeasures import SensorHardening
-from repro.core.io import load_traceset
+from repro.core.io import TraceArchiveReader
 from repro.core.sampler import PREFETCH_POLLS, HwmonSampler
 from repro.dpu.models import build_model
 from repro.dpu.runner import DpuRunner
@@ -39,7 +39,7 @@ from repro.session import AttackSession
 
 pytestmark = pytest.mark.faults
 
-FIXTURE = Path(__file__).parent / "data" / "collect_seed3_v1.npz"
+FIXTURE = Path(__file__).parent / "data" / "collect_seed3"
 
 #: The recipe the fixture was recorded with (pre-fault-plane code).
 FIXTURE_RECIPE = (
@@ -67,7 +67,7 @@ class TestNoopDeterminismGuard:
             faults = FaultPlan.none()
         session = AttackSession.create(seed=3, faults=faults)
         traces = _collect_fixture_traces(session)
-        pinned = load_traceset(FIXTURE)
+        pinned = TraceArchiveReader(FIXTURE).load_traceset()
         assert len(pinned) == len(traces)
         for fresh, expected in zip(traces, pinned):
             assert fresh.label == expected.label
@@ -144,15 +144,6 @@ class TestHealthMachine:
         assert session.sampler.channel_health("fpga") == DEAD
         with pytest.raises(ChannelDeadError, match="pinned dead"):
             session.sampler.collect("fpga", "current", start=1.0, n_samples=50)
-
-    def test_reset_health_revives(self):
-        session = AttackSession.create(seed=3, faults=0.2)
-        session.sampler.force_dead("fpga")
-        session.sampler.reset_health()
-        trace = session.sampler.collect(
-            "fpga", "current", start=1.0, n_samples=50
-        )
-        assert trace.values.size == 50
 
     def test_faults_mark_channel_flaky(self):
         session = AttackSession.create(seed=3, faults=0.5)
@@ -412,7 +403,7 @@ class TestOneReadPerChunk:
                     traces.append(chunk)
             except StreamInterrupted as exc:
                 error = (str(exc), exc.emitted)
-            sampler.reset_health()
+            sampler._health.clear()  # the collect starts healthy
             try:
                 traces.append(sampler.collect("fpga", "current", **kwargs))
             except ChannelOutageError as exc:

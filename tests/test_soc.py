@@ -75,12 +75,6 @@ class TestWorkloads:
         soc.replace_workload("fpga", "virus", ConstantActivity(2.0))
         assert len(soc.rail("fpga").workload_names) == 1
 
-    def test_clear_workloads(self, soc):
-        soc.attach_workload("fpga", "a", ConstantActivity(1.0))
-        soc.attach_workload("ddr", "b", ConstantActivity(1.0))
-        soc.clear_workloads()
-        assert soc.rail("fpga").workload_names == ()
-        assert soc.rail("ddr").workload_names == ()
 
 
 class TestSampling:

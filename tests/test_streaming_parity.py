@@ -10,6 +10,7 @@ monitor must reproduce the uninterrupted run bit for bit.
 
 import numpy as np
 import pytest
+from reference_kernels import batch_window_features
 
 from repro.core.detector import OnsetDetector
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
@@ -19,7 +20,6 @@ from repro.core.streaming import (
     Interruption,
     StreamingAnalyzer,
     WindowSpec,
-    batch_window_features,
     monitor_chunks,
     window_feature_matrix,
 )
@@ -93,14 +93,13 @@ def test_classify_stream_matches_classify_topk(forest):
         )
         chunks = list(stream)
         assembled = _assemble(chunks)
+        window = WindowSpec(assembled.n_samples, assembled.n_samples)
+        streaming = StreamingAnalyzer(
+            classifier, window, n_features, top_k=len(classes)
+        )
         verdicts = [
             verdict
-            for update in analyzer.classify_stream(
-                classifier,
-                iter(chunks),
-                window_samples=assembled.n_samples,
-                top_k=len(classes),
-            )
+            for update in monitor_chunks(streaming, iter(chunks))
             for verdict in update.verdicts
         ]
         assert len(verdicts) == 1

@@ -7,11 +7,10 @@ import pytest
 
 from repro.core.io import (
     FORMAT_VERSION,
-    V1_FORMAT_VERSION,
+    MANIFEST_NAME,
+    ArchiveError,
     TraceArchiveReader,
     TraceArchiveWriter,
-    load_traceset,
-    save_traceset,
 )
 from repro.core.traces import Trace, TraceSet
 
@@ -28,11 +27,22 @@ def make_traceset(n_traces=3):
     return traceset
 
 
+def save(traceset, path):
+    """Write a trace set as one sealed archive; returns its directory."""
+    with TraceArchiveWriter(path) as writer:
+        for trace in traceset:
+            writer.append(trace)
+    return path
+
+
+def load(path):
+    return TraceArchiveReader(path).load_traceset()
+
+
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
         original = make_traceset()
-        path = save_traceset(original, tmp_path / "traces.npz")
-        loaded = load_traceset(path)
+        loaded = load(save(original, tmp_path / "traces"))
         assert len(loaded) == len(original)
         for a, b in zip(original, loaded):
             np.testing.assert_array_equal(a.times, b.times)
@@ -41,27 +51,22 @@ class TestRoundTrip:
             assert a.quantity == b.quantity
             assert a.label == b.label
 
-    def test_suffix_appended(self, tmp_path):
-        path = save_traceset(make_traceset(1), tmp_path / "dataset")
-        assert path.suffix == ".npz"
-        assert path.exists()
-
     def test_unlabeled_traces_survive(self, tmp_path):
         traceset = TraceSet()
         traceset.add(
             Trace(times=np.array([0.0]), values=np.array([5]),
                   domain="ddr", quantity="power", label=None)
         )
-        loaded = load_traceset(save_traceset(traceset, tmp_path / "t"))
+        loaded = load(save(traceset, tmp_path / "t"))
         assert loaded.traces[0].label is None
 
     def test_creates_parent_dirs(self, tmp_path):
-        path = save_traceset(make_traceset(1), tmp_path / "a" / "b" / "t")
-        assert path.exists()
+        path = save(make_traceset(1), tmp_path / "a" / "b" / "t")
+        assert (path / MANIFEST_NAME).exists()
 
     def test_loaded_matrix_matches(self, tmp_path):
         original = make_traceset()
-        loaded = load_traceset(save_traceset(original, tmp_path / "t"))
+        loaded = load(save(original, tmp_path / "t"))
         Xa, ya = original.to_matrix(16)
         Xb, yb = loaded.to_matrix(16)
         np.testing.assert_array_equal(Xa, Xb)
@@ -107,17 +112,14 @@ class TestChunkBytes:
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_traceset(tmp_path / "missing.npz")
+        with pytest.raises(ArchiveError, match="no trace archive manifest"):
+            load(tmp_path / "missing")
 
     def test_not_an_archive(self, tmp_path):
-        path = tmp_path / "bogus.npz"
-        np.savez(path, data=np.zeros(3))
-        with pytest.raises(ValueError, match="not a trace archive"):
-            load_traceset(path)
+        (tmp_path / MANIFEST_NAME).write_text('{"kind": "something-else"}\n')
+        with pytest.raises(ValueError, match="not an AmpereBleed trace archive"):
+            load(tmp_path)
 
     def test_format_version_pinned(self):
-        # v1 single-file archives must stay loadable forever; v3 is the
-        # streaming directory format (manifest plus segment files).
-        assert V1_FORMAT_VERSION == 1
+        # v3 is the streaming directory format (manifest plus segments).
         assert FORMAT_VERSION == 3

@@ -47,10 +47,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             make_trace().truncated(0.0)
 
-    def test_relabeled(self):
-        trace = make_trace(label="a").relabeled("b")
-        assert trace.label == "b"
-
     def test_repr(self):
         assert "fpga/current" in repr(make_trace())
 

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import AttackCampaign
-from repro.fpga.workloads import (
-    WORKLOAD_CLASSES,
-    generate_dataset,
-    generate_workload,
-)
+from repro.fpga.workloads import WORKLOAD_CLASSES, generate_dataset
 from repro.session import AttackSession
 from repro.soc import PiecewiseActivity, Soc
+
+
+def _first_of(kind, seed):
+    """The first ``kind`` victim of a one-per-class dataset."""
+    return next(
+        victim for victim in generate_dataset(1, seed=seed)
+        if victim.kind == kind
+    )
 
 
 class TestWorkloadLibrary:
@@ -21,31 +25,26 @@ class TestWorkloadLibrary:
 
     @pytest.mark.parametrize("kind", WORKLOAD_CLASSES)
     def test_generate_each_class(self, kind):
-        victim = generate_workload(kind, seed=1)
-        assert victim.kind == kind
+        victim = _first_of(kind, seed=1)
         t = np.linspace(0, 2, 50)
         assert np.all(victim.fpga.power_at(t) >= 0)
         assert np.all(victim.ddr.power_at(t) >= 0)
 
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown workload class"):
-            generate_workload("quantum")
-
     def test_seeded_determinism(self):
-        a = generate_workload("burst", seed=7)
-        b = generate_workload("burst", seed=7)
+        a = _first_of("burst", seed=7)
+        b = _first_of("burst", seed=7)
         t = np.linspace(0, 1, 20)
         np.testing.assert_allclose(a.fpga.power_at(t), b.fpga.power_at(t))
 
     def test_memory_class_is_ddr_heavy(self):
-        victim = generate_workload("memory", seed=3)
+        victim = _first_of("memory", seed=3)
         window = (np.array([0.0]), np.array([2.0]))
         assert victim.ddr.window_mean(*window)[0] > (
             victim.fpga.window_mean(*window)[0]
         )
 
     def test_burst_class_is_fpga_heavy(self):
-        victim = generate_workload("burst", seed=3)
+        victim = _first_of("burst", seed=3)
         window = (np.array([0.0]), np.array([2.0]))
         assert victim.fpga.window_mean(*window)[0] > (
             victim.ddr.window_mean(*window)[0]
@@ -72,7 +71,7 @@ class TestWorkloadLibrary:
 
     def test_attach_detach(self):
         soc = Soc("ZCU102", seed=0)
-        victim = generate_workload("stream", seed=1)
+        victim = _first_of("stream", seed=1)
         victim.attach(soc)
         assert "victim" in soc.rail("fpga").workload_names
         assert "victim" in soc.rail("ddr").workload_names
