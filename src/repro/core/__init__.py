@@ -28,7 +28,7 @@ from repro.core.io import (
     TraceArchiveReader,
     TraceArchiveWriter,
 )
-from repro.core.features import resample_values, standardize
+from repro.core.features import resample_values
 from repro.core.fingerprint import (
     TABLE3_CHANNELS,
     TABLE3_DURATIONS,
@@ -61,7 +61,6 @@ from repro.core.streaming import (
     Verdict,
     WindowSpec,
     monitor_chunks,
-    window_feature_matrix,
 )
 from repro.core.traces import Trace, TraceQuality, TraceSet
 
@@ -91,7 +90,6 @@ __all__ = [
     "CharacterizationResult",
     "characterize",
     "resample_values",
-    "standardize",
     "TABLE3_CHANNELS",
     "TABLE3_DURATIONS",
     "DnnFingerprinter",
@@ -117,7 +115,6 @@ __all__ = [
     "Verdict",
     "WindowSpec",
     "monitor_chunks",
-    "window_feature_matrix",
     "Trace",
     "TraceQuality",
     "TraceSet",

@@ -52,24 +52,23 @@ def deploy_victim(
     start: float = 2.0,
     amplitude: float = 3.0,
     domain: str = "fpga",
-    name: str = "victim",
 ):
     """Attach a deterministic step-on victim workload to a session.
 
-    The canonical stakeout target: a rail that idles until ``start``
-    seconds, then holds ``amplitude`` activity forever.  Pulling this
-    out of the test fixtures makes a campaign self-contained from just
-    ``(board, seed, start, amplitude)`` — exactly what a fleet job
-    pickles — so every board in a sharded run deploys an identical
-    victim and resumed runs reproduce it bit for bit.  Returns the
-    session for chaining.
+    The canonical stakeout target: a workload named ``"victim"`` that
+    idles until ``start`` seconds, then holds ``amplitude`` activity
+    forever.  Pulling this out of the test fixtures makes a campaign
+    self-contained from just ``(board, seed, start, amplitude)`` —
+    exactly what a fleet job pickles — so every board in a sharded run
+    deploys an identical victim and resumed runs reproduce it bit for
+    bit.  Returns the session for chaining.
     """
     from repro.soc.workload import PiecewiseActivity
 
     require_positive(start, "start")
     session.soc.attach_workload(
         domain,
-        name,
+        "victim",
         PiecewiseActivity(
             [0.0, float(start), 1e9], [0.0, float(amplitude)]
         ),
@@ -83,21 +82,14 @@ class AttackCampaign:
     Args:
         session: the malicious process's foothold (default: a fresh
             :meth:`~repro.session.AttackSession.create`).
-        detector: stakeout onset detector (default: a fresh
-            :class:`~repro.core.detector.OnsetDetector`).
     """
 
-    def __init__(
-        self,
-        session=None,
-        detector: Optional[OnsetDetector] = None,
-    ):
+    def __init__(self, session=None):
         if session is None:
             from repro.session import AttackSession
 
             session = AttackSession.create()
         self.session = session
-        self.detector = detector if detector is not None else OnsetDetector()
 
     @property
     def soc(self) -> Soc:
@@ -133,12 +125,13 @@ class AttackCampaign:
 
     def wait_for_victim(
         self,
-        domain: str = "fpga",
         start: float = 0.0,
         timeout: float = 30.0,
         chunk: float = 2.0,
     ) -> Tuple[bool, float]:
-        """Poll until activity appears on a channel (or timeout).
+        """Poll the FPGA current until a default
+        :class:`~repro.core.detector.OnsetDetector` sees activity (or
+        timeout).
 
         Returns ``(found, onset_time)``; consumes the channel as one
         chunked :class:`~repro.core.sampler.TraceStream`, so memory is
@@ -150,46 +143,43 @@ class AttackCampaign:
         require_positive(timeout, "timeout")
         require_positive(chunk, "chunk")
         stream = self.sampler.stream(
-            domain,
+            "fpga",
             "current",
             start=start,
             duration=timeout,
             chunk_duration=chunk,
         )
-        return self.detector.scan_for_onset(stream)
+        return OnsetDetector().scan_for_onset(stream)
 
     # ----------------------------------------------------------- attack
 
     def record_victim(
         self,
-        domain: str = "fpga",
         start: float = 0.0,
         duration: float = 5.0,
         label: Optional[str] = None,
     ) -> Trace:
-        """Record an attack trace once the victim is known to run."""
+        """Record an FPGA current attack trace once the victim runs."""
         return self.sampler.collect(
-            domain, "current", start=start, duration=duration, label=label
+            "fpga", "current", start=start, duration=duration, label=label
         )
 
     def run(
         self,
         victim_start: float,
         trace_duration: float = 5.0,
-        stakeout_from: float = 0.0,
         timeout: float = 60.0,
     ) -> Optional[Trace]:
         """The full chain against an already-deployed victim.
 
-        Returns the attack trace, or ``None`` when recon or stakeout
-        fails (no sensors / victim never ran).
+        The stakeout watches from time 0.  Returns the attack trace, or
+        ``None`` when recon or stakeout fails (no sensors / victim
+        never ran).
         """
         report = self.recon()
         if not report.found_fpga_sensor:
             return None
-        found, onset = self.wait_for_victim(
-            start=stakeout_from, timeout=timeout
-        )
+        found, onset = self.wait_for_victim(timeout=timeout)
         if not found:
             return None
         return self.record_victim(
@@ -201,7 +191,6 @@ class AttackCampaign:
         out: Union[str, Path],
         victim_start: float,
         trace_duration: float = 5.0,
-        stakeout_from: float = 0.0,
         timeout: float = 60.0,
         chunk_duration: float = 1.0,
         resume: bool = False,
@@ -226,7 +215,9 @@ class AttackCampaign:
             "seed": self.session.seed,
             "victim_start": victim_start,
             "trace_duration": trace_duration,
-            "stakeout_from": stakeout_from,
+            # The stakeout watches from time 0; the key stays in the
+            # manifest so existing archives and digests keep their bytes.
+            "stakeout_from": 0.0,
             "timeout": timeout,
             "chunk_duration": chunk_duration,
         }
@@ -250,9 +241,7 @@ class AttackCampaign:
                 writer.close()
                 return None
             if reached < 2:
-                found, onset = self.wait_for_victim(
-                    start=stakeout_from, timeout=timeout
-                )
+                found, onset = self.wait_for_victim(timeout=timeout)
                 state = dict(
                     state,
                     stage="stakeout",

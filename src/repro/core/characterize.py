@@ -91,12 +91,14 @@ class CharacterizationResult:
 def characterize(
     session=None,
     virus: Optional[PowerVirusArray] = None,
-    ro_bank: Optional[RoSensorBank] = None,
     samples_per_level: int = 10_000,
     levels: Optional[np.ndarray] = None,
     seed: RngLike = 0,
 ) -> CharacterizationResult:
     """Run the Fig 2 sweep and aggregate per-level statistics.
+
+    The crafted-circuit baseline is the default distributed Zhao & Suh
+    :class:`~repro.fpga.ring_osc.RoSensorBank`.
 
     Args:
         session: the attacker's foothold; its SoC is the platform under
@@ -104,8 +106,6 @@ def characterize(
             :meth:`~repro.session.AttackSession.create`).
         virus: the activatable victim array (default: the paper's
             160 groups x 1 k instances).
-        ro_bank: the crafted-circuit baseline (default: distributed
-            Zhao & Suh RO bank).
         samples_per_level: hwmon/RO samples averaged per level
             (paper: 10 000; reduce for quick runs — the means converge
             long before that).
@@ -122,8 +122,7 @@ def characterize(
     soc = session.soc
     if virus is None:
         virus = PowerVirusArray(seed=seed)
-    if ro_bank is None:
-        ro_bank = RoSensorBank()
+    ro_bank = RoSensorBank()
     if levels is None:
         levels = virus.sweep_levels()
     levels = np.asarray(levels, dtype=np.int64)

@@ -155,23 +155,18 @@ def decode_frame(trace: Trace, n_payload_bits: int) -> List[int]:
 
 
 class PowerCovertReceiver:
-    """The CPU-side conspirator: an unprivileged hwmon polling loop."""
+    """The CPU-side conspirator: an unprivileged polling loop on the
+    FPGA current channel."""
 
-    def __init__(
-        self,
-        sampler: HwmonSampler,
-        domain: str = "fpga",
-        oversample: int = 4,
-    ):
+    #: Fewest polls per bit window, however short the bit period.
+    MIN_POLLS_PER_BIT = 4
+
+    def __init__(self, sampler: HwmonSampler):
         self.sampler = sampler
-        self.domain = domain
-        if oversample < 1:
-            raise ValueError("oversample must be >= 1")
-        self.oversample = int(oversample)
 
     def _polls_per_bit(self, bit_period: float) -> int:
-        update = self.sampler.soc.device(self.domain).update_period
-        return max(self.oversample, int(bit_period / update))
+        update = self.sampler.soc.device("fpga").update_period
+        return max(self.MIN_POLLS_PER_BIT, int(bit_period / update))
 
     def _bit_means(
         self,
@@ -189,7 +184,7 @@ class PowerCovertReceiver:
         """
         polls_per_bit = self._polls_per_bit(bit_period)
         stream = self.sampler.stream(
-            self.domain,
+            "fpga",
             "current",
             start=start,
             n_samples=n_bits * polls_per_bit,

@@ -4,7 +4,7 @@ The paper's fingerprinting uses "straightforward features" — the raw
 hwmon readings over the collection window — fed to a random forest.
 The only processing needed is bringing variable-length polling sessions
 onto a fixed-width grid (resampling) so traces of different durations
-and poll phases align column-wise, plus optional standardization.
+and poll phases align column-wise.
 
 Resampling has two entry points: :func:`resample_values` for one trace
 (the online classification path) and :func:`resample_batch` for a
@@ -98,16 +98,3 @@ def resample_batch(
         else:
             matrix[members] = _interp_rows(target, int(length), group)
     return matrix
-
-
-def standardize(matrix: np.ndarray) -> np.ndarray:
-    """Zero-mean / unit-variance per column (constant columns pass
-    through unchanged, shifted to zero)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    safe = np.where(std > 0, std, 1.0)
-    return (matrix - mean) / safe
-

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.features import resample_batch
 from repro.core.io import (
     TraceArchiveReader,
     TraceArchiveWriter,
@@ -169,16 +170,14 @@ class FingerprintAnalyzer:
     def from_archive(
         archive: Union[str, Path, TraceArchiveReader],
         workers: Optional[int] = None,
-        config: Optional[FingerprintConfig] = None,
         seed: Optional[int] = None,
         mmap: bool = True,
     ) -> Tuple["FingerprintAnalyzer", Dict[Tuple[str, str], TraceSet]]:
         """Open a recorded dataset and the analyzer that evaluates it.
 
         The archive manifest carries the recording's fingerprint
-        configuration and seed; explicit ``config``/``seed`` arguments
-        override them (e.g. to re-evaluate one dataset under many
-        analysis settings — train-many-from-one-dataset).
+        configuration and seed; an explicit ``seed`` overrides the
+        recorded one.
 
         Trace arrays are memory-mapped off disk by default (zero-copy
         views; see :class:`~repro.core.io.TraceArchiveReader`) instead
@@ -193,8 +192,11 @@ class FingerprintAnalyzer:
         if not isinstance(archive, TraceArchiveReader):
             archive = TraceArchiveReader(archive, mmap=mmap)
         meta = archive.meta
-        if config is None and "config" in meta:
-            config = FingerprintConfig.from_dict(meta["config"])
+        config = (
+            FingerprintConfig.from_dict(meta["config"])
+            if "config" in meta
+            else None
+        )
         if seed is None:
             seed = meta.get("seed", 0)
         analyzer = FingerprintAnalyzer(
@@ -304,7 +306,6 @@ class FingerprintAnalyzer:
         datasets: Dict[Tuple[str, str], TraceSet],
         channels: Sequence[Tuple[str, str]] = None,
         duration: Optional[float] = None,
-        workers: Optional[int] = None,
     ) -> CrossValidationResult:
         """Fuse several channels into one feature vector and evaluate.
 
@@ -337,15 +338,13 @@ class FingerprintAnalyzer:
             n_folds=self.config.n_folds,
             classifier_factory=self._forest_factory(),
             seed=derive_seed(self.seed, "cv-fused"),
-            workers=self._workers(workers),
+            workers=self.workers,
         )
 
     def evaluate_fused_degraded(
         self,
         datasets: Dict[Tuple[str, str], TraceSet],
         channels: Sequence[Tuple[str, str]] = None,
-        duration: Optional[float] = None,
-        workers: Optional[int] = None,
     ) -> Dict:
         """Fusion that tolerates channels lost to dead sensors.
 
@@ -370,9 +369,7 @@ class FingerprintAnalyzer:
             raise ValueError(
                 f"no fusable channels left: all of {channels} were dropped"
             )
-        result = self.evaluate_fused(
-            datasets, channels=used, duration=duration, workers=workers
-        )
+        result = self.evaluate_fused(datasets, channels=used)
         return {
             "result": result,
             "used_channels": used,
@@ -392,22 +389,14 @@ class FingerprintAnalyzer:
         self, classifier: RandomForestClassifier, trace: Trace
     ) -> str:
         """Online phase: name the architecture behind one new trace."""
-        from repro.core.streaming import window_feature_matrix
-
-        features = window_feature_matrix(
-            [trace.values], self.config.n_features
-        )
+        features = resample_batch([trace.values], self.config.n_features)
         return str(classifier.predict(features)[0])
 
     def classify_topk(
         self, classifier: RandomForestClassifier, trace: Trace, k: int = 5
     ) -> List[str]:
         """Online phase, top-k candidates (Table III's second rows)."""
-        from repro.core.streaming import window_feature_matrix
-
-        features = window_feature_matrix(
-            [trace.values], self.config.n_features
-        )
+        features = resample_batch([trace.values], self.config.n_features)
         return [str(name) for name in classifier.predict_topk(features, k)[0]]
 
 

@@ -358,11 +358,6 @@ class TraceArchiveWriter:
             self._segment.close()
             self._segment = None
 
-    @property
-    def n_chunks(self) -> int:
-        """Chunks persisted so far (recovered + appended)."""
-        return self._n_chunks
-
     def _write_line(self, record: dict) -> None:
         self._manifest.write(json.dumps(record) + "\n")
         self._manifest.flush()

@@ -335,12 +335,12 @@ class RsaHammingWeightAttack:
         true_weight: int,
         calibration: LinearFit,
         n_samples: int = 35_000,
-        quantity: str = "current",
     ) -> float:
-        """Full online attack on one unknown key; returns the estimate."""
+        """Full online attack on one unknown key, through the current
+        channel; returns the estimate."""
         profile = self.profile_key(
             self.make_circuit(true_weight),
-            quantity=quantity,
+            quantity="current",
             n_samples=n_samples,
         )
         return self.infer_weight(profile.values, calibration)

@@ -344,10 +344,6 @@ class HwmonSampler:
         """Current health state of one domain's sensor."""
         return self._health_for(domain).state
 
-    def force_dead(self, domain: str) -> None:
-        """Pin one domain's sensor dead (a confirmed-unbound device)."""
-        self._health_for(domain).force_dead()
-
     def _gated_read(self, domain: str, quantity: str, times: np.ndarray):
         """One fault-annotated read: ``(values, bad)``.
 

@@ -11,10 +11,10 @@ Three layers compose the pipeline:
 
 * :class:`IncrementalFeatureExtractor` — turns a chunked sample stream
   into fixed-width feature rows over sliding windows.  Feature rows go
-  through :func:`window_feature_matrix`, the *same* batched kernel
-  call the offline path (:meth:`repro.core.traces.TraceSet.to_matrix`)
-  uses, so streaming/batch feature parity is structural, not
-  coincidental.
+  through :func:`~repro.core.features.resample_batch`, the *same*
+  batched kernel call the offline path
+  (:meth:`repro.core.traces.TraceSet.to_matrix`) uses, so
+  streaming/batch feature parity is structural, not coincidental.
 * :class:`~repro.core.detector.OnsetTracker` — the incremental onset
   state machine (built by :meth:`OnsetDetector.tracker`), threaded
   through so verdicts know whether the victim was active.
@@ -34,7 +34,7 @@ degraded verdicts, not silently shaky ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.utils.validation import require_int_in_range
 
 __all__ = [
     "WindowSpec",
-    "window_feature_matrix",
     "FeatureWindow",
     "FeatureBatch",
     "IncrementalFeatureExtractor",
@@ -90,21 +89,6 @@ class WindowSpec:
         return 1 + (n_samples - self.window_samples) // self.hop_samples
 
 
-def window_feature_matrix(
-    windows: Sequence[np.ndarray], n_features: int
-) -> np.ndarray:
-    """Fixed-width feature rows for a batch of sample windows.
-
-    *The* feature kernel of both analysis planes: the offline path
-    (:meth:`repro.core.traces.TraceSet.to_matrix`) feeds it one window
-    per trace, the incremental extractor feeds it every sliding window
-    a chunk completes.  Thin by design — it pins both planes to the
-    same batched resampling kernel so their features are bit-identical
-    whenever their windows are.
-    """
-    return resample_batch(windows, n_features)
-
-
 @dataclass(frozen=True)
 class FeatureWindow:
     """Provenance of one emitted feature row.
@@ -144,7 +128,8 @@ class IncrementalFeatureExtractor:
     Push :class:`Trace` chunks (or raw arrays) in stream order; each
     push returns a :class:`FeatureBatch` holding one feature row per
     window the new samples completed, computed through
-    :func:`window_feature_matrix` in a single batched kernel call.
+    :func:`~repro.core.features.resample_batch` in a single batched
+    kernel call.
 
     Memory is bounded by the window: at most ``window_samples -
     hop_samples`` carried samples plus the current chunk are resident,
@@ -247,7 +232,7 @@ class IncrementalFeatureExtractor:
         if not rows:
             return FeatureBatch(np.empty((0, self.n_features)), ())
         return FeatureBatch(
-            window_feature_matrix(rows, self.n_features), tuple(metas)
+            resample_batch(rows, self.n_features), tuple(metas)
         )
 
     def _window_quality(
@@ -295,10 +280,6 @@ class ConfidenceSmoother:
                 self.alpha * proba + (1.0 - self.alpha) * self._state
             )
         return self._state.copy()
-
-    def reset(self) -> None:
-        """Forget history; the next update adopts its input verbatim."""
-        self._state = None
 
 
 @dataclass(frozen=True)
@@ -415,8 +396,6 @@ class StreamingAnalyzer:
         self.spec = spec
         self.extractor = IncrementalFeatureExtractor(spec, n_features)
         self.smoother = ConfidenceSmoother(smoothing)
-        self._detector = detector
-        self._baseline = baseline
         self.tracker: Optional[OnsetTracker] = None
         if detector is not None:
             self.tracker = detector.tracker(
@@ -430,23 +409,6 @@ class StreamingAnalyzer:
     def peak_resident_samples(self) -> int:
         """High-water mark of the feature buffer (bounded by O(window))."""
         return self.extractor.peak_resident_samples
-
-    def reset(self) -> None:
-        """Forget smoothing/decision state between independent streams.
-
-        Keeps the classifier and window geometry; drops buffered
-        samples, smoothed confidences and the last decision so the
-        next stream is scored exactly like a fresh analyzer.
-        """
-        self.extractor = IncrementalFeatureExtractor(
-            self.spec, self.extractor.n_features
-        )
-        self.smoother.reset()
-        if self._detector is not None:
-            self.tracker = self._detector.tracker(
-                baseline=self._baseline, mask_baseline_region=False
-            )
-        self._last_label = None
 
     def push_chunk(self, chunk: Trace) -> MonitorUpdate:
         """Consume one stream chunk; return verdicts + events."""

@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.features import resample_batch
+
 
 @dataclass(frozen=True)
 class TraceQuality:
@@ -145,9 +147,9 @@ class Trace:
     def truncation_mask(self, duration: float) -> np.ndarray:
         """Boolean sample mask for the first ``duration`` seconds.
 
-        The single source of the truncation rule: :meth:`truncated`
-        applies it per trace and :meth:`TraceSet.to_matrix` applies it
-        batch-wise without building intermediate ``Trace`` objects.
+        The single source of the truncation rule, which
+        :meth:`TraceSet.to_matrix` applies without building
+        intermediate ``Trace`` objects.
         """
         if duration <= 0:
             raise ValueError("duration must be > 0")
@@ -156,22 +158,6 @@ class Trace:
         if not keep.any():
             keep[0] = True
         return keep
-
-    def truncated(self, duration: float) -> "Trace":
-        """The prefix covering the first ``duration`` seconds.
-
-        This is how Table III's 1 s / 2 s / ... columns are produced
-        from the 5 s full-length recordings.
-        """
-        keep = self.truncation_mask(duration)
-        return Trace(
-            times=self.times[keep],
-            values=self.values[keep],
-            domain=self.domain,
-            quantity=self.quantity,
-            label=self.label,
-            quality=self.quality,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -213,27 +199,21 @@ class TraceSet:
         ]
         return TraceSet(kept)
 
-    def truncated(self, duration: float) -> "TraceSet":
-        """Every trace truncated to its first ``duration`` seconds."""
-        return TraceSet([trace.truncated(duration) for trace in self.traces])
-
     def to_matrix(
         self, n_features: int, duration: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fixed-width feature matrix + label vector for the classifier.
 
         Each trace contributes one whole-trace window to
-        :func:`repro.core.streaming.window_feature_matrix` — the same
-        windowing entry point the incremental streaming extractor
-        uses, so batch and live features share one kernel path.
-        Unlabeled traces are rejected since the matrix is a supervised
-        dataset.  With ``duration`` given, every trace is first
-        truncated to its opening ``duration`` seconds — equivalent to
-        ``self.truncated(duration).to_matrix(n_features)`` but without
-        materializing the intermediate trace objects.
+        :func:`repro.core.features.resample_batch` — the same batched
+        kernel the incremental streaming extractor uses, so batch and
+        live features share one kernel path.  Unlabeled traces are
+        rejected since the matrix is a supervised dataset.  With
+        ``duration`` given, every trace is first cut to its opening
+        ``duration`` seconds (:meth:`Trace.truncation_mask`); this is
+        how Table III's 1 s / 2 s / ... columns are produced from the
+        5 s full-length recordings.
         """
-        from repro.core.streaming import window_feature_matrix
-
         if not self.traces:
             raise ValueError("empty trace set")
         values_list = []
@@ -247,7 +227,7 @@ class TraceSet:
             values_list.append(values)
             labels.append(trace.label)
         return (
-            window_feature_matrix(values_list, n_features),
+            resample_batch(values_list, n_features),
             np.asarray(labels),
         )
 

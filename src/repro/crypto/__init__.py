@@ -7,7 +7,6 @@ from repro.crypto.rsa_math import (
     hamming_weight,
     make_exponent_with_weight,
     random_modulus,
-    square_and_multiply,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "hamming_weight",
     "make_exponent_with_weight",
     "random_modulus",
-    "square_and_multiply",
 ]

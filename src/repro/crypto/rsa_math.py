@@ -8,9 +8,9 @@ current exponent bit is 1.  The number of multiply activations over a
 full exponentiation therefore equals the exponent's Hamming weight —
 the quantity AmpereBleed recovers from the current trace.
 
-This module provides the bit-exact reference (validated against
-Python's ``pow``), Hamming-weight utilities, and the construction of
-the paper's 17 test keys with Hamming weights {1, 64, 128, ..., 1024}.
+This module provides the LSB-first exponent bit schedule, Hamming-weight
+utilities, and the construction of the paper's 17 test keys with
+Hamming weights {1, 64, 128, ..., 1024}.
 """
 
 from __future__ import annotations
@@ -54,25 +54,6 @@ def exponent_bits_lsb_first(exponent: int, width: int = RSA_BITS) -> List[int]:
     return [(exponent >> i) & 1 for i in range(width)]
 
 
-def square_and_multiply(
-    base: int, exponent: int, modulus: int, width: int = RSA_BITS
-) -> int:
-    """LSB-first square-and-multiply modular exponentiation.
-
-    Matches the victim circuit's algorithm exactly (fixed ``width``
-    iterations); equal to ``pow(base, exponent, modulus)``.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    result = 1 % modulus
-    square = base % modulus
-    for bit in exponent_bits_lsb_first(exponent, width):
-        if bit:
-            result = (result * square) % modulus
-        square = (square * square) % modulus
-    return result
-
-
 def make_exponent_with_weight(
     weight: int, width: int = RSA_BITS, seed: RngLike = None
 ) -> int:
@@ -93,8 +74,8 @@ def make_exponent_with_weight(
     return exponent
 
 
-def random_modulus(width: int = RSA_BITS, seed: RngLike = None) -> int:
-    """A ``width``-bit odd modulus for exercising the datapath.
+def random_modulus(seed: RngLike = None) -> int:
+    """An :data:`RSA_BITS`-bit odd modulus for the victim circuit.
 
     The side channel depends only on the exponent's bit pattern, not on
     the modulus being a proper RSA semiprime, so an odd random modulus
@@ -102,11 +83,11 @@ def random_modulus(width: int = RSA_BITS, seed: RngLike = None) -> int:
     generating true 512-bit primes would add nothing to the model).
     """
     rng = spawn(seed, "rsa-modulus")
-    limbs = rng.integers(0, 1 << 32, size=max(1, width // 32), dtype=np.uint64)
+    limbs = rng.integers(0, 1 << 32, size=RSA_BITS // 32, dtype=np.uint64)
     value = 0
     for limb in limbs:
         value = (value << 32) | int(limb)
-    value |= 1 << (width - 1)  # full width
+    value |= 1 << (RSA_BITS - 1)  # full width
     value |= 1  # odd
     return value
 

@@ -101,25 +101,18 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class DpuCompiler:
-    """Tiles layers onto an array geometry and estimates cycles.
+    """Tiles layers onto the B4096 array geometry and estimates cycles.
 
     Args:
-        geometry: the MAC-array shape.
-        tile_overhead_cycles: pipeline fill/drain cycles per tile.
         pipeline_efficiency: steady-state fraction of peak inside a
             full tile (control bubbles, bank conflicts).
     """
 
-    def __init__(
-        self,
-        geometry: ArrayGeometry = None,
-        tile_overhead_cycles: int = 24,
-        pipeline_efficiency: float = 0.82,
-    ):
-        self.geometry = geometry if geometry is not None else ArrayGeometry()
-        self.tile_overhead_cycles = require_int_in_range(
-            tile_overhead_cycles, 0, 1_000_000, "tile_overhead_cycles"
-        )
+    #: Pipeline fill/drain cycles per tile.
+    TILE_OVERHEAD_CYCLES = 24
+
+    def __init__(self, pipeline_efficiency: float = 0.82):
+        self.geometry = ArrayGeometry()
         if not (0.0 < pipeline_efficiency <= 1.0):
             raise ValueError("pipeline_efficiency must be in (0, 1]")
         self.pipeline_efficiency = pipeline_efficiency
@@ -174,7 +167,7 @@ class DpuCompiler:
         padded_cycles = _ceil_div(padded_macs, geometry.macs_per_cycle)
         cycles = int(
             padded_cycles / self.pipeline_efficiency
-            + tiles * self.tile_overhead_cycles
+            + tiles * self.TILE_OVERHEAD_CYCLES
         )
         efficiency = min(1.0, ideal_cycles / max(1, cycles))
         return CompiledLayer(

@@ -115,11 +115,10 @@ def dwconv(
     channels: int,
     kernel: int = 3,
     stride: int = 1,
-    padding: str = "same",
 ) -> Tuple[LayerSpec, Tuple[int, int, int]]:
-    """A depthwise convolution (one filter per channel)."""
-    out_h = _out_dim(h, kernel, stride, padding)
-    out_w = _out_dim(w, kernel, stride, padding)
+    """A "same"-padded depthwise convolution (one filter per channel)."""
+    out_h = _out_dim(h, kernel, stride, "same")
+    out_w = _out_dim(w, kernel, stride, "same")
     macs = out_h * out_w * channels * kernel * kernel
     spec = LayerSpec(
         name=name,

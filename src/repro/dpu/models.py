@@ -61,21 +61,21 @@ class ModelSpec:
         )
 
 
-def _divisible(value: float, divisor: int = 8) -> int:
-    """Round channels to a hardware-friendly multiple (MobileNet rule)."""
-    rounded = max(divisor, int(value + divisor / 2) // divisor * divisor)
+def _divisible(value: float) -> int:
+    """Round channels to a multiple of 8 (the MobileNet rule)."""
+    rounded = max(8, int(value + 4) // 8 * 8)
     if rounded < 0.9 * value:
-        rounded += divisor
+        rounded += 8
     return rounded
 
 
 class _Builder:
     """Accumulates layers while tracking the current tensor shape."""
 
-    def __init__(self, input_size: int, channels: int = 3):
+    def __init__(self, input_size: int):
         self.h = input_size
         self.w = input_size
-        self.c = channels
+        self.c = 3  # RGB input
         self.layers: List[LayerSpec] = []
         self._counter = 0
 

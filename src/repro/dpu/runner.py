@@ -128,9 +128,11 @@ class DpuRunner:
         cycle_jitter: relative RMS jitter of each serving cycle's
             duration (scheduling noise).
         stall_probability: per-cycle probability of an OS preemption
-            stall inserted after the cycle.
-        stall_seconds: duration of one preemption stall.
+            stall of :attr:`STALL_SECONDS` inserted after the cycle.
     """
+
+    #: Duration of one OS preemption stall.
+    STALL_SECONDS = 2.0e-3
 
     def __init__(
         self,
@@ -138,7 +140,6 @@ class DpuRunner:
         runtime: RuntimeConfig = None,
         cycle_jitter: float = 0.006,
         stall_probability: float = 0.015,
-        stall_seconds: float = 2.0e-3,
     ):
         self.dpu = dpu if dpu is not None else DpuCore()
         self.runtime = runtime if runtime is not None else RuntimeConfig()
@@ -146,9 +147,6 @@ class DpuRunner:
         if not (0.0 <= stall_probability < 1.0):
             raise ValueError("stall_probability must be in [0, 1)")
         self.stall_probability = stall_probability
-        self.stall_seconds = require_non_negative(
-            stall_seconds, "stall_seconds"
-        )
         # id(spec) -> (weakref to spec, dpu config, runtime, profile);
         # see cycle_profile.
         self._profiles: Dict[int, tuple] = {}
@@ -280,7 +278,7 @@ class DpuRunner:
         scales = np.clip(scales, 0.5, 1.5)
         stalls = np.where(
             rng.random(n_cycles) < self.stall_probability,
-            self.stall_seconds,
+            self.STALL_SECONDS,
             0.0,
         )
 
@@ -314,11 +312,12 @@ class DpuRunner:
         for rail, timeline in timelines.items():
             soc.replace_workload(rail, name, timeline)
 
-    def undeploy(self, soc, name: str = "dpu") -> None:
-        """Detach a previous deployment from all four rails."""
+    def undeploy(self, soc) -> None:
+        """Detach the default-named (``"dpu"``) deployment from all four
+        rails."""
         for rail in DPU_RAILS:
             try:
-                soc.detach_workload(rail, name)
+                soc.detach_workload(rail, "dpu")
             except KeyError:
                 pass
 

@@ -9,8 +9,9 @@
   gap interpolation, and the healthy → flaky → dead channel state the
   degraded-mode fallbacks consult.
 
-``FaultPlan.none()`` is the contractually free path: arming it changes
-no trace, archive, or accuracy bit.
+A plan with every rate zero (``FaultPlan(seed=...)``) is the
+contractually free path: arming it changes no trace, archive, or
+accuracy bit.
 """
 
 from repro.faults.plan import FaultPlan, TORN_MAGNITUDE, resolve_fault_plan

@@ -12,9 +12,9 @@ schedule is bit-identical across runs, chunk sizes, and worker counts,
 and a retried read at a shifted time draws a fresh, equally
 deterministic outcome.
 
-:meth:`FaultPlan.none` is the armed-but-disabled plan: every rate is
-zero and the hwmon layer treats it as "no plan", so traces stay
-bit-identical to an unarmed run.
+A plan whose every rate is zero (``FaultPlan(seed=...)``, or
+:meth:`FaultPlan.at_rate` of 0) is armed but disabled: the hwmon layer
+treats it as "no plan", so traces stay bit-identical to an unarmed run.
 """
 
 from __future__ import annotations
@@ -117,17 +117,13 @@ class FaultPlan:
     # ------------------------------------------------------ constructors
 
     @classmethod
-    def none(cls, seed: int = 0) -> "FaultPlan":
-        """The no-op plan: armed everywhere, perturbs nothing."""
-        return cls(seed=seed)
-
-    @classmethod
     def at_rate(cls, rate: float, seed: int = 0) -> "FaultPlan":
         """One-knob plan: ``rate`` scales every fault family.
 
         Transient errors dominate (they do on real sysfs); torn reads,
         stale runs, hotplug windows and interval flips ride along at
-        fractions of the knob.  ``rate=0`` is exactly :meth:`none`.
+        fractions of the knob.  ``rate=0`` is the no-op plan, exactly
+        ``FaultPlan(seed=seed)``.
         """
         if not (0.0 <= rate <= 1.0):
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
@@ -255,7 +251,7 @@ class FaultPlan:
 
     def __repr__(self) -> str:
         if self.is_noop:
-            return f"FaultPlan.none(seed={self.seed})"
+            return f"FaultPlan(seed={self.seed}, no faults)"
         return (
             f"FaultPlan(seed={self.seed}, "
             f"transient={self.transient_rate:g}, torn={self.torn_rate:g}, "

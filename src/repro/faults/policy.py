@@ -67,7 +67,7 @@ class SensorHealth:
     Any observed fault makes the channel ``flaky``; a clean read heals
     it back to ``healthy``.  A read where *every* sample was lost is an
     outage; ``dead_after_outages`` consecutive outages pin the channel
-    to ``dead``, which is sticky until :meth:`reset`.
+    to ``dead``, which is sticky.
     """
 
     def __init__(self, dead_after_outages: int = 2):
@@ -108,15 +108,6 @@ class SensorHealth:
             self._consecutive_outages = 0
             self._state = FLAKY if (faults > 0 or gaps > 0) else HEALTHY
         return self._state
-
-    def force_dead(self) -> None:
-        """Pin the channel dead (a confirmed-unbound sensor)."""
-        self._state = DEAD
-
-    def reset(self) -> None:
-        """Forget all history (a re-binding driver)."""
-        self._state = HEALTHY
-        self._consecutive_outages = 0
 
     def __repr__(self) -> str:
         return (

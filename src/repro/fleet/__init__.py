@@ -1,10 +1,9 @@
 """Fleet campaign scheduler: every board in the catalog, one queue.
 
-AmpereBleed's attack loop (record → analyze → verdict) is the shape of
-a multi-tenant cloud-FPGA monitoring service, and ROADMAP item 2 asks
-for exactly that: an orchestrator that shards recording campaigns
-across the whole Table I board catalog and is measured in traces/sec.
-This package is that orchestrator, built on the PR 8 substrate:
+This package shards AmpereBleed recording campaigns across the
+Table I board catalog: every job records one attack's traces into its
+own checkpointed archive on a shared worker pool, and a fleet run
+reports its throughput in traces/sec.
 
 * :mod:`repro.fleet.jobs` — :class:`FleetJob`, one shardable unit of
   attack work (a fingerprint dataset collection, an RSA Hamming-weight
@@ -13,7 +12,7 @@ This package is that orchestrator, built on the PR 8 substrate:
   :func:`run_job`, the module-level task the worker pool executes;
   and :func:`build_fleet_jobs`, the standard batch of every kind on
   every board.  Jobs are resume-first: a retried job reopens its
-  partial archive via the PR 3 checkpoint path and seals it
+  partial archive at its last checkpoint and seals it
   byte-identical to an uninterrupted run.
 * :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, one
   dispatch loop on the calling thread, with no threads of its own,

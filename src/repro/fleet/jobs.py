@@ -6,9 +6,9 @@ directory, and the experiment parameters — as a small frozen value
 that pickles in bytes, so the scheduler can ship it to a pool worker,
 lose that worker, and ship it again on a fresh pool.
 
-:func:`run_job` is deliberately **resume-first**: it always opens the
-job's archive through the PR 3 checkpoint/resume path, so the three
-possible starting states need no coordination from the scheduler:
+:func:`run_job` is deliberately **resume-first**: it probes the job's
+archive before recording, so the four possible starting states need
+no coordination from the scheduler:
 
 * no archive yet → a fresh recording;
 * a partial archive (the previous attempt's worker died mid-shard) →

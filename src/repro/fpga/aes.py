@@ -22,7 +22,7 @@ from typing import List, Tuple
 from repro.fpga.fabric import CircuitSpec
 from repro.soc.workload import ActivityTimeline
 from repro.utils.rng import RngLike, spawn
-from repro.utils.validation import require_int_in_range, require_positive
+from repro.utils.validation import require_int_in_range
 
 # --------------------------------------------------------------- AES core
 
@@ -147,41 +147,29 @@ class AesCircuit:
 
     Power model: a fixed engine draw plus a per-encryption energy
     proportional to the summed round Hamming distances — the standard
-    register-switching model.  At ``throughput`` blocks/s the
+    register-switching model.  At :attr:`THROUGHPUT` blocks/s the
     key-dependent part contributes microwatts of *average* power,
     which is the point of the negative-result bench.
 
     Args:
         key: the 16-byte secret.
-        clock_hz: engine clock.
-        throughput: encryptions per second while running.
-        p_engine: key-independent dynamic power of the busy engine.
-        energy_per_hd: joules per bit of register Hamming distance.
-        p_idle: deployed-but-idle leakage.
     """
 
-    def __init__(
-        self,
-        key: bytes,
-        clock_hz: float = 300e6,
-        throughput: float = 1e6,
-        p_engine: float = 0.180,
-        energy_per_hd: float = 2.0e-12,
-        p_idle: float = 0.012,
-    ):
+    #: Engine clock in hertz.
+    CLOCK_HZ = 300e6
+    #: Encryptions per second while running.
+    THROUGHPUT = 1e6
+    #: Key-independent dynamic power of the busy engine, watts.
+    P_ENGINE = 0.180
+    #: Joules per bit of register Hamming distance.
+    ENERGY_PER_HD = 2.0e-12
+    #: Deployed-but-idle leakage, watts.
+    P_IDLE = 0.012
+
+    def __init__(self, key: bytes):
         if len(key) != 16:
             raise ValueError("AES-128 needs a 16-byte key")
         self.key = bytes(key)
-        self.clock_hz = require_positive(clock_hz, "clock_hz")
-        self.throughput = require_positive(throughput, "throughput")
-        self.p_engine = require_positive(p_engine, "p_engine")
-        self.energy_per_hd = require_positive(energy_per_hd, "energy_per_hd")
-        self.p_idle = require_positive(p_idle, "p_idle")
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Run the datapath (FIPS-197-correct)."""
-        ciphertext, _ = aes128_encrypt_block(plaintext, self.key)
-        return ciphertext
 
     def mean_switching_bits(
         self, n_blocks: int = 256, seed: RngLike = None
@@ -201,7 +189,7 @@ class AesCircuit:
     def mean_power(self, seed: RngLike = None) -> float:
         """Long-run average power while encrypting a random stream.
 
-        ``p_idle + p_engine + throughput * E_hd * mean_bits`` — the
+        ``P_IDLE + P_ENGINE + THROUGHPUT * E_hd * mean_bits`` — the
         key-dependent term is the last one, and it is tiny: with
         ~700 switched bits per block at 2 pJ/bit and 1e6 blocks/s it
         totals ~1.4 mW, of which the *key-dependent spread* is only a
@@ -209,9 +197,9 @@ class AesCircuit:
         """
         bits = self.mean_switching_bits(seed=seed)
         return (
-            self.p_idle
-            + self.p_engine
-            + self.throughput * self.energy_per_hd * bits
+            self.P_IDLE
+            + self.P_ENGINE
+            + self.THROUGHPUT * self.ENERGY_PER_HD * bits
         )
 
     def timeline(self, seed: RngLike = None) -> ActivityTimeline:
@@ -235,6 +223,6 @@ class AesCircuit:
 
     def __repr__(self) -> str:
         return (
-            f"AesCircuit(clock={self.clock_hz / 1e6:.0f} MHz, "
-            f"{self.throughput:.2g} blocks/s)"
+            f"AesCircuit(clock={self.CLOCK_HZ / 1e6:.0f} MHz, "
+            f"{self.THROUGHPUT:.2g} blocks/s)"
         )

@@ -155,25 +155,6 @@ class Fabric:
                 self.regions.append(Region(row=row, col=col, capacity=capacity))
         self._placements: Dict[str, Placement] = {}
 
-    @property
-    def total_capacity(self) -> Dict[str, int]:
-        """Summed capacity across regions (slightly below device totals
-        due to integer division per region)."""
-        totals: Dict[str, int] = {}
-        for region in self.regions:
-            for resource, count in region.capacity.items():
-                totals[resource] = totals.get(resource, 0) + count
-        return totals
-
-    @property
-    def total_used(self) -> Dict[str, int]:
-        """Summed allocated resources across regions."""
-        totals: Dict[str, int] = {resource: 0 for resource in RESOURCE_TYPES}
-        for region in self.regions:
-            for resource, count in region.used.items():
-                totals[resource] = totals.get(resource, 0) + count
-        return totals
-
     def deploy(
         self, circuit: CircuitSpec, region: Optional[Tuple[int, int]] = None
     ) -> Placement:
@@ -243,10 +224,6 @@ class Fabric:
             self._region_at(shard.row, shard.col).release(
                 shard.utilization_dict()
             )
-
-    def deployed(self) -> List[Placement]:
-        """All current placements, in deployment order."""
-        return list(self._placements.values())
 
     def _region_at(self, row: int, col: int) -> Region:
         if not (0 <= row < self.rows and 0 <= col < self.cols):

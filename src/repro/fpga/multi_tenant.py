@@ -17,7 +17,7 @@ board-level current sensor upstream of both.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -62,37 +62,22 @@ class IsolatedTenantPdn:
         n_tenants: number of isolated tenant slots.
         efficiency: conversion efficiency of the per-tenant regulators
             (their losses also flow through the upstream sensor).
-        tenant_regulator: regulator template for tenant sub-rails
-            (tight ISO-TENANT-style regulation by default).
+
+    Each tenant sub-rail has its own tight ISO-TENANT-style regulator.
     """
 
-    def __init__(
-        self,
-        n_tenants: int = 2,
-        efficiency: float = 0.93,
-        tenant_regulator: Optional[VoltageRegulator] = None,
-    ):
+    def __init__(self, n_tenants: int = 2, efficiency: float = 0.93):
         require_int_in_range(n_tenants, 1, 64, "n_tenants")
         require_in_range(efficiency, 0.5, 1.0, "efficiency")
         self.efficiency = float(efficiency)
-        template = (
-            tenant_regulator
-            if tenant_regulator is not None
-            else VoltageRegulator(
-                v_set=0.8505,
-                band=(0.825, 0.876),
-                r_loadline=0.05e-3,  # ISO-TENANT regulates hard
-                k_quadratic=0.0,
-            )
-        )
         self.tenants: List[PowerRail] = [
             PowerRail(
                 f"TENANT{i}",
                 regulator=VoltageRegulator(
-                    v_set=template.v_set,
-                    band=template.band,
-                    r_loadline=template.r_loadline,
-                    k_quadratic=template.k_quadratic,
+                    v_set=0.8505,
+                    band=(0.825, 0.876),
+                    r_loadline=0.05e-3,  # ISO-TENANT regulates hard
+                    k_quadratic=0.0,
                 ),
                 idle_power=0.05,
             )
@@ -111,19 +96,20 @@ class IsolatedTenantPdn:
         """The aggregated power the upstream (monitored) rail supplies."""
         return _TenantAggregate(self.tenants, self.efficiency)
 
-    def install(self, soc, name: str = "tenant-pdn") -> None:
-        """Route the tenant tree through a SoC's FPGA rail.
+    def install(self, soc) -> None:
+        """Route the tenant tree through a SoC's FPGA rail, as the
+        workload ``"tenant-pdn"``.
 
         After this, the board's ``ina226_u79`` sees the sum of all
         tenants (scaled by regulator efficiency), while each tenant's
         *voltage* is set only by its own sub-regulator — the exact
         situation the isolation defense creates.
         """
-        soc.replace_workload("fpga", name, self.upstream_demand())
+        soc.replace_workload("fpga", "tenant-pdn", self.upstream_demand())
 
-    def uninstall(self, soc, name: str = "tenant-pdn") -> None:
+    def uninstall(self, soc) -> None:
         """Remove the tenant tree from the SoC."""
-        soc.detach_workload("fpga", name)
+        soc.detach_workload("fpga", "tenant-pdn")
 
     def tenant_voltage(
         self, index: int, t0: np.ndarray, t1: np.ndarray

@@ -38,8 +38,8 @@ class PowerVirusArray:
     """A bank of power-virus instances activatable group by group.
 
     Args:
-        n_groups: number of independently activatable groups.
-        instances_per_group: virus instances per group (paper: 1000).
+        n_groups: number of independently activatable groups, each of
+            :data:`INSTANCES_PER_GROUP` virus instances.
         dynamic_power_per_instance: watts drawn by one *active* instance.
             The default 35 uW reflects a Gnad-style routing-heavy toggle
             cell at 300 MHz / 0.85 V and reproduces the ~40 mA-per-group
@@ -51,19 +51,18 @@ class PowerVirusArray:
         seed: RNG seed for the per-group heterogeneity draw.
     """
 
+    #: Virus instances per group (paper: 1000).
+    INSTANCES_PER_GROUP = 1000
+
     def __init__(
         self,
         n_groups: int = 160,
-        instances_per_group: int = 1000,
         dynamic_power_per_instance: float = 35e-6,
         static_power_per_instance: float = 3.4e-6,
         group_power_spread: float = 0.03,
         seed: RngLike = None,
     ):
         self.n_groups = require_int_in_range(n_groups, 1, 100_000, "n_groups")
-        self.instances_per_group = require_int_in_range(
-            instances_per_group, 1, 10_000_000, "instances_per_group"
-        )
         self.dynamic_power_per_instance = require_positive(
             dynamic_power_per_instance, "dynamic_power_per_instance"
         )
@@ -72,7 +71,7 @@ class PowerVirusArray:
         )
         require_non_negative(group_power_spread, "group_power_spread")
         rng = spawn(seed, "power-virus-groups")
-        nominal = self.instances_per_group * self.dynamic_power_per_instance
+        nominal = self.INSTANCES_PER_GROUP * self.dynamic_power_per_instance
         # Per-group dynamic power with placement heterogeneity; clipped
         # so a pathological draw can never go non-positive.
         factors = 1.0 + group_power_spread * rng.standard_normal(self.n_groups)
@@ -82,17 +81,7 @@ class PowerVirusArray:
     @property
     def n_instances(self) -> int:
         """Total deployed instances (paper: 160 000)."""
-        return self.n_groups * self.instances_per_group
-
-    @property
-    def active_groups(self) -> int:
-        """Number of currently activated groups (0..n_groups)."""
-        return self._active_groups
-
-    @property
-    def active_instances(self) -> int:
-        """Number of currently active instances."""
-        return self._active_groups * self.instances_per_group
+        return self.n_groups * self.INSTANCES_PER_GROUP
 
     @property
     def static_power(self) -> float:

@@ -98,11 +98,6 @@ class RoSensorBank:
         self.sample_window = require_positive(sample_window, "sample_window")
         self.jitter_counts = require_non_negative(jitter_counts, "jitter_counts")
 
-    @property
-    def nominal_count(self) -> float:
-        """Expected counts per window at the reference voltage."""
-        return self.oscillator.f_nominal * self.sample_window
-
     def counts(self, voltage: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Sampled counter increments for each supply-voltage value.
 

@@ -13,27 +13,20 @@ The secret exponent is embedded in the (encrypted) bitstream: once
 deployed it cannot be read back even by privileged software, which is
 why recovering its Hamming weight from the current trace matters.
 
-The circuit exposes two things: a functional datapath (``encrypt``,
-bit-exact vs. ``pow``) and a periodic power :class:`ActivityTimeline`
-for the sensor substrate.
+The circuit exposes a periodic power :class:`ActivityTimeline` for
+the sensor substrate: one iteration per exponent bit, LSB first, with
+the multiply module active on the set bits.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.crypto.rsa_math import (
-    RSA_BITS,
-    exponent_bits_lsb_first,
-    square_and_multiply,
-)
+from repro.crypto.rsa_math import RSA_BITS, exponent_bits_lsb_first
 from repro.fpga.fabric import CircuitSpec
 from repro.soc.workload import ActivityTimeline, PiecewiseActivity
 from repro.utils.validation import (
     require_int_in_range,
-    require_non_negative,
     require_positive,
 )
 
@@ -50,15 +43,19 @@ class RsaCircuit:
             20 MHz of Zhao & Suh's victim).
         cycles_per_iteration: cycles each square/multiply iteration
             takes; both modules are synchronized to this latency.
-        p_square: dynamic power in watts while the square module runs
-            (every iteration).
-        p_multiply: additional dynamic power while the multiply module
-            runs (iterations with exponent bit 1).  Its magnitude sets
-            the per-64-Hamming-weight current step of Fig 4 (~7 mA at
-            0.85 V with the default — every key distinguishable in
-            current, ~5 groups in 25 mW-LSB power).
-        p_idle: static + control-logic power of the deployed circuit.
     """
+
+    #: Dynamic power in watts while the square module runs (every
+    #: iteration).
+    P_SQUARE = 0.110
+    #: Additional dynamic power while the multiply module runs
+    #: (iterations with exponent bit 1).  It sets the
+    #: per-64-Hamming-weight current step of Fig 4 (~7 mA at 0.85 V —
+    #: every key distinguishable in current, ~5 groups in 25 mW-LSB
+    #: power).
+    P_MULTIPLY = 0.100
+    #: Static + control-logic power of the deployed circuit.
+    P_IDLE = 0.020
 
     def __init__(
         self,
@@ -67,9 +64,6 @@ class RsaCircuit:
         width: int = RSA_BITS,
         clock_hz: float = 100e6,
         cycles_per_iteration: int = 1056,
-        p_square: float = 0.110,
-        p_multiply: float = 0.100,
-        p_idle: float = 0.020,
     ):
         if exponent <= 0:
             raise ValueError("the circuit does not support a zero exponent")
@@ -87,9 +81,6 @@ class RsaCircuit:
         self.cycles_per_iteration = require_int_in_range(
             cycles_per_iteration, 1, 1_000_000, "cycles_per_iteration"
         )
-        self.p_square = require_non_negative(p_square, "p_square")
-        self.p_multiply = require_non_negative(p_multiply, "p_multiply")
-        self.p_idle = require_non_negative(p_idle, "p_idle")
         self._bits = exponent_bits_lsb_first(self.exponent, self.width)
 
     @property
@@ -111,26 +102,18 @@ class RsaCircuit:
     def mean_power(self) -> float:
         """Long-run average power in watts while looping encryptions.
 
-        ``p_idle + p_square + (HW/width) * p_multiply`` — linear in the
+        ``P_IDLE + P_SQUARE + (HW/width) * P_MULTIPLY`` — linear in the
         Hamming weight, which is why window-averaged current separates
         the 17 keys in Fig 4.
         """
         duty = self.hamming_weight / self.width
-        return self.p_idle + self.p_square + duty * self.p_multiply
-
-    def encrypt(self, plaintext: int) -> int:
-        """Run the datapath: ``plaintext ** exponent mod modulus``."""
-        if not (0 <= plaintext < self.modulus):
-            raise ValueError("plaintext must be in [0, modulus)")
-        return square_and_multiply(
-            plaintext, self.exponent, self.modulus, self.width
-        )
+        return self.P_IDLE + self.P_SQUARE + duty * self.P_MULTIPLY
 
     def timeline(self, start: float = 0.0) -> ActivityTimeline:
         """Periodic power profile of back-to-back exponentiations.
 
         One period spans ``width`` iterations; iteration ``i`` draws
-        ``p_idle + p_square`` plus ``p_multiply`` when exponent bit ``i``
+        ``P_IDLE + P_SQUARE`` plus ``P_MULTIPLY`` when exponent bit ``i``
         (LSB-first) is set.  The plaintext value does not enter the
         profile: the multipliers are constant-latency, so data only
         modulates power at a level far below the modeled module-grained
@@ -140,7 +123,7 @@ class RsaCircuit:
         edges = start + iteration * np.arange(self.width + 1)
         powers = np.array(
             [
-                self.p_idle + self.p_square + bit * self.p_multiply
+                self.P_IDLE + self.P_SQUARE + bit * self.P_MULTIPLY
                 for bit in self._bits
             ],
             dtype=np.float64,
@@ -148,10 +131,6 @@ class RsaCircuit:
         return PiecewiseActivity(
             edges, powers, period=self.exponentiation_seconds
         )
-
-    def multiply_schedule(self) -> Tuple[int, ...]:
-        """Per-iteration multiply activations (the leaky control flow)."""
-        return tuple(self._bits)
 
     def circuit_spec(self) -> CircuitSpec:
         """Fabric deployment spec for the engine.

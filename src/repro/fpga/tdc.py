@@ -47,9 +47,11 @@ class TdcSensor:
         sensitivity: dimensionless voltage-to-delay gain (CMOS gate
             delay near nominal gives ~1-2, like the RO's).
         jitter_taps: RMS sampling jitter in taps.
-        clock_hz: sampling clock — one reading per cycle, which is what
-            makes TDCs the high-bandwidth crafted sensor.
     """
+
+    #: Sampling clock in hertz — one reading per cycle, which is what
+    #: makes TDCs the high-bandwidth crafted sensor.
+    CLOCK_HZ = 300e6
 
     def __init__(
         self,
@@ -58,7 +60,6 @@ class TdcSensor:
         v_ref: float = 0.8505,
         sensitivity: float = 1.45,
         jitter_taps: float = 0.6,
-        clock_hz: float = 300e6,
     ):
         self.n_taps = require_int_in_range(n_taps, 2, 4096, "n_taps")
         self.taps_nominal = require_positive(taps_nominal, "taps_nominal")
@@ -67,12 +68,6 @@ class TdcSensor:
         self.v_ref = require_positive(v_ref, "v_ref")
         self.sensitivity = require_non_negative(sensitivity, "sensitivity")
         self.jitter_taps = require_non_negative(jitter_taps, "jitter_taps")
-        self.clock_hz = require_positive(clock_hz, "clock_hz")
-
-    @property
-    def sample_period(self) -> float:
-        """Seconds between samples (one per clock cycle)."""
-        return 1.0 / self.clock_hz
 
     def expected_taps(self, voltage: np.ndarray) -> np.ndarray:
         """Noise-free tap position for each supply voltage."""
@@ -91,15 +86,6 @@ class TdcSensor:
         )
         return np.clip(np.floor(noisy), 0, self.n_taps - 1)
 
-    def relative_variation(self, v_low: float, v_high: float) -> float:
-        """Noise-free relative tap swing over a voltage excursion.
-
-        The crafted-sensor comparison metric: how much of the sensor's
-        dynamic range a given droop actually exercises.
-        """
-        taps = self.expected_taps(np.array([v_low, v_high]))
-        return float(abs(taps[1] - taps[0]) / taps.mean())
-
     def circuit_spec(self) -> CircuitSpec:
         """Fabric deployment spec: the carry chain + capture flops.
 
@@ -115,5 +101,5 @@ class TdcSensor:
     def __repr__(self) -> str:
         return (
             f"TdcSensor({self.n_taps} taps, nominal={self.taps_nominal}, "
-            f"clock={self.clock_hz / 1e6:.0f} MHz)"
+            f"clock={self.CLOCK_HZ / 1e6:.0f} MHz)"
         )

@@ -38,16 +38,16 @@ class WorkloadInstance:
     fpga: ActivityTimeline
     ddr: ActivityTimeline
 
-    def attach(self, soc, name: str = "victim") -> None:
-        """Attach both rails' timelines to a SoC."""
-        soc.replace_workload("fpga", name, self.fpga)
-        soc.replace_workload("ddr", name, self.ddr)
+    def attach(self, soc) -> None:
+        """Attach both rails' timelines to a SoC as ``"victim"``."""
+        soc.replace_workload("fpga", "victim", self.fpga)
+        soc.replace_workload("ddr", "victim", self.ddr)
 
-    def detach(self, soc, name: str = "victim") -> None:
+    def detach(self, soc) -> None:
         """Detach from a SoC (ignores missing attachments)."""
         for rail in ("fpga", "ddr"):
             try:
-                soc.detach_workload(rail, name)
+                soc.detach_workload(rail, "victim")
             except KeyError:
                 pass
 

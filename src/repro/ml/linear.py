@@ -30,13 +30,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class LogisticRegressionClassifier:
     """Softmax regression with gradient descent.
 
+    Features are z-scored with training statistics: raw hwmon readings
+    span hundreds of mA, and scaling is essential for a fixed learning
+    rate.
+
     Args:
         learning_rate: gradient step size.
         n_iterations: full-batch steps.
         l2: ridge penalty on the weights (not the bias).
-        standardize: z-score features from training statistics (raw
-            hwmon readings span hundreds of mA; scaling is essential
-            for a fixed learning rate).
     """
 
     def __init__(
@@ -44,14 +45,12 @@ class LogisticRegressionClassifier:
         learning_rate: float = 0.5,
         n_iterations: int = 300,
         l2: float = 1e-3,
-        standardize: bool = True,
     ):
         self.learning_rate = require_positive(learning_rate, "learning_rate")
         self.n_iterations = require_int_in_range(
             n_iterations, 1, 10_000_000, "n_iterations"
         )
         self.l2 = require_non_negative(l2, "l2")
-        self.standardize = bool(standardize)
         self.classes_: Optional[np.ndarray] = None
         self._weights: Optional[np.ndarray] = None
         self._bias: Optional[np.ndarray] = None
@@ -76,13 +75,9 @@ class LogisticRegressionClassifier:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError("y must be 1-D with one label per row of X")
-        if self.standardize:
-            self._mean = X.mean(axis=0)
-            scale = X.std(axis=0)
-            self._scale = np.where(scale > 0, scale, 1.0)
-        else:
-            self._mean = np.zeros(X.shape[1])
-            self._scale = np.ones(X.shape[1])
+        self._mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+        self._scale = np.where(scale > 0, scale, 1.0)
         X = self._prepare(X)
         self.classes_, encoded = np.unique(y, return_inverse=True)
         n, d = X.shape

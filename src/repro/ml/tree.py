@@ -114,7 +114,6 @@ class DecisionTreeClassifier:
         self._feature_arr: Optional[np.ndarray] = None
         self._threshold_arr: Optional[np.ndarray] = None
         self._proba_matrix: Optional[np.ndarray] = None
-        self._depth: int = 0
         self.classes_: Optional[np.ndarray] = None
         self.n_features_: Optional[int] = None
         self.feature_importances_: Optional[np.ndarray] = None
@@ -156,12 +155,6 @@ class DecisionTreeClassifier:
     def node_count(self) -> int:
         """Total nodes in the grown tree (0 before fit)."""
         return 0 if self._left_arr is None else int(self._left_arr.size)
-
-    @property
-    def depth(self) -> int:
-        """Actual depth of the grown tree (tracked during growth)."""
-        self._check_fitted()
-        return self._depth
 
 
 def descend(left, feature, threshold, X: np.ndarray) -> np.ndarray:
@@ -376,7 +369,6 @@ class _Lockstep:
             importance = self.importances[t, :width].copy()
             total = importance.sum()
             tree.feature_importances_ = importance / total if total > 0 else importance
-            tree._depth = int(table["depth"][nodes].max())
 
     def _split_nodes(self, nodes, owners, drawn) -> None:
         """Score nodes of different trees together and make their splits."""

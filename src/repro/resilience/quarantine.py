@@ -67,17 +67,16 @@ def quarantine_archive(
     reason: str,
     error: str = "",
     job_id: Optional[str] = None,
-    root: Optional[Union[str, Path]] = None,
 ) -> Path:
     """Move a damaged archive into quarantine and record why.
+
+    The ``quarantine/`` sidecar lives in the archive's parent directory.
 
     Args:
         path: the condemned archive (directory or file); must exist.
         reason: stable reason code for the record.
         error: triggering exception text, for humans reading the record.
         job_id: owning fleet job id, if any.
-        root: where the ``quarantine/`` sidecar lives (default: the
-            archive's parent directory).
 
     Returns:
         The archive's new location inside the quarantine sidecar.  The
@@ -87,8 +86,7 @@ def quarantine_archive(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"nothing to quarantine at {path}")
-    base = Path(root) if root is not None else path.parent
-    sidecar = base / QUARANTINE_DIRNAME
+    sidecar = path.parent / QUARANTINE_DIRNAME
     sidecar.mkdir(parents=True, exist_ok=True)
     sequence = 0
     while True:

@@ -228,16 +228,11 @@ class HwmonDevice:
         """Arm (or with ``None`` disarm) a scheduled fault plan.
 
         ``plan`` is a :class:`repro.faults.FaultPlan`; a no-op plan
-        (``FaultPlan.none()``) is stored but never evaluated, so every
+        (every rate zero) is stored but never evaluated, so every
         read stays bit-identical to an unarmed device.
         """
         self._fault_plan = plan
         self._fault_key = 0 if plan is None else plan.device_key(self.name)
-
-    @property
-    def fault_plan(self):
-        """The armed fault plan, or ``None``."""
-        return self._fault_plan
 
     @property
     def faults_active(self) -> bool:
@@ -493,16 +488,6 @@ class HwmonTree:
         except ValueError:
             raise HwmonLookupError(f"{path}: malformed hwmon path") from None
         return self.device(index), attribute
-
-    def read(self, path: str, time: float = 0.0) -> str:
-        """Read a full sysfs path at a simulation time (unprivileged)."""
-        device, attribute = self._resolve(path)
-        return device.read(attribute, time)
-
-    def read_series(self, path: str, times: np.ndarray) -> np.ndarray:
-        """Vectorized poll of a full sysfs path at many times."""
-        device, attribute = self._resolve(path)
-        return device.read_series(attribute, times)
 
     def write(self, path: str, value: str, privileged: bool = False) -> None:
         """Write a full sysfs path (root-only attributes enforce it)."""

@@ -179,11 +179,6 @@ class Ina226:
         """Seconds between fresh readings."""
         return self.config.update_period
 
-    @property
-    def max_current(self) -> float:
-        """Largest measurable current before the shunt register clips."""
-        return SHUNT_REG_MAX * SHUNT_LSB_VOLTS / self.shunt_ohms
-
     def convert(
         self,
         current_amps: np.ndarray,

@@ -173,9 +173,6 @@ class AttackSession:
         top_k: int = 3,
         smoothing: float = 1.0,
         detector=None,
-        baseline: Optional[Tuple[float, float]] = None,
-        start: float = 0.0,
-        label: Optional[str] = None,
         sink=None,
         trace_id: str = "monitor",
         resume: bool = False,
@@ -217,17 +214,15 @@ class AttackSession:
             top_k=top_k,
             smoothing=smoothing,
             detector=detector,
-            baseline=baseline,
         )
         stream = self.sampler.stream(
             domain,
             quantity,
-            start=start,
+            start=0.0,
             duration=duration,
             poll_hz=poll_hz,
             chunk_samples=chunk_samples,
             chunk_duration=chunk_duration,
-            label=label,
         )
         parts_done = 0
         if resume:

@@ -59,17 +59,15 @@ def burst_timeline(
     profile: BurstProfile,
     duration: float,
     seed: RngLike = None,
-    start: float = 0.0,
 ) -> ActivityTimeline:
-    """A Poisson burst process as a finite piecewise timeline."""
+    """A Poisson burst process from time 0 as a finite piecewise
+    timeline."""
     require_positive(duration, "duration")
     rng = spawn(seed, "interference-bursts")
     segments: List[Tuple[float, float]] = []
     clock = 0.0
     if profile.rate_hz == 0:
-        return PiecewiseActivity.from_segments(
-            [(duration, 0.0)], start=start
-        )
+        return PiecewiseActivity.from_segments([(duration, 0.0)])
     while clock < duration:
         gap = rng.exponential(1.0 / profile.rate_hz)
         gap = min(gap, duration - clock)
@@ -86,7 +84,7 @@ def burst_timeline(
             clock += burst
     if not segments:
         segments.append((duration, 0.0))
-    return PiecewiseActivity.from_segments(segments, start=start)
+    return PiecewiseActivity.from_segments(segments)
 
 
 class BackgroundLoad:
@@ -102,11 +100,9 @@ class BackgroundLoad:
         )
         self._seed = seed
 
-    def attach(
-        self, soc, duration: float, start: float = 0.0,
-        name: str = "background",
-    ) -> None:
-        """Attach burst processes to every profiled rail."""
+    def attach(self, soc, duration: float) -> None:
+        """Attach burst processes from time 0 to every profiled rail,
+        as the workload ``"background"``."""
         for index, (domain, profile) in enumerate(
             sorted(self.profiles.items())
         ):
@@ -118,14 +114,13 @@ class BackgroundLoad:
                     if self._seed is None
                     else int(self._seed) * 131 + index
                 ),
-                start=start,
             )
-            soc.replace_workload(domain, name, timeline)
+            soc.replace_workload(domain, "background", timeline)
 
-    def detach(self, soc, name: str = "background") -> None:
+    def detach(self, soc) -> None:
         """Remove the background from every profiled rail."""
         for domain in self.profiles:
             try:
-                soc.detach_workload(domain, name)
+                soc.detach_workload(domain, "background")
             except KeyError:
                 pass

@@ -96,16 +96,6 @@ class PowerRail:
         self._workloads.pop(name, None)
         self.attach(name, timeline)
 
-    def clear(self) -> None:
-        """Detach all workloads (idle draw remains)."""
-        self._workloads.clear()
-        self._compose()
-
-    @property
-    def workload_names(self) -> Tuple[str, ...]:
-        """Names of attached workloads, in attachment order."""
-        return tuple(self._workloads)
-
     def timeline(self) -> ActivityTimeline:
         """The rail's total power timeline (idle + all workloads).
 

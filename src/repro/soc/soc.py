@@ -99,20 +99,20 @@ class Soc:
         board: board name or :class:`BoardSpec` (default ZCU102 — the
             paper's experimental machine).
         seed: experiment seed; keys all sensor noise streams.
-        sensors: sensor specs to instantiate (defaults to the ZCU102's
-            18 INA226 devices; other boards reuse the same map scaled
-            to their sensor count, since per-board BOMs are not public).
         noise_profiles: per-domain ambient noise overrides.
         hardening: optional :class:`repro.core.countermeasures.
             SensorHardening` policy applied to every exported reading
             (used by the mitigation benches).
+
+    The sensors are the ZCU102's 18 INA226 devices (the VCK190's own
+    map on that board); other boards reuse the ZCU102 map scaled to
+    their sensor count, since per-board BOMs are not public.
     """
 
     def __init__(
         self,
         board="ZCU102",
         seed: Optional[int] = 0,
-        sensors: Iterable[SensorSpec] = None,
         noise_profiles: Dict[str, RailNoiseProfile] = None,
         hardening=None,
     ):
@@ -126,15 +126,12 @@ class Soc:
             profiles.update(noise_profiles)
         self.noise_profiles = profiles
 
-        if sensors is None:
-            if board.name == "VCK190":
-                from repro.boards.versal import VCK190_SENSORS
+        if board.name == "VCK190":
+            from repro.boards.versal import VCK190_SENSORS
 
-                sensors = sensor_map_for(
-                    board.ina226_count, base=VCK190_SENSORS
-                )
-            else:
-                sensors = sensor_map_for(board.ina226_count)
+            sensors = sensor_map_for(board.ina226_count, base=VCK190_SENSORS)
+        else:
+            sensors = sensor_map_for(board.ina226_count)
         self.sensor_specs: List[SensorSpec] = list(sensors)
 
         self.fabric = Fabric(board)
@@ -271,16 +268,16 @@ class Soc:
         domain: str,
         quantity: str,
         times: np.ndarray,
-        privileged: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Poll one channel with per-sample fault annotations.
 
-        The resilient counterpart of :meth:`sample`: returns
-        ``(values, transient, gone)`` from :meth:`repro.sensors.hwmon.
-        HwmonDevice.read_series_faulted` with any hardening policy
-        applied to the values, never raising for scheduled faults.
+        The resilient counterpart of :meth:`sample`, as an unprivileged
+        reader: returns ``(values, transient, gone)`` from
+        :meth:`repro.sensors.hwmon.HwmonDevice.read_series_faulted`
+        with any hardening policy applied to the values, never raising
+        for scheduled faults.
         """
-        times = self._gate(quantity, times, privileged)
+        times = self._gate(quantity, times, privileged=False)
         values, transient, gone = self.device(domain).read_series_faulted(
             QUANTITY_ATTRS[quantity], times
         )

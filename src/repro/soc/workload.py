@@ -90,10 +90,6 @@ class ActivityTimeline:
             raise ValueError("window_mean requires t1 > t0 elementwise")
         return self.energy_between(t0, t1) / widths
 
-    def scaled(self, factor: float) -> "ActivityTimeline":
-        """Return this timeline with power multiplied by ``factor``."""
-        return _ScaledActivity(self, factor)
-
     def __add__(self, other: "ActivityTimeline") -> "ActivityTimeline":
         if not isinstance(other, ActivityTimeline):
             return NotImplemented
@@ -670,31 +666,3 @@ class CompositeActivity(ActivityTimeline):
 
     def __repr__(self) -> str:
         return f"CompositeActivity({len(self.components)} components)"
-
-
-class _ScaledActivity(ActivityTimeline):
-    """A timeline multiplied by a non-negative scalar."""
-
-    def __init__(self, base: ActivityTimeline, factor: float):
-        if factor < 0:
-            raise ValueError(f"scale factor must be >= 0, got {factor}")
-        self.base = base
-        self.factor = float(factor)
-
-    def power_at(self, t: np.ndarray) -> np.ndarray:
-        return self.base.power_at(t) * self.factor
-
-    def energy_between(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        return self.base.energy_between(t0, t1) * self.factor
-
-    def silent_between(self, lo: float, hi: float) -> bool:
-        # +/-0.0 times a finite factor stays +/-0.0; inf or NaN would not.
-        return math.isfinite(self.factor) and self.base.silent_between(lo, hi)
-
-    def quiet_bounds(self) -> Tuple[float, float]:
-        if math.isfinite(self.factor):
-            return self.base.quiet_bounds()
-        return -math.inf, math.inf
-
-    def __repr__(self) -> str:
-        return f"{self.base!r} * {self.factor:.6g}"

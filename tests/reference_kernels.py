@@ -33,8 +33,24 @@ replaced implementations live on here, verbatim:
   with one device read per attempt, which the one read of a chunk and
   all its re-polls replaced.
 
-Five consumers: ``tests/test_kernel_parity.py`` pins the new kernels
-against these on the checked-in fixtures and on randomized inputs,
+Alongside them live helpers for values that only tests read, which
+``src/`` does not keep (``tests/test_public_api.py`` guards that):
+
+* :func:`truncated_trace` — a trace cut to its opening seconds as a
+  new ``Trace``, the per-trace reference for
+  ``TraceSet.to_matrix(duration=...)``.
+* :func:`read_sysfs` — one read of a full ``/sys/class/hwmon`` path,
+  resolved the way ``HwmonTree.write`` resolves it.
+* :func:`square_and_multiply` — LSB-first modular exponentiation over
+  the victim circuit's bit schedule, the datapath its power timeline
+  encodes.
+* :func:`fabric_totals` — a fabric's capacity or usage summed over
+  its clock regions.
+* :func:`tree_depth` — a fitted tree's depth from its node arrays.
+
+Five consumers of the legacy kernels: ``tests/test_kernel_parity.py``
+pins the new kernels against these on the checked-in fixtures and on
+randomized inputs,
 ``tests/test_hashrand.py`` pins the counter-hash kernels,
 ``tests/test_parallel_determinism.py`` pins every hwmon/SoC/sampler
 read against the one-request read, and ``tests/test_dpu_runner.py``
@@ -51,11 +67,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.features import resample_batch
 from repro.core.sampler import ChannelDeadError, ChannelOutageError
-from repro.core.traces import TraceQuality
+from repro.core.traces import Trace, TraceQuality
+from repro.crypto.rsa_math import RSA_BITS, exponent_bits_lsb_first
 from repro.dpu.models import ModelSpec
 from repro.dpu.runner import DPU_RAILS, DpuRunner
-from repro.core.streaming import window_feature_matrix
+from repro.fpga.fabric import RESOURCE_TYPES
 from repro.ml.tree import _resolve_max_features
 from repro.sensors.ina226 import Ina226Reading
 from repro.soc.workload import ActivityTimeline, PiecewiseActivity
@@ -334,6 +352,66 @@ def legacy_resample_loop(
     )
 
 
+def truncated_trace(trace: Trace, duration: float) -> Trace:
+    """The prefix of ``trace`` covering its first ``duration`` seconds."""
+    keep = trace.truncation_mask(duration)
+    return Trace(
+        times=trace.times[keep],
+        values=trace.values[keep],
+        domain=trace.domain,
+        quantity=trace.quantity,
+        label=trace.label,
+        quality=trace.quality,
+    )
+
+
+def read_sysfs(tree, path: str, time: float = 0.0) -> str:
+    """Read a full sysfs path of an ``HwmonTree`` at a simulation time."""
+    device, attribute = tree._resolve(path)
+    return device.read(attribute, time)
+
+
+def square_and_multiply(
+    base: int, exponent: int, modulus: int, width: int = RSA_BITS
+) -> int:
+    """LSB-first square-and-multiply modular exponentiation.
+
+    Matches the victim circuit's algorithm exactly (fixed ``width``
+    iterations); equal to ``pow(base, exponent, modulus)``.
+    """
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    result = 1 % modulus
+    square = base % modulus
+    for bit in exponent_bits_lsb_first(exponent, width):
+        if bit:
+            result = (result * square) % modulus
+        square = (square * square) % modulus
+    return result
+
+
+def fabric_totals(fabric, attribute: str) -> Dict[str, int]:
+    """Per-resource sums of every region's ``capacity`` or ``used``."""
+    totals: Dict[str, int] = {resource: 0 for resource in RESOURCE_TYPES}
+    for region in fabric.regions:
+        for resource, count in getattr(region, attribute).items():
+            totals[resource] = totals.get(resource, 0) + count
+    return totals
+
+
+def tree_depth(tree) -> int:
+    """Depth of a fitted ``DecisionTreeClassifier``, read off its node
+    arrays (a right child's id is its left sibling's + 1)."""
+    left = tree._left_arr
+    deepest, stack = 0, [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if left[node] >= 0:
+            stack += [(left[node], depth + 1), (left[node] + 1, depth + 1)]
+    return deepest
+
+
 def batch_window_features(values: np.ndarray, spec, n_features: int) -> np.ndarray:
     """Every sliding window of a complete trace, in one batch.
 
@@ -350,7 +428,7 @@ def batch_window_features(values: np.ndarray, spec, n_features: int) -> np.ndarr
     ]
     if not windows:
         return np.empty((0, n_features))
-    return window_feature_matrix(windows, n_features)
+    return resample_batch(windows, n_features)
 
 
 def legacy_stratified_kfold_indices(
@@ -462,7 +540,7 @@ def legacy_read_series_faulted(
         gone = np.zeros(times.shape, dtype=bool)
     if not device.faults_active:
         return values, np.zeros(times.shape, dtype=bool), gone
-    plan = device.fault_plan
+    plan = device._fault_plan
     key = device._fault_key
     gone = gone | plan.hotplug_mask(key, times)
     transient = plan.transient_mask(key, times) & ~gone
@@ -493,7 +571,7 @@ def legacy_trace_timelines(
     scales = np.clip(scales, 0.5, 1.5)
     stalls = np.where(
         rng.random(n_cycles) < runner.stall_probability,
-        runner.stall_seconds,
+        runner.STALL_SECONDS,
         0.0,
     )
 

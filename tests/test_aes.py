@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fpga.aes import AesCircuit, aes128_encrypt_block, expand_key
+from repro.utils.rng import spawn
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -56,8 +57,16 @@ class TestAesCore:
 
 class TestAesCircuit:
     def test_encrypt_matches_core(self):
+        # The circuit's switching model runs the FIPS-197 core on its
+        # own key: one block's bits are that block's round distances.
         circuit = AesCircuit(FIPS_KEY)
-        assert circuit.encrypt(FIPS_PLAINTEXT) == FIPS_CIPHERTEXT
+        plaintext = bytes(
+            int(b) for b in spawn(7, "aes-plaintexts").integers(0, 256, 16)
+        )
+        _, distances = aes128_encrypt_block(plaintext, FIPS_KEY)
+        assert circuit.mean_switching_bits(n_blocks=1, seed=7) == sum(
+            distances
+        )
 
     def test_mean_switching_bits_plausible(self):
         circuit = AesCircuit(FIPS_KEY)
@@ -68,7 +77,7 @@ class TestAesCircuit:
     def test_mean_power_dominated_by_engine(self):
         circuit = AesCircuit(FIPS_KEY)
         power = circuit.mean_power(seed=1)
-        key_term = power - circuit.p_idle - circuit.p_engine
+        key_term = power - circuit.P_IDLE - circuit.P_ENGINE
         assert key_term < 0.01  # the key-dependent part is milliwatts
 
     def test_key_dependent_power_spread_is_tiny(self):

@@ -316,7 +316,7 @@ class TestArchiveRecovery:
             # The corrupted chunk's entry is gone, and the segment is
             # cut back so recording rewrites it at the same offset.
             assert len(writer.entries) == 1
-            assert writer.n_chunks == 1
+            assert writer._n_chunks == 1
             assert writer.checkpoint_state["keys_done"] == 1
             assert segment.stat().st_size == offset
         finally:
@@ -332,7 +332,7 @@ class TestArchiveRecovery:
             out, meta={"experiment": "test"}, resume=True
         )
         try:
-            assert writer.n_chunks == 1
+            assert writer._n_chunks == 1
             assert segment.stat().st_size == offset
         finally:
             writer.abort()
@@ -520,7 +520,7 @@ class TestSegmentResume:
         with TraceArchiveWriter(
             broken, meta={"experiment": "test"}, resume=True
         ) as writer:
-            assert writer.n_chunks == 3
+            assert writer._n_chunks == 3
             _record_chunks(writer, start=writer.checkpoint_state["done"])
         assert tree_hash(clean) == tree_hash(broken)
 

@@ -74,7 +74,7 @@ class TestEndToEnd:
         channel = CovertChannel()
         channel.transmit([1, 0, 1], bit_period=0.1)
         assert "covert-sender" not in (
-            channel.soc.rail("fpga").workload_names
+            channel.soc.rail("fpga")._workloads
         )
 
     def test_capacity_sweep_shapes(self):

@@ -1,6 +1,7 @@
 """Tests for RSA reference math and key construction."""
 
 import pytest
+from reference_kernels import square_and_multiply
 
 from repro.crypto import (
     PAPER_HAMMING_WEIGHTS,
@@ -8,7 +9,6 @@ from repro.crypto import (
     hamming_weight,
     make_exponent_with_weight,
     random_modulus,
-    square_and_multiply,
 )
 
 

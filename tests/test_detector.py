@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.detector import Episode, OnsetDetector
+from repro.core.detector import OnsetDetector
 from repro.core.sampler import HwmonSampler
 from repro.core.traces import Trace
 from repro.soc import PiecewiseActivity, Soc
@@ -23,46 +23,78 @@ def step_trace(idle=550, active=2500, n_idle=40, n_active=40, noise=2.0,
                  quantity="current")
 
 
+def run_tracker(detector, values, times=None, baseline=None):
+    """Every event of one whole-trace push followed by ``finish``."""
+    tracker = detector.tracker(baseline=baseline)
+    return tracker.push(np.asarray(values, dtype=np.float64), times) + (
+        tracker.finish()
+    )
+
+
+def episodes(detector, values, baseline=None):
+    return [
+        event.episode
+        for event in run_tracker(detector, values, baseline=baseline)
+        if event.kind == "episode"
+    ]
+
+
+def first_onset(detector, trace):
+    """``(found, time)`` of the first onset event in a whole trace."""
+    for event in run_tracker(detector, trace.values, times=trace.times):
+        if event.kind == "onset":
+            return True, event.time
+    return False, float("nan")
+
+
 class TestScores:
     def test_idle_scores_small(self):
+        # Idle samples after the baseline window never trigger.
         detector = OnsetDetector(baseline_window=16)
         trace = step_trace()
-        scores = detector.scores(np.asarray(trace.values))
-        assert np.abs(scores[:16]).max() < 4.0
+        assert episodes(detector, trace.values[:40]) == []
 
     def test_active_scores_large(self):
+        # Every active sample triggers: the episode runs to the end.
         detector = OnsetDetector(baseline_window=16)
         trace = step_trace()
-        scores = detector.scores(np.asarray(trace.values))
-        assert np.abs(scores[45:]).min() > 10.0
+        found = episodes(detector, trace.values)
+        assert found[0].start <= 45 and found[0].end == 80
 
     def test_too_short_rejected(self):
+        # Fewer samples than the baseline window never lock a baseline.
         detector = OnsetDetector(baseline_window=16)
-        with pytest.raises(ValueError):
-            detector.scores(np.zeros(10))
+        assert run_tracker(detector, np.zeros(10)) == []
 
     def test_zero_variance_baseline_uses_floor(self):
         detector = OnsetDetector(baseline_window=8, min_sigma=1.0)
         values = np.concatenate([np.full(8, 100.0), np.full(8, 200.0)])
-        scores = detector.scores(values)
-        assert np.isfinite(scores).all()
-        assert scores[-1] == pytest.approx(100.0)
+        events = run_tracker(detector, values)
+        assert events[0].kind == "baseline"
+        found = [e.episode for e in events if e.kind == "episode"]
+        assert [(e.start, e.end) for e in found] == [(8, 16)]
+
+    def test_explicit_baseline_scans_every_sample(self):
+        detector = OnsetDetector(baseline_window=8)
+        values = np.concatenate([np.full(4, 500.0), np.full(12, 100.0)])
+        found = episodes(detector, values, baseline=(100.0, 1.0))
+        assert [(e.start, e.end) for e in found] == [(0, 4)]
 
 
 class TestEpisodes:
     def test_single_step_detected(self):
         detector = OnsetDetector(baseline_window=16)
         trace = step_trace()
-        episodes = detector.episodes(np.asarray(trace.values))
-        assert len(episodes) == 1
-        assert 38 <= episodes[0].start <= 42
-        assert episodes[0].end == 80
+        found = episodes(detector, trace.values)
+        assert len(found) == 1
+        assert 38 <= found[0].start <= 42
+        assert found[0].end == 80
 
     def test_no_activity_no_episodes(self):
         detector = OnsetDetector(baseline_window=16)
         rng = np.random.default_rng(1)
         values = 550 + 2.0 * rng.standard_normal(80)
-        assert detector.episodes(values) == []
+        assert episodes(detector, values) == []
 
     def test_short_gap_bridged(self):
         detector = OnsetDetector(baseline_window=8, min_gap=3)
@@ -70,8 +102,7 @@ class TestEpisodes:
             [np.full(8, 100.0), np.full(10, 500.0), np.full(2, 100.0),
              np.full(10, 500.0)]
         )
-        episodes = detector.episodes(values)
-        assert len(episodes) == 1
+        assert len(episodes(detector, values)) == 1
 
     def test_long_gap_splits(self):
         detector = OnsetDetector(baseline_window=8, min_gap=2)
@@ -79,18 +110,13 @@ class TestEpisodes:
             [np.full(8, 100.0), np.full(10, 500.0), np.full(8, 100.0),
              np.full(10, 500.0)]
         )
-        episodes = detector.episodes(values)
-        assert len(episodes) == 2
-
-    def test_episode_length(self):
-        assert Episode(5, 12).length == 7
+        assert len(episodes(detector, values)) == 2
 
 
 class TestTraceApi:
     def test_detect_onset_time(self):
         detector = OnsetDetector(baseline_window=16)
-        trace = step_trace()
-        found, onset = detector.detect_onset(trace)
+        found, onset = first_onset(detector, step_trace())
         assert found
         assert onset == pytest.approx(40 * 0.0352, abs=3 * 0.0352)
 
@@ -100,14 +126,14 @@ class TestTraceApi:
         values = np.rint(550 + 2.0 * rng.standard_normal(60))
         trace = Trace(times=np.arange(60) * 0.0352, values=values,
                       domain="fpga", quantity="current")
-        found, onset = detector.detect_onset(trace)
+        found, onset = first_onset(detector, trace)
         assert not found
         assert np.isnan(onset)
 
     def test_trim_to_activity(self):
         detector = OnsetDetector(baseline_window=16)
         trace = step_trace()
-        found = detector.episodes(trace.values)
+        found = episodes(detector, trace.values)
         active = trace.values[found[0].start:found[-1].end]
         assert active.size < trace.n_samples
         assert active.mean() > 2000
@@ -123,6 +149,6 @@ class TestTraceApi:
         )
         trace = sampler.collect("fpga", "current", start=0.05, duration=4.0)
         detector = OnsetDetector(baseline_window=16)
-        found, detected = detector.detect_onset(trace)
+        found, detected = first_onset(detector, trace)
         assert found
         assert abs(detected - onset_time) < 0.15

@@ -254,12 +254,17 @@ class TestVictimMemory:
         assert run._edge_memo is None
 
 
+def rail_power(soc, rail, start=0.0, end=1.0):
+    """Mean power of one rail over ``[start, end)``."""
+    return soc.rail(rail).mean_power(np.array([start]), np.array([end]))[0]
+
+
 class TestDeployment:
     def test_deploy_attaches_all_rails(self, runner, resnet):
         soc = Soc(seed=0)
         runner.deploy(soc, resnet, duration=1.0, seed=1)
         for rail in DPU_RAILS:
-            assert "dpu" in soc.rail(rail).workload_names
+            assert rail_power(soc, rail) > soc.rail(rail).idle_power
 
     def test_deploy_visible_in_current(self, runner, resnet):
         soc = Soc(seed=0)
@@ -272,15 +277,17 @@ class TestDeployment:
         soc = Soc(seed=0)
         runner.deploy(soc, resnet, duration=1.0, seed=1)
         runner.deploy(soc, build_model("vgg-19"), duration=1.0, seed=1)
+        fresh = Soc(seed=0)
+        runner.deploy(fresh, build_model("vgg-19"), duration=1.0, seed=1)
         for rail in DPU_RAILS:
-            assert soc.rail(rail).workload_names.count("dpu") == 1
+            assert rail_power(soc, rail) == rail_power(fresh, rail)
 
     def test_undeploy(self, runner, resnet):
         soc = Soc(seed=0)
         runner.deploy(soc, resnet, duration=1.0, seed=1)
         runner.undeploy(soc)
         for rail in DPU_RAILS:
-            assert "dpu" not in soc.rail(rail).workload_names
+            assert rail_power(soc, rail) == soc.rail(rail).idle_power
 
     def test_undeploy_is_idempotent(self, runner):
         soc = Soc(seed=0)
@@ -289,7 +296,9 @@ class TestDeployment:
     def test_periodic_deploy_without_duration(self, runner, resnet):
         soc = Soc(seed=0)
         runner.deploy(soc, resnet)
-        assert "dpu" in soc.rail("fpga").workload_names
+        assert rail_power(soc, "fpga", 100.0, 101.0) > (
+            soc.rail("fpga").idle_power
+        )
 
 
 class TestRuntimeConfig:

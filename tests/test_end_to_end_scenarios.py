@@ -34,7 +34,7 @@ class TestSequentialAttacks:
         assert fp_result.top1 > 0.5
 
         # The fingerprinting phase must leave the rails clean...
-        assert soc.rail("fpga").workload_names == ()
+        assert soc.rail("fpga")._workloads == {}
 
         # ...so the RSA phase starts from a quiet platform.  Its clock
         # must not collide with the fingerprinting windows.
@@ -42,7 +42,7 @@ class TestSequentialAttacks:
         attack._clock = fingerprinter._clock + 1.0
         sweep = attack.sweep(weights=(1, 512, 1024), n_samples=1200)
         assert sweep.distinguishable_groups() == 3
-        assert soc.rail("fpga").workload_names == ()
+        assert soc.rail("fpga")._workloads == {}
 
     def test_covert_channel_after_attacks(self):
         soc = Soc("ZCU102", seed=9)

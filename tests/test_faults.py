@@ -30,8 +30,8 @@ def _times(n=512, start=1.0, hz=1000.0):
 
 class TestFaultPlanConstruction:
     def test_none_is_noop(self):
-        assert FaultPlan.none().is_noop
-        assert FaultPlan.none(seed=9).seed == 9
+        assert FaultPlan().is_noop
+        assert FaultPlan(seed=9).seed == 9
 
     def test_at_rate_zero_is_noop(self):
         assert FaultPlan.at_rate(0.0).is_noop
@@ -59,7 +59,7 @@ class TestFaultPlanConstruction:
             FaultPlan(slot_s=0.0)
 
     def test_repr_forms(self):
-        assert "none" in repr(FaultPlan.none())
+        assert "no faults" in repr(FaultPlan())
         assert "transient" in repr(FaultPlan.at_rate(0.1))
 
 
@@ -82,7 +82,7 @@ class TestResolveFaultPlan:
     def test_plan_passthrough_and_noop_collapse(self):
         plan = FaultPlan.at_rate(0.3)
         assert resolve_fault_plan(plan) is plan
-        assert resolve_fault_plan(FaultPlan.none()) is None
+        assert resolve_fault_plan(FaultPlan()) is None
         assert resolve_fault_plan(0.0) is None
 
     def test_rejects_other_types(self):
@@ -172,7 +172,7 @@ class TestValueShaping:
         np.testing.assert_array_equal(shaped, (latches // 8) * 8)
 
     def test_noop_plan_shapes_nothing(self):
-        plan = FaultPlan.none()
+        plan = FaultPlan()
         latches = np.arange(64)
         shaped = plan.shape_latches(plan.device_key("d"), latches, _times(64))
         np.testing.assert_array_equal(shaped, latches)
@@ -225,9 +225,9 @@ class TestSensorHealth:
         health.note_read(faults=100, gaps=100, total=100)
         assert health.state == FLAKY
 
-    def test_force_dead_and_reset(self):
-        health = SensorHealth()
-        health.force_dead()
+    def test_dead_is_sticky(self):
+        health = SensorHealth(dead_after_outages=1)
+        health.note_read(faults=100, gaps=100, total=100)
         assert health.is_dead
-        health.reset()
-        assert health.state == HEALTHY
+        assert health.note_read(faults=0, gaps=0, total=100) == DEAD
+        assert health.is_dead

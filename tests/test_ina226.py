@@ -8,6 +8,8 @@ from repro.sensors.ina226 import (
     BUS_LSB_VOLTS,
     CONVERSION_TIMES,
     POWER_LSB_RATIO,
+    SHUNT_LSB_VOLTS,
+    SHUNT_REG_MAX,
     Ina226,
     Ina226Config,
 )
@@ -60,9 +62,13 @@ class TestCalibration:
             Ina226(shunt_ohms=1e-6, current_lsb=1e-6)
 
     def test_max_current(self):
-        sensor = Ina226(shunt_ohms=2e-3)
-        # 81.92 mV full scale over 2 mOhm = ~41 A.
-        assert sensor.max_current == pytest.approx(40.96, rel=0.01)
+        sensor = Ina226(shunt_ohms=2e-3, shunt_noise_volts=0.0)
+        # 81.92 mV full scale over 2 mOhm = ~41 A: the shunt register
+        # clips there.
+        reading = sensor.convert(np.array([100.0]), np.array([0.85]))
+        assert reading.shunt_register[0] == SHUNT_REG_MAX
+        full_scale = SHUNT_REG_MAX * SHUNT_LSB_VOLTS / sensor.shunt_ohms
+        assert full_scale == pytest.approx(40.96, rel=0.01)
 
 
 class TestConversion:

@@ -59,10 +59,10 @@ class TestBackgroundLoad:
         load = BackgroundLoad(seed=1)
         load.attach(soc, duration=5.0)
         for domain in ("fpd", "lpd", "ddr", "fpga"):
-            assert "background" in soc.rail(domain).workload_names
+            assert "background" in soc.rail(domain)._workloads
         load.detach(soc)
         for domain in ("fpd", "lpd", "ddr", "fpga"):
-            assert "background" not in soc.rail(domain).workload_names
+            assert "background" not in soc.rail(domain)._workloads
 
     def test_background_raises_observed_variance(self):
         quiet = Soc("ZCU102", seed=2)
@@ -136,7 +136,7 @@ class TestFailureInjection:
         sampler = HwmonSampler(soc, seed=3)
         trace = sampler.collect("fpga", "current", start=0.05,
                                 duration=10.0)
-        found, _ = OnsetDetector(baseline_window=16).detect_onset(trace)
+        found, _ = OnsetDetector(baseline_window=16).scan_for_onset([trace])
         assert not found
 
 

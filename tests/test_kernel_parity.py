@@ -26,6 +26,7 @@ from reference_kernels import (
     legacy_forest_predict_proba,
     legacy_resample_loop,
     legacy_stratified_kfold_indices,
+    tree_depth,
 )
 
 from repro.core.features import resample_batch
@@ -122,7 +123,7 @@ def _tree_pair(X, y, seed, **params):
 
 def _assert_tree_parity(old, new, X_eval, context):
     assert old.node_count == new.node_count, context
-    assert old.depth == new.depth, context
+    assert old.depth == tree_depth(new), context
     _assert_bitwise(old.classes_, new.classes_, context)
     # Every node, including those no row of X_eval reaches: children,
     # split feature, threshold bits and leaf probabilities, the tree's
@@ -225,8 +226,8 @@ class TestTreeParity:
     def test_depth_matches_legacy_traversal(self):
         X, y = _fixture_problem(seed=7)
         old, new = _tree_pair(X, y, seed=11, max_features="sqrt")
-        assert new.depth == old.depth
-        assert new.depth >= 1
+        assert tree_depth(new) == old.depth
+        assert tree_depth(new) >= 1
 
 
 class TestGrowerEdges:
@@ -362,7 +363,7 @@ class TestGrowerEdges:
                 b._threshold_arr.view(np.int64),
                 context,
             )
-            assert a.depth == b.depth, context
+            assert tree_depth(a) == tree_depth(b), context
             _assert_same_state(a._rng, b._rng, context)
 
 
@@ -446,7 +447,7 @@ def _assert_same_trees(alone, together, context):
         assert np.array_equal(
             a._threshold_arr, b._threshold_arr, equal_nan=True
         ), context
-        assert a.depth == b.depth, context
+        assert tree_depth(a) == tree_depth(b), context
 
 
 class TestLockstepParity:

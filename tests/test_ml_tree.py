@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference_kernels import gini_impurity
+from reference_kernels import gini_impurity, tree_depth
 
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -82,7 +82,7 @@ class TestFitPredict:
     def test_max_depth_respected(self):
         X, y = make_blobs(n_per_class=100, n_classes=5, spread=3.0)
         tree = DecisionTreeClassifier(max_depth=3, seed=0).fit(X, y)
-        assert tree.depth <= 3
+        assert tree_depth(tree) <= 3
 
     def test_min_samples_leaf(self):
         X, y = make_blobs(seed=3)

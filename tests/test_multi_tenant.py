@@ -91,4 +91,4 @@ class TestIsolation:
         loaded = soc.sample("fpga", "current", np.array([1.0]))[0]
         assert loaded > idle + 3000
         pdn.uninstall(soc)
-        assert "tenant-pdn" not in soc.rail("fpga").workload_names
+        assert "tenant-pdn" not in soc.rail("fpga")._workloads

@@ -10,7 +10,7 @@ class TestConstruction:
     def test_paper_defaults(self):
         array = PowerVirusArray(seed=1)
         assert array.n_groups == 160
-        assert array.instances_per_group == 1000
+        assert array.INSTANCES_PER_GROUP == 1000
         assert array.n_instances == 160_000
 
     def test_sweep_levels_has_161_entries(self):
@@ -53,13 +53,14 @@ class TestActivation:
         return PowerVirusArray(seed=42)
 
     def test_initially_inactive(self, array):
-        assert array.active_groups == 0
-        assert array.active_instances == 0
+        assert array.dynamic_power_at_level() == 0.0
 
     def test_set_active_groups(self, array):
         array.set_active_groups(10)
-        assert array.active_groups == 10
-        assert array.active_instances == 10_000
+        assert array.dynamic_power_at_level() == (
+            array.dynamic_power_at_level(10)
+        )
+        assert array.dynamic_power_at_level() > 0.0
 
     def test_out_of_range_rejected(self, array):
         with pytest.raises(ValueError):

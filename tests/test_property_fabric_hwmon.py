@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernels import fabric_totals
 
 from repro.fpga.fabric import CircuitSpec, Fabric, PlacementError
 from repro.sensors.hwmon import HwmonDevice
@@ -38,7 +39,7 @@ class TestFabricProperties:
             fabric.undeploy(name)
         # Everything released: usage is exactly zero everywhere.
         assert all(
-            count == 0 for count in fabric.total_used.values()
+            count == 0 for count in fabric_totals(fabric, "used").values()
         )
 
     @given(utilizations)
@@ -52,7 +53,7 @@ class TestFabricProperties:
         except PlacementError:
             return
         for resource, count in utilization.items():
-            assert fabric.total_used[resource] == count
+            assert fabric_totals(fabric, "used")[resource] == count
 
     @given(utilizations)
     @settings(max_examples=40, deadline=None)
@@ -64,8 +65,8 @@ class TestFabricProperties:
             fabric.deploy(CircuitSpec("c", utilization))
         except PlacementError:
             return
-        capacity = fabric.total_capacity
-        for resource, used in fabric.total_used.items():
+        capacity = fabric_totals(fabric, "capacity")
+        for resource, used in fabric_totals(fabric, "used").items():
             assert used <= capacity.get(resource, 0)
 
 

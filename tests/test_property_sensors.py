@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.sensors.ina226 import (
     AVERAGING_COUNTS,
     CONVERSION_TIMES,
+    SHUNT_LSB_VOLTS,
+    SHUNT_REG_MAX,
     Ina226,
     Ina226Config,
 )
@@ -14,6 +16,11 @@ from repro.utils.hashrand import hashed_normal, hashed_uniform
 
 currents = st.floats(min_value=0.0, max_value=20.0)
 buses = st.floats(min_value=0.5, max_value=3.5)
+
+
+def max_current(sensor):
+    """Largest measurable current before the shunt register clips."""
+    return SHUNT_REG_MAX * SHUNT_LSB_VOLTS / sensor.shunt_ohms
 
 
 def noiseless(shunt=2e-3):
@@ -28,7 +35,7 @@ class TestQuantizationProperties:
     def test_current_error_bounded(self, current, bus):
         sensor = noiseless()
         reading = sensor.convert(np.array([current]), np.array([bus]))
-        if current < sensor.max_current:
+        if current < max_current(sensor):
             # Quantization error stays within ~1 current LSB plus the
             # shunt-register rounding contribution.
             error = abs(reading.current_amps[0] - current)
@@ -60,7 +67,7 @@ class TestQuantizationProperties:
         sensor = noiseless()
         reading = sensor.convert(np.array([current]), np.array([bus]))
         true_power = current * bus
-        if current < sensor.max_current:
+        if current < max_current(sensor):
             # One power LSB (25 mW) plus propagated quantization: the
             # current register carries both its own LSB and the shunt
             # register's rounding (2.5 uV / R = 1.25 mA here), and the

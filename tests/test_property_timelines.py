@@ -117,9 +117,9 @@ class TestLinearity:
         t0, width = window
         t1 = t0 + width
         base = timeline.energy_between(np.array([t0]), np.array([t1]))[0]
-        scaled = timeline.scaled(factor).energy_between(
-            np.array([t0]), np.array([t1])
-        )[0]
+        scaled = PiecewiseActivity(
+            timeline.edges, timeline.powers * factor, period=timeline.period
+        ).energy_between(np.array([t0]), np.array([t1]))[0]
         assert np.isclose(scaled, factor * base, rtol=1e-9, atol=1e-12)
 
     @given(piecewise(), piecewise(periodic=True), windows)

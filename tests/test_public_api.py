@@ -39,7 +39,7 @@ PUBLIC_API = {
         "build_model", "list_models", "FIG3_MODELS",
     ],
     "repro.crypto": [
-        "square_and_multiply", "hamming_weight", "PAPER_HAMMING_WEIGHTS",
+        "hamming_weight", "PAPER_HAMMING_WEIGHTS",
     ],
     "repro.ml": [
         "RandomForestClassifier", "DecisionTreeClassifier",
@@ -253,3 +253,89 @@ def test_every_top_level_name_has_a_production_reference():
     assert not unallowed, f"only tests reference {unallowed}"
     stale = sorted(set(UNREFERENCED_ALLOWED) - unreferenced)
     assert not stale, f"now referenced, drop from UNREFERENCED_ALLOWED: {stale}"
+
+
+#: Methods no production file reads, with the reason each may stay.
+#: An entry that becomes read must leave this table.
+UNREAD_METHODS_ALLOWED = {
+    "HwmonDevice.inject_failure": "unbind/stale fault seam for tests",
+    "HwmonDevice.clear_failure": "unbind/stale fault seam for tests",
+    "ActivityTimeline.silent_between": "exact oracle for quiet_bounds",
+    "PiecewiseActivity.silent_between": "exact oracle for quiet_bounds",
+    "CycleRunActivity.silent_between": "exact oracle for quiet_bounds",
+}
+
+
+def _string_references(node):
+    """Dotted identifiers a string constant names (``"Owner.method"``)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if all(part.isidentifier() for part in node.value.split(".")):
+            yield from node.value.split(".")
+
+
+def _is_docstring(node):
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+
+
+def _method_reads(tree):
+    """(name, enclosing function nodes) per attribute or string read."""
+    stack = [(tree, ())]
+    while stack:
+        node, scopes = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes += (node,)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, scopes
+        for name in _string_references(node):
+            yield name, scopes
+        stack.extend(
+            (child, scopes) for child in ast.iter_child_nodes(node)
+            if not _is_docstring(child)
+        )
+
+
+def test_every_method_has_a_production_reference():
+    """No ``src/`` method or property is reached only by tests.
+
+    Every non-dunder method or property of a class in a reached module
+    under ``src/repro`` must be read somewhere in ``src/repro``,
+    ``bench/``, ``benchmarks/`` or ``examples/``, outside its own body:
+    as an attribute load (``obj.name``; the write ``obj.name = x`` is
+    not a read), or through a string constant that names it
+    (``getattr(obj, "name")``, ``"Owner.name"`` as the bench tracer's
+    ``LAYERS`` holds).  Docstrings are never references.  The scan
+    matches on names, so a method shares the reads of every attribute
+    with its name.
+    """
+    modules, _ = _module_table()
+    trees = list(modules.values()) + [
+        ast.parse(path.read_text(), str(path))
+        for folder in ("bench", "benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    readers = {}  # name -> the enclosing functions of each read
+    for tree in trees:
+        for name, scopes in _method_reads(tree):
+            readers.setdefault(name, []).append(scopes)
+
+    unread = set()
+    for module, tree in modules.items():
+        if module in UNREACHED_ALLOWED:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if not any(
+                    method not in scopes for scopes in readers.get(name, [])
+                ):
+                    unread.add(f"{cls.name}.{name}")
+    unallowed = sorted(unread - set(UNREAD_METHODS_ALLOWED))
+    assert not unallowed, f"only tests read {unallowed}"
+    stale = sorted(set(UNREAD_METHODS_ALLOWED) - unread)
+    assert not stale, f"now read, drop from UNREAD_METHODS_ALLOWED: {stale}"

@@ -15,7 +15,7 @@ class TestAttachment:
 
     def test_attach_and_names(self, rail):
         rail.attach("virus", ConstantActivity(1.0))
-        assert rail.workload_names == ("virus",)
+        assert tuple(rail._workloads) == ("virus",)
 
     def test_duplicate_attach_rejected(self, rail):
         rail.attach("virus", ConstantActivity(1.0))
@@ -32,17 +32,11 @@ class TestAttachment:
     def test_detach(self, rail):
         rail.attach("virus", ConstantActivity(1.0))
         rail.detach("virus")
-        assert rail.workload_names == ()
+        assert tuple(rail._workloads) == ()
 
     def test_detach_missing_raises(self, rail):
         with pytest.raises(KeyError):
             rail.detach("ghost")
-
-    def test_clear(self, rail):
-        rail.attach("a", ConstantActivity(1.0))
-        rail.attach("b", ConstantActivity(1.0))
-        rail.clear()
-        assert rail.workload_names == ()
 
     def test_non_timeline_rejected(self, rail):
         with pytest.raises(TypeError):
@@ -52,7 +46,7 @@ class TestAttachment:
         rail.attach("virus", ConstantActivity(1.0))
         with pytest.raises(TypeError):
             rail.replace("virus", 3.0)
-        assert rail.workload_names == ("virus",)
+        assert tuple(rail._workloads) == ("virus",)
         assert rail.mean_power(np.array([0.0]), np.array([1.0]))[0] == (
             pytest.approx(1.5)
         )
@@ -87,7 +81,7 @@ class TestCachedComposite:
         rail.detach("b")
         seen.append(rail.timeline())
         assert seen[-1].components[1:] == (b,)
-        rail.clear()
+        rail.detach("a")
         seen.append(rail.timeline())
         assert isinstance(seen[-1], ConstantActivity)
         assert len({id(timeline) for timeline in seen}) == len(seen)

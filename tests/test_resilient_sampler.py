@@ -2,7 +2,7 @@
 
 Covers the sampler-facing half of the fault plane:
 
-* the determinism guard — ``FaultPlan.none()`` must leave every trace
+* the determinism guard — a no-op ``FaultPlan()`` must leave every trace
   bit-identical to the unarmed fast path, pinned against a checked-in
   fixture recorded before the fault plane existed;
 * the retry/backoff loop (deterministic recovery, gap interpolation,
@@ -49,6 +49,16 @@ FIXTURE_RECIPE = (
 )
 
 
+def pin_dead(session, domain):
+    """Unbind a domain's driver and poll it until its health pins dead."""
+    session.soc.device(domain).inject_failure("unbind", at_time=0.0)
+    sampler = session.sampler
+    for _ in range(sampler.retry_policy.dead_after_outages):
+        with pytest.raises(ChannelOutageError):
+            sampler.collect(domain, "current", start=1.0, n_samples=20)
+    assert sampler.channel_health(domain) == DEAD
+
+
 def _collect_fixture_traces(session):
     return [
         session.sampler.collect(
@@ -59,12 +69,12 @@ def _collect_fixture_traces(session):
 
 
 class TestNoopDeterminismGuard:
-    """FaultPlan.none() must be invisible, bit for bit."""
+    """A no-op FaultPlan() must be invisible, bit for bit."""
 
     @pytest.mark.parametrize("faults", [None, "noop-plan"])
     def test_matches_checked_in_fixture(self, faults):
         if faults == "noop-plan":
-            faults = FaultPlan.none()
+            faults = FaultPlan()
         session = AttackSession.create(seed=3, faults=faults)
         traces = _collect_fixture_traces(session)
         pinned = TraceArchiveReader(FIXTURE).load_traceset()
@@ -75,7 +85,7 @@ class TestNoopDeterminismGuard:
             np.testing.assert_array_equal(fresh.values, expected.values)
 
     def test_noop_plan_keeps_fast_path(self):
-        session = AttackSession.create(seed=3, faults=FaultPlan.none())
+        session = AttackSession.create(seed=3, faults=FaultPlan())
         assert not session.sampler._faults_active("fpga")
         trace = session.sampler.collect(
             "fpga", "current", start=1.0, n_samples=64
@@ -140,7 +150,7 @@ class TestResilientCollect:
 class TestHealthMachine:
     def test_dead_channel_raises_immediately(self):
         session = AttackSession.create(seed=3, faults=0.2)
-        session.sampler.force_dead("fpga")
+        pin_dead(session, "fpga")
         assert session.sampler.channel_health("fpga") == DEAD
         with pytest.raises(ChannelDeadError, match="pinned dead"):
             session.sampler.collect("fpga", "current", start=1.0, n_samples=50)
@@ -156,7 +166,7 @@ class TestDegradedMode:
 
     def test_collect_many_drops_dead_channel(self):
         session = AttackSession.create(seed=3, faults=0.1)
-        session.sampler.force_dead("ddr")
+        pin_dead(session, "ddr")
         traces = session.sampler.collect_many(
             self.CHANNELS, start=1.0, n_samples=80, on_dead="drop"
         )
@@ -165,7 +175,7 @@ class TestDegradedMode:
 
     def test_collect_many_raise_propagates(self):
         session = AttackSession.create(seed=3, faults=0.1)
-        session.sampler.force_dead("ddr")
+        pin_dead(session, "ddr")
         with pytest.raises(ChannelDeadError):
             session.sampler.collect_many(
                 self.CHANNELS, start=1.0, n_samples=80, on_dead="raise"
@@ -174,7 +184,7 @@ class TestDegradedMode:
     def test_all_channels_dead_is_an_outage(self):
         session = AttackSession.create(seed=3, faults=0.1)
         for domain, _ in self.CHANNELS:
-            session.sampler.force_dead(domain)
+            pin_dead(session, domain)
         with pytest.raises(ChannelOutageError, match="every requested"):
             session.sampler.collect_many(
                 self.CHANNELS, start=1.0, n_samples=80, on_dead="drop"
@@ -191,7 +201,7 @@ class TestDegradedMode:
         from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 
         session = AttackSession.create(seed=3, faults=0.05)
-        session.sampler.force_dead("ddr")
+        pin_dead(session, "ddr")
         config = FingerprintConfig(
             duration=1.0, traces_per_model=4, n_folds=2, forest_trees=5
         )

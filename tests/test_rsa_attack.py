@@ -97,4 +97,4 @@ class TestSetup:
         assert np.unique(profile.values).size < 30
 
     def test_rail_left_clean(self, attack):
-        assert "rsa" not in attack.soc.rail("fpga").workload_names
+        assert "rsa" not in attack.soc.rail("fpga")._workloads

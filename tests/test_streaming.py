@@ -19,9 +19,9 @@ from repro.core.streaming import (
     StreamingAnalyzer,
     WindowSpec,
     monitor_chunks,
-    window_feature_matrix,
 )
 from repro.core.detector import OnsetDetector
+from repro.core.features import resample_batch
 from repro.core.sampler import StreamInterrupted
 from repro.core.traces import Trace, TraceQuality
 from repro.utils.rng import ensure_rng
@@ -152,7 +152,7 @@ def test_extractor_rejects_bad_input():
     assert len(extractor.push(np.empty(0))) == 0
 
 
-def test_window_feature_matrix_is_the_to_matrix_kernel():
+def test_resample_batch_is_the_to_matrix_kernel():
     from repro.core.traces import TraceSet
 
     rng = ensure_rng(5)
@@ -161,7 +161,7 @@ def test_window_feature_matrix_is_the_to_matrix_kernel():
         for i in range(6)
     ]
     X, y = TraceSet(traces).to_matrix(16)
-    direct = window_feature_matrix([t.values for t in traces], 16)
+    direct = resample_batch([t.values for t in traces], 16)
     assert np.max(np.abs(X - direct)) == 0.0
     assert list(y) == [t.label for t in traces]
 
@@ -186,8 +186,11 @@ def test_smoother_ema_and_reset():
     smoother.update(np.array([1.0, 0.0]))
     blended = smoother.update(np.array([0.0, 1.0]))
     assert np.allclose(blended, [0.5, 0.5])
-    smoother.reset()
-    fresh = smoother.update(np.array([0.0, 1.0]))
+    blended = smoother.update(np.array([0.0, 1.0]))
+    assert np.allclose(blended, [0.25, 0.75])
+    # A new stream starts from a fresh smoother, which adopts its
+    # first input verbatim.
+    fresh = ConfidenceSmoother(0.5).update(np.array([0.0, 1.0]))
     assert np.array_equal(fresh, [0.0, 1.0])
 
 
@@ -246,22 +249,6 @@ def test_analyzer_smoothing_can_override_a_flip():
     assert verdict.raw_label == "lo"
     assert verdict.label == "hi"
     assert not verdict.switched
-
-
-def test_analyzer_reset_restores_fresh_state():
-    analyzer = StreamingAnalyzer(
-        StubClassifier(),
-        WindowSpec(10, 10),
-        n_features=8,
-        detector=OnsetDetector(baseline_window=4),
-    )
-    analyzer.push_chunk(_trace(np.full(10, 5.0)))
-    analyzer.reset()
-    assert analyzer.extractor.samples_seen == 0
-    assert analyzer.tracker is not None
-    assert analyzer.tracker.samples_seen == 0
-    update = analyzer.push_chunk(_trace(np.full(10, 5.0)))
-    assert not update.verdicts[0].switched
 
 
 def test_analyzer_threads_detector_events():

@@ -13,6 +13,7 @@ import pytest
 from reference_kernels import batch_window_features
 
 from repro.core.detector import OnsetDetector
+from repro.core.features import resample_batch
 from repro.core.fingerprint import DnnFingerprinter, FingerprintConfig
 from repro.core.io import TraceArchiveReader, TraceArchiveWriter
 from repro.core.streaming import (
@@ -21,7 +22,6 @@ from repro.core.streaming import (
     StreamingAnalyzer,
     WindowSpec,
     monitor_chunks,
-    window_feature_matrix,
 )
 from repro.core.traces import Trace
 from repro.dpu.models import build_model, list_models
@@ -110,7 +110,7 @@ def test_classify_stream_matches_classify_topk(forest):
         # Confidences must equal the forest's batch probabilities on
         # the batch-windowed features, exactly.
         proba = classifier.predict_proba(
-            window_feature_matrix([assembled.values], n_features)
+            resample_batch([assembled.values], n_features)
         )[0]
         order = np.argsort(-proba, kind="stable")
         diff = np.abs(np.asarray(verdicts[0].confidences) - proba[order])
@@ -160,7 +160,11 @@ def test_sliding_features_and_episodes_match_batch(forest):
         streamed_episodes.extend(
             event.episode for event in update.episodes
         )
-    batch_episodes = detector.episodes(values, baseline=baseline)
+    tracker = detector.tracker(baseline=baseline)
+    whole = tracker.push(values) + tracker.finish()
+    batch_episodes = [
+        event.episode for event in whole if event.kind == "episode"
+    ]
     assert batch_episodes, "expected at least one victim episode"
     assert streamed_episodes == batch_episodes
     # Feature parity across the same overlapping windows.

@@ -115,12 +115,7 @@ class TestStreamingConsumers:
             one_shot = session.sampler.collect(
                 "fpga", "current", start=0.0, duration=10.0
             )
-            baseline = detector.estimate_baseline(
-                np.asarray(one_shot.values, dtype=np.float64)
-            )
-            found_ref, onset_ref = detector.detect_onset(
-                one_shot, baseline=baseline
-            )
+            found_ref, onset_ref = detector.scan_for_onset([one_shot])
             stream = session.sampler.stream(
                 "fpga", "current", start=0.0, duration=10.0,
                 chunk_duration=2.0,

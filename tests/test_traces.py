@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_kernels import truncated_trace
 
-from repro.core.features import resample_values, standardize
+from repro.core.features import resample_values
 from repro.core.traces import Trace, TraceSet
+from repro.ml.linear import LogisticRegressionClassifier
 
 
 def make_trace(n=10, label="m", domain="fpga", quantity="current", start=0.0):
@@ -33,19 +35,18 @@ class TestTrace:
 
     def test_truncated(self):
         trace = make_trace(n=100)
-        short = trace.truncated(1.0)
+        short = truncated_trace(trace, 1.0)
         assert short.duration <= 1.0 + 1e-9
         assert short.n_samples < trace.n_samples
         assert short.label == trace.label
 
     def test_truncated_keeps_at_least_one(self):
         trace = make_trace(n=5)
-        tiny = trace.truncated(1e-9)
-        assert tiny.n_samples >= 1
+        assert trace.truncation_mask(1e-9).sum() == 1
 
     def test_truncated_invalid(self):
         with pytest.raises(ValueError):
-            make_trace().truncated(0.0)
+            make_trace().truncation_mask(0.0)
 
     def test_repr(self):
         assert "fpga/current" in repr(make_trace())
@@ -76,9 +77,16 @@ class TestTraceSet:
         assert len(ts.filter(domain="fpga", quantity="power")) == 1
 
     def test_truncated(self):
-        ts = TraceSet([make_trace(n=100), make_trace(n=100)])
-        short = ts.truncated(1.0)
-        assert all(t.duration <= 1.0 + 1e-9 for t in short)
+        # to_matrix(duration=...) equals the matrix of the truncated
+        # traces, bit for bit.
+        ts = TraceSet([make_trace(n=100, label="a"),
+                       make_trace(n=70, label="b", start=2.0)])
+        for duration in (1e-9, 0.5, 1.0, 10.0):
+            X, y = ts.to_matrix(16, duration=duration)
+            short = TraceSet([truncated_trace(t, duration) for t in ts])
+            X_ref, y_ref = short.to_matrix(16)
+            assert np.array_equal(X, X_ref)
+            assert list(y) == list(y_ref)
 
     def test_to_matrix(self):
         ts = TraceSet([make_trace(n=50, label="a"), make_trace(n=60, label="b")])
@@ -126,12 +134,15 @@ class TestFeatures:
             resample_values(np.array([]), 4)
 
     def test_standardize(self):
+        # The linear classifier z-scores features with training
+        # statistics; a constant column passes through as zeros.
         matrix = np.array([[1.0, 10.0], [3.0, 10.0]])
-        out = standardize(matrix)
+        classifier = LogisticRegressionClassifier(n_iterations=1)
+        out = classifier.fit(matrix, np.array(["a", "b"]))._prepare(matrix)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
-        # Constant column passes through as zeros.
+        np.testing.assert_allclose(out[:, 0], [-1.0, 1.0])
         np.testing.assert_allclose(out[:, 1], 0.0)
 
     def test_standardize_needs_2d(self):
         with pytest.raises(ValueError):
-            standardize(np.arange(4.0))
+            LogisticRegressionClassifier().fit(np.arange(4.0), np.arange(4))

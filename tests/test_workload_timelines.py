@@ -173,15 +173,6 @@ class TestCompositeAndScaling:
         with pytest.raises(ValueError):
             CompositeActivity([])
 
-    def test_scaled(self):
-        timeline = ConstantActivity(2.0).scaled(1.5)
-        np.testing.assert_allclose(timeline.power_at([0.0]), [3.0])
-        np.testing.assert_allclose(timeline.energy_between([0.0], [1.0]), [3.0])
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantActivity(1.0).scaled(-1.0)
-
     def test_mixed_composite_window_mean(self):
         wave = PiecewiseActivity([0.0, 1.0, 2.0], [2.0, 0.0], period=2.0)
         combined = wave + ConstantActivity(1.0)
@@ -239,7 +230,9 @@ def _random_composite(rng):
                 period=timeline.span * rng.uniform(1.0, 1.5),
             )
         elif kind == "scaled":
-            timeline = timeline.scaled(rng.uniform(0.0, 3.0))
+            timeline = PiecewiseActivity(
+                timeline.edges, timeline.powers * rng.uniform(0.0, 3.0)
+            )
         components.append(timeline)
     return CompositeActivity(components), finite
 
@@ -293,11 +286,6 @@ class TestSilentBetween:
         wave = PiecewiseActivity([1.0, 2.0, 3.0], [0.0, 0.0], period=2.0)
         assert not wave.silent_between(-5.0, -4.0)
         assert not ConstantActivity(0.0).silent_between(0.0, 1.0)
-
-    def test_scaled_delegates_to_base(self, burst):
-        assert burst.scaled(2.0).silent_between(4.0, 9.0)
-        assert not burst.scaled(2.0).silent_between(0.0, 5.0)
-        assert not burst.scaled(np.inf).silent_between(4.0, 9.0)
 
     def test_nan_bounds_are_never_silent(self, burst):
         # Each held side is judged by one bound: hi before, lo after.
@@ -373,8 +361,6 @@ class TestQuietBounds:
     def test_burst_bounds(self):
         burst = PiecewiseActivity([1.0, 2.0, 3.0, 4.0], [0.0, 5.0, 0.0])
         assert burst.quiet_bounds() == (1.0, np.nextafter(4.0, np.inf))
-        assert burst.scaled(2.0).quiet_bounds() == burst.quiet_bounds()
-        assert burst.scaled(np.inf).quiet_bounds() == (-np.inf, np.inf)
         wave = PiecewiseActivity([1.0, 2.0, 3.0], [0.0, 0.0], period=2.0)
         assert wave.quiet_bounds() == (-np.inf, np.inf)
         assert ConstantActivity(0.0).quiet_bounds() == (-np.inf, np.inf)

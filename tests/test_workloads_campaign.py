@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_kernels import read_sysfs
 
 from repro.core.campaign import AttackCampaign
 from repro.fpga.workloads import WORKLOAD_CLASSES, generate_dataset
@@ -73,10 +74,10 @@ class TestWorkloadLibrary:
         soc = Soc("ZCU102", seed=0)
         victim = _first_of("stream", seed=1)
         victim.attach(soc)
-        assert "victim" in soc.rail("fpga").workload_names
-        assert "victim" in soc.rail("ddr").workload_names
+        assert "victim" in soc.rail("fpga")._workloads
+        assert "victim" in soc.rail("ddr")._workloads
         victim.detach(soc)
-        assert "victim" not in soc.rail("fpga").workload_names
+        assert "victim" not in soc.rail("fpga")._workloads
 
 
 class TestCampaign:
@@ -95,7 +96,7 @@ class TestCampaign:
     def test_recon_paths_are_pollable(self, soc):
         campaign = AttackCampaign(AttackSession(soc, seed=5))
         report = campaign.recon()
-        value = soc.hwmon.read(report.sensitive_paths["fpga"], time=1.0)
+        value = read_sysfs(soc.hwmon, report.sensitive_paths["fpga"], 1.0)
         assert int(value) > 0
 
     def test_stakeout_detects_late_victim(self, soc):
