@@ -134,9 +134,6 @@ class _FunctionExtractor:
         params = [a.arg for a in args.posonlyargs + args.args]
         if class_name and params and params[0] in ("self", "cls"):
             params = params[1:]
-            self.self_name = "self"
-        else:
-            self.self_name = None if class_name is None else "self"
         self.facts = FunctionFacts(
             qualname=qualname, line=node.lineno, params=params
         )

@@ -58,7 +58,7 @@ def _session(args: argparse.Namespace):
 
     Built from the subcommand's ``--seed`` plus its ``--board`` and
     ``--faults`` where it has them (default board ZCU102; no
-    ``--faults`` leaves ``AMPEREBLEED_FAULT_RATE`` in charge).
+    ``--faults`` arms no fault injection).
     """
     from repro.session import DEFAULT_BOARD, AttackSession
 
@@ -261,7 +261,6 @@ def _record_fingerprint(args: argparse.Namespace) -> None:
             models=models,
             channels=channels,
             sink=writer,
-            resume=args.resume,
             # Under injected faults a dead sensor should shrink the
             # recording, not kill it.
             on_dead="drop" if args.faults is not None else "raise",
@@ -286,7 +285,6 @@ def _record_rsa(args: argparse.Namespace) -> None:
             quantity=args.quantity,
             n_samples=args.samples,
             sink=writer,
-            resume=args.resume,
         )
 
 
@@ -542,7 +540,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             smoothing=args.smoothing,
             detector=OnsetDetector(),
             sink=sink,
-            resume=args.resume,
         )
         from repro.core.streaming import Interruption, ModelSwitch
 

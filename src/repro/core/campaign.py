@@ -223,10 +223,7 @@ class AttackCampaign:
         }
         writer = TraceArchiveWriter(out, meta=meta, resume=resume)
         try:
-            state: Dict = {}
-            if resume:
-                writer.drop_entries_after_checkpoint()
-                state = dict(writer.checkpoint_state or {})
+            state = dict(writer.checkpoint_state or {})
             stages = {"recon": 1, "stakeout": 2, "attack": 3}
             reached = stages.get(state.get("stage"), 0)
             if reached < 1:

@@ -84,7 +84,6 @@ class OnsetTracker:
         if baseline is not None and baseline[1] <= 0:
             raise ValueError("baseline sigma must be > 0")
         self._baseline = baseline
-        self._explicit_baseline = baseline is not None
         # Only a self-estimated baseline region is exempt from
         # triggering; an explicit baseline scans every sample.
         self._mask_baseline_region = (
@@ -98,7 +97,6 @@ class OnsetTracker:
         )
         self._position = 0  # global samples fully processed
         self._episode_start: Optional[int] = None
-        self._episode_start_time = float("nan")
         self._gap = 0
 
     def push(
@@ -208,7 +206,6 @@ class OnsetTracker:
             if active:
                 if self._episode_start is None:
                     self._episode_start = index
-                    self._episode_start_time = float(times[offset])
                     events.append(
                         OnsetEvent(
                             kind="onset",

@@ -34,7 +34,7 @@ from repro.core.features import resample_batch
 from repro.core.io import (
     TraceArchiveReader,
     TraceArchiveWriter,
-    read_chunk_entry,
+    resume_point,
 )
 from repro.core.sampler import HwmonSampler
 from repro.core.traces import Trace, TraceSet
@@ -519,7 +519,6 @@ class DnnFingerprinter(FingerprintAnalyzer):
         traces_per_model: Optional[int] = None,
         sink: Optional[TraceArchiveWriter] = None,
         on_dead: str = "raise",
-        resume: bool = False,
     ) -> Dict[Tuple[str, str], TraceSet]:
         """Offline phase: labeled trace sets for every channel.
 
@@ -530,11 +529,12 @@ class DnnFingerprinter(FingerprintAnalyzer):
         later loads, bit for bit.  After each completed run the sink
         gets a progress checkpoint.
 
-        With ``resume=True`` and a sink reopened via
-        ``TraceArchiveWriter(..., resume=True)``, runs the interrupted
-        session already persisted are loaded back from disk instead of
-        re-recorded; chunks from a half-finished run are rolled back
-        and re-recorded at the same indices.  Recording is
+        A sink reopened via ``TraceArchiveWriter(..., resume=True)``
+        resumes the interrupted session (:func:`~repro.core.io.
+        resume_point`): the runs it persisted up to its last checkpoint
+        are loaded back from disk instead of re-recorded, and the
+        writer has already rolled back the chunks of a half-finished
+        run, which are re-recorded at the same indices.  Recording is
         deterministic, so the final archive and returned datasets are
         byte-identical to an uninterrupted session's.
         """
@@ -546,16 +546,10 @@ class DnnFingerprinter(FingerprintAnalyzer):
         datasets: Dict[Tuple[str, str], TraceSet] = {
             channel: TraceSet() for channel in channels
         }
-        runs_done = 0
-        if resume:
-            if sink is None:
-                raise ValueError("resume=True needs a sink archive writer")
-            sink.drop_entries_after_checkpoint()
-            state = sink.checkpoint_state or {}
-            runs_done = int(state.get("runs_done", 0))
-            for entry in sink.entries:
-                trace = read_chunk_entry(sink.path, entry)
-                datasets[(trace.domain, trace.quantity)].add(trace)
+        state, recovered = resume_point(sink)
+        runs_done = int(state.get("runs_done", 0))
+        for trace in recovered:
+            datasets[(trace.domain, trace.quantity)].add(trace)
         run_index = 0
         for name in models:
             model = build_model(name)

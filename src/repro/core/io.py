@@ -30,7 +30,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -180,16 +180,17 @@ class TraceArchiveWriter:
     truncation.
 
     An interrupted recording leaves an unsealed manifest; reopening
-    the same directory with ``resume=True`` recovers it — a corrupt
-    trailing manifest line (a write torn mid-crash) is truncated away,
-    a trailing chunk whose bytes are short or fail their ``crc32`` is
-    dropped along with its entry, the active segment is truncated to
-    the end of the last kept chunk, later segments are deleted, and
-    appending continues at the exact chunk index and byte offset where
-    the crash hit.  Because recording is deterministic, a resumed
-    session rewrites the lost tail bit-identically.  :meth:`checkpoint`
-    records arbitrary JSON progress markers in the manifest that the
-    resumed session reads back via :attr:`checkpoint_state`.
+    the same directory with ``resume=True`` recovers it and rolls it
+    back to its last :meth:`checkpoint` — a corrupt trailing manifest
+    line (a write torn mid-crash) is truncated away, a trailing chunk
+    whose bytes are short or fail their ``crc32`` is dropped along
+    with its entry, every chunk persisted after the last checkpoint
+    (a half-finished unit of work) is dropped too, the active segment
+    is truncated to the end of the last kept chunk, later segments are
+    deleted, and appending continues at that chunk's index and byte
+    offset.  Because recording is deterministic, a resumed session
+    rewrites the lost tail bit-identically: recorders read where to
+    pick up from :func:`resume_point`.
 
     Args:
         path: archive directory (created; must not already contain a
@@ -220,11 +221,11 @@ class TraceArchiveWriter:
         self._segment = None
         self._segment_index = 0
         self._segment_size = 0
-        #: Chunk entries recovered from an interrupted manifest
-        #: (empty for a fresh archive).
+        #: Chunk entries recovered from an interrupted manifest, up to
+        #: its last checkpoint (empty for a fresh archive).
         self.entries: list = []
-        #: Last :meth:`checkpoint` state recovered on resume (or
-        #: recorded this session); ``None`` when never checkpointed.
+        #: Last :meth:`checkpoint` state recovered on resume; ``None``
+        #: for a fresh archive or one never checkpointed.
         self.checkpoint_state: Optional[dict] = None
         if self._manifest_path.exists():
             if not resume:
@@ -249,9 +250,12 @@ class TraceArchiveWriter:
         Tolerates exactly the damage a killed recorder can cause — a
         torn final manifest line, or a final chunk whose bytes never
         fully reached its segment — by truncating the manifest and the
-        segments back to the last fully-persisted record.  Damage
-        anywhere *earlier* is real corruption and raises instead of
-        being papered over.
+        segments back to the last fully-persisted record, then rolls
+        back to the last checkpoint: chunks persisted after it belong
+        to a half-finished unit that the resumed session re-records at
+        the same chunk indices and segment offsets (without any
+        checkpoint, every chunk goes).  Damage anywhere *earlier* is
+        real corruption and raises instead of being papered over.
         """
         lines = self._manifest_path.read_text(encoding="utf-8").split("\n")
         records = []
@@ -308,6 +312,11 @@ class TraceArchiveWriter:
             except ArchiveError:
                 body = body[:body.index(entries[-1])]
                 entries = entries[:-1]
+        checkpoints = [
+            position for position, record in enumerate(body)
+            if "checkpoint" in record
+        ]
+        body = body[:checkpoints[-1] + 1] if checkpoints else []
         kept = [header] + body
         if torn_tail or len(kept) != len(records):
             self._rewrite_manifest(kept)
@@ -316,12 +325,9 @@ class TraceArchiveWriter:
             # make sure the next append starts on its own line.
             with self._manifest_path.open("a", encoding="utf-8") as handle:
                 handle.write("\n")
-        checkpoints = [
-            record["checkpoint"] for record in body if "checkpoint" in record
-        ]
-        self.entries = entries
-        self.checkpoint_state = checkpoints[-1] if checkpoints else None
-        self._n_chunks = len(entries)
+        self.entries = [record for record in body if "checkpoint" not in record]
+        self.checkpoint_state = body[-1]["checkpoint"] if body else None
+        self._n_chunks = len(self.entries)
         self._cut_segments()
 
     def _rewrite_manifest(self, records: list) -> None:
@@ -375,46 +381,6 @@ class TraceArchiveWriter:
         if not isinstance(state, dict):
             raise TypeError("checkpoint state must be a dict")
         self._write_line({"checkpoint": state})
-        self.checkpoint_state = dict(state)
-
-    def drop_entries_after_checkpoint(self) -> int:
-        """Roll a resumed archive back to its last checkpoint.
-
-        Recording loops that append several chunks per unit of work and
-        checkpoint *between* units call this right after resuming: any
-        chunk persisted after the final checkpoint belongs to a
-        half-finished unit and will be re-recorded (deterministically,
-        hence bit-identically) at the same chunk indices and segment
-        offsets.  Returns the number of entries dropped.  Without a
-        checkpoint, every recovered entry is dropped.
-        """
-        if self._closed:
-            raise ArchiveError(f"archive {self.path} is already closed")
-        lines = self._manifest_path.read_text(encoding="utf-8").splitlines()
-        records = [json.loads(line) for line in lines if line.strip()]
-        last_checkpoint = 0
-        for position, record in enumerate(records):
-            if "checkpoint" in record:
-                last_checkpoint = position
-        kept = records[: last_checkpoint + 1]
-        dropped = [
-            record
-            for record in records[last_checkpoint + 1:]
-            if "checkpoint" not in record
-        ]
-        if not dropped:
-            return 0
-        self._manifest.close()
-        self._rewrite_manifest(kept)
-        self._manifest = self._manifest_path.open("a", encoding="utf-8")
-        self.entries = [
-            record
-            for record in kept[1:]
-            if "checkpoint" not in record and not record.get("footer")
-        ]
-        self._n_chunks = len(self.entries)
-        self._cut_segments()
-        return len(dropped)
 
     def append(
         self,
@@ -519,6 +485,31 @@ class TraceArchiveWriter:
             self.close()
         else:
             self.abort()
+
+
+def resume_point(
+    sink, trace_id: Optional[str] = None
+) -> Tuple[dict, List[Trace]]:
+    """Where a recorder streaming to ``sink`` picks up.
+
+    Returns the last checkpoint state of a :class:`TraceArchiveWriter`
+    reopened with ``resume=True`` and the chunks its interrupted
+    session persisted up to that checkpoint, loaded back through
+    :func:`read_chunk_entry` in recorded order (only the parts of
+    ``trace_id`` when given, in ``part`` order).  A fresh writer, and
+    any sink that is not an archive writer, resumes from nothing:
+    ``({}, [])``.  Recorders call this once, before recording.
+    """
+    if not isinstance(sink, TraceArchiveWriter):
+        return {}, []
+    entries = sink.entries
+    if trace_id is not None:
+        entries = sorted(
+            (entry for entry in entries if entry.get("trace_id") == trace_id),
+            key=lambda entry: entry["part"],
+        )
+    chunks = [read_chunk_entry(sink.path, entry) for entry in entries]
+    return dict(sink.checkpoint_state or {}), chunks
 
 
 class TraceArchiveReader:

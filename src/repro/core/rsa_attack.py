@@ -33,13 +33,12 @@ from repro.analysis.distributions import (
     summarize,
 )
 from repro.analysis.stats import LinearFit, linear_fit
-from repro.core.io import TraceArchiveWriter
+from repro.core.io import TraceArchiveWriter, resume_point
 from repro.core.sampler import HwmonSampler
 from repro.core.traces import Trace, TraceSet
 from repro.crypto.rsa_math import (
     PAPER_HAMMING_WEIGHTS,
     make_exponent_with_weight,
-    random_modulus,
 )
 from repro.fpga.rsa import RsaCircuit
 from repro.soc.soc import Soc
@@ -164,7 +163,6 @@ class RsaHammingWeightAttack:
             session = AttackSession.create()
         self.session = session
         self.sampling_hz = require_positive(sampling_hz, "sampling_hz")
-        self.modulus = random_modulus(seed=self.seed)
         self._clock = 1.0
 
     @property
@@ -182,7 +180,7 @@ class RsaHammingWeightAttack:
     def make_circuit(self, weight: int) -> RsaCircuit:
         """The victim circuit for one Hamming-weight test key."""
         exponent = make_exponent_with_weight(weight, seed=self.seed)
-        return RsaCircuit(exponent, self.modulus)
+        return RsaCircuit(exponent)
 
     def record_key(
         self,
@@ -250,7 +248,6 @@ class RsaHammingWeightAttack:
         quantity: str = "current",
         n_samples: int = 35_000,
         sink: Optional[TraceArchiveWriter] = None,
-        resume: bool = False,
     ) -> TraceSet:
         """Acquisition plane: record every test key's trace.
 
@@ -259,25 +256,17 @@ class RsaHammingWeightAttack:
         than one key's readings plus what is already safely on disk;
         each append is followed by a progress checkpoint.
 
-        With ``resume=True`` (sink reopened via ``TraceArchiveWriter(
-        ..., resume=True)``), keys the interrupted session persisted
-        are loaded back from disk; the sweep continues at the first
-        unrecorded key with the experiment clock advanced exactly as
-        if those keys had just been recorded, so the sealed archive is
-        byte-identical to an uninterrupted sweep's.
+        A sink reopened via ``TraceArchiveWriter(..., resume=True)``
+        resumes the interrupted sweep (:func:`~repro.core.io.
+        resume_point`): keys it persisted are loaded back from disk,
+        and the sweep continues at the first unrecorded key with the
+        experiment clock advanced exactly as if those keys had just
+        been recorded, so the sealed archive is byte-identical to an
+        uninterrupted sweep's.
         """
-        from repro.core.io import read_chunk_entry
-
-        keys_done = 0
-        traces = TraceSet()
-        if resume:
-            if sink is None:
-                raise ValueError("resume=True needs a sink archive writer")
-            sink.drop_entries_after_checkpoint()
-            state = sink.checkpoint_state or {}
-            keys_done = int(state.get("keys_done", 0))
-            for entry in sink.entries:
-                traces.add(read_chunk_entry(sink.path, entry))
+        state, recovered = resume_point(sink)
+        keys_done = int(state.get("keys_done", 0))
+        traces = TraceSet(recovered)
         for index, weight in enumerate(weights):
             if index < keys_done:
                 # Advance the clock exactly as record_key did for the

@@ -6,7 +6,6 @@ from repro.crypto.rsa_math import (
     exponent_bits_lsb_first,
     hamming_weight,
     make_exponent_with_weight,
-    random_modulus,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "exponent_bits_lsb_first",
     "hamming_weight",
     "make_exponent_with_weight",
-    "random_modulus",
 ]

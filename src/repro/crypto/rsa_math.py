@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.utils.rng import RngLike, spawn
 
 #: The paper's modulus width.
@@ -72,22 +70,3 @@ def make_exponent_with_weight(
     for position in positions:
         exponent |= 1 << int(position)
     return exponent
-
-
-def random_modulus(seed: RngLike = None) -> int:
-    """An :data:`RSA_BITS`-bit odd modulus for the victim circuit.
-
-    The side channel depends only on the exponent's bit pattern, not on
-    the modulus being a proper RSA semiprime, so an odd random modulus
-    with the top bit set is sufficient (and keeps construction fast —
-    generating true 512-bit primes would add nothing to the model).
-    """
-    rng = spawn(seed, "rsa-modulus")
-    limbs = rng.integers(0, 1 << 32, size=RSA_BITS // 32, dtype=np.uint64)
-    value = 0
-    for limb in limbs:
-        value = (value << 32) | int(limb)
-    value |= 1 << (RSA_BITS - 1)  # full width
-    value |= 1  # odd
-    return value
-

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.perf.config import fault_rate_from_env
 from repro.utils.hashrand import hashed_uniform
 from repro.utils.rng import derive_seed
 
@@ -135,11 +134,6 @@ class FaultPlan:
             hotplug_rate=min(1.0, rate / 2.0),
             interval_change_rate=rate / 8.0,
         )
-
-    @classmethod
-    def from_env(cls, seed: int = 0) -> "FaultPlan":
-        """The plan ``AMPEREBLEED_FAULT_RATE`` requests (default none)."""
-        return cls.at_rate(fault_rate_from_env(), seed=seed)
 
     # -------------------------------------------------------- evaluation
 
@@ -265,14 +259,13 @@ def resolve_fault_plan(
 ) -> Optional["FaultPlan"]:
     """The one spelling-resolution shim for ``faults=`` arguments.
 
-    ``None`` consults ``AMPEREBLEED_FAULT_RATE`` (absent/zero means no
-    plan); a float builds :meth:`FaultPlan.at_rate`; a plan passes
-    through.  Returns ``None`` when the resolved plan is a no-op, so
-    callers can arm nothing and keep the fast path.
+    ``None`` means no plan; a float builds :meth:`FaultPlan.at_rate`;
+    a plan passes through.  Returns ``None`` when the resolved plan is
+    a no-op, so callers can arm nothing and keep the fast path.
     """
     if faults is None:
-        plan = FaultPlan.from_env(seed=seed)
-    elif isinstance(faults, FaultPlan):
+        return None
+    if isinstance(faults, FaultPlan):
         plan = faults
     elif isinstance(faults, (int, float)) and not isinstance(faults, bool):
         plan = FaultPlan.at_rate(float(faults), seed=seed)

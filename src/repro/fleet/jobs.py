@@ -182,7 +182,7 @@ def _run_fingerprint(job: FleetJob, resume: bool) -> Tuple[int, int, Tuple]:
         resume=resume,
     ) as writer:
         datasets = fingerprinter.collect_datasets(
-            models=models, channels=channels, sink=writer, resume=resume
+            models=models, channels=channels, sink=writer
         )
     traces, samples = _traceset_counts(datasets)
     return traces, samples, (("channels", len(datasets)),)
@@ -210,7 +210,6 @@ def _run_rsa(job: FleetJob, resume: bool) -> Tuple[int, int, Tuple]:
             quantity=quantity,
             n_samples=n_samples,
             sink=writer,
-            resume=resume,
         )
     traces, samples = _traceset_counts(sweep)
     return traces, samples, (("weights", len(weights)),)

@@ -35,9 +35,9 @@ class RsaCircuit:
     """The FPGA RSA-1024 engine as a power-producing victim.
 
     Args:
-        exponent: the secret exponent (1 <= e < 2^width).
-        modulus: the RSA modulus (any odd ``width``-bit integer works
-            for the side-channel study; see ``crypto.random_modulus``).
+        exponent: the secret exponent (1 <= e < 2^width).  The
+            modulus is not modelled: the leak depends only on the
+            exponent's bit pattern.
         width: exponent register width in bits (1024 in the paper).
         clock_hz: circuit clock (the paper runs it at 100 MHz, 5x the
             20 MHz of Zhao & Suh's victim).
@@ -60,15 +60,12 @@ class RsaCircuit:
     def __init__(
         self,
         exponent: int,
-        modulus: int,
         width: int = RSA_BITS,
         clock_hz: float = 100e6,
         cycles_per_iteration: int = 1056,
     ):
         if exponent <= 0:
             raise ValueError("the circuit does not support a zero exponent")
-        if modulus <= 1:
-            raise ValueError("modulus must be > 1")
         self.width = require_int_in_range(width, 8, 65536, "width")
         if exponent.bit_length() > self.width:
             raise ValueError(
@@ -76,7 +73,6 @@ class RsaCircuit:
                 f"register is {self.width}"
             )
         self.exponent = int(exponent)
-        self.modulus = int(modulus)
         self.clock_hz = require_positive(clock_hz, "clock_hz")
         self.cycles_per_iteration = require_int_in_range(
             cycles_per_iteration, 1, 1_000_000, "cycles_per_iteration"

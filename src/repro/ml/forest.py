@@ -8,7 +8,7 @@ RNG call and grows each tree from its own ``default_rng(tree_seed)``,
 so a tree is a pure function of ``(X, y, params, tree_seed)``: trees
 grow in lockstep (:func:`repro.ml.tree.grow_trees`), all of one forest
 or of every fold forest of a Table III channel (:func:`fit_forests`),
-and serial and parallel fits give bit-identical forests.
+and a forest grown alone or batched with others is bit-identical.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.ml.tree import DecisionTreeClassifier, check_fit_data, descend, grow_trees
-from repro.perf.config import resolve_workers
-from repro.perf.executor import in_worker, parallel_map
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_int_in_range
 
@@ -39,20 +37,12 @@ def _seeded_trees(params, seeds, rows) -> List[tuple]:
     return trees
 
 
-def _grow_slice_task(task) -> List[DecisionTreeClassifier]:
-    """Pool-worker entry: grow one slice of a forest's tree seeds."""
-    X, codes, params, seeds = task
-    trees = _seeded_trees(params, seeds, np.arange(X.shape[0]))
-    grow_trees([(tree, X, codes, rows) for tree, rows in trees])
-    return [tree for tree, _ in trees]
-
-
 def fit_forests(jobs: Sequence[tuple]) -> None:
     """Fit several forests together, all their trees in lockstep.
 
     Each job is ``(forest, X, y, rows)``: the forest fits exactly as
-    ``forest.fit(X[rows], y[rows])`` would (``rows=None`` for all rows)
-    at any ``n_jobs``.  Batching every fold forest of a channel, over
+    ``forest.fit(X[rows], y[rows])`` would (``rows=None`` for all
+    rows).  Batching every fold forest of a channel, over
     matrices of different widths, multiplies the nodes a step scores.
     """
     tasks = []
@@ -85,10 +75,10 @@ class RandomForestClassifier:
         min_samples_leaf: smallest allowed leaf.
         bootstrap: draw each tree's training set with replacement.
         seed: RNG seed for bootstraps and feature subsampling.
-        n_jobs: worker processes for tree fitting; ``None`` honors the
-            ``AMPEREBLEED_WORKERS`` environment variable (serial when
-            unset), ``0``/negative uses every CPU.  The fitted forest
-            is identical at every worker count.
+
+    A forest fits in one process; parallelism lives a level up, where
+    folds and channels fan out (:func:`repro.ml.validation.
+    cross_validate`, ``FingerprintAnalyzer.evaluate_table3``).
     """
 
     def __init__(
@@ -99,7 +89,6 @@ class RandomForestClassifier:
         min_samples_leaf: int = 1,
         bootstrap: bool = True,
         seed: RngLike = None,
-        n_jobs: Optional[int] = None,
     ):
         self.n_estimators = require_int_in_range(
             n_estimators, 1, 100_000, "n_estimators"
@@ -108,7 +97,6 @@ class RandomForestClassifier:
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
         self.bootstrap = bool(bootstrap)
-        self.n_jobs = n_jobs
         self._rng = ensure_rng(seed)
         self.trees_: List[DecisionTreeClassifier] = []
         self.classes_: Optional[np.ndarray] = None
@@ -145,21 +133,7 @@ class RandomForestClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Fit all trees on (bootstrapped) views of the data."""
-        workers = resolve_workers(self.n_jobs)
-        if workers <= 1 or self.n_estimators <= 1 or in_worker():
-            fit_forests([(self, X, y, None)])
-            return self
-        X, y = check_fit_data(X, y)
-        classes, codes = np.unique(y, return_inverse=True)
-        slices = np.array_split(
-            self._tree_seeds(), min(workers, self.n_estimators)
-        )
-        parts = parallel_map(
-            _grow_slice_task,
-            [(X, codes, self._tree_params(), s) for s in slices],
-            workers=workers,
-        )
-        self._adopt(classes, codes, [tree for part in parts for tree in part])
+        fit_forests([(self, X, y, None)])
         return self
 
     def _check_fitted(self):

@@ -19,20 +19,16 @@ this package holds the shared machinery:
 """
 
 from repro.perf.config import (
-    FAULT_RATE_ENV,
     WORKERS_ENV,
     available_cpus,
-    fault_rate_from_env,
     resolve_workers,
 )
 from repro.perf.executor import in_worker, parallel_map
 from repro.perf.pool import get_pool, shutdown_pool
 
 __all__ = [
-    "FAULT_RATE_ENV",
     "WORKERS_ENV",
     "available_cpus",
-    "fault_rate_from_env",
     "resolve_workers",
     "in_worker",
     "parallel_map",

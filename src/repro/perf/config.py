@@ -1,21 +1,17 @@
 """Runtime configuration knobs for the evaluation engine.
 
-The library reads two environment variables, both resolved here and
-nowhere else (README's "Environment knobs" table documents them):
-
-* ``AMPEREBLEED_WORKERS`` — via :func:`resolve_workers`.  Every
-  parallel stage funnels through it so one knob controls the whole
-  pipeline: an explicit ``workers`` argument (CLI ``--workers`` plumbs
-  through here) always wins; otherwise the environment variable
-  applies; otherwise the stage's default (serial unless stated
-  otherwise).  ``workers=0`` or a negative value means "one worker per
-  available CPU".  The resolution never exceeds what the scheduler
-  actually grants this process (cgroup CPU masks on shared boxes), so
-  asking for 16 workers on a 4-core container fans out 4 wide.
-* ``AMPEREBLEED_FAULT_RATE`` — via :func:`fault_rate_from_env`.  A
-  rate in [0, 1] that arms :meth:`repro.faults.FaultPlan.at_rate` on
-  every session built without an explicit ``faults=`` argument (unset
-  or ``0`` means no fault injection).
+The library reads one environment variable, resolved here and nowhere
+else (README's "Environment knobs" table documents it):
+``AMPEREBLEED_WORKERS``, via :func:`resolve_workers`.  Every parallel
+stage funnels through it so one knob controls the whole pipeline: an
+explicit ``workers`` argument (CLI ``--workers`` plumbs through here)
+always wins; otherwise the environment variable applies; otherwise the
+stage's default (serial unless stated otherwise).  ``workers=0`` or a
+negative value means "one worker per available CPU".  The resolution
+never exceeds what the scheduler actually grants this process (cgroup
+CPU masks on shared boxes), so asking for 16 workers on a 4-core
+container fans out 4 wide.  Fault injection is armed only explicitly,
+through ``faults=`` / ``--faults``.
 """
 
 from __future__ import annotations
@@ -26,34 +22,8 @@ from typing import Optional
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "AMPEREBLEED_WORKERS"
 
-#: Environment variable arming a default fault-injection rate.
-FAULT_RATE_ENV = "AMPEREBLEED_FAULT_RATE"
-
 #: Hard cap: more workers than this is always a configuration mistake.
 MAX_WORKERS = 256
-
-
-def fault_rate_from_env() -> float:
-    """The fault rate ``AMPEREBLEED_FAULT_RATE`` requests (default 0).
-
-    Sessions built without an explicit ``faults=`` argument arm
-    :meth:`repro.faults.FaultPlan.at_rate` at this rate; ``0`` (or an
-    unset variable) arms nothing.
-    """
-    env = os.environ.get(FAULT_RATE_ENV, "").strip()
-    if not env:
-        return 0.0
-    try:
-        rate = float(env)
-    except ValueError:
-        raise ValueError(
-            f"{FAULT_RATE_ENV} must be a float in [0, 1], got {env!r}"
-        ) from None
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError(
-            f"{FAULT_RATE_ENV} must be in [0, 1], got {rate}"
-        )
-    return rate
 
 
 def available_cpus() -> int:

@@ -84,11 +84,10 @@ class AttackSession:
         streams identically.
 
         ``faults`` arms deterministic fault injection on every hwmon
-        device: a :class:`repro.faults.FaultPlan`, a rate in [0, 1]
-        (shorthand for :meth:`FaultPlan.at_rate`), or ``None`` to
-        consult ``AMPEREBLEED_FAULT_RATE`` (unset or 0 arms nothing
-        and keeps the bit-identical fast path).  ``retry_policy``
-        configures the sampler's resilient read loop.
+        device: a :class:`repro.faults.FaultPlan` or a rate in [0, 1]
+        (shorthand for :meth:`FaultPlan.at_rate`); ``None`` or a rate
+        of 0 arms nothing and keeps the bit-identical fast path.
+        ``retry_policy`` configures the sampler's resilient read loop.
         """
         seed = normalize_seed(seed)
         soc = Soc(board, seed=seed, hardening=hardening)
@@ -175,7 +174,6 @@ class AttackSession:
         detector=None,
         sink=None,
         trace_id: str = "monitor",
-        resume: bool = False,
     ):
         """Record one channel and classify it live, in a single pass.
 
@@ -189,15 +187,17 @@ class AttackSession:
         ends with an :class:`~repro.core.streaming.Interruption` event
         instead of an exception, keeping the verdicts already earned.
 
-        With ``resume=True`` (``sink`` reopened via
-        ``TraceArchiveWriter(..., resume=True)``), chunks the
-        interrupted session already persisted are replayed through the
-        analyzer off disk — rebuilding smoothing/detector state
-        deterministically — and the live stream skips past them, so
-        the completed session's archive and verdicts are byte-identical
-        to an uninterrupted run's.  Replayed chunks do not re-yield
-        their updates; only fresh chunks produce output.
+        A ``sink`` reopened via ``TraceArchiveWriter(..., resume=True)``
+        resumes the interrupted session (:func:`~repro.core.io.
+        resume_point`): the ``trace_id`` chunks it persisted are
+        replayed through the analyzer off disk — rebuilding
+        smoothing/detector state deterministically — and the live
+        stream skips past them, so the completed session's archive and
+        verdicts are byte-identical to an uninterrupted run's.
+        Replayed chunks do not re-yield their updates; only fresh
+        chunks produce output.
         """
+        from repro.core.io import resume_point
         from repro.core.streaming import (
             StreamingAnalyzer,
             WindowSpec,
@@ -224,28 +224,10 @@ class AttackSession:
             chunk_samples=chunk_samples,
             chunk_duration=chunk_duration,
         )
-        parts_done = 0
-        if resume:
-            if sink is None:
-                raise ValueError("resume=True needs a sink archive writer")
-            from repro.core.io import read_chunk_entry
-
-            sink.drop_entries_after_checkpoint()
-            recovered = sorted(
-                (
-                    entry
-                    for entry in sink.entries
-                    if entry.get("trace_id") == trace_id
-                ),
-                key=lambda entry: entry["part"],
-            )
-            skipped = 0
-            for entry in recovered:
-                chunk = read_chunk_entry(sink.path, entry)
-                analyzer.push_chunk(chunk)
-                skipped += chunk.n_samples
-            parts_done = len(recovered)
-            stream.skip_samples(skipped)
+        _, recovered = resume_point(sink, trace_id=trace_id)
+        for chunk in recovered:
+            analyzer.push_chunk(chunk)
+        stream.skip_samples(sum(chunk.n_samples for chunk in recovered))
 
         def _recorded(chunks, part):
             for chunk in chunks:
@@ -261,7 +243,7 @@ class AttackSession:
                     )
                 yield chunk
 
-        return monitor_chunks(analyzer, _recorded(stream, parts_done))
+        return monitor_chunks(analyzer, _recorded(stream, len(recovered)))
 
     def __repr__(self) -> str:
         return (

@@ -124,7 +124,6 @@ class Soc:
         profiles = dict(DEFAULT_NOISE_PROFILES)
         if noise_profiles:
             profiles.update(noise_profiles)
-        self.noise_profiles = profiles
 
         if board.name == "VCK190":
             from repro.boards.versal import VCK190_SENSORS
@@ -135,7 +134,6 @@ class Soc:
         self.sensor_specs: List[SensorSpec] = list(sensors)
 
         self.fabric = Fabric(board)
-        self.fault_plan = None
         self.rails: Dict[str, PowerRail] = {}
         self.hwmon = HwmonTree()
         self._device_by_designator: Dict[str, HwmonDevice] = {}
@@ -217,7 +215,6 @@ class Soc:
         its name, so devices fail independently but deterministically.
         ``None`` (or a no-op plan) disarms/changes nothing observable.
         """
-        self.fault_plan = plan
         for device in self.hwmon.devices():
             device.arm_faults(plan)
 

@@ -331,7 +331,7 @@ def session(out):
     writer.append(chunk(10))
     writer.abort()
     with TraceArchiveWriter(out, resume=True) as writer:
-        writer.drop_entries_after_checkpoint()
+        assert len(writer.entries) == 1  # rolled back to the checkpoint
         writer.append(chunk(70000))
     for mmap in (False, True):
         TraceArchiveReader(out, mmap=mmap).load_traceset()

@@ -74,7 +74,7 @@ def _explode_after(writer, n_appends):
     writer.append = append
 
 
-def _fingerprinter(sink_resume=False):
+def _fingerprinter():
     session = AttackSession.create(seed=5)
     return DnnFingerprinter(
         session=session, config=FingerprintConfig(**CONFIG)
@@ -110,7 +110,6 @@ class TestFingerprintResume:
                 models=MODELS,
                 channels=CHANNELS,
                 sink=resumed_writer,
-                resume=True,
             )
 
         assert tree_hash(clean) == tree_hash(broken)
@@ -137,19 +136,12 @@ class TestFingerprintResume:
                 models=MODELS,
                 channels=CHANNELS,
                 sink=resumed_writer,
-                resume=True,
             )
         fingerprinter = _fingerprinter()
         a = fingerprinter.evaluate_channel(reference[("fpga", "current")])
         b = fingerprinter.evaluate_channel(resumed[("fpga", "current")])
         assert a.top1 == b.top1
         assert a.top5 == b.top5
-
-    def test_resume_without_sink_rejected(self):
-        with pytest.raises(ValueError, match="sink"):
-            _fingerprinter().collect_datasets(
-                models=MODELS, channels=CHANNELS, resume=True
-            )
 
 
 class TestRsaResume:
@@ -192,18 +184,11 @@ class TestRsaResume:
                 weights=self.WEIGHTS,
                 n_samples=300,
                 sink=writer,
-                resume=True,
             )
         assert tree_hash(clean) == tree_hash(broken)
         for a, b in zip(reference, resumed):
             assert a.label == b.label
             np.testing.assert_array_equal(a.values, b.values)
-
-    def test_resume_requires_sink(self):
-        with pytest.raises(ValueError, match="sink"):
-            self._attack().collect_sweep(
-                weights=self.WEIGHTS, n_samples=300, resume=True
-            )
 
 
 class TestCampaignResume:
@@ -256,6 +241,61 @@ class TestCampaignResume:
         np.testing.assert_array_equal(reference.times, resumed.times)
 
 
+class TestWriterOwnedResume:
+    """A writer reopened with ``resume=True`` is all a recorder needs:
+    passed as the sink with no other flag, the recording picks up at
+    the writer's last checkpoint and seals byte-identical."""
+
+    def test_sweep_resumes_from_a_reopened_sink(self, tmp_path):
+        weights = (8, 16, 24)
+        clean, broken = tmp_path / "clean", tmp_path / "broken"
+
+        def attack():
+            return RsaHammingWeightAttack(session=AttackSession.create(seed=5))
+
+        meta = attack().archive_meta(weights=weights, n_samples=300)
+        with TraceArchiveWriter(clean, meta=meta) as writer:
+            attack().collect_sweep(weights=weights, n_samples=300, sink=writer)
+        writer = TraceArchiveWriter(broken, meta=meta)
+        _explode_after(writer, n_appends=1)  # killed after the first key
+        with pytest.raises(Bomb):
+            with writer:
+                attack().collect_sweep(
+                    weights=weights, n_samples=300, sink=writer
+                )
+        with TraceArchiveWriter(broken, meta=meta, resume=True) as writer:
+            traces = attack().collect_sweep(
+                weights=weights, n_samples=300, sink=writer
+            )
+        assert tree_hash(clean) == tree_hash(broken)
+        assert [trace.label for trace in traces] == ["hw-8", "hw-16", "hw-24"]
+        assert len(TraceArchiveReader(broken)) == 3
+
+    def test_datasets_resume_from_a_reopened_sink(self, tmp_path):
+        clean, broken = tmp_path / "clean", tmp_path / "broken"
+        meta = _fingerprinter().archive_meta(MODELS, CHANNELS)
+        with TraceArchiveWriter(clean, meta=meta) as writer:
+            _fingerprinter().collect_datasets(
+                models=MODELS, channels=CHANNELS, sink=writer
+            )
+        writer = TraceArchiveWriter(broken, meta=meta)
+        # Run 1 persists one of its two channels, then the kill hits.
+        _explode_after(writer, n_appends=3)
+        with pytest.raises(Bomb):
+            with writer:
+                _fingerprinter().collect_datasets(
+                    models=MODELS, channels=CHANNELS, sink=writer
+                )
+        with TraceArchiveWriter(broken, meta=meta, resume=True) as writer:
+            assert len(writer.entries) == 2  # run 1's half rolled back
+            datasets = _fingerprinter().collect_datasets(
+                models=MODELS, channels=CHANNELS, sink=writer
+            )
+        assert tree_hash(clean) == tree_hash(broken)
+        runs = len(MODELS) * CONFIG["traces_per_model"]
+        assert [len(datasets[channel]) for channel in CHANNELS] == [runs] * 2
+
+
 class TestArchiveRecovery:
     """What the writer accepts, repairs, or refuses on resume."""
 
@@ -292,7 +332,7 @@ class TestArchiveRecovery:
             out, meta={"experiment": "test"}, resume=True
         ) as writer:
             attack.collect_sweep(
-                weights=(4, 8, 12), n_samples=300, sink=writer, resume=True
+                weights=(4, 8, 12), n_samples=300, sink=writer
             )
 
     def _sealed_sweep(self, out):
@@ -393,7 +433,7 @@ class TestArchiveRecovery:
         finally:
             writer.abort()
 
-    def test_drop_entries_after_checkpoint(self, tmp_path):
+    def test_resume_rolls_back_to_checkpoint(self, tmp_path):
         out = tmp_path / "arch"
         writer = TraceArchiveWriter(out, meta={"experiment": "test"})
         attack = RsaHammingWeightAttack(session=AttackSession.create(seed=5))
@@ -404,16 +444,17 @@ class TestArchiveRecovery:
         writer.checkpoint({"keys_done": 1})
         writer.append(traces[1])  # persisted after the last checkpoint
         writer.abort()
+        assert len(TraceArchiveReader(out, allow_partial=True)) == 2
         resumed = TraceArchiveWriter(
             out, meta={"experiment": "test"}, resume=True
         )
         try:
-            assert len(resumed.entries) == 2
-            dropped = resumed.drop_entries_after_checkpoint()
-            assert dropped == 1
             assert len(resumed.entries) == 1
+            assert resumed._n_chunks == 1
+            assert resumed.checkpoint_state == {"keys_done": 1}
         finally:
             resumed.abort()
+        assert len(TraceArchiveReader(out, allow_partial=True)) == 1
 
     def test_reader_rejects_unsealed_archive(self, tmp_path):
         out = self._partial_archive(tmp_path / "arch")
@@ -483,7 +524,7 @@ class TestSegmentResume:
         with TraceArchiveWriter(
             broken, meta={"experiment": "test"}, resume=True
         ) as writer:
-            assert writer.drop_entries_after_checkpoint() == 1
+            assert writer._n_chunks == crash_at
             _record_chunks(writer, start=writer.checkpoint_state["done"])
         assert tree_hash(clean) == tree_hash(broken)
 
@@ -499,7 +540,7 @@ class TestSegmentResume:
         with TraceArchiveWriter(
             out, meta={"experiment": "test"}, resume=True
         ) as writer:
-            assert writer.drop_entries_after_checkpoint() == 3
+            assert len(writer.entries) == 1
         assert self._segments(out) == ["segment_000000.bin"]
         assert (out / "segment_000000.bin").stat().st_size == 16 * _SIZES[0]
         entries = TraceArchiveReader(out).entries
@@ -566,7 +607,7 @@ class TestFaultedArchiveRoundtrip:
         )
         with writer:
             attack().collect_sweep(
-                weights=weights, n_samples=300, sink=writer, resume=True
+                weights=weights, n_samples=300, sink=writer
             )
         assert tree_hash(clean) == tree_hash(broken)
 

@@ -8,7 +8,6 @@ from repro.crypto import (
     exponent_bits_lsb_first,
     hamming_weight,
     make_exponent_with_weight,
-    random_modulus,
 )
 
 
@@ -60,7 +59,7 @@ class TestSquareAndMultiply:
         assert square_and_multiply(base, exp, mod, width) == pow(base, exp, mod)
 
     def test_1024_bit_operands(self):
-        modulus = random_modulus(seed=5)
+        modulus = (1 << 1023) | 0x9F2B51C377E10A65
         exponent = make_exponent_with_weight(512, seed=5)
         base = 0xDEADBEEF
         assert square_and_multiply(base, exponent, modulus) == pow(
@@ -120,10 +119,3 @@ class TestKeyConstruction:
             exponent = make_exponent_with_weight(weight, seed=2)
             assert hamming_weight(exponent) == weight
 
-    def test_random_modulus_properties(self):
-        modulus = random_modulus(seed=3)
-        assert modulus % 2 == 1
-        assert modulus.bit_length() == 1024
-
-    def test_random_modulus_seeded(self):
-        assert random_modulus(seed=9) == random_modulus(seed=9)

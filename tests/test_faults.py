@@ -19,7 +19,6 @@ from repro.faults import (
     SensorHealth,
     resolve_fault_plan,
 )
-from repro.perf.config import FAULT_RATE_ENV
 
 pytestmark = pytest.mark.faults
 
@@ -64,16 +63,8 @@ class TestFaultPlanConstruction:
 
 
 class TestResolveFaultPlan:
-    def test_none_without_env_resolves_to_nothing(self, monkeypatch):
-        monkeypatch.delenv(FAULT_RATE_ENV, raising=False)
+    def test_none_without_env_resolves_to_nothing(self):
         assert resolve_fault_plan(None) is None
-
-    def test_none_with_env_builds_rate_plan(self, monkeypatch):
-        monkeypatch.setenv(FAULT_RATE_ENV, "0.25")
-        plan = resolve_fault_plan(None, seed=4)
-        assert plan is not None
-        assert plan.transient_rate == 0.25
-        assert plan.seed == 4
 
     def test_float_shorthand(self):
         plan = resolve_fault_plan(0.1, seed=2)

