@@ -13,8 +13,8 @@ Like the fingerprinting attack, this one is split across the two
 planes: :meth:`RsaHammingWeightAttack.collect_sweep` records labeled
 traces on the device (optionally streaming them to an archive), and
 :func:`sweep_from_traces` turns a trace set — fresh or loaded from
-disk — into the Fig 4 distributions.  ``sweep()`` composes the two
-for the classic in-process run.
+disk — into the Fig 4 distributions.  ``sweep()`` runs the classic
+in-process experiment, profiling each key as soon as it is recorded.
 
 Knowing the Hamming weight shrinks the brute-force key space and seeds
 statistical key-recovery attacks (the paper cites Sarkar & Maitra).
@@ -23,6 +23,7 @@ statistical key-recovery attacks (the paper cites Sarkar & Maitra).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,18 +51,29 @@ GROUP_GAP = {"current": 1.0, "power": 25_000.0}
 #: Trace label prefix identifying one test key's Hamming weight.
 WEIGHT_LABEL_PREFIX = "hw-"
 
+#: Integer dtypes a profile holds its readings in, narrowest first.
+_PROFILE_INT_DTYPES = (np.int16, np.int32, np.int64)
+
 
 @dataclass(frozen=True)
 class KeyProfile:
-    """Readings collected while one key was in use."""
+    """Readings collected while one key was in use.
+
+    ``values`` are the trace's readings in hwmon units (mA for
+    current, µW for power), held once: integer readings in the
+    narrowest of int16, int32 and int64 that holds their minimum and
+    maximum (int16 for mA, int32 for µW and torn-fault magnitudes),
+    any other readings as float64.  Consumers convert to float64,
+    which is exact for integers below 2**53.
+    """
 
     weight: int
     quantity: str
     values: np.ndarray
 
-    @property
+    @cached_property
     def summary(self) -> DistributionSummary:
-        """Box-plot summary (what Fig 4 draws per key)."""
+        """Box-plot summary (what Fig 4 draws per key), computed once."""
         return summarize(self.values)
 
 
@@ -105,12 +117,23 @@ def weight_from_label(label: Optional[str]) -> int:
     return int(label[len(WEIGHT_LABEL_PREFIX):])
 
 
+def _narrow_readings(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest profile dtype that holds them."""
+    if values.dtype.kind in "iu":
+        low, high = int(values.min()), int(values.max())
+        for dtype in _PROFILE_INT_DTYPES:
+            bounds = np.iinfo(dtype)
+            if bounds.min <= low and high <= bounds.max:
+                return values.astype(dtype, copy=False)
+    return np.asarray(values, dtype=np.float64)
+
+
 def profile_from_trace(trace: Trace) -> KeyProfile:
     """The per-key reading distribution behind one recorded trace."""
     return KeyProfile(
         weight=weight_from_label(trace.label),
         quantity=trace.quantity,
-        values=np.asarray(trace.values, dtype=np.float64),
+        values=_narrow_readings(trace.values),
     )
 
 
@@ -251,10 +274,12 @@ class RsaHammingWeightAttack:
     ) -> TraceSet:
         """Acquisition plane: record every test key's trace.
 
-        With ``sink`` given each key's trace is appended to the archive
-        as soon as its session ends, so the device never holds more
-        than one key's readings plus what is already safely on disk;
-        each append is followed by a progress checkpoint.
+        The returned set holds every key's trace, so its memory grows
+        with the sweep (27 MB for the paper's 17 keys of 100 k
+        polls); :meth:`sweep` profiles each key as it is recorded and
+        holds one key's trace at a time.  With ``sink`` given each
+        key's trace is also appended to the archive as soon as its
+        session ends, followed by a progress checkpoint.
 
         A sink reopened via ``TraceArchiveWriter(..., resume=True)``
         resumes the interrupted sweep (:func:`~repro.core.io.
@@ -296,12 +321,23 @@ class RsaHammingWeightAttack:
         quantity: str = "current",
         n_samples: int = 35_000,
     ) -> WeightSweepResult:
-        """Profile every test key on one channel (one Fig 4 panel)."""
-        return sweep_from_traces(
-            self.collect_sweep(
-                weights=weights, quantity=quantity, n_samples=n_samples
+        """Profile every test key on one channel (one Fig 4 panel).
+
+        Each key is profiled as soon as it is recorded, so one key's
+        trace is alive at a time; the result equals
+        ``sweep_from_traces(self.collect_sweep(...))`` bit for bit.
+        """
+        if len(weights) == 0:
+            raise ValueError("no test keys to sweep")
+        profiles = tuple(
+            self.profile_key(
+                self.make_circuit(weight),
+                quantity=quantity,
+                n_samples=n_samples,
             )
+            for weight in weights
         )
+        return WeightSweepResult(quantity=quantity, profiles=profiles)
 
     def infer_weight(
         self, values: np.ndarray, calibration: LinearFit

@@ -67,11 +67,20 @@ def _poll_grid(
     when jitter is off), clamped monotonic — the loop never polls
     backwards in time — from ``floor``, the session's last drawn time.
     """
-    times = start + np.arange(first, first + count) / poll_hz
+    # Built in place, so a call allocates two poll-length arrays (the
+    # times and the noise).  Each step is one IEEE operation of
+    # ``start + arange / poll_hz + jitter * noise`` (additions and
+    # products commute), so the times keep that expression's bits.
+    times = np.arange(first, first + count, dtype=np.float64)
+    times /= poll_hz
+    times += start
     if rng is None:
         return times
-    times = times + jitter * rng.standard_normal(count)
-    return np.maximum(np.maximum.accumulate(times), floor)
+    noise = rng.standard_normal(count)
+    noise *= jitter
+    times += noise
+    np.maximum.accumulate(times, out=times)
+    return np.maximum(times, floor, out=times)
 
 
 class ChannelOutageError(RuntimeError):

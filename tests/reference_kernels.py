@@ -32,6 +32,9 @@ replaced implementations live on here, verbatim:
 * :func:`legacy_sample_resilient` — the resilient sampler's retry loop
   with one device read per attempt, which the one read of a chunk and
   all its re-polls replaced.
+* :func:`legacy_poll_grid` — the poll clock as one expression over
+  fresh poll-length temporaries, which the in-place
+  ``repro.core.sampler._poll_grid`` replaced.
 
 Alongside them live helpers for values that only tests read, which
 ``src/`` does not keep (``tests/test_public_api.py`` guards that):
@@ -48,7 +51,7 @@ Alongside them live helpers for values that only tests read, which
   its clock regions.
 * :func:`tree_depth` — a fitted tree's depth from its node arrays.
 
-Five consumers of the legacy kernels: ``tests/test_kernel_parity.py``
+Six consumers of the legacy kernels: ``tests/test_kernel_parity.py``
 pins the new kernels against these on the checked-in fixtures and on
 randomized inputs,
 ``tests/test_hashrand.py`` pins the counter-hash kernels,
@@ -56,7 +59,8 @@ randomized inputs,
 read against the one-request read, and ``tests/test_dpu_runner.py``
 pins the DPU run timelines against the full-array ones, and
 ``tests/test_resilient_sampler.py`` pins the resilient sampler against
-the per-attempt loop.
+the per-attempt loop, and ``tests/test_sampler.py`` pins the poll clock
+against the one-expression grid.
 The module lives under ``tests/`` because it is a parity oracle, not
 a fallback path; nothing in ``src/`` may import it.
 """
@@ -670,3 +674,20 @@ def legacy_sample_resilient(sampler, domain: str, quantity: str, times):
         health=health.note_read(faults_seen, gaps, total),
     )
     return values, quality
+
+
+def legacy_poll_grid(
+    start: float,
+    first: int,
+    count: int,
+    poll_hz: float,
+    jitter: float,
+    rng,
+    floor: float = -np.inf,
+) -> np.ndarray:
+    """The poll clock as it was before ``_poll_grid`` built it in place."""
+    times = start + np.arange(first, first + count) / poll_hz
+    if rng is None:
+        return times
+    times = times + jitter * rng.standard_normal(count)
+    return np.maximum(np.maximum.accumulate(times), floor)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from reference_kernels import legacy_poll_grid
 
-from repro.core.sampler import HwmonSampler
+from repro.core.sampler import HwmonSampler, _poll_grid
 from repro.soc import ConstantActivity, Soc
 
 
@@ -42,6 +43,29 @@ class TestPollTimes:
             sampler.poll_times(0.0, 0, 100.0)
         with pytest.raises(ValueError):
             sampler.poll_times(0.0, 10, 0.0)
+
+
+    @pytest.mark.parametrize(
+        "start, first, count, poll_hz, jitter, floor",
+        [
+            (1.0, 0, 5, 100.0, 0.0, -np.inf),
+            (0.0, 0, 100_000, 1000.0, 120e-6, -np.inf),
+            (17.25, 35_000, 7_000, 1000.0, 120e-6, 52.2497),
+            (3.0, 123, 4_096, 37.0, 5e-3, 6.5),
+        ],
+    )
+    def test_in_place_grid_matches_the_expression(
+        self, start, first, count, poll_hz, jitter, floor
+    ):
+        def rng():
+            return np.random.default_rng(11) if jitter else None
+
+        expected = legacy_poll_grid(
+            start, first, count, poll_hz, jitter, rng(), floor
+        )
+        got = _poll_grid(start, first, count, poll_hz, jitter, rng(), floor)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestCollect:
